@@ -8,17 +8,32 @@ per-event dunder, an O(n) poll in the runner), not against
 machine-to-machine variance; the CI perf-smoke gate
 (``repro.cli bench --gate``) handles relative regressions against
 same-machine history.
+
+Also home of the sweep pool's wall-clock scaling claim: elapsed-time
+assertions live here, never under ``tests/`` (simcheck SIM009).
 """
 
 from __future__ import annotations
 
+import math
 import pathlib
+import time
+from dataclasses import replace
+
+import pytest
 
 from benchmarks.conftest import show
 
+from repro.experiments import registry
 from repro.experiments.bench import EVENTS_PER_SEC_FLOOR, run_and_write
+from repro.experiments.parallel import SweepTask, available_cpus, run_sweep
 
 BENCH_FILE = pathlib.Path(__file__).resolve().parents[1] / "BENCH_engine.json"
+
+#: how far above the ideal ``ceil(n_tasks / workers) / n_tasks`` share
+#: of serial wall time a pooled sweep may land (worker start-up, result
+#: pickling, a noisy neighbour on one core)
+POOL_SLACK = 0.25
 
 
 def test_engine_events_per_sec(once):
@@ -35,3 +50,33 @@ def test_engine_events_per_sec(once):
     # near-total completion; the drain window may strand a straggler
     assert quick["completed_flows"] >= 0.95 * quick["total_flows"]
     assert quick["events_per_sec"] >= EVENTS_PER_SEC_FLOOR
+
+
+def test_pool_wall_time_scales_with_workers():
+    cpus = available_cpus()
+    if cpus < 2:
+        pytest.skip("needs >=2 CPUs for wall-time scaling")
+    (quick,) = registry.get("quick").configs
+    # ~1 s of simulation per task, so pool start-up is amortized
+    tasks = [
+        SweepTask(key=f"seed{s}", config=replace(quick, seed=s))
+        for s in (1, 2, 3)
+    ]
+    workers = min(len(tasks), cpus)
+    run_sweep(tasks[:1], serial=True)  # warm imports
+    t0 = time.perf_counter()
+    run_sweep(tasks, serial=True)
+    serial_wall = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    run_sweep(tasks, max_workers=workers)
+    pool_wall = time.perf_counter() - t0
+    # with fewer workers than tasks the slowest worker runs
+    # ceil(n / workers) tasks back to back: 2/3 of serial for 3 on 2
+    ideal = math.ceil(len(tasks) / workers) / len(tasks)
+    show(
+        "Sweep pool scaling",
+        f"{len(tasks)} tasks on {workers} workers: serial {serial_wall:.2f}s, "
+        f"pooled {pool_wall:.2f}s ({pool_wall / serial_wall:.2f}x, "
+        f"ideal {ideal:.2f}x, bound {ideal + POOL_SLACK:.2f}x)",
+    )
+    assert pool_wall <= (ideal + POOL_SLACK) * serial_wall

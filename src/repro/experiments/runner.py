@@ -37,21 +37,21 @@ class ScenarioResult:
     #: invariant violations the sanitizer collected; empty both for
     #: clean sanitized runs and for unsanitized runs
     sanitizer_violations: List[str] = field(default_factory=list)
-    #: sharded-run aggregates (repro.sim.sharded).  A multiprocess
-    #: sharded run leaves the in-memory scenario unexecuted, so VOQ and
-    #: retransmission totals come back from the workers instead of the
-    #: local extension/flow-table scan; None everywhere else.
+    #: sharded runs only (None everywhere else): the merge in
+    #: repro.sim.sharded fills all six from the per-domain reports,
+    #: whichever transport ran the domains — a forked run leaves the
+    #: in-memory scenario unexecuted, so nothing below may be read off
+    #: the local extension/flow-table/injector instead.
     shard_max_voqs: Optional[int] = None
     shard_retransmitted: Optional[int] = None
+    #: injected-fault counters; None without injected faults
+    shard_fault_summary: Optional[Dict[str, int]] = None
     #: per-domain event-stream digests (hex), populated only when the
-    #: determinism harness requests them from a sharded run
+    #: determinism harness requests them
     shard_digests: Optional[List[str]] = None
     #: lockstep-mode global digest (hex), byte-comparable to a serial
     #: run's depth-free EventStreamDigest
     shard_global_digest: Optional[str] = None
-    #: fault counters merged back from sharded workers (the parent's
-    #: in-memory injector never ran there); None everywhere else
-    shard_fault_summary: Optional[Dict[str, int]] = None
     #: cross-domain mutations the isolation sanitizer caught under
     #: ``check --sharded --isolate``; None when isolation was off
     shard_isolation_violations: Optional[List[str]] = None

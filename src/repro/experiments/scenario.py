@@ -172,11 +172,12 @@ class ScenarioConfig:
     #: Sharded runs reproduce the serial event order exactly — the
     #: determinism harness asserts byte-identical digests/summaries.
     shards: int = 1
-    #: sharded executor: "process" (one worker process per domain, the
-    #: speedup path), "barrier" (in-process conservative windows),
-    #: "lockstep" (in-process global-order merge, the equivalence
-    #: reference), or "auto" (process, falling back to barrier for rpc
-    #: workloads whose closed loop must share one address space)
+    #: how the sharded window loop reaches its domains: "barrier"
+    #: (in-process conservative windows), "process" (one forked worker
+    #: per domain, the same calls over pipes; no rpc, whose closed loop
+    #: must share one address space), "lockstep" (in-process
+    #: global-order merge, the equivalence reference), or "auto"
+    #: (barrier: the fastest of the three wherever it has been measured)
     shard_mode: str = "auto"
     #: hard stop as a multiple of `duration` (lets stragglers finish)
     max_runtime_factor: float = 8.0
@@ -382,7 +383,7 @@ class Scenario:
             # read per-domain hub shards, and the sanitizer keeps
             # per-domain conservation ledgers (repro.sim.sharded); the
             # install order there mirrors this one
-            self._install_faults()
+            self.install_faults()
             if cfg.telemetry is not None:
                 self.telemetry = TelemetryRecorder(self, cfg.telemetry)
                 self.telemetry.start()
@@ -390,8 +391,14 @@ class Scenario:
                 self.sanitizer = SimSanitizer(self, cfg.sanitize)
                 self.sanitizer.start()
 
-    def _install_faults(self) -> None:
-        """Arm the fault plan, if any (no plan -> nothing scheduled)."""
+    def install_faults(self, watchdog_sim: Optional[Simulator] = None) -> None:
+        """Arm the fault plan, if any (no plan -> nothing scheduled).
+
+        Every link fault schedules on its link's own simulator; the
+        stall watchdog, a whole-run observer, rides ``watchdog_sim`` —
+        a sharded run passes one of its domain engines, because the
+        build-time ``self.sim`` never runs there.
+        """
         plan = self.config.fault_plan
         if plan is None or not plan:
             return
@@ -402,7 +409,8 @@ class Scenario:
             self.fault_injector.install()
         if plan.stall_window > 0:
             self.watchdog = StallWatchdog(
-                self.sim, self.topology, self.stats, plan.stall_window
+                self.sim if watchdog_sim is None else watchdog_sim,
+                self.topology, self.stats, plan.stall_window,
             )
             self.watchdog.start()
 

@@ -404,18 +404,22 @@ class FaultInjector:
             for s in self.states.values()
         )
 
-    def summary(self) -> Dict[str, int]:
-        """Aggregate injection counters (picklable, for experiments)."""
+    def summary(self, owns=None) -> Dict[str, int]:
+        """Aggregate injection counters (picklable, for experiments).
+
+        ``owns`` (a link predicate) restricts the injection counters to
+        the links one sharded domain owns; the plan's static shape
+        (``faulted_links``, ``flaps_scheduled``) is reported whole.
+        """
+        states = [
+            s for s in self.states.values() if owns is None or owns(s.link)
+        ]
         return {
             "faulted_links": len(self.states),
             "flaps_scheduled": self.flaps_scheduled,
-            "injected_drops_data": sum(
-                s.injected_drops_data for s in self.states.values()
-            ),
-            "injected_drops_ctrl": sum(
-                s.injected_drops_ctrl for s in self.states.values()
-            ),
+            "injected_drops_data": sum(s.injected_drops_data for s in states),
+            "injected_drops_ctrl": sum(s.injected_drops_ctrl for s in states),
             "injected_corruptions": sum(
-                s.injected_corruptions for s in self.states.values()
+                s.injected_corruptions for s in states
             ),
         }

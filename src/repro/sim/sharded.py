@@ -4,11 +4,10 @@ The serial engine runs one heap over the whole fabric.  This module
 partitions a built :class:`~repro.experiments.scenario.Scenario` into
 ``shards`` simulation *domains* — per-pod on fat trees, per-ToR-group
 on leaf-spine fabrics — each with its own :class:`Simulator` heap,
-node set, and packet pool, synchronized by classic conservative
-lookahead: the minimum propagation delay over the links that cross a
-domain boundary.  Domains advance independently inside a window no
-wider than that lookahead, then exchange boundary deliveries through
-deterministic ordered channels.
+node set, packet pool and stats hub, synchronized by classic
+conservative lookahead: the minimum propagation delay over the links
+that cross a domain boundary.  Domains advance independently inside a
+window no wider than that lookahead, then exchange boundary deliveries.
 
 Why the result is *identical* to serial, not merely statistically
 equivalent: the engine's heap key is ``(time, lid, seq)`` where every
@@ -24,29 +23,35 @@ sending domain for boundary traffic.  So per-domain execution order —
 and therefore every measured quantity — is independent of how the
 domains interleave in wall time.
 
-Three executors share that argument:
+The machinery is four pieces, each written once:
 
-* ``lockstep`` — in-process reference: one merged loop always runs the
-  globally smallest key, all domain sims share one sequence counter,
-  so the interleaved stream replays the serial order *exactly* (the
-  equivalence harness hashes it against a serial run);
-* ``barrier`` — in-process conservative windows: domains run
-  sequentially to each barrier, boundary deliveries are exchanged at
-  the barrier.  Needed for closed-loop rpc workloads, whose driver
-  state (requests, the growing flow table) must share one address
-  space;
-* ``process`` — the speedup path: one forked worker per domain, each
-  inheriting the built scenario and running only its own domain;
-  boundary deliveries and barrier control ride pipes, and per-domain
-  stats hubs are merged (:meth:`StatsHub.merge_from`) at the end.
+* a **domain runtime** (:class:`DomainRuntime`) owns everything one
+  domain needs — its engine, pool, hub, telemetry recorder, sanitizer
+  slice, isolation probe and event digest — and answers two calls:
+  ``step(h_next, incoming, sweep)`` advances the domain to ``h_next``
+  and says what it saw, ``finish(now)`` returns a picklable
+  :class:`DomainReport`;
+* the **window loop** (:func:`_window_loop`) picks each window's end
+  from the domains' next-event times and the lookahead, routes
+  boundary deliveries between domains, judges the whole-fabric
+  conservation equations at every ``check_interval`` boundary,
+  decides when the run is over, and collects the reports;
+* a **transport** carries the loop's calls to the runtimes:
+  ``barrier`` calls them in this process, ``process`` forks one worker
+  per domain and ships the same calls over pipes, and ``lockstep`` —
+  the equivalence oracle — advances all domains together by always
+  running the globally smallest key (one shared sequence counter, so
+  the interleaved stream replays the serial order *exactly*; the
+  harness hashes it against a serial run);
+* the **merge** (:func:`_merge`) folds the reports, in domain order,
+  into the :class:`ScenarioResult` a serial run would have built.
 
-Fault plans, telemetry, and the sanitizer all run under shards.  Each
-is installed *after* domain binding so its state is domain-local:
-fault transitions are scheduled on the faulted link's own simulator
-(plans touching boundary links are rejected up front), telemetry
-samples per-domain hub shards merged in deterministic domain order
-(:mod:`repro.telemetry.shard`), and the sanitizer keeps per-domain
-conservation ledgers summed at barrier windows
+Fault plans, telemetry, and the sanitizer all run under shards, each
+installed *after* domain binding so its state is domain-local: fault
+transitions are scheduled on the faulted link's own simulator (plans
+touching boundary links are rejected up front), telemetry samples
+per-domain hubs (:mod:`repro.telemetry.recorder`), and the sanitizer
+keeps per-domain conservation ledgers the window loop sums
 (:class:`~repro.simcheck.sanitizer.ShardedSanitizer`).  The optional
 isolation sanitizer (``check --sharded --isolate``) tags hot objects
 with their owning domain and asserts every executed callback ran under
@@ -54,22 +59,26 @@ that domain (:mod:`repro.simcheck.isolation`).
 
 Remaining restrictions (enforced by ``ScenarioConfig.__post_init__``
 and this module): packet fidelity only; the rpc closed loop and the
-stall watchdog need one address space, so they run under the
-in-process executors only.
+stall watchdog need one address space, so they cannot run under the
+forked transport.
 """
 
 from __future__ import annotations
 
 import time as _time
+import traceback
+from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.net.packet import DISABLED_POOL, PacketKind, PacketPool
+from repro.net.packet import DISABLED_POOL, PacketPool
 from repro.sim.engine import Simulator
 
 __all__ = [
     "partition_nodes",
     "boundary_lookahead",
+    "DomainReport",
+    "run_domains",
     "run_sharded_scenario",
 ]
 
@@ -153,7 +162,7 @@ def boundary_lookahead(topology, domain_of: Dict[int, int]) -> int:
 class _SharedSeqSimulator(Simulator):
     """A domain simulator drawing sequence numbers from a shared cell.
 
-    The lockstep executor interleaves domain heaps in global key
+    The lockstep transport interleaves domain heaps in global key
     order; sharing one counter across the domains makes every tie at
     ``(time, lid=0)`` break in the same global scheduling order a
     serial run would produce, so the merged stream replays serial
@@ -192,25 +201,11 @@ class _DirectChannel:
         heappush(self.sims[self.domain_of[peer.node_id]]._heap, item)
 
 
-class _MailboxChannel:
-    """Barrier boundary channel: buffer until the next barrier flush."""
+class _OutboxChannel:
+    """Window-loop boundary channel: hold deliveries until the window ends.
 
-    __slots__ = ("mailboxes", "domain_of")
-
-    def __init__(self, mailboxes: List[list], domain_of: Dict[int, int]):
-        self.mailboxes = mailboxes
-        self.domain_of = domain_of
-
-    def send(self, peer, item: tuple) -> None:
-        self.mailboxes[self.domain_of[peer.node_id]].append(item)
-
-
-class _WireChannel:
-    """Process-mode boundary channel: picklable outbox entries.
-
-    The heap item holds a bound method (``peer.receive``) that cannot
-    cross a pipe; ship ``(time, lid, seq, node_id, port, packet)`` and
-    let the receiving worker rebind it to its own copy of the node.
+    Holds the heap items themselves, keyed by target domain; the window
+    loop hands them to the target runtime with its next ``step``.
     """
 
     __slots__ = ("outbox", "domain_of")
@@ -220,10 +215,7 @@ class _WireChannel:
         self.domain_of = domain_of
 
     def send(self, peer, item: tuple) -> None:
-        t, lid, seq, _ev, _fn, (pkt, port) = item
-        self.outbox[self.domain_of[peer.node_id]].append(
-            (t, lid, seq, peer.node_id, port, pkt)
-        )
+        self.outbox[self.domain_of[peer.node_id]].append(item)
 
 
 def _rebind_extension(ext, sim: Simulator) -> None:
@@ -245,8 +237,8 @@ def _bind_domains(
     domain_of: Dict[int, int],
     sims: List[Simulator],
     pools: list,
+    hubs: list,
     channel,
-    hubs: Optional[list] = None,
 ) -> None:
     """Rebind every node, port, link, and extension to its domain.
 
@@ -256,19 +248,19 @@ def _bind_domains(
     Boundary links get the channel instead of a domain sim; their
     ``deliver`` computes the ordering key on the sending side.
 
-    ``hubs`` (in-process telemetry runs only) rebinds every node's
-    stats sink to its domain's hub shard, so sampler reads and hot-path
-    records stay domain-local; every ``.stats`` access in the data path
-    goes through the node attribute, so this one rebind covers hosts,
-    switches, extensions, and link fault states alike.
+    Every node's stats sink becomes its domain's hub, so hot-path
+    records and sampler reads stay domain-local (a shared hub
+    mid-window would mix domains at different times); every ``.stats``
+    access in the data path goes through the node attribute, so this
+    one rebind covers hosts, switches, extensions, and link fault
+    states alike.
     """
     topo = scenario.topology
     for node in topo.hosts + topo.switches:
         d = domain_of[node.node_id]
         node.sim = sims[d]
         node.pool = pools[d]
-        if hubs is not None:
-            node.stats = hubs[d]
+        node.stats = hubs[d]
         for port in node.ports:
             port.sim = sims[d]
     for link in topo.links:
@@ -276,6 +268,14 @@ def _bind_domains(
         db = domain_of[link.node_b.node_id]
         if da == db:
             link.sim = sims[da]
+        elif link.loss_rate > 0.0:
+            # both directions draw from one rng and count into one
+            # link object: neither has a domain-local meaning
+            raise ValueError(
+                f"Bernoulli loss on boundary link {link.node_a.name}<->"
+                f"{link.node_b.name} (domains {da} and {db}) cannot run "
+                "sharded; use a fault plan on intra-domain links or shards=1"
+            )
         else:
             link.channel = channel
     for sw in topo.switches:
@@ -283,12 +283,12 @@ def _bind_domains(
             _rebind_extension(sw.extension, sims[domain_of[sw.node_id]])
 
 
-def _schedule_flows_sharded(scenario) -> None:
+def _schedule_flows(scenario) -> None:
     """Schedule every open-loop flow start on its source host's sim.
 
     Iterates the flow list in the exact order the serial
     ``schedule_flows`` bulk-load does, so per-domain sequence numbers
-    preserve the serial relative order (and the lockstep executor's
+    preserve the serial relative order (and the lockstep transport's
     shared counter reproduces the serial numbers outright).
     """
     topo = scenario.topology
@@ -302,28 +302,6 @@ def _schedule_flows_sharded(scenario) -> None:
         sim.schedule_call_at(
             max(flow.start_time, sim.now), host.start_flow, flow
         )
-
-
-def _assert_clean_build(scenario) -> None:
-    if scenario.sim.pending_events:
-        raise RuntimeError(
-            "sharded execution requires an empty build-time heap; "
-            "something scheduled events during Scenario construction"
-        )
-
-
-class _Clock:
-    """Minimal ``.now`` holder for the lockstep global digest."""
-
-    __slots__ = ("now",)
-
-    def __init__(self) -> None:
-        self.now = 0
-
-
-# ---------------------------------------------------------------------------
-# faults / telemetry / sanitizer under shards
-# ---------------------------------------------------------------------------
 
 
 def _validate_fault_plan(scenario, domain_of: Dict[int, int]) -> None:
@@ -355,755 +333,718 @@ def _validate_fault_plan(scenario, domain_of: Dict[int, int]) -> None:
                 )
 
 
-def _install_faults_sharded(scenario, watchdog_sim: Optional[Simulator]) -> None:
-    """Arm the fault plan after domain binding (in-process executors).
-
-    ``LinkFaultState`` schedules every transition on its link's own
-    domain simulator and counts drops into the link's owner hub, so
-    installation is domain-local once validation has rejected boundary
-    targets.  The stall watchdog is a whole-run observer with no
-    per-domain state; it rides the first domain's engine (windows are
-    exact under lockstep, approximate under barrier — each sweep sees
-    other domains at most one window behind).
-    """
-    plan = scenario.config.fault_plan
-    if plan is None or not plan:
-        return
-    if plan.faults:
-        from repro.faults.injector import FaultInjector
-
-        injector = FaultInjector(
-            scenario.sim, scenario.topology, plan, scenario.rng,
-            stats=scenario.stats,
-        )
-        injector.install()
-        scenario.fault_injector = injector
-    if plan.stall_window > 0 and watchdog_sim is not None:
-        from repro.faults.watchdog import StallWatchdog
-
-        watchdog = StallWatchdog(
-            watchdog_sim, scenario.topology, scenario.stats,
-            plan.stall_window,
-        )
-        watchdog.start()
-        scenario.watchdog = watchdog
-
-
-def _wire_shard_telemetry(scenario, domain_of, sims, hubs, tele_cfg) -> list:
-    """One started :class:`DomainTelemetry` per domain, in domain order."""
-    from repro.telemetry.shard import DomainTelemetry
-
-    topo = scenario.topology
-    recorders = []
-    for d, sim in enumerate(sims):
-        hosts = [h for h in topo.hosts if domain_of[h.node_id] == d]
-        switches = [s for s in topo.switches if domain_of[s.node_id] == d]
-        recorder = DomainTelemetry(d, sim, tele_cfg, hubs[d], hosts, switches)
-        recorder.start()
-        recorders.append(recorder)
-    if tele_cfg.histograms and scenario.rpc_driver is not None:
-        # request latencies record on the parent hub (the driver's own
-        # sink); per-domain hub shards carry fct/queuing only
-        from repro.telemetry.registry import Histogram
-
-        scenario.stats.rpc_histogram = Histogram("rpc_latency_ns", unit="ns")
-    return recorders
-
-
-def _set_domain_profilers(sims, sinks_of) -> None:
-    """Install per-domain profiler-slot sinks, fanning out when needed."""
-    from repro.telemetry.profile import ProfilerFanout
-
-    for d, sim in enumerate(sims):
-        sinks = [s for s in sinks_of(d) if s is not None]
-        if len(sinks) == 1:
-            sim.set_profiler(sinks[0])
-        elif sinks:
-            sim.set_profiler(ProfilerFanout(*sinks))
-
-
 # ---------------------------------------------------------------------------
-# in-process executors
+# the per-domain runtime
 # ---------------------------------------------------------------------------
 
 
-def _advance_lockstep(sims: List[Simulator], until: int, digests) -> None:
-    """Execute the globally smallest key until every head passes ``until``."""
-    heaps = [s._heap for s in sims]
-    if digests is not None:
-        global_digest, domain_digests, clock = digests
-    while True:
-        best_d = -1
-        best_key: Optional[Tuple[int, int, int]] = None
-        for d, heap in enumerate(heaps):
-            while heap:
-                head = heap[0]
-                ev = head[3]
-                if ev is not None and ev.cancelled:
-                    heappop(heap)
-                    continue
-                break
-            if not heap:
-                continue
-            head = heap[0]
-            if head[0] > until:
-                continue
-            key = (head[0], head[1], head[2])
-            if best_key is None or key < best_key:
-                best_key = key
-                best_d = d
-        if best_d < 0:
-            break
-        sim = sims[best_d]
-        time_, _lid, _seq, _ev, fn, args = heappop(heaps[best_d])
-        sim.now = time_
-        sim._events_executed += 1
-        fn(*args)
-        # the merged loop bypasses Simulator.run(), so any slot sink
-        # (telemetry profiler, isolation probe) gets fed here; lockstep
-        # digests stay explicit below and are never also in the slot
-        prof = sim._profiler
-        if prof is not None:
-            prof.note(fn, 0.0, len(heaps[best_d]))
-        if digests is not None:
-            clock.now = time_
-            global_digest.note(fn, 0.0, 0)
-            domain_digests[best_d].note(fn, 0.0, 0)
-    for s in sims:
-        if s.now < until:
-            s.now = until
+class DomainState(NamedTuple):
+    """What the window loop learns from one domain after a step."""
+
+    #: timestamp of the domain's next live event, None when drained
+    next_time: Optional[int]
+    #: flows fully delivered to this domain's hosts so far
+    completed: int
+    #: size of the flow table (identical in every domain's view)
+    total_flows: int
+    #: boundary deliveries sent this step, ``[(target domain, heap
+    #: items)]``; every item is ``(time, lid, seq, None, receive,
+    #: (packet, port))``
+    outgoing: List[Tuple[int, list]]
+    #: the sanitizer slice's conservation ledger when the step swept
+    ledger: Optional[Dict[str, int]]
 
 
-def _flush_mailboxes(sims: List[Simulator], mailboxes: List[list]) -> None:
-    for d, box in enumerate(mailboxes):
-        if box:
-            heap = sims[d]._heap
-            for item in box:
-                heappush(heap, item)
-            box.clear()
+@dataclass
+class DomainReport:
+    """Everything one domain contributes to the merged result.
 
-
-def _advance_barrier(
-    sims: List[Simulator],
-    mailboxes: List[list],
-    start: int,
-    until: int,
-    lookahead: int,
-) -> None:
-    """Run conservative windows from ``start`` to exactly ``until``.
-
-    Window safety: events executed in ``(H, H_next]`` can only send
-    boundary deliveries at ``t_e + delay >= t_e + lookahead``, and
-    ``H_next <= max(H, min_next - 1) + lookahead`` with ``t_e > H``
-    and ``t_e >= min_next``, so every delivery lands strictly after
-    ``H_next`` — always in a future window.  The adaptive jump to
-    ``min_next - 1 + lookahead`` keeps idle stretches (and the drain
-    tail) from costing one barrier per lookahead.
+    Picklable, and field-for-field the same whichever transport ran the
+    domain — the property that makes one merge sufficient.
     """
-    H = start
-    while H < until:
-        _flush_mailboxes(sims, mailboxes)
-        min_next: Optional[int] = None
-        for s in sims:
-            t = s.peek_next_time()
-            if t is not None and (min_next is None or t < min_next):
-                min_next = t
-        if min_next is None or min_next > until:
-            h_next = until
-        else:
-            h_next = min(until, max(H + lookahead, min_next - 1 + lookahead))
-        for s in sims:
-            s.run(until=h_next)
-        H = h_next
-    _flush_mailboxes(sims, mailboxes)
+
+    domain: int
+    #: the domain's hub; the merge folds them in domain order
+    stats: object
+    completed: int
+    total_flows: int
+    events: int
+    max_voqs: int
+    retransmitted: int
+    #: one ``telemetry_counters()`` dict per switch extension owned
+    ext_harvests: List[Dict[str, int]]
+    #: raw telemetry recording, None when telemetry is off
+    series: Optional[list]
+    profile: Optional[dict]
+    #: the plan's static shape plus this domain's injection counters,
+    #: None without injected faults
+    fault_summary: Optional[Dict[str, int]]
+    #: sanitizer slice: scope-local violations and the final ledger
+    violations: List[str]
+    ledger: Optional[Dict[str, int]]
+    #: isolation-probe findings, None when isolation was off
+    isolation: Optional[List[str]]
+    #: hex event-stream digest, None unless the harness asked
+    digest: Optional[str]
 
 
-def _run_inprocess(
-    scenario, mode: str, check_interval: int, wall_start: float,
-    domain_of: Dict[int, int], lookahead: int, collect_digests: bool,
+class DomainRuntime:
+    """One domain's engine plus everything that observes it.
+
+    Built after domain binding and fault install, before flows are
+    scheduled — the order the serial ``Scenario`` installs its layers
+    in, so sampler ticks keep their serial position among same-instant
+    events.  Only reads and writes state its domain owns.
+    """
+
+    def __init__(
+        self,
+        scenario,
+        domain_of: Dict[int, int],
+        domain: int,
+        sim: Simulator,
+        pools: list,
+        hub,
+        outbox: List[list],
+        collect_digest: bool,
+        isolate: bool,
+    ) -> None:
+        cfg = scenario.config
+        topo = scenario.topology
+        self.scenario = scenario
+        self.domain = domain
+        self.sim = sim
+        self.hub = hub
+        self.outbox = outbox
+        self._flow_table = topo.flow_table
+        self.hosts = [h for h in topo.hosts if domain_of[h.node_id] == domain]
+        self.switches = [
+            s for s in topo.switches if domain_of[s.node_id] == domain
+        ]
+        self.extensions = [
+            ext for ext in scenario.extensions
+            if domain_of[ext.switch.node_id] == domain
+        ]
+        #: node id -> receive, for every node the domain owns
+        self.receivers = {
+            n.node_id: n.receive for n in (*self.hosts, *self.switches)
+        }
+        self.recorder = None
+        if cfg.telemetry is not None:
+            from repro.telemetry.recorder import DomainRecorder
+
+            self.recorder = DomainRecorder(
+                sim, cfg.telemetry, hub, self.hosts, self.switches
+            )
+            self.recorder.start()
+        self.sanitizer = None
+        if cfg.sanitize is not None:
+            from repro.simcheck.sanitizer import ShardedSanitizer
+
+            self.sanitizer = ShardedSanitizer(
+                scenario, sim, domain, domain_of, pools[domain], cfg.sanitize
+            )
+        self.iso = None
+        probe = None
+        if isolate:
+            from repro.simcheck.isolation import ShardIsolationSanitizer
+
+            # after fault install, so link fault states carry owner tags
+            self.iso = ShardIsolationSanitizer()
+            self.iso.tag_scenario(scenario, domain_of, pools)
+            probe = self.iso.probe(domain, sim)
+        self.digest = None
+        if collect_digest:
+            from repro.simcheck.determinism import EventStreamDigest
+
+            self.digest = EventStreamDigest(sim, include_depth=False)
+        # everything that listens on the engine's one profiler slot
+        profiler = self.recorder.profiler if self.recorder is not None else None
+        sinks = [s for s in (self.digest, profiler, probe) if s is not None]
+        if sinks:
+            from repro.telemetry.profile import ProfilerFanout
+
+            sim.set_profiler(
+                sinks[0] if len(sinks) == 1 else ProfilerFanout(*sinks)
+            )
+
+    def step(self, h_next: int, incoming: list, sweep: bool) -> DomainState:
+        """Merge ``incoming`` boundary deliveries, run to ``h_next``."""
+        heap = self.sim._heap
+        for item in incoming:
+            heappush(heap, item)
+        self.sim.run(until=h_next)
+        return self.state(sweep)
+
+    def state(self, sweep: bool) -> DomainState:
+        """Observe the domain; ``sweep`` also runs the sanitizer slice.
+
+        The loop sweeps only where a window lands on a
+        ``check_interval`` boundary: the domain has then executed
+        exactly the serial prefix of its events, so the slice reads the
+        serial cut.
+        """
+        ledger = None
+        if sweep and self.sanitizer is not None:
+            ledger = self.sanitizer.sweep()
+        outgoing = []
+        outbox = self.outbox
+        for d, box in enumerate(outbox):
+            if box:
+                outgoing.append((d, box))
+                outbox[d] = []
+        return DomainState(
+            self.sim.peek_next_time(),
+            len(self.hub.fct_records),
+            len(self._flow_table),
+            outgoing,
+            ledger,
+        )
+
+    def finish(self, now: int) -> DomainReport:
+        """Epilogue over this domain's devices only."""
+        sim = self.sim
+        if sim.now < now:
+            sim.now = now
+        for node in (*self.switches, *self.hosts):
+            node.report_pause_time()
+        max_voqs = 0
+        for ext in self.extensions:
+            stop = getattr(ext, "stop", None)
+            if stop is not None:
+                stop()
+            pool = getattr(ext, "pool", None)
+            if pool is not None and pool.max_in_use > max_voqs:
+                max_voqs = pool.max_in_use
+        # only a flow's sender counts its retransmissions, so the
+        # per-domain sums are disjoint whichever flow table this is
+        owned = self.receivers
+        flow_table = self._flow_table
+        retransmitted = sum(
+            f.retransmitted_packets
+            for f in flow_table.values()
+            if f.src in owned
+        )
+        recorder = self.recorder
+        ext_harvests: List[Dict[str, int]] = []
+        if recorder is not None:
+            from repro.telemetry.recorder import harvest_extensions
+
+            recorder.stop()
+            ext_harvests = harvest_extensions(self.extensions)
+        sanitizer = self.sanitizer
+        injector = self.scenario.fault_injector
+        return DomainReport(
+            domain=self.domain,
+            stats=self.hub,
+            completed=len(self.hub.fct_records),
+            total_flows=len(flow_table),
+            events=sim.events_executed,
+            max_voqs=max_voqs,
+            retransmitted=retransmitted,
+            ext_harvests=ext_harvests,
+            series=recorder.raw_series() if recorder is not None else None,
+            profile=recorder.raw_profile() if recorder is not None else None,
+            fault_summary=(
+                injector.summary(lambda link: link.node_a.node_id in owned)
+                if injector is not None
+                else None
+            ),
+            ledger=(
+                sanitizer.sweep(final=True) if sanitizer is not None else None
+            ),
+            violations=list(sanitizer.violations) if sanitizer is not None else [],
+            isolation=list(self.iso.violations) if self.iso is not None else None,
+            digest=self.digest.hexdigest() if self.digest is not None else None,
+        )
+
+
+def _build_runtimes(
+    scenario,
+    domain_of: Dict[int, int],
+    domains,
+    lockstep: bool,
+    collect_digests: bool,
     isolate: bool,
-):
-    from repro.experiments.runner import ScenarioResult
+) -> List[DomainRuntime]:
+    """The setup every transport shares, once per address space.
 
+    Binds *every* domain (a forked worker must not leave foreign nodes
+    on a sim it runs), arms faults, builds a runtime for each of
+    ``domains`` — all of them in-process, one in a forked worker —
+    and only then schedules the flows and starts the rpc driver.
+    """
     cfg = scenario.config
     shards = cfg.shards
-    if mode == "lockstep":
+    outbox: List[list] = []
+    if lockstep:
         cell = [0]
         sims: List[Simulator] = [_SharedSeqSimulator(cell) for _ in range(shards)]
-        mailboxes: List[list] = []
         channel = _DirectChannel(sims, domain_of)
     else:
         sims = [Simulator() for _ in range(shards)]
-        mailboxes = [[] for _ in range(shards)]
-        channel = _MailboxChannel(mailboxes, domain_of)
+        outbox = [[] for _ in range(shards)]
+        channel = _OutboxChannel(outbox, domain_of)
     pools = [
         PacketPool() if cfg.packet_pool else DISABLED_POOL
         for _ in range(shards)
     ]
-    tele_cfg = cfg.telemetry
-    hubs = None
-    if tele_cfg is not None:
-        # per-domain hub shards: samplers must read domain-local state
-        # only (a shared hub mid-window would mix domains at different
-        # times).  Runtime flow registrations fan out from the parent.
-        hubs = [scenario.stats.shard_clone() for _ in range(shards)]
-        scenario.stats.bind_shards(hubs)
-    _bind_domains(scenario, domain_of, sims, pools, channel, hubs=hubs)
-    _install_faults_sharded(scenario, sims[0])
-    recorders: list = []
-    if tele_cfg is not None:
-        recorders = _wire_shard_telemetry(
-            scenario, domain_of, sims, hubs, tele_cfg
+    # per-domain hubs; runtime flow registrations (the rpc driver's
+    # incast responses) fan out from the scenario hub
+    hubs = [scenario.stats.shard_clone() for _ in range(shards)]
+    scenario.stats.bind_shards(hubs)
+    _bind_domains(scenario, domain_of, sims, pools, hubs, channel)
+    # after binding, so every fault transition lands on its link's own
+    # domain sim and counts into that domain's hub.  A forked worker
+    # installs the full plan on its private copy: foreign links schedule
+    # onto sims that never run there, own-domain links replay exactly
+    # the serial subsequence (per-link name-derived rng streams).  The
+    # stall watchdog has no per-domain state; it rides the first
+    # domain's engine (exact under lockstep, at most one window behind
+    # under barrier; the forked transport rejects stall_window).
+    scenario.install_faults(watchdog_sim=sims[0])
+    if cfg.telemetry is not None:
+        from repro.telemetry.recorder import wire_rpc_histogram
+
+        wire_rpc_histogram(scenario, cfg.telemetry)
+    runtimes = [
+        DomainRuntime(
+            scenario, domain_of, d, sims[d], pools, hubs[d], outbox,
+            collect_digests, isolate,
         )
-    sanitizer = None
-    if cfg.sanitize is not None:
-        from repro.simcheck.sanitizer import ShardedSanitizer
+        for d in domains
+    ]
+    _schedule_flows(scenario)
+    if scenario.rpc_driver is not None:
+        scenario.rpc_driver.start(None)
+    return runtimes
 
-        def _transit():
-            # barrier mailboxes hold deliveries no heap sees yet
-            for box in mailboxes:
-                for t, _lid, _seq, _ev, fn, args in box:
-                    yield t, fn, args
 
-        sanitizer = ShardedSanitizer(
-            scenario, sims, domain_of, pools, config=cfg.sanitize,
-            extra_pending=_transit if mode == "barrier" else None,
+# ---------------------------------------------------------------------------
+# transports: how the window loop reaches the runtimes
+# ---------------------------------------------------------------------------
+
+
+class _LocalTransport:
+    """``barrier``: every runtime lives in this process; call it directly."""
+
+    #: hex digest of the merged global event stream (lockstep only)
+    global_digest: Optional[str] = None
+
+    def __init__(self, scenario, domain_of, collect_digests, isolate,
+                 lockstep: bool = False) -> None:
+        self.runtimes = _build_runtimes(
+            scenario, domain_of, range(scenario.config.shards), lockstep,
+            collect_digests, isolate,
         )
-        scenario.sanitizer = sanitizer
-    iso = None
-    if isolate:
-        from repro.simcheck.isolation import ShardIsolationSanitizer
 
-        iso = ShardIsolationSanitizer()
-        # after fault install, so link fault states carry owner tags
-        iso.tag_scenario(scenario, domain_of, pools)
-    _schedule_flows_sharded(scenario)
-    driver = scenario.rpc_driver
-    if driver is not None:
-        driver.start(None)
-    digests = None
-    domain_digests: List = []
-    if collect_digests:
-        from repro.simcheck.determinism import EventStreamDigest
+    def start(self) -> List[DomainState]:
+        return [rt.state(False) for rt in self.runtimes]
 
-        domain_digests = [
-            EventStreamDigest(s, include_depth=False) for s in sims
+    def step(self, h_next: int, incoming: List[list], sweep: bool) -> List[DomainState]:
+        return [
+            rt.step(h_next, incoming[d], sweep)
+            for d, rt in enumerate(self.runtimes)
         ]
-        if mode == "lockstep":
-            clock = _Clock()
-            digests = (
-                EventStreamDigest(clock, include_depth=False),
-                domain_digests,
-                clock,
+
+    def finish(self, now: int) -> List[DomainReport]:
+        return [rt.finish(now) for rt in self.runtimes]
+
+    def close(self) -> None:
+        pass
+
+
+class _LockstepTransport(_LocalTransport):
+    """``lockstep``: the equivalence oracle.
+
+    Shares the runtimes (setup, sweeps, epilogue) but none of the
+    window machinery: domains never run on their own, the merged loop
+    below executes the globally smallest key across all heaps, and
+    boundary deliveries go straight into the target heap.  The caller
+    gives the window loop a lookahead of one ``check_interval``, so
+    each step spans a whole one.
+    """
+
+    def __init__(self, scenario, domain_of, collect_digests, isolate) -> None:
+        super().__init__(
+            scenario, domain_of, collect_digests, isolate, lockstep=True
+        )
+        #: time of the event the merged loop last ran: the global
+        #: digest's clock (there is no one engine to read it off)
+        self.now = 0
+        self._digest = None
+        if collect_digests:
+            from repro.simcheck.determinism import EventStreamDigest
+
+            self._digest = EventStreamDigest(self, include_depth=False)
+
+    def step(self, h_next: int, incoming: List[list], sweep: bool) -> List[DomainState]:
+        self._advance([rt.sim for rt in self.runtimes], h_next)
+        return [rt.state(sweep) for rt in self.runtimes]
+
+    def finish(self, now: int) -> List[DomainReport]:
+        if self._digest is not None:
+            self.global_digest = self._digest.hexdigest()
+        return super().finish(now)
+
+    def _advance(self, sims: List[Simulator], until: int) -> None:
+        """Execute the globally smallest key until every head passes ``until``."""
+        heaps = [s._heap for s in sims]
+        digest = self._digest
+        while True:
+            best_d = -1
+            best_key: Optional[Tuple[int, int, int]] = None
+            for d, heap in enumerate(heaps):
+                while heap:
+                    head = heap[0]
+                    ev = head[3]
+                    if ev is not None and ev.cancelled:
+                        heappop(heap)
+                        continue
+                    break
+                if not heap:
+                    continue
+                head = heap[0]
+                if head[0] > until:
+                    continue
+                key = (head[0], head[1], head[2])
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_d = d
+            if best_d < 0:
+                break
+            sim = sims[best_d]
+            time_, _lid, _seq, _ev, fn, args = heappop(heaps[best_d])
+            sim.now = time_
+            sim._events_executed += 1
+            fn(*args)
+            # the merged loop bypasses Simulator.run(), so the domain's
+            # slot sinks (digest, telemetry profiler, isolation probe)
+            # get fed here
+            prof = sim._profiler
+            if prof is not None:
+                prof.note(fn, 0.0, len(heaps[best_d]))
+            if digest is not None:
+                self.now = time_
+                digest.note(fn, 0.0, 0)
+        for s in sims:
+            if s.now < until:
+                s.now = until
+
+
+def _serve_domain(
+    scenario, domain_of: Dict[int, int], domain: int, conn, parent_ends,
+    collect_digest: bool, isolate: bool,
+) -> None:
+    """One forked worker: build one runtime, answer the loop's calls.
+
+    The worker inherits the fully built scenario through fork, so the
+    setup below produces the same object graph the local transport
+    sees; only its own domain's simulator ever runs here.  Any
+    exception goes back as ``("error", domain, traceback)``; EOF on the
+    pipe means the coordinator gave up (another domain failed), so the
+    worker just exits.
+    """
+    # fork copied the coordinator's ends of this and every earlier pipe;
+    # while a copy stays open, closing the original never reads as EOF
+    for end in parent_ends:
+        end.close()
+    try:
+        (runtime,) = _build_runtimes(
+            scenario, domain_of, (domain,), False, collect_digest, isolate
+        )
+        receivers = runtime.receivers
+        conn.send(("ok", runtime.state(False)))
+        while True:
+            msg = conn.recv()
+            if msg[0] == "finish":
+                conn.send(("ok", runtime.finish(msg[1])))
+                return
+            # a boundary delivery is a heap item, and its callback — a
+            # bound ``receive`` — cannot cross a pipe: the wire carries
+            # the owning node's id in that slot instead
+            _op, h_next, incoming, sweep = msg
+            state = runtime.step(
+                h_next,
+                [
+                    (t, lid, seq, None, receivers[node_id], args)
+                    for t, lid, seq, _ev, node_id, args in incoming
+                ],
+                sweep,
             )
-    _set_domain_profilers(
-        sims,
-        lambda d: (
-            # lockstep digests are fed explicitly by the merged loop
-            domain_digests[d] if domain_digests and mode != "lockstep" else None,
-            recorders[d].profiler if recorders else None,
-            iso.probe(d, sims[d]) if iso is not None else None,
-        ),
-    )
-    topo = scenario.topology
+            wire = [
+                (
+                    target,
+                    [
+                        (t, lid, seq, None, fn.__self__.node_id, args)
+                        for t, lid, seq, _ev, fn, args in items
+                    ],
+                )
+                for target, items in state.outgoing
+            ]
+            conn.send(("ok", state._replace(outgoing=wire)))
+    except EOFError:
+        pass
+    except Exception:
+        conn.send(("error", domain, traceback.format_exc()))
+    finally:
+        conn.close()
+
+
+class _ForkedTransport:
+    """``process``: one forked worker per domain, the same calls over pipes."""
+
+    global_digest: Optional[str] = None
+
+    def __init__(self, scenario, domain_of, collect_digests, isolate) -> None:
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        self.pipes: list = []
+        self.procs: list = []
+        for d in range(scenario.config.shards):
+            parent_conn, child_conn = ctx.Pipe()
+            self.pipes.append(parent_conn)
+            proc = ctx.Process(
+                target=_serve_domain,
+                args=(scenario, domain_of, d, child_conn, tuple(self.pipes),
+                      collect_digests, isolate),
+                daemon=True,
+            )
+            proc.start()
+            child_conn.close()
+            self.procs.append(proc)
+
+    def _gather(self) -> list:
+        replies = []
+        for d, conn in enumerate(self.pipes):
+            try:
+                msg = conn.recv()
+            except EOFError:
+                raise RuntimeError(
+                    f"shard worker for domain {d} exited without replying"
+                ) from None
+            if msg[0] == "error":
+                raise RuntimeError(
+                    f"shard worker for domain {msg[1]} failed:\n{msg[2]}"
+                )
+            replies.append(msg[1])
+        return replies
+
+    def start(self) -> List[DomainState]:
+        return self._gather()
+
+    def step(self, h_next: int, incoming: List[list], sweep: bool) -> List[DomainState]:
+        for d, conn in enumerate(self.pipes):
+            conn.send(("step", h_next, incoming[d], sweep))
+        return self._gather()
+
+    def finish(self, now: int) -> List[DomainReport]:
+        for conn in self.pipes:
+            conn.send(("finish", now))
+        return self._gather()
+
+    def close(self) -> None:
+        # pipes first: a worker still blocked in recv() reads EOF and
+        # exits, so the joins below return at once even after a failure
+        for conn in self.pipes:
+            conn.close()
+        for proc in self.procs:
+            proc.join(timeout=30)
+            if proc.is_alive():  # pragma: no cover - hung worker
+                proc.terminate()
+
+
+# ---------------------------------------------------------------------------
+# the window loop and the merge
+# ---------------------------------------------------------------------------
+
+
+def _window_loop(
+    transport, scenario, check_interval: int, lookahead: int
+) -> Tuple[int, List[DomainReport], List[str]]:
+    """Advance every domain to the end of the run and collect the reports.
+
+    Returns ``(sim time, one report per domain, whole-fabric
+    conservation violations)``.  Stop semantics are the serial
+    runner's: the run advances in ``check_interval`` steps and ends at
+    the first step boundary where every flow has completed (and any
+    rpc driver is finished), the hard end is reached, or every domain
+    has drained.
+
+    Window safety: events executed in ``(H, h_next]`` can only send
+    boundary deliveries at ``t_e + delay >= t_e + lookahead``, and
+    ``h_next <= max(H, min_next - 1) + lookahead`` with ``t_e > H``
+    and ``t_e >= min_next``, so every delivery lands strictly after
+    ``h_next`` — always in a future window.  Jumping a full lookahead
+    past the instant before ``min_next`` keeps idle stretches (and the
+    drain tail) from costing one window per lookahead.
+    """
+    cfg = scenario.config
+    shards = cfg.shards
+    driver = scenario.rpc_driver
     hard_end = int(cfg.duration * cfg.max_runtime_factor)
+    #: boundary deliveries awaiting their target domain, per domain
+    pending: List[list] = [[] for _ in range(shards)]
+    violations: List[str] = []
+
+    def judge_conservation(ledgers) -> None:
+        # no domain sees the whole fabric: the equations are judged
+        # here, over the summed ledgers plus the packets in transit
+        if cfg.sanitize is not None:
+            from repro.simcheck.sanitizer import judge_shard_sweep
+
+            transit = (item[5][0] for box in pending for item in box)
+            judge_shard_sweep(cfg.sanitize, now, ledgers, transit, violations)
+
+    states = transport.start()
     now = 0
     while True:
         next_stop = min(now + check_interval, hard_end)
-        if mode == "lockstep":
-            _advance_lockstep(sims, next_stop, digests)
-        else:
-            _advance_barrier(sims, mailboxes, now, next_stop, lookahead)
+        H = now
+        while H < next_stop:
+            min_next: Optional[int] = None
+            for st in states:
+                t = st.next_time
+                if t is not None and (min_next is None or t < min_next):
+                    min_next = t
+            for box in pending:
+                for item in box:
+                    if min_next is None or item[0] < min_next:
+                        min_next = item[0]
+            if min_next is None or min_next > next_stop:
+                h_next = next_stop
+            else:
+                h_next = min(
+                    next_stop, max(H + lookahead, min_next - 1 + lookahead)
+                )
+            incoming, pending = pending, [[] for _ in range(shards)]
+            # the last window of each step lands exactly on the
+            # check_interval boundary: the domains sweep there
+            states = transport.step(h_next, incoming, h_next == next_stop)
+            for st in states:
+                for target, items in st.outgoing:
+                    pending[target].extend(items)
+            H = h_next
         now = next_stop
-        if sanitizer is not None:
-            # barrier sweep: every domain has executed exactly the
-            # serial prefix up to `now`, so ledgers read the serial cut
-            sanitizer.sim.now = now
-            sanitizer.check_now()
-        total = len(topo.flow_table)
-        if topo.completed_flows >= total and (
+        judge_conservation([st.ledger for st in states])
+        if sum(st.completed for st in states) >= states[0].total_flows and (
             driver is None or driver.finished
         ):
             break
         if now >= hard_end:
             break
-        if all(s.peek_next_time() is None for s in sims) and not any(
-            mailboxes
-        ):
+        if all(st.next_time is None for st in states) and not any(pending):
             break
-    total = len(topo.flow_table)
-    topo.report_pause_times()
-    if scenario.watchdog is not None:
-        if topo.completed_flows < total:
-            scenario.watchdog.note_drained()
-        scenario.watchdog.stop()
-    for ext in scenario.extensions:
-        stop = getattr(ext, "stop", None)
-        if stop is not None:
-            stop()
-    for recorder in recorders:
-        recorder.stop()
-    violations: List[str] = []
-    if sanitizer is not None:
-        sanitizer.sim.now = now
-        sanitizer.final_check()
-        violations = list(sanitizer.violations)
-    stats = scenario.stats
-    if hubs is not None:
-        # deterministic domain-order merge back into the parent hub
-        for hub in hubs:
-            stats.merge_from(hub)
-    stats.canonicalize()
-    telemetry = None
-    if tele_cfg is not None:
-        from repro.telemetry.shard import (
-            build_shard_export, merge_raw_profiles, merge_raw_series,
-        )
-
-        ext_harvests = []
-        for ext in scenario.extensions:
-            harvest = getattr(ext, "telemetry_counters", None)
-            if harvest is not None:
-                ext_harvests.append(harvest())
-        rpc_counts = None
-        if driver is not None:
-            rpc_counts = (driver.requests_issued, driver.requests_completed)
-        telemetry = build_shard_export(
-            cfg,
-            tele_cfg,
-            now,
-            sum(s.events_executed for s in sims),
-            stats,
-            topo.completed_flows,
-            total,
-            sum(f.retransmitted_packets for f in topo.flow_table.values()),
-            rpc_counts,
-            ext_harvests,
-            merge_raw_series([r.raw_series() for r in recorders]),
-            merge_raw_profiles([r.raw_profile() for r in recorders]),
-        )
-    result = ScenarioResult(
-        config=cfg,
-        stats=stats,
-        scenario=scenario,
-        completed_flows=topo.completed_flows,
-        total_flows=total,
-        sim_time=now,
-        wall_seconds=_time.monotonic() - wall_start,  # simcheck: ignore[SIM002] -- wall time for reporting only
-        events=sum(s.events_executed for s in sims),
-        telemetry=telemetry,
-        sanitizer_violations=violations,
-        shard_isolation_violations=(
-            list(iso.violations) if iso is not None else None
-        ),
-    )
-    if collect_digests:
-        result.shard_digests = [d.hexdigest() for d in domain_digests]
-        if digests is not None:
-            result.shard_global_digest = digests[0].hexdigest()
-    return result
+    reports = transport.finish(now)
+    judge_conservation([r.ledger for r in reports])
+    return now, reports, violations
 
 
-# ---------------------------------------------------------------------------
-# multiprocess executor
-# ---------------------------------------------------------------------------
-
-
-def _drain_outbox(outbox: List[list]) -> List[Tuple[int, list]]:
-    out: List[Tuple[int, list]] = []
-    for d, box in enumerate(outbox):
-        if box:
-            out.append((d, box[:]))
-            box.clear()
-    return out
-
-
-def _worker_main(
-    scenario, domain_of: Dict[int, int], my_domain: int, conn,
-    collect_digest: bool, isolate: bool,
-) -> None:
-    """One forked worker: bind, then run exactly one domain to orders.
-
-    The worker inherits the fully built scenario through fork, so the
-    rebinding below produces the same object graph every in-process
-    executor sees; only ``sims[my_domain]`` ever runs here.  The
-    worker's private ``scenario.stats`` copy *is* its domain hub —
-    every node keeps pointing at it, and only this domain's events
-    write to it, so the parent's domain-order ``merge_from`` pass
-    reassembles exactly the serial hub.
-    """
-    cfg = scenario.config
-    shards = cfg.shards
-    sims = [Simulator() for _ in range(shards)]
-    pools = [
-        PacketPool() if cfg.packet_pool else DISABLED_POOL
-        for _ in range(shards)
-    ]
-    outbox: List[list] = [[] for _ in range(shards)]
-    _bind_domains(scenario, domain_of, sims, pools, _WireChannel(outbox, domain_of))
-    # the full plan installs on this worker's private copy: foreign
-    # links schedule onto sims that never run here, own-domain links
-    # replay exactly the serial subsequence (per-link name-derived rng
-    # streams make the draws identical everywhere)
-    plan = cfg.fault_plan
-    injector = None
-    if plan is not None and plan.faults:
-        from repro.faults.injector import FaultInjector
-
-        injector = FaultInjector(
-            scenario.sim, scenario.topology, plan, scenario.rng,
-            stats=scenario.stats,
-        )
-        injector.install()
-        scenario.fault_injector = injector
-    dsim = sims[my_domain]
-    tele_cfg = cfg.telemetry
-    recorder = None
-    if tele_cfg is not None:
-        from repro.telemetry.shard import DomainTelemetry
-
-        topo_ = scenario.topology
-        recorder = DomainTelemetry(
-            my_domain, dsim, tele_cfg, scenario.stats,
-            [h for h in topo_.hosts if domain_of[h.node_id] == my_domain],
-            [s for s in topo_.switches if domain_of[s.node_id] == my_domain],
-        )
-        recorder.start()
-    sanitizer = None
-    if cfg.sanitize is not None:
-        from repro.simcheck.sanitizer import ShardedSanitizer
-
-        sanitizer = ShardedSanitizer(
-            scenario, sims, domain_of, pools, config=cfg.sanitize,
-            my_domain=my_domain,
-        )
-        scenario.sanitizer = sanitizer
-    iso = None
-    if isolate:
-        from repro.simcheck.isolation import ShardIsolationSanitizer
-
-        iso = ShardIsolationSanitizer()
-        iso.tag_scenario(scenario, domain_of, pools)
-    _schedule_flows_sharded(scenario)
-    digest = None
-    if collect_digest:
-        from repro.simcheck.determinism import EventStreamDigest
-
-        digest = EventStreamDigest(dsim, include_depth=False)
-    _set_domain_profilers(
-        [dsim],
-        lambda _d: (
-            digest,
-            recorder.profiler if recorder is not None else None,
-            iso.probe(my_domain, dsim) if iso is not None else None,
-        ),
-    )
-    topo = scenario.topology
-    nodes_by_id = {h.node_id: h for h in topo.hosts}
-    nodes_by_id.update({s.node_id: s for s in topo.switches})
-    conn.send(
-        ("state", dsim.peek_next_time(), topo.completed_flows,
-         _drain_outbox(outbox))
-    )
-    while True:
-        msg = conn.recv()
-        op = msg[0]
-        if op == "run":
-            _op, h_next, incoming, sweep = msg
-            heap = dsim._heap
-            for t, lid, seq, node_id, port, pkt in incoming:
-                heappush(
-                    heap,
-                    (t, lid, seq, None, nodes_by_id[node_id].receive,
-                     (pkt, port)),
-                )
-            dsim.run(until=h_next)
-            if sweep and sanitizer is not None:
-                # h_next is a check_interval boundary: this domain has
-                # executed exactly the serial prefix of its events
-                sanitizer.sim.now = h_next
-                sanitizer.check_now()
-            conn.send(
-                ("state", dsim.peek_next_time(), topo.completed_flows,
-                 _drain_outbox(outbox))
-            )
-            continue
-        # op == "finish": epilogue over this domain's devices only —
-        # the others belong to (and are reported by) their own workers
-        _op, final_now = msg
-        if dsim.now < final_now:
-            dsim.now = final_now
-        max_voqs = 0
-        retrans = 0
-        ext_harvests: List[Dict[str, int]] = []
-        for node in topo.hosts + topo.switches:
-            if domain_of[node.node_id] != my_domain:
-                continue
-            node.report_pause_time()
-            ext = getattr(node, "extension", None)
-            if ext is not None:
-                stop = getattr(ext, "stop", None)
-                if stop is not None:
-                    stop()
-                pool = getattr(ext, "pool", None)
-                if pool is not None and pool.max_in_use > max_voqs:
-                    max_voqs = pool.max_in_use
-                if tele_cfg is not None:
-                    harvest = getattr(ext, "telemetry_counters", None)
-                    if harvest is not None:
-                        ext_harvests.append(harvest())
-        for flow in topo.flow_table.values():
-            retrans += flow.retransmitted_packets
-        if recorder is not None:
-            recorder.stop()
-        sanitizer_payload = None
-        if sanitizer is not None:
-            sanitizer.sim.now = final_now
-            sanitizer.final_check()
-            sanitizer_payload = {
-                "violations": list(sanitizer.violations),
-                "ledger": sanitizer.domain_ledger(my_domain),
-                "checks_run": sanitizer.checks_run,
-            }
-        extras = {
-            "flows_total": len(topo.flow_table),
-            "ext_harvests": ext_harvests,
-            "telemetry_series": (
-                recorder.raw_series() if recorder is not None else None
-            ),
-            "telemetry_profile": (
-                recorder.raw_profile() if recorder is not None else None
-            ),
-            "fault_summary": (
-                injector.summary() if injector is not None else None
-            ),
-            "sanitizer": sanitizer_payload,
-            "isolation": list(iso.violations) if iso is not None else None,
-        }
-        conn.send(
-            ("result", scenario.stats, topo.completed_flows,
-             dsim.events_executed, max_voqs, retrans,
-             digest.hexdigest() if digest is not None else None,
-             extras)
-        )
-        conn.close()
-        return
-
-
-def _run_process(
-    scenario, check_interval: int, wall_start: float,
-    domain_of: Dict[int, int], lookahead: int, collect_digests: bool,
-    isolate: bool,
+def _merge(
+    scenario,
+    now: int,
+    reports: List[DomainReport],
+    violations: List[str],
+    global_digest: Optional[str],
+    wall_start: float,
 ):
-    import multiprocessing
+    """Fold the per-domain reports into one :class:`ScenarioResult`.
 
+    Everything is a sum, a max, or a domain-order concatenation of
+    disjoint per-domain parts, so the result is the serial one.  The
+    scenario hub holds only what never belonged to a domain — build-time
+    registrations every domain hub was cloned from (the union-style
+    merges dedup them), the rpc driver's request records, the stall
+    watchdog's episodes.
+    """
     from repro.experiments.runner import ScenarioResult
 
-    ctx = multiprocessing.get_context("fork")
     cfg = scenario.config
-    shards = cfg.shards
-    topo = scenario.topology
-    pipes = []
-    procs = []
-    for d in range(shards):
-        parent_conn, child_conn = ctx.Pipe()
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(scenario, domain_of, d, child_conn, collect_digests,
-                  isolate),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        pipes.append(parent_conn)
-        procs.append(proc)
-    try:
-        hard_end = int(cfg.duration * cfg.max_runtime_factor)
-        # the parent never schedules flows (its flow_table stays empty;
-        # only the forked workers call make_flow), and process mode
-        # forbids closed-loop workloads, so the flow population is
-        # exactly the build-time spec list
-        total = len(scenario.flows)
-        #: boundary deliveries awaiting their target domain, per domain
-        pending: List[list] = [[] for _ in range(shards)]
-        states = [pipes[d].recv() for d in range(shards)]
-        next_times = [st[1] for st in states]
-        completed = [st[2] for st in states]
-        for st in states:
-            for target, items in st[3]:
-                pending[target].extend(items)
-        now = 0
-        while True:
-            next_stop = min(now + check_interval, hard_end)
-            H = now
-            while H < next_stop:
-                min_next: Optional[int] = None
-                for t in next_times:
-                    if t is not None and (min_next is None or t < min_next):
-                        min_next = t
-                for box in pending:
-                    for item in box:
-                        if min_next is None or item[0] < min_next:
-                            min_next = item[0]
-                if min_next is None or min_next > next_stop:
-                    h_next = next_stop
-                else:
-                    h_next = min(
-                        next_stop, max(H + lookahead, min_next - 1 + lookahead)
-                    )
-                # the last window of each step lands exactly on the
-                # check_interval boundary: tell workers to sweep there
-                sweep = h_next == next_stop and cfg.sanitize is not None
-                for d in range(shards):
-                    pipes[d].send(("run", h_next, pending[d], sweep))
-                    pending[d] = []
-                states = [pipes[d].recv() for d in range(shards)]
-                next_times = [st[1] for st in states]
-                completed = [st[2] for st in states]
-                for st in states:
-                    for target, items in st[3]:
-                        pending[target].extend(items)
-                H = h_next
-            now = next_stop
-            if sum(completed) >= total:
-                break
-            if now >= hard_end:
-                break
-            if all(t is None for t in next_times) and not any(pending):
-                break
-        for d in range(shards):
-            pipes[d].send(("finish", now))
-        results = [pipes[d].recv() for d in range(shards)]
-    finally:
-        for proc in procs:
-            proc.join(timeout=30)
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.terminate()
-        for conn in pipes:
-            conn.close()
-    # merge per-domain hubs in domain order; the parent's own hub holds
-    # only build-time registrations (flow classes, incast sets) that
-    # every worker inherited too, so the union-style merges dedup them
+    completed = sum(r.completed for r in reports)
+    total = reports[0].total_flows
+    watchdog = scenario.watchdog
+    if watchdog is not None:
+        if completed < total:
+            watchdog.note_drained()
+        watchdog.stop()
     stats = scenario.stats
-    digests: List[str] = []
-    extras_list: List[dict] = []
-    events = 0
-    completed_total = 0
-    max_voqs = 0
-    retrans = 0
-    for res in results:
-        (_tag, worker_stats, worker_completed, worker_events, voqs, rtx,
-         dig, extras) = res
-        stats.merge_from(worker_stats)
-        completed_total += worker_completed
-        events += worker_events
-        if voqs > max_voqs:
-            max_voqs = voqs
-        retrans += rtx
-        if dig is not None:
-            digests.append(dig)
-        extras_list.append(extras)
+    for report in reports:
+        stats.merge_from(report.stats)
     stats.canonicalize()
+    events = sum(r.events for r in reports)
+    retransmitted = sum(r.retransmitted for r in reports)
     # fault counters: the static plan shape is identical in every
-    # worker; the injection counters are disjoint partials (each link's
-    # events ran in exactly one worker), so they sum
+    # report; the injection counters are disjoint partials, so they sum
     fault_summary = None
-    worker_faults = [ex["fault_summary"] for ex in extras_list]
-    if any(f is not None for f in worker_faults):
-        live = [f for f in worker_faults if f is not None]
-        fault_summary = dict(live[0])
-        for f in live[1:]:
-            for key in (
-                "injected_drops_data", "injected_drops_ctrl",
-                "injected_corruptions",
-            ):
-                fault_summary[key] += f[key]
-    # sanitizer: per-domain sweeps already ran in the workers; the
-    # whole-fabric conservation equations are judged here, over the
-    # summed final ledgers plus packets still in transit boxes
-    violations: List[str] = []
-    if cfg.sanitize is not None:
-        from repro.simcheck.sanitizer import conservation_violations
-
-        ledgers = []
-        for ex in extras_list:
-            payload = ex["sanitizer"]
-            if payload is not None:
-                violations.extend(payload["violations"])
-                ledgers.append(payload["ledger"])
-        extra_data = extra_credit = 0
-        for box in pending:
-            for item in box:
-                pkt = item[5]
-                if pkt.kind == PacketKind.DATA:
-                    extra_data += 1
-                elif pkt.kind == PacketKind.CREDIT:
-                    extra_credit += 1
-        for message in conservation_violations(
-            ledgers, extra_data, extra_credit
+    for report in reports:
+        partial = report.fault_summary
+        if partial is None:
+            continue
+        if fault_summary is None:
+            fault_summary = dict(partial)
+            continue
+        for key in (
+            "injected_drops_data", "injected_drops_ctrl",
+            "injected_corruptions",
         ):
-            violations.append(f"t={now}ns: {message}")
-    iso_violations = None
-    if isolate:
-        iso_violations = [
-            v for ex in extras_list for v in (ex["isolation"] or [])
-        ]
+            fault_summary[key] += partial[key]
+    for report in reports:
+        violations.extend(report.violations)
     telemetry = None
-    tele_cfg = cfg.telemetry
-    if tele_cfg is not None:
-        from repro.telemetry.shard import (
-            build_shard_export, merge_raw_profiles, merge_raw_series,
-        )
+    if cfg.telemetry is not None:
+        from repro.telemetry.recorder import build_export
 
-        telemetry = build_shard_export(
+        telemetry = build_export(
             cfg,
-            tele_cfg,
-            now,
-            events,
+            cfg.telemetry,
             stats,
-            completed_total,
-            len(scenario.flows),
-            retrans,
-            None,  # rpc never runs under process mode
-            [h for ex in extras_list for h in ex["ext_harvests"]],
-            merge_raw_series(
-                [ex["telemetry_series"] or [] for ex in extras_list]
-            ),
-            merge_raw_profiles(
-                [ex["telemetry_profile"] for ex in extras_list]
-            ),
+            sim_time_ns=now,
+            events=events,
+            flows_completed=completed,
+            flows_total=total,
+            retransmissions=retransmitted,
+            ext_harvests=[h for r in reports for h in r.ext_harvests],
+            rpc_driver=scenario.rpc_driver,
+            series=[r.series for r in reports],
+            profiles=[r.profile for r in reports],
         )
-    result = ScenarioResult(
+    return ScenarioResult(
         config=cfg,
         stats=stats,
         scenario=scenario,
-        completed_flows=completed_total,
-        total_flows=len(scenario.flows),
+        completed_flows=completed,
+        total_flows=total,
         sim_time=now,
         wall_seconds=_time.monotonic() - wall_start,  # simcheck: ignore[SIM002] -- wall time for reporting only
         events=events,
         telemetry=telemetry,
         sanitizer_violations=violations,
-        shard_max_voqs=max_voqs,
-        shard_retransmitted=retrans,
+        shard_max_voqs=max(r.max_voqs for r in reports),
+        shard_retransmitted=retransmitted,
+        shard_digests=(
+            [r.digest for r in reports]
+            if reports[0].digest is not None
+            else None
+        ),
+        shard_global_digest=global_digest,
         shard_fault_summary=fault_summary,
-        shard_isolation_violations=iso_violations,
+        shard_isolation_violations=(
+            [v for r in reports for v in r.isolation]
+            if reports[0].isolation is not None
+            else None
+        ),
     )
-    if collect_digests:
-        result.shard_digests = digests
-    return result
 
 
 # ---------------------------------------------------------------------------
-# entry point
+# entry points
 # ---------------------------------------------------------------------------
 
 
 def resolve_mode(config) -> str:
-    """Concrete executor for a config (resolves ``auto``)."""
-    mode = config.shard_mode
-    if mode == "auto":
-        mode = "barrier" if config.pattern == "rpc" else "process"
+    """Concrete transport for a config (``auto`` is ``barrier``)."""
+    mode = "barrier" if config.shard_mode == "auto" else config.shard_mode
     if mode == "process" and config.pattern == "rpc":
         raise ValueError(
             "rpc workloads cannot run under shard_mode='process': the "
@@ -1113,29 +1054,25 @@ def resolve_mode(config) -> str:
     return mode
 
 
-def run_sharded_scenario(
+def run_domains(
     scenario,
     check_interval: int,
-    wall_start: float,
     collect_digests: bool = False,
     isolate: bool = False,
-):
-    """Run a built scenario across ``config.shards`` domains.
+) -> Tuple[int, List[DomainReport], List[str], Optional[str]]:
+    """Partition a built scenario and run every domain to the end.
 
-    Returns the same :class:`ScenarioResult` the serial runner builds,
-    with identical completion/stop semantics: the run advances in
-    ``check_interval`` steps and stops at the first step boundary where
-    every flow has completed (and any rpc driver is finished), the hard
-    end is reached, or every domain has drained.
-
-    ``isolate`` arms the :class:`ShardIsolationSanitizer`: hot objects
-    are tagged with their owning domain at partition time and every
-    executed callback is checked against the domain it ran under
-    (``check --sharded --isolate``).
+    Returns ``(sim time, one report per domain, whole-fabric
+    conservation violations, lockstep global digest)`` — the inputs of
+    the merge, identical whichever transport carried the run.
     """
     cfg = scenario.config
     mode = resolve_mode(cfg)
-    _assert_clean_build(scenario)
+    if scenario.sim.pending_events:
+        raise RuntimeError(
+            "sharded execution requires an empty build-time heap; "
+            "something scheduled events during Scenario construction"
+        )
     domain_of = partition_nodes(scenario, cfg.shards)
     lookahead = boundary_lookahead(scenario.topology, domain_of)
     _validate_fault_plan(scenario, domain_of)
@@ -1148,11 +1085,41 @@ def run_sharded_scenario(
                 "one address space; use shard_mode='barrier' or "
                 "'lockstep' (or stall_window=0)"
             )
-        return _run_process(
-            scenario, check_interval, wall_start, domain_of, lookahead,
-            collect_digests, isolate,
+        transport_cls = _ForkedTransport
+    elif mode == "lockstep":
+        transport_cls = _LockstepTransport
+        lookahead = check_interval  # one step per check_interval
+    else:
+        transport_cls = _LocalTransport
+    transport = transport_cls(scenario, domain_of, collect_digests, isolate)
+    try:
+        now, reports, violations = _window_loop(
+            transport, scenario, check_interval, lookahead
         )
-    return _run_inprocess(
-        scenario, mode, check_interval, wall_start, domain_of, lookahead,
-        collect_digests, isolate,
+    finally:
+        transport.close()
+    return now, reports, violations, transport.global_digest
+
+
+def run_sharded_scenario(
+    scenario,
+    check_interval: int,
+    wall_start: float,
+    collect_digests: bool = False,
+    isolate: bool = False,
+):
+    """Run a built scenario across ``config.shards`` domains.
+
+    Returns the same :class:`ScenarioResult` the serial runner builds,
+    with identical completion/stop semantics (see :func:`_window_loop`).
+    ``collect_digests`` hashes every domain's event stream for the
+    equivalence harness; ``isolate`` arms the
+    :class:`ShardIsolationSanitizer`: hot objects are tagged with their
+    owning domain at partition time and every executed callback is
+    checked against the domain it ran under (``check --sharded
+    --isolate``).
+    """
+    now, reports, violations, global_digest = run_domains(
+        scenario, check_interval, collect_digests, isolate
     )
+    return _merge(scenario, now, reports, violations, global_digest, wall_start)

@@ -128,6 +128,8 @@ def rule_applies(rule: str, relpath: str) -> bool:
             relpath.startswith(f"src/repro/{pkg}/")
             for pkg in ("net", "floodgate", "baselines", "stats", "telemetry")
         )
+    if rule == "SIM009":
+        return relpath.startswith("tests/")
     # SIM000 (parse errors) and SIM004 apply everywhere
     return True
 

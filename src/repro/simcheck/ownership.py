@@ -5,16 +5,17 @@ into execution domains keyed by ``node_id`` — ``partition()`` builds
 ``domain_of[node.node_id]`` and every object hanging off a node (ports,
 intra-domain links, VOQ state, credit tables) inherits that domain.
 Cross-domain traffic is only allowed through the boundary-tuple
-exchange: the channel classes and flush/partition helpers defined in
-``sim/sharded.py``.
+exchange: the channel and transport classes, the window loop and the
+partition/binding helpers defined in ``sim/sharded.py``.
 
 This module is the static mirror of that contract.  It provides:
 
 * :func:`build_ownership_map` — parse ``sim/sharded.py`` and recover
   the ownership model from the source of truth: the attribute
   ``partition()`` keys domains on, and the names of the boundary
-  contexts (channel classes, ``partition``, mailbox flushing, domain
-  binding) inside which cross-domain access is the whole point.
+  contexts (channel and transport classes, ``partition``, domain
+  binding, the window loop) inside which cross-domain access is the
+  whole point.
 * :func:`foreign_locals` — per-function dataflow marking local names
   bound to another domain's objects (``peer = switch.peer(i)``,
   ``other = link.peer_of(node)``, ...).
@@ -34,7 +35,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 #: attributes that cross to *another* node's object graph.  Reading
 #: them is fine (schemes inspect ``peer.level`` to classify hops);
@@ -71,14 +72,18 @@ MUTATING_METHODS = frozenset(
 )
 
 #: functions in sim/sharded.py that are boundary contexts even though
-#: their names do not say "channel"
+#: their names do not say "channel": partitioning and binding assign
+#: ownership, and ``step`` (a runtime merging incoming deliveries, a
+#: transport carrying them), the window loop that routes them and the
+#: forked worker serving one domain are the exchange itself
 _BOUNDARY_SEED = frozenset(
     {
         "partition_nodes",
         "_bind_domains",
-        "_flush_mailboxes",
         "_validate_fault_plan",
-        "_worker_main",
+        "step",
+        "_window_loop",
+        "_serve_domain",
     }
 )
 
@@ -132,7 +137,9 @@ def boundary_contexts(tree: ast.AST) -> FrozenSet[str]:
     """Boundary context names present in a parsed ``sim/sharded.py``."""
     names: Set[str] = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and "Channel" in node.name:
+        if isinstance(node, ast.ClassDef) and (
+            "Channel" in node.name or "Transport" in node.name
+        ):
             names.add(node.name)
         elif isinstance(node, ast.FunctionDef) and node.name in _BOUNDARY_SEED:
             names.add(node.name)
@@ -187,12 +194,18 @@ def _is_foreign_expr(node: ast.expr, env: FrozenSet[str]) -> bool:
             return False
 
 
-def foreign_locals(func: ast.AST) -> FrozenSet[str]:
-    """Local names this function binds to foreign-derived expressions.
+def tainted_locals(
+    scope: ast.AST,
+    is_tainted: Callable[[ast.expr, FrozenSet[str]], bool],
+    aug: bool = False,
+) -> FrozenSet[str]:
+    """Local names ``scope`` binds to expressions ``is_tainted`` accepts.
 
-    Conservative flow-insensitive pass: a name assigned a foreign
-    expression *anywhere* in the function counts, so later writes
-    through it are classified foreign even across rebinding.
+    Conservative flow-insensitive pass: a name assigned a tainted
+    expression *anywhere* in the scope counts everywhere in it, even
+    across rebinding.  ``is_tainted(value, names_so_far)`` sees the
+    names found so far, so chains propagate; ``aug`` also follows
+    augmented assignments (``x += tainted``).
     """
     env: Set[str] = set()
     # iterate to a fixpoint so chains (`peer = sw.peer(i); p2 = peer`)
@@ -200,20 +213,28 @@ def foreign_locals(func: ast.AST) -> FrozenSet[str]:
     changed = True
     while changed:
         changed = False
-        for node in ast.walk(func):
+        for node in ast.walk(scope):
             if isinstance(node, ast.Assign):
                 value, targets = node.value, node.targets
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
                 value, targets = node.value, [node.target]
+            elif aug and isinstance(node, ast.AugAssign):
+                value, targets = node.value, [node.target]
             else:
                 continue
-            if not _is_foreign_expr(value, frozenset(env)):
+            if not is_tainted(value, frozenset(env)):
                 continue
             for target in targets:
                 if isinstance(target, ast.Name) and target.id not in env:
                     env.add(target.id)
                     changed = True
     return frozenset(env)
+
+
+def foreign_locals(func: ast.AST) -> FrozenSet[str]:
+    """Local names this function binds to foreign-derived expressions,
+    so later writes through them are classified foreign."""
+    return tainted_locals(func, _is_foreign_expr)
 
 
 def _root_and_chain(node: ast.expr) -> Tuple[Optional[str], List[str]]:

@@ -55,6 +55,17 @@ SIM008
     land in domain-owned shards and merge deterministically at
     barriers; a process-global singleton silently loses worker writes.
 
+One rule guards the test suite itself:
+
+SIM009
+    A comparison on wall-clock time inside ``tests/`` — an operand
+    that reads ``time.monotonic()``/``perf_counter()``/``time()`` or a
+    local computed from one (``elapsed = time.monotonic() - t0``).
+    How long something took depends on the machine and its neighbours,
+    so such an assertion makes tier-1 red or green by luck; wall-clock
+    claims belong in ``benchmarks/`` with a bound derived from the
+    hardware they ran on.
+
 Suppression: append ``# simcheck: ignore[SIM00X] -- reason`` to the
 flagged line, or add a ``RULE path-glob -- justification`` line to the
 repo-root ``simcheck-allowlist.txt``.
@@ -73,6 +84,7 @@ from repro.simcheck.ownership import (
     boundary_contexts,
     describe,
     foreign_locals,
+    tainted_locals,
 )
 
 #: rule id -> one-line description (shown by ``repro.cli check --rules``)
@@ -109,6 +121,10 @@ RULES = {
     "SIM008": (
         "accumulation into a module-global collector from simulation code "
         "(per-domain stats need domain shards + deterministic merge)"
+    ),
+    "SIM009": (
+        "comparison on elapsed wall-clock time inside tests/ "
+        "(machine-dependent; timing claims belong in benchmarks/)"
     ),
 }
 
@@ -200,6 +216,34 @@ def _root_name(node: ast.expr) -> str | None:
             return None
 
 
+def _reads_wall_clock(node: ast.expr, tainted: FrozenSet[str]) -> bool:
+    """Does this expression contain a wall-clock read or a tainted name?
+
+    Wall-clock reads are ``time.<attr>()`` calls and bare calls of the
+    same names (``from time import perf_counter``).
+    """
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and sub.id in tainted:
+            return True
+        if isinstance(sub, ast.Call):
+            func = sub.func
+            if (
+                isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "time"
+                and func.attr in WALL_CLOCK_TIME_ATTRS
+            ) or (
+                isinstance(func, ast.Name) and func.id in WALL_CLOCK_TIME_ATTRS
+            ):
+                return True
+    return False
+
+
+def wall_clock_locals(scope: ast.AST) -> FrozenSet[str]:
+    """Names this scope binds to wall-clock-derived values (SIM009)."""
+    return tainted_locals(scope, _reads_wall_clock, aug=True)
+
+
 @dataclass(frozen=True)
 class Finding:
     """One linter hit: rule, location, human-readable message."""
@@ -287,6 +331,8 @@ class _RuleVisitor(ast.NodeVisitor):
         self._env: FrozenSet[str] = frozenset()
         #: module-level names bound to mutable containers (SIM006/8)
         self._module_globals: Set[str] = set()
+        #: wall-clock-derived names of the innermost scope (SIM009)
+        self._wall: FrozenSet[str] = frozenset()
 
     def _add(self, rule: str, node: ast.AST, message: str) -> None:
         self.findings.append(
@@ -298,6 +344,8 @@ class _RuleVisitor(ast.NodeVisitor):
 
     # -- scope bookkeeping + SIM006 definitions ---------------------------
     def visit_Module(self, node: ast.Module) -> None:
+        if "SIM009" in self.enabled:
+            self._wall = wall_clock_locals(node)
         for stmt in node.body:
             targets, value = [], None
             if isinstance(stmt, ast.Assign):
@@ -346,15 +394,17 @@ class _RuleVisitor(ast.NodeVisitor):
         self._scopes.pop()
 
     def _visit_function(self, node) -> None:
-        prev_env = self._env
+        prev_env, prev_wall = self._env, self._wall
         if self.enabled & {"SIM005", "SIM007"}:
             self._env = foreign_locals(node)
+        if "SIM009" in self.enabled:
+            self._wall = prev_wall | wall_clock_locals(node)
         self._scopes.append(node.name)
         self._func_depth += 1
         self.generic_visit(node)
         self._func_depth -= 1
         self._scopes.pop()
-        self._env = prev_env
+        self._env, self._wall = prev_env, prev_wall
 
     visit_FunctionDef = _visit_function
     visit_AsyncFunctionDef = _visit_function
@@ -511,6 +561,21 @@ class _RuleVisitor(ast.NodeVisitor):
                     node,
                     f"datetime.{node.attr} reads the wall clock",
                 )
+        self.generic_visit(node)
+
+    # -- SIM009: comparisons on elapsed wall time -------------------------
+    def visit_Compare(self, node: ast.Compare) -> None:
+        if "SIM009" in self.enabled and any(
+            _reads_wall_clock(operand, self._wall)
+            for operand in (node.left, *node.comparators)
+        ):
+            self._add(
+                "SIM009",
+                node,
+                f"`{describe(node)}` compares wall-clock time; elapsed "
+                "time depends on the machine — move the claim to "
+                "benchmarks/ with a hardware-derived bound",
+            )
         self.generic_visit(node)
 
     # -- SIM003: set iteration --------------------------------------------

@@ -66,14 +66,125 @@ class SanitizerConfig:
     max_violations: int = 100
 
 
-class SimSanitizer:
-    """Invariant checker wired onto one built :class:`Scenario`."""
+def count_kinds(packets) -> Tuple[int, int]:
+    """``(DATA, CREDIT)`` packets in an iterable of packets."""
+    data = credit = 0
+    for pkt in packets:
+        if pkt.kind == PacketKind.DATA:
+            data += 1
+        elif pkt.kind == PacketKind.CREDIT:
+            credit += 1
+    return data, credit
 
-    def __init__(self, scenario, config: Optional[SanitizerConfig] = None) -> None:
+
+def conservation_violations(
+    ledgers: List[Dict[str, int]],
+    extra_data: int = 0,
+    extra_credit: int = 0,
+) -> List[str]:
+    """Sum conservation ledgers and evaluate the two equations.
+
+    A serial run passes its one fabric-wide ledger; a sharded run one
+    ledger per domain — disjoint partial sums of the fabric-wide walk,
+    so the summed ledger feeds the very same arithmetic — plus
+    ``extra_data`` / ``extra_credit``, the packets at rest in
+    inter-domain transit that no domain's heap can see.
+    """
+
+    def total(key: str) -> int:
+        return sum(ledger[key] for ledger in ledgers)
+
+    messages: List[str] = []
+    injected = total("injected")
+    delivered = total("delivered")
+    dropped = total("switch_dropped")
+    link_dropped = total("link_dropped")
+    fault_dropped = total("fault_dropped")
+    trimmed = total("trimmed")
+    inflight = total("inflight_data") + extra_data
+    accounted = delivered + dropped + link_dropped + fault_dropped + trimmed
+    if injected != accounted + inflight:
+        messages.append(
+            "DATA packet conservation broken: "
+            f"injected={injected} != delivered={delivered} "
+            f"+ switch-dropped={dropped} + link-dropped={link_dropped} "
+            f"+ fault-dropped={fault_dropped} + trimmed={trimmed} "
+            f"+ in-flight={inflight} (= {accounted + inflight}, "
+            f"off by {injected - accounted - inflight})"
+        )
+    if any(ledger["have_floodgate"] for ledger in ledgers):
+        sent = total("credit_sent")
+        applied = total("credit_applied")
+        unclaimed = total("credit_unclaimed")
+        credit_dropped = total("credit_dropped")
+        credit_inflight = total("inflight_credit") + extra_credit
+        credit_accounted = applied + unclaimed + credit_dropped + credit_inflight
+        if sent != credit_accounted:
+            messages.append(
+                "credit conservation broken: "
+                f"generated={sent} != applied={applied} "
+                f"+ unclaimed={unclaimed} + dropped={credit_dropped} "
+                f"+ in-flight={credit_inflight} (= {credit_accounted}, "
+                f"off by {sent - credit_accounted})"
+            )
+    return messages
+
+
+def judge_shard_sweep(
+    config: SanitizerConfig,
+    now: int,
+    ledgers: List[Dict[str, int]],
+    transit,
+    violations: List[str],
+) -> None:
+    """Coordinator half of a sharded sweep (:mod:`repro.sim.sharded`).
+
+    Every domain swept its own slice and returned its ledger; only the
+    coordinator sees them all, plus the ``transit`` packets waiting in
+    inter-domain boxes, so the whole-fabric equations are judged here
+    and what does not balance is appended to ``violations``.
+    """
+    for message in conservation_violations(ledgers, *count_kinds(transit)):
+        message = f"t={now}ns: {message}"
+        if config.strict:
+            raise SanitizerError(message)
+        if len(violations) < config.max_violations:
+            violations.append(message)
+
+
+class SimSanitizer:
+    """Invariant checker wired onto one built :class:`Scenario`.
+
+    Every sweep walks the checker's *scope* — the hosts, switches,
+    extensions and links it owns, the engine whose heap holds their
+    pending work, and their packet pool.  Here the scope is the whole
+    fabric; :class:`ShardedSanitizer` narrows it to one domain.
+    """
+
+    def __init__(
+        self,
+        scenario,
+        config: Optional[SanitizerConfig] = None,
+        *,
+        sim=None,
+        pool=None,
+        owns=None,
+    ) -> None:
+        """``sim``/``pool``/``owns`` narrow the scope to one domain:
+        its engine, its packet pool, and a node predicate."""
         self.scenario = scenario
         self.config = config or SanitizerConfig()
-        self.sim = scenario.sim
-        self.topology = scenario.topology
+        self.topology = topo = scenario.topology
+        self.sim = scenario.sim if sim is None else sim
+        self.pool = getattr(scenario, "pool", None) if pool is None else pool
+        if owns is None:
+            self.hosts, self.switches = topo.hosts, topo.switches
+            self.extensions, self.links = scenario.extensions, topo.links
+        else:
+            self.hosts = [h for h in topo.hosts if owns(h)]
+            self.switches = [sw for sw in topo.switches if owns(sw)]
+            self.extensions = [e for e in scenario.extensions if owns(e.switch)]
+            self.links = [link for link in topo.links if owns(link.node_a)]
         self.violations: List[str] = []
         #: messages dropped once ``max_violations`` was reached
         self.truncated = 0
@@ -81,26 +192,19 @@ class SimSanitizer:
         #: lazily resolved: pause/resume pairing assumes lossless
         #: control delivery, so lossy/faulted links switch it off
         self._pairing: Optional[bool] = None
-        #: True only during ``final_check``: the hybrid boundary sweep
-        #: adds end-of-run equalities that mid-run inflight would fail
-        self._final = False
-        self._task = self._make_task()
+        #: periodic sweep driver, None for a domain slice (swept from
+        #: window boundaries instead).  Observer-tagged: sweeps read
+        #: state, so the determinism digests exclude their ticks.
+        self._task: Optional[PeriodicTask] = None
+        if owns is None:
+            self._task = PeriodicTask(
+                self.sim, self.config.check_interval, self.check_now,
+                observer=True,
+            )
         # rare-path hooks: pause/resume pairing is event-driven, so the
         # nodes get a back-reference (None on unsanitized runs)
-        for node in (*self.topology.hosts, *self.topology.switches):
+        for node in (*self.hosts, *self.switches):
             node.sanitizer = self
-
-    def _make_task(self) -> Optional[PeriodicTask]:
-        """Periodic sweep driver; :class:`ShardedSanitizer` returns None.
-
-        Observer-tagged: sweeps read state, so the determinism digests
-        exclude their ticks (a sharded run sweeps at executor barriers
-        instead of on heap events).
-        """
-        return PeriodicTask(
-            self.sim, self.config.check_interval, self.check_now,
-            observer=True,
-        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -169,98 +273,105 @@ class SimSanitizer:
                 f"for dst {dst}"
             )
 
-    # -- in-flight walk ----------------------------------------------------
+    # -- conservation ledger -----------------------------------------------
 
-    def _inflight(self) -> Tuple[int, int]:
-        """(DATA, CREDIT) packets at rest anywhere in the system.
-
-        Pure read-only walk: egress queues, extension VOQs, and live
-        heap entries whose args carry a packet (propagation and
-        serialization events).
-        """
-        data = credit = 0
-        kinds = PacketKind
-        for node in (*self.topology.hosts, *self.topology.switches):
+    def _packets_at_rest(self):
+        """Every packet at rest in scope (pure read-only walk): egress
+        queues, extension VOQs, and live heap entries whose args carry
+        a packet (propagation and serialization events)."""
+        for node in (*self.hosts, *self.switches):
             for port in node.ports:
                 for queue in port.queues:
-                    for pkt in queue:
-                        if pkt.kind == kinds.DATA:
-                            data += 1
-                        elif pkt.kind == kinds.CREDIT:
-                            credit += 1
-        for ext in self.scenario.extensions:
+                    yield from queue
+        for ext in self.extensions:
             pool = getattr(ext, "pool", None)
-            if pool is None:
-                continue
-            for voq in pool.voqs:
-                for pkt in voq.packets:
-                    if pkt.kind == kinds.DATA:
-                        data += 1
-                    elif pkt.kind == kinds.CREDIT:
-                        credit += 1
+            if pool is not None:
+                for voq in pool.voqs:
+                    yield from voq.packets
         for _time, _fn, args in self.sim.pending_items():
             for arg in args:
                 if isinstance(arg, Packet):
-                    if arg.kind == kinds.DATA:
-                        data += 1
-                    elif arg.kind == kinds.CREDIT:
-                        credit += 1
-        return data, credit
+                    yield arg
+
+    def ledger(self) -> Dict[str, int]:
+        """Conservation counters held by the objects in scope.
+
+        Ledgers of disjoint scopes add up to the fabric-wide ledger
+        (:func:`conservation_violations` sums them), which is what lets
+        a sharded run keep one per domain.
+        """
+        inflight_data, inflight_credit = count_kinds(self._packets_at_rest())
+        link_dropped = fault_dropped = credit_dropped = 0
+        for link in self.links:
+            link_dropped += link.dropped_data_packets
+            credit_dropped += link.dropped_credit_packets
+            if link.fault is not None:
+                fault_dropped += link.fault.injected_drops_data
+                credit_dropped += link.fault.injected_drops_credit
+        credit_sent = credit_applied = 0
+        have_floodgate = False
+        for ext in self.extensions:
+            credits = getattr(ext, "credits", None)
+            if credits is None:
+                continue
+            have_floodgate = True
+            credit_sent += credits.credits_sent
+            credit_applied += ext.credit_frames_rx
+        hybrid = getattr(self.scenario, "hybrid", None)
+        if hybrid is not None:
+            # boundary absorption synthesizes the credit the absorbed
+            # fabric would have generated; it is applied at the hot ToR
+            # like any other, so it joins the sent side of the ledger
+            credit_sent += hybrid.synthesized_credit_frames
+        return {
+            "injected": sum(h.tx_data_packets for h in self.hosts),
+            "delivered": sum(h.rx_data_packets for h in self.hosts),
+            "switch_dropped": sum(sw.dropped_packets for sw in self.switches),
+            "link_dropped": link_dropped,
+            "fault_dropped": fault_dropped,
+            "trimmed": sum(
+                getattr(ext, "trimmed_packets", 0) for ext in self.extensions
+            ),
+            "inflight_data": inflight_data,
+            "credit_sent": credit_sent,
+            "credit_applied": credit_applied,
+            "credit_unclaimed": sum(
+                sw.unclaimed_credit_frames for sw in self.switches
+            ),
+            "credit_dropped": credit_dropped,
+            "inflight_credit": inflight_credit,
+            "have_floodgate": have_floodgate,
+        }
 
     # -- the invariant sweeps ----------------------------------------------
 
-    def check_now(self) -> None:
-        """Run every pull-based invariant against current state."""
+    def sweep(self, final: bool = False) -> Dict[str, int]:
+        """Run every scope-local invariant; return the scope's ledger.
+
+        ``final`` marks the end-of-run sweep: the hybrid boundary adds
+        equalities there that mid-run inflight would fail.
+        """
         self.checks_run += 1
-        inflight_data, inflight_credit = self._inflight()
-        self._check_data_conservation(inflight_data)
         self._check_buffers()
         self._check_windows()
-        self._check_credits(inflight_credit)
         self._check_pool()
         self._check_flow_rates()
-        self._check_hybrid_boundary()
+        self._check_hybrid_boundary(final)
+        return self.ledger()
+
+    def check_now(self) -> None:
+        """Run every pull-based invariant against current state."""
+        for message in conservation_violations([self.sweep()]):
+            self.record(message)
 
     def final_check(self) -> None:
-        """End-of-run sweep (the periodic task must be stopped first)."""
+        """End-of-run sweep (stops the periodic task first)."""
         self.stop()
-        self._final = True
-        self.check_now()
-
-    def _check_data_conservation(self, inflight: int) -> None:
-        topo = self.topology
-        injected = sum(h.tx_data_packets for h in topo.hosts)
-        delivered = sum(h.rx_data_packets for h in topo.hosts)
-        dropped = sum(sw.dropped_packets for sw in topo.switches)
-        link_dropped = fault_dropped = 0
-        for link in topo.links:
-            link_dropped += link.dropped_data_packets
-            if link.fault is not None:
-                fault_dropped += link.fault.injected_drops_data
-        trimmed = sum(
-            getattr(ext, "trimmed_packets", 0) for ext in self.scenario.extensions
-        )
-        accounted = delivered + dropped + link_dropped + fault_dropped + trimmed
-        if injected != accounted + inflight:
-            self.record(
-                "DATA packet conservation broken: "
-                f"injected={injected} != delivered={delivered} "
-                f"+ switch-dropped={dropped} + link-dropped={link_dropped} "
-                f"+ fault-dropped={fault_dropped} + trimmed={trimmed} "
-                f"+ in-flight={inflight} (= {accounted + inflight}, "
-                f"off by {injected - accounted - inflight})"
-            )
-
-    # -- sweep scope (ShardedSanitizer narrows these to one domain) --------
-
-    def _swept_switches(self):
-        return self.topology.switches
-
-    def _swept_extensions(self):
-        return self.scenario.extensions
+        for message in conservation_violations([self.sweep(final=True)]):
+            self.record(message)
 
     def _check_buffers(self) -> None:
-        for sw in self._swept_switches():
+        for sw in self.switches:
             buf = sw.buffer
             if buf is None:
                 continue
@@ -292,7 +403,7 @@ class SimSanitizer:
                 )
 
     def _check_windows(self) -> None:
-        for ext in self._swept_extensions():
+        for ext in self.extensions:
             windows = getattr(ext, "windows", None)
             if windows is None:
                 continue
@@ -318,67 +429,17 @@ class SimSanitizer:
                         "returned than packets sent)"
                     )
 
-    def _check_credits(self, inflight: int) -> None:
-        sent = applied = 0
-        have_floodgate = False
-        for ext in self.scenario.extensions:
-            credits = getattr(ext, "credits", None)
-            if credits is None:
-                continue
-            have_floodgate = True
-            sent += credits.credits_sent
-            applied += ext.credit_frames_rx
-        if not have_floodgate:
-            return
-        hybrid = getattr(self.scenario, "hybrid", None)
-        if hybrid is not None:
-            # boundary absorption synthesizes the credit the absorbed
-            # fabric would have generated; it is applied at the hot ToR
-            # like any other, so it joins the sent side of the ledger
-            sent += hybrid.synthesized_credit_frames
-        unclaimed = sum(
-            sw.unclaimed_credit_frames for sw in self.topology.switches
-        )
-        dropped = 0
-        for link in self.topology.links:
-            dropped += link.dropped_credit_packets
-            if link.fault is not None:
-                dropped += link.fault.injected_drops_credit
-        accounted = applied + unclaimed + dropped + inflight
-        if sent != accounted:
-            self.record(
-                "credit conservation broken: "
-                f"generated={sent} != applied={applied} "
-                f"+ unclaimed={unclaimed} + dropped={dropped} "
-                f"+ in-flight={inflight} (= {accounted}, "
-                f"off by {sent - accounted})"
-            )
-
     def _check_pool(self) -> None:
         """Packet recycler integrity (scenarios built with pooling on).
 
         Counter agreement is cheap; the disjointness walk re-traverses
-        the same structures as :meth:`_inflight`, which is fine at
-        sanitizer cadence (the sanitizer never runs on benchmark
+        the same structures as :meth:`_packets_at_rest`, which is fine
+        at sanitizer cadence (the sanitizer never runs on benchmark
         paths).
         """
-        pool = getattr(self.scenario, "pool", None)
+        pool = self.pool
         if pool is None or not pool.enabled:
             return
-        self._check_one_pool(
-            pool,
-            (*self.topology.hosts, *self.topology.switches),
-            self.scenario.extensions,
-            self.sim.pending_items(),
-        )
-
-    def _check_one_pool(self, pool, nodes, extensions, pending_items) -> None:
-        """Integrity sweep for one recycler against one ownership scope.
-
-        ``nodes``/``extensions``/``pending_items`` bound the
-        disjointness walk: serial runs pass the whole fabric, sharded
-        runs pass one domain's slice per per-domain pool.
-        """
         free = pool.free_count()
         outstanding = pool.released - pool.recycled
         if free != outstanding:
@@ -395,7 +456,7 @@ class SimSanitizer:
             )
         if not free_ids:
             return
-        for node in nodes:
+        for node in (*self.hosts, *self.switches):
             for port in node.ports:
                 for queue in port.queues:
                     for pkt in queue:
@@ -405,7 +466,7 @@ class SimSanitizer:
                                 f"port {port.index} queue is also on the "
                                 "pool free list"
                             )
-        for ext in extensions:
+        for ext in self.extensions:
             voq_pool = getattr(ext, "pool", None)
             if voq_pool is None:
                 continue
@@ -417,7 +478,7 @@ class SimSanitizer:
                             f"{ext.switch.name} is also on the pool "
                             "free list"
                         )
-        for _time, fn, args in pending_items:
+        for _time, fn, args in self.sim.pending_items():
             for arg in args:
                 if isinstance(arg, Packet) and id(arg) in free_ids:
                     name = getattr(fn, "__qualname__", repr(fn))
@@ -439,12 +500,12 @@ class SimSanitizer:
         for message in fluid.conservation_errors():
             self.record(message)
 
-    def _check_hybrid_boundary(self) -> None:
+    def _check_hybrid_boundary(self, final: bool) -> None:
         """Hybrid-tier byte conservation at the fluid/packet boundary."""
         hybrid = getattr(self.scenario, "hybrid", None)
         if hybrid is None:
             return
-        for message in hybrid.boundary_errors(final=self._final):
+        for message in hybrid.boundary_errors(final=final):
             self.record(message)
 
     # -- reporting ----------------------------------------------------------
@@ -458,295 +519,35 @@ class SimSanitizer:
         }
 
 
-# ---------------------------------------------------------------------------
-# sharded execution (repro.sim.sharded)
-# ---------------------------------------------------------------------------
-
-
-def conservation_violations(
-    ledgers: List[Dict[str, int]],
-    extra_data: int = 0,
-    extra_credit: int = 0,
-) -> List[str]:
-    """Sum per-domain ledgers and evaluate the conservation equations.
-
-    Message text matches the serial sanitizer's exactly (minus the
-    ``t=`` prefix the caller adds): the per-domain ledgers are disjoint
-    partial sums of the serial fabric-wide walk, so the summed ledger
-    feeds the very same arithmetic.  ``extra_data`` / ``extra_credit``
-    count packets at rest in inter-domain transit (mailbox or wire
-    boxes) that no domain's heap can see.
-    """
-
-    def total(key: str) -> int:
-        return sum(ledger[key] for ledger in ledgers)
-
-    messages: List[str] = []
-    injected = total("injected")
-    delivered = total("delivered")
-    dropped = total("switch_dropped")
-    link_dropped = total("link_dropped")
-    fault_dropped = total("fault_dropped")
-    trimmed = total("trimmed")
-    inflight = total("inflight_data") + extra_data
-    accounted = delivered + dropped + link_dropped + fault_dropped + trimmed
-    if injected != accounted + inflight:
-        messages.append(
-            "DATA packet conservation broken: "
-            f"injected={injected} != delivered={delivered} "
-            f"+ switch-dropped={dropped} + link-dropped={link_dropped} "
-            f"+ fault-dropped={fault_dropped} + trimmed={trimmed} "
-            f"+ in-flight={inflight} (= {accounted + inflight}, "
-            f"off by {injected - accounted - inflight})"
-        )
-    if any(ledger["have_floodgate"] for ledger in ledgers):
-        sent = total("credit_sent")
-        applied = total("credit_applied")
-        unclaimed = total("credit_unclaimed")
-        credit_dropped = total("credit_dropped")
-        credit_inflight = total("inflight_credit") + extra_credit
-        credit_accounted = applied + unclaimed + credit_dropped + credit_inflight
-        if sent != credit_accounted:
-            messages.append(
-                "credit conservation broken: "
-                f"generated={sent} != applied={applied} "
-                f"+ unclaimed={unclaimed} + dropped={credit_dropped} "
-                f"+ in-flight={credit_inflight} (= {credit_accounted}, "
-                f"off by {sent - credit_accounted})"
-            )
-    return messages
-
-
-class _ShardClock:
-    """Clock facade standing in for the single engine a serial run has.
-
-    ``now`` is assigned by the executor at each sweep barrier (there is
-    no one authoritative engine clock between barriers); ``pending_items``
-    chains every domain heap plus, optionally, in-transit boundary
-    messages that live in no heap.
-    """
-
-    __slots__ = ("sims", "extra", "now")
-
-    def __init__(self, sims, extra=None) -> None:
-        self.sims = sims
-        self.extra = extra
-        self.now = 0
-
-    def pending_items(self):
-        for sim in self.sims:
-            yield from sim.pending_items()
-        if self.extra is not None:
-            yield from self.extra()
-
-
 class ShardedSanitizer(SimSanitizer):
-    """Domain-local invariant sweeps for the sharded engine.
+    """One domain's slice of the sanitizer under :mod:`repro.sim.sharded`.
 
-    The serial sanitizer's fabric-wide walks would read other domains'
-    state mid-window — exactly the aliasing SIM005 and the isolation
-    sanitizer forbid.  This variant keeps every sweep domain-local:
+    A fabric-wide walk would read other domains' state mid-window —
+    exactly the aliasing SIM005 and the isolation sanitizer forbid — so
+    each domain runtime owns one of these, scoped to the nodes
+    ``domain_of`` maps to ``domain``, the domain's engine and its
+    packet pool.  A link belongs to the domain of its ``node_a``
+    (boundary links carry neither loss nor faults — the sharded runner
+    rejects both — so their drop counters stay zero on either side).
 
-    * each domain contributes a **conservation ledger** of the counters
-      its own hosts/switches/links/extensions hold; summing the ledgers
-      in domain order reproduces the serial equations exactly (the
-      partials are disjoint),
-    * buffer/window/pool sweeps run against one domain's slice at a
-      time (per-domain packet pools get per-domain disjointness walks),
-    * in worker mode (``my_domain`` set) conservation is skipped — no
-      worker sees the whole fabric — and the final ledger ships to the
-      parent, which sums all of them via :func:`conservation_violations`.
-
-    Sweeps are driven from executor barriers (``check_now`` at every
-    ``check_interval`` boundary), not from a heap task, so they never
-    appear in event streams and digests stay serial-comparable.  At a
-    barrier every domain has executed precisely the events before the
-    sweep time, so the state read is the serial cut.
+    There is no heap task: the runtime calls :meth:`sweep` when its
+    window lands on a ``check_interval`` boundary, so sweeps never
+    appear in event streams and the state read is the serial cut.  No
+    domain sees the whole fabric, so the conservation equations are
+    not judged here; ``sweep`` returns the domain's ledger and the
+    coordinator sums them (:func:`judge_shard_sweep`).
     """
 
     def __init__(
         self,
         scenario,
-        sims,
+        sim,
+        domain: int,
         domain_of: Dict[int, int],
-        pools,
+        pool,
         config: Optional[SanitizerConfig] = None,
-        my_domain: Optional[int] = None,
-        extra_pending=None,
     ) -> None:
-        self.sims = sims
-        self.domain_of = domain_of
-        self.pools = pools
-        self.my_domain = my_domain
-        self._extra_pending = extra_pending
-        super().__init__(scenario, config)
-        # replace the engine handle with the barrier-driven facade
-        self.sim = _ShardClock(sims, extra_pending)
-
-    def _make_task(self) -> Optional[PeriodicTask]:
-        return None  # swept from executor barriers, not a heap task
-
-    # -- domain scoping ----------------------------------------------------
-
-    def _domains(self):
-        if self.my_domain is not None:
-            return (self.my_domain,)
-        return range(len(self.sims))
-
-    def _domain_hosts(self, d: int):
-        return [h for h in self.topology.hosts if self.domain_of[h.node_id] == d]
-
-    def _domain_switches(self, d: int):
-        return [
-            sw for sw in self.topology.switches
-            if self.domain_of[sw.node_id] == d
-        ]
-
-    def _domain_extensions(self, d: int):
-        return [
-            ext for ext in self.scenario.extensions
-            if self.domain_of[ext.switch.node_id] == d
-        ]
-
-    def _swept_switches(self):
-        if self.my_domain is None:
-            return self.topology.switches
-        return self._domain_switches(self.my_domain)
-
-    def _swept_extensions(self):
-        if self.my_domain is None:
-            return self.scenario.extensions
-        return self._domain_extensions(self.my_domain)
-
-    # -- per-domain ledger -------------------------------------------------
-
-    def domain_ledger(self, d: int) -> Dict[str, int]:
-        """Conservation counters owned by domain ``d``.
-
-        Link attribution: an in-process run holds each link object once
-        and charges it to ``node_a``'s domain, so every link is counted
-        exactly once.  A worker counts *every* link in its private copy
-        — only events the worker actually ran increment those counters,
-        so worker ledgers are still disjoint partials of the serial
-        totals (a boundary link accrues send-side drops in the sender's
-        copy and nothing in the receiver's).
-        """
-        hosts = self._domain_hosts(d)
-        switches = self._domain_switches(d)
-        exts = self._domain_extensions(d)
-        if self.my_domain is not None:
-            links = self.topology.links
-        else:
-            links = [
-                link for link in self.topology.links
-                if self.domain_of[link.node_a.node_id] == d
-            ]
-
-        kinds = PacketKind
-        data = credit = 0
-        for node in (*hosts, *switches):
-            for port in node.ports:
-                for queue in port.queues:
-                    for pkt in queue:
-                        if pkt.kind == kinds.DATA:
-                            data += 1
-                        elif pkt.kind == kinds.CREDIT:
-                            credit += 1
-        for ext in exts:
-            pool = getattr(ext, "pool", None)
-            if pool is None:
-                continue
-            for voq in pool.voqs:
-                for pkt in voq.packets:
-                    if pkt.kind == kinds.DATA:
-                        data += 1
-                    elif pkt.kind == kinds.CREDIT:
-                        credit += 1
-        for _time, _fn, args in self.sims[d].pending_items():
-            for arg in args:
-                if isinstance(arg, Packet):
-                    if arg.kind == kinds.DATA:
-                        data += 1
-                    elif arg.kind == kinds.CREDIT:
-                        credit += 1
-
-        link_dropped = fault_dropped = credit_dropped = 0
-        for link in links:
-            link_dropped += link.dropped_data_packets
-            credit_dropped += link.dropped_credit_packets
-            if link.fault is not None:
-                fault_dropped += link.fault.injected_drops_data
-                credit_dropped += link.fault.injected_drops_credit
-
-        credit_sent = credit_applied = 0
-        have_floodgate = False
-        for ext in exts:
-            credits = getattr(ext, "credits", None)
-            if credits is None:
-                continue
-            have_floodgate = True
-            credit_sent += credits.credits_sent
-            credit_applied += ext.credit_frames_rx
-
-        return {
-            "injected": sum(h.tx_data_packets for h in hosts),
-            "delivered": sum(h.rx_data_packets for h in hosts),
-            "switch_dropped": sum(sw.dropped_packets for sw in switches),
-            "link_dropped": link_dropped,
-            "fault_dropped": fault_dropped,
-            "trimmed": sum(getattr(e, "trimmed_packets", 0) for e in exts),
-            "inflight_data": data,
-            "credit_sent": credit_sent,
-            "credit_applied": credit_applied,
-            "credit_unclaimed": sum(
-                sw.unclaimed_credit_frames for sw in switches
-            ),
-            "credit_dropped": credit_dropped,
-            "inflight_credit": credit,
-            "have_floodgate": have_floodgate,
-        }
-
-    def _transit_packets(self) -> Tuple[int, int]:
-        """(DATA, CREDIT) packets in inter-domain transit boxes."""
-        if self._extra_pending is None:
-            return 0, 0
-        data = credit = 0
-        kinds = PacketKind
-        for _time, _fn, args in self._extra_pending():
-            for arg in args:
-                if isinstance(arg, Packet):
-                    if arg.kind == kinds.DATA:
-                        data += 1
-                    elif arg.kind == kinds.CREDIT:
-                        credit += 1
-        return data, credit
-
-    # -- the sweep ---------------------------------------------------------
-
-    def check_now(self) -> None:
-        self.checks_run += 1
-        if self.my_domain is None:
-            extra_data, extra_credit = self._transit_packets()
-            ledgers = [self.domain_ledger(d) for d in range(len(self.sims))]
-            for message in conservation_violations(
-                ledgers, extra_data, extra_credit
-            ):
-                self.record(message)
-        # worker mode: conservation needs the whole fabric, so it moves
-        # to the parent — workers ship their final ledger instead
-        self._check_buffers()
-        self._check_windows()
-        self._check_pool()
-        self._check_flow_rates()
-
-    def _check_pool(self) -> None:
-        for d in self._domains():
-            pool = self.pools[d] if self.pools is not None else None
-            if pool is None or not getattr(pool, "enabled", False):
-                continue
-            self._check_one_pool(
-                pool,
-                (*self._domain_hosts(d), *self._domain_switches(d)),
-                self._domain_extensions(d),
-                self.sims[d].pending_items(),
-            )
+        super().__init__(
+            scenario, config, sim=sim, pool=pool,
+            owns=lambda node: domain_of[node.node_id] == domain,
+        )

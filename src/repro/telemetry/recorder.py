@@ -1,110 +1,246 @@
-"""Wire a scenario to the telemetry registry.
+"""Wire a scenario to telemetry instruments and build the run export.
 
-The recorder is the glue between the generic instruments
-(:mod:`repro.telemetry.registry`) and this simulator's subsystems: it
-harvests gauge surfaces from switches and hosts
-(``telemetry_gauges()``), counter surfaces from Floodgate's credit
-scheduler and VOQ pool (``telemetry_counters()``), hangs streaming
-histograms off the :class:`StatsHub` hot-path hooks, and installs the
-engine profiler.  Everything it records is polled or is-None-gated, so
-a run with ``telemetry=None`` is bit-identical to one built before
-this module existed.
+One recorder serves every execution mode.  A :class:`DomainRecorder`
+samples only state its domain owns (its hub, its hosts, its switches)
+and records *raw cumulative integers* rather than derived rates;
+:func:`build_export` merges any number of such recordings into one
+:class:`TelemetryExport`.  A serial run is the one-domain case
+(:class:`TelemetryRecorder`: the domain is the whole fabric), a sharded
+run (:mod:`repro.sim.sharded`) wires one recorder per domain — a
+fabric-wide read there would cross domain boundaries mid-window,
+exactly the SIM008 pattern the shard-safety lints reject.  The merge
+reproduces, byte for byte, what one fabric-wide recorder exports:
+
+* rate series (``rx_gbps.*``): per-timestamp sums of the per-domain
+  integer cumulatives equal the fabric-wide counter reads (every domain
+  ticks at the same instants, and the conservative-window invariant
+  means each tick observes exactly the serial cut of its own state),
+  so differentiating the summed series replays the same float
+  arithmetic on identical integers;
+* gauge sums (``buffer_bytes.total``, counter series): per-timestamp
+  integer sums across domains;
+* single-owner gauges (``buffer_bytes.<switch>``): recorded by exactly
+  one domain and passed through verbatim.
+
+Histograms live on the hubs and merge exactly (power-of-two bins,
+:meth:`StatsHub.merge_from`); end-of-run counters are sums and maxima
+of per-domain harvests.  The engine profile is the one deliberately
+non-identical surface: a sharded run executes extra observer ticks and
+per-domain heaps have different depths, so the equivalence harness
+strips it before comparing.
+
+Everything recorded is polled or is-None-gated, so a run with
+``telemetry=None`` is bit-identical to one built before this module
+existed.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.stats.collector import FlowClass
 from repro.telemetry.export import TelemetryExport
 from repro.telemetry.profile import EngineProfiler
-from repro.telemetry.registry import TelemetryConfig, TelemetryRegistry
-from repro.telemetry.samplers import GaugeSampler, RateSampler
+from repro.telemetry.registry import Histogram, TelemetryConfig, TelemetryRegistry
+from repro.telemetry.samplers import GaugeSampler
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.scenario import Scenario
+    from repro.sim.engine import Simulator
+    from repro.stats.collector import StatsHub
+
+#: merge rules for raw per-domain series
+KIND_RATE = "rate"  # per-timestamp int sum, then differentiate
+KIND_SUM = "sum"    # per-timestamp int sum
+KIND_ONE = "one"    # recorded by exactly one domain; pass through
 
 
-class TelemetryRecorder:
-    """Owns one run's registry, samplers, and engine profiler."""
+class _CumulativeSampler(GaugeSampler):
+    """Records raw monotone counter values for a post-run rate merge.
 
-    def __init__(self, scenario: "Scenario", config: TelemetryConfig) -> None:
-        self.scenario = scenario
+    :class:`~repro.telemetry.samplers.RateSampler` differentiates at
+    tick time; a domain cannot (its counter is only one summand of the
+    fabric-wide value), so it records the raw cumulative and keeps the
+    baseline a rate sampler would have subtracted at ``start()``.
+    """
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        sources: Dict[str, Callable[[], int]],
+        interval: int,
+        scale: float = 1.0,
+        unit: str = "",
+    ) -> None:
+        super().__init__(sim, sources, interval, unit)
+        self.scale = scale
+        self.baseline: Dict[str, int] = {name: 0 for name in sources}
+        self.start_time = 0
+
+    def start(self) -> None:
+        for name, fn in self.sources.items():
+            self.baseline[name] = fn()
+        self.start_time = self.sim.now
+        super().start()
+
+
+class DomainRecorder:
+    """One domain's samplers, hub histograms, and engine profiler.
+
+    Wiring order (throughput, buffers, counters, histograms, profiler)
+    is the same for every domain, so per-domain event schedules stay a
+    restriction of the one-domain schedule.
+    """
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        config: TelemetryConfig,
+        hub: "StatsHub",
+        hosts: list,
+        switches: list,
+    ) -> None:
         self.config = config
-        self.registry = TelemetryRegistry()
-        self.profiler: Optional[EngineProfiler] = None
-        self._finalized: Optional[TelemetryExport] = None
-        self._wire()
-
-    # -- wiring --------------------------------------------------------------
-
-    def _wire(self) -> None:
-        sc = self.scenario
-        cfg = self.config
-        reg = self.registry
-        sim = sc.sim
-        stats = sc.stats
-        topo = sc.topology
+        cfg = config
+        #: (series name -> merge kind, sampler) in wiring order
+        self._samplers: List[Tuple[Dict[str, str], GaugeSampler]] = []
 
         if cfg.throughput:
             sources: Dict[str, Callable[[], int]] = {
                 f"rx_gbps.{cls.value}": (
-                    lambda s=stats, c=cls: s.rx_bytes_of_class(c)
+                    lambda s=hub, c=cls: s.rx_bytes_of_class(c)
                 )
                 for cls in FlowClass
             }
             host_rx = tuple(
-                h.telemetry_gauges()["rx_data_bytes"] for h in topo.hosts
+                h.telemetry_gauges()["rx_data_bytes"] for h in hosts
             )
             sources["rx_gbps.total"] = lambda fns=host_rx: sum(
                 f() for f in fns
             )
-            reg.add_sampler(
-                RateSampler(sim, sources, cfg.interval, scale=8.0, unit="gbps")
+            self._samplers.append(
+                (
+                    {name: KIND_RATE for name in sources},
+                    _CumulativeSampler(
+                        sim, sources, cfg.interval, scale=8.0, unit="gbps"
+                    ),
+                )
             )
 
         if cfg.buffers:
             gauges: Dict[str, Callable[[], int]] = {}
+            kinds = {}
             reads = []
-            for sw in topo.switches:
+            for sw in switches:
                 fn = sw.telemetry_gauges()["buffer_bytes"]
                 gauges[f"buffer_bytes.{sw.name}"] = fn
+                kinds[f"buffer_bytes.{sw.name}"] = KIND_ONE
                 reads.append(fn)
             gauges["buffer_bytes.total"] = lambda fns=tuple(reads): sum(
                 f() for f in fns
             )
-            reg.add_sampler(
-                GaugeSampler(sim, gauges, cfg.interval, unit="bytes")
+            kinds["buffer_bytes.total"] = KIND_SUM
+            self._samplers.append(
+                (kinds, GaugeSampler(sim, gauges, cfg.interval, unit="bytes"))
             )
 
         if cfg.counters:
-            reg.add_sampler(
-                GaugeSampler(
-                    sim,
-                    {
-                        "pfc_pause_events": lambda s=stats: s.pfc_pause_events,
-                        "packets_dropped": lambda s=stats: s.packets_dropped,
-                    },
-                    cfg.interval,
-                    unit="count",
+            counter_sources = {
+                "pfc_pause_events": lambda s=hub: s.pfc_pause_events,
+                "packets_dropped": lambda s=hub: s.packets_dropped,
+            }
+            self._samplers.append(
+                (
+                    {name: KIND_SUM for name in counter_sources},
+                    GaugeSampler(sim, counter_sources, cfg.interval, unit="count"),
                 )
             )
 
         if cfg.histograms:
-            # streaming: StatsHub feeds these behind is-None checks
-            stats.fct_histogram = reg.histogram("fct_ns", unit="ns")
-            stats.queuing_histogram = reg.histogram("queuing_ns", unit="ns")
-            if sc.rpc_driver is not None:
-                stats.rpc_histogram = reg.histogram("rpc_latency_ns", unit="ns")
+            # streaming: StatsHub feeds these behind is-None checks, and
+            # StatsHub.merge_from folds per-domain instances exactly
+            hub.fct_histogram = Histogram("fct_ns", unit="ns")
+            hub.queuing_histogram = Histogram("queuing_ns", unit="ns")
 
-        if cfg.engine_profile:
-            self.profiler = EngineProfiler()
-            sim.set_profiler(self.profiler)
+        #: the caller installs this on the domain's engine (alone, or
+        #: behind a ProfilerFanout when digests/probes share the slot)
+        self.profiler: Optional[EngineProfiler] = (
+            EngineProfiler() if cfg.engine_profile else None
+        )
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        self.registry.start()
+        for _, sampler in self._samplers:
+            sampler.start()
+
+    def stop(self) -> None:
+        for _, sampler in self._samplers:
+            sampler.stop()
+
+    # -- raw payload (picklable; crosses the forked transport's pipe) --------
+
+    def raw_series(self) -> List[Dict[str, Any]]:
+        out: List[Dict[str, Any]] = []
+        for kinds, sampler in self._samplers:
+            for name in sampler.samples:
+                out.append(
+                    {
+                        "kind": kinds[name],
+                        "name": name,
+                        "unit": sampler.unit,
+                        "scale": getattr(sampler, "scale", 1.0),
+                        "baseline": getattr(sampler, "baseline", {}).get(name, 0),
+                        "start_time": getattr(sampler, "start_time", 0),
+                        "points": sampler.samples[name],
+                    }
+                )
+        return out
+
+    def raw_profile(self) -> Optional[Dict[str, Any]]:
+        p = self.profiler
+        if p is None:
+            return None
+        return {
+            "events": p.events,
+            "max_heap_depth": p.max_heap_depth,
+            "counts": dict(p.counts),
+        }
+
+
+def wire_rpc_histogram(scenario: "Scenario", config: TelemetryConfig) -> None:
+    """Request latencies record on the scenario hub, the driver's own sink.
+
+    Separate from the per-domain wiring because a closed-loop driver
+    belongs to the run, not to a domain: under shards the per-domain
+    hubs carry fct/queuing only.
+    """
+    if config.histograms and scenario.rpc_driver is not None:
+        scenario.stats.rpc_histogram = Histogram("rpc_latency_ns", unit="ns")
+
+
+def harvest_extensions(extensions) -> List[Dict[str, int]]:
+    """``telemetry_counters()`` of every extension that has them."""
+    return [
+        ext.telemetry_counters()
+        for ext in extensions
+        if hasattr(ext, "telemetry_counters")
+    ]
+
+
+class TelemetryRecorder(DomainRecorder):
+    """The serial case: one domain spanning the whole fabric."""
+
+    def __init__(self, scenario: "Scenario", config: TelemetryConfig) -> None:
+        topo = scenario.topology
+        super().__init__(
+            scenario.sim, config, scenario.stats, topo.hosts, topo.switches
+        )
+        self.scenario = scenario
+        wire_rpc_histogram(scenario, config)
+        if self.profiler is not None:
+            scenario.sim.set_profiler(self.profiler)
+        self._finalized: Optional[TelemetryExport] = None
 
     def finalize(self) -> TelemetryExport:
         """Stop sampling, harvest end-of-run counters, build the export.
@@ -113,81 +249,201 @@ class TelemetryRecorder:
         """
         if self._finalized is not None:
             return self._finalized
-        self.registry.stop()
-        if self.config.counters:
-            self._harvest_counters()
-        self._finalized = self._build_export()
+        self.stop()
+        sc = self.scenario
+        topo = sc.topology
+        self._finalized = build_export(
+            sc.config,
+            self.config,
+            sc.stats,
+            sim_time_ns=sc.sim.now,
+            events=sc.sim.events_executed,
+            flows_completed=topo.completed_flows,
+            flows_total=len(topo.flow_table),
+            retransmissions=sum(
+                f.retransmitted_packets for f in topo.flow_table.values()
+            ),
+            ext_harvests=harvest_extensions(sc.extensions),
+            rpc_driver=sc.rpc_driver,
+            hybrid=sc.hybrid,
+            series=[self.raw_series()],
+            profiles=[self.raw_profile()],
+        )
         return self._finalized
 
-    def _harvest_counters(self) -> None:
-        sc = self.scenario
-        reg = self.registry
-        stats = sc.stats
-        topo = sc.topology
-        reg.counter("flows.completed").value = topo.completed_flows
-        reg.counter("flows.total").value = len(topo.flow_table)
-        reg.counter("drops.congestion").value = stats.packets_dropped
-        reg.counter("drops.fault_data").value = stats.fault_drops["data"]
-        reg.counter("drops.fault_ctrl").value = stats.fault_drops["ctrl"]
-        reg.counter("rx.corrupt").value = stats.corrupt_rx
-        reg.counter("control.unclaimed").value = stats.unclaimed_control_frames
-        reg.counter("pfc.pause_events").value = stats.pfc_pause_events
-        reg.counter("stalls").value = stats.stall_events
-        for kind in sorted(stats.pfc_paused_time):
-            reg.counter(f"pfc.paused_ns.{kind}", unit="ns").value = (
-                stats.pfc_paused_time[kind]
-            )
-        reg.counter("retransmissions").value = sum(
-            f.retransmitted_packets for f in topo.flow_table.values()
+
+# ---------------------------------------------------------------------------
+# merging per-domain recordings
+# ---------------------------------------------------------------------------
+
+
+def _check_aligned(name: str, columns: List[List[Tuple[int, int]]]) -> None:
+    times = [[t for t, _ in col] for col in columns]
+    if any(ts != times[0] for ts in times[1:]):
+        raise AssertionError(
+            f"telemetry misalignment on series {name!r}: domains "
+            "sampled at different instants (window-loop bug)"
         )
-        driver = sc.rpc_driver
-        if driver is not None:
-            reg.counter("rpc.requests_issued").value = driver.requests_issued
-            reg.counter("rpc.requests_completed").value = (
-                driver.requests_completed
+
+
+def merge_raw_series(per_domain: List[List[Dict[str, Any]]]) -> List[Dict[str, Any]]:
+    """Merge per-domain raw series into export series, sorted by name.
+
+    ``per_domain`` is indexed by domain; merge order is domain order,
+    but every rule here (sum, pass-through, differentiate-after-sum) is
+    order-independent, so the output is a function of content only.
+    """
+    by_name: Dict[str, List[Dict[str, Any]]] = {}
+    for series_list in per_domain:
+        for rec in series_list:
+            by_name.setdefault(rec["name"], []).append(rec)
+    out = []
+    for name in sorted(by_name):
+        recs = by_name[name]
+        kind = recs[0]["kind"]
+        unit = recs[0]["unit"]
+        if kind == KIND_ONE:
+            if len(recs) != 1:
+                raise AssertionError(
+                    f"single-owner series {name!r} recorded by "
+                    f"{len(recs)} domains"
+                )
+            points = [[t, v] for t, v in recs[0]["points"]]
+        elif kind == KIND_SUM:
+            cols = [rec["points"] for rec in recs]
+            _check_aligned(name, cols)
+            points = [
+                [cols[0][i][0], sum(col[i][1] for col in cols)]
+                for i in range(len(cols[0]))
+            ]
+        else:  # KIND_RATE: sum the cumulatives, then differentiate
+            cols = [rec["points"] for rec in recs]
+            _check_aligned(name, cols)
+            scale = recs[0]["scale"]
+            last = sum(rec["baseline"] for rec in recs)
+            last_time = recs[0]["start_time"]
+            points = []
+            for i in range(len(cols[0])):
+                now = cols[0][i][0]
+                elapsed = now - last_time
+                if elapsed <= 0:
+                    continue  # same-instant tick (restart artifact): no window yet
+                current = sum(col[i][1] for col in cols)
+                points.append([now, (current - last) * scale / elapsed])
+                last = current
+                last_time = now
+        out.append({"name": name, "unit": unit, "points": points})
+    return out
+
+
+def merge_raw_profiles(
+    profiles: List[Optional[Dict[str, Any]]],
+) -> Optional[Dict[str, Any]]:
+    """Fold per-domain engine profiles (sums and maxima).
+
+    A sharded run executes one observer tick *per domain* per sampler
+    interval and each domain heap is shallower than the serial heap, so
+    a multi-domain profile describes the sharded execution itself, not
+    the serial run.  Rows are busiest first, then by name.
+    """
+    live = [p for p in profiles if p is not None]
+    if not live:
+        return None
+    counts: Dict[str, int] = {}
+    events = 0
+    depth = 0
+    for p in live:
+        events += p["events"]
+        if p["max_heap_depth"] > depth:
+            depth = p["max_heap_depth"]
+        for cb_name, count in p["counts"].items():
+            counts[cb_name] = counts.get(cb_name, 0) + count
+    rows = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return {
+        "events": events,
+        "max_heap_depth": depth,
+        "callbacks": [[cb_name, count] for cb_name, count in rows],
+    }
+
+
+def build_export(
+    config,
+    cfg: TelemetryConfig,
+    hub: "StatsHub",
+    *,
+    sim_time_ns: int,
+    events: int,
+    flows_completed: int,
+    flows_total: int,
+    retransmissions: int,
+    ext_harvests: List[Dict[str, int]],
+    series: List[List[Dict[str, Any]]],
+    profiles: List[Optional[Dict[str, Any]]],
+    rpc_driver=None,
+    hybrid=None,
+) -> TelemetryExport:
+    """Assemble the export from a run's (merged) totals and recordings.
+
+    ``hub`` is the run's hub — the scenario hub of a serial run, the
+    domain-order merge of the per-domain hubs of a sharded one.  The
+    scalars are run totals (each a sum or max of per-domain values);
+    ``ext_harvests`` holds one ``telemetry_counters()`` dict per switch
+    extension, ``series``/``profiles`` one recording per domain;
+    ``rpc_driver``/``hybrid`` are the run's closed-loop driver and
+    hybrid engine, if any.
+    """
+    reg = TelemetryRegistry()
+    if cfg.counters:
+        reg.counter("flows.completed").value = flows_completed
+        reg.counter("flows.total").value = flows_total
+        reg.counter("drops.congestion").value = hub.packets_dropped
+        reg.counter("drops.fault_data").value = hub.fault_drops["data"]
+        reg.counter("drops.fault_ctrl").value = hub.fault_drops["ctrl"]
+        reg.counter("rx.corrupt").value = hub.corrupt_rx
+        reg.counter("control.unclaimed").value = hub.unclaimed_control_frames
+        reg.counter("pfc.pause_events").value = hub.pfc_pause_events
+        reg.counter("stalls").value = hub.stall_events
+        for kind in sorted(hub.pfc_paused_time):
+            reg.counter(f"pfc.paused_ns.{kind}", unit="ns").value = (
+                hub.pfc_paused_time[kind]
             )
-        for ext in sc.extensions:
-            harvest = getattr(ext, "telemetry_counters", None)
-            if harvest is None:
-                continue
-            for name, value in harvest().items():
+        reg.counter("retransmissions").value = retransmissions
+        for harvest in ext_harvests:
+            for name, value in harvest.items():
+                counter = reg.counter(f"floodgate.{name}")
                 if name.endswith("max_in_use"):
                     # a maximum, not a sum: keep the largest across switches
-                    counter = reg.counter(f"floodgate.{name}")
-                    if value > counter.value:
-                        counter.value = value
+                    counter.value = max(counter.value, value)
                 else:
-                    reg.counter(f"floodgate.{name}").inc(value)
-        if sc.hybrid is not None:
-            for name, value in sc.hybrid.telemetry_counters().items():
+                    counter.inc(value)
+        if rpc_driver is not None:
+            reg.counter("rpc.requests_issued").value = rpc_driver.requests_issued
+            reg.counter("rpc.requests_completed").value = (
+                rpc_driver.requests_completed
+            )
+        if hybrid is not None:
+            for name, value in hybrid.telemetry_counters().items():
                 reg.counter(name).value = value
-
-    def _build_export(self) -> TelemetryExport:
-        sc = self.scenario
-        cfg = sc.config
-        reg = self.registry
-        meta = {
-            "sim_time_ns": sc.sim.now,
-            "events": sc.sim.events_executed,
-            "interval_ns": self.config.interval,
-            "seed": cfg.seed,
-            "topology": cfg.topology,
-            "cc": cfg.cc,
-            "flow_control": cfg.flow_control,
-            "workload": cfg.workload,
-        }
-        series = []
-        for sampler in reg.samplers:
-            for name in sorted(sampler.samples):
-                series.append(
-                    {
-                        "name": name,
-                        "unit": sampler.unit,
-                        "points": [[t, v] for t, v in sampler.samples[name]],
-                    }
-                )
-        series.sort(key=lambda s: s["name"])
-        histograms = [
+    histograms = [
+        h
+        for h in (hub.fct_histogram, hub.queuing_histogram, hub.rpc_histogram)
+        if h is not None
+    ]
+    histograms.sort(key=lambda h: h.name)
+    return TelemetryExport(
+        meta={
+            "sim_time_ns": sim_time_ns,
+            "events": events,
+            "interval_ns": cfg.interval,
+            "seed": config.seed,
+            "topology": config.topology,
+            "cc": config.cc,
+            "flow_control": config.flow_control,
+            "workload": config.workload,
+        },
+        counters=reg.counter_values(),
+        series=merge_raw_series(series),
+        histograms=[
             {
                 "name": h.name,
                 "unit": h.unit,
@@ -197,21 +453,7 @@ class TelemetryRecorder:
                 "min": h.min,
                 "max": h.max,
             }
-            for _, h in sorted(reg.histograms.items())
-        ]
-        profile = None
-        if self.profiler is not None:
-            profile = {
-                "events": self.profiler.events,
-                "max_heap_depth": self.profiler.max_heap_depth,
-                "callbacks": [
-                    [name, count] for name, count in self.profiler.count_rows()
-                ],
-            }
-        return TelemetryExport(
-            meta=meta,
-            counters=reg.counter_values(),
-            series=series,
-            histograms=histograms,
-            profile=profile,
-        )
+            for h in histograms
+        ],
+        profile=merge_raw_profiles(profiles),
+    )

@@ -7,13 +7,11 @@ out over a ``ProcessPoolExecutor``, or served from a warm disk cache.
 
 import dataclasses
 import pickle
-import time
 
 import pytest
 
 from repro.experiments.parallel import (
     SweepTask,
-    available_cpus,
     config_fingerprint,
     run_sweep,
     summarize,
@@ -90,20 +88,6 @@ class TestDeterminism:
         for key in a:
             assert a[key].extras == {"scale": 2}
             assert a[key].canonical_bytes() == b[key].canonical_bytes()
-
-    @pytest.mark.skipif(
-        available_cpus() < 2, reason="needs >=2 CPUs for wall-time scaling"
-    )
-    def test_pool_beats_serial_wall_time(self):
-        tasks = tiny_tasks()
-        run_sweep(tasks[:1], serial=True)  # warm imports/JITs
-        t0 = time.monotonic()
-        run_sweep(tasks, serial=True)
-        serial_wall = time.monotonic() - t0
-        t0 = time.monotonic()
-        run_sweep(tasks, max_workers=min(3, available_cpus()))
-        pool_wall = time.monotonic() - t0
-        assert pool_wall <= 0.6 * serial_wall
 
 
 class TestCache:

@@ -16,6 +16,7 @@ from repro.simcheck.determinism import (
 from repro.simcheck.isolation import ShardIsolationSanitizer
 from repro.simcheck.linter import rule_applies, run_check
 from repro.simcheck.ownership import (
+    _BOUNDARY_SEED,
     build_ownership_map,
     classify_file,
     foreign_locals,
@@ -251,6 +252,20 @@ def test_ownership_map_reads_partition_contract():
     assert omap.domain_key == "node_id"
     assert "partition_nodes" in omap.boundary_contexts
     assert any("Channel" in name for name in omap.boundary_contexts)
+
+
+def test_boundary_contexts_name_live_scopes_only():
+    # a seed entry naming a function sharded.py no longer defines is a
+    # silently vanished exemption; a widened heuristic shows up here too
+    omap = build_ownership_map()
+    assert _BOUNDARY_SEED <= omap.boundary_contexts
+    assert omap.boundary_contexts - _BOUNDARY_SEED == {
+        "_DirectChannel",
+        "_OutboxChannel",
+        "_LocalTransport",
+        "_LockstepTransport",
+        "_ForkedTransport",
+    }
 
 
 def test_classify_file_labels_sites():

@@ -3,21 +3,31 @@ restrictions, and byte-identical equivalence with the serial engine."""
 
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing
+import pickle
+
 import pytest
 
 from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.faults.plan import FaultPlan, LinkDown
 from repro.rpc import RpcWorkloadSpec
 from repro.sim.sharded import (
+    DomainReport,
     boundary_lookahead,
     partition_nodes,
     resolve_mode,
+    run_domains,
     run_sharded_scenario,
 )
-from repro.simcheck.determinism import check_sharded_equivalence
+from repro.simcheck.determinism import (
+    check_sharded_equivalence,
+    sharded_battery_fault_plan,
+)
 from repro.simcheck.sanitizer import SanitizerConfig
 from repro.telemetry.registry import TelemetryConfig
 from repro.units import us
+from repro.workloads.poisson import FlowSpec
 
 
 def tiny_cfg(**kw) -> ScenarioConfig:
@@ -161,7 +171,9 @@ class TestConfigRestrictions:
             run_sharded_scenario(Scenario(cfg), us(100), 0.0)
 
     def test_auto_mode_resolution(self):
-        assert resolve_mode(tiny_cfg(shards=2)) == "process"
+        # auto never picks the forked transport: it has measured
+        # slower than barrier on every pattern
+        assert resolve_mode(tiny_cfg(shards=2)) == "barrier"
         assert resolve_mode(rpc_cfg(shards=2)) == "barrier"
 
     def test_process_mode_rejects_rpc(self):
@@ -198,3 +210,97 @@ class TestEquivalence:
         report = check_sharded_equivalence(rpc_cfg(), shards=2)
         assert set(report["modes"]) == {"lockstep", "barrier"}
         assert report["ok"]
+
+
+def two_flow_scenario(**kw) -> Scenario:
+    """Host 0 -> 7 at 10 us, 7 -> 0 at 110 us: one sender per domain,
+    and a run that lasts two ``check_interval`` sweeps."""
+    sc = Scenario(tiny_cfg(pattern="none", shards=2, **kw))
+    sc.flows = [
+        FlowSpec(flow_id=1, src=0, dst=7, size=50_000, start_time=us(10)),
+        FlowSpec(flow_id=2, src=7, dst=0, size=50_000, start_time=us(110)),
+    ]
+    return sc
+
+
+class TestOneRuntimeManyTransports:
+    def test_barrier_and_process_reports_are_equal_field_for_field(self):
+        # the property that makes one merge sufficient: a domain's
+        # report does not depend on which transport carried its calls
+        def reports(mode):
+            cfg = tiny_cfg(
+                shards=2,
+                shard_mode=mode,
+                fault_plan=sharded_battery_fault_plan(),
+                telemetry=TelemetryConfig(),
+                sanitize=SanitizerConfig(),
+            )
+            _now, out, violations, _digest = run_domains(
+                Scenario(cfg), us(100), collect_digests=True, isolate=True
+            )
+            assert violations == []
+            return out
+
+        barrier, process = reports("barrier"), reports("process")
+        assert [r.domain for r in barrier] == [0, 1]
+        for ours, theirs in zip(barrier, process, strict=True):
+            for field in dataclasses.fields(DomainReport):
+                a, b = getattr(ours, field.name), getattr(theirs, field.name)
+                if field.name == "stats":
+                    a.canonicalize()
+                    b.canonicalize()
+                    a, b = pickle.dumps(a), pickle.dumps(b)
+                assert a == b, (ours.domain, field.name)
+        # and the reports are not vacuous
+        assert sum(r.fault_summary["injected_drops_data"] for r in barrier) > 0
+        assert all(r.ledger["injected"] > 0 for r in barrier)
+        assert all(r.series and r.digest for r in barrier)
+
+    @pytest.mark.parametrize("mode", ["barrier", "process"])
+    def test_unbalanced_ledger_is_reported_at_the_sweep_it_occurs(self, mode):
+        sc = two_flow_scenario(shard_mode=mode, sanitize=SanitizerConfig())
+        host = sc.topology.hosts[0]
+        start_flow = host.start_flow
+
+        def leaky_start(flow):
+            host.tx_data_packets += 1  # a packet no ledger ever sees again
+            start_flow(flow)
+
+        host.start_flow = leaky_start
+        result = run_sharded_scenario(sc, us(100), 0.0)
+        assert result.completed_flows == 2
+        assert result.sim_time == us(200)
+        broken = [
+            v for v in result.sanitizer_violations
+            if "DATA packet conservation broken" in v
+        ]
+        # the leak happens at 10 us: both sweeps and the final check see it
+        assert [v.split(":")[0] for v in broken] == [
+            "t=100000ns", "t=200000ns", "t=200000ns",
+        ]
+        assert "off by 1" in broken[0]
+
+    def test_worker_failure_names_the_domain_and_frees_the_others(
+        self, monkeypatch
+    ):
+        sc = two_flow_scenario(shard_mode="process")
+
+        def boom(flow):
+            raise ValueError("boom: injected callback failure")
+
+        sc.topology.hosts[7].start_flow = boom  # host 7 lives in domain 1
+        terminated = []
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess,
+            "terminate",
+            lambda proc: terminated.append(proc),
+        )
+        with pytest.raises(RuntimeError) as err:
+            run_sharded_scenario(sc, us(100), 0.0)
+        message = str(err.value)
+        assert "shard worker for domain 1 failed" in message
+        assert "ValueError: boom: injected callback failure" in message
+        # domain 0's worker saw EOF and exited on its own: nobody had to
+        # wait out the join timeout and kill it
+        assert terminated == []
+        assert multiprocessing.active_children() == []

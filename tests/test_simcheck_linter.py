@@ -163,6 +163,48 @@ def test_sim004_int_wrapped_and_plain_names_are_clean():
     assert findings == []
 
 
+# -- SIM009: wall-clock comparisons in tests/ ---------------------------------
+
+
+def test_sim009_flags_comparisons_on_elapsed_time():
+    findings = scan(
+        """
+        import time
+
+        def test_pool_is_fast():
+            t0 = time.monotonic()
+            work()
+            serial_wall = time.monotonic() - t0
+            budget = 0.6 * serial_wall
+            assert time.perf_counter() - t0 < 1.0
+            assert pool_wall() <= budget
+        """,
+        relpath="tests/test_example.py",
+        enabled=frozenset({"SIM009"}),
+    )
+    # the direct read, and the name two assignments away from one
+    assert rules_of(findings) == ["SIM009", "SIM009"]
+    assert "benchmarks/" in findings[0].message
+
+
+def test_sim009_clean_when_time_is_only_reported():
+    findings = scan(
+        """
+        import time
+
+        def test_result_is_right():
+            t0 = time.monotonic()
+            result = work()
+            print(f"took {time.monotonic() - t0:.2f}s")
+            assert result == 3
+            assert result.sim_time < 1_000  # simulated time is fair game
+        """,
+        relpath="tests/test_example.py",
+        enabled=frozenset({"SIM009"}),
+    )
+    assert findings == []
+
+
 # -- SIM000 + suppression machinery -------------------------------------------
 
 
@@ -240,6 +282,10 @@ def test_rule_scopes_match_the_design():
     assert rule_applies("SIM003", "src/repro/floodgate/extension.py")
     assert rule_applies("SIM003", "src/repro/baselines/bfc.py")
     assert not rule_applies("SIM003", "src/repro/experiments/scenario.py")
+    # SIM009: the test suite only (benchmarks/ is where timing lives)
+    assert rule_applies("SIM009", "tests/test_x.py")
+    assert not rule_applies("SIM009", "benchmarks/test_perf_engine.py")
+    assert not rule_applies("SIM009", "src/repro/cli.py")
     # SIM000/SIM004: everywhere
     assert rule_applies("SIM000", "examples/paper_scale.py")
     assert rule_applies("SIM004", "tests/test_x.py")

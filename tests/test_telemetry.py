@@ -1,6 +1,8 @@
 """The unified telemetry layer: instruments, samplers, exports, CLI."""
 
 import json
+import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -10,9 +12,11 @@ from repro.experiments.parallel import (
     SweepTask,
     run_sweep,
 )
+from repro.experiments import registry
 from repro.experiments.runner import run_scenario
-from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.sim.engine import Simulator
+from repro.stats.collector import FlowClass
 from repro.stats.timeseries import ThroughputMonitor
 from repro.telemetry import (
     EngineProfiler,
@@ -24,6 +28,7 @@ from repro.telemetry import (
     TelemetryRegistry,
     render_export,
 )
+from repro.telemetry.recorder import build_export, harvest_extensions
 from repro.units import us
 
 
@@ -252,6 +257,97 @@ class TestScenarioTelemetry:
         assert lines[0] == "kind,name,x,value"
         kinds = {line.split(",", 1)[0] for line in lines[1:]}
         assert kinds == {"counter", "series", "hist", "profile"}
+
+
+class TestOneRecorder:
+    """The serial recorder is the one-domain case of the domain recorder:
+    it records raw cumulatives and exports through the same builder a
+    sharded run merges its per-domain recordings with."""
+
+    @staticmethod
+    def _run_with_reference_sampler(cfg):
+        """Run ``cfg`` with a tick-time RateSampler riding along."""
+        sc = Scenario(cfg)
+        hub = sc.stats
+        reference = RateSampler(
+            sc.sim,
+            {
+                "rx_gbps.incast": lambda: hub.rx_bytes_of_class(FlowClass.INCAST),
+                "rx_gbps.total": lambda: sum(
+                    h.rx_data_bytes for h in sc.topology.hosts
+                ),
+            },
+            cfg.telemetry.interval,
+            scale=8.0,
+        )
+        reference.start()
+        return run_scenario(cfg, scenario=sc), reference
+
+    @staticmethod
+    def _rebuilt(result):
+        """The export again, from the recording as a pipe would carry it."""
+        sc = result.scenario
+        recorder = sc.telemetry
+        series, profile = pickle.loads(
+            pickle.dumps((recorder.raw_series(), recorder.raw_profile()))
+        )
+        return build_export(
+            sc.config,
+            recorder.config,
+            sc.stats,
+            sim_time_ns=result.sim_time,
+            events=result.events,
+            flows_completed=result.completed_flows,
+            flows_total=result.total_flows,
+            retransmissions=result.retransmitted_packets,
+            ext_harvests=harvest_extensions(sc.extensions),
+            rpc_driver=sc.rpc_driver,
+            series=[series],
+            profiles=[profile],
+        )
+
+    def _check(self, cfg):
+        result, reference = self._run_with_reference_sampler(cfg)
+        export = result.telemetry
+        assert self._rebuilt(result).to_jsonl() == export.to_jsonl()
+        # differentiating the recorded cumulatives after the run lands on
+        # the very floats a sampler differentiating at tick time records
+        for name, samples in reference.samples.items():
+            assert samples, name
+            assert export.series_named(name)["points"] == [
+                [t, v] for t, v in samples
+            ]
+        return result, export
+
+    def test_rpc_fanout_histograms_and_rpc_counters(self):
+        (base,) = registry.get("rpc-fanout").configs
+        cfg = replace(
+            base, duration=base.duration // 8, telemetry=TelemetryConfig()
+        )
+        result, export = self._check(cfg)
+        driver = result.scenario.rpc_driver
+        assert driver.requests_completed > 0
+        assert export.counter_value("rpc.requests_issued") == driver.requests_issued
+        assert (
+            export.counter_value("rpc.requests_completed")
+            == driver.requests_completed
+        )
+        totals = {h["name"]: h["total"] for h in export.histograms}
+        assert totals["rpc_latency_ns"] == len(result.stats.rpc_records)
+        assert totals["fct_ns"] == len(result.stats.fct_records)
+
+    def test_floodgate_counters_sum_except_the_maximum(self):
+        result, export = self._check(quick_config())
+        harvests = harvest_extensions(result.scenario.extensions)
+        assert len(harvests) > 1
+        for name in harvests[0]:
+            fold = max if name.endswith("max_in_use") else sum
+            assert export.counter_value(f"floodgate.{name}") == fold(
+                h[name] for h in harvests
+            ), name
+        assert export.counter_value("floodgate.voq_max_in_use") < sum(
+            h["voq_max_in_use"] for h in harvests
+        )
 
 
 class TestSweepDeterminism:
