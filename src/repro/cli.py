@@ -12,14 +12,20 @@ Usage::
     floodgate-experiment scenarios show NAME
     floodgate-experiment validate-flowsim [--scenario quick ...]
                                           [--tolerance 0.15] [--min-speedup 20]
+                                          [--json FILE]
     floodgate-experiment validate-hybrid [--scenario incast256 ...]
                                          [--tolerance 0.10] [--min-speedup 5]
-                                         [--paranoid]
+                                         [--json FILE]
     floodgate-experiment report [--scheme floodgate] [--out run.jsonl]
     floodgate-experiment report --from run.jsonl
     floodgate-experiment check [paths ...] [--sanitize] [--rules]
                                [--sharded] [--shards 2 4]
                                [--scenarios quick incast256]
+
+The two ``validate-*`` commands are one handler over the two rows of
+``repro.experiments.validate.TIERS`` (their defaults are that table's
+values); ``bench`` reads what to gate on and where each record lands
+from the registry entry's fields, never from its name.
 """
 
 from __future__ import annotations
@@ -158,6 +164,8 @@ def _scenarios(args) -> int:
     print(f"description: {entry.description}")
     print(f"tags:        {', '.join(entry.tags) or '-'}")
     print(f"gate metric: {entry.gate_metric}")
+    if entry.min_speedup is not None:
+        print(f"min speedup: {entry.min_speedup}x over its reference twin")
     if entry.notes:
         print(f"notes:       {entry.notes}")
     print(f"configs:     {len(entry.configs)}")
@@ -165,6 +173,35 @@ def _scenarios(args) -> int:
         print(f"--- config [{i}] ---")
         _print_result(dataclasses.asdict(cfg))
     return 0
+
+
+def _validate(args) -> int:
+    """The `validate-*` subcommands: one tier against the packet engine."""
+    from repro.experiments import validate
+
+    rule = validate.TIERS[args.tier]
+    names = args.scenario or list(rule.scenarios)
+    print(
+        f"Cross-validating {rule.label} tier on: {', '.join(names)} ...",
+        file=sys.stderr,
+    )
+    start = time.monotonic()
+    ok, comparisons, messages = validate.cross_validate(
+        args.tier, names, tolerance=args.tolerance, min_speedup=args.min_speedup
+    )
+    for msg in messages:
+        print(msg)
+    if args.json_out:
+        with open(args.json_out, "w", encoding="utf-8") as fh:
+            json.dump([c.as_dict() for c in comparisons], fh, indent=2)
+            fh.write("\n")
+        print(f"comparisons written to {args.json_out}", file=sys.stderr)
+    verdict = "PASS" if ok else "FAIL"
+    print(
+        f"{rule.command}: {verdict} in {time.monotonic() - start:.1f}s",
+        file=sys.stderr,
+    )
+    return 0 if ok else 1
 
 
 def _check(args) -> int:
@@ -297,9 +334,9 @@ def main(argv: list[str] | None = None) -> int:
         default=["quick"],
         metavar="NAME",
         help="benchmark scenario(s) to run, by registry name (see "
-        "`scenarios list --tag bench`); 'all' runs the full matrix, "
-        "flowsim-* scenarios land in BENCH_flowsim.json and rpc-* in "
-        "BENCH_rpc.json (default: quick)",
+        "`scenarios list --tag bench`); 'all' runs the full matrix; "
+        "records gated on flows/s land in BENCH_flowsim.json and on "
+        "requests/s in BENCH_rpc.json (default: quick)",
     )
     bench_p.add_argument(
         "--repeats",
@@ -322,78 +359,45 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="output JSON path (default BENCH_engine.json, or $REPRO_BENCH_OUT)",
     )
-    validate_p = sub.add_parser(
-        "validate-flowsim",
-        help="cross-validate the fluid tier against the packet engine "
-        "(FCT divergence + speedup)",
-    )
-    validate_p.add_argument(
-        "--scenario",
-        nargs="+",
-        default=None,
-        choices=["quick", "incast256", "fattree-a2a"],
-        help="bench scenario(s) to validate (default: all three)",
-    )
-    validate_p.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.15,
-        help="max p50/p99 FCT divergence asserted on quick and "
-        "incast256 (default 0.15)",
-    )
-    validate_p.add_argument(
-        "--min-speedup",
-        type=float,
-        default=20.0,
-        help="min aggregate incast256 wall-clock speedup; 0 disables "
-        "(default 20)",
-    )
-    validate_p.add_argument(
-        "--json",
-        dest="json_out",
-        default=None,
-        metavar="FILE",
-        help="also write the per-config comparisons as JSON",
-    )
-    validate_h = sub.add_parser(
-        "validate-hybrid",
-        help="cross-validate the hybrid tier against the packet engine "
-        "(hot-rack FCT divergence + speedup)",
-    )
-    validate_h.add_argument(
-        "--scenario",
-        nargs="+",
-        default=None,
-        choices=["quick", "incast256", "fattree-a2a"],
-        help="bench scenario(s) to validate (default: incast256 and "
-        "fattree-a2a)",
-    )
-    validate_h.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="max hot-rack p50/p99 FCT divergence (default 0.10)",
-    )
-    validate_h.add_argument(
-        "--min-speedup",
-        type=float,
-        default=5.0,
-        help="min aggregate wall-clock speedup across all configs; "
-        "0 disables (default 5)",
-    )
-    validate_h.add_argument(
-        "--paranoid",
-        action="store_true",
-        help="cross-check every incremental max-min reallocation "
-        "against a full recompute (slow)",
-    )
-    validate_h.add_argument(
-        "--json",
-        dest="json_out",
-        default=None,
-        metavar="FILE",
-        help="also write the per-config comparisons as JSON",
-    )
+    from repro.experiments import validate
+
+    for tier, rule in validate.TIERS.items():
+        validate_p = sub.add_parser(
+            rule.command,
+            help=f"cross-validate the {rule.label} tier against the packet "
+            "engine (FCT divergence + speedup)",
+        )
+        validate_p.set_defaults(tier=tier)
+        validate_p.add_argument(
+            "--scenario",
+            nargs="+",
+            default=None,
+            choices=validate.SCENARIOS,
+            help="bench scenario(s) to validate (default: "
+            f"{' '.join(rule.scenarios)})",
+        )
+        validate_p.add_argument(
+            "--tolerance",
+            type=float,
+            default=rule.tolerance,
+            help="max p50/p99 FCT divergence over the compared flows "
+            f"(default {rule.tolerance})",
+        )
+        validate_p.add_argument(
+            "--min-speedup",
+            type=float,
+            default=rule.min_speedup,
+            help="min aggregate wall-clock speedup over "
+            f"{rule.speedup_scenario or 'all configs'}; 0 disables "
+            f"(default {rule.min_speedup:g})",
+        )
+        validate_p.add_argument(
+            "--json",
+            dest="json_out",
+            default=None,
+            metavar="FILE",
+            help="also write the per-config comparisons as JSON",
+        )
     report_p = sub.add_parser(
         "report",
         help="run one instrumented scenario and render its telemetry "
@@ -546,66 +550,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 0 if result["undetected_stalls"] == 0 else 1
 
-    if args.command == "validate-flowsim":
-        from repro.flowsim.validate import cross_validate
-
-        names = args.scenario or ["quick", "incast256", "fattree-a2a"]
-        print(
-            f"Cross-validating fluid tier on: {', '.join(names)} ...",
-            file=sys.stderr,
-        )
-        start = time.monotonic()
-        ok, comparisons, messages = cross_validate(
-            names,
-            tolerance=args.tolerance,
-            min_speedup=args.min_speedup,
-        )
-        for msg in messages:
-            print(msg)
-        if args.json_out:
-            with open(args.json_out, "w", encoding="utf-8") as fh:
-                json.dump(
-                    [c.as_dict() for c in comparisons], fh, indent=2
-                )
-                fh.write("\n")
-            print(f"comparisons written to {args.json_out}", file=sys.stderr)
-        verdict = "PASS" if ok else "FAIL"
-        print(
-            f"validate-flowsim: {verdict} in {time.monotonic() - start:.1f}s",
-            file=sys.stderr,
-        )
-        return 0 if ok else 1
-
-    if args.command == "validate-hybrid":
-        from repro.hybrid.validate import validate_hybrid
-
-        names = args.scenario or ["incast256", "fattree-a2a"]
-        print(
-            f"Cross-validating hybrid tier on: {', '.join(names)} ...",
-            file=sys.stderr,
-        )
-        start = time.monotonic()
-        ok, comparisons, messages = validate_hybrid(
-            names,
-            tolerance=args.tolerance,
-            min_speedup=args.min_speedup,
-            paranoid=args.paranoid,
-        )
-        for msg in messages:
-            print(msg)
-        if args.json_out:
-            with open(args.json_out, "w", encoding="utf-8") as fh:
-                json.dump(
-                    [c.as_dict() for c in comparisons], fh, indent=2
-                )
-                fh.write("\n")
-            print(f"comparisons written to {args.json_out}", file=sys.stderr)
-        verdict = "PASS" if ok else "FAIL"
-        print(
-            f"validate-hybrid: {verdict} in {time.monotonic() - start:.1f}s",
-            file=sys.stderr,
-        )
-        return 0 if ok else 1
+    if hasattr(args, "tier"):
+        return _validate(args)
 
     if args.command == "report":
         return _report(args)
@@ -617,13 +563,10 @@ def main(argv: list[str] | None = None) -> int:
         return _check(args)
 
     if args.command == "bench":
-        from pathlib import Path
-
         from repro.experiments.bench import (
-            DEFAULT_FLOWSIM_FILE,
-            DEFAULT_RPC_FILE,
             check_gate,
             gate_metric_for,
+            history_path,
             load_bench_file,
             run_and_write,
             scenario_matrix,
@@ -647,40 +590,31 @@ def main(argv: list[str] | None = None) -> int:
         # gate against the history as it stood *before* this run's
         # entry was appended, so a regression cannot hide behind itself
         out = args.out or os.environ.get("REPRO_BENCH_OUT") or "BENCH_engine.json"
-        prior = load_bench_file(out)
-        side_files = {
-            "flows_per_sec": DEFAULT_FLOWSIM_FILE,
-            "requests_per_sec": DEFAULT_RPC_FILE,
+        files = list(
+            dict.fromkeys(history_path(out, m) for m in metrics.values())
+        )
+        prior = {
+            "history": [
+                entry
+                for path in files
+                for entry in load_bench_file(path).get("history", [])
+            ]
         }
-        for side in {side_files[m] for m in metrics.values() if m in side_files}:
-            side_prior = load_bench_file(Path(out).with_name(side))
-            prior = {
-                "history": prior.get("history", [])
-                + side_prior.get("history", [])
-            }
         print(f"Running engine benchmarks: {', '.join(names)} ...", file=sys.stderr)
         result = run_and_write(
             repeats=args.repeats, path=args.out, scenarios=names
         )
         _print_result(result)
-        units = {
-            "events_per_sec": "events/sec",
-            "flows_per_sec": "flows/sec",
-            "requests_per_sec": "requests/sec",
-        }
         for name in names:
             rec = result[name]
             metric = metrics[name]
             print(
-                f"{name}: {rec[metric]:,} {units[metric]} "
+                f"{name}: {rec[metric]:,} {metric.replace('_per_', '/')} "
                 f"(median of {rec['repeats']}, stdev {rec['wall_stdev']}s)",
                 file=sys.stderr,
             )
-        if any(m == "events_per_sec" for m in metrics.values()):
-            print(f"-> {result['output_file']}", file=sys.stderr)
-        for key in ("flowsim_output_file", "rpc_output_file"):
-            if key in result:
-                print(f"-> {result[key]}", file=sys.stderr)
+        for path in files:
+            print(f"-> {path}", file=sys.stderr)
         if args.gate is not None:
             records = {name: result[name] for name in names}
             ok, messages = check_gate(

@@ -11,13 +11,17 @@ cover the regimes the engine must stay fast in:
   dominates;
 * ``fattree-a2a`` — a 128-host fat-tree (k=8) under Poisson
   all-to-all, the multi-hop routing-heavy regime;
-* ``flowsim-*`` — fluid-tier twins, gated on flows/s into
-  ``BENCH_flowsim.json`` (each record also carries the incremental
-  max-min allocator's flows/s delta vs a full-recompute twin);
-* ``hybrid-*`` — hybrid-tier twins, gated on flows/s plus a
-  ``speedup_vs_packet`` twin timing, also in ``BENCH_flowsim.json``;
-* ``rpc-*`` — closed-loop rpc workloads (repro.rpc), gated on
-  requests/s into ``BENCH_rpc.json``.
+* the fluid- and hybrid-tier twins of those, gated on flows/s into
+  ``BENCH_flowsim.json``;
+* sharded runs of the packet scenarios, gated on events/s like their
+  serial twins;
+* closed-loop rpc workloads (repro.rpc), gated on requests/s into
+  ``BENCH_rpc.json``.
+
+A scenario that is not its own ground truth (an approximate tier, a
+sharded run) also times its reference twin —
+``scenario.reference_config`` — inside every repeat and records the
+twin's wall time and the speedup over it.
 
 Each scenario is timed ``--repeats`` times (default 3) and reported as
 the *median* wall time with its stdev, so one GC pause or noisy
@@ -47,56 +51,18 @@ import os
 import platform
 import statistics
 import time
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.experiments import registry
 from repro.experiments.runner import run_scenario
-from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.scenario import ScenarioConfig, reference_config
 
 #: env override for where ``BENCH_engine.json`` lands
 ENV_BENCH_OUT = "REPRO_BENCH_OUT"
 
 #: default output file (current working directory)
 DEFAULT_BENCH_FILE = "BENCH_engine.json"
-
-#: the fluid tier's own trajectory; always written next to the engine
-#: file so the two histories travel together
-DEFAULT_FLOWSIM_FILE = "BENCH_flowsim.json"
-
-#: closed-loop rpc trajectory, also written next to the engine file
-DEFAULT_RPC_FILE = "BENCH_rpc.json"
-
-#: scenarios carrying this prefix run at ``fidelity="flow"`` and are
-#: recorded/gated separately (events/second is meaningless when a
-#: whole incast is a handful of rate events)
-FLOWSIM_PREFIX = "flowsim-"
-
-#: closed-loop rpc scenarios: recorded in their own trajectory and
-#: gated on requests/second (the number the subsystem exists to serve)
-RPC_PREFIX = "rpc-"
-
-#: hybrid-tier scenarios (``fidelity="hybrid"``): recorded alongside
-#: the fluid tier in ``BENCH_flowsim.json``, gated on flows/second,
-#: plus a packet-engine twin timing that yields ``speedup_vs_packet``
-HYBRID_PREFIX = "hybrid-"
-
-#: sharded-engine scenarios (``config.shards > 1``): recorded in the
-#: engine trajectory with the usual events/second regression gate,
-#: plus a serial-twin timing that yields ``speedup_vs_serial``
-SHARD_PREFIX = "shard-"
-
-#: scenario -> minimum speedup_vs_serial the gate enforces.  The gate
-#: only applies when the record's machine had at least as many CPUs as
-#: shards — conservative-parallel workers time-slicing one core can
-#: only lose; the record still carries the measured ratio either way
-SHARD_SPEEDUP_GATES = {"shard-fattree-a2a": 1.8}
-
-#: scenario -> minimum speedup_vs_packet the gate enforces for hybrid
-#: records.  Bench scale is smaller than the validate-hybrid runs, so
-#: the bar sits below the 5x the validation CLI asserts at full scale
-HYBRID_SPEEDUP_GATES = {"hybrid-incast256": 3.0}
 
 #: flowsim gate fallback when no same-machine history exists: the
 #: fluid tier completes tens of thousands of flows per second; below
@@ -112,11 +78,13 @@ REQUESTS_PER_SEC_FLOOR = 10
 #: does far better than this; below it something structural broke
 EVENTS_PER_SEC_FLOOR = 40_000
 
-#: gate metric -> (record key, display unit, absolute floor)
+#: gate metric (also the record key) -> (display unit, absolute floor,
+#: trajectory).  Records gated on the metric land in
+#: ``BENCH_<trajectory>.json``, labelled ``<trajectory>-bench``
 _GATE_METRICS = {
-    "events_per_sec": ("events_per_sec", "ev/s", EVENTS_PER_SEC_FLOOR),
-    "flows_per_sec": ("flows_per_sec", "flows/s", FLOWS_PER_SEC_FLOOR),
-    "requests_per_sec": ("requests_per_sec", "req/s", REQUESTS_PER_SEC_FLOOR),
+    "events_per_sec": ("ev/s", EVENTS_PER_SEC_FLOOR, "engine"),
+    "flows_per_sec": ("flows/s", FLOWS_PER_SEC_FLOOR, "flowsim"),
+    "requests_per_sec": ("req/s", REQUESTS_PER_SEC_FLOOR, "rpc"),
 }
 
 #: the CI gate's default regression budget (fraction of the best
@@ -128,52 +96,40 @@ DEFAULT_MAX_REGRESSION = 0.20
 MAX_HISTORY = 50
 
 
-@dataclass(frozen=True)
-class BenchScenario:
-    """One named benchmark: a description plus its config sequence.
-
-    Multi-config scenarios (the incast-degree sweep) are timed as one
-    unit: a repeat runs every config once, and events/walls are summed.
-    """
-
-    name: str
-    description: str
-    configs: Tuple[ScenarioConfig, ...]
-
-
 def bench_config() -> ScenarioConfig:
     """The canonical fixed-seed ``quick`` scenario (from the registry)."""
     return registry.get("quick").configs[0]
 
 
-def scenario_matrix() -> Dict[str, BenchScenario]:
-    """The full named matrix, in canonical order.
+def scenario_matrix() -> Dict[str, registry.ScenarioEntry]:
+    """The full named matrix, in canonical order: the ``bench``-tagged
+    entries of the declarative scenario registry, which is the single
+    source of truth for what exists and how it is gated.
 
-    Derived from the ``bench``-tagged entries of the declarative
-    scenario registry (``repro.experiments.registry``) — the registry
-    is the single source of truth for what exists and how it is gated;
-    this view only adapts the shape the bench runners consume.
+    Multi-config entries (the incast-degree sweep) are timed as one
+    unit: a repeat runs every config once, and events/walls are summed.
     """
-    return {
-        entry.name: BenchScenario(entry.name, entry.description, entry.configs)
-        for entry in registry.entries(tag="bench")
-    }
+    return {entry.name: entry for entry in registry.entries(tag="bench")}
 
 
 def gate_metric_for(scenario: str) -> str:
-    """The throughput metric ``scenario`` is gated on.
+    """The throughput metric the registered ``scenario`` is gated on."""
+    return registry.get(scenario).gate_metric
 
-    Registered scenarios declare it; unregistered names (historical
-    records, ad-hoc entries) fall back to the prefix conventions the
-    history files are organized around.
+
+def history_path(engine_file: Union[str, Path], metric: str) -> Path:
+    """The trajectory file records gated on ``metric`` land in.
+
+    The engine trajectory is ``engine_file`` itself (``--out`` /
+    ``$REPRO_BENCH_OUT`` may rename it); the fluid and rpc
+    trajectories are always written next to it, so the histories
+    travel together.
     """
-    if scenario in registry.names():
-        return registry.get(scenario).gate_metric
-    if scenario.startswith((FLOWSIM_PREFIX, HYBRID_PREFIX)):
-        return "flows_per_sec"
-    if scenario.startswith(RPC_PREFIX):
-        return "requests_per_sec"
-    return "events_per_sec"
+    trajectory = _GATE_METRICS[metric][2]
+    out = Path(engine_file)
+    if trajectory == "engine":
+        return out
+    return out.with_name(f"BENCH_{trajectory}.json")
 
 
 def machine_fingerprint() -> str:
@@ -188,7 +144,7 @@ def machine_fingerprint() -> str:
 # -- running ------------------------------------------------------------------
 
 
-def run_bench_scenario(spec: BenchScenario, repeats: int = 3) -> Dict:
+def run_bench_scenario(spec: registry.ScenarioEntry, repeats: int = 3) -> Dict:
     """Time ``spec`` ``repeats`` times; report the median.
 
     Event counts and flow totals are seed-determined: a repeat that
@@ -196,23 +152,19 @@ def run_bench_scenario(spec: BenchScenario, repeats: int = 3) -> Dict:
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    sharded = any(cfg.shards > 1 for cfg in spec.configs)
-    hybrid = any(cfg.fidelity == "hybrid" for cfg in spec.configs)
-    # the incremental max-min fast path's contribution, measured on the
-    # fluid tier where the allocator *is* the engine: time a
-    # full-recompute twin and record the flows/second delta
-    fluid = not hybrid and any(cfg.fidelity == "flow" for cfg in spec.configs)
+    # a scenario is twinned as a unit: every config has a reference
+    # (sharded -> serial, approximate tier -> packet engine) or none has
+    references = [reference_config(cfg) for cfg in spec.configs]
+    kind = references[0][0] if all(references) else None
     walls: List[float] = []
-    serial_walls: List[float] = []
-    packet_walls: List[float] = []
-    full_maxmin_walls: List[float] = []
+    reference_walls: List[float] = []
     events = completed = total = sim_time = requests = -1
     for _ in range(repeats):
         # collect before every timed sweep: without this, the first
         # sweep of an iteration pays GC for the previous iteration's
         # garbage, a *positional* bias that systematically flatters
-        # whichever twin runs second (it dwarfed the real delta on
-        # near-1x comparisons like the incremental-max-min twin)
+        # whichever twin runs second (it dwarfs the real delta on
+        # near-1x comparisons)
         gc.collect()
         wall = 0.0
         ev = done = flows = stime = reqs = 0
@@ -236,36 +188,12 @@ def run_bench_scenario(spec: BenchScenario, repeats: int = 3) -> Dict:
             )
         events, completed, total, sim_time, requests = ev, done, flows, stime, reqs
         walls.append(wall)
-        if sharded:
-            # the serial twin, timed under the same repeat so machine
+        if kind is not None:
+            # the reference twin, timed under the same repeat so machine
             # noise hits both sides; speedup is median over median
             gc.collect()
-            serial_walls.append(
-                sum(
-                    run_scenario(replace(cfg, shards=1)).wall_seconds
-                    for cfg in spec.configs
-                )
-            )
-        if hybrid:
-            # the packet-engine twin, same repeat for the same reason
-            gc.collect()
-            packet_walls.append(
-                sum(
-                    run_scenario(
-                        replace(cfg, fidelity="packet", hot_racks=())
-                    ).wall_seconds
-                    for cfg in spec.configs
-                )
-            )
-        if fluid:
-            gc.collect()
-            full_maxmin_walls.append(
-                sum(
-                    run_scenario(
-                        replace(cfg, maxmin_incremental=False)
-                    ).wall_seconds
-                    for cfg in spec.configs
-                )
+            reference_walls.append(
+                sum(run_scenario(twin).wall_seconds for _, twin in references)
             )
     median = statistics.median(walls)
     stdev = statistics.stdev(walls) if len(walls) > 1 else 0.0
@@ -284,28 +212,17 @@ def run_bench_scenario(spec: BenchScenario, repeats: int = 3) -> Dict:
         "completed_requests": requests,
         "repeats": repeats,
     }
-    if sharded:
-        serial_median = statistics.median(serial_walls)
-        record["shards"] = max(cfg.shards for cfg in spec.configs)
+    shards = max(cfg.shards for cfg in spec.configs)
+    if shards > 1:
+        # the speedup gate only arms on a machine that can run every
+        # domain on its own CPU (see check_gate)
+        record["shards"] = shards
         record["cpus"] = os.cpu_count() or 1
-        record["serial_wall_seconds"] = round(serial_median, 4)
-        record["speedup_vs_serial"] = (
-            round(serial_median / median, 3) if median else 0.0
-        )
-    if hybrid:
-        packet_median = statistics.median(packet_walls)
-        record["packet_wall_seconds"] = round(packet_median, 4)
-        record["speedup_vs_packet"] = (
-            round(packet_median / median, 3) if median else 0.0
-        )
-    if fluid:
-        full_median = statistics.median(full_maxmin_walls)
-        record["full_maxmin_wall_seconds"] = round(full_median, 4)
-        record["flows_per_sec_full_maxmin"] = (
-            round(completed / full_median) if full_median else 0
-        )
-        record["maxmin_incremental_speedup"] = (
-            round(full_median / median, 3) if median else 0.0
+    if kind is not None:
+        reference_median = statistics.median(reference_walls)
+        record[f"{kind}_wall_seconds"] = round(reference_median, 4)
+        record[f"speedup_vs_{kind}"] = (
+            round(reference_median / median, 3) if median else 0.0
         )
     return record
 
@@ -428,7 +345,9 @@ def check_gate(
         # is a handful of rate events, so events/second would only
         # measure the scenario build) and closed-loop rpc records on
         # requests/second (the number the subsystem exists to serve)
-        metric, unit, floor = _GATE_METRICS[gate_metric_for(name)]
+        entry = registry.get(name)
+        metric = entry.gate_metric
+        unit, floor = _GATE_METRICS[metric][:2]
         rate = rec.get(metric, 0)
         best = best_history_rate(data, name, machine, metric)
         if best is None or best <= 0:
@@ -446,42 +365,32 @@ def check_gate(
             messages.append(
                 f"gate ok {name}: {rate:,} {unit} >= {bar:,} ({basis})"
             )
-        min_hybrid = HYBRID_SPEEDUP_GATES.get(name)
-        if min_hybrid is not None and "speedup_vs_packet" in rec:
-            speedup = rec["speedup_vs_packet"]
-            if speedup < min_hybrid:
-                ok = False
-                messages.append(
-                    f"GATE FAIL {name}: speedup {speedup}x < "
-                    f"{min_hybrid}x vs the packet engine"
-                )
-            else:
-                messages.append(
-                    f"gate ok {name}: speedup {speedup}x >= "
-                    f"{min_hybrid}x vs packet"
-                )
-        min_speedup = SHARD_SPEEDUP_GATES.get(name)
-        if min_speedup is not None and "speedup_vs_serial" in rec:
-            speedup = rec["speedup_vs_serial"]
-            shards = rec.get("shards", 0)
-            cpus = rec.get("cpus", 0)
-            if cpus < shards:
-                # workers time-slicing fewer cores than domains cannot
-                # show parallel speedup; record it, don't gate on it
-                messages.append(
-                    f"gate skip {name}: speedup {speedup}x not gated "
-                    f"({cpus} CPU(s) < {shards} shards)"
-                )
-            elif speedup < min_speedup:
-                ok = False
-                messages.append(
-                    f"GATE FAIL {name}: speedup {speedup}x < "
-                    f"{min_speedup}x vs serial on {cpus} CPUs"
-                )
-            else:
-                messages.append(
-                    f"gate ok {name}: speedup {speedup}x >= {min_speedup}x"
-                )
+        kind = next(
+            (k for k in ("serial", "packet") if f"speedup_vs_{k}" in rec), None
+        )
+        if entry.min_speedup is None or kind is None:
+            continue
+        speedup = rec[f"speedup_vs_{kind}"]
+        shards = rec.get("shards", 0)
+        cpus = rec.get("cpus", 0)
+        if cpus < shards:
+            # workers time-slicing fewer cores than domains cannot
+            # show parallel speedup; record it, don't gate on it
+            messages.append(
+                f"gate skip {name}: speedup {speedup}x not gated "
+                f"({cpus} CPU(s) < {shards} shards)"
+            )
+        elif speedup < entry.min_speedup:
+            ok = False
+            messages.append(
+                f"GATE FAIL {name}: speedup {speedup}x < "
+                f"{entry.min_speedup}x vs {kind}"
+            )
+        else:
+            messages.append(
+                f"gate ok {name}: speedup {speedup}x >= "
+                f"{entry.min_speedup}x vs {kind}"
+            )
     return ok, messages
 
 
@@ -500,34 +409,28 @@ def run_and_write(
 ) -> Dict:
     """Benchmark, append to the trajectories, and return the records.
 
-    Packet-engine records land in the engine file (``path`` /
-    ``$REPRO_BENCH_OUT`` / ``BENCH_engine.json``); ``flowsim-*`` and
-    ``hybrid-*`` records land in ``BENCH_flowsim.json`` and ``rpc-*``
-    records in ``BENCH_rpc.json``, both next to it.  The return value maps
-    scenario name to its fresh record, plus ``output_file`` (engine)
-    and, when they ran, ``flowsim_output_file`` / ``rpc_output_file``.
+    Each record lands in the history file of its scenario's gate
+    metric (:func:`history_path`: events/s in the engine file —
+    ``path`` / ``$REPRO_BENCH_OUT`` / ``BENCH_engine.json`` —, flows/s
+    in ``BENCH_flowsim.json`` and requests/s in ``BENCH_rpc.json``
+    next to it).  The return value maps scenario name to its fresh
+    record, plus ``output_file`` (engine) and, when they ran,
+    ``flowsim_output_file`` / ``rpc_output_file``.
     """
     records = run_matrix(scenarios, repeats=repeats)
     out = Path(path or os.environ.get(ENV_BENCH_OUT) or DEFAULT_BENCH_FILE)
-    rpc = {k: v for k, v in records.items() if k.startswith(RPC_PREFIX)}
-    flowsim = {
-        k: v
-        for k, v in records.items()
-        if k.startswith((FLOWSIM_PREFIX, HYBRID_PREFIX)) and k not in rpc
-    }
-    engine = {
-        k: v for k, v in records.items() if k not in rpc and k not in flowsim
-    }
     result: Dict = dict(records)
-    if engine:
-        append_history(engine, out)
     result["output_file"] = str(out)
-    if flowsim:
-        flowsim_out = out.with_name(DEFAULT_FLOWSIM_FILE)
-        append_history(flowsim, flowsim_out, benchmark="flowsim-bench")
-        result["flowsim_output_file"] = str(flowsim_out)
-    if rpc:
-        rpc_out = out.with_name(DEFAULT_RPC_FILE)
-        append_history(rpc, rpc_out, benchmark="rpc-bench")
-        result["rpc_output_file"] = str(rpc_out)
+    for metric, (_, _, trajectory) in _GATE_METRICS.items():
+        batch = {
+            name: rec
+            for name, rec in records.items()
+            if gate_metric_for(name) == metric
+        }
+        if not batch:
+            continue
+        target = history_path(out, metric)
+        append_history(batch, target, benchmark=f"{trajectory}-bench")
+        if target != out:
+            result[f"{trajectory}_output_file"] = str(target)
     return result

@@ -42,16 +42,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.experiments.runner import ScenarioResult, run_scenario
+from repro.experiments.runner import ScenarioResult, StatsViews, run_scenario
 from repro.experiments.scenario import ScenarioConfig
-from repro.stats.collector import NON_INCAST, FlowClass, FlowSelector, StatsHub
-from repro.stats.fct import FctSummary, summarize_fct
-from repro.stats.rpc import RpcSummary, requests_per_sec, summarize_rpc
+from repro.stats.collector import StatsHub
 from repro.telemetry.export import TelemetryExport
 
 #: bump when ResultSummary's layout or the simulation's semantics
 #: change in a way that invalidates previously cached runs
-CACHE_SCHEMA_VERSION = 9  # v9: hybrid fidelity tier, incremental max-min, fluid tail-path cache
+CACHE_SCHEMA_VERSION = 10  # v10: maxmin_incremental / paranoid_maxmin config fields removed
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_PARALLEL = "REPRO_PARALLEL"
@@ -63,7 +61,7 @@ ENV_PARALLEL = "REPRO_PARALLEL"
 
 
 @dataclass
-class ResultSummary:
+class ResultSummary(StatsViews):
     """Everything a figure needs from one run, in picklable form.
 
     Mirrors :class:`~repro.experiments.runner.ScenarioResult` minus the
@@ -99,79 +97,6 @@ class ResultSummary:
     wall_seconds: float = field(default=0.0, compare=False)
     #: True when this summary came from the disk cache
     from_cache: bool = field(default=False, compare=False)
-
-    # -- FCT ---------------------------------------------------------------------
-
-    @property
-    def poisson_fct(self) -> FctSummary:
-        """Avg/p99 over all non-incast flows (the paper's Fig. 8 metric)."""
-        return summarize_fct(self.stats.fct_of_class(NON_INCAST))
-
-    @property
-    def incast_fct(self) -> FctSummary:
-        return summarize_fct(self.stats.fct_of_class(FlowClass.INCAST))
-
-    def fct_summary(self, cls: Union[FlowClass, FlowSelector]) -> FctSummary:
-        return summarize_fct(self.stats.fct_of_class(cls))
-
-    # -- request-level SLOs (closed-loop rpc workloads) --------------------
-
-    @property
-    def rpc_summary(self) -> RpcSummary:
-        """p50/p99/p999 request latency (empty summary if not rpc)."""
-        return summarize_rpc(self.stats.rpc_records)
-
-    @property
-    def completed_requests(self) -> int:
-        return len(self.stats.rpc_records)
-
-    @property
-    def requests_per_sec(self) -> float:
-        """Achieved request throughput over the simulated window."""
-        return requests_per_sec(self.completed_requests, self.sim_time)
-
-    # -- buffers ------------------------------------------------------------------
-
-    @property
-    def max_switch_buffer_mb(self) -> float:
-        return self.stats.max_switch_buffer / 1e6
-
-    def max_port_buffer_mb(self, role: str) -> float:
-        return self.stats.max_port_buffer_by_role(role) / 1e6
-
-    def per_hop_buffers_mb(self, roles: List[str]) -> Dict[str, float]:
-        return {r: self.max_port_buffer_mb(r) for r in roles}
-
-    # -- PFC ----------------------------------------------------------------------
-
-    def pfc_paused_us(self, node_kind: str) -> float:
-        return self.stats.total_pfc_paused_us(node_kind)
-
-    @property
-    def pfc_triggered(self) -> bool:
-        return self.stats.pfc_pause_events > 0
-
-    @property
-    def pfc_pause_events(self) -> int:
-        return self.stats.pfc_pause_events
-
-    # -- completion ---------------------------------------------------------------
-
-    @property
-    def completion_rate(self) -> float:
-        if self.total_flows == 0:
-            return 1.0
-        return self.completed_flows / self.total_flows
-
-    # -- faults -------------------------------------------------------------------
-
-    @property
-    def stall_events(self) -> int:
-        return self.stats.stall_events
-
-    @property
-    def fault_drops_total(self) -> int:
-        return self.stats.fault_drops_total
 
     # -- identity -----------------------------------------------------------------
 

@@ -9,17 +9,19 @@ gated on.  ``bench.py`` derives its matrix from the ``bench`` tag and
 list``/``scenarios show`` subcommands from the same table, so adding a
 workload is config, not code spread over three files.
 
-Naming conventions carried over from the bench matrix (the gate and
-the history files key off them):
+What the tooling does with an entry is read from its *fields*, never
+from its name (the ``flowsim-``/``hybrid-``/``shard-``/``rpc-`` prefixes
+are only a naming habit):
 
-* ``flowsim-*`` — runs at ``fidelity="flow"``, gated on flows/s,
-  recorded in ``BENCH_flowsim.json``;
-* ``hybrid-*`` — runs at ``fidelity="hybrid"``, gated on flows/s plus
-  a packet-twin speedup, recorded in ``BENCH_flowsim.json``;
-* ``rpc-*`` — closed-loop rpc workloads, gated on requests/s,
-  recorded in ``BENCH_rpc.json``;
-* everything else — the packet engine, gated on events/s, recorded in
-  ``BENCH_engine.json``.
+* ``gate_metric`` — the throughput the bench gate tracks, and through
+  ``bench._GATE_METRICS`` the history file the record lands in
+  (events/s -> ``BENCH_engine.json``, flows/s -> ``BENCH_flowsim.json``,
+  requests/s -> ``BENCH_rpc.json``);
+* ``min_speedup`` — the bar the gate holds the record's speedup over
+  its reference twin to (the twin itself follows from each config:
+  ``scenario.reference_config``);
+* ``validation_configs`` — the packet-tier configs the approximate
+  tiers are cross-validated on, where they differ from ``configs``.
 """
 
 from __future__ import annotations
@@ -51,6 +53,12 @@ class ScenarioEntry:
     gate_metric: str = "events_per_sec"
     #: extra knob documentation shown by ``scenarios show``
     notes: str = ""
+    #: minimum speedup over the reference twin (``reference_config``)
+    #: the bench gate enforces; None records the ratio without gating
+    min_speedup: Optional[float] = None
+    #: what ``experiments.validate`` runs for this scenario when the
+    #: bench configs cannot be compared across tiers; empty -> configs
+    validation_configs: Tuple[ScenarioConfig, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -178,26 +186,30 @@ def _builtin_entries() -> List[ScenarioEntry]:
         duration=ms(1),
         seed=1,
     )
-    # the fluid-tier twins: same scenarios at fidelity="flow".  The
-    # incast twin uses the cross-validation variant (Floodgate,
-    # burst-sized buffer, a hard stop that lets the burst drain) so
-    # flows actually complete and flows/second measures the fluid
-    # engine, not the build.
-    flowsim_incast = tuple(
+    # the cross-validation variant of the sweep, defined here once.
+    # The perf matrix cuts runs off long before a 255-fan-in burst can
+    # drain a 10 Gbps link, and without flow control the burst
+    # collapses into drops the fluid model has no loss model for — so
+    # the approximate tiers are judged (and their twins benched) with
+    # Floodgate, a buffer that fits the burst, and a hard stop that
+    # lets it drain: flows complete on every tier and flows/second
+    # measures the engine, not the build.
+    incast_drop_free = tuple(
         replace(
             cfg,
-            fidelity="flow",
             flow_control="floodgate",
             buffer_bytes=2_000_000,
             max_runtime_factor=64.0,
         )
         for cfg in incast_sweep
     )
-    # the hybrid-tier twin: hot racks at packet level over a fluid
-    # background, on the same validation variant as flowsim-incast256
-    # so the three tiers' records are directly comparable
+    # same variant on all three tiers, so their records are directly
+    # comparable
+    flowsim_incast = tuple(
+        replace(cfg, fidelity="flow") for cfg in incast_drop_free
+    )
     hybrid_incast = tuple(
-        replace(cfg, fidelity="hybrid") for cfg in flowsim_incast
+        replace(cfg, fidelity="hybrid") for cfg in incast_drop_free
     )
     return [
         ScenarioEntry(
@@ -211,6 +223,7 @@ def _builtin_entries() -> List[ScenarioEntry]:
             "256-host leaf-spine incast-degree sweep (fan-in 64/128/255)",
             incast_sweep,
             tags=("bench", "packet"),
+            validation_configs=incast_drop_free,
         ),
         ScenarioEntry(
             "fattree-a2a",
@@ -247,8 +260,9 @@ def _builtin_entries() -> List[ScenarioEntry]:
             hybrid_incast,
             tags=("bench", "hybrid"),
             gate_metric="flows_per_sec",
-            notes="records speedup_vs_packet from a packet-engine twin "
-            "timed in the same repeat; gated >=3x (see bench.check_gate)",
+            notes="bench scale is smaller than the validate-hybrid runs, so "
+            "the gate sits below the 5x the validation CLI asserts",
+            min_speedup=3.0,
         ),
         ScenarioEntry(
             "shard-incast256",
@@ -265,8 +279,9 @@ def _builtin_entries() -> List[ScenarioEntry]:
             "all-to-all under conservative-parallel execution",
             (replace(fattree, shards=4),),
             tags=("bench", "packet", "shard"),
-            notes="gates >=1.8x speedup_vs_serial when the machine has "
-            "at least as many CPUs as shards (see bench.check_gate)",
+            notes="the speedup gate only arms when the machine has at "
+            "least as many CPUs as shards (see bench.check_gate)",
+            min_speedup=1.8,
         ),
         ScenarioEntry(
             "rpc-fanout",

@@ -20,41 +20,20 @@ from repro.telemetry.export import TelemetryExport
 from repro.units import us
 
 
-@dataclass
-class ScenarioResult:
-    """Everything a figure needs from one run."""
+class StatsViews:
+    """The figure-facing views over a finished run's stats.
 
-    config: ScenarioConfig
+    Shared by :class:`ScenarioResult` and the picklable
+    :class:`~repro.experiments.parallel.ResultSummary`; both provide
+    ``stats``, ``sim_time``, ``completed_flows`` and ``total_flows``.
+    A plain mixin (no fields), so it changes neither dataclass's
+    layout nor ``ResultSummary.canonical_bytes()``.
+    """
+
     stats: StatsHub
-    scenario: Scenario
-    completed_flows: int = 0
-    total_flows: int = 0
-    sim_time: int = 0
-    wall_seconds: float = 0.0
-    events: int = 0
-    #: finalized telemetry export, None unless the config enabled it
-    telemetry: Optional[TelemetryExport] = None
-    #: invariant violations the sanitizer collected; empty both for
-    #: clean sanitized runs and for unsanitized runs
-    sanitizer_violations: List[str] = field(default_factory=list)
-    #: sharded runs only (None everywhere else): the merge in
-    #: repro.sim.sharded fills all six from the per-domain reports,
-    #: whichever transport ran the domains — a forked run leaves the
-    #: in-memory scenario unexecuted, so nothing below may be read off
-    #: the local extension/flow-table/injector instead.
-    shard_max_voqs: Optional[int] = None
-    shard_retransmitted: Optional[int] = None
-    #: injected-fault counters; None without injected faults
-    shard_fault_summary: Optional[Dict[str, int]] = None
-    #: per-domain event-stream digests (hex), populated only when the
-    #: determinism harness requests them
-    shard_digests: Optional[List[str]] = None
-    #: lockstep-mode global digest (hex), byte-comparable to a serial
-    #: run's depth-free EventStreamDigest
-    shard_global_digest: Optional[str] = None
-    #: cross-domain mutations the isolation sanitizer caught under
-    #: ``check --sharded --isolate``; None when isolation was off
-    shard_isolation_violations: Optional[List[str]] = None
+    sim_time: int
+    completed_flows: int
+    total_flows: int
 
     # -- FCT ---------------------------------------------------------------------
 
@@ -107,6 +86,65 @@ class ScenarioResult:
     def pfc_triggered(self) -> bool:
         return self.stats.pfc_pause_events > 0
 
+    @property
+    def pfc_pause_events(self) -> int:
+        return self.stats.pfc_pause_events
+
+    # -- completion ---------------------------------------------------------------
+
+    @property
+    def completion_rate(self) -> float:
+        if self.total_flows == 0:
+            return 1.0
+        return self.completed_flows / self.total_flows
+
+    # -- faults -------------------------------------------------------------------
+
+    @property
+    def stall_events(self) -> int:
+        return self.stats.stall_events
+
+    @property
+    def fault_drops_total(self) -> int:
+        return self.stats.fault_drops_total
+
+
+@dataclass
+class ScenarioResult(StatsViews):
+    """Everything a figure needs from one run."""
+
+    config: ScenarioConfig
+    stats: StatsHub
+    scenario: Scenario
+    completed_flows: int = 0
+    total_flows: int = 0
+    sim_time: int = 0
+    wall_seconds: float = 0.0
+    events: int = 0
+    #: finalized telemetry export, None unless the config enabled it
+    telemetry: Optional[TelemetryExport] = None
+    #: invariant violations the sanitizer collected; empty both for
+    #: clean sanitized runs and for unsanitized runs
+    sanitizer_violations: List[str] = field(default_factory=list)
+    #: sharded runs only (None everywhere else): the merge in
+    #: repro.sim.sharded fills all six from the per-domain reports,
+    #: whichever transport ran the domains — a forked run leaves the
+    #: in-memory scenario unexecuted, so nothing below may be read off
+    #: the local extension/flow-table/injector instead.
+    shard_max_voqs: Optional[int] = None
+    shard_retransmitted: Optional[int] = None
+    #: injected-fault counters; None without injected faults
+    shard_fault_summary: Optional[Dict[str, int]] = None
+    #: per-domain event-stream digests (hex), populated only when the
+    #: determinism harness requests them
+    shard_digests: Optional[List[str]] = None
+    #: lockstep-mode global digest (hex), byte-comparable to a serial
+    #: run's depth-free EventStreamDigest
+    shard_global_digest: Optional[str] = None
+    #: cross-domain mutations the isolation sanitizer caught under
+    #: ``check --sharded --isolate``; None when isolation was off
+    shard_isolation_violations: Optional[List[str]] = None
+
     # -- Floodgate internals ---------------------------------------------------------
 
     @property
@@ -122,12 +160,6 @@ class ScenarioResult:
             default=0,
         )
 
-    @property
-    def completion_rate(self) -> float:
-        if self.total_flows == 0:
-            return 1.0
-        return self.completed_flows / self.total_flows
-
     # -- fault injection --------------------------------------------------------
 
     @property
@@ -137,10 +169,6 @@ class ScenarioResult:
             return self.shard_fault_summary
         injector = self.scenario.fault_injector
         return injector.summary() if injector is not None else {}
-
-    @property
-    def stall_events(self) -> int:
-        return self.stats.stall_events
 
     @property
     def retransmitted_packets(self) -> int:

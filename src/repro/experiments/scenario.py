@@ -93,12 +93,6 @@ class ScenarioConfig:
     #: fidelity; empty selects hot racks automatically from the
     #: workload's per-destination expected arrival rates
     hot_racks: Tuple[int, ...] = ()
-    #: restrict fluid max-min recomputation to the connected component
-    #: of links dirtied by the arrival/departure (repro.flowsim)
-    maxmin_incremental: bool = True
-    #: cross-check every incremental reallocation against a full
-    #: recompute (slow; the validate CLIs expose it as --paranoid)
-    paranoid_maxmin: bool = False
 
     # --- topology -----------------------------------------------------------
     topology: str = "leaf-spine"  # leaf-spine | fat-tree | testbed | dumbbell
@@ -325,6 +319,25 @@ class ScenarioConfig:
                 duration=self.duration or ms(2),
             )
         return replace(self, **d)
+
+
+def reference_config(
+    config: ScenarioConfig,
+) -> Optional[Tuple[str, ScenarioConfig]]:
+    """The twin ``config`` is judged against, as ``(kind, twin)``.
+
+    Every run that is not its own ground truth has exactly one: a
+    sharded run must replay its ``"serial"`` twin, an approximate tier
+    (fluid, hybrid) is measured against the ``"packet"`` engine on the
+    same traffic.  A serial packet run *is* the ground truth: ``None``.
+    The bench times the twin in the same repeat and the cross-tier
+    validator compares FCTs against it, both through this one rule.
+    """
+    if config.shards > 1:
+        return "serial", replace(config, shards=1)
+    if config.fidelity != "packet":
+        return "packet", replace(config, fidelity="packet", hot_racks=())
+    return None
 
 
 class Scenario:

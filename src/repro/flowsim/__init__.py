@@ -10,7 +10,7 @@ abstraction.
 The tier sits behind the same :class:`ScenarioConfig` /
 :class:`ResultSummary` interface as the packet engine — select it with
 ``ScenarioConfig(fidelity="flow")`` — and is cross-validated against
-packet-level FCT distributions by :mod:`repro.flowsim.validate`
+packet-level FCT distributions by :mod:`repro.experiments.validate`
 (``floodgate-experiment validate-flowsim``).
 """
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 from heapq import heappush
 from typing import Dict, List, Optional, Tuple
 
-from repro.flowsim.model import FluidFlow, FluidSimulation
+from repro.flowsim.model import _RHO_CAP, FluidFlow, FluidSimulation
 from repro.net.packet import PacketKind
 from repro.net.switch import Switch
 from repro.sim.engine import Event
@@ -55,9 +55,6 @@ from repro.sim.process import PeriodicTask
 from repro.units import CTRL_PKT_SIZE, MTU, SEC, serialization_delay, us
 
 _DATA = PacketKind.DATA
-
-#: utilization clamp shared with the fluid queueing correction
-_RHO_CAP = 0.95
 
 #: floor for tunnel/pacing rates so a starved allocation cannot stall
 #: the virtual clock forever (1 Mbps)

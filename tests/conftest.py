@@ -104,3 +104,29 @@ def mini():
 def leaf_spine():
     """A 2-spine, 3-ToR leaf-spine fabric."""
     return MiniNet(topology="leaf-spine")
+
+
+@pytest.fixture
+def checked_reallocations(monkeypatch):
+    """Hold every fluid rate installation to the full-recompute reference.
+
+    The tolerance-free anchor for the incremental max-min allocator:
+    after *each* ``_apply_rates`` — the hybrid override reaches the
+    patched base through ``super()`` — the installed rates of all
+    active flows, recomputed component and untouched ones alike, must
+    equal a from-scratch max-min over the whole fabric
+    (``FluidSimulation.allocation_errors``).  Yields the list of
+    ``(flows recomputed, flows active)`` per checked reallocation.
+    """
+    from repro.flowsim.model import FluidSimulation
+
+    apply_rates = FluidSimulation._apply_rates
+    checked = []
+
+    def checking(self, now, flows, rates):
+        apply_rates(self, now, flows, rates)
+        assert self.allocation_errors() == []
+        checked.append((len(flows), len(self._active)))
+
+    monkeypatch.setattr(FluidSimulation, "_apply_rates", checking)
+    return checked

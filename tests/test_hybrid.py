@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.runner import run_scenario
-from repro.experiments.scenario import Scenario, ScenarioConfig
+from repro.experiments.scenario import Scenario, ScenarioConfig, reference_config
 from repro.hybrid import select_hot_racks
-from repro.hybrid.validate import hybrid_validation_configs
 from repro.simcheck.determinism import check_repeatable
 from repro.simcheck.sanitizer import SanitizerConfig
 from repro.units import us
@@ -136,8 +137,6 @@ def test_hybrid_same_seed_runs_are_byte_identical():
 
 
 def test_hybrid_flow_population_matches_packet():
-    from dataclasses import replace
-
     hybrid = run_scenario(mix_cfg())
     packet = run_scenario(
         replace(mix_cfg(), fidelity="packet", hot_racks=())
@@ -145,25 +144,45 @@ def test_hybrid_flow_population_matches_packet():
     assert hybrid.total_flows == packet.total_flows
 
 
-def test_paranoid_maxmin_accepts_the_hybrid_run():
-    result = run_scenario(mix_cfg(paranoid_maxmin=True))
+def test_incremental_allocation_equals_full_recompute_at_every_step(
+    checked_reallocations,
+):
+    # boundary traffic dirties links from both tiers (injector
+    # re-pacing, ghost flows, headroom ticks); every resulting rate
+    # installation is held to the full-recompute reference
+    result = run_scenario(mix_cfg(workload="webserver"))
     assert result.completed_flows == result.total_flows
+    assert len(checked_reallocations) > 50
+    assert any(part < active for part, active in checked_reallocations)
 
 
-# -- validation plumbing ------------------------------------------------------
+# -- the tolerance-free anchor: every rack hot == the packet engine -----------
+
+
+@pytest.mark.parametrize("flow_control", ["floodgate", "none"])
+def test_all_racks_hot_reproduces_the_packet_engine(flow_control):
+    cfg = mix_cfg(workload="webserver", flow_control=flow_control)
+    hybrid = run_scenario(replace(cfg, hot_racks=(0, 1, 2, 3)))
+    packet = run_scenario(reference_config(cfg)[1])
+    assert len(packet.stats.fct_records) > 100
+    assert hybrid.stats.fct_records == packet.stats.fct_records
+    assert hybrid.completed_flows == packet.completed_flows
 
 
 def test_validation_configs_flip_fidelity_only():
-    from repro.flowsim.validate import validation_configs
+    """One drop-free incast variant, defined once in the registry: the
+    fluid and hybrid bench twins are the validation configs with only
+    the fidelity flipped."""
+    from repro.experiments import registry
+    from repro.experiments.validate import validation_configs
 
     base = validation_configs("incast256")
-    flipped = hybrid_validation_configs("incast256", paranoid=True)
-    assert len(flipped) == len(base)
-    for b, h in zip(base, flipped):
-        assert h.fidelity == "hybrid"
-        assert h.paranoid_maxmin
-        assert h.incast_fan_in == b.incast_fan_in
-        assert h.flow_control == b.flow_control
+    assert [c.fidelity for c in base] == ["packet"] * 3
+    assert base != registry.get("incast256").configs
+    for tier, twin in (("flow", "flowsim-incast256"), ("hybrid", "hybrid-incast256")):
+        assert registry.get(twin).configs == tuple(
+            replace(cfg, fidelity=tier) for cfg in base
+        )
 
 
 def test_telemetry_counters_are_exported():

@@ -244,9 +244,13 @@ class TestRegistry:
         from repro.experiments.bench import gate_metric_for
 
         assert gate_metric_for("rpc-fanout") == "requests_per_sec"
-        assert gate_metric_for("rpc-anything-else") == "requests_per_sec"
+        assert gate_metric_for("rpc-fanout-flow") == "requests_per_sec"
         assert gate_metric_for("flowsim-quick") == "flows_per_sec"
         assert gate_metric_for("quick") == "events_per_sec"
+        # the metric is a field of the registered entry, never inferred
+        # from the shape of an unregistered name
+        with pytest.raises(ValueError, match="unknown scenario"):
+            gate_metric_for("rpc-anything-else")
 
 
 # -- the CLI ------------------------------------------------------------------

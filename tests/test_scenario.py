@@ -149,3 +149,26 @@ class TestRunner:
         assert a.total_flows != b.total_flows or (
             a.poisson_fct.avg_ns != b.poisson_fct.avg_ns
         )
+
+
+def test_config_field_budget():
+    """Every ScenarioConfig field doubles the configurations tests and
+    benchmarks must cover and forces a cache-schema bump: adding one is
+    a deliberate edit of this number, not drift."""
+    import dataclasses
+
+    assert len(dataclasses.fields(ScenarioConfig)) == 44
+
+
+def test_reference_config_names_the_twin_a_run_is_judged_against():
+    from repro.experiments.scenario import reference_config
+
+    packet = ScenarioConfig(**QUICK)
+    assert reference_config(packet) is None
+    assert reference_config(replace(packet, shards=2)) == ("serial", packet)
+    assert reference_config(replace(packet, fidelity="flow")) == (
+        "packet",
+        packet,
+    )
+    hybrid = replace(packet, fidelity="hybrid", hot_racks=(1,))
+    assert reference_config(hybrid) == ("packet", packet)
