@@ -19,10 +19,10 @@ import pytest
 RESULTS_FILE = pathlib.Path(__file__).parent / "RESULTS.txt"
 
 
-def pytest_sessionstart(session):
-    RESULTS_FILE.write_text(
-        f"# Floodgate reproduction results, {time.strftime('%Y-%m-%d %H:%M')}\n"
-    )
+#: whether this session has started its RESULTS.txt yet; the header is
+#: written by the first ``show()``, so sessions that print no figure
+#: table (the e2e and perf tests) leave the tracked file alone
+_results_started = False
 
 
 @pytest.fixture
@@ -40,5 +40,11 @@ def once(benchmark):
 def show(title: str, text: str) -> None:
     block = f"\n=== {title} ===\n{text}\n"
     print(block, end="")
+    global _results_started
+    if not _results_started:
+        _results_started = True
+        RESULTS_FILE.write_text(
+            f"# Floodgate reproduction results, {time.strftime('%Y-%m-%d %H:%M')}\n"
+        )
     with RESULTS_FILE.open("a") as fh:
         fh.write(block)

@@ -286,7 +286,16 @@ def _check(args) -> int:
     return status
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The full argument parser.  Every ``choices`` list that mirrors a
+    table elsewhere (schemes, flow controls, validation scenarios, the
+    rule span) is generated from that table, so none can drift."""
+    from repro.experiments import validate
+    from repro.experiments.figures import fault_sweep
+    from repro.experiments.scenario import FLOW_CONTROLS
+    from repro.simcheck import determinism
+    from repro.simcheck.rules import RULES
+
     parser = argparse.ArgumentParser(
         prog="floodgate-experiment",
         description="Reproduce one figure/table from the Floodgate paper.",
@@ -321,8 +330,8 @@ def main(argv: list[str] | None = None) -> int:
         "--schemes",
         nargs="+",
         default=None,
-        choices=["floodgate", "pfc", "bfc", "ndp"],
-        help="schemes to compare (default: all four)",
+        choices=list(fault_sweep.SCHEMES),
+        help=f"schemes to compare (default: all {len(fault_sweep.SCHEMES)})",
     )
     bench_p = sub.add_parser(
         "bench",
@@ -359,8 +368,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="output JSON path (default BENCH_engine.json, or $REPRO_BENCH_OUT)",
     )
-    from repro.experiments import validate
-
     for tier, rule in validate.TIERS.items():
         validate_p = sub.add_parser(
             rule.command,
@@ -421,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     report_p.add_argument(
         "--scheme",
         default="floodgate",
-        choices=["none", "floodgate", "floodgate-ideal", "bfc", "ndp"],
+        choices=list(FLOW_CONTROLS),
         help="flow control for the instrumented run (default floodgate)",
     )
     report_p.add_argument(
@@ -459,11 +466,7 @@ def main(argv: list[str] | None = None) -> int:
         "show", help="print one scenario's full config(s)"
     )
     scenarios_show_p.add_argument("name", help="registry name")
-    # the advertised rule span is generated from the catalogue so this
-    # help line can never drift from rules.RULES again
-    from repro.simcheck.rules import RULES as _RULES
-
-    _rule_ids = sorted(r for r in _RULES if r != "SIM000")
+    _rule_ids = sorted(r for r in RULES if r != "SIM000")
     check_p = sub.add_parser(
         "check",
         help=f"determinism + shard-safety lint ({_rule_ids[0]}..{_rule_ids[-1]}); "
@@ -493,9 +496,10 @@ def main(argv: list[str] | None = None) -> int:
         "--schemes",
         nargs="+",
         default=None,
-        choices=["dcqcn", "floodgate", "bfc", "ndp", "pfc_tag"],
-        help="schemes for the --sanitize/--sharded suites (defaults: "
-        "all four of each; pfc_tag is sharded-only, ndp sanitize-only)",
+        choices=list(dict(determinism.SCHEMES + determinism.SHARDED_SCHEMES)),
+        help="schemes for the --sanitize/--sharded suites (default: all of "
+        f"{' '.join(dict(determinism.SCHEMES))} / all of "
+        f"{' '.join(dict(determinism.SHARDED_SCHEMES))})",
     )
     check_p.add_argument(
         "--shards",
@@ -525,6 +529,11 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="repo root (default: ascend from CWD to pyproject.toml)",
     )
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.command == "list":

@@ -56,7 +56,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.experiments import registry
 from repro.experiments.runner import run_scenario
-from repro.experiments.scenario import ScenarioConfig, reference_config
+from repro.experiments.scenario import reference_config
 
 #: env override for where ``BENCH_engine.json`` lands
 ENV_BENCH_OUT = "REPRO_BENCH_OUT"
@@ -94,11 +94,6 @@ DEFAULT_MAX_REGRESSION = 0.20
 #: history entries kept per (machine, scenario) — enough trajectory to
 #: eyeball trends without the file growing unboundedly
 MAX_HISTORY = 50
-
-
-def bench_config() -> ScenarioConfig:
-    """The canonical fixed-seed ``quick`` scenario (from the registry)."""
-    return registry.get("quick").configs[0]
 
 
 def scenario_matrix() -> Dict[str, registry.ScenarioEntry]:
@@ -394,12 +389,7 @@ def check_gate(
     return ok, messages
 
 
-# -- one-call entry points ----------------------------------------------------
-
-
-def run_engine_benchmark(repeats: int = 3) -> Dict:
-    """The canonical ``quick`` record (kept for perf tests and tools)."""
-    return run_bench_scenario(scenario_matrix()["quick"], repeats=repeats)
+# -- one-call entry point -----------------------------------------------------
 
 
 def run_and_write(

@@ -42,10 +42,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.experiments.runner import ScenarioResult, StatsViews, run_scenario
+from repro.experiments.runner import RunOutcome, ScenarioResult, run_scenario
 from repro.experiments.scenario import ScenarioConfig
-from repro.stats.collector import StatsHub
-from repro.telemetry.export import TelemetryExport
 
 #: bump when ResultSummary's layout or the simulation's semantics
 #: change in a way that invalidates previously cached runs
@@ -61,35 +59,15 @@ ENV_PARALLEL = "REPRO_PARALLEL"
 
 
 @dataclass
-class ResultSummary(StatsViews):
+class ResultSummary(RunOutcome):
     """Everything a figure needs from one run, in picklable form.
 
-    Mirrors :class:`~repro.experiments.runner.ScenarioResult` minus the
-    live ``scenario`` object: the :class:`StatsHub` is plain dicts and
+    :class:`~repro.experiments.runner.ScenarioResult` minus the live
+    ``scenario`` object: the ``StatsHub`` is plain dicts and
     lists, so it crosses process boundaries and survives pickling to
     the disk cache unchanged.
     """
 
-    config: ScenarioConfig
-    stats: StatsHub
-    completed_flows: int = 0
-    total_flows: int = 0
-    sim_time: int = 0
-    events: int = 0
-    #: max VOQs in use across extensions (extracted in the worker,
-    #: because the extensions themselves stay behind)
-    max_voqs_used: int = 0
-    #: go-back-N/NDP retransmissions summed over every flow (the flow
-    #: table stays behind with the scenario)
-    retransmitted_packets: int = 0
-    #: FaultInjector counters, {} when no plan was installed
-    fault_summary: Dict[str, int] = field(default_factory=dict)
-    #: finalized telemetry export (plain data, so it pickles across the
-    #: pool and into the cache byte-identically), None unless enabled
-    telemetry: Optional[TelemetryExport] = None
-    #: invariant violations from the opt-in sanitizer (repro.simcheck);
-    #: empty for clean sanitized runs and for unsanitized runs
-    sanitizer_violations: List[str] = field(default_factory=list)
     #: figure-specific picklable payload (e.g. a sampled time series)
     extras: Dict[str, Any] = field(default_factory=dict)
     #: wall time of the producing run; excluded from equality so
@@ -122,20 +100,9 @@ def summarize(
     result: ScenarioResult, extras: Optional[Dict[str, Any]] = None
 ) -> ResultSummary:
     """Extract the slim summary from a full in-process result."""
+    shared = {f.name: getattr(result, f.name) for f in dataclasses.fields(RunOutcome)}
     return ResultSummary(
-        config=result.config,
-        stats=result.stats,
-        completed_flows=result.completed_flows,
-        total_flows=result.total_flows,
-        sim_time=result.sim_time,
-        events=result.events,
-        max_voqs_used=result.max_voqs_used,
-        retransmitted_packets=result.retransmitted_packets,
-        fault_summary=result.fault_summary,
-        telemetry=result.telemetry,
-        sanitizer_violations=result.sanitizer_violations,
-        extras=extras or {},
-        wall_seconds=result.wall_seconds,
+        **shared, extras=extras or {}, wall_seconds=result.wall_seconds
     )
 
 

@@ -1,8 +1,12 @@
 """Run a scenario to completion and package the results.
 
 The runner drives the simulator in chunks, stopping early once every
-scheduled flow has delivered all its bytes (plus a drain margin), and
-then extracts the aggregates the paper's figures report.
+scheduled flow has delivered all its bytes (plus a drain margin).
+Every run then ends the same way: each scope that executed events is
+collected into a report (:func:`repro.stats.scope.collect_scope` — the
+whole fabric here, one per domain under :mod:`repro.sim.sharded`) and
+:func:`merge_reports` folds the reports into the
+:class:`ScenarioResult` the paper's figures read.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from repro.flowsim.model import FluidSimulation
 from repro.stats.collector import NON_INCAST, FlowClass, FlowSelector, StatsHub
 from repro.stats.fct import FctSummary, summarize_fct
 from repro.stats.rpc import RpcSummary, requests_per_sec, summarize_rpc
+from repro.stats.scope import ScopeReport, collect_scope, whole_fabric
 from repro.telemetry.export import TelemetryExport
 from repro.units import us
 
@@ -23,11 +28,8 @@ from repro.units import us
 class StatsViews:
     """The figure-facing views over a finished run's stats.
 
-    Shared by :class:`ScenarioResult` and the picklable
-    :class:`~repro.experiments.parallel.ResultSummary`; both provide
+    A plain mixin (no fields) under :class:`RunOutcome`, which provides
     ``stats``, ``sim_time``, ``completed_flows`` and ``total_flows``.
-    A plain mixin (no fields), so it changes neither dataclass's
-    layout nor ``ResultSummary.canonical_bytes()``.
     """
 
     stats: StatsHub
@@ -110,82 +112,114 @@ class StatsViews:
 
 
 @dataclass
-class ScenarioResult(StatsViews):
-    """Everything a figure needs from one run."""
+class RunOutcome(StatsViews):
+    """One run's outcome as plain data: what :class:`ScenarioResult`
+    and the picklable :class:`~repro.experiments.parallel.ResultSummary`
+    share (the field order is part of ``canonical_bytes()``)."""
 
     config: ScenarioConfig
     stats: StatsHub
-    scenario: Scenario
     completed_flows: int = 0
     total_flows: int = 0
     sim_time: int = 0
-    wall_seconds: float = 0.0
     events: int = 0
-    #: finalized telemetry export, None unless the config enabled it
+    #: max VOQs in use on any one switch extension (Floodgate)
+    max_voqs_used: int = 0
+    #: go-back-N/NDP retransmissions summed over every flow
+    retransmitted_packets: int = 0
+    #: FaultInjector counters, {} when no plan was installed
+    fault_summary: Dict[str, int] = field(default_factory=dict)
+    #: telemetry export (plain data, so it pickles across the pool and
+    #: into the cache byte-identically), None unless enabled
     telemetry: Optional[TelemetryExport] = None
-    #: invariant violations the sanitizer collected; empty both for
-    #: clean sanitized runs and for unsanitized runs
+    #: invariant violations from the opt-in sanitizer (repro.simcheck);
+    #: empty for clean sanitized runs and for unsanitized runs
     sanitizer_violations: List[str] = field(default_factory=list)
-    #: sharded runs only (None everywhere else): the merge in
-    #: repro.sim.sharded fills all six from the per-domain reports,
-    #: whichever transport ran the domains — a forked run leaves the
-    #: in-memory scenario unexecuted, so nothing below may be read off
-    #: the local extension/flow-table/injector instead.
-    shard_max_voqs: Optional[int] = None
-    shard_retransmitted: Optional[int] = None
-    #: injected-fault counters; None without injected faults
-    shard_fault_summary: Optional[Dict[str, int]] = None
-    #: per-domain event-stream digests (hex), populated only when the
-    #: determinism harness requests them
-    shard_digests: Optional[List[str]] = None
-    #: lockstep-mode global digest (hex), byte-comparable to a serial
-    #: run's depth-free EventStreamDigest
-    shard_global_digest: Optional[str] = None
-    #: cross-domain mutations the isolation sanitizer caught under
-    #: ``check --sharded --isolate``; None when isolation was off
-    shard_isolation_violations: Optional[List[str]] = None
 
-    # -- Floodgate internals ---------------------------------------------------------
 
-    @property
-    def max_voqs_used(self) -> int:
-        if self.shard_max_voqs is not None:
-            return self.shard_max_voqs
-        return max(
-            (
-                ext.pool.max_in_use
-                for ext in self.scenario.extensions
-                if hasattr(ext, "pool")
-            ),
-            default=0,
-        )
+@dataclass(kw_only=True)
+class ScenarioResult(RunOutcome):
+    """Everything a figure needs from one run, plus the live scenario.
 
-    # -- fault injection --------------------------------------------------------
+    Built only by :func:`merge_reports`, from per-scope reports — never
+    read off the scenario, which a forked sharded run leaves unexecuted.
+    """
 
-    @property
-    def fault_summary(self) -> Dict[str, int]:
-        """Injected-fault counters, or {} when no plan was installed."""
-        if self.shard_fault_summary is not None:
-            return self.shard_fault_summary
-        injector = self.scenario.fault_injector
-        return injector.summary() if injector is not None else {}
+    scenario: Scenario
+    wall_seconds: float = 0.0
 
-    @property
-    def retransmitted_packets(self) -> int:
-        """Go-back-N/NDP retransmissions summed over every flow."""
-        if self.shard_retransmitted is not None:
-            return self.shard_retransmitted
-        return sum(
-            f.retransmitted_packets
-            for f in self.scenario.topology.flow_table.values()
-        )
+
+def merge_reports(
+    scenario: Scenario,
+    now: int,
+    reports: List[ScopeReport],
+    violations: List[str],
+    wall_start: float,
+) -> ScenarioResult:
+    """Fold N >= 1 scope reports into the run's :class:`ScenarioResult`.
+
+    A serial run hands in the single whole-fabric report, a sharded run
+    one per domain (:func:`repro.sim.sharded.run_domains`) plus the
+    whole-fabric conservation ``violations`` only its window loop could
+    judge.  Everything is a sum, a max, or a domain-order concatenation
+    of disjoint per-scope parts, so N reports give the result one
+    would.  The scenario hub holds what never belonged to a domain —
+    build-time registrations every domain hub was cloned from (the
+    union merges dedup them), the rpc driver's request records, the
+    stall watchdog's episodes — and, on a serial run, everything else.
+    """
+    cfg = scenario.config
+    completed = sum(r.completed for r in reports)
+    total = reports[0].total_flows
+    watchdog = scenario.watchdog
+    if watchdog is not None:
+        if completed < total:
+            # ended (hard stop or drain) with flows stranded: make sure
+            # the stall is on the record even if the last watchdog
+            # window never elapsed
+            watchdog.note_drained()
+        watchdog.stop()
+    if scenario.hybrid is not None:
+        scenario.hybrid.stop()
+    stats = scenario.stats
+    fault_summary: Dict[str, int] = {}
+    found: List[str] = []
+    for report in reports:
+        if report.stats is not stats:  # the whole-fabric scope *is* the run hub
+            stats.merge_from(report.stats)
+        found.extend(report.violations)
+        for key, value in (report.fault_summary or {}).items():
+            if key.startswith("injected_"):  # disjoint partials: they sum
+                value += fault_summary.get(key, 0)
+            fault_summary[key] = value  # else the plan's shape, same in all
+    # canonical record order: makes serial and sharded runs produce
+    # identical summary bytes
+    stats.canonicalize()
+    result = ScenarioResult(
+        config=cfg,
+        stats=stats,
+        scenario=scenario,
+        completed_flows=completed,
+        total_flows=total,
+        sim_time=now,
+        wall_seconds=time.monotonic() - wall_start,  # simcheck: ignore[SIM002] -- wall time for reporting only
+        events=sum(r.events for r in reports),
+        max_voqs_used=max(r.max_voqs for r in reports),
+        retransmitted_packets=sum(r.retransmitted for r in reports),
+        fault_summary=fault_summary,
+        sanitizer_violations=found + violations,
+    )
+    if cfg.telemetry is not None:
+        from repro.telemetry.recorder import build_export
+
+        result.telemetry = build_export(result, reports)
+    return result
 
 
 def run_scenario(
     config: ScenarioConfig,
     scenario: Optional[Scenario] = None,
     check_interval: int = us(100),
-    isolate: bool = False,
 ) -> ScenarioResult:
     """Build (unless given), schedule, and run a scenario to completion."""
     wall_start = time.monotonic()  # simcheck: ignore[SIM002] -- wall time for reporting only
@@ -194,10 +228,11 @@ def run_scenario(
         # conservative-parallel path: partition the topology into
         # domains and run them concurrently (repro.sim.sharded).  The
         # serial loop below stays byte-for-byte untouched at shards=1.
-        from repro.sim.sharded import run_sharded_scenario
+        from repro.sim.sharded import run_domains
 
-        return run_sharded_scenario(
-            sc, check_interval, wall_start, isolate=isolate
+        run = run_domains(sc, check_interval)
+        return merge_reports(
+            sc, run.now, run.reports, run.violations, wall_start
         )
     fluid = None
     if sc.config.fidelity == "flow":
@@ -240,38 +275,5 @@ def run_scenario(
             break
         if sim.peek_next_time() is None:
             break  # drained without completing (e.g. unrecovered loss)
-    total = len(topo.flow_table)
-    topo.report_pause_times()
-    if sc.watchdog is not None:
-        if topo.completed_flows < total:
-            # ended (hard stop or drain) with flows stranded: make sure
-            # the stall is on the record even if the last watchdog
-            # window never elapsed
-            sc.watchdog.note_drained()
-        sc.watchdog.stop()
-    for ext in sc.extensions:
-        stop = getattr(ext, "stop", None)
-        if stop is not None:
-            stop()
-    if sc.hybrid is not None:
-        sc.hybrid.stop()
-    telemetry = sc.telemetry.finalize() if sc.telemetry is not None else None
-    violations: List[str] = []
-    if sc.sanitizer is not None:
-        sc.sanitizer.final_check()
-        violations = list(sc.sanitizer.violations)
-    # canonical record order: makes serial and sharded runs (which
-    # merge per-domain stats) produce identical summary bytes
-    sc.stats.canonicalize()
-    return ScenarioResult(
-        config=cfg,
-        stats=sc.stats,
-        scenario=sc,
-        completed_flows=topo.completed_flows,
-        total_flows=total,
-        sim_time=sim.now,
-        wall_seconds=time.monotonic() - wall_start,  # simcheck: ignore[SIM002] -- wall time for reporting only
-        events=sim.events_executed,
-        telemetry=telemetry,
-        sanitizer_violations=violations,
-    )
+    report = collect_scope(sc, whole_fabric(sc), sim.now)
+    return merge_reports(sc, sim.now, [report], [], wall_start)

@@ -64,7 +64,7 @@ class Scale(str, Enum):
 #: construction, not silently run a default
 _VALID_TOPOLOGIES = ("leaf-spine", "fat-tree", "testbed", "dumbbell")
 _VALID_CC = ("dcqcn", "dctcp", "timely", "hpcc", "static")
-_VALID_FLOW_CONTROL = (
+FLOW_CONTROLS = (
     "none",
     "floodgate",
     "floodgate-ideal",
@@ -193,7 +193,7 @@ class ScenarioConfig:
             ("fidelity", self.fidelity, _VALID_FIDELITY),
             ("topology", self.topology, _VALID_TOPOLOGIES),
             ("cc", self.cc, _VALID_CC),
-            ("flow_control", self.flow_control, _VALID_FLOW_CONTROL),
+            ("flow_control", self.flow_control, FLOW_CONTROLS),
             ("pattern", self.pattern, _VALID_PATTERNS),
             ("workload", self.workload, tuple(WORKLOADS)),
         )

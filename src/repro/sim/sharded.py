@@ -1,7 +1,7 @@
 """Conservative-parallel sharded execution of one big topology.
 
 The serial engine runs one heap over the whole fabric.  This module
-partitions a built :class:`~repro.experiments.scenario.Scenario` into
+partitions a built ``Scenario`` (the experiments layer's) into
 ``shards`` simulation *domains* — per-pod on fat trees, per-ToR-group
 on leaf-spine fabrics — each with its own :class:`Simulator` heap,
 node set, packet pool and stats hub, synchronized by classic
@@ -23,14 +23,16 @@ sending domain for boundary traffic.  So per-domain execution order —
 and therefore every measured quantity — is independent of how the
 domains interleave in wall time.
 
-The machinery is four pieces, each written once:
+The machinery is three pieces, each written once:
 
 * a **domain runtime** (:class:`DomainRuntime`) owns everything one
   domain needs — its engine, pool, hub, telemetry recorder, sanitizer
   slice, isolation probe and event digest — and answers two calls:
   ``step(h_next, incoming, sweep)`` advances the domain to ``h_next``
-  and says what it saw, ``finish(now)`` returns a picklable
-  :class:`DomainReport`;
+  and says what it saw, ``finish(now)`` collects the domain with the
+  same :func:`~repro.stats.scope.collect_scope` a serial run collects
+  its whole fabric with, into a picklable
+  :class:`~repro.stats.scope.ScopeReport`;
 * the **window loop** (:func:`_window_loop`) picks each window's end
   from the domains' next-event times and the lookahead, routes
   boundary deliveries between domains, judges the whole-fabric
@@ -42,9 +44,12 @@ The machinery is four pieces, each written once:
   the equivalence oracle — advances all domains together by always
   running the globally smallest key (one shared sequence counter, so
   the interleaved stream replays the serial order *exactly*; the
-  harness hashes it against a serial run);
-* the **merge** (:func:`_merge`) folds the reports, in domain order,
-  into the :class:`ScenarioResult` a serial run would have built.
+  harness hashes it against a serial run).
+
+This module stops at :func:`run_domains`: what it returns — the
+reports, in domain order — is folded into the :class:`ScenarioResult`
+a serial run would have built by the one merge every run ends in,
+the experiment runner's ``merge_reports``.
 
 Fault plans, telemetry, and the sanitizer all run under shards, each
 installed *after* domain binding so its state is domain-local: fault
@@ -52,7 +57,7 @@ transitions are scheduled on the faulted link's own simulator (plans
 touching boundary links are rejected up front), telemetry samples
 per-domain hubs (:mod:`repro.telemetry.recorder`), and the sanitizer
 keeps per-domain conservation ledgers the window loop sums
-(:class:`~repro.simcheck.sanitizer.ShardedSanitizer`).  The optional
+(:class:`~repro.simcheck.sanitizer.SimSanitizer` scoped to a domain).  The optional
 isolation sanitizer (``check --sharded --isolate``) tags hot objects
 with their owning domain and asserts every executed callback ran under
 that domain (:mod:`repro.simcheck.isolation`).
@@ -65,21 +70,19 @@ forked transport.
 
 from __future__ import annotations
 
-import time as _time
 import traceback
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.net.packet import DISABLED_POOL, PacketPool
 from repro.sim.engine import Simulator
+from repro.stats.scope import ScopeReport, collect_scope
 
 __all__ = [
     "partition_nodes",
     "boundary_lookahead",
-    "DomainReport",
+    "ShardedRun",
     "run_domains",
-    "run_sharded_scenario",
 ]
 
 
@@ -355,37 +358,15 @@ class DomainState(NamedTuple):
     ledger: Optional[Dict[str, int]]
 
 
-@dataclass
-class DomainReport:
-    """Everything one domain contributes to the merged result.
+class DomainOutcome(NamedTuple):
+    """What ``finish`` sends back: the domain's report for the merge,
+    and what only the equivalence harness asks for."""
 
-    Picklable, and field-for-field the same whichever transport ran the
-    domain — the property that makes one merge sufficient.
-    """
-
-    domain: int
-    #: the domain's hub; the merge folds them in domain order
-    stats: object
-    completed: int
-    total_flows: int
-    events: int
-    max_voqs: int
-    retransmitted: int
-    #: one ``telemetry_counters()`` dict per switch extension owned
-    ext_harvests: List[Dict[str, int]]
-    #: raw telemetry recording, None when telemetry is off
-    series: Optional[list]
-    profile: Optional[dict]
-    #: the plan's static shape plus this domain's injection counters,
-    #: None without injected faults
-    fault_summary: Optional[Dict[str, int]]
-    #: sanitizer slice: scope-local violations and the final ledger
-    violations: List[str]
-    ledger: Optional[Dict[str, int]]
-    #: isolation-probe findings, None when isolation was off
-    isolation: Optional[List[str]]
+    report: ScopeReport
     #: hex event-stream digest, None unless the harness asked
     digest: Optional[str]
+    #: isolation-probe findings, None when isolation was off
+    isolation: Optional[List[str]]
 
 
 class DomainRuntime:
@@ -394,7 +375,9 @@ class DomainRuntime:
     Built after domain binding and fault install, before flows are
     scheduled — the order the serial ``Scenario`` installs its layers
     in, so sampler ticks keep their serial position among same-instant
-    events.  Only reads and writes state its domain owns.
+    events.  Only reads and writes state its domain owns.  Carries the
+    attributes of a :class:`~repro.stats.scope.Scope`, so ``finish``
+    hands the collector the runtime itself.
     """
 
     def __init__(
@@ -439,10 +422,11 @@ class DomainRuntime:
             self.recorder.start()
         self.sanitizer = None
         if cfg.sanitize is not None:
-            from repro.simcheck.sanitizer import ShardedSanitizer
+            from repro.simcheck.sanitizer import SimSanitizer
 
-            self.sanitizer = ShardedSanitizer(
-                scenario, sim, domain, domain_of, pools[domain], cfg.sanitize
+            self.sanitizer = SimSanitizer(
+                scenario, cfg.sanitize, sim=sim, pool=pools[domain],
+                owns=lambda node: domain_of[node.node_id] == domain,
             )
         self.iso = None
         probe = None
@@ -501,61 +485,12 @@ class DomainRuntime:
             ledger,
         )
 
-    def finish(self, now: int) -> DomainReport:
-        """Epilogue over this domain's devices only."""
-        sim = self.sim
-        if sim.now < now:
-            sim.now = now
-        for node in (*self.switches, *self.hosts):
-            node.report_pause_time()
-        max_voqs = 0
-        for ext in self.extensions:
-            stop = getattr(ext, "stop", None)
-            if stop is not None:
-                stop()
-            pool = getattr(ext, "pool", None)
-            if pool is not None and pool.max_in_use > max_voqs:
-                max_voqs = pool.max_in_use
-        # only a flow's sender counts its retransmissions, so the
-        # per-domain sums are disjoint whichever flow table this is
-        owned = self.receivers
-        flow_table = self._flow_table
-        retransmitted = sum(
-            f.retransmitted_packets
-            for f in flow_table.values()
-            if f.src in owned
-        )
-        recorder = self.recorder
-        ext_harvests: List[Dict[str, int]] = []
-        if recorder is not None:
-            from repro.telemetry.recorder import harvest_extensions
-
-            recorder.stop()
-            ext_harvests = harvest_extensions(self.extensions)
-        sanitizer = self.sanitizer
-        injector = self.scenario.fault_injector
-        return DomainReport(
-            domain=self.domain,
-            stats=self.hub,
-            completed=len(self.hub.fct_records),
-            total_flows=len(flow_table),
-            events=sim.events_executed,
-            max_voqs=max_voqs,
-            retransmitted=retransmitted,
-            ext_harvests=ext_harvests,
-            series=recorder.raw_series() if recorder is not None else None,
-            profile=recorder.raw_profile() if recorder is not None else None,
-            fault_summary=(
-                injector.summary(lambda link: link.node_a.node_id in owned)
-                if injector is not None
-                else None
-            ),
-            ledger=(
-                sanitizer.sweep(final=True) if sanitizer is not None else None
-            ),
-            violations=list(sanitizer.violations) if sanitizer is not None else [],
-            isolation=list(self.iso.violations) if self.iso is not None else None,
-            digest=self.digest.hexdigest() if self.digest is not None else None,
+    def finish(self, now: int) -> DomainOutcome:
+        """Collect this domain: the scope is the runtime itself."""
+        return DomainOutcome(
+            collect_scope(self.scenario, self, now),
+            self.digest.hexdigest() if self.digest is not None else None,
+            list(self.iso.violations) if self.iso is not None else None,
         )
 
 
@@ -647,7 +582,7 @@ class _LocalTransport:
             for d, rt in enumerate(self.runtimes)
         ]
 
-    def finish(self, now: int) -> List[DomainReport]:
+    def finish(self, now: int) -> List[DomainOutcome]:
         return [rt.finish(now) for rt in self.runtimes]
 
     def close(self) -> None:
@@ -682,7 +617,7 @@ class _LockstepTransport(_LocalTransport):
         self._advance([rt.sim for rt in self.runtimes], h_next)
         return [rt.state(sweep) for rt in self.runtimes]
 
-    def finish(self, now: int) -> List[DomainReport]:
+    def finish(self, now: int) -> List[DomainOutcome]:
         if self._digest is not None:
             self.global_digest = self._digest.hexdigest()
         return super().finish(now)
@@ -839,7 +774,7 @@ class _ForkedTransport:
             conn.send(("step", h_next, incoming[d], sweep))
         return self._gather()
 
-    def finish(self, now: int) -> List[DomainReport]:
+    def finish(self, now: int) -> List[DomainOutcome]:
         for conn in self.pipes:
             conn.send(("finish", now))
         return self._gather()
@@ -856,16 +791,16 @@ class _ForkedTransport:
 
 
 # ---------------------------------------------------------------------------
-# the window loop and the merge
+# the window loop
 # ---------------------------------------------------------------------------
 
 
 def _window_loop(
     transport, scenario, check_interval: int, lookahead: int
-) -> Tuple[int, List[DomainReport], List[str]]:
-    """Advance every domain to the end of the run and collect the reports.
+) -> Tuple[int, List[DomainOutcome], List[str]]:
+    """Advance every domain to the end of the run and collect them.
 
-    Returns ``(sim time, one report per domain, whole-fabric
+    Returns ``(sim time, one outcome per domain, whole-fabric
     conservation violations)``.  Stop semantics are the serial
     runner's: the run advances in ``check_interval`` steps and ends at
     the first step boundary where every flow has completed (and any
@@ -936,105 +871,9 @@ def _window_loop(
             break
         if all(st.next_time is None for st in states) and not any(pending):
             break
-    reports = transport.finish(now)
-    judge_conservation([r.ledger for r in reports])
-    return now, reports, violations
-
-
-def _merge(
-    scenario,
-    now: int,
-    reports: List[DomainReport],
-    violations: List[str],
-    global_digest: Optional[str],
-    wall_start: float,
-):
-    """Fold the per-domain reports into one :class:`ScenarioResult`.
-
-    Everything is a sum, a max, or a domain-order concatenation of
-    disjoint per-domain parts, so the result is the serial one.  The
-    scenario hub holds only what never belonged to a domain — build-time
-    registrations every domain hub was cloned from (the union-style
-    merges dedup them), the rpc driver's request records, the stall
-    watchdog's episodes.
-    """
-    from repro.experiments.runner import ScenarioResult
-
-    cfg = scenario.config
-    completed = sum(r.completed for r in reports)
-    total = reports[0].total_flows
-    watchdog = scenario.watchdog
-    if watchdog is not None:
-        if completed < total:
-            watchdog.note_drained()
-        watchdog.stop()
-    stats = scenario.stats
-    for report in reports:
-        stats.merge_from(report.stats)
-    stats.canonicalize()
-    events = sum(r.events for r in reports)
-    retransmitted = sum(r.retransmitted for r in reports)
-    # fault counters: the static plan shape is identical in every
-    # report; the injection counters are disjoint partials, so they sum
-    fault_summary = None
-    for report in reports:
-        partial = report.fault_summary
-        if partial is None:
-            continue
-        if fault_summary is None:
-            fault_summary = dict(partial)
-            continue
-        for key in (
-            "injected_drops_data", "injected_drops_ctrl",
-            "injected_corruptions",
-        ):
-            fault_summary[key] += partial[key]
-    for report in reports:
-        violations.extend(report.violations)
-    telemetry = None
-    if cfg.telemetry is not None:
-        from repro.telemetry.recorder import build_export
-
-        telemetry = build_export(
-            cfg,
-            cfg.telemetry,
-            stats,
-            sim_time_ns=now,
-            events=events,
-            flows_completed=completed,
-            flows_total=total,
-            retransmissions=retransmitted,
-            ext_harvests=[h for r in reports for h in r.ext_harvests],
-            rpc_driver=scenario.rpc_driver,
-            series=[r.series for r in reports],
-            profiles=[r.profile for r in reports],
-        )
-    return ScenarioResult(
-        config=cfg,
-        stats=stats,
-        scenario=scenario,
-        completed_flows=completed,
-        total_flows=total,
-        sim_time=now,
-        wall_seconds=_time.monotonic() - wall_start,  # simcheck: ignore[SIM002] -- wall time for reporting only
-        events=events,
-        telemetry=telemetry,
-        sanitizer_violations=violations,
-        shard_max_voqs=max(r.max_voqs for r in reports),
-        shard_retransmitted=retransmitted,
-        shard_digests=(
-            [r.digest for r in reports]
-            if reports[0].digest is not None
-            else None
-        ),
-        shard_global_digest=global_digest,
-        shard_fault_summary=fault_summary,
-        shard_isolation_violations=(
-            [v for r in reports for v in r.isolation]
-            if reports[0].isolation is not None
-            else None
-        ),
-    )
+    outcomes = transport.finish(now)
+    judge_conservation([out.report.ledger for out in outcomes])
+    return now, outcomes, violations
 
 
 # ---------------------------------------------------------------------------
@@ -1054,20 +893,53 @@ def resolve_mode(config) -> str:
     return mode
 
 
+class ShardedRun(NamedTuple):
+    """What :func:`run_domains` hands back, identical whichever
+    transport carried the run: the inputs of the run merge
+    (the experiment runner's ``merge_reports``), then the
+    equivalence harness's own outputs."""
+
+    #: simulated time the run ended at
+    now: int
+    #: one report per domain, in domain order
+    reports: List[ScopeReport]
+    #: whole-fabric conservation violations (the window loop's verdicts)
+    violations: List[str]
+    #: hex event-stream digest per domain; None unless ``collect_digests``
+    domain_digests: Optional[List[str]]
+    #: lockstep only: digest of the merged global stream, byte-comparable
+    #: to a serial run's depth-free ``EventStreamDigest``
+    global_digest: Optional[str]
+    #: cross-domain mutations the isolation sanitizer caught; None
+    #: unless ``isolate``
+    isolation_violations: Optional[List[str]]
+
+
 def run_domains(
     scenario,
     check_interval: int,
     collect_digests: bool = False,
     isolate: bool = False,
-) -> Tuple[int, List[DomainReport], List[str], Optional[str]]:
+) -> ShardedRun:
     """Partition a built scenario and run every domain to the end.
 
-    Returns ``(sim time, one report per domain, whole-fabric
-    conservation violations, lockstep global digest)`` — the inputs of
-    the merge, identical whichever transport carried the run.
+    Stop semantics are the serial runner's (see :func:`_window_loop`).
+    ``collect_digests`` hashes every domain's event stream for the
+    equivalence harness; ``isolate`` arms the
+    :class:`ShardIsolationSanitizer`: hot objects are tagged with their
+    owning domain at partition time and every executed callback is
+    checked against the domain it ran under (``check --sharded
+    --isolate``).
     """
     cfg = scenario.config
     mode = resolve_mode(cfg)
+    if cfg.sanitize is not None and cfg.sanitize.check_interval != check_interval:
+        raise ValueError(
+            f"sanitize.check_interval={cfg.sanitize.check_interval} ns differs "
+            f"from the run's check_interval={check_interval} ns: sharded "
+            "domains sweep where a window lands on the run's check_interval "
+            "boundary, so the two must be equal (or use shards=1)"
+        )
     if scenario.sim.pending_events:
         raise RuntimeError(
             "sharded execution requires an empty build-time heap; "
@@ -1093,33 +965,16 @@ def run_domains(
         transport_cls = _LocalTransport
     transport = transport_cls(scenario, domain_of, collect_digests, isolate)
     try:
-        now, reports, violations = _window_loop(
+        now, outcomes, violations = _window_loop(
             transport, scenario, check_interval, lookahead
         )
     finally:
         transport.close()
-    return now, reports, violations, transport.global_digest
-
-
-def run_sharded_scenario(
-    scenario,
-    check_interval: int,
-    wall_start: float,
-    collect_digests: bool = False,
-    isolate: bool = False,
-):
-    """Run a built scenario across ``config.shards`` domains.
-
-    Returns the same :class:`ScenarioResult` the serial runner builds,
-    with identical completion/stop semantics (see :func:`_window_loop`).
-    ``collect_digests`` hashes every domain's event stream for the
-    equivalence harness; ``isolate`` arms the
-    :class:`ShardIsolationSanitizer`: hot objects are tagged with their
-    owning domain at partition time and every executed callback is
-    checked against the domain it ran under (``check --sharded
-    --isolate``).
-    """
-    now, reports, violations, global_digest = run_domains(
-        scenario, check_interval, collect_digests, isolate
+    return ShardedRun(
+        now,
+        [out.report for out in outcomes],
+        violations,
+        [out.digest for out in outcomes] if collect_digests else None,
+        transport.global_digest,
+        [v for out in outcomes for v in out.isolation] if isolate else None,
     )
-    return _merge(scenario, now, reports, violations, global_digest, wall_start)

@@ -228,9 +228,9 @@ def check_sharded_equivalence(
     from dataclasses import replace as dc_replace
 
     from repro.experiments.parallel import summarize
-    from repro.experiments.runner import run_scenario
+    from repro.experiments.runner import merge_reports, run_scenario
     from repro.experiments.scenario import Scenario
-    from repro.sim.sharded import run_sharded_scenario
+    from repro.sim.sharded import run_domains
     from repro.units import us
 
     interval = check_interval if check_interval else us(100)
@@ -266,26 +266,24 @@ def check_sharded_equivalence(
     }
     domain_reference: Optional[List[str]] = None
     for mode in modes:
-        cfg = dc_replace(config, shards=shards, shard_mode=mode)
-        result = run_sharded_scenario(
-            Scenario(cfg),
-            check_interval=interval,
-            wall_start=_time.monotonic(),  # simcheck: ignore[SIM002] -- wall time for reporting only
-            collect_digests=True,
-            isolate=isolate,
+        sc = Scenario(dc_replace(config, shards=shards, shard_mode=mode))
+        wall_start = _time.monotonic()  # simcheck: ignore[SIM002] -- wall time for reporting only
+        run = run_domains(sc, interval, collect_digests=True, isolate=isolate)
+        result = merge_reports(
+            sc, run.now, run.reports, run.violations, wall_start
         )
         summary_ok = norm_bytes(result) == serial_bytes
         if mode == "lockstep":
-            domain_reference = result.shard_digests
-            stream_ok = result.shard_global_digest == serial_digest.hexdigest()
+            domain_reference = run.domain_digests
+            stream_ok = run.global_digest == serial_digest.hexdigest()
         else:
-            stream_ok = result.shard_digests == domain_reference
-        iso_violations = result.shard_isolation_violations or []
+            stream_ok = run.domain_digests == domain_reference
+        iso_violations = run.isolation_violations or []
         mode_ok = summary_ok and stream_ok and not iso_violations
         report["modes"][mode] = {
             "events_identical": stream_ok,
             "summary_identical": summary_ok,
-            "domain_digests": result.shard_digests,
+            "domain_digests": run.domain_digests,
             "isolation_violations": iso_violations,
             "ok": mode_ok,
         }

@@ -157,8 +157,21 @@ class SimSanitizer:
 
     Every sweep walks the checker's *scope* — the hosts, switches,
     extensions and links it owns, the engine whose heap holds their
-    pending work, and their packet pool.  Here the scope is the whole
-    fabric; :class:`ShardedSanitizer` narrows it to one domain.
+    pending work, and their packet pool.  By default the scope is the
+    whole fabric, swept by a periodic heap task and judged here.
+
+    ``sim``/``pool``/``owns`` narrow it to one domain of a sharded run
+    (:mod:`repro.sim.sharded`) — a fabric-wide walk would read other
+    domains' state mid-window, exactly the aliasing SIM005 and the
+    isolation sanitizer forbid.  A link belongs to the domain of its
+    ``node_a`` (boundary links carry neither loss nor faults — the
+    sharded runner rejects both — so their drop counters stay zero on
+    either side).  A slice has no heap task: its runtime calls
+    :meth:`sweep` when a window lands on a ``check_interval`` boundary,
+    so sweeps never appear in event streams and the state read is the
+    serial cut; and it judges no conservation equation — ``sweep``
+    returns the domain's ledger and the coordinator sums them
+    (:func:`judge_shard_sweep`).
     """
 
     def __init__(
@@ -170,8 +183,8 @@ class SimSanitizer:
         pool=None,
         owns=None,
     ) -> None:
-        """``sim``/``pool``/``owns`` narrow the scope to one domain:
-        its engine, its packet pool, and a node predicate."""
+        """``sim``/``pool``/``owns``: one domain's engine, packet pool,
+        and node predicate (all three or none)."""
         self.scenario = scenario
         self.config = config or SanitizerConfig()
         self.topology = topo = scenario.topology
@@ -364,11 +377,18 @@ class SimSanitizer:
         for message in conservation_violations([self.sweep()]):
             self.record(message)
 
-    def final_check(self) -> None:
-        """End-of-run sweep (stops the periodic task first)."""
+    def final_check(self) -> Dict[str, int]:
+        """End-of-run sweep (stops the periodic task first); returns the
+        scope's ledger.  A whole-fabric scope judges the conservation
+        equations on it right here; a domain slice cannot (no domain
+        sees the whole fabric), so its coordinator sums the ledgers
+        (:func:`judge_shard_sweep`)."""
         self.stop()
-        for message in conservation_violations([self.sweep(final=True)]):
-            self.record(message)
+        ledger = self.sweep(final=True)
+        if self._task is not None:
+            for message in conservation_violations([ledger]):
+                self.record(message)
+        return ledger
 
     def _check_buffers(self) -> None:
         for sw in self.switches:
@@ -517,37 +537,3 @@ class SimSanitizer:
             "violations": len(self.violations),
             "violations_truncated": self.truncated,
         }
-
-
-class ShardedSanitizer(SimSanitizer):
-    """One domain's slice of the sanitizer under :mod:`repro.sim.sharded`.
-
-    A fabric-wide walk would read other domains' state mid-window —
-    exactly the aliasing SIM005 and the isolation sanitizer forbid — so
-    each domain runtime owns one of these, scoped to the nodes
-    ``domain_of`` maps to ``domain``, the domain's engine and its
-    packet pool.  A link belongs to the domain of its ``node_a``
-    (boundary links carry neither loss nor faults — the sharded runner
-    rejects both — so their drop counters stay zero on either side).
-
-    There is no heap task: the runtime calls :meth:`sweep` when its
-    window lands on a ``check_interval`` boundary, so sweeps never
-    appear in event streams and the state read is the serial cut.  No
-    domain sees the whole fabric, so the conservation equations are
-    not judged here; ``sweep`` returns the domain's ledger and the
-    coordinator sums them (:func:`judge_shard_sweep`).
-    """
-
-    def __init__(
-        self,
-        scenario,
-        sim,
-        domain: int,
-        domain_of: Dict[int, int],
-        pool,
-        config: Optional[SanitizerConfig] = None,
-    ) -> None:
-        super().__init__(
-            scenario, config, sim=sim, pool=pool,
-            owns=lambda node: domain_of[node.node_id] == domain,
-        )

@@ -12,8 +12,19 @@ and *victims of PFC* (all other Poisson flows).
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
-from typing import Dict, List, Set, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.stats.fct import FctRecord
 from repro.stats.rpc import RpcRecord
@@ -277,7 +288,7 @@ class StatsHub:
         """Total PFC paused time for a node class, in microseconds."""
         return self.pfc_paused_time.get(node_kind, 0) / 1_000.0
 
-    # -- canonicalization / merging (repro.sim.sharded) -----------------------------
+    # -- canonicalization / merging / export: driven by MEASURES, below -------------
 
     def canonicalize(self) -> None:
         """Rewrite every container into a content-determined layout.
@@ -285,40 +296,30 @@ class StatsHub:
         Append order of the record lists and insertion order of the
         dicts/sets reflect *execution* order, which differs between a
         serial run and a sharded run (domains interleave differently)
-        even when the contents are identical.  Re-sorting everything by
-        content makes the pickled hub — and therefore
+        even when the contents are identical.  Re-sorting each by its
+        declared ``order`` makes the pickled hub — and therefore
         ``ResultSummary.canonical_bytes()`` — a function of *what* was
         measured, not the order it was measured in.  Idempotent;
-        applied to every run's hub by the runner so serial and sharded
-        summaries compare byte-for-byte.
+        applied to every run's hub by the run merge.
         """
-        self.fct_records.sort(key=lambda r: (r.finish_time, r.flow_id))
-        self.rpc_records.sort(key=lambda r: (r.finish_time, r.request_id))
-        self.stalls.sort()
-        self.flow_class = dict(sorted(self.flow_class.items()))
-        self.switch_max_buffer = dict(sorted(self.switch_max_buffer.items()))
-        self.port_max_buffer = dict(sorted(self.port_max_buffer.items()))
-        self.queuing_incast = dict(sorted(self.queuing_incast.items()))
-        self.queuing_normal = dict(sorted(self.queuing_normal.items()))
-        self.pfc_paused_time = dict(sorted(self.pfc_paused_time.items()))
-        self.rx_bytes_by_class = dict(
-            sorted(self.rx_bytes_by_class.items(), key=lambda kv: kv[0].value)
-        )
-        # rebuilding from sorted insertion gives the set a
-        # content-determined hash-table layout, hence a stable pickle
-        self._incast_flows = set(sorted(self._incast_flows))
+        for m in MEASURES:
+            value = getattr(self, m.attr)
+            if m.combine is fold_histogram:
+                if value is not None:  # bins fill in observation order
+                    value.counts = dict(sorted(value.counts.items()))
+            elif m.order is None:
+                continue
+            elif isinstance(value, list):
+                value.sort(key=m.order)
+            elif isinstance(value, dict):
+                setattr(self, m.attr, dict(sorted(value.items(), key=m.order)))
+            else:
+                # rebuilt from sorted insertion, a set's hash-table
+                # layout — hence its pickle — depends on content only
+                setattr(self, m.attr, set(sorted(value, key=m.order)))
         # shard children are runtime plumbing: dropping them keeps the
         # pickled hub identical to a serial run's (which never had any)
         self._shard_children = []
-        # bin-dict insertion order reflects observation order (and, on
-        # merged hubs, domain merge order); sort it away like the rest
-        for hist in (
-            self.fct_histogram,
-            self.queuing_histogram,
-            self.rpc_histogram,
-        ):
-            if hist is not None:
-                hist.counts = dict(sorted(hist.counts.items()))
 
     def shard_clone(self) -> "StatsHub":
         """A fresh hub carrying only build-time registrations.
@@ -336,71 +337,30 @@ class StatsHub:
         return clone
 
     def merge_from(self, other: "StatsHub") -> None:
-        """Fold another hub's measurements into this one.
-
-        Used by the sharded executors to combine per-domain hubs: the
-        domains observe disjoint devices, so per-switch/per-port maxima
-        never collide, record lists concatenate, and counters add.
-        Call :meth:`canonicalize` afterwards to restore a canonical
-        layout.  Telemetry histograms merge when the other hub carries
-        them (per-domain recorders install independent instances;
-        power-of-two bins make the merge exact): absent here, the
-        other's is adopted, present in both, bin counts add.
+        """Fold another hub's measurements into this one, each by its
+        declared combine rule: domains observe disjoint devices, so
+        per-switch/per-port maxima never collide, record lists
+        concatenate, and counters add.  Call :meth:`canonicalize`
+        afterwards to restore a canonical layout.
         """
-        for attr in ("fct_histogram", "queuing_histogram", "rpc_histogram"):
-            theirs = getattr(other, attr)
-            if theirs is None:
+        for m in MEASURES:
+            merged = m.combine(getattr(self, m.attr), getattr(other, m.attr))
+            setattr(self, m.attr, merged)
+
+    def counter_rows(self) -> Iterator[Tuple[str, str, int]]:
+        """``(name, unit, value)`` per end-of-run telemetry counter: a
+        scalar under its declared name, a record list as its length, a
+        keyed table as one row per key (the name is the prefix)."""
+        for m in MEASURES:
+            if m.counter is None:
                 continue
-            mine = getattr(self, attr)
-            if mine is None:
-                setattr(self, attr, theirs)
+            value = getattr(self, m.attr)
+            if isinstance(value, dict):
+                for key, cell in value.items():
+                    yield f"{m.counter}{key}", m.unit, cell
             else:
-                mine.merge_from(theirs)
-        self.fct_records.extend(other.fct_records)
-        self.rpc_records.extend(other.rpc_records)
-        self.flow_class.update(other.flow_class)
-        for name, used in other.switch_max_buffer.items():
-            if used > self.switch_max_buffer.get(name, 0):
-                self.switch_max_buffer[name] = used
-        for key, used in other.port_max_buffer.items():
-            if used > self.port_max_buffer.get(key, 0):
-                self.port_max_buffer[key] = used
-        self.max_switch_buffer = max(
-            self.max_switch_buffer, other.max_switch_buffer
-        )
-        for table, theirs in (
-            (self.queuing_incast, other.queuing_incast),
-            (self.queuing_normal, other.queuing_normal),
-        ):
-            for role, (total, count) in theirs.items():
-                cell = table.get(role)
-                if cell is None:
-                    table[role] = [total, count]
-                else:
-                    cell[0] += total
-                    cell[1] += count
-        for kind, paused in other.pfc_paused_time.items():
-            self.pfc_paused_time[kind] = (
-                self.pfc_paused_time.get(kind, 0) + paused
-            )
-        self.pfc_pause_events += other.pfc_pause_events
-        self.packets_dropped += other.packets_dropped
-        for key, count in other.fault_drops.items():
-            self.fault_drops[key] = self.fault_drops.get(key, 0) + count
-        self.fault_corruptions += other.fault_corruptions
-        self.corrupt_rx += other.corrupt_rx
-        self.unclaimed_control_frames += other.unclaimed_control_frames
-        self.stalls.extend(other.stalls)
-        self.track_bandwidth = self.track_bandwidth or other.track_bandwidth
-        for cat, size in other.tx_bytes_by_category.items():
-            self.tx_bytes_by_category[cat] = (
-                self.tx_bytes_by_category.get(cat, 0) + size
-            )
-        for cls, size in other.rx_bytes_by_class.items():
-            self.rx_bytes_by_class[cls] = (
-                self.rx_bytes_by_class.get(cls, 0) + size
-            )
-        self._incast_flows |= other._incast_flows
+                is_list = isinstance(value, list)
+                yield m.counter, m.unit, len(value) if is_list else value
 
     @property
     def fault_drops_total(self) -> int:
@@ -411,3 +371,95 @@ class StatsHub:
     def stall_events(self) -> int:
         """Stall episodes detected by the watchdog (and drain reports)."""
         return len(self.stalls)
+
+
+# ---------------------------------------------------------------------------
+# the measurement declaration
+# ---------------------------------------------------------------------------
+# Every hub attribute is declared exactly once below: how two hubs'
+# values combine (``merge_from``), the canonical order of its container
+# (``canonicalize``), and the end-of-run telemetry counter it is
+# exported as, if any (``counter_rows``).  A new measurement is an
+# attribute in ``StatsHub.__init__``, its ``record_*`` sink, and one
+# row here.  Combine rules return the merged value; containers fold in
+# place.  ``add``/``max`` serve scalars (``max`` of a flag: on anywhere
+# is on); the in-place operators serve lists and registrations:
+
+concatenate = operator.iadd  # record lists
+union = operator.ior         # dicts/sets every hub agrees on key by key
+
+
+def add_by_key(mine: dict, theirs: dict) -> dict:
+    """Per-key sum; a cell is an int or a list of ints summed element-wise."""
+    for key, cell in theirs.items():
+        have = mine.get(key)
+        if have is None:
+            mine[key] = list(cell) if isinstance(cell, list) else cell
+        elif isinstance(cell, list):
+            for i, part in enumerate(cell):
+                have[i] += part
+        else:
+            mine[key] = have + cell
+    return mine
+
+
+def max_by_key(mine: dict, theirs: dict) -> dict:
+    for key, cell in theirs.items():
+        if cell > mine.get(key, 0):
+            mine[key] = cell
+    return mine
+
+
+def fold_histogram(mine, theirs):
+    """Optional streaming histogram: adopt theirs, or add bin counts
+    (power-of-two bins make the merge exact)."""
+    if mine is None or theirs is None:
+        return mine if theirs is None else theirs
+    mine.merge_from(theirs)
+    return mine
+
+
+class Measure(NamedTuple):
+    attr: str
+    combine: Callable
+    #: canonical sort key — over a list's records, a dict's ``(key,
+    #: value)`` items, a set's members; None leaves the layout alone
+    #: (scalars, tables pre-seeded with a fixed key set)
+    order: Optional[Callable] = None
+    #: telemetry counter name (the name prefix, for keyed tables)
+    counter: Optional[str] = None
+    unit: str = ""
+
+
+_by_key = operator.itemgetter(0)
+
+
+def _natural(item):
+    return item
+
+
+MEASURES: Tuple[Measure, ...] = (
+    Measure("fct_records", concatenate, lambda r: (r.finish_time, r.flow_id)),
+    Measure("flow_class", union, _by_key),
+    Measure("rpc_records", concatenate, lambda r: (r.finish_time, r.request_id)),
+    Measure("switch_max_buffer", max_by_key, _by_key),
+    Measure("port_max_buffer", max_by_key, _by_key),
+    Measure("max_switch_buffer", max),
+    Measure("queuing_incast", add_by_key, _by_key),
+    Measure("queuing_normal", add_by_key, _by_key),
+    Measure("pfc_paused_time", add_by_key, _by_key, "pfc.paused_ns.", "ns"),
+    Measure("pfc_pause_events", operator.add, counter="pfc.pause_events"),
+    Measure("packets_dropped", operator.add, counter="drops.congestion"),
+    Measure("fault_drops", add_by_key, counter="drops.fault_"),
+    Measure("fault_corruptions", operator.add),
+    Measure("corrupt_rx", operator.add, counter="rx.corrupt"),
+    Measure("unclaimed_control_frames", operator.add, counter="control.unclaimed"),
+    Measure("stalls", concatenate, _natural, "stalls"),
+    Measure("track_bandwidth", max),
+    Measure("tx_bytes_by_category", add_by_key),
+    Measure("rx_bytes_by_class", add_by_key, lambda kv: kv[0].value),
+    Measure("_incast_flows", union, _natural),
+    Measure("fct_histogram", fold_histogram),
+    Measure("queuing_histogram", fold_histogram),
+    Measure("rpc_histogram", fold_histogram),
+)

@@ -1,5 +1,5 @@
-"""Unified observability: one registry for counters, gauges,
-histograms, periodic samplers, engine profiling, and run exports.
+"""Unified observability: periodic samplers, streaming histograms,
+engine profiling, and the run export built from them and the stats hub.
 
 Opt in per run via ``ScenarioConfig(telemetry=TelemetryConfig())``;
 the resulting :class:`TelemetryExport` rides on
@@ -12,19 +12,11 @@ from repro.telemetry.export import TelemetryExport
 from repro.telemetry.profile import EngineProfiler
 from repro.telemetry.recorder import TelemetryRecorder
 from repro.telemetry.report import render_export
-from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    TelemetryConfig,
-    TelemetryRegistry,
-)
+from repro.telemetry.registry import Histogram, TelemetryConfig
 from repro.telemetry.samplers import GaugeSampler, PeriodicSampler, RateSampler
 
 __all__ = [
-    "Counter",
     "EngineProfiler",
-    "Gauge",
     "GaugeSampler",
     "Histogram",
     "PeriodicSampler",
@@ -32,6 +24,5 @@ __all__ = [
     "TelemetryConfig",
     "TelemetryExport",
     "TelemetryRecorder",
-    "TelemetryRegistry",
     "render_export",
 ]

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 from repro.stats.collector import FlowClass
 from repro.telemetry.export import TelemetryExport
 from repro.telemetry.profile import EngineProfiler
-from repro.telemetry.registry import Histogram, TelemetryConfig, TelemetryRegistry
+from repro.telemetry.registry import Histogram, TelemetryConfig
 from repro.telemetry.samplers import GaugeSampler
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -180,6 +180,15 @@ class DomainRecorder:
 
     # -- raw payload (picklable; crosses the forked transport's pipe) --------
 
+    @staticmethod
+    def harvest(extensions) -> List[Dict[str, int]]:
+        """``telemetry_counters()`` of every extension that has them."""
+        return [
+            ext.telemetry_counters()
+            for ext in extensions
+            if hasattr(ext, "telemetry_counters")
+        ]
+
     def raw_series(self) -> List[Dict[str, Any]]:
         out: List[Dict[str, Any]] = []
         for kinds, sampler in self._samplers:
@@ -219,15 +228,6 @@ def wire_rpc_histogram(scenario: "Scenario", config: TelemetryConfig) -> None:
         scenario.stats.rpc_histogram = Histogram("rpc_latency_ns", unit="ns")
 
 
-def harvest_extensions(extensions) -> List[Dict[str, int]]:
-    """``telemetry_counters()`` of every extension that has them."""
-    return [
-        ext.telemetry_counters()
-        for ext in extensions
-        if hasattr(ext, "telemetry_counters")
-    ]
-
-
 class TelemetryRecorder(DomainRecorder):
     """The serial case: one domain spanning the whole fabric."""
 
@@ -236,40 +236,9 @@ class TelemetryRecorder(DomainRecorder):
         super().__init__(
             scenario.sim, config, scenario.stats, topo.hosts, topo.switches
         )
-        self.scenario = scenario
         wire_rpc_histogram(scenario, config)
         if self.profiler is not None:
             scenario.sim.set_profiler(self.profiler)
-        self._finalized: Optional[TelemetryExport] = None
-
-    def finalize(self) -> TelemetryExport:
-        """Stop sampling, harvest end-of-run counters, build the export.
-
-        Idempotent: the first call freezes the snapshot.
-        """
-        if self._finalized is not None:
-            return self._finalized
-        self.stop()
-        sc = self.scenario
-        topo = sc.topology
-        self._finalized = build_export(
-            sc.config,
-            self.config,
-            sc.stats,
-            sim_time_ns=sc.sim.now,
-            events=sc.sim.events_executed,
-            flows_completed=topo.completed_flows,
-            flows_total=len(topo.flow_table),
-            retransmissions=sum(
-                f.retransmitted_packets for f in topo.flow_table.values()
-            ),
-            ext_harvests=harvest_extensions(sc.extensions),
-            rpc_driver=sc.rpc_driver,
-            hybrid=sc.hybrid,
-            series=[self.raw_series()],
-            profiles=[self.raw_profile()],
-        )
-        return self._finalized
 
 
 # ---------------------------------------------------------------------------
@@ -366,64 +335,48 @@ def merge_raw_profiles(
     }
 
 
-def build_export(
-    config,
-    cfg: TelemetryConfig,
-    hub: "StatsHub",
-    *,
-    sim_time_ns: int,
-    events: int,
-    flows_completed: int,
-    flows_total: int,
-    retransmissions: int,
-    ext_harvests: List[Dict[str, int]],
-    series: List[List[Dict[str, Any]]],
-    profiles: List[Optional[Dict[str, Any]]],
-    rpc_driver=None,
-    hybrid=None,
-) -> TelemetryExport:
-    """Assemble the export from a run's (merged) totals and recordings.
+def build_export(result, reports) -> TelemetryExport:
+    """Assemble the export from a merged result and its recordings.
 
-    ``hub`` is the run's hub — the scenario hub of a serial run, the
-    domain-order merge of the per-domain hubs of a sharded one.  The
-    scalars are run totals (each a sum or max of per-domain values);
-    ``ext_harvests`` holds one ``telemetry_counters()`` dict per switch
-    extension, ``series``/``profiles`` one recording per domain;
-    ``rpc_driver``/``hybrid`` are the run's closed-loop driver and
-    hybrid engine, if any.
+    ``result`` is the run's :class:`ScenarioResult` — its hub the
+    domain-order merge of the per-scope hubs, its scalars run totals;
+    ``reports`` holds one recording per scope (``ext_harvests``: a
+    ``telemetry_counters()`` dict per switch extension; ``series``;
+    ``profile``).  The hub's counters come from its measurement
+    declaration (:meth:`StatsHub.counter_rows`), never named here.
     """
-    reg = TelemetryRegistry()
+    config = result.config
+    cfg: TelemetryConfig = config.telemetry
+    hub = result.stats
+    scenario = result.scenario
+    counters: List[Tuple[str, str, int]] = []
     if cfg.counters:
-        reg.counter("flows.completed").value = flows_completed
-        reg.counter("flows.total").value = flows_total
-        reg.counter("drops.congestion").value = hub.packets_dropped
-        reg.counter("drops.fault_data").value = hub.fault_drops["data"]
-        reg.counter("drops.fault_ctrl").value = hub.fault_drops["ctrl"]
-        reg.counter("rx.corrupt").value = hub.corrupt_rx
-        reg.counter("control.unclaimed").value = hub.unclaimed_control_frames
-        reg.counter("pfc.pause_events").value = hub.pfc_pause_events
-        reg.counter("stalls").value = hub.stall_events
-        for kind in sorted(hub.pfc_paused_time):
-            reg.counter(f"pfc.paused_ns.{kind}", unit="ns").value = (
-                hub.pfc_paused_time[kind]
+        values: Dict[str, int] = {
+            "flows.completed": result.completed_flows,
+            "flows.total": result.total_flows,
+            "retransmissions": result.retransmitted_packets,
+        }
+        for report in reports:
+            for harvest in report.ext_harvests:
+                for name, value in harvest.items():
+                    name = f"floodgate.{name}"
+                    have = values.get(name, 0)
+                    # max_in_use is a maximum, not a sum: keep the
+                    # largest across switches
+                    values[name] = (
+                        max(have, value)
+                        if name.endswith("max_in_use")
+                        else have + value
+                    )
+        if scenario.rpc_driver is not None:
+            values["rpc.requests_issued"] = scenario.rpc_driver.requests_issued
+            values["rpc.requests_completed"] = (
+                scenario.rpc_driver.requests_completed
             )
-        reg.counter("retransmissions").value = retransmissions
-        for harvest in ext_harvests:
-            for name, value in harvest.items():
-                counter = reg.counter(f"floodgate.{name}")
-                if name.endswith("max_in_use"):
-                    # a maximum, not a sum: keep the largest across switches
-                    counter.value = max(counter.value, value)
-                else:
-                    counter.inc(value)
-        if rpc_driver is not None:
-            reg.counter("rpc.requests_issued").value = rpc_driver.requests_issued
-            reg.counter("rpc.requests_completed").value = (
-                rpc_driver.requests_completed
-            )
-        if hybrid is not None:
-            for name, value in hybrid.telemetry_counters().items():
-                reg.counter(name).value = value
+        if scenario.hybrid is not None:
+            values.update(scenario.hybrid.telemetry_counters())
+        counters = [(name, "", value) for name, value in values.items()]
+        counters.extend(hub.counter_rows())
     histograms = [
         h
         for h in (hub.fct_histogram, hub.queuing_histogram, hub.rpc_histogram)
@@ -432,8 +385,8 @@ def build_export(
     histograms.sort(key=lambda h: h.name)
     return TelemetryExport(
         meta={
-            "sim_time_ns": sim_time_ns,
-            "events": events,
+            "sim_time_ns": result.sim_time,
+            "events": result.events,
             "interval_ns": cfg.interval,
             "seed": config.seed,
             "topology": config.topology,
@@ -441,8 +394,8 @@ def build_export(
             "flow_control": config.flow_control,
             "workload": config.workload,
         },
-        counters=reg.counter_values(),
-        series=merge_raw_series(series),
+        counters=sorted(counters),  # names are unique: sorted by name
+        series=merge_raw_series([report.series for report in reports]),
         histograms=[
             {
                 "name": h.name,
@@ -455,5 +408,5 @@ def build_export(
             }
             for h in histograms
         ],
-        profile=merge_raw_profiles(profiles),
+        profile=merge_raw_profiles([report.profile for report in reports]),
     )

@@ -1,26 +1,18 @@
-"""The instrument registry: counters, gauges, streaming histograms.
+"""Telemetry configuration and the streaming histogram.
 
-One :class:`TelemetryRegistry` per run holds every instrument under a
-flat namespace (``"switch.tor0.buffer_bytes"``); samplers, the engine
-profiler, and the exporters all speak to the registry rather than to
-individual subsystems.  Instruments are deliberately tiny:
-
-* :class:`Counter` — a push-updated monotone integer (credits sent,
-  packets dropped);
-* :class:`Gauge` — a pull-read callable (buffer occupancy *right
-  now*), polled by samplers, never on the packet hot path;
-* :class:`Histogram` — a streaming power-of-two-binned distribution
-  (FCTs, queueing delays) with O(1) memory and deterministic bins.
-
-Everything a registry holds is integer- or string-valued, so a
-snapshot is deterministic across processes — the property the export
-layer's byte-identical contract rests on.
+:class:`TelemetryConfig` says what a run records; :class:`Histogram`
+is the one instrument with state of its own, installed on the
+:class:`~repro.stats.collector.StatsHub` and fed behind is-None checks.
+Everything else the export carries is read off the hub (its declared
+counters) or polled by the samplers: there is no separate instrument
+namespace.  All values are integers or strings, so a snapshot is
+deterministic across processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.units import us
 
@@ -45,34 +37,6 @@ class TelemetryConfig:
     histograms: bool = True
     #: engine profile: per-callback event counts, heap depth
     engine_profile: bool = True
-
-
-class Counter:
-    """A monotonically increasing integer instrument."""
-
-    __slots__ = ("name", "unit", "value")
-
-    def __init__(self, name: str, unit: str = "") -> None:
-        self.name = name
-        self.unit = unit
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-
-class Gauge:
-    """A pull-read instrument: ``fn()`` returns the current level."""
-
-    __slots__ = ("name", "unit", "fn")
-
-    def __init__(self, name: str, fn: Callable[[], int], unit: str = "") -> None:
-        self.name = name
-        self.unit = unit
-        self.fn = fn
-
-    def read(self) -> int:
-        return self.fn()
 
 
 class Histogram:
@@ -143,55 +107,3 @@ class Histogram:
             if seen >= target:
                 return edge
         return self.bins()[-1][0]
-
-
-class TelemetryRegistry:
-    """Flat namespace of instruments plus the samplers that read them."""
-
-    def __init__(self) -> None:
-        self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, Gauge] = {}
-        self.histograms: Dict[str, Histogram] = {}
-        #: samplers driven off this registry (see telemetry.samplers)
-        self.samplers: List[object] = []
-
-    # -- registration (create-or-get, so wiring code stays idempotent) ----
-
-    def counter(self, name: str, unit: str = "") -> Counter:
-        inst = self.counters.get(name)
-        if inst is None:
-            inst = self.counters[name] = Counter(name, unit)
-        return inst
-
-    def gauge(self, name: str, fn: Callable[[], int], unit: str = "") -> Gauge:
-        inst = Gauge(name, fn, unit)
-        self.gauges[name] = inst
-        return inst
-
-    def histogram(self, name: str, unit: str = "") -> Histogram:
-        inst = self.histograms.get(name)
-        if inst is None:
-            inst = self.histograms[name] = Histogram(name, unit)
-        return inst
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def add_sampler(self, sampler: object) -> None:
-        self.samplers.append(sampler)
-
-    def start(self) -> None:
-        for s in self.samplers:
-            s.start()
-
-    def stop(self) -> None:
-        for s in self.samplers:
-            s.stop()
-
-    # -- snapshot ----------------------------------------------------------
-
-    def counter_values(self) -> List[Tuple[str, str, int]]:
-        """Sorted ``(name, unit, value)`` rows — deterministic order."""
-        return [
-            (c.name, c.unit, c.value)
-            for _, c in sorted(self.counters.items())
-        ]

@@ -42,3 +42,54 @@ class TestRun:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestGeneratedChoices:
+    """Every ``choices`` list that mirrors a table is built from it."""
+
+    @staticmethod
+    def _choices(command: str, flag: str):
+        import argparse
+
+        from repro.cli import build_parser
+
+        (subparsers,) = [
+            a
+            for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        (action,) = [
+            a
+            for a in subparsers.choices[command]._actions
+            if flag in a.option_strings
+        ]
+        return list(action.choices)
+
+    def test_report_scheme_accepts_every_flow_control(self):
+        from repro.experiments.scenario import FLOW_CONTROLS, ScenarioConfig
+
+        assert self._choices("report", "--scheme") == list(FLOW_CONTROLS)
+        assert "pfc-tag" in FLOW_CONTROLS
+        for fc in self._choices("report", "--scheme"):
+            assert ScenarioConfig(flow_control=fc).flow_control == fc
+
+    def test_check_schemes_mirror_the_determinism_suites(self):
+        from repro.simcheck.determinism import SCHEMES, SHARDED_SCHEMES
+
+        choices = self._choices("check", "--schemes")
+        assert set(choices) == {n for n, _ in SCHEMES + SHARDED_SCHEMES}
+        assert len(choices) == len(set(choices))
+
+    def test_faults_schemes_mirror_the_sweep(self):
+        from repro.experiments.figures import fault_sweep
+
+        assert self._choices("faults", "--schemes") == list(fault_sweep.SCHEMES)
+
+    def test_parser_rejects_a_scheme_outside_the_table(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        args = parser.parse_args(["report", "--scheme", "pfc-tag"])
+        assert args.scheme == "pfc-tag"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["check", "--schemes", "pfc-tag"])

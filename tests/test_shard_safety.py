@@ -7,7 +7,7 @@ import textwrap
 
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scenario, ScenarioConfig
-from repro.sim.sharded import run_sharded_scenario
+from repro.sim.sharded import run_domains
 from repro.simcheck.determinism import (
     EventStreamDigest,
     check_sharded_equivalence,
@@ -382,8 +382,8 @@ def test_isolation_violation_cap():
 def test_sharded_run_is_isolation_clean():
     for mode in ("lockstep", "barrier", "process"):
         sc = Scenario(tiny_cfg(shards=2, shard_mode=mode))
-        result = run_sharded_scenario(sc, us(100), 0.0, isolate=True)
-        assert result.shard_isolation_violations == []
+        run = run_domains(sc, us(100), isolate=True)
+        assert run.isolation_violations == []
 
 
 # -- faults + telemetry under the sharded engine ------------------------------
@@ -434,12 +434,10 @@ def test_drained_domain_receives_boundary_tuple_mid_window():
     reference = None
     for mode in ("lockstep", "process"):
         sc = build(shards=2, shard_mode=mode)
-        result = run_sharded_scenario(
-            sc, us(100), 0.0, collect_digests=True
-        )
-        assert result.completed_flows == 1, mode
+        run = run_domains(sc, us(100), collect_digests=True)
+        assert sum(r.completed for r in run.reports) == 1, mode
         if mode == "lockstep":
-            assert result.shard_global_digest == digest.hexdigest()
-            reference = result.shard_digests
+            assert run.global_digest == digest.hexdigest()
+            reference = run.domain_digests
         else:
-            assert result.shard_digests == reference
+            assert run.domain_digests == reference

@@ -12,19 +12,19 @@ import pytest
 from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.faults.plan import FaultPlan, LinkDown
 from repro.rpc import RpcWorkloadSpec
+from repro.experiments.runner import run_scenario
 from repro.sim.sharded import (
-    DomainReport,
     boundary_lookahead,
     partition_nodes,
     resolve_mode,
     run_domains,
-    run_sharded_scenario,
 )
 from repro.simcheck.determinism import (
     check_sharded_equivalence,
     sharded_battery_fault_plan,
 )
 from repro.simcheck.sanitizer import SanitizerConfig
+from repro.stats.scope import ScopeReport
 from repro.telemetry.registry import TelemetryConfig
 from repro.units import us
 from repro.workloads.poisson import FlowSpec
@@ -162,13 +162,13 @@ class TestConfigRestrictions:
         plan = FaultPlan((LinkDown(at=us(10), duration=us(20), link="switch-switch"),))
         cfg = tiny_cfg(shards=2, fault_plan=plan)
         with pytest.raises(ValueError, match="boundary"):
-            run_sharded_scenario(Scenario(cfg), us(100), 0.0)
+            run_scenario(cfg)
 
     def test_process_mode_rejects_stall_watchdog(self):
         plan = FaultPlan((), stall_window=us(50))
         cfg = tiny_cfg(shards=2, shard_mode="process", fault_plan=plan)
         with pytest.raises(ValueError, match="stall_window"):
-            run_sharded_scenario(Scenario(cfg), us(100), 0.0)
+            run_scenario(cfg)
 
     def test_auto_mode_resolution(self):
         # auto never picks the forked transport: it has measured
@@ -181,7 +181,7 @@ class TestConfigRestrictions:
         with pytest.raises(ValueError, match="shard_mode='process'"):
             resolve_mode(cfg)
         with pytest.raises(ValueError, match="shard_mode='process'"):
-            run_sharded_scenario(Scenario(cfg), us(100), 0.0)
+            run_scenario(cfg)
 
 
 class TestEquivalence:
@@ -223,6 +223,48 @@ def two_flow_scenario(**kw) -> Scenario:
     return sc
 
 
+class TestOneOutcomePath:
+    def test_plain_result_fields_agree_across_executors(self):
+        # max_voqs_used / retransmitted_packets / fault_summary are
+        # plain fields the merge fills from the reports: one report
+        # (serial) and two (barrier, forked) must give the same values
+        cfg = tiny_cfg(
+            flow_control="floodgate",
+            fault_plan=sharded_battery_fault_plan(),
+        )
+        serial = run_scenario(cfg)
+        assert serial.max_voqs_used > 0
+        assert serial.retransmitted_packets > 0
+        assert serial.fault_summary["injected_drops_data"] > 0
+        assert serial.fault_summary["faulted_links"] > 0
+        for mode in ("barrier", "process"):
+            sharded = run_scenario(
+                dataclasses.replace(cfg, shards=2, shard_mode=mode)
+            )
+            assert sharded.max_voqs_used == serial.max_voqs_used, mode
+            assert (
+                sharded.retransmitted_packets == serial.retransmitted_packets
+            ), mode
+            assert sharded.fault_summary == serial.fault_summary, mode
+            assert not hasattr(sharded, "shard_digests")
+
+    def test_sanitizer_interval_mismatch_rejected_before_anything_runs(self):
+        # domains sweep on the run's check_interval; a different
+        # sanitize.check_interval used to be silently ignored
+        cfg = tiny_cfg(
+            shards=2, sanitize=SanitizerConfig(check_interval=us(50))
+        )
+        sc = Scenario(cfg)
+        with pytest.raises(ValueError) as err:
+            run_scenario(cfg, scenario=sc)
+        assert "sanitize.check_interval=50000" in str(err.value)
+        assert "check_interval=100000" in str(err.value)
+        assert sc.sim.events_executed == 0 and not sc.topology.flow_table
+        # equal values pass, whichever one the caller moved
+        ok = run_scenario(cfg, check_interval=us(50))
+        assert ok.sanitizer_violations == []
+
+
 class TestOneRuntimeManyTransports:
     def test_barrier_and_process_reports_are_equal_field_for_field(self):
         # the property that makes one merge sufficient: a domain's
@@ -235,16 +277,17 @@ class TestOneRuntimeManyTransports:
                 telemetry=TelemetryConfig(),
                 sanitize=SanitizerConfig(),
             )
-            _now, out, violations, _digest = run_domains(
+            run = run_domains(
                 Scenario(cfg), us(100), collect_digests=True, isolate=True
             )
-            assert violations == []
-            return out
+            assert run.violations == [] and run.isolation_violations == []
+            assert all(run.domain_digests)
+            return run.reports
 
         barrier, process = reports("barrier"), reports("process")
         assert [r.domain for r in barrier] == [0, 1]
         for ours, theirs in zip(barrier, process, strict=True):
-            for field in dataclasses.fields(DomainReport):
+            for field in dataclasses.fields(ScopeReport):
                 a, b = getattr(ours, field.name), getattr(theirs, field.name)
                 if field.name == "stats":
                     a.canonicalize()
@@ -254,7 +297,7 @@ class TestOneRuntimeManyTransports:
         # and the reports are not vacuous
         assert sum(r.fault_summary["injected_drops_data"] for r in barrier) > 0
         assert all(r.ledger["injected"] > 0 for r in barrier)
-        assert all(r.series and r.digest for r in barrier)
+        assert all(r.series for r in barrier)
 
     @pytest.mark.parametrize("mode", ["barrier", "process"])
     def test_unbalanced_ledger_is_reported_at_the_sweep_it_occurs(self, mode):
@@ -267,7 +310,7 @@ class TestOneRuntimeManyTransports:
             start_flow(flow)
 
         host.start_flow = leaky_start
-        result = run_sharded_scenario(sc, us(100), 0.0)
+        result = run_scenario(sc.config, scenario=sc)
         assert result.completed_flows == 2
         assert result.sim_time == us(200)
         broken = [
@@ -296,7 +339,7 @@ class TestOneRuntimeManyTransports:
             lambda proc: terminated.append(proc),
         )
         with pytest.raises(RuntimeError) as err:
-            run_sharded_scenario(sc, us(100), 0.0)
+            run_scenario(sc.config, scenario=sc)
         message = str(err.value)
         assert "shard worker for domain 1 failed" in message
         assert "ValueError: boom: injected callback failure" in message

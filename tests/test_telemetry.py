@@ -3,6 +3,7 @@
 import json
 import pickle
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,10 +26,9 @@ from repro.telemetry import (
     RateSampler,
     TelemetryConfig,
     TelemetryExport,
-    TelemetryRegistry,
     render_export,
 )
-from repro.telemetry.recorder import build_export, harvest_extensions
+from repro.telemetry.recorder import DomainRecorder, build_export
 from repro.units import us
 
 
@@ -47,26 +47,6 @@ def quick_config(**kw) -> ScenarioConfig:
 
 
 class TestInstruments:
-    def test_counter_create_or_get(self):
-        reg = TelemetryRegistry()
-        a = reg.counter("drops")
-        a.inc(3)
-        assert reg.counter("drops") is a
-        assert reg.counter_values() == [("drops", "", 3)]
-
-    def test_counter_values_sorted(self):
-        reg = TelemetryRegistry()
-        reg.counter("z").inc()
-        reg.counter("a", unit="ns").inc(2)
-        assert [n for n, _, _ in reg.counter_values()] == ["a", "z"]
-
-    def test_gauge_reads_live(self):
-        reg = TelemetryRegistry()
-        box = {"v": 1}
-        g = reg.gauge("depth", lambda: box["v"])
-        box["v"] = 9
-        assert g.read() == 9
-
     def test_histogram_bins_powers_of_two(self):
         h = Histogram("fct")
         for v in (1, 2, 3, 4, 1000):
@@ -288,23 +268,12 @@ class TestOneRecorder:
         """The export again, from the recording as a pipe would carry it."""
         sc = result.scenario
         recorder = sc.telemetry
-        series, profile = pickle.loads(
-            pickle.dumps((recorder.raw_series(), recorder.raw_profile()))
+        recording = SimpleNamespace(
+            ext_harvests=recorder.harvest(sc.extensions),
+            series=recorder.raw_series(),
+            profile=recorder.raw_profile(),
         )
-        return build_export(
-            sc.config,
-            recorder.config,
-            sc.stats,
-            sim_time_ns=result.sim_time,
-            events=result.events,
-            flows_completed=result.completed_flows,
-            flows_total=result.total_flows,
-            retransmissions=result.retransmitted_packets,
-            ext_harvests=harvest_extensions(sc.extensions),
-            rpc_driver=sc.rpc_driver,
-            series=[series],
-            profiles=[profile],
-        )
+        return build_export(result, [pickle.loads(pickle.dumps(recording))])
 
     def _check(self, cfg):
         result, reference = self._run_with_reference_sampler(cfg)
@@ -338,7 +307,7 @@ class TestOneRecorder:
 
     def test_floodgate_counters_sum_except_the_maximum(self):
         result, export = self._check(quick_config())
-        harvests = harvest_extensions(result.scenario.extensions)
+        harvests = DomainRecorder.harvest(result.scenario.extensions)
         assert len(harvests) > 1
         for name in harvests[0]:
             fold = max if name.endswith("max_in_use") else sum
