@@ -317,27 +317,53 @@ class FluidSimulation:
 
     # -- the fluid step ----------------------------------------------------
 
-    def _advance(self, now: int) -> None:
+    def _sweep(self, now: int, dirty: Optional[List[int]]) -> int:
+        """Bring every active flow up to ``now`` in one pass over ``_active``.
+
+        Drains each flow at its installed rate, retires the flows that
+        are due (their resources land on ``dirty``; ``None`` retires
+        nothing — a re-share between steps, as the hybrid tier does on a
+        capacity change, leaves due flows to the step already queued
+        for them), and returns the earliest
+        projected finish among the flows that stay.
+        """
         dt = now - self._last_advance
-        if dt > 0:
-            factor = dt / SEC
-            bits = self._resource_bits
-            n_link = self._n_link_resources
-            for ff in self._active:
-                if ff.rate > 0.0:
-                    moved = ff.rate * factor
-                    ff.remaining_bits -= moved
-                    for r in ff.path:
-                        if r < n_link:
-                            bits[r] += moved
         self._last_advance = now
+        factor = dt / SEC if dt > 0 else 0.0
+        bits = self._resource_bits
+        n_link = self._n_link_resources
+        nxt = _NEVER
+        done: List[FluidFlow] = []
+        for ff in self._active:
+            if factor and ff.rate > 0.0:
+                moved = ff.rate * factor
+                ff.remaining_bits -= moved
+                for r in ff.path:
+                    if r < n_link:
+                        bits[r] += moved
+            finish = ff.proj_finish
+            if dirty is not None and (finish <= now or ff.remaining_bits <= 0.0):
+                done.append(ff)
+            elif finish < nxt:
+                nxt = finish
+        if done:
+            # every flow is advanced before the first one retires:
+            # _retire_flow reads the cumulative resource bits
+            gone = set(done)
+            self._active = [ff for ff in self._active if ff not in gone]
+            for ff in done:
+                self._unlink(ff)
+                dirty.extend(ff.path)
+                ff.remaining_bits = 0.0
+                self._retire_flow(ff, now)
+        return nxt
 
     def note_packet_bits(self, resource: int, bits: float) -> None:
         """Book packet-tier bits on a directed link (hybrid boundary).
 
         Only for traffic with *no* fluid flow representing it: fluid-
         managed flows already accumulate ``_resource_bits`` through
-        :meth:`_advance`, so booking their materialized packets here
+        :meth:`_sweep`, so booking their materialized packets here
         too would double-count utilization in :meth:`_queueing_wait`.
         """
         self._packet_bits[resource] += bits
@@ -419,23 +445,6 @@ class FluidSimulation:
                 if not bucket:
                     del res_flows[r]
 
-    def _complete_due(self, now: int, dirty: List[int]) -> bool:
-        """Retire flows whose projected finish has arrived."""
-        done = [
-            ff
-            for ff in self._active
-            if ff.proj_finish <= now or ff.remaining_bits <= 0.0
-        ]
-        if not done:
-            return False
-        self._active = [ff for ff in self._active if ff not in done]
-        for ff in done:
-            self._unlink(ff)
-            dirty.extend(ff.path)
-            ff.remaining_bits = 0.0
-            self._retire_flow(ff, now)
-        return True
-
     def _on_admit(self, ff: FluidFlow, now: int) -> None:
         ff.admit_time = now
         bits = self._resource_bits
@@ -452,15 +461,13 @@ class FluidSimulation:
             else:
                 bucket[ff] = None
 
-    def _admit(self, now: int, dirty: List[int]) -> bool:
-        arrived = False
+    def _admit(self, now: int, dirty: List[int]) -> None:
         if self._injected:
             for ff in self._injected:
                 self._on_admit(ff, now)
                 dirty.extend(ff.path)
             self._active.extend(self._injected)
             self._injected.clear()
-            arrived = True
         arrivals = self._arrivals
         cursor = self._arrival_cursor
         while cursor < len(arrivals) and arrivals[cursor].flow.start_time <= now:
@@ -469,54 +476,7 @@ class FluidSimulation:
             dirty.extend(ff.path)
             self._active.append(ff)
             cursor += 1
-            arrived = True
         self._arrival_cursor = cursor
-        return arrived
-
-    def _dirty_component(self, dirty: List[int]) -> List[FluidFlow]:
-        """Active flows in the connected component of the dirty links.
-
-        Max-min fairness decomposes exactly over connected components
-        of the flow/resource bipartite graph: a progressive-filling
-        round in one component never reads a rate or capacity from
-        another.  Flows outside the component therefore keep both
-        their rate and their projected finish (which stays valid
-        because ``_advance`` drained bits at exactly that rate).
-        """
-        res_flows = self._res_flows
-        visited = dict.fromkeys(dirty)
-        stack = list(visited)
-        flows: Dict[FluidFlow, None] = {}
-        while stack:
-            r = stack.pop()
-            bucket = res_flows.get(r)
-            if not bucket:
-                continue
-            for ff in bucket:
-                if ff not in flows:
-                    flows[ff] = None
-                    for r2 in ff.path:
-                        if r2 not in visited:
-                            visited[r2] = None
-                            stack.append(r2)
-        return list(flows)
-
-    def _maxmin(self, flows: List[FluidFlow]) -> List[float]:
-        """Max-min rates for ``flows`` over compressed resources."""
-        local: Dict[int, int] = {}
-        caps: List[float] = []
-        paths: List[Tuple[int, ...]] = []
-        for ff in flows:
-            compressed = []
-            for r in ff.path:
-                li = local.get(r)
-                if li is None:
-                    li = len(caps)
-                    local[r] = li
-                    caps.append(self.capacities[r])
-                compressed.append(li)
-            paths.append(tuple(compressed))
-        return max_min_rates(paths, [ff.ceiling for ff in flows], caps)
 
     def _apply_rates(
         self, now: int, flows: List[FluidFlow], rates: List[float]
@@ -531,27 +491,70 @@ class FluidSimulation:
             else:
                 ff.proj_finish = _NEVER
 
-    def _reallocate(self, now: int, dirty: List[int]) -> None:
-        """Recompute max-min rates and projected finishes.
+    def _reallocate(self, now: int, dirty: List[int], nxt: int) -> int:
+        """Re-share the component of ``dirty``; return the next finish.
 
         Only the connected component containing ``dirty`` (the
         directed-link/VOQ resources touched by the arrivals,
         departures, or capacity changes that triggered the call) is
-        recomputed; :meth:`allocation_errors` is the full-recompute
-        reference the tests hold this against.
+        recomputed.  Max-min fairness decomposes exactly over connected
+        components of the flow/resource bipartite graph: a
+        progressive-filling round in one component never reads a rate
+        or capacity from another.  Flows outside the component
+        therefore keep both their rate and their projected finish
+        (which stays valid because :meth:`_sweep` drained bits at
+        exactly that rate); :meth:`allocation_errors` is the
+        full-recompute reference the tests hold this against.
+
+        One walk over the incidence index finds the component and is
+        the allocator's input: ``members`` maps each resource the
+        component crosses to its bucket in ``_res_flows`` (inside a
+        component the bucket *is* the resource's member list), in
+        first-crossing order over the discovered flows.
+
+        ``nxt`` is the earliest projected finish :meth:`_sweep` saw
+        (finishes as they stood before this call); the return value is
+        the earliest one now.
         """
         self.reallocations += 1
-        flows = self._dirty_component(dirty)
-        if flows:
-            self._apply_rates(now, flows, self._maxmin(flows))
+        res_flows = self._res_flows
+        start = dict.fromkeys(dirty)
+        stack = list(start)
+        members: Dict[int, Dict[FluidFlow, None]] = {}
+        paths: Dict[FluidFlow, Tuple[int, ...]] = {}
+        ceilings: Dict[FluidFlow, float] = {}
+        stale = _NEVER
+        while stack:
+            bucket = res_flows.get(stack.pop())
+            if not bucket:
+                continue
+            for ff in bucket:
+                if ff not in paths:
+                    path = paths[ff] = ff.path
+                    ceilings[ff] = ff.ceiling
+                    if ff.proj_finish < stale:
+                        stale = ff.proj_finish
+                    for r in path:
+                        if r not in members:
+                            members[r] = crossed = res_flows[r]
+                            # a resource ff has to itself leads nowhere
+                            if len(crossed) > 1 and r not in start:
+                                stack.append(r)
+        if not paths:
+            return nxt
+        flows = list(paths)
+        self._apply_rates(
+            now, flows, max_min_rates(paths, ceilings, self.capacities, members)
+        )
+        if stale <= nxt:
+            # the earliest finish may have been one this call moved
+            return min([ff.proj_finish for ff in self._active])
+        return min(nxt, min([ff.proj_finish for ff in flows]))
 
-    def _schedule_next_completion(self) -> None:
-        nxt = _NEVER
-        for ff in self._active:
-            if ff.proj_finish < nxt:
-                nxt = ff.proj_finish
+    def _arm_completion(self, nxt: int) -> None:
+        """Keep one pending ``_process`` event at the earliest finish."""
         ev = self._completion_ev
-        if nxt == _NEVER:
+        if nxt >= _NEVER:
             if ev is not None:
                 ev.cancel()
                 self._completion_ev = None
@@ -563,15 +566,14 @@ class FluidSimulation:
         self._completion_ev = self.sim.schedule_at(nxt, self._process)
 
     def _process(self) -> None:
-        """One fluid step: advance, retire, admit, re-share, re-arm."""
+        """One fluid step: advance and retire, admit, re-share, re-arm."""
         now = self.sim.now
-        self._advance(now)
         dirty: List[int] = []
-        changed = self._complete_due(now, dirty)
-        changed = self._admit(now, dirty) or changed
-        if changed:
-            self._reallocate(now, dirty)
-        self._schedule_next_completion()
+        nxt = self._sweep(now, dirty)
+        self._admit(now, dirty)
+        if dirty:
+            nxt = self._reallocate(now, dirty, nxt)
+        self._arm_completion(nxt)
 
     # -- invariants (consumed by repro.simcheck.sanitizer) -----------------
 
@@ -609,7 +611,11 @@ class FluidSimulation:
         full pass interleaves components, so float reassociation can
         shift the shared fair-share sums by ulps.
         """
-        full = self._maxmin(self._active)
+        full = max_min_rates(
+            [ff.path for ff in self._active],
+            [ff.ceiling for ff in self._active],
+            self.capacities,
+        )
         return [
             f"incremental max-min diverged for flow {ff.flow.flow_id}: "
             f"installed {ff.rate!r}, full recompute gave {rate!r}"

@@ -697,12 +697,13 @@ class HybridSimulation(FluidSimulation):
 
     def _drop_ghost(self, ghost: FluidFlow) -> None:
         now = self.sim.now
-        self._advance(now)
-        self._active = [ff for ff in self._active if ff is not ghost]
+        # the ghost drains up to now with everyone else, then leaves; a
+        # standing flow's projected finish is never the earliest one
+        nxt = self._sweep(now, None)
+        self._active.remove(ghost)
         self._unlink(ghost)
         del self._ghost_flows[ghost]
-        self._reallocate(now, list(ghost.path))
-        self._schedule_next_completion()
+        self._arm_completion(self._reallocate(now, list(ghost.path), nxt))
 
     # -- shared-bottleneck headroom ----------------------------------------
 
@@ -741,9 +742,8 @@ class HybridSimulation(FluidSimulation):
                 ghost.ceiling = target
                 dirty.append(ghost.path[0])
         if dirty:
-            self._advance(now)
-            self._reallocate(now, dirty)
-            self._schedule_next_completion()
+            nxt = self._sweep(now, None)
+            self._arm_completion(self._reallocate(now, dirty, nxt))
 
     # -- invariants (consumed by repro.simcheck.sanitizer) -----------------
 

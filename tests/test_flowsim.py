@@ -134,6 +134,65 @@ def test_incremental_allocation_equals_full_recompute_at_every_step(
     assert any(part < active for part, active in checked_reallocations)
 
 
+def test_incidence_index_and_active_list_drain_with_the_run():
+    # the allocator iterates the buckets of _res_flows directly: a flow
+    # left behind in one would be re-shared forever after it retired
+    result = run_scenario(
+        tiny_cfg(
+            fidelity="flow",
+            n_tors=4,
+            hosts_per_tor=4,
+            pattern="poisson",
+            workload="webserver",
+            poisson_load=0.6,
+            duration=us(300),
+        )
+    )
+    assert result.completed_flows == result.total_flows > 50
+    fluid = result.scenario.fluid
+    assert fluid._res_flows == {}
+    assert fluid._active == []
+
+
+def test_a_batch_of_simultaneous_departures_keeps_the_active_order():
+    """Flows that retire in one step leave ``_active`` in admission
+    order (the order ``_sweep`` books resource bits in)."""
+    from repro.experiments.scenario import Scenario
+    from repro.flowsim.model import FluidSimulation
+    from repro.workloads.poisson import FlowSpec
+
+    sc = Scenario(tiny_cfg(fidelity="flow"))
+    fs = FluidSimulation(sc)
+    rack_of = sc.rack_of()
+    hosts = sorted(rack_of)
+    dst = hosts[-1]
+    srcs = [h for h in hosts if rack_of[h] != rack_of[dst]]
+    # equal-size senders into one host finish in the same step; the
+    # long flows before, between and after them stay
+    sizes = [9_000_000, 30_000, 9_000_000, 30_000, 9_000_000]
+    fs.schedule(
+        [
+            FlowSpec(i, srcs[i % len(srcs)], dst, size, 0)
+            for i, size in enumerate(sizes)
+        ]
+    )
+    sc.sim.run(until=us(1))
+    assert [ff.flow.flow_id for ff in fs._active] == [0, 1, 2, 3, 4]
+    retired = []
+    retire = fs._retire_flow
+
+    def recording(ff, now):
+        retired.append((now, ff.flow.flow_id))
+        retire(ff, now)
+
+    fs._retire_flow = recording
+    sc.sim.run(until=us(200))
+    assert [flow_id for _, flow_id in retired] == [1, 3]
+    assert retired[0][0] == retired[1][0]
+    assert [ff.flow.flow_id for ff in fs._active] == [0, 2, 4]
+    assert fs.allocation_errors() == []
+
+
 def test_allocation_errors_reports_a_stale_rate():
     from repro.experiments.scenario import Scenario
     from repro.flowsim.model import FluidSimulation

@@ -156,6 +156,17 @@ def test_incremental_allocation_equals_full_recompute_at_every_step(
     assert any(part < active for part, active in checked_reallocations)
 
 
+def test_incidence_index_and_active_list_drain_with_the_run():
+    # ghosts, inbound boundary flows and plain fluid flows all leave the
+    # index the allocator iterates when they are done
+    result = run_scenario(mix_cfg(workload="webserver"))
+    assert result.completed_flows == result.total_flows
+    hybrid = result.scenario.hybrid
+    assert hybrid._res_flows == {}
+    assert hybrid._active == []
+    assert hybrid._ghost_flows == {}
+
+
 # -- the tolerance-free anchor: every rack hot == the packet engine -----------
 
 

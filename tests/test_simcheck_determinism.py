@@ -244,17 +244,18 @@ cfg = ScenarioConfig(
     hosts_per_tor=2,
     duration=us(200),
     seed=5,
+    fidelity=sys.argv[2],
 )
 print(run_digest(cfg).event_digest)
 """
 
 
-def _digest_under_hashseed(scheme: str, hashseed: str) -> str:
+def _digest_under_hashseed(scheme: str, fidelity: str, hashseed: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env["PYTHONHASHSEED"] = hashseed
     proc = subprocess.run(
-        [sys.executable, "-c", _HASHSEED_SCRIPT, scheme],
+        [sys.executable, "-c", _HASHSEED_SCRIPT, scheme, fidelity],
         capture_output=True,
         text=True,
         env=env,
@@ -264,12 +265,23 @@ def _digest_under_hashseed(scheme: str, hashseed: str) -> str:
     return proc.stdout.strip()
 
 
-@pytest.mark.parametrize("scheme", ["floodgate", "bfc"])
-def test_event_stream_survives_hash_seed_changes(scheme):
+@pytest.mark.parametrize(
+    ("scheme", "fidelity"),
+    [
+        pytest.param("floodgate", "packet", id="floodgate"),
+        pytest.param("bfc", "packet", id="bfc"),
+        pytest.param("floodgate", "flow", id="floodgate-flow"),
+        pytest.param("floodgate", "hybrid", id="floodgate-hybrid"),
+    ],
+)
+def test_event_stream_survives_hash_seed_changes(scheme, fidelity):
     """The SIM003 fixes (sorted() over pause/VOQ sets) make the event
     stream independent of set iteration order; two interpreters with
-    different hash seeds must replay the identical stream."""
-    d0 = _digest_under_hashseed(scheme, "0")
-    d1 = _digest_under_hashseed(scheme, "4242")
+    different hash seeds must replay the identical stream.  The fluid
+    tiers are held to it too: their allocator iterates the buckets of
+    the flow/resource incidence index (insertion-ordered dicts keyed by
+    flow objects) and every completion time is a function of its rates."""
+    d0 = _digest_under_hashseed(scheme, fidelity, "0")
+    d1 = _digest_under_hashseed(scheme, fidelity, "4242")
     assert d0 == d1
     assert len(d0) == 64
