@@ -4,8 +4,8 @@ The telemetry layer's contract mirrors the fault subsystem's: zero
 cost when off.  The engine pays exactly one ``profiler is None`` check
 per ``run()`` call (not per event), and the stats hub pays one
 ``is None`` check per FCT/queueing record.  This benchmark times the
-real event loop against a local replica with the profiler branch
-deleted, on identical event workloads, and asserts the hook costs
+real event loop against a twin recompiled from the same source with
+the profiler branch deleted, on identical event workloads, and asserts the hook costs
 < 2 %.
 
 Both variants are timed as min-of-several interleaved repeats, so a
@@ -15,13 +15,15 @@ producing a false regression.
 
 from __future__ import annotations
 
-import heapq
+import inspect
 import json
 import pathlib
+import textwrap
 import time
 
 from benchmarks.conftest import show
 
+from repro.sim import engine
 from repro.sim.engine import Simulator
 
 BENCH_FILE = pathlib.Path(__file__).resolve().parents[1] / "BENCH_telemetry.json"
@@ -37,48 +39,36 @@ MAX_OVERHEAD = 0.02
 NOISE_MARGIN = 0.02
 
 
+def _run_without_profiler_branch():
+    """``Simulator.run``, recompiled from its live source with the
+    profiler check deleted.
+
+    Built from the source rather than kept as a copy: a copy goes stale
+    the next time the heap tuple or the loop changes (it did, twice),
+    and then this benchmark times two different loops — or crashes.
+    """
+    source = textwrap.dedent(inspect.getsource(Simulator.run))
+    branch = (
+        "    if self._profiler is not None:\n"
+        "        self._run_profiled(until)\n"
+        "        return\n"
+    )
+    assert source.count(branch) == 1, "Simulator.run's profiler branch moved"
+    namespace: dict = {}
+    code = compile(source.replace(branch, ""), "<run-without-profiler>", "exec")
+    exec(code, vars(engine), namespace)
+    return namespace["run"]
+
+
 class _LegacySimulator(Simulator):
-    """Simulator with ``run`` exactly as it was before the profiler slot.
+    """Simulator whose ``run`` has no profiler slot to check.
 
     A subclass (not a wrapper) so both variants are bound methods with
     identical call overhead — the measurement isolates the one
     ``profiler is None`` check per ``run()`` call.
     """
 
-    def run(self, until=None) -> None:
-        if self._running:
-            raise RuntimeError("simulator is already running (re-entrant run())")
-        self._running = True
-        self._stopped = False
-        heap = self._heap
-        pop = heapq.heappop
-        executed = self._events_executed
-        try:
-            if until is None:
-                while heap and not self._stopped:
-                    item = pop(heap)
-                    ev = item[2]
-                    if ev is not None and ev.cancelled:
-                        continue
-                    self.now = item[0]
-                    executed += 1
-                    item[3](*item[4])
-            else:
-                while heap and not self._stopped:
-                    if heap[0][0] > until:
-                        break
-                    item = pop(heap)
-                    ev = item[2]
-                    if ev is not None and ev.cancelled:
-                        continue
-                    self.now = item[0]
-                    executed += 1
-                    item[3](*item[4])
-        finally:
-            self._events_executed = executed
-            self._running = False
-        if until is not None and self.now < until and not self._stopped:
-            self.now = until
+    run = _run_without_profiler_branch()
 
 
 def _noop() -> None:

@@ -298,19 +298,28 @@ def append_history(
 
 
 def best_history_rate(
-    data: Dict, scenario: str, machine: str, metric: str = "events_per_sec"
+    data: Dict,
+    scenario: str,
+    machine: str,
+    metric: str = "events_per_sec",
+    events: Optional[int] = None,
 ) -> Optional[int]:
     """Best recorded ``metric`` for ``scenario`` on ``machine``.
 
     Entries without a machine tag (legacy records) are skipped — they
     may come from different hardware and would poison the comparison.
+    So are entries whose ``events`` count is not ``events`` (the fresh
+    record's): event counts are deterministic, so a different count is
+    a different event model, and a rate per event of one model says
+    nothing about the other (fewer, fatter events would read as a
+    slowdown).
     """
     best: Optional[int] = None
     for entry in data.get("history", []):
         if entry.get("machine") != machine:
             continue
         rec = entry.get("scenarios", {}).get(scenario)
-        if not rec:
+        if not rec or rec.get("events") != events:
             continue
         rate = rec.get(metric, 0)
         if best is None or rate > best:
@@ -327,9 +336,10 @@ def check_gate(
     """The CI perf-smoke gate: no scenario may regress > ``max_regression``.
 
     Compares each fresh record against the best same-machine history
-    entry; a machine with no history falls back to the absolute floor
-    (CI runners change hardware, and cross-machine events/second is
-    meaningless).  Returns ``(ok, messages)``.
+    entry with the same event count; a machine with no such history
+    falls back to the absolute floor (CI runners change hardware, and
+    events/second across machines or event models is meaningless).
+    Returns ``(ok, messages)``.
     """
     machine = machine or machine_fingerprint()
     ok = True
@@ -344,10 +354,13 @@ def check_gate(
         metric = entry.gate_metric
         unit, floor = _GATE_METRICS[metric][:2]
         rate = rec.get(metric, 0)
-        best = best_history_rate(data, name, machine, metric)
+        best = best_history_rate(data, name, machine, metric, rec.get("events"))
         if best is None or best <= 0:
             bar = floor
-            basis = f"absolute floor (no history for machine {machine!r})"
+            basis = (
+                f"absolute floor (no history for machine {machine!r} "
+                "under this event model)"
+            )
         else:
             bar = round(best * (1.0 - max_regression))
             basis = f"best same-machine run {best:,} {unit} - {max_regression:.0%}"

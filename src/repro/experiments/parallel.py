@@ -47,7 +47,10 @@ from repro.experiments.scenario import ScenarioConfig
 
 #: bump when ResultSummary's layout or the simulation's semantics
 #: change in a way that invalidates previously cached runs
-CACHE_SCHEMA_VERSION = 10  # v10: maxmin_incremental / paranoid_maxmin config fields removed
+# v11: busy-until ports — ``ResultSummary.events`` (inside canonical_bytes)
+# drops for every packet-tier config, so a v10 entry would disagree with a
+# fresh run in the serial-vs-cached digest checks though nothing simulated moved
+CACHE_SCHEMA_VERSION = 11
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_PARALLEL = "REPRO_PARALLEL"

@@ -114,40 +114,46 @@ class FloodgateExtension(SwitchExtension):
         # Remember the upstream's PSN before we stamp our own: the
         # credit we eventually return must echo *their* sequence.
         pkt.upstream_psn = pkt.psn
-        if sw.is_last_hop_for(dst):
+        if dst in sw.connected_hosts:
             return False  # no window at the last hop (§3.2)
-        voq = self.pool.lookup(dst)
+        voq = self.pool.voq_of_dst.get(dst)
         if voq is not None:
             self._park(pkt, out_port, voq)
             return True
-        win = self.windows.ensure(dst, self._initial_window(dst))
+        windows = self.windows
+        win = windows.window.get(dst)
+        if win is None:
+            win = windows.ensure(dst, self._initial_window(dst))
         if win >= 1:
-            self._forward(pkt, out_port)
+            # The common case — no VOQ, window open — is dict hits and
+            # an add: consume the window, stamp the next PSN, note the
+            # first send of this (port, dst) for the switchSYN scan.
+            windows.window[dst] = win - 1
+            self._stamp_psn(pkt, out_port, dst)
+            sw.enqueue_data(pkt, out_port)
             return True
         voq = self.pool.allocate(dst, self._group_of(out_port))
         if voq is None:
-            # pool exhausted, no same-group VOQ: forced bypass (rare)
-            self._forward(pkt, out_port, consume_window=False)
+            # pool exhausted, no same-group VOQ: forced bypass (rare),
+            # forwarded without consuming the window
+            self._stamp_psn(pkt, out_port, dst)
+            sw.enqueue_data(pkt, out_port)
             return True
         self._park(pkt, out_port, voq)
         return True
 
-    def _forward(
-        self, pkt: Packet, out_port: int, consume_window: bool = True
-    ) -> None:
-        """Window-consuming fast path into the normal egress queue."""
-        dst = pkt.dst
-        if consume_window:
-            self.windows.consume(dst)
-        pkt.psn = self.windows.assign_psn(out_port, dst)
+    def _stamp_psn(self, pkt: Packet, out_port: int, dst: int) -> None:
+        """Assign the next PSN of ``(out_port, dst)`` to a departing packet."""
+        windows = self.windows
         key = (out_port, dst)
-        self.windows.last_credit_time.setdefault(key, self.sim.now)
-        self._arm_syn_scan()
-        self.switch.enqueue_data(pkt, out_port)
-
-    def _arm_syn_scan(self) -> None:
-        if self._syn_task is not None and not self._syn_task.running:
-            self._syn_task.start()
+        next_psn = windows.next_psn
+        pkt.psn = psn = next_psn.get(key, 0)
+        next_psn[key] = psn + 1
+        if psn == 0:
+            windows.last_credit_time.setdefault(key, self.sim.now)
+        syn = self._syn_task
+        if syn is not None and not syn.running:
+            syn.start()
 
     def _park(self, pkt: Packet, out_port: int, voq) -> None:
         """Buffer an incast packet in its VOQ (charged to the pool)."""
@@ -179,22 +185,23 @@ class FloodgateExtension(SwitchExtension):
     # -- VOQ drain ----------------------------------------------------------------------------
 
     def _drain_dst(self, dst: int) -> None:
-        voq = self.pool.lookup(dst)
+        voq = self.pool.voq_of_dst.get(dst)
         if voq is None:
             return
         sw = self.switch
+        windows = self.windows
+        window = windows.window
         while voq.packets:
-            head = voq.packets[0]
-            d = head.dst
-            out = sw.route_for_dst(d)
-            win = self.windows.ensure(d, self._initial_window(d))
+            d = voq.packets[0].dst
+            win = window.get(d)
+            if win is None:
+                win = windows.ensure(d, self._initial_window(d))
             if win < 1:
                 break
+            out = sw.route_for_dst(d)
             pkt = self.pool.pop(voq)
-            self.windows.consume(d)
-            pkt.psn = self.windows.assign_psn(out, d)
-            self.windows.last_credit_time.setdefault((out, d), self.sim.now)
-            self._arm_syn_scan()
+            window[d] = win - 1
+            self._stamp_psn(pkt, out, d)
             queue = self.incast_queue[out] if self.config.isolate_incast else 1
             sw.enqueue_data(pkt, out, queue_idx=queue, already_charged=True)
             self._maybe_resume_sources(d)
@@ -221,10 +228,11 @@ class FloodgateExtension(SwitchExtension):
         return False
 
     def on_dequeue(self, port: EgressPort, pkt: Packet, queue_idx: int) -> None:
-        if pkt.kind == PacketKind.DATA:
-            self.credits.note_forwarded(
-                pkt.ingress_port, pkt.dst, pkt.upstream_psn
-            )
+        # hosts keep no window (§3.2): only switch-facing ingress ports
+        # are watched, and only they are owed credits
+        in_port = pkt.ingress_port
+        if in_port in self.credits.owed:
+            self.credits.note_forwarded(in_port, pkt.dst, pkt.upstream_psn)
 
     def adjusted_qlen(self, pkt: Packet, port: EgressPort) -> Optional[int]:
         """HPCC co-existence (§8): incast packets report VOQ backlog."""

@@ -77,6 +77,12 @@ class VoqPool:
         self.voqs: List[Voq] = [Voq(i) for i in range(max_voqs)]
         self.voq_of_dst: Dict[int, Voq] = {}
         self.bytes_by_dst: Dict[int, int] = {}
+        #: VOQs currently dedicated / bytes held across them, kept as
+        #: counters (allocate, push, pop) so neither the per-allocation
+        #: high-water check nor the per-INT-record backlog read scans
+        #: all ``max_voqs`` queues
+        self._in_use = 0
+        self._bytes = 0
         self.max_in_use = 0
         self.hash_fallbacks = 0
         self.overflow_bypasses = 0
@@ -85,7 +91,7 @@ class VoqPool:
 
     @property
     def in_use_count(self) -> int:
-        return sum(1 for v in self.voqs if v.in_use)
+        return self._in_use
 
     def lookup(self, dst: int) -> Optional[Voq]:
         """The VOQ currently holding ``dst``'s packets, if any."""
@@ -96,7 +102,7 @@ class VoqPool:
         return self.bytes_by_dst.get(dst, 0)
 
     def total_bytes(self) -> int:
-        return sum(v.bytes for v in self.voqs if v.in_use)
+        return self._bytes
 
     def telemetry_counters(self) -> Dict[str, int]:
         """End-of-run counter values for :mod:`repro.telemetry`."""
@@ -115,15 +121,16 @@ class VoqPool:
         VOQ of the same group exists (caller falls back to the default
         egress queue — counted as an overflow bypass).
         """
-        for voq in self.voqs:
-            if not voq.in_use:
-                voq.in_use = True
-                voq.group = group
-                self.voq_of_dst[dst] = voq
-                used = self.in_use_count
-                if used > self.max_in_use:
-                    self.max_in_use = used
-                return voq
+        if self._in_use < len(self.voqs):
+            for voq in self.voqs:
+                if not voq.in_use:
+                    voq.in_use = True
+                    voq.group = group
+                    self.voq_of_dst[dst] = voq
+                    self._in_use += 1
+                    if self._in_use > self.max_in_use:
+                        self.max_in_use = self._in_use
+                    return voq
         same_group = [v for v in self.voqs if v.in_use and v.group == group]
         if not same_group:
             self.overflow_bypasses += 1
@@ -135,10 +142,12 @@ class VoqPool:
 
     def push(self, voq: Voq, pkt: Packet) -> None:
         voq.push(pkt)
+        self._bytes += pkt.size
         self.bytes_by_dst[pkt.dst] = self.bytes_by_dst.get(pkt.dst, 0) + pkt.size
 
     def pop(self, voq: Voq) -> Packet:
         pkt = voq.pop()
+        self._bytes -= pkt.size
         remaining = self.bytes_by_dst.get(pkt.dst, 0) - pkt.size
         if remaining > 0:
             self.bytes_by_dst[pkt.dst] = remaining
@@ -148,4 +157,5 @@ class VoqPool:
             for dst in sorted(voq.dsts):
                 self.voq_of_dst.pop(dst, None)
             voq.reset()
+            self._in_use -= 1
         return pkt

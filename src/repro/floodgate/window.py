@@ -18,7 +18,14 @@ from typing import Dict, Tuple
 
 
 class WindowTable:
-    """Sending-window state for one Floodgate switch."""
+    """Sending-window state for one Floodgate switch.
+
+    The tables are plain dicts on purpose: the extension's per-packet
+    path (``FloodgateExtension.on_data`` / ``_stamp_psn``) reads and
+    writes ``window`` and ``next_psn`` directly — the open-window case
+    is dict hits and an add, no call frames — with exactly the effect
+    of :meth:`consume` and :meth:`assign_psn`.
+    """
 
     def __init__(self) -> None:
         #: remaining window per destination, packets

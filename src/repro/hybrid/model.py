@@ -161,6 +161,10 @@ class _BoundaryChannel:
         "tick_bits",
         "ewma",
     )
+    #: absorption reads fluid state and allocates sequence numbers at
+    #: hand-off, so the port must call in when serialization ends, not
+    #: when it starts (see ``EgressPort._try_transmit``)
+    at_tx_done = True
 
     def __init__(self, hybrid, link, tor, tor_port, peer) -> None:
         self.hybrid = hybrid

@@ -81,16 +81,32 @@ class SharedBuffer:
         return self.alpha * max(free, 0)
 
     def admit(self, size: int, ingress_port: int) -> bool:
-        """Charge ``size`` bytes to the pool; False (and drop) if full."""
-        if self.used + size > self.capacity:
+        """Charge ``size`` bytes to the pool; False (and drop) if full.
+
+        An admitted packet that pushes its ingress port past the dynamic
+        threshold (minus headroom) pauses that port's upstream peer.
+        """
+        used = self.used + size
+        if used > self.capacity:
             self.dropped += 1
             return False
-        self.used += size
-        if self.used > self.max_used:
-            self.max_used = self.used
+        self.used = used
+        if used > self.max_used:
+            self.max_used = used
         if 0 <= ingress_port < self.n_ports:
-            self.ingress_bytes[ingress_port] += size
-            self._check_pause(ingress_port)
+            ingress_bytes = self.ingress_bytes
+            held = ingress_bytes[ingress_port] + size
+            ingress_bytes[ingress_port] = held
+            # threshold() with free >= 0 known (one frame per packet)
+            if (
+                self.pfc_enabled
+                and not self.ingress_paused[ingress_port]
+                and held + self.headroom > self.alpha * (self.capacity - used)
+            ):
+                self.ingress_paused[ingress_port] = True
+                self.n_paused += 1
+                if self.on_pause is not None:
+                    self.on_pause(ingress_port)
         return True
 
     def release(self, size: int, ingress_port: int) -> None:
@@ -104,7 +120,8 @@ class SharedBuffer:
                 raise RuntimeError(
                     f"ingress accounting underflow on port {ingress_port}"
                 )
-            self._check_resume(ingress_port)
+            if self.n_paused:
+                self._check_resume(ingress_port)
         # A release frees pool space, which raises every port's dynamic
         # threshold; ports paused near the boundary may resume.
         if self.n_paused and self.pfc_enabled:
@@ -113,15 +130,6 @@ class SharedBuffer:
                     self._check_resume(port)
 
     # -- PFC state machine ------------------------------------------------------------
-
-    def _check_pause(self, port: int) -> None:
-        if not self.pfc_enabled or self.ingress_paused[port]:
-            return
-        if self.ingress_bytes[port] + self.headroom > self.threshold():
-            self.ingress_paused[port] = True
-            self.n_paused += 1
-            if self.on_pause is not None:
-                self.on_pause(port)
 
     def _check_resume(self, port: int) -> None:
         if not self.pfc_enabled or not self.ingress_paused[port]:

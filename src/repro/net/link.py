@@ -1,7 +1,11 @@
 """Point-to-point full-duplex links.
 
 A link only models propagation (serialization lives in the egress
-port).  Links host two fault hooks, both zero-cost when unused:
+port).  On a healthy link the port schedules the peer's ``receive``
+itself, at transmit start; :meth:`Link.deliver` runs — when
+serialization ends — only where the delivery is decided then: the two
+fault hooks below, and a ``channel`` that asks for it
+(``at_tx_done``).  Both hooks are zero-cost when unused:
 
 * the legacy Bernoulli drop (``set_loss``) used by the paper's Fig. 12
   robustness experiment — a flat loss rate for the whole run;
@@ -84,9 +88,13 @@ class Link:
         #: topology, which keeps plain insertion-order tie-breaks.
         self.lid_ab: int = 0
         self.lid_ba: int = 0
-        #: boundary channel (repro.sim.sharded); when set, deliveries
-        #: cross a domain boundary through the channel instead of the
-        #: local heap.  None on every serial and intra-domain link.
+        #: boundary channel (repro.sim.sharded, repro.hybrid); when
+        #: set, deliveries cross a domain boundary through
+        #: ``channel.send(peer, heap_item)`` instead of the local heap.
+        #: Its ``at_tx_done`` attribute says when it must be handed the
+        #: item: False = any time (a relay; the port sends at transmit
+        #: start), True = when serialization ends (via ``deliver``).
+        #: None on every serial and intra-domain link.
         self.channel = None
 
     def set_loss(self, rate: float, rng: random.Random) -> None:
@@ -135,7 +143,9 @@ class Link:
         if self.channel is not None:
             # boundary delivery: the full ordering key is computed on
             # the sending side, so the receiving domain merges it into
-            # its heap in exactly the serial position
+            # its heap in exactly the serial position.  (Relay channels
+            # normally get the tuple straight from the port at transmit
+            # start; this is the hybrid boundary's hand-off point.)
             sim = sender.sim
             sim._seq += 1
             self.channel.send(

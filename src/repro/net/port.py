@@ -16,6 +16,15 @@ owns a configurable set of FIFO queues:
 
 Pausing is supported at two granularities: the whole port (PFC) or a
 single queue (BFC); both exempt the control queue.
+
+The wire is *busy-until*: starting a transmission records when it ends
+(``_free_at``) and, on a healthy link, schedules the peer's ``receive``
+right away at ``now + serialization + propagation`` — one heap event
+per hop.  The end of serialization is an event of its own
+(:meth:`EgressPort._wake`) only when a packet is waiting for the wire,
+and on links where delivery is decided at that moment (loss, faults,
+the hybrid boundary: :meth:`EgressPort._tx_done`).  DESIGN.md "Engine
+fast path" has the ordering argument.
 """
 
 from __future__ import annotations
@@ -50,7 +59,9 @@ class EgressPort:
         "queue_bytes",
         "rr_start",
         "_rr_next",
-        "_busy",
+        "_free_at",
+        "_wake_seq",
+        "_waking",
         "_queued",
         "_data_bytes",
         "_peer",
@@ -90,7 +101,18 @@ class EgressPort:
         self.queue_bytes: List[int] = [0] * total
         self.rr_start = 1 + n_data_queues
         self._rr_next = self.rr_start
-        self._busy = False
+        #: busy-until state.  ``_free_at`` is when the packet on the wire
+        #: finishes serializing; the port holds no "transmit done" event
+        #: for it.  ``_wake_seq`` is the sequence number reserved at
+        #: transmit start for the instant the wire frees — the key
+        #: ``(_free_at, 0, _wake_seq)`` is where that event would sit in
+        #: the heap, and it is only pushed (as :meth:`_wake`) when a
+        #: packet is waiting for the wire.  ``_waking`` latches the port
+        #: busy while a dequeue hook runs and while a ``_wake`` /
+        #: ``_tx_done`` event is in the heap.
+        self._free_at = -1
+        self._wake_seq = 0
+        self._waking = False
         #: total packets across all queues — O(1) idle check, so the
         #: post-transmit re-kick on an empty port costs one comparison
         #: instead of a queue scan
@@ -173,24 +195,69 @@ class EgressPort:
 
     def enqueue(self, pkt: "Packet", queue_idx: int = 1) -> None:
         """Append ``pkt`` to the given queue and kick the transmitter."""
-        pkt.enqueue_time = self.sim.now
+        sim = self.sim
+        now = sim.now
+        pkt.enqueue_time = now
+        if self._waking:
+            idle = False
+        else:
+            free_at = self._free_at
+            idle = now > free_at or (
+                now == free_at
+                and (sim._cur_lid or sim._cur_seq >= self._wake_seq)
+            )
+            if (
+                idle
+                and not self._queued
+                and not self.paused
+                and not self.paused_queues
+                and queue_idx < self.rr_start
+            ):
+                # idle wire, empty port, nothing paused: the scheduler
+                # could only pick this packet, so it skips the queue
+                self._try_transmit(pkt, queue_idx)
+                return
         self.queues[queue_idx].append(pkt)
         self.queue_bytes[queue_idx] += pkt.size
         self._queued += 1
         if queue_idx != CONTROL_QUEUE:
             self._data_bytes += pkt.size
-        if not self._busy:
+        if idle:
             self._try_transmit()
+        elif not self._waking:
+            # first packet to wait behind the one on the wire
+            self._waking = True
+            heappush(
+                sim._heap, (free_at, 0, self._wake_seq, None, self._wake, ())
+            )
 
     def enqueue_control(self, pkt: "Packet") -> None:
-        """Append ``pkt`` to the control queue (enqueue body inlined —
-        one call frame per ACK/credit/PFC frame)."""
-        pkt.enqueue_time = self.sim.now
+        """:meth:`enqueue` specialised to the control queue, which is
+        never paused (one call frame per ACK/credit/PFC frame)."""
+        sim = self.sim
+        now = sim.now
+        pkt.enqueue_time = now
+        if self._waking:
+            idle = False
+        else:
+            free_at = self._free_at
+            idle = now > free_at or (
+                now == free_at
+                and (sim._cur_lid or sim._cur_seq >= self._wake_seq)
+            )
+            if idle and not self._queued:
+                self._try_transmit(pkt, CONTROL_QUEUE)
+                return
         self.queues[CONTROL_QUEUE].append(pkt)
         self.queue_bytes[CONTROL_QUEUE] += pkt.size
         self._queued += 1
-        if not self._busy:
+        if idle:
             self._try_transmit()
+        elif not self._waking:
+            self._waking = True
+            heappush(
+                sim._heap, (free_at, 0, self._wake_seq, None, self._wake, ())
+            )
 
     # -- pause / resume ------------------------------------------------------------
 
@@ -249,58 +316,76 @@ class EgressPort:
                     return idx
         return -1
 
-    def _try_transmit(self) -> None:
-        if self._busy or not self._queued:
-            return
-        # inline the two overwhelmingly common scheduler outcomes
-        # (control frame waiting; single unpaused data queue) before
-        # falling back to the full priority/RR scan
-        queues = self.queues
-        if queues[CONTROL_QUEUE]:
-            idx = CONTROL_QUEUE
-        elif self.paused:
-            return
-        elif self.rr_start > 1 and queues[1] and 1 not in self.paused_queues:
-            idx = 1
-        else:
-            idx = self._pick_queue()
-            if idx < 0:
+    def _try_transmit(self, pkt: Optional["Packet"] = None, idx: int = 0) -> None:
+        """Start serializing the next eligible packet, if the wire is free.
+
+        With ``pkt`` given the caller (an enqueue) has already
+        established that the wire is idle and ``pkt`` is the only
+        candidate; it goes out of queue ``idx`` without passing through
+        it.  Otherwise the scheduler picks.  Callers other than the two
+        enqueues need no clock comparison: a packet waiting behind a
+        busy wire always has its wake in the heap, so ``_waking`` alone
+        says "busy" whenever ``_queued`` is non-zero.
+        """
+        if pkt is None:
+            if self._waking or not self._queued:
                 return
-        pkt = queues[idx].popleft()
-        size = pkt.size
-        self.queue_bytes[idx] -= size
-        self._queued -= 1
-        if idx != CONTROL_QUEUE:
-            self._data_bytes -= size
-        # mark busy *before* the dequeue hook: hooks may enqueue more
+            # inline the two overwhelmingly common scheduler outcomes
+            # (control frame waiting; single unpaused data queue) before
+            # falling back to the full priority/RR scan
+            queues = self.queues
+            if queues[CONTROL_QUEUE]:
+                idx = CONTROL_QUEUE
+            elif self.paused:
+                return
+            elif self.rr_start > 1 and queues[1] and 1 not in self.paused_queues:
+                idx = 1
+            else:
+                idx = self._pick_queue()
+                if idx < 0:
+                    return
+            pkt = queues[idx].popleft()
+            size = pkt.size
+            self.queue_bytes[idx] -= size
+            self._queued -= 1
+            if idx != CONTROL_QUEUE:
+                self._data_bytes -= size
+        else:
+            size = pkt.size
+        # latch busy *before* the dequeue hook: hooks may enqueue more
         # packets (VOQ drains), which must not re-enter the transmitter
-        self._busy = True
+        self._waking = True
         on_dequeue = self.on_dequeue
         if on_dequeue is not None:
             on_dequeue(self, pkt, idx)
         self.tx_bytes += size
         if pkt.ecn_capable:
             self.tx_data_bytes += size
-        # memoized serialization delay (same arithmetic as the old
-        # inline division); the schedule_call fast path is inlined —
-        # identical heap tuple, one packet-rate call frame saved
+        # memoized serialization delay (same arithmetic as
+        # serialization_delay_of, without its call frame)
         delay = self._delay_table.get(size)
         if delay is None:
             delay = int(round(size * 8 * SEC / self._bandwidth))
             self._delay_table[size] = delay
         sim = self.sim
-        sim._seq += 1
-        heappush(
-            sim._heap,
-            (sim.now + delay, 0, sim._seq, None, self._tx_done, (pkt,)),
-        )
-
-    def _tx_done(self, pkt: "Packet") -> None:
-        self._busy = False
+        self._free_at = free_at = sim.now + delay
         link = self.link
-        if link.loss_rate == 0.0 and link.fault is None and link.channel is None:
-            # healthy link: skip deliver()'s call frame and schedule the
-            # peer's receive directly (identical event tuple)
+        channel = link.channel
+        if (
+            delay
+            and link.loss_rate == 0.0
+            and link.fault is None
+            and (channel is None or not channel.at_tx_done)
+        ):
+            # Busy-until fast path: the delivery is already decided, so
+            # the peer's receive goes on the heap now, serialization and
+            # propagation in one event.  Deliveries order by the unique
+            # (time, lid), so the seq they carry is never compared.  The
+            # seq before it is reserved for the instant the wire frees:
+            # taken here, after the dequeue hook, whether or not a wake
+            # is ever pushed, so every lid-0 event draws the same seq as
+            # it would if each transmission ended in an event of its own
+            # (tests/port_pr15.py is that design; runs must be equal).
             peer = self._peer
             if peer is None:
                 peer = self._peer = link.peer_of(self.node)
@@ -308,23 +393,47 @@ class EgressPort:
                 self._lid = (
                     link.lid_ab if self.node is link.node_a else link.lid_ba
                 )
-            sim = self.sim
-            sim._seq += 1
-            heappush(
-                sim._heap,
-                (
-                    sim.now + link.delay,
-                    self._lid,
-                    sim._seq,
-                    None,
-                    peer.receive,
-                    (pkt, self._peer_port),
-                ),
+            seq = sim._seq = sim._seq + 2
+            self._wake_seq = seq - 1
+            item = (
+                free_at + link.delay,
+                self._lid,
+                seq,
+                None,
+                peer.receive,
+                (pkt, self._peer_port),
             )
+            if channel is None:
+                heappush(sim._heap, item)
+            else:
+                channel.send(peer, item)
+            if self._queued:
+                heappush(sim._heap, (free_at, 0, seq - 1, None, self._wake, ()))
+            else:
+                self._waking = False
         else:
-            link.deliver(pkt, self.node)
-        if self._queued:
-            self._try_transmit()
+            # Delivery is decided when serialization *ends* — a loss or
+            # fault draw, a link that may go down meanwhile, the hybrid
+            # boundary reading fluid state — so schedule a transmit-done
+            # event and let Link.deliver run there.  (A zero wire time
+            # would free the wire at the current instant, where key
+            # order no longer says whether that has happened yet.)
+            sim._seq += 1
+            self._wake_seq = sim._seq
+            heappush(
+                sim._heap, (free_at, 0, sim._seq, None, self._tx_done, (pkt,))
+            )
+
+    def _wake(self) -> None:
+        """The wire freed with packets waiting (fused path)."""
+        self._waking = False
+        self._try_transmit()
+
+    def _tx_done(self, pkt: "Packet") -> None:
+        """Serialization ended on a link that decides delivery now."""
+        self._waking = False
+        self.link.deliver(pkt, self.node)
+        self._try_transmit()
 
     def kick(self) -> None:
         """Re-evaluate the scheduler (after external state changed)."""

@@ -72,7 +72,8 @@ class SwitchExtension:
         return False
 
     def on_dequeue(self, port: EgressPort, pkt: Packet, queue_idx: int) -> None:
-        """Observe a packet leaving an egress queue."""
+        """Observe a DATA packet leaving an egress queue (control and
+        ACK-like frames are not reported)."""
 
     def voq_bytes_for_port(self, port_index: int) -> int:
         """Extension-held bytes logically belonging to ``port_index``."""
@@ -239,10 +240,23 @@ class Switch(Node):
         if self.tracer is not None:
             self.tracer.record(self.sim.now, self.name, "rx", pkt)
         kind = pkt.kind
-        if kind == _DATA:
-            # the vast majority of arrivals: dispatch before the
-            # control-kind ladder
-            out_port = self.route(pkt)
+        is_data = kind == _DATA
+        if is_data or IS_ACK_LIKE[kind]:
+            # data and end-to-end control are nearly every arrival:
+            # dispatch before the link-control ladder, with route()'s
+            # per-dst table hit inlined
+            try:
+                out_port = self._route_flat[pkt.dst]
+            except IndexError:
+                out_port = -1
+            if out_port < 0 or self.per_flow_ecmp:
+                out_port = self.route(pkt)
+            if not is_data:
+                # End-to-end control: strictly prioritized, not
+                # buffer-accounted (negligible size, never the
+                # congestion bottleneck).
+                self.ports[out_port].enqueue_control(pkt)
+                return
             ext = self.extension
             if ext is not None and ext.on_data(pkt, ingress_port, out_port):
                 return
@@ -279,11 +293,6 @@ class Switch(Node):
             self.pool.release(pkt)
             return
         out_port = self.route(pkt)
-        if IS_ACK_LIKE[kind]:
-            # End-to-end control: strictly prioritized, not buffer-accounted
-            # (negligible size, never the congestion bottleneck).
-            self.ports[out_port].enqueue_control(pkt)
-            return
         if self.extension is not None and self.extension.on_data(
             pkt, ingress_port, out_port
         ):
@@ -307,8 +316,9 @@ class Switch(Node):
         if buffer is None:
             raise RuntimeError(f"{self.name}: finalize() was not called")
         stats = self.stats
+        size = pkt.size
         if not already_charged:
-            if not buffer.admit(pkt.size, pkt.ingress_port):
+            if not buffer.admit(size, pkt.ingress_port):
                 self.dropped_packets += 1
                 if stats is not None:
                     stats.record_drop()
@@ -319,15 +329,16 @@ class Switch(Node):
                 self.pool.release(pkt)
                 return
         port = self.ports[out_port]
+        ecn = self.ecn
         if (
-            self.ecn is not None
+            ecn is not None
             and pkt.ecn_capable
             and not pkt.ecn_marked
-            and self.ecn.should_mark(port.data_bytes_queued)
+            and ecn.should_mark(port._data_bytes)
         ):
             pkt.ecn_marked = True
         if not already_charged:
-            self._note_port_bytes(out_port, pkt.size)
+            self._note_port_bytes(out_port, size)
             if stats is not None:
                 stats.record_switch_buffer(self.name, buffer.used)
         port.enqueue(pkt, queue_idx)
@@ -387,8 +398,8 @@ class Switch(Node):
                 pkt.int_records.append(
                     IntRecord(qlen, port.tx_bytes, self.sim.now, port.bandwidth)
                 )
-        if self.extension is not None:
-            self.extension.on_dequeue(port, pkt, queue_idx)
+            if self.extension is not None:
+                self.extension.on_dequeue(port, pkt, queue_idx)
         if stats is not None and stats.track_bandwidth:
             kind = pkt.kind
             if kind == _DATA:

@@ -87,6 +87,13 @@ class Simulator:
         #: heap of (time, lid, seq, Event-or-None, fn, args) tuples
         self._heap: list[tuple] = []
         self._seq: int = 0
+        #: ``(lid, seq)`` of the event being executed.  A busy-until
+        #: port (:mod:`repro.net.port`) compares it with the key it
+        #: reserved for the instant its wire frees, to tell whether that
+        #: instant has passed when ``now`` alone is a tie.  Outside the
+        #: loop ``_cur_lid`` is non-zero: every event at ``now`` has run.
+        self._cur_lid: int = 1
+        self._cur_seq: int = 0
         self._events_executed: int = 0
         self._running = False
         self._stopped = False
@@ -205,10 +212,12 @@ class Simulator:
             if until is None:
                 while heap and not self._stopped:
                     # single UNPACK beats five tuple index ops per event
-                    time_, _lid, _seq, ev, fn, args = pop(heap)
+                    time_, lid, seq, ev, fn, args = pop(heap)
                     if ev is not None and ev.cancelled:
                         continue
                     self.now = time_
+                    self._cur_lid = lid
+                    self._cur_seq = seq
                     executed += 1
                     fn(*args)
             else:
@@ -222,15 +231,18 @@ class Simulator:
                             pop(heap)
                             continue
                         break
-                    time_, _lid, _seq, ev, fn, args = pop(heap)
+                    time_, lid, seq, ev, fn, args = pop(heap)
                     if ev is not None and ev.cancelled:
                         continue
                     self.now = time_
+                    self._cur_lid = lid
+                    self._cur_seq = seq
                     executed += 1
                     fn(*args)
         finally:
             self._events_executed = executed
             self._running = False
+            self._cur_lid = 1
         if until is not None and self.now < until and not self._stopped:
             self.now = until
 
@@ -262,6 +274,8 @@ class Simulator:
                 if ev is not None and ev.cancelled:
                     continue
                 self.now = item[0]
+                self._cur_lid = item[1]
+                self._cur_seq = item[2]
                 executed += 1
                 t0 = perf()
                 item[4](*item[5])
@@ -270,6 +284,7 @@ class Simulator:
             profiler.wall_seconds += perf() - run_start
             self._events_executed = executed
             self._running = False
+            self._cur_lid = 1
         if until is not None and self.now < until and not self._stopped:
             self.now = until
 

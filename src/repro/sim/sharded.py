@@ -195,6 +195,9 @@ class _DirectChannel:
     """
 
     __slots__ = ("sims", "domain_of")
+    #: only relays the ordered tuple, so a port may hand it over at
+    #: transmit start (see ``EgressPort._try_transmit``)
+    at_tx_done = False
 
     def __init__(self, sims: List[Simulator], domain_of: Dict[int, int]):
         self.sims = sims
@@ -212,6 +215,7 @@ class _OutboxChannel:
     """
 
     __slots__ = ("outbox", "domain_of")
+    at_tx_done = False  # a relay, like _DirectChannel
 
     def __init__(self, outbox: List[list], domain_of: Dict[int, int]):
         self.outbox = outbox
@@ -649,8 +653,10 @@ class _LockstepTransport(_LocalTransport):
             if best_d < 0:
                 break
             sim = sims[best_d]
-            time_, _lid, _seq, _ev, fn, args = heappop(heaps[best_d])
+            time_, lid, seq, _ev, fn, args = heappop(heaps[best_d])
             sim.now = time_
+            sim._cur_lid = lid
+            sim._cur_seq = seq
             sim._events_executed += 1
             fn(*args)
             # the merged loop bypasses Simulator.run(), so the domain's
@@ -663,6 +669,7 @@ class _LockstepTransport(_LocalTransport):
                 self.now = time_
                 digest.note(fn, 0.0, 0)
         for s in sims:
+            s._cur_lid = 1  # between steps, as Simulator.run leaves it
             if s.now < until:
                 s.now = until
 

@@ -187,6 +187,23 @@ def test_gate_falls_back_to_the_absolute_floor_without_history():
     assert messages[1].startswith("GATE FAIL rpc-fanout: 9 req/s < 10")
 
 
+def test_gate_compares_only_against_history_of_the_same_event_count():
+    """Fewer events per packet must not read as a slowdown: a history
+    entry taken under another event model is no basis for events/s."""
+    prior = history("box", quick=268_072)
+    prior["history"][0]["scenarios"]["quick"]["events"] = 230_732
+    # same model, below the bar: the history entry is the basis
+    slow = {"quick": {"events": 230_732, "events_per_sec": 150_000}}
+    ok, messages = bench.check_gate(slow, prior, machine="box")
+    assert not ok and "best same-machine run 268,072" in messages[0]
+    # another event count: that entry is skipped, the floor decides
+    fused = {"quick": {"events": 149_319, "events_per_sec": 150_000}}
+    ok, messages = bench.check_gate(fused, prior, machine="box")
+    assert ok and "absolute floor" in messages[0]
+    assert bench.best_history_rate(prior, "quick", "box", events=149_319) is None
+    assert bench.best_history_rate(prior, "quick", "box", events=230_732) == 268_072
+
+
 @pytest.mark.parametrize(
     "name, record, verdict",
     [

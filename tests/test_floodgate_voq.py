@@ -124,3 +124,35 @@ class TestInvariants:
         assert pool.total_bytes() == 0
         assert all(not v.in_use for v in pool.voqs)
         assert pool.bytes_by_dst == {}
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),                           # push (else pop)
+                st.integers(min_value=1, max_value=7),   # dst
+                st.integers(min_value=64, max_value=1500),
+                st.sampled_from([GROUP_DOWN, GROUP_UP]),
+            ),
+            max_size=120,
+        )
+    )
+    def test_counters_equal_a_scan_after_any_push_pop_sequence(self, ops):
+        """``in_use_count`` / ``total_bytes`` are counters; the scans
+        they replaced are the oracle, hash-shared VOQs included."""
+        pool = VoqPool(3)
+        high_water = 0
+        for push, dst, size, group in ops:
+            voq = pool.lookup(dst)
+            if push:
+                if voq is None:
+                    voq = pool.allocate(dst, group)
+                if voq is not None:
+                    pool.push(voq, data(dst, size))
+            elif voq is not None and voq.packets:
+                pool.pop(voq)
+            in_use = sum(1 for v in pool.voqs if v.in_use)
+            high_water = max(high_water, in_use)
+            assert pool.in_use_count == in_use
+            assert pool.total_bytes() == sum(v.bytes for v in pool.voqs)
+            assert pool.total_bytes() == sum(pool.bytes_by_dst.values())
+        assert pool.max_in_use == high_water
