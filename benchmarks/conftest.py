@@ -9,7 +9,9 @@ depend on the scaled-down substrate (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import inspect
 import pathlib
+import textwrap
 import time
 
 import pytest
@@ -48,3 +50,51 @@ def show(title: str, text: str) -> None:
         )
     with RESULTS_FILE.open("a") as fh:
         fh.write(block)
+
+
+def without_fragments(fn, **fragments: str):
+    """``fn`` recompiled from its live source with each named fragment
+    deleted — the "hook-free twin" an overhead benchmark times ``fn``
+    against.
+
+    Built from the source rather than kept as a copy: a hand copy goes
+    stale the next time ``fn`` changes, and then the benchmark compares
+    two different programs and passes regardless.
+    A fragment is text of the dedented source and must occur exactly
+    once; when the hook moves or changes shape this raises, naming the
+    fragment, instead of silently timing ``fn`` against itself.
+    """
+    source = textwrap.dedent(inspect.getsource(fn))
+    for name, fragment in fragments.items():
+        found = source.count(fragment)
+        if found != 1:
+            raise ValueError(
+                f"{fn.__qualname__}: fragment {name!r} occurs {found} "
+                f"times in the live source, expected exactly once"
+            )
+        source = source.replace(fragment, "")
+    scope: dict = {}
+    filename = f"<{fn.__qualname__} without {', '.join(fragments)}>"
+    exec(compile(source, filename, "exec"), fn.__globals__, scope)
+    return scope[fn.__name__]
+
+
+def min_of_interleaved(time_hooked, time_legacy, repeats: int):
+    """``(hooked_s, legacy_s)``: the fastest of ``repeats`` timings each.
+
+    Both sides run once untimed first (the adaptive interpreter settles
+    its inline caches on the first pass, and whichever variant ran cold
+    would absorb that one-time cost), then interleaved and
+    order-alternated, so a GC pause, a noisy neighbour or slow drift
+    (thermal, frequency scaling) hits both alike instead of penalising
+    whichever runs second.
+    """
+    time_hooked()
+    time_legacy()
+    hooked: list = []
+    legacy: list = []
+    sides = ((hooked, time_hooked), (legacy, time_legacy))
+    for i in range(repeats):
+        for samples, time_one in sides if i % 2 == 0 else sides[::-1]:
+            samples.append(time_one())
+    return min(hooked), min(legacy)

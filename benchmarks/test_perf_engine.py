@@ -1,22 +1,13 @@
-"""Engine throughput benchmark (tracked via BENCH_engine.json).
+"""The sweep pool's wall-clock scaling claim.
 
-Runs the canonical fixed-seed ``quick`` scenario, appends a history
-entry to the repo-root ``BENCH_engine.json`` trajectory, and asserts
-an events/second floor.  The floor is deliberately conservative — it
-guards against order-of-magnitude regressions (a reintroduced
-per-event dunder, an O(n) poll in the runner), not against
-machine-to-machine variance; the CI perf-smoke gate
-(``repro.cli bench --gate``) handles relative regressions against
-same-machine history.
-
-Also home of the sweep pool's wall-clock scaling claim: elapsed-time
-assertions live here, never under ``tests/`` (simcheck SIM009).
+Elapsed-time assertions live here, never under ``tests/`` (simcheck
+SIM009).  Engine throughput itself is measured by
+``python3 -m benchmarks.e2e``.
 """
 
 from __future__ import annotations
 
 import math
-import pathlib
 import time
 from dataclasses import replace
 
@@ -25,31 +16,12 @@ import pytest
 from benchmarks.conftest import show
 
 from repro.experiments import registry
-from repro.experiments.bench import EVENTS_PER_SEC_FLOOR, run_and_write
 from repro.experiments.parallel import SweepTask, available_cpus, run_sweep
-
-BENCH_FILE = pathlib.Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
 #: how far above the ideal ``ceil(n_tasks / workers) / n_tasks`` share
 #: of serial wall time a pooled sweep may land (worker start-up, result
 #: pickling, a noisy neighbour on one core)
 POOL_SLACK = 0.25
-
-
-def test_engine_events_per_sec(once):
-    result = once(run_and_write, repeats=1, path=BENCH_FILE)
-    quick = result["quick"]
-    show(
-        "Engine perf (BENCH_engine.json)",
-        f"{quick['events_per_sec']:,} events/sec, "
-        f"{quick['events']:,} events in {quick['wall_seconds']}s, "
-        f"{quick['completed_flows']}/{quick['total_flows']} flows",
-    )
-    assert BENCH_FILE.exists()
-    assert quick["events"] > 100_000  # the scenario is non-trivial
-    # near-total completion; the drain window may strand a straggler
-    assert quick["completed_flows"] >= 0.95 * quick["total_flows"]
-    assert quick["events_per_sec"] >= EVENTS_PER_SEC_FLOOR
 
 
 def test_pool_wall_time_scales_with_workers():

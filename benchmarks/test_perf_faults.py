@@ -1,124 +1,36 @@
-"""Fault-hook overhead benchmark (tracked via BENCH_faults.json).
+"""Fault-hook cost when off: structural, not timed.
 
-The fault subsystem's contract is zero cost when off: a healthy
-link's ``deliver()`` pays exactly one ``fault is None`` check.  This
-benchmark times the real ``Link.deliver`` against a local replica
-with the fault branch deleted, on the same packets and the same
-simulator, and asserts the hook costs < 2 %.
-
-Both variants are timed as min-of-several interleaved repeats, so a
-GC pause or a noisy neighbour hits both sides alike rather than
-producing a false regression.
+The fault subsystem's contract is zero cost when off.  A healthy link
+never reaches ``Link.deliver``: the whole hook is one ``link.fault is
+None`` term of the fast-path condition in ``EgressPort._try_transmit``.
+One term of a ~700 ns function is below what a min-of-n timing against
+a hook-free twin resolves: measured the way ``test_perf_simcheck.py``
+measures (36 short timings over six instances per side, six runs), live
+against twin read -0.3 % .. +1.7 % and the twin against an identical
+twin -0.5 % .. +2.1 %, under a 2 % + 2 % bar.  A timing test here could
+not fail, so nothing is timed: the tests pin where the hook lives and
+that a plan-free run builds none of the machinery behind it.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import time
+import pytest
 
-from benchmarks.conftest import show
+from benchmarks.conftest import show, without_fragments
 
-from repro.net.link import Link
-from repro.net.packet import Packet, PacketKind
-from repro.sim.engine import Simulator
-
-BENCH_FILE = pathlib.Path(__file__).resolve().parents[1] / "BENCH_faults.json"
-
-#: deliveries per timed repeat; large enough to swamp timer resolution
-N_DELIVERIES = 200_000
-REPEATS = 9
-#: the acceptance bar: the is-None check must stay under 2 % overhead,
-#: padded only by measurement noise (min-of-repeats keeps that small)
-MAX_OVERHEAD = 0.02
-#: timing jitter allowance on top of the bar; a genuine added branch
-#: or attribute lookup costs far more than this
-NOISE_MARGIN = 0.02
+from repro.net.port import EgressPort
 
 
-class _Sink:
-    """Node stand-in: accepts deliveries, no behaviour."""
-
-    def __init__(self) -> None:
-        self.received = 0
-
-    def receive(self, pkt, port) -> None:
-        self.received += 1
-
-
-class _LegacyLink(Link):
-    """Link with ``deliver`` exactly as it was before the fault slot.
-
-    A subclass (not a wrapper function) so both variants are bound
-    methods with identical call overhead — the measurement isolates
-    the one ``fault is None`` branch.
-    """
-
-    __slots__ = ()
-
-    def deliver(self, pkt, sender) -> None:
-        if self.loss_rate > 0.0 and self._loss_rng is not None:
-            if self._loss_rng.random() < self.loss_rate:
-                self.dropped_packets += 1
-                return
-        peer = self.peer_of(sender)
-        peer_port = self.peer_port_of(sender)
-        self.sim.schedule_call(self.delay, peer.receive, pkt, peer_port)
-
-
-def _build(cls):
-    sim = Simulator()
-    a, b = _Sink(), _Sink()
-    link = cls(sim, a, b, bandwidth=100e9, delay=600)
-    link.port_a = 0
-    link.port_b = 0
-    pkt = Packet(PacketKind.DATA, 0, 1, 1000, flow_id=1, seq=0)
-    return sim, link, a, pkt
-
-
-def _time_one(deliver, sim, link, sender, pkt) -> float:
-    start = time.perf_counter()
-    for _ in range(N_DELIVERIES):
-        deliver(pkt, sender)
-    elapsed = time.perf_counter() - start
-    # drain the scheduled arrivals so the heap never grows across runs
-    sim.run(until=sim.now + link.delay + 1)
-    return elapsed
-
-
-def test_fault_hook_overhead_under_2_percent(once):
-    def measure():
-        sim_h, link_h, sender_h, pkt_h = _build(Link)
-        sim_l, link_l, sender_l, pkt_l = _build(_LegacyLink)
-        hooked, legacy = [], []
-        for _ in range(REPEATS):  # interleaved: noise hits both alike
-            hooked.append(
-                _time_one(link_h.deliver, sim_h, link_h, sender_h, pkt_h)
-            )
-            legacy.append(
-                _time_one(link_l.deliver, sim_l, link_l, sender_l, pkt_l)
-            )
-        return min(hooked), min(legacy)
-
-    hooked_s, legacy_s = once(measure)
-    overhead = hooked_s / legacy_s - 1.0
-    record = {
-        "benchmark": "fault_hook_overhead",
-        "deliveries": N_DELIVERIES,
-        "repeats": REPEATS,
-        "hooked_seconds": round(hooked_s, 6),
-        "legacy_seconds": round(legacy_s, 6),
-        "overhead_fraction": round(overhead, 4),
-        "budget_fraction": MAX_OVERHEAD,
-    }
-    BENCH_FILE.write_text(json.dumps(record, indent=2) + "\n")
-    show(
-        "Fault-hook overhead (BENCH_faults.json)",
-        f"{N_DELIVERIES:,} deliveries: hooked {hooked_s * 1e3:.1f} ms vs "
-        f"legacy {legacy_s * 1e3:.1f} ms -> {overhead:+.2%} "
-        f"(budget {MAX_OVERHEAD:.0%})",
+def test_fault_hook_is_one_term_of_the_port_fast_path():
+    # builds only while the term occurs exactly once, in this shape; if
+    # the hook moves or grows, this says so
+    without_fragments(
+        EgressPort._try_transmit, fault_term="        and link.fault is None\n"
     )
-    assert overhead < MAX_OVERHEAD + NOISE_MARGIN
+    with pytest.raises(ValueError, match="'gone' occurs 0 times"):
+        without_fragments(
+            EgressPort._try_transmit, gone="        and link.no_such_hook\n"
+        )
 
 
 def test_no_plan_run_pays_no_fault_events(once):

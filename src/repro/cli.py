@@ -6,9 +6,7 @@ Usage::
     floodgate-experiment run fig10 [--full]
     floodgate-experiment run tab02
     floodgate-experiment faults [--loss-rates 0.01 0.05] [--schemes floodgate ndp]
-    floodgate-experiment bench [--scenario <registry name>|all]
-                               [--repeats 3] [--gate] [--out BENCH_engine.json]
-    floodgate-experiment scenarios list [--tag bench]
+    floodgate-experiment scenarios list [--tag rpc]
     floodgate-experiment scenarios show NAME
     floodgate-experiment validate-flowsim [--scenario quick ...]
                                           [--tolerance 0.15] [--min-speedup 20]
@@ -24,8 +22,8 @@ Usage::
 
 The two ``validate-*`` commands are one handler over the two rows of
 ``repro.experiments.validate.TIERS`` (their defaults are that table's
-values); ``bench`` reads what to gate on and where each record lands
-from the registry entry's fields, never from its name.
+values).  Simulator speed is measured by ``python3 -m benchmarks.e2e``
+(see ``benchmarks/e2e/README.md``), not from here.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import os
 import sys
 import time
 from typing import Dict
@@ -163,9 +160,6 @@ def _scenarios(args) -> int:
     print(f"name:        {entry.name}")
     print(f"description: {entry.description}")
     print(f"tags:        {', '.join(entry.tags) or '-'}")
-    print(f"gate metric: {entry.gate_metric}")
-    if entry.min_speedup is not None:
-        print(f"min speedup: {entry.min_speedup}x over its reference twin")
     if entry.notes:
         print(f"notes:       {entry.notes}")
     print(f"configs:     {len(entry.configs)}")
@@ -333,41 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(fault_sweep.SCHEMES),
         help=f"schemes to compare (default: all {len(fault_sweep.SCHEMES)})",
     )
-    bench_p = sub.add_parser(
-        "bench",
-        help="run the engine perf benchmarks, append to BENCH_engine.json",
-    )
-    bench_p.add_argument(
-        "--scenario",
-        nargs="+",
-        default=["quick"],
-        metavar="NAME",
-        help="benchmark scenario(s) to run, by registry name (see "
-        "`scenarios list --tag bench`); 'all' runs the full matrix; "
-        "records gated on flows/s land in BENCH_flowsim.json and on "
-        "requests/s in BENCH_rpc.json (default: quick)",
-    )
-    bench_p.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="timed repetitions; the median is reported (default 3)",
-    )
-    bench_p.add_argument(
-        "--gate",
-        nargs="?",
-        type=float,
-        const=0.20,
-        default=None,
-        metavar="FRACTION",
-        help="fail (exit 1) if any scenario regresses more than FRACTION "
-        "below the best same-machine history entry (default 0.20)",
-    )
-    bench_p.add_argument(
-        "--out",
-        default=None,
-        help="output JSON path (default BENCH_engine.json, or $REPRO_BENCH_OUT)",
-    )
     for tier, rule in validate.TIERS.items():
         validate_p = sub.add_parser(
             rule.command,
@@ -380,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
             nargs="+",
             default=None,
             choices=validate.SCENARIOS,
-            help="bench scenario(s) to validate (default: "
+            help="registry scenario(s) to validate (default: "
             f"{' '.join(rule.scenarios)})",
         )
         validate_p.add_argument(
@@ -460,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenarios_list_p.add_argument(
         "--tag",
         default=None,
-        help="only scenarios carrying this tag (e.g. bench, rpc, flowsim)",
+        help="only scenarios carrying this tag (e.g. packet, rpc, flowsim)",
     )
     scenarios_show_p = scenarios_sub.add_parser(
         "show", help="print one scenario's full config(s)"
@@ -570,70 +529,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "check":
         return _check(args)
-
-    if args.command == "bench":
-        from repro.experiments.bench import (
-            check_gate,
-            gate_metric_for,
-            history_path,
-            load_bench_file,
-            run_and_write,
-            scenario_matrix,
-        )
-
-        if args.repeats < 1:
-            parser.error(f"--repeats must be >= 1, got {args.repeats}")
-        matrix = scenario_matrix()
-        names = (
-            list(matrix)
-            if "all" in args.scenario
-            else list(dict.fromkeys(args.scenario))
-        )
-        unknown = [n for n in names if n not in matrix]
-        if unknown:
-            parser.error(
-                f"unknown benchmark scenario(s) {', '.join(unknown)}; "
-                f"available scenarios: {', '.join(matrix)} (or 'all')"
-            )
-        metrics = {name: gate_metric_for(name) for name in names}
-        # gate against the history as it stood *before* this run's
-        # entry was appended, so a regression cannot hide behind itself
-        out = args.out or os.environ.get("REPRO_BENCH_OUT") or "BENCH_engine.json"
-        files = list(
-            dict.fromkeys(history_path(out, m) for m in metrics.values())
-        )
-        prior = {
-            "history": [
-                entry
-                for path in files
-                for entry in load_bench_file(path).get("history", [])
-            ]
-        }
-        print(f"Running engine benchmarks: {', '.join(names)} ...", file=sys.stderr)
-        result = run_and_write(
-            repeats=args.repeats, path=args.out, scenarios=names
-        )
-        _print_result(result)
-        for name in names:
-            rec = result[name]
-            metric = metrics[name]
-            print(
-                f"{name}: {rec[metric]:,} {metric.replace('_per_', '/')} "
-                f"(median of {rec['repeats']}, stdev {rec['wall_stdev']}s)",
-                file=sys.stderr,
-            )
-        for path in files:
-            print(f"-> {path}", file=sys.stderr)
-        if args.gate is not None:
-            records = {name: result[name] for name in names}
-            ok, messages = check_gate(
-                records, prior, max_regression=args.gate
-            )
-            for msg in messages:
-                print(msg, file=sys.stderr)
-            if not ok:
-                return 1
-        return 0
 
     module_name, desc = EXPERIMENTS[args.experiment]
     module = importlib.import_module(f"repro.experiments.figures.{module_name}")

@@ -1,27 +1,21 @@
 """Declarative scenario registry: named scenarios as data.
 
-Every named scenario the tooling refers to — the bench matrix, the
-fluid-tier twins, the closed-loop rpc workloads — lives here as one
-:class:`ScenarioEntry`: a name, a description, the config sequence it
-runs, free-form tags, and the throughput metric its bench records are
-gated on.  ``bench.py`` derives its matrix from the ``bench`` tag and
-``cli.py`` derives its ``--scenario`` choices and the ``scenarios
-list``/``scenarios show`` subcommands from the same table, so adding a
-workload is config, not code spread over three files.
+Every named scenario the tooling refers to — the packet scenarios, their
+fluid, hybrid and sharded twins, the closed-loop rpc workloads — lives
+here as one :class:`ScenarioEntry`: a name, a description, the config
+sequence it runs, free-form tags and notes.  ``cli.py`` derives
+``report --scenario`` and the ``scenarios list``/``scenarios show``
+subcommands from this table; the determinism suites, the port oracle,
+``experiments.validate`` and ``benchmarks/e2e/workloads.py`` read their
+configs from it, so adding a workload is config, not code spread over
+several files.
 
 What the tooling does with an entry is read from its *fields*, never
 from its name (the ``flowsim-``/``hybrid-``/``shard-``/``rpc-`` prefixes
-are only a naming habit):
-
-* ``gate_metric`` — the throughput the bench gate tracks, and through
-  ``bench._GATE_METRICS`` the history file the record lands in
-  (events/s -> ``BENCH_engine.json``, flows/s -> ``BENCH_flowsim.json``,
-  requests/s -> ``BENCH_rpc.json``);
-* ``min_speedup`` — the bar the gate holds the record's speedup over
-  its reference twin to (the twin itself follows from each config:
-  ``scenario.reference_config``);
-* ``validation_configs`` — the packet-tier configs the approximate
-  tiers are cross-validated on, where they differ from ``configs``.
+are only a naming habit): the reference twin a run is judged against
+follows from each config (``scenario.reference_config``), and
+``validation_configs`` names the packet-tier configs the approximate
+tiers are cross-validated on, where they differ from ``configs``.
 """
 
 from __future__ import annotations
@@ -33,31 +27,23 @@ from repro.experiments.scenario import ScenarioConfig
 from repro.rpc.spec import RpcWorkloadSpec
 from repro.units import ms, us
 
-#: metrics a bench record can be gated on (keys of the record dict)
-GATE_METRICS = ("events_per_sec", "flows_per_sec", "requests_per_sec")
-
 
 @dataclass(frozen=True)
 class ScenarioEntry:
     """One named scenario: pure data, no behavior.
 
     Multi-config entries (the incast-degree sweep) are treated as one
-    unit wherever they run: a bench repeat runs every config once.
+    unit wherever they run.
     """
 
     name: str
     description: str
     configs: Tuple[ScenarioConfig, ...]
     tags: Tuple[str, ...] = ()
-    #: throughput metric the bench gate tracks for this scenario
-    gate_metric: str = "events_per_sec"
     #: extra knob documentation shown by ``scenarios show``
     notes: str = ""
-    #: minimum speedup over the reference twin (``reference_config``)
-    #: the bench gate enforces; None records the ratio without gating
-    min_speedup: Optional[float] = None
-    #: what ``experiments.validate`` runs for this scenario when the
-    #: bench configs cannot be compared across tiers; empty -> configs
+    #: what ``experiments.validate`` runs for this scenario when
+    #: ``configs`` cannot be compared across tiers; empty -> configs
     validation_configs: Tuple[ScenarioConfig, ...] = ()
 
     def __post_init__(self) -> None:
@@ -66,12 +52,6 @@ class ScenarioEntry:
         if not self.configs:
             raise ValueError(
                 f"scenario {self.name!r} needs at least one config"
-            )
-        if self.gate_metric not in GATE_METRICS:
-            raise ValueError(
-                f"scenario {self.name!r}: unknown gate_metric "
-                f"{self.gate_metric!r}; valid values: "
-                f"{', '.join(GATE_METRICS)}"
             )
 
 
@@ -187,13 +167,12 @@ def _builtin_entries() -> List[ScenarioEntry]:
         seed=1,
     )
     # the cross-validation variant of the sweep, defined here once.
-    # The perf matrix cuts runs off long before a 255-fan-in burst can
+    # The packet sweep cuts runs off long before a 255-fan-in burst can
     # drain a 10 Gbps link, and without flow control the burst
     # collapses into drops the fluid model has no loss model for — so
-    # the approximate tiers are judged (and their twins benched) with
-    # Floodgate, a buffer that fits the burst, and a hard stop that
-    # lets it drain: flows complete on every tier and flows/second
-    # measures the engine, not the build.
+    # the approximate tiers are judged with Floodgate, a buffer that
+    # fits the burst, and a hard stop that lets it drain: flows
+    # complete on every tier.
     incast_drop_free = tuple(
         replace(
             cfg,
@@ -203,7 +182,7 @@ def _builtin_entries() -> List[ScenarioEntry]:
         )
         for cfg in incast_sweep
     )
-    # same variant on all three tiers, so their records are directly
+    # same variant on all three tiers, so their runs are directly
     # comparable
     flowsim_incast = tuple(
         replace(cfg, fidelity="flow") for cfg in incast_drop_free
@@ -214,91 +193,77 @@ def _builtin_entries() -> List[ScenarioEntry]:
     return [
         ScenarioEntry(
             "quick",
-            "bench-scale incastmix (16 hosts, webserver); the CI gate",
+            "bench-scale incastmix (16 hosts, webserver)",
             (_quick_config(),),
-            tags=("bench", "packet"),
+            tags=("packet",),
         ),
         ScenarioEntry(
             "incast256",
             "256-host leaf-spine incast-degree sweep (fan-in 64/128/255)",
             incast_sweep,
-            tags=("bench", "packet"),
+            tags=("packet",),
             validation_configs=incast_drop_free,
         ),
         ScenarioEntry(
             "fattree-a2a",
             "128-host fat-tree (k=8) Poisson all-to-all",
             (fattree,),
-            tags=("bench", "packet"),
+            tags=("packet",),
         ),
         ScenarioEntry(
             "flowsim-quick",
             "fluid tier: bench-scale incastmix at fidelity=flow",
             (replace(_quick_config(), fidelity="flow"),),
-            tags=("bench", "flowsim"),
-            gate_metric="flows_per_sec",
+            tags=("flowsim",),
         ),
         ScenarioEntry(
             "flowsim-incast256",
             "fluid tier: incast-degree sweep at fidelity=flow "
             "(validation variant: Floodgate, drop-free buffer)",
             flowsim_incast,
-            tags=("bench", "flowsim"),
-            gate_metric="flows_per_sec",
+            tags=("flowsim",),
         ),
         ScenarioEntry(
             "flowsim-fattree-a2a",
             "fluid tier: fat-tree Poisson all-to-all at fidelity=flow",
             (replace(fattree, fidelity="flow"),),
-            tags=("bench", "flowsim"),
-            gate_metric="flows_per_sec",
+            tags=("flowsim",),
         ),
         ScenarioEntry(
             "hybrid-incast256",
             "hybrid tier: incast-degree sweep with the victim rack at "
             "packet level over a fluid background",
             hybrid_incast,
-            tags=("bench", "hybrid"),
-            gate_metric="flows_per_sec",
-            notes="bench scale is smaller than the validate-hybrid runs, so "
-            "the gate sits below the 5x the validation CLI asserts",
-            min_speedup=3.0,
+            tags=("hybrid",),
         ),
         ScenarioEntry(
             "shard-incast256",
             "sharded engine (2 domains): the incast-degree sweep under "
             "conservative-parallel execution",
             tuple(replace(cfg, shards=2) for cfg in incast_sweep),
-            tags=("bench", "packet", "shard"),
-            notes="speedup_vs_serial is recorded but not gated: incast "
-            "traffic is boundary-heavy, so scaling is topology-bound",
+            tags=("packet", "shard"),
+            notes="incast traffic is boundary-heavy, so speedup over the "
+            "serial twin is topology-bound",
         ),
         ScenarioEntry(
             "shard-fattree-a2a",
             "sharded engine (4 per-pod domains): the fat-tree Poisson "
             "all-to-all under conservative-parallel execution",
             (replace(fattree, shards=4),),
-            tags=("bench", "packet", "shard"),
-            notes="the speedup gate only arms when the machine has at "
-            "least as many CPUs as shards (see bench.check_gate)",
-            min_speedup=1.8,
+            tags=("packet", "shard"),
         ),
         ScenarioEntry(
             "rpc-fanout",
             "closed-loop rpc: 8 clients x 8-way fan-out, Zipf shards, "
             "Floodgate (16 hosts)",
             (_rpc_fanout_config(),),
-            tags=("bench", "rpc", "packet"),
-            gate_metric="requests_per_sec",
-            notes="gated on requests/s; recorded in BENCH_rpc.json",
+            tags=("rpc", "packet"),
         ),
         ScenarioEntry(
             "rpc-fanout-flow",
             "fluid tier: the rpc-fanout closed loop at fidelity=flow",
             (replace(_rpc_fanout_config(), fidelity="flow"),),
-            tags=("bench", "rpc", "flowsim"),
-            gate_metric="requests_per_sec",
-            notes="gated on requests/s; recorded in BENCH_rpc.json",
+            tags=("rpc", "flowsim"),
         ),
     ]
 

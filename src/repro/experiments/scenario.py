@@ -330,8 +330,7 @@ def reference_config(
     sharded run must replay its ``"serial"`` twin, an approximate tier
     (fluid, hybrid) is measured against the ``"packet"`` engine on the
     same traffic.  A serial packet run *is* the ground truth: ``None``.
-    The bench times the twin in the same repeat and the cross-tier
-    validator compares FCTs against it, both through this one rule.
+    The cross-tier validator compares FCTs against it.
     """
     if config.shards > 1:
         return "serial", replace(config, shards=1)

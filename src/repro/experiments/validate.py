@@ -16,7 +16,7 @@ flows ride the fluid model and carry that tier's looser tolerance.
 ``cross_validate`` runs a tier over named scenarios and asserts the
 per-tier envelope in :data:`TIERS`.  Both tiers run the same configs —
 the registry entry's ``validation_configs`` (incast256 is validated in
-the drop-free regime, see ``registry.py``) or its bench configs — with
+the drop-free regime, see ``registry.py``) or its ``configs`` — with
 only the fidelity flipped, so the two CLIs bracket one scenario set
 from both sides.
 
@@ -158,9 +158,9 @@ def compare(
     """
     approx_config = replace(config, fidelity=tier)
     _, twin = reference_config(approx_config)
-    # collect before each timed run, as the bench does: otherwise the
-    # first run pays GC for the previous comparison's garbage and the
-    # speedup depends on which side goes first
+    # collect before each timed run: otherwise the first run pays GC
+    # for the previous comparison's garbage and the speedup depends on
+    # which side goes first
     gc.collect()
     approx = run_scenario(approx_config)
     gc.collect()

@@ -105,62 +105,58 @@ class DomainRecorder:
         #: (series name -> merge kind, sampler) in wiring order
         self._samplers: List[Tuple[Dict[str, str], GaugeSampler]] = []
 
-        if cfg.throughput:
-            sources: Dict[str, Callable[[], int]] = {
-                f"rx_gbps.{cls.value}": (
-                    lambda s=hub, c=cls: s.rx_bytes_of_class(c)
-                )
-                for cls in FlowClass
-            }
-            host_rx = tuple(
-                h.telemetry_gauges()["rx_data_bytes"] for h in hosts
+        sources: Dict[str, Callable[[], int]] = {
+            f"rx_gbps.{cls.value}": (
+                lambda s=hub, c=cls: s.rx_bytes_of_class(c)
             )
-            sources["rx_gbps.total"] = lambda fns=host_rx: sum(
-                f() for f in fns
+            for cls in FlowClass
+        }
+        host_rx = tuple(
+            h.telemetry_gauges()["rx_data_bytes"] for h in hosts
+        )
+        sources["rx_gbps.total"] = lambda fns=host_rx: sum(
+            f() for f in fns
+        )
+        self._samplers.append(
+            (
+                {name: KIND_RATE for name in sources},
+                _CumulativeSampler(
+                    sim, sources, cfg.interval, scale=8.0, unit="gbps"
+                ),
             )
-            self._samplers.append(
-                (
-                    {name: KIND_RATE for name in sources},
-                    _CumulativeSampler(
-                        sim, sources, cfg.interval, scale=8.0, unit="gbps"
-                    ),
-                )
-            )
+        )
 
-        if cfg.buffers:
-            gauges: Dict[str, Callable[[], int]] = {}
-            kinds = {}
-            reads = []
-            for sw in switches:
-                fn = sw.telemetry_gauges()["buffer_bytes"]
-                gauges[f"buffer_bytes.{sw.name}"] = fn
-                kinds[f"buffer_bytes.{sw.name}"] = KIND_ONE
-                reads.append(fn)
-            gauges["buffer_bytes.total"] = lambda fns=tuple(reads): sum(
-                f() for f in fns
-            )
-            kinds["buffer_bytes.total"] = KIND_SUM
-            self._samplers.append(
-                (kinds, GaugeSampler(sim, gauges, cfg.interval, unit="bytes"))
-            )
+        gauges: Dict[str, Callable[[], int]] = {}
+        kinds = {}
+        reads = []
+        for sw in switches:
+            fn = sw.telemetry_gauges()["buffer_bytes"]
+            gauges[f"buffer_bytes.{sw.name}"] = fn
+            kinds[f"buffer_bytes.{sw.name}"] = KIND_ONE
+            reads.append(fn)
+        gauges["buffer_bytes.total"] = lambda fns=tuple(reads): sum(
+            f() for f in fns
+        )
+        kinds["buffer_bytes.total"] = KIND_SUM
+        self._samplers.append(
+            (kinds, GaugeSampler(sim, gauges, cfg.interval, unit="bytes"))
+        )
 
-        if cfg.counters:
-            counter_sources = {
-                "pfc_pause_events": lambda s=hub: s.pfc_pause_events,
-                "packets_dropped": lambda s=hub: s.packets_dropped,
-            }
-            self._samplers.append(
-                (
-                    {name: KIND_SUM for name in counter_sources},
-                    GaugeSampler(sim, counter_sources, cfg.interval, unit="count"),
-                )
+        counter_sources = {
+            "pfc_pause_events": lambda s=hub: s.pfc_pause_events,
+            "packets_dropped": lambda s=hub: s.packets_dropped,
+        }
+        self._samplers.append(
+            (
+                {name: KIND_SUM for name in counter_sources},
+                GaugeSampler(sim, counter_sources, cfg.interval, unit="count"),
             )
+        )
 
-        if cfg.histograms:
-            # streaming: StatsHub feeds these behind is-None checks, and
-            # StatsHub.merge_from folds per-domain instances exactly
-            hub.fct_histogram = Histogram("fct_ns", unit="ns")
-            hub.queuing_histogram = Histogram("queuing_ns", unit="ns")
+        # streaming: StatsHub feeds these behind is-None checks, and
+        # StatsHub.merge_from folds per-domain instances exactly
+        hub.fct_histogram = Histogram("fct_ns", unit="ns")
+        hub.queuing_histogram = Histogram("queuing_ns", unit="ns")
 
         #: the caller installs this on the domain's engine (alone, or
         #: behind a ProfilerFanout when digests/probes share the slot)
@@ -222,9 +218,10 @@ def wire_rpc_histogram(scenario: "Scenario", config: TelemetryConfig) -> None:
 
     Separate from the per-domain wiring because a closed-loop driver
     belongs to the run, not to a domain: under shards the per-domain
-    hubs carry fct/queuing only.
+    hubs carry fct/queuing only.  ``config`` is unread; the sharded
+    runtime still passes it.
     """
-    if config.histograms and scenario.rpc_driver is not None:
+    if scenario.rpc_driver is not None:
         scenario.stats.rpc_histogram = Histogram("rpc_latency_ns", unit="ns")
 
 
@@ -349,34 +346,32 @@ def build_export(result, reports) -> TelemetryExport:
     cfg: TelemetryConfig = config.telemetry
     hub = result.stats
     scenario = result.scenario
-    counters: List[Tuple[str, str, int]] = []
-    if cfg.counters:
-        values: Dict[str, int] = {
-            "flows.completed": result.completed_flows,
-            "flows.total": result.total_flows,
-            "retransmissions": result.retransmitted_packets,
-        }
-        for report in reports:
-            for harvest in report.ext_harvests:
-                for name, value in harvest.items():
-                    name = f"floodgate.{name}"
-                    have = values.get(name, 0)
-                    # max_in_use is a maximum, not a sum: keep the
-                    # largest across switches
-                    values[name] = (
-                        max(have, value)
-                        if name.endswith("max_in_use")
-                        else have + value
-                    )
-        if scenario.rpc_driver is not None:
-            values["rpc.requests_issued"] = scenario.rpc_driver.requests_issued
-            values["rpc.requests_completed"] = (
-                scenario.rpc_driver.requests_completed
-            )
-        if scenario.hybrid is not None:
-            values.update(scenario.hybrid.telemetry_counters())
-        counters = [(name, "", value) for name, value in values.items()]
-        counters.extend(hub.counter_rows())
+    values: Dict[str, int] = {
+        "flows.completed": result.completed_flows,
+        "flows.total": result.total_flows,
+        "retransmissions": result.retransmitted_packets,
+    }
+    for report in reports:
+        for harvest in report.ext_harvests:
+            for name, value in harvest.items():
+                name = f"floodgate.{name}"
+                have = values.get(name, 0)
+                # max_in_use is a maximum, not a sum: keep the
+                # largest across switches
+                values[name] = (
+                    max(have, value)
+                    if name.endswith("max_in_use")
+                    else have + value
+                )
+    if scenario.rpc_driver is not None:
+        values["rpc.requests_issued"] = scenario.rpc_driver.requests_issued
+        values["rpc.requests_completed"] = (
+            scenario.rpc_driver.requests_completed
+        )
+    if scenario.hybrid is not None:
+        values.update(scenario.hybrid.telemetry_counters())
+    counters = [(name, "", value) for name, value in values.items()]
+    counters.extend(hub.counter_rows())
     histograms = [
         h
         for h in (hub.fct_histogram, hub.queuing_histogram, hub.rpc_histogram)

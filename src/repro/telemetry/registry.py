@@ -1,6 +1,6 @@
 """Telemetry configuration and the streaming histogram.
 
-:class:`TelemetryConfig` says what a run records; :class:`Histogram`
+:class:`TelemetryConfig` turns recording on; :class:`Histogram`
 is the one instrument with state of its own, installed on the
 :class:`~repro.stats.collector.StatsHub` and fed behind is-None checks.
 Everything else the export carries is read off the hub (its declared
@@ -19,22 +19,17 @@ from repro.units import us
 
 @dataclass(frozen=True)
 class TelemetryConfig:
-    """What a run records; part of :class:`ScenarioConfig`.
+    """Turns recording on; part of :class:`ScenarioConfig`.
 
+    A recorded run always carries the throughput, buffer and counter
+    series, the end-of-run counters and the FCT / queueing / rpc
+    histograms; only the sampling period and the engine profile vary.
     Frozen so it hashes into the sweep-cache fingerprint: a cached run
     can only serve requests that asked for the same telemetry.
     """
 
     #: sampling period for all periodic samplers, ns
     interval: int = us(20)
-    #: per-flow-class receive throughput series (Fig. 2's raw material)
-    throughput: bool = True
-    #: per-switch and total buffer occupancy series (Figs. 10/16)
-    buffers: bool = True
-    #: cumulative counter series (PFC events, drops) + end-of-run counters
-    counters: bool = True
-    #: FCT and queueing-delay streaming histograms
-    histograms: bool = True
     #: engine profile: per-callback event counts, heap depth
     engine_profile: bool = True
 

@@ -44,23 +44,49 @@ class TestRun:
             main([])
 
 
+def _subparsers():
+    import argparse
+
+    from repro.cli import build_parser
+
+    (subparsers,) = [
+        a
+        for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    return subparsers
+
+
+class TestSubcommands:
+    def test_the_subcommands_are_exactly_these(self):
+        assert list(_subparsers().choices) == [
+            "list",
+            "run",
+            "faults",
+            "validate-flowsim",
+            "validate-hybrid",
+            "report",
+            "scenarios",
+            "check",
+        ]
+
+    def test_bench_is_an_argparse_error_not_an_alias(self, capsys):
+        """Simulator speed has one instrument, ``python3 -m
+        benchmarks.e2e``; the CLI keeps no second one."""
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
 class TestGeneratedChoices:
     """Every ``choices`` list that mirrors a table is built from it."""
 
     @staticmethod
     def _choices(command: str, flag: str):
-        import argparse
-
-        from repro.cli import build_parser
-
-        (subparsers,) = [
-            a
-            for a in build_parser()._actions
-            if isinstance(a, argparse._SubParsersAction)
-        ]
         (action,) = [
             a
-            for a in subparsers.choices[command]._actions
+            for a in _subparsers().choices[command]._actions
             if flag in a.option_strings
         ]
         return list(action.choices)

@@ -225,32 +225,13 @@ class TestRegistry:
             registry.get("nosuch")
 
     def test_tag_filtering(self):
-        rpc_names = registry.names(tag="rpc")
-        assert rpc_names == ["rpc-fanout", "rpc-fanout-flow"]
-        assert all("bench" in registry.get(n).tags for n in rpc_names)
+        assert registry.names(tag="rpc") == ["rpc-fanout", "rpc-fanout-flow"]
+        assert registry.names(tag="nosuch") == []
 
     def test_duplicate_registration_rejected(self):
         entry = registry.get("quick")
         with pytest.raises(ValueError, match="already registered"):
             registry.register(entry)
-
-    def test_bad_gate_metric_rejected(self):
-        with pytest.raises(ValueError, match="unknown gate_metric"):
-            registry.ScenarioEntry(
-                "x", "d", (ScenarioConfig(),), gate_metric="qps"
-            )
-
-    def test_rpc_entries_gate_on_requests(self):
-        from repro.experiments.bench import gate_metric_for
-
-        assert gate_metric_for("rpc-fanout") == "requests_per_sec"
-        assert gate_metric_for("rpc-fanout-flow") == "requests_per_sec"
-        assert gate_metric_for("flowsim-quick") == "flows_per_sec"
-        assert gate_metric_for("quick") == "events_per_sec"
-        # the metric is a field of the registered entry, never inferred
-        # from the shape of an unregistered name
-        with pytest.raises(ValueError, match="unknown scenario"):
-            gate_metric_for("rpc-anything-else")
 
 
 # -- the CLI ------------------------------------------------------------------
@@ -272,19 +253,13 @@ class TestCli:
     def test_scenarios_show(self, capsys):
         assert main(["scenarios", "show", "rpc-fanout"]) == 0
         out = capsys.readouterr().out
-        assert "requests_per_sec" in out
+        assert "tags:        rpc, packet" in out
         assert '"fan_out": 8' in out
 
     def test_scenarios_show_unknown(self, capsys):
         assert main(["scenarios", "show", "nosuch"]) == 1
         err = capsys.readouterr().err
         assert "available scenarios" in err
-
-    def test_bench_unknown_scenario_lists_available(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["bench", "--scenario", "nosuch"])
-        err = capsys.readouterr().err
-        assert "rpc-fanout" in err
 
     def test_report_unknown_scenario(self, capsys):
         assert main(["report", "--scenario", "nosuch"]) == 1
