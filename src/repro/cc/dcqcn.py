@@ -99,8 +99,14 @@ class Dcqcn(CcAlgorithm):
         cc.b_stage = 0
 
     def on_ack(self, flow: Flow, pkt: "Packet", now: int) -> None:
-        self._decay_alpha(flow, now)
-        self._maybe_increase(flow, now)
+        # both updates are lazy and owe nothing until a full period has
+        # passed: test that here, a period spans dozens of ACKs
+        cc = flow.cc
+        config = self.config
+        if now - cc.last_alpha_update >= config.alpha_timer:
+            self._decay_alpha(flow, now)
+        if now - cc.last_increase >= config.increase_timer:
+            self._maybe_increase(flow, now)
 
     def on_data_sent(self, flow: Flow, size: int, now: int) -> None:
         """Drive the byte counter (called by the host on each send)."""

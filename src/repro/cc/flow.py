@@ -35,7 +35,6 @@ class Flow:
         "next_send_time",
         "send_event",
         "rto_timer",
-        "last_nack_seq",
         "cc",
         "sender_done",
         "retransmitted_packets",
@@ -73,9 +72,9 @@ class Flow:
         self.rate: float = 0.0      # pacing rate, bits/s (set by CC)
         self.cwnd_bytes: int = 1 << 60  # in-flight cap (set by CC / swnd)
         self.next_send_time = 0
+        #: handle of the pending send tick; None when none is pending
         self.send_event: Optional[Event] = None
         self.rto_timer: Optional[Timer] = None
-        self.last_nack_seq = -1
         #: per-algorithm scratch space (alpha, stages, RTT history, ...)
         self.cc = SimpleNamespace()
         self.sender_done = False

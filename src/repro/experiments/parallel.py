@@ -50,7 +50,13 @@ from repro.experiments.scenario import ScenarioConfig
 # v11: busy-until ports — ``ResultSummary.events`` (inside canonical_bytes)
 # drops for every packet-tier config, so a v10 entry would disagree with a
 # fresh run in the serial-vs-cached digest checks though nothing simulated moved
-CACHE_SCHEMA_VERSION = 11
+# v12: lazy RTO timers — a re-armed timer's carrier entry executes as a
+# no-op where a cancelled expiry was skipped uncounted, so
+# ``ResultSummary.events`` (inside canonical_bytes) rises on packet-tier
+# configs whose flows outlive an RTO period (by up to 0.5 % in the
+# registry) and a v11 entry would disagree with a fresh run in the
+# serial-vs-cached digest checks, again with nothing simulated moved
+CACHE_SCHEMA_VERSION = 12
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_PARALLEL = "REPRO_PARALLEL"

@@ -192,7 +192,8 @@ class _BoundaryChannel:
         elif pkt.kind == _DATA:
             # inward: fabric -> hot ToR (hot-to-hot cross traffic)
             hybrid._note_passthrough(self, 1, pkt.size)
-        heappush(hybrid.sim._heap, ev)
+        # the sending port's own tuple, verbatim
+        heappush(hybrid.sim._heap, ev)  # simcheck: ignore[SIM010] -- seq drawn at its transmit start
 
 
 class _InboundState:

@@ -17,13 +17,14 @@ keeps per-destination pause state (§4.3 "Hosts' support").
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable, Dict, Optional, Set
 
 from repro.cc.base import CcAlgorithm
 from repro.cc.flow import Flow
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.process import Timer
 from repro.stats.collector import StatsHub
 from repro.stats.fct import FctRecord
@@ -112,8 +113,9 @@ class Host(Node):
 
     def _kick(self, flow: Flow) -> None:
         """(Re)run the send loop, collapsing any pending send event."""
-        if flow.send_event is not None:
-            flow.send_event.cancel()
+        tick = flow.send_event
+        if tick is not None:
+            tick.cancelled = True
             flow.send_event = None
         self._try_send(flow)
 
@@ -122,49 +124,71 @@ class Host(Node):
         return flow.dst in self.paused_dsts
 
     def _try_send(self, flow: Flow) -> None:
+        """The send loop: emit one packet if the windows, the NIC pause
+        state and the pacing clock allow, and schedule the next look.
+
+        One frame per data packet: the flow geometry (``packet_size``,
+        ``inflight_bytes``, ``all_sent``) is read inline, and the next
+        tick goes onto the heap directly.  Every seq is still drawn
+        where the cancel-and-reschedule loop drew it (``enqueue``, then
+        the RTO arming, then the tick): a line-rate flow's tick lands
+        on the instant its NIC wire frees at every packet, so seq order
+        decides real outcomes (tests/host_pr17.py is that loop; runs
+        must be equal).
+        """
+        # Off the heap, ``send_event`` is the tick that just fired: its
+        # entry is popped, so the handle is free to carry the next one
+        # (its order lives in the heap tuple; ``time``/``seq`` on the
+        # handle go stale and nothing reads them).  Direct callers find
+        # it None (a flow being started) or cancelled and cleared (_kick).
+        tick = flow.send_event
         flow.send_event = None
-        if flow.sender_done or flow.all_sent:
+        seq = flow.next_seq
+        n_packets = flow.n_packets
+        if flow.sender_done or seq >= n_packets:
             return
         if self._flow_blocked(flow):
             return  # resumed when the pause lifts
-        cap = min(flow.cwnd_bytes, self._cc.swnd_bytes)
-        if flow.inflight_bytes + flow.packet_size(flow.next_seq) > cap:
+        mtu = flow.mtu
+        size = mtu if seq != n_packets - 1 else flow.size - seq * mtu
+        acked = flow.acked_seq
+        inflight = (seq - acked) * mtu if seq > acked else 0
+        if inflight + size > min(flow.cwnd_bytes, self._cc.swnd_bytes):
             return  # ACK-clocked: resumed by _receive_ack
-        now = self.sim.now
-        if now < flow.next_send_time:
-            flow.send_event = self.sim.schedule_at(
-                flow.next_send_time, self._try_send, flow
+        sim = self.sim
+        now = sim.now
+        send_time = flow.next_send_time
+        if now >= send_time:
+            pkt = self.pool.acquire(
+                _DATA, self.node_id, flow.dst, size, flow.flow_id, seq
             )
-            return
-        self._emit_data(flow)
-        if not flow.all_sent:
-            flow.send_event = self.sim.schedule_at(
-                max(flow.next_send_time, now), self._try_send, flow
-            )
-
-    def _emit_data(self, flow: Flow) -> None:
-        now = self.sim.now
-        seq = flow.next_seq
-        size = flow.packet_size(seq)
-        pkt = self.pool.acquire(
-            PacketKind.DATA, self.node_id, flow.dst, size, flow.flow_id, seq
+            pkt.sent_time = now
+            if self.int_enabled:
+                pkt.int_records = []
+            self._stamp_packet(pkt, flow)
+            flow.next_seq = seq = seq + 1
+            self.tx_data_bytes += size
+            self.tx_data_packets += 1
+            self.ports[0].enqueue(pkt, 1)
+            on_data_sent = self._cc_on_data_sent
+            if on_data_sent is not None:
+                on_data_sent(flow, size, now)
+            # pacing: space packets at flow.rate
+            rate = flow.rate
+            send_time = now + (int(size * 8 * SEC / rate) if rate > 0 else 0)
+            flow.next_send_time = send_time
+            timer = flow.rto_timer
+            if timer is not None and not timer.armed:
+                timer.start(self.rto)
+            if seq >= n_packets:
+                return
+        sim._seq = key_seq = sim._seq + 1
+        if tick is None:
+            tick = Event(send_time, key_seq, self._try_send, (flow,))
+        flow.send_event = tick
+        heappush(  # simcheck: ignore[SIM010] -- key_seq is drawn from sim._seq just above
+            sim._heap, (send_time, 0, key_seq, tick, tick.fn, tick.args)
         )
-        pkt.sent_time = now
-        if self.int_enabled:
-            pkt.int_records = []
-        self._stamp_packet(pkt, flow)
-        flow.next_seq = seq + 1
-        self.tx_data_bytes += size
-        self.tx_data_packets += 1
-        self.ports[0].enqueue(pkt, 1)
-        on_data_sent = self._cc_on_data_sent
-        if on_data_sent is not None:
-            on_data_sent(flow, size, now)
-        # pacing: space packets at flow.rate
-        gap = int(size * 8 * SEC / flow.rate) if flow.rate > 0 else 0
-        flow.next_send_time = max(now, flow.next_send_time) + gap
-        if flow.rto_timer is not None and not flow.rto_timer.armed:
-            flow.rto_timer.start(self.rto)
 
     def _stamp_packet(self, pkt: Packet, flow: Flow) -> None:
         """Hook for subclasses to tag outgoing data (e.g. BFC queues)."""
@@ -256,7 +280,7 @@ class Host(Node):
         if pkt.seq == flow.expected_seq:
             flow.expected_seq += 1
             flow.delivered_bytes += pkt.size
-            if flow.receiver_done and flow.finish_time < 0:
+            if flow.delivered_bytes >= flow.size and flow.finish_time < 0:
                 flow.finish_time = now
                 if self.stats is not None:
                     self.stats.record_fct(
@@ -316,19 +340,21 @@ class Host(Node):
         flow = self.flow_table.get(pkt.flow_id)
         if flow is None:
             return
-        now = self.sim.now
         flow.acks_received += 1
-        if pkt.seq > flow.acked_seq:
-            flow.acked_seq = pkt.seq
-            if flow.rto_timer is not None:
-                if flow.all_acked:
-                    flow.rto_timer.stop()
+        n_packets = flow.n_packets
+        acked = pkt.seq
+        if acked > flow.acked_seq:
+            flow.acked_seq = acked
+            timer = flow.rto_timer
+            if timer is not None:
+                if acked >= n_packets:
+                    timer.stop()
                 else:
-                    flow.rto_timer.start(self.rto)
-        if flow.all_acked and flow.all_sent:
+                    timer.start(self.rto)
+        if flow.acked_seq >= n_packets and flow.next_seq >= n_packets:
             flow.sender_done = True
             self.active_flows.discard(flow.flow_id)
-        self._cc.on_ack(flow, pkt, now)
+        self._cc.on_ack(flow, pkt, self.sim.now)
         if not flow.sender_done:
             self._kick(flow)
 

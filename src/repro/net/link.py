@@ -158,7 +158,7 @@ class Link:
         # events are never cancelled, and this runs once per packet
         sim = self.sim
         sim._seq += 1
-        heappush(
+        heappush(  # simcheck: ignore[SIM010] -- sim._seq is drawn on the line above
             sim._heap,
             (sim.now + self.delay, lid, sim._seq, None, peer.receive,
              (pkt, peer_port)),

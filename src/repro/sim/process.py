@@ -8,6 +8,7 @@ that can be paused and resumed without leaking events.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, Optional
 
 from repro.sim.engine import Event, Simulator
@@ -17,34 +18,78 @@ class Timer:
     """A restartable one-shot timer.
 
     ``start`` (re)arms the timer; ``stop`` disarms it.  The callback
-    fires once per arming.  Restarting an armed timer cancels the
-    pending expiry first, so at most one expiry is ever outstanding.
+    fires once per arming, at the heap key ``(deadline, 0, seq)`` with
+    ``seq`` drawn from the simulator's counter by the ``start`` that set
+    the deadline — exactly where a cancel-and-reschedule timer's expiry
+    would sit.
+
+    Re-arming is *lazy*: a retransmission timer is pushed back by every
+    ACK and almost never expires, so ``start`` on an armed timer only
+    records the new deadline and reserves its seq.  One *carrier* entry
+    per timer rides the heap; when it surfaces and is not the reserved
+    one it re-pushes itself at the reserved key, which is strictly later
+    than the key being run (the deadline is no earlier, the seq was
+    drawn later).  DESIGN.md "Engine fast path" has the argument.
     """
+
+    __slots__ = ("_sim", "_fn", "_args", "_carrier", "_deadline", "_seq")
 
     def __init__(self, sim: Simulator, fn: Callable[..., Any], *args: Any) -> None:
         self._sim = sim
         self._fn = fn
         self._args = args
-        self._event: Optional[Event] = None
+        #: the timer's one live heap entry; None exactly when unarmed.
+        #: Its ``time``/``seq`` are the key it sits at, never later than
+        #: ``(_deadline, _seq)``, the key the expiry is owed at.
+        self._carrier: Optional[Event] = None
+        self._deadline = 0
+        self._seq = 0
 
     @property
     def armed(self) -> bool:
         """True while an expiry is pending."""
-        return self._event is not None and not self._event.cancelled
+        return self._carrier is not None
 
     def start(self, delay: int) -> None:
         """Arm (or re-arm) the timer to fire ``delay`` ns from now."""
-        self.stop()
-        self._event = self._sim.schedule(delay, self._fire)
+        if delay < 0:
+            self.stop()  # a rejected re-arm has still dropped the old one
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        sim = self._sim
+        sim._seq = seq = sim._seq + 1
+        self._seq = seq
+        self._deadline = deadline = sim.now + delay
+        carrier = self._carrier
+        if carrier is not None:
+            if carrier.time <= deadline:
+                return  # the carrier surfaces first and moves itself
+            # pulled earlier than the carrier sits: it cannot ride
+            carrier.cancelled = True
+        self._carrier = carrier = Event(deadline, seq, self._fire, ())
+        heappush(sim._heap, (deadline, 0, seq, carrier, carrier.fn, ()))
 
     def stop(self) -> None:
-        """Disarm the timer if armed."""
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
+        """Disarm the timer if armed.
+
+        The carrier is cancelled, not left to lapse: a stopped timer
+        must not count as live work to ``peek_next_time``.
+        """
+        carrier = self._carrier
+        if carrier is not None:
+            carrier.cancelled = True
+            self._carrier = None
 
     def _fire(self) -> None:
-        self._event = None
+        carrier = self._carrier
+        seq = self._seq
+        if carrier.seq != seq:
+            # re-armed since this entry was pushed: ride on to the key
+            # the latest ``start`` reserved
+            carrier.time = deadline = self._deadline
+            carrier.seq = seq
+            heappush(self._sim._heap, (deadline, 0, seq, carrier, carrier.fn, ()))
+            return
+        self._carrier = None
         self._fn(*self._args)
 
 

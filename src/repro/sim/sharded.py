@@ -545,7 +545,7 @@ def _build_runtimes(
     if cfg.telemetry is not None:
         from repro.telemetry.recorder import wire_rpc_histogram
 
-        wire_rpc_histogram(scenario, cfg.telemetry)
+        wire_rpc_histogram(scenario)
     runtimes = [
         DomainRuntime(
             scenario, domain_of, d, sims[d], pools, hubs[d], outbox,

@@ -130,6 +130,9 @@ def rule_applies(rule: str, relpath: str) -> bool:
         )
     if rule == "SIM009":
         return relpath.startswith("tests/")
+    if rule == "SIM010":
+        # the engine and its helpers own the heap
+        return not relpath.startswith("src/repro/sim/")
     # SIM000 (parse errors) and SIM004 apply everywhere
     return True
 

@@ -66,6 +66,18 @@ SIM009
     claims belong in ``benchmarks/`` with a bound derived from the
     hardware they ran on.
 
+And one guards the engine's ordering contract:
+
+SIM010
+    ``heappush(<expr>._heap, ...)`` outside ``src/repro/sim/`` — a raw
+    tuple pushed onto the simulator's heap, past ``schedule*``.  Runs
+    are reproducible (and sharded runs replay the serial order) because
+    every entry's ``seq`` was drawn from, or reserved on, the one
+    ``sim._seq`` counter at the point the scheduling call it replaces
+    would have drawn it; a site that invents a seq, or skips a draw,
+    reorders ties silently.  Each such site says where its seq comes
+    from in the suppression that permits it.
+
 Suppression: append ``# simcheck: ignore[SIM00X] -- reason`` to the
 flagged line, or add a ``RULE path-glob -- justification`` line to the
 repo-root ``simcheck-allowlist.txt``.
@@ -126,6 +138,10 @@ RULES = {
         "comparison on elapsed wall-clock time inside tests/ "
         "(machine-dependent; timing claims belong in benchmarks/)"
     ),
+    "SIM010": (
+        "raw heappush onto a simulator's _heap outside sim/ "
+        "(say where the entry's seq is drawn or reserved on sim._seq)"
+    ),
 }
 
 #: ``time.<attr>`` reads that observe the wall clock
@@ -177,6 +193,13 @@ _MUTABLE_CONTAINER_CALLS = frozenset(
 )
 
 
+def _called_name(func: ast.expr) -> str | None:
+    """``f`` of ``f(...)``, ``attr`` of ``x.attr(...)``."""
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
 def _is_mutable_container(value: ast.expr) -> bool:
     """Does this module/class-level value build a mutable container?
 
@@ -187,13 +210,7 @@ def _is_mutable_container(value: ast.expr) -> bool:
     if isinstance(value, (ast.Dict, ast.List, ast.Set)):
         return True
     if isinstance(value, ast.Call):
-        func = value.func
-        name = (
-            func.id
-            if isinstance(func, ast.Name)
-            else func.attr if isinstance(func, ast.Attribute) else None
-        )
-        return name in _MUTABLE_CONTAINER_CALLS
+        return _called_name(value.func) in _MUTABLE_CONTAINER_CALLS
     return False
 
 
@@ -484,6 +501,20 @@ class _RuleVisitor(ast.NodeVisitor):
                 "SIM001",
                 node,
                 f"random.{func.attr}(...) must come from an RngRegistry stream",
+            )
+        if (
+            "SIM010" in self.enabled
+            and _called_name(func) == "heappush"
+            and node.args
+            and isinstance(node.args[0], ast.Attribute)
+            and node.args[0].attr == "_heap"
+        ):
+            self._add(
+                "SIM010",
+                node,
+                f"raw push onto `{describe(node.args[0])}` bypasses schedule*(); "
+                "the ordering contract rests on the entry's seq being drawn "
+                "or reserved on sim._seq — justify where it comes from",
             )
         if "SIM004" in self.enabled and isinstance(func, ast.Attribute):
             if func.attr in SCHEDULE_METHODS and node.args:

@@ -213,13 +213,12 @@ class DomainRecorder:
         }
 
 
-def wire_rpc_histogram(scenario: "Scenario", config: TelemetryConfig) -> None:
+def wire_rpc_histogram(scenario: "Scenario") -> None:
     """Request latencies record on the scenario hub, the driver's own sink.
 
     Separate from the per-domain wiring because a closed-loop driver
     belongs to the run, not to a domain: under shards the per-domain
-    hubs carry fct/queuing only.  ``config`` is unread; the sharded
-    runtime still passes it.
+    hubs carry fct/queuing only.
     """
     if scenario.rpc_driver is not None:
         scenario.stats.rpc_histogram = Histogram("rpc_latency_ns", unit="ns")
@@ -233,7 +232,7 @@ class TelemetryRecorder(DomainRecorder):
         super().__init__(
             scenario.sim, config, scenario.stats, topo.hosts, topo.switches
         )
-        wire_rpc_histogram(scenario, config)
+        wire_rpc_histogram(scenario)
         if self.profiler is not None:
             scenario.sim.set_profiler(self.profiler)
 

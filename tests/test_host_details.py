@@ -1,6 +1,7 @@
 """Host transport details: coalescing, pacing, RTO behaviour."""
 
 from repro.net.packet import PacketKind
+from repro.telemetry.profile import EngineProfiler
 from repro.units import gbps, ms, us
 from tests.conftest import MiniNet
 
@@ -103,6 +104,21 @@ class TestRto:
         net.run(ms(5))
         assert f.rto_timer is not None
         assert not f.rto_timer.armed
+
+
+    def test_ack_clocked_flow_keeps_the_heap_shallow(self):
+        """Every new cumulative ACK re-arms the RTO.  With a timer that
+        cancels and reschedules, each of them leaves a dead entry in the
+        heap until its 500 us lapse — depth grows with the packet count
+        (202 for this flow).  The lazy timer rides one carrier."""
+        net = MiniNet()
+        profiler = EngineProfiler()
+        net.sim.set_profiler(profiler)
+        f = net.flow(1, 0, 4, 200_000)
+        net.run(ms(5))
+        assert f.sender_done and f.acks_received == 200
+        # a 30 KB window in flight, its ACKs, one tick, one carrier
+        assert profiler.max_heap_depth <= 16
 
 
 class TestStartFlowValidation:

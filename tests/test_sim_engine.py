@@ -1,7 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicTask, Timer
@@ -303,6 +303,167 @@ class TestTimer:
         assert t.armed
         sim.run()
         assert not t.armed
+
+
+    # -- the lazy timer: one carrier entry, expiry at the eager key -----------
+
+    def test_rearms_leave_one_heap_entry(self):
+        sim = Simulator()
+        hits = []
+        t = Timer(sim, lambda: hits.append(sim.now))
+        t.start(10)
+        for i in range(100):
+            t.start(10 + i)
+        assert sim.pending_events == 1
+        sim.run()
+        assert hits == [109]
+        # the carrier surfaced once stale (t=10) and once for real
+        assert sim.events_executed == 2
+
+    def test_rearm_to_earlier_deadline_fires_at_the_earlier_one(self):
+        sim = Simulator()
+        hits = []
+        t = Timer(sim, lambda: hits.append(sim.now))
+        t.start(100)
+        t.start(10)
+        # the old carrier cannot ride to an earlier key: it is replaced
+        assert [time for time, _, _ in sim.pending_items()] == [10]
+        sim.run()
+        assert hits == [10]
+        assert sim.events_executed == 1  # the carrier at t=100 is inert
+        assert not t.armed
+
+    def test_stop_leaves_no_live_work(self):
+        sim = Simulator()
+        t = Timer(sim, lambda: None)
+        t.start(10)
+        t.start(30)  # carrier at 10, deadline 30
+        t.stop()
+        assert sim.pending_items() == []
+        assert sim.peek_next_time() is None
+        sim.run()
+        assert sim.events_executed == 0
+        assert sim.now == 0
+
+    def test_rearm_at_the_instant_the_carrier_fires(self):
+        sim = Simulator()
+        log = []
+        t = Timer(sim, log.append, "timer")
+        # three events at t=10, in seq order: the re-arm, the carrier,
+        # a bystander — the re-armed expiry owes a seq later than all
+        sim.schedule(10, t.start, 0)
+        t.start(10)
+        sim.schedule(10, log.append, "bystander")
+        sim.run()
+        assert log == ["bystander", "timer"]
+        assert sim.now == 10
+
+    def test_start_from_inside_the_callback(self):
+        sim = Simulator()
+        hits = []
+
+        def on_expiry():
+            hits.append(sim.now)
+            if len(hits) < 3:
+                t.start(7)
+
+        t = Timer(sim, on_expiry)
+        t.start(7)
+        sim.run()
+        assert hits == [7, 14, 21]
+        assert not t.armed
+
+    def test_stepped_run_ending_between_stale_carrier_and_deadline(self):
+        sim = Simulator()
+        hits = []
+        t = Timer(sim, lambda: hits.append(sim.now))
+        t.start(10)
+        sim.schedule(5, t.start, 20)  # deadline 25, carrier still at 10
+        sim.run(until=15)
+        assert hits == [] and t.armed
+        assert sim.peek_next_time() == 25
+        sim.run(until=30)
+        assert hits == [25] and not t.armed
+        assert sim.peek_next_time() is None
+
+    @pytest.mark.parametrize("armed_first", [False, True])
+    def test_negative_delay_rejected(self, armed_first):
+        """On an armed timer too, and it ends up as the eager timer's
+        did (``stop()`` then a ``schedule`` that raised): disarmed, no
+        seq drawn for the rejected call."""
+        from host_pr17 import EagerTimer
+
+        def execute(timer_cls):
+            sim = Simulator()
+            hits = []
+            t = timer_cls(sim, hits.append, 1)
+            if armed_first:
+                t.start(10)
+            seq = sim._seq
+            with pytest.raises(ValueError):
+                t.start(-1)
+            state = (t.armed, sim._seq - seq, sim.peek_next_time())
+            sim.run()
+            return state, hits
+
+        assert execute(Timer) == execute(EagerTimer) == ((False, 0, None), [])
+
+    @given(
+        program=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=6),  # when the op runs
+                st.sampled_from(["start", "start", "stop", "foreign"]),
+                st.integers(min_value=0, max_value=4),  # its delay
+            ),
+            max_size=30,
+        ),
+        on_expiry=st.lists(
+            st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
+            max_size=6,
+        ),
+        steps=st.lists(st.integers(min_value=0, max_value=12), max_size=4),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_same_firing_log_as_the_eager_timer(self, program, on_expiry, steps):
+        """Random programs of start / stop / foreign schedules on a
+        handful of instants, so ties with a deadline — armed before and
+        after the foreign event — are the common case: the interleaved
+        log must be the cancel-and-reschedule timer's."""
+        from host_pr17 import EagerTimer
+
+        def execute(timer_cls):
+            sim = Simulator()
+            log = []
+            rearms = list(on_expiry)
+
+            def expired():
+                log.append((sim.now, "expired"))
+                if rearms:
+                    delay = rearms.pop(0)
+                    if delay is not None:
+                        timer.start(delay)
+
+            timer = timer_cls(sim, expired)
+
+            def op(i, kind, delay):
+                if kind == "start":
+                    timer.start(delay)
+                elif kind == "stop":
+                    timer.stop()
+                else:
+                    sim.schedule(delay, log.append, (sim.now + delay, f"foreign{i}"))
+                log.append((sim.now, f"{kind}{i}", timer.armed))
+
+            for i, (at, kind, delay) in enumerate(program):
+                sim.schedule_at(at, op, i, kind, delay)
+            for until in sorted(steps):
+                sim.run(until=until)
+                log.append((sim.now, timer.armed, sim.peek_next_time() is None))
+            sim.run()
+            log.append((sim.now, timer.armed, sim.peek_next_time() is None))
+            return log
+
+        assert execute(Timer) == execute(EagerTimer)
 
 
 class TestPeriodicTask:

@@ -205,6 +205,54 @@ def test_sim009_clean_when_time_is_only_reported():
     assert findings == []
 
 
+# -- SIM010: raw pushes onto the simulator's heap -----------------------------
+
+RAW_PUSH = """
+    import heapq
+    from heapq import heappush
+
+    def wake(self):
+        sim = self.sim
+        sim._seq += 1
+        heappush(sim._heap, (sim.now, 0, sim._seq, None, self._wake, ()))
+        heapq.heappush(self.sim._heap, (sim.now, 0, 7, None, self._wake, ()))
+        heappush(self.backlog, (sim.now, self))  # someone else's heap
+        sim.schedule_call(0, self._wake)
+    """
+
+
+def test_sim010_flags_raw_pushes_onto_a_simulator_heap():
+    findings = scan(RAW_PUSH, enabled=frozenset({"SIM010"}))
+    assert rules_of(findings) == ["SIM010", "SIM010"]
+    assert "sim._heap" in findings[0].message
+    assert "sim._seq" in findings[0].message
+
+
+def test_sim010_suppression_names_where_the_seq_comes_from(tmp_path):
+    target = tmp_path / "src" / "repro" / "net" / "mod.py"
+    target.parent.mkdir(parents=True)
+    target.write_text(
+        "from heapq import heappush\n"
+        "def wake(sim, fn):\n"
+        "    sim._seq += 1\n"
+        "    heappush(  # simcheck: ignore[SIM010] -- sim._seq is drawn on the line above\n"
+        "        sim._heap, (sim.now, 0, sim._seq, None, fn, ())\n"
+        "    )\n"
+        "    heappush(sim._heap, (sim.now, 0, 7, None, fn, ()))\n"
+    )
+    active, suppressed, _ = check_file(target, tmp_path, [])
+    assert [(f.rule, f.line) for f in active] == [("SIM010", 7)]
+    assert [(f.rule, f.line) for f in suppressed] == [("SIM010", 4)]
+
+
+def test_sim010_exempts_the_engine_package():
+    assert rule_applies("SIM010", "src/repro/net/port.py")
+    assert rule_applies("SIM010", "src/repro/hybrid/model.py")
+    assert rule_applies("SIM010", "tests/port_pr15.py")
+    assert not rule_applies("SIM010", "src/repro/sim/engine.py")
+    assert not rule_applies("SIM010", "src/repro/sim/process.py")
+
+
 # -- SIM000 + suppression machinery -------------------------------------------
 
 
