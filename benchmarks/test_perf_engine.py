@@ -39,9 +39,16 @@ def test_pool_wall_time_scales_with_workers():
     t0 = time.perf_counter()
     run_sweep(tasks, serial=True)
     serial_wall = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    run_sweep(tasks, max_workers=workers)
-    pool_wall = time.perf_counter() - t0
+    # best of three: the first parallel burst after a serial stretch runs
+    # every task about twice as long inside its worker (two bare
+    # CPU-bound processes show the same with none of our code), and the
+    # second CPU can take two bursts to come up (0.98x, 0.84x, 0.65x of
+    # serial on consecutive sweeps); warm, a sweep lands on the ideal
+    pool_wall = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        run_sweep(tasks, max_workers=workers)
+        pool_wall = min(pool_wall, time.perf_counter() - t0)
     # with fewer workers than tasks the slowest worker runs
     # ceil(n / workers) tasks back to back: 2/3 of serial for 3 on 2
     ideal = math.ceil(len(tasks) / workers) / len(tasks)

@@ -205,20 +205,16 @@ class BfcExtension(SwitchExtension):
     def handle_control(self, pkt: Packet, in_port: int) -> bool:
         if pkt.kind == PacketKind.BFC_PAUSE:
             self.switch.ports[in_port].pause_queue(pkt.pause_port)
-            self.switch.pool.release(pkt)
             return True
         if pkt.kind == PacketKind.BFC_RESUME:
             self.switch.ports[in_port].resume_queue(pkt.pause_port)
-            self.switch.pool.release(pkt)
             return True
         return False
 
     def _send_pause(self, in_port: int, upstream_q: int, resume: bool) -> None:
         peer = self.switch.peer(in_port)
         kind = PacketKind.BFC_RESUME if resume else PacketKind.BFC_PAUSE
-        frame = self.switch.pool.acquire_control(
-            kind, self.switch.node_id, peer.node_id
-        )
+        frame = Packet.control(kind, self.switch.node_id, peer.node_id)
         frame.pause_port = upstream_q
         self.switch.ports[in_port].enqueue_control(frame)
         if not resume:
@@ -254,7 +250,6 @@ class BfcHost(Host):
     def receive(self, pkt: Packet, ingress_port: int) -> None:
         if pkt.kind == PacketKind.BFC_PAUSE:
             self.paused_queues.add(pkt.pause_port)
-            self.pool.release(pkt)
             return
         if pkt.kind == PacketKind.BFC_RESUME:
             self.paused_queues.discard(pkt.pause_port)
@@ -265,9 +260,8 @@ class BfcHost(Host):
                     and not flow.sender_done
                 ):
                     self._kick(flow)
-            self.pool.release(pkt)
             return
-        super().receive(pkt, ingress_port)  # releases via the base sink
+        super().receive(pkt, ingress_port)
 
 
 def install_bfc(

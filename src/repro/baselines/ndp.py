@@ -31,7 +31,7 @@ from repro.net.switch import SwitchExtension
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicTask, Timer
-from repro.units import MTU, bdp_packets, serialization_delay
+from repro.units import CTRL_PKT_SIZE, MTU, bdp_packets, serialization_delay
 
 
 class NdpSwitchExtension(SwitchExtension):
@@ -94,7 +94,7 @@ class NdpHost(Host):
         self.sim.schedule(gap, self._burst, flow, remaining - 1)
 
     def _ndp_send(self, flow, seq: int) -> None:
-        pkt = self.pool.acquire(
+        pkt = Packet(
             PacketKind.DATA,
             self.node_id,
             flow.dst,
@@ -166,8 +166,8 @@ class NdpHost(Host):
             flow = self.flow_table.get(flow_id)
             if flow is None or flow.receiver_done:
                 continue
-            pull = self.pool.acquire_control(
-                PacketKind.NDP_PULL, self.node_id, flow.src
+            pull = Packet(
+                PacketKind.NDP_PULL, self.node_id, flow.src, CTRL_PKT_SIZE
             )
             pull.flow_id = flow_id
             self.ports[0].enqueue_control(pull)
@@ -205,9 +205,6 @@ class NdpHost(Host):
             if self.sanitizer is not None:
                 self.sanitizer.note_pfc(self, ingress_port, False, port.paused)
             port.resume()
-        # every kind is fully consumed at the host (trimmed headers
-        # included — the NACK is a fresh frame), so recycle here
-        self.pool.release(pkt)
 
     def _rx_data(self, pkt: Packet) -> None:
         self.rx_data_packets += 1
@@ -245,7 +242,7 @@ class NdpHost(Host):
                     )
                 if self.on_flow_done is not None:
                     self.on_flow_done(flow)
-        ack = self.pool.acquire_control(PacketKind.ACK, self.node_id, flow.src)
+        ack = Packet(PacketKind.ACK, self.node_id, flow.src, CTRL_PKT_SIZE)
         ack.flow_id = flow.flow_id
         ack.seq = pkt.seq
         self.ports[0].enqueue_control(ack)
@@ -257,7 +254,7 @@ class NdpHost(Host):
         if flow is None:
             return
         cc = self._ndp_rx_state(flow)
-        nack = self.pool.acquire_control(PacketKind.NDP_NACK, self.node_id, flow.src)
+        nack = Packet(PacketKind.NDP_NACK, self.node_id, flow.src, CTRL_PKT_SIZE)
         nack.flow_id = flow.flow_id
         nack.seq = pkt.seq
         self.ports[0].enqueue_control(nack)

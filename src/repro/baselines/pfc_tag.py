@@ -94,7 +94,6 @@ class PfcTagExtension(SwitchExtension):
             sw.dropped_packets += 1
             if sw.stats is not None:
                 sw.stats.record_drop()
-            sw.pool.release(pkt)
             return
         sw._note_port_bytes(out_port, pkt.size)
         if sw.stats is not None:
@@ -119,7 +118,7 @@ class PfcTagExtension(SwitchExtension):
         if in_port in paused:
             return
         paused.add(in_port)
-        frame = self.switch.pool.acquire_control(
+        frame = Packet.control(
             PacketKind.TAG_PAUSE, self.switch.node_id, peer.node_id
         )
         frame.pause_dst = dst
@@ -132,7 +131,7 @@ class PfcTagExtension(SwitchExtension):
             return
         for in_port in sorted(paused):
             peer = self.switch.peer(in_port)
-            frame = self.switch.pool.acquire_control(
+            frame = Packet.control(
                 PacketKind.TAG_RESUME, self.switch.node_id, peer.node_id
             )
             frame.pause_dst = dst
@@ -187,12 +186,10 @@ class PfcTagExtension(SwitchExtension):
     def handle_control(self, pkt: Packet, in_port: int) -> bool:
         if pkt.kind == PacketKind.TAG_PAUSE:
             self.paused_dsts.add(pkt.pause_dst)
-            self.switch.pool.release(pkt)
             return True
         if pkt.kind == PacketKind.TAG_RESUME:
             self.paused_dsts.discard(pkt.pause_dst)
             self._drain(pkt.pause_dst)
-            self.switch.pool.release(pkt)
             return True
         return False
 

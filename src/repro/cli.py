@@ -9,11 +9,9 @@ Usage::
     floodgate-experiment scenarios list [--tag rpc]
     floodgate-experiment scenarios show NAME
     floodgate-experiment validate-flowsim [--scenario quick ...]
-                                          [--tolerance 0.15] [--min-speedup 20]
-                                          [--json FILE]
+                                          [--tolerance 0.15] [--json FILE]
     floodgate-experiment validate-hybrid [--scenario incast256 ...]
-                                         [--tolerance 0.10] [--min-speedup 5]
-                                         [--json FILE]
+                                         [--tolerance 0.10] [--json FILE]
     floodgate-experiment report [--scheme floodgate] [--out run.jsonl]
     floodgate-experiment report --from run.jsonl
     floodgate-experiment check [paths ...] [--sanitize] [--rules]
@@ -181,7 +179,7 @@ def _validate(args) -> int:
     )
     start = time.monotonic()
     ok, comparisons, messages = validate.cross_validate(
-        args.tier, names, tolerance=args.tolerance, min_speedup=args.min_speedup
+        args.tier, names, tolerance=args.tolerance
     )
     for msg in messages:
         print(msg)
@@ -331,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         validate_p = sub.add_parser(
             rule.command,
             help=f"cross-validate the {rule.label} tier against the packet "
-            "engine (FCT divergence + speedup)",
+            "engine (FCT divergence)",
         )
         validate_p.set_defaults(tier=tier)
         validate_p.add_argument(
@@ -348,14 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=rule.tolerance,
             help="max p50/p99 FCT divergence over the compared flows "
             f"(default {rule.tolerance})",
-        )
-        validate_p.add_argument(
-            "--min-speedup",
-            type=float,
-            default=rule.min_speedup,
-            help="min aggregate wall-clock speedup over "
-            f"{rule.speedup_scenario or 'all configs'}; 0 disables "
-            f"(default {rule.min_speedup:g})",
         )
         validate_p.add_argument(
             "--json",

@@ -12,9 +12,10 @@ simulations.  This module fans those runs out over a
   event/wall counters) so the unpicklable ``Scenario``/``Simulator``
   never crosses the process boundary;
 * completed runs are cached in ``REPRO_CACHE_DIR`` (or an explicit
-  ``cache=`` directory) keyed by a stable hash of the config, the task
-  function, and its arguments — a warm sweep costs one pickle load per
-  variant.
+  ``cache=`` directory) keyed by a stable hash of the package's own
+  sources, the config, the task function, and its arguments — a warm
+  sweep costs one pickle load per variant, and a cached run can only
+  answer the code that produced it.
 
 Determinism: a sweep produces byte-identical summaries whether it runs
 serially, through the pool, or from a warm cache (``tasks`` map to
@@ -30,6 +31,7 @@ Environment knobs::
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -44,19 +46,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.experiments.runner import RunOutcome, ScenarioResult, run_scenario
 from repro.experiments.scenario import ScenarioConfig
-
-#: bump when ResultSummary's layout or the simulation's semantics
-#: change in a way that invalidates previously cached runs
-# v11: busy-until ports — ``ResultSummary.events`` (inside canonical_bytes)
-# drops for every packet-tier config, so a v10 entry would disagree with a
-# fresh run in the serial-vs-cached digest checks though nothing simulated moved
-# v12: lazy RTO timers — a re-armed timer's carrier entry executes as a
-# no-op where a cancelled expiry was skipped uncounted, so
-# ``ResultSummary.events`` (inside canonical_bytes) rises on packet-tier
-# configs whose flows outlive an RTO period (by up to 0.5 % in the
-# registry) and a v11 entry would disagree with a fresh run in the
-# serial-vs-cached digest checks, again with nothing simulated moved
-CACHE_SCHEMA_VERSION = 12
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_PARALLEL = "REPRO_PARALLEL"
@@ -159,8 +148,27 @@ def config_fingerprint(config: ScenarioConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+@functools.cache
+def source_digest() -> str:
+    """Hex digest of every ``repro/**/*.py``, hashed once per process.
+
+    It stands where a hand-bumped schema version would: any edit to the
+    package — a new summary field, an event the engine counts
+    differently — orphans the runs cached before it, and nobody has to
+    remember to say so.
+    """
+    package = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        body = path.read_bytes()
+        name = path.relative_to(package).as_posix()
+        digest.update(f"{name}\0{len(body)}\0".encode())
+        digest.update(body)
+    return digest.hexdigest()
+
+
 def task_fingerprint(task: SweepTask) -> str:
-    """Cache key: config + task function identity + arguments."""
+    """Cache key: package sources + config + task function + arguments."""
     fn_id = (
         f"{task.fn.__module__}.{task.fn.__qualname__}"
         if task.fn is not None
@@ -168,7 +176,7 @@ def task_fingerprint(task: SweepTask) -> str:
     )
     payload = json.dumps(
         {
-            "schema": CACHE_SCHEMA_VERSION,
+            "source": source_digest(),
             "config": dataclasses.asdict(task.config),
             "fn": fn_id,
             "args": repr(task.args),

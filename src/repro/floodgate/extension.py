@@ -164,7 +164,6 @@ class FloodgateExtension(SwitchExtension):
             sw.dropped_packets += 1
             if sw.stats is not None:
                 sw.stats.record_drop()
-            sw.pool.release(pkt)
             return
         pkt.no_win = True
         sw._note_port_bytes(out_port, pkt.size)
@@ -217,13 +216,9 @@ class FloodgateExtension(SwitchExtension):
                 else:
                     self.windows.add_credits(dst, count)
                 self._drain_dst(dst)
-            # consumed: recycle (note self.pool is the VoqPool — the
-            # packet recycler lives on the switch)
-            self.switch.pool.release(pkt)
             return True
         if pkt.kind == PacketKind.SWITCH_SYN:
             self.credits.answer_syn(in_port, pkt.pause_dst)
-            self.switch.pool.release(pkt)
             return True
         return False
 
@@ -245,7 +240,7 @@ class FloodgateExtension(SwitchExtension):
     def _send_credit(self, port: int, dst: int, count: int, psn: int) -> None:
         sw = self.switch
         peer = sw.peer(port)
-        credit = sw.pool.acquire_control(PacketKind.CREDIT, sw.node_id, peer.node_id)
+        credit = Packet(PacketKind.CREDIT, sw.node_id, peer.node_id, CTRL_PKT_SIZE)
         credit.credits = [(dst, count)]
         credit.last_psn = psn
         sw.ports[port].enqueue_control(credit)
@@ -265,7 +260,7 @@ class FloodgateExtension(SwitchExtension):
                 peer = self.switch.peer(port)
                 if not isinstance(peer, Switch):
                     continue  # the last hop is a host: nothing to probe
-                syn = self.switch.pool.acquire_control(
+                syn = Packet.control(
                     PacketKind.SWITCH_SYN, self.switch.node_id, peer.node_id
                 )
                 syn.pause_dst = dst
@@ -289,9 +284,7 @@ class FloodgateExtension(SwitchExtension):
             return
         paused.add(pkt.src)
         self.dst_pauses_sent += 1
-        frame = self.switch.pool.acquire_control(
-            PacketKind.DST_PAUSE, self.switch.node_id, pkt.src
-        )
+        frame = Packet.control(PacketKind.DST_PAUSE, self.switch.node_id, pkt.src)
         frame.pause_dst = dst
         self.switch.ports[src_port].enqueue_control(frame)
 
@@ -307,9 +300,7 @@ class FloodgateExtension(SwitchExtension):
             src_port = self.switch.connected_hosts.get(src)
             if src_port is None:
                 continue
-            frame = self.switch.pool.acquire_control(
-                PacketKind.DST_RESUME, self.switch.node_id, src
-            )
+            frame = Packet.control(PacketKind.DST_RESUME, self.switch.node_id, src)
             frame.pause_dst = dst
             self.switch.ports[src_port].enqueue_control(frame)
         paused.clear()

@@ -5,7 +5,7 @@ named in ``ScenarioConfig.hot_racks`` or auto-selected from the
 workload's per-destination expected arrival rates — and everything
 else.  Hot racks (their ToR, hosts, and every switch a hot-to-hot path
 crosses) run the real packet engine: switch buffers, ECN, PFC,
-Floodgate credit tables, the packet pool.  All other traffic runs on
+Floodgate credit tables.  All other traffic runs on
 the inherited :class:`~repro.flowsim.model.FluidSimulation` max-min
 rate model.  Both tiers share one int-ns :class:`Simulator`, so event
 ordering, telemetry samplers, and simcheck digests work unchanged.
@@ -48,7 +48,7 @@ from heapq import heappush
 from typing import Dict, List, Optional, Tuple
 
 from repro.flowsim.model import _RHO_CAP, FluidFlow, FluidSimulation
-from repro.net.packet import PacketKind
+from repro.net.packet import Packet, PacketKind
 from repro.net.switch import Switch
 from repro.sim.engine import Event
 from repro.sim.process import PeriodicTask
@@ -551,9 +551,7 @@ class HybridSimulation(FluidSimulation):
             return
         seq = st.seq
         size = flow.packet_size(seq)
-        pkt = self.scenario.pool.acquire(
-            _DATA, flow.src, flow.dst, size, flow.flow_id, seq
-        )
+        pkt = Packet(_DATA, flow.src, flow.dst, size, flow.flow_id, seq)
         pkt.sent_time = now
         st.seq = seq + 1
         if st.seq > st.seq_high:
@@ -657,8 +655,8 @@ class HybridSimulation(FluidSimulation):
         # the hot ToR's Floodgate window keeps cycling toward cold dsts
         ext = self._floodgate_ext.get(chan.tor.node_id)
         if ext is not None:
-            credit = self.scenario.pool.acquire_control(
-                PacketKind.CREDIT, chan.peer.node_id, chan.tor.node_id
+            credit = Packet(
+                PacketKind.CREDIT, chan.peer.node_id, chan.tor.node_id, CTRL_PKT_SIZE
             )
             credit.credits = [(pkt.dst, 1)]
             credit.last_psn = pkt.psn

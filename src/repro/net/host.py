@@ -28,7 +28,7 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.process import Timer
 from repro.stats.collector import StatsHub
 from repro.stats.fct import FctRecord
-from repro.units import SEC, us
+from repro.units import CTRL_PKT_SIZE, SEC, us
 
 #: hoisted enum members for the per-packet receive dispatch
 _DATA = PacketKind.DATA
@@ -159,9 +159,7 @@ class Host(Node):
         now = sim.now
         send_time = flow.next_send_time
         if now >= send_time:
-            pkt = self.pool.acquire(
-                _DATA, self.node_id, flow.dst, size, flow.flow_id, seq
-            )
+            pkt = Packet(_DATA, self.node_id, flow.dst, size, flow.flow_id, seq)
             pkt.sent_time = now
             if self.int_enabled:
                 pkt.int_records = []
@@ -245,11 +243,6 @@ class Host(Node):
                 flow = self.flow_table[flow_id]
                 if flow.dst == pkt.pause_dst and not flow.sender_done:
                     self._kick(flow)
-        # hosts are sinks: every kind above is fully consumed here, so
-        # the packet can go straight back to the pool (handlers keep no
-        # reference — ACK INT stacks are aliased as lists, and reset()
-        # only rebinds ``int_records``, never mutates the list)
-        self.pool.release(pkt)
 
     def _receive_data(self, pkt: Packet) -> None:
         self.rx_data_packets += 1
@@ -265,8 +258,8 @@ class Host(Node):
                 self.stats.record_corrupt_rx()
             if now - flow.last_nack_time >= self.nack_interval:
                 flow.last_nack_time = now
-                nack = self.pool.acquire_control(
-                    PacketKind.NACK, self.node_id, flow.src
+                nack = Packet(
+                    PacketKind.NACK, self.node_id, flow.src, CTRL_PKT_SIZE
                 )
                 nack.flow_id = flow.flow_id
                 nack.seq = flow.expected_seq
@@ -305,8 +298,8 @@ class Host(Node):
             # gap: go-back-N NACK, rate limited
             if not flow.fluid_src and now - flow.last_nack_time >= self.nack_interval:
                 flow.last_nack_time = now
-                nack = self.pool.acquire_control(
-                    PacketKind.NACK, self.node_id, flow.src
+                nack = Packet(
+                    PacketKind.NACK, self.node_id, flow.src, CTRL_PKT_SIZE
                 )
                 nack.flow_id = flow.flow_id
                 nack.seq = flow.expected_seq
@@ -322,12 +315,12 @@ class Host(Node):
             and now - flow.last_cnp_time >= self.cnp_interval
         ):
             flow.last_cnp_time = now
-            cnp = self.pool.acquire_control(PacketKind.CNP, self.node_id, flow.src)
+            cnp = Packet(PacketKind.CNP, self.node_id, flow.src, CTRL_PKT_SIZE)
             cnp.flow_id = flow.flow_id
             self.ports[0].enqueue_control(cnp)
 
     def _send_ack(self, flow: Flow, data_pkt: Packet) -> None:
-        ack = self.pool.acquire_control(PacketKind.ACK, self.node_id, flow.src)
+        ack = Packet(PacketKind.ACK, self.node_id, flow.src, CTRL_PKT_SIZE)
         ack.flow_id = flow.flow_id
         ack.seq = flow.expected_seq
         ack.echo_time = data_pkt.sent_time

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List
 
 from repro.sim.engine import Simulator
-from repro.net.packet import DISABLED_POOL, PacketPool
 from repro.net.port import EgressPort
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -22,10 +21,6 @@ class Node:
         self.name = name or f"node{node_id}"
         self.ports: List[EgressPort] = []
         self.links: List["Link"] = []
-        #: packet recycler shared by every node in a scenario; the
-        #: module-level disabled pool by default, so allocation sites
-        #: can call ``self.pool.acquire`` / ``.release`` unconditionally
-        self.pool: PacketPool = DISABLED_POOL
 
     def attach_link(
         self,

@@ -267,20 +267,18 @@ class Switch(Node):
             if self.sanitizer is not None:
                 self.sanitizer.note_pfc(self, ingress_port, True, port.paused)
             port.pause()
-            self.pool.release(pkt)
             return
         if kind == _PFC_RESUME:
             port = self.ports[ingress_port]
             if self.sanitizer is not None:
                 self.sanitizer.note_pfc(self, ingress_port, False, port.paused)
             port.resume()
-            self.pool.release(pkt)
             return
         if IS_CONTROL[kind]:
             if self.extension is not None and self.extension.handle_control(
                 pkt, ingress_port
             ):
-                return  # the extension consumed (and recycled) the frame
+                return  # the extension consumed the frame
             # unclaimed: no extension owns this frame — count and trace
             # the discard instead of losing it silently
             self.unclaimed_control_frames += 1
@@ -290,7 +288,6 @@ class Switch(Node):
                 self.stats.record_unclaimed_control()
             if self.tracer is not None:
                 self.tracer.record(self.sim.now, self.name, "drop", pkt)
-            self.pool.release(pkt)
             return
         out_port = self.route(pkt)
         if self.extension is not None and self.extension.on_data(
@@ -326,7 +323,6 @@ class Switch(Node):
                     # the dropped copy's "rx" must not be mistaken for
                     # a queued packet when pairing rx/tx delays
                     self.tracer.record(self.sim.now, self.name, "drop", pkt)
-                self.pool.release(pkt)
                 return
         port = self.ports[out_port]
         ecn = self.ecn
@@ -414,18 +410,14 @@ class Switch(Node):
     def _send_pfc_pause(self, ingress_port: int) -> None:
         """Our ingress crossed the threshold: pause the upstream peer."""
         peer = self.peer(ingress_port)
-        frame = self.pool.acquire_control(
-            PacketKind.PFC_PAUSE, self.node_id, peer.node_id
-        )
+        frame = Packet.control(PacketKind.PFC_PAUSE, self.node_id, peer.node_id)
         self.ports[ingress_port].enqueue_control(frame)
         if self.stats is not None:
             self.stats.record_pfc_event()
 
     def _send_pfc_resume(self, ingress_port: int) -> None:
         peer = self.peer(ingress_port)
-        frame = self.pool.acquire_control(
-            PacketKind.PFC_RESUME, self.node_id, peer.node_id
-        )
+        frame = Packet.control(PacketKind.PFC_RESUME, self.node_id, peer.node_id)
         self.ports[ingress_port].enqueue_control(frame)
 
     def report_pause_time(self) -> None:

@@ -4,7 +4,7 @@ The serial engine runs one heap over the whole fabric.  This module
 partitions a built ``Scenario`` (the experiments layer's) into
 ``shards`` simulation *domains* — per-pod on fat trees, per-ToR-group
 on leaf-spine fabrics — each with its own :class:`Simulator` heap,
-node set, packet pool and stats hub, synchronized by classic
+node set and stats hub, synchronized by classic
 conservative lookahead: the minimum propagation delay over the links
 that cross a domain boundary.  Domains advance independently inside a
 window no wider than that lookahead, then exchange boundary deliveries.
@@ -26,7 +26,7 @@ domains interleave in wall time.
 The machinery is three pieces, each written once:
 
 * a **domain runtime** (:class:`DomainRuntime`) owns everything one
-  domain needs — its engine, pool, hub, telemetry recorder, sanitizer
+  domain needs — its engine, hub, telemetry recorder, sanitizer
   slice, isolation probe and event digest — and answers two calls:
   ``step(h_next, incoming, sweep)`` advances the domain to ``h_next``
   and says what it saw, ``finish(now)`` collects the domain with the
@@ -74,7 +74,6 @@ import traceback
 from heapq import heappop, heappush
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.net.packet import DISABLED_POOL, PacketPool
 from repro.sim.engine import Simulator
 from repro.stats.scope import ScopeReport, collect_scope
 
@@ -243,7 +242,6 @@ def _bind_domains(
     scenario,
     domain_of: Dict[int, int],
     sims: List[Simulator],
-    pools: list,
     hubs: list,
     channel,
 ) -> None:
@@ -266,7 +264,6 @@ def _bind_domains(
     for node in topo.hosts + topo.switches:
         d = domain_of[node.node_id]
         node.sim = sims[d]
-        node.pool = pools[d]
         node.stats = hubs[d]
         for port in node.ports:
             port.sim = sims[d]
@@ -390,7 +387,6 @@ class DomainRuntime:
         domain_of: Dict[int, int],
         domain: int,
         sim: Simulator,
-        pools: list,
         hub,
         outbox: List[list],
         collect_digest: bool,
@@ -429,7 +425,7 @@ class DomainRuntime:
             from repro.simcheck.sanitizer import SimSanitizer
 
             self.sanitizer = SimSanitizer(
-                scenario, cfg.sanitize, sim=sim, pool=pools[domain],
+                scenario, cfg.sanitize, sim=sim,
                 owns=lambda node: domain_of[node.node_id] == domain,
             )
         self.iso = None
@@ -439,7 +435,7 @@ class DomainRuntime:
 
             # after fault install, so link fault states carry owner tags
             self.iso = ShardIsolationSanitizer()
-            self.iso.tag_scenario(scenario, domain_of, pools)
+            self.iso.tag_scenario(scenario, domain_of)
             probe = self.iso.probe(domain, sim)
         self.digest = None
         if collect_digest:
@@ -524,15 +520,11 @@ def _build_runtimes(
         sims = [Simulator() for _ in range(shards)]
         outbox = [[] for _ in range(shards)]
         channel = _OutboxChannel(outbox, domain_of)
-    pools = [
-        PacketPool() if cfg.packet_pool else DISABLED_POOL
-        for _ in range(shards)
-    ]
     # per-domain hubs; runtime flow registrations (the rpc driver's
     # incast responses) fan out from the scenario hub
     hubs = [scenario.stats.shard_clone() for _ in range(shards)]
     scenario.stats.bind_shards(hubs)
-    _bind_domains(scenario, domain_of, sims, pools, hubs, channel)
+    _bind_domains(scenario, domain_of, sims, hubs, channel)
     # after binding, so every fault transition lands on its link's own
     # domain sim and counts into that domain's hub.  A forked worker
     # installs the full plan on its private copy: foreign links schedule
@@ -548,7 +540,7 @@ def _build_runtimes(
         wire_rpc_histogram(scenario)
     runtimes = [
         DomainRuntime(
-            scenario, domain_of, d, sims[d], pools, hubs[d], outbox,
+            scenario, domain_of, d, sims[d], hubs[d], outbox,
             collect_digests, isolate,
         )
         for d in domains

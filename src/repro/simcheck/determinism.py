@@ -149,47 +149,6 @@ def check_pool_equivalence(configs: Dict[str, object]) -> Dict[str, object]:
     return {"ok": not mismatched, "mismatched": mismatched}
 
 
-def check_packet_pool_equivalence(config) -> Dict[str, object]:
-    """Packet recycling must be invisible to the simulation.
-
-    Runs ``config`` twice — once with the packet pool enabled, once
-    with it disabled — and requires byte-identical event streams and
-    identical result summaries.  The two configs necessarily differ in
-    the ``packet_pool`` flag itself, so the summaries are compared
-    after normalizing both configs to the same value; everything else
-    (FCTs, drops, flow counts, stats) must match exactly.
-    """
-    from dataclasses import replace as dc_replace
-
-    from repro.experiments.parallel import summarize
-    from repro.experiments.runner import run_scenario
-    from repro.experiments.scenario import Scenario
-
-    def one(pooled: bool):
-        cfg = dc_replace(config, packet_pool=pooled)
-        sc = Scenario(cfg)
-        digest = EventStreamDigest(sc.sim)
-        sc.sim.set_profiler(digest)
-        result = run_scenario(cfg, scenario=sc)
-        summary = dc_replace(
-            summarize(result), config=dc_replace(cfg, packet_pool=True)
-        )
-        return digest, summary
-
-    pooled_digest, pooled_summary = one(True)
-    plain_digest, plain_summary = one(False)
-    events_ok = pooled_digest.hexdigest() == plain_digest.hexdigest()
-    summary_ok = (
-        pooled_summary.canonical_bytes() == plain_summary.canonical_bytes()
-    )
-    return {
-        "ok": events_ok and summary_ok,
-        "events_identical": events_ok,
-        "summary_identical": summary_ok,
-        "events": pooled_digest.events,
-    }
-
-
 def check_sharded_equivalence(
     config, shards: int, check_interval: Optional[int] = None,
     isolate: bool = False,
@@ -395,11 +354,9 @@ def run_suite(
     """The full runtime battery behind ``repro.cli check --sanitize``.
 
     Per scheme: a sanitized double run (digests must match, zero
-    invariant violations) and a packet-pool on/off comparison (the
-    recycler must be invisible: identical event streams and result
-    summaries); then one serial-vs-pooled sweep comparison across all
-    schemes (unsanitized configs so worker pickling stays on the
-    default path).
+    invariant violations); then one serial-vs-pooled sweep comparison
+    across all schemes (unsanitized configs so worker pickling stays
+    on the default path).
     """
     from repro.simcheck.sanitizer import SanitizerConfig
 
@@ -421,14 +378,10 @@ def run_suite(
     report: Dict[str, object] = {"schemes": {}, "ok": True}
     for name, fc in selected.items():
         rep = check_repeatable(_scheme_config(fc, seed, sanitize))
-        pool_rep = check_packet_pool_equivalence(_scheme_config(fc, seed, None))
-        scheme_ok = (
-            bool(rep["ok"]) and not rep["violations"] and bool(pool_rep["ok"])
-        )
+        scheme_ok = bool(rep["ok"]) and not rep["violations"]
         report["schemes"][name] = {
             "digest": rep["event_digests"][0],
             "repeat_identical": rep["ok"],
-            "packet_pool_identical": pool_rep["ok"],
             "events": rep["events"],
             "violations": rep["violations"],
             "ok": scheme_ok,

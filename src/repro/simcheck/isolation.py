@@ -47,13 +47,13 @@ class ShardIsolationSanitizer:
         if obj is not None:
             self._owner[id(obj)] = (domain, label)
 
-    def tag_scenario(self, scenario, domain_of: Dict[int, int], pools=None) -> None:
+    def tag_scenario(self, scenario, domain_of: Dict[int, int]) -> None:
         """Tag every hot object after domain binding and fault install.
 
         Covers nodes and their ports, intra-domain links (boundary
         links are deliberately untagged: both sides legitimately touch
-        them), link fault states, switch extensions with their VOQ
-        pools and credit schedulers, and per-domain packet pools.
+        them), link fault states, and switch extensions with their VOQ
+        pools and credit schedulers.
         """
         topo = scenario.topology
         for node in (*topo.hosts, *topo.switches):
@@ -86,10 +86,6 @@ class ShardIsolationSanitizer:
             windows = getattr(ext, "windows", None)
             if windows is not None:
                 self.tag(windows, d, f"{ext.switch.name}.windows")
-        if pools is not None:
-            for d, pool in enumerate(pools):
-                if pool is not None:
-                    self.tag(pool, d, f"packet_pool[{d}]")
 
     # -- probing (run time) ------------------------------------------------
 

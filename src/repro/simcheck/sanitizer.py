@@ -24,11 +24,7 @@ run and again at the end:
    explicitly excludes.
 5. **Credit conservation** — Floodgate credit frames sent equal
    frames applied upstream + unclaimed + dropped + in flight.
-6. **Packet-pool integrity** — the recycler's free list agrees with
-   its release/recycle counters, holds no duplicates, and is disjoint
-   from every in-flight packet (a free-listed packet reachable from a
-   queue, VOQ, or heap entry is a use-after-free in the making).
-7. **Rate conservation** (fluid tier only) — the max-min allocation
+6. **Rate conservation** (fluid tier only) — the max-min allocation
    never oversubscribes a directed link or Floodgate VOQ cap: the sum
    of allocated flow rates on each resource stays within its capacity.
 
@@ -157,10 +153,10 @@ class SimSanitizer:
 
     Every sweep walks the checker's *scope* — the hosts, switches,
     extensions and links it owns, the engine whose heap holds their
-    pending work, and their packet pool.  By default the scope is the
-    whole fabric, swept by a periodic heap task and judged here.
+    pending work.  By default the scope is the whole fabric, swept by
+    a periodic heap task and judged here.
 
-    ``sim``/``pool``/``owns`` narrow it to one domain of a sharded run
+    ``sim``/``owns`` narrow it to one domain of a sharded run
     (:mod:`repro.sim.sharded`) — a fabric-wide walk would read other
     domains' state mid-window, exactly the aliasing SIM005 and the
     isolation sanitizer forbid.  A link belongs to the domain of its
@@ -180,16 +176,14 @@ class SimSanitizer:
         config: Optional[SanitizerConfig] = None,
         *,
         sim=None,
-        pool=None,
         owns=None,
     ) -> None:
-        """``sim``/``pool``/``owns``: one domain's engine, packet pool,
-        and node predicate (all three or none)."""
+        """``sim``/``owns``: one domain's engine and node predicate
+        (both or neither)."""
         self.scenario = scenario
         self.config = config or SanitizerConfig()
         self.topology = topo = scenario.topology
         self.sim = scenario.sim if sim is None else sim
-        self.pool = getattr(scenario, "pool", None) if pool is None else pool
         if owns is None:
             self.hosts, self.switches = topo.hosts, topo.switches
             self.extensions, self.links = scenario.extensions, topo.links
@@ -367,7 +361,6 @@ class SimSanitizer:
         self.checks_run += 1
         self._check_buffers()
         self._check_windows()
-        self._check_pool()
         self._check_flow_rates()
         self._check_hybrid_boundary(final)
         return self.ledger()
@@ -447,64 +440,6 @@ class SimSanitizer:
                         f"{name}: window overshoot for dst {dst} "
                         f"(window={win} > initial={init}: more credits "
                         "returned than packets sent)"
-                    )
-
-    def _check_pool(self) -> None:
-        """Packet recycler integrity (scenarios built with pooling on).
-
-        Counter agreement is cheap; the disjointness walk re-traverses
-        the same structures as :meth:`_packets_at_rest`, which is fine
-        at sanitizer cadence (the sanitizer never runs on benchmark
-        paths).
-        """
-        pool = self.pool
-        if pool is None or not pool.enabled:
-            return
-        free = pool.free_count()
-        outstanding = pool.released - pool.recycled
-        if free != outstanding:
-            self.record(
-                f"packet pool counter drift: free list holds {free} "
-                f"packets but released({pool.released}) - "
-                f"recycled({pool.recycled}) = {outstanding}"
-            )
-        free_ids = {id(p) for p in pool.free_packets()}
-        if len(free_ids) != free:
-            self.record(
-                f"packet pool double-release: free list holds {free} "
-                f"entries but only {len(free_ids)} distinct packets"
-            )
-        if not free_ids:
-            return
-        for node in (*self.hosts, *self.switches):
-            for port in node.ports:
-                for queue in port.queues:
-                    for pkt in queue:
-                        if id(pkt) in free_ids:
-                            self.record(
-                                f"use-after-free: packet on {node.name} "
-                                f"port {port.index} queue is also on the "
-                                "pool free list"
-                            )
-        for ext in self.extensions:
-            voq_pool = getattr(ext, "pool", None)
-            if voq_pool is None:
-                continue
-            for voq in voq_pool.voqs:
-                for pkt in voq.packets:
-                    if id(pkt) in free_ids:
-                        self.record(
-                            f"use-after-free: packet in a VOQ of "
-                            f"{ext.switch.name} is also on the pool "
-                            "free list"
-                        )
-        for _time, fn, args in self.sim.pending_items():
-            for arg in args:
-                if isinstance(arg, Packet) and id(arg) in free_ids:
-                    name = getattr(fn, "__qualname__", repr(fn))
-                    self.record(
-                        f"use-after-free: packet in pending event "
-                        f"{name} is also on the pool free list"
                     )
 
     def _check_flow_rates(self) -> None:

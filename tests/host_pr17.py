@@ -94,7 +94,7 @@ def _emit_data(self, flow: Flow) -> None:
     now = self.sim.now
     seq = flow.next_seq
     size = flow.packet_size(seq)
-    pkt = self.pool.acquire(
+    pkt = Packet(
         PacketKind.DATA, self.node_id, flow.dst, size, flow.flow_id, seq
     )
     pkt.sent_time = now

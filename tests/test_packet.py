@@ -1,6 +1,13 @@
 """Packet model."""
 
-from repro.net.packet import ACK_KINDS, CONTROL_KINDS, Packet, PacketKind
+from repro.net.packet import (
+    ACK_KINDS,
+    CONTROL_KINDS,
+    IS_ACK_LIKE,
+    IS_CONTROL,
+    Packet,
+    PacketKind,
+)
 from repro.units import CTRL_PKT_SIZE
 
 
@@ -24,16 +31,16 @@ class TestConstruction:
 class TestClassification:
     def test_control_kinds_are_control(self):
         for kind in CONTROL_KINDS:
-            assert Packet.control(kind, 0, 1).is_control()
+            assert IS_CONTROL[Packet.control(kind, 0, 1).kind]
 
     def test_ack_kinds_are_ack_like(self):
         for kind in ACK_KINDS:
-            assert Packet.control(kind, 0, 1).is_ack_like()
+            assert IS_ACK_LIKE[Packet.control(kind, 0, 1).kind]
 
     def test_data_is_neither(self):
         pkt = Packet(PacketKind.DATA, 0, 1, 1000)
-        assert not pkt.is_control()
-        assert not pkt.is_ack_like()
+        assert not IS_CONTROL[pkt.kind]
+        assert not IS_ACK_LIKE[pkt.kind]
 
     def test_control_and_ack_sets_disjoint(self):
         assert not (CONTROL_KINDS & ACK_KINDS)

@@ -1,103 +1,40 @@
-"""Packet pool, delay-table invalidation, and flat route tables."""
+"""The packet record's slot guard and kind tables, delay-table
+invalidation, and flat route tables.
+
+Named for the packet recycler these fast-path tests shipped beside;
+the recycler is gone (DESIGN.md "Performance"), the test ids stay.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.net.packet import (
-    DISABLED_POOL,
     IS_ACK_LIKE,
     IS_CONTROL,
     ACK_KINDS,
     CONTROL_KINDS,
     Packet,
     PacketKind,
-    PacketPool,
 )
 from repro.net.switch import Switch
 from repro.sim.engine import Simulator
 from repro.units import CTRL_PKT_SIZE
 
 
-def _fields(pkt: Packet) -> dict:
-    return {name: getattr(pkt, name) for name in Packet.__slots__}
-
-
 class TestPacketReset:
-    def test_reset_matches_fresh_construction_every_slot(self):
-        """The pool's determinism guarantee: reset() == __init__."""
-        pkt = Packet(PacketKind.DATA, 1, 2, 1000, flow_id=7, seq=3)
-        # dirty every mutable field the way a full trip through the
-        # network would
-        pkt.ecn_marked = True
-        pkt.corrupted = True
-        pkt.sent_time = 123
-        pkt.echo_time = 456
-        pkt.int_records = []
-        pkt.credits = [(5, 2)]
-        pkt.psn = 9
-        pkt.pause_dst = 4
-        pkt.pause_port = 2
-        pkt.trimmed = True
-        pkt.last_psn = 8
-        pkt.hop_count = 5
-        pkt.enqueue_time = 99
-        pkt.no_win = True
-        pkt.upstream_queue = 3
-        pkt.ingress_port = 1
-        pkt.upstream_psn = 6
-        pkt.priority = 2
-        pkt.payload_size = 1
-
-        pkt.reset(PacketKind.ACK, 10, 11, 64, flow_id=42, seq=17)
-        fresh = Packet(PacketKind.ACK, 10, 11, 64, flow_id=42, seq=17)
-        assert _fields(pkt) == _fields(fresh)
-
     def test_reset_covers_every_slot(self):
-        """A new Packet field that reset() misses must fail loudly."""
-        pkt = Packet(PacketKind.DATA, 0, 1, 100)
-        for name in Packet.__slots__:
-            assert hasattr(pkt, name), f"reset() does not set {name!r}"
+        """A new Packet field that ``__init__`` misses must fail loudly.
 
-
-class TestPacketPool:
-    def test_acquire_recycles_lifo_and_counts(self):
-        pool = PacketPool()
-        a = pool.acquire(PacketKind.DATA, 0, 1, 1000)
-        b = pool.acquire(PacketKind.DATA, 0, 1, 1000)
-        assert pool.allocated == 2 and pool.recycled == 0
-        pool.release(a)
-        pool.release(b)
-        assert pool.released == 2
-        assert pool.free_count() == 2
-        assert pool.epoch == 2
-        c = pool.acquire(PacketKind.ACK, 5, 6, 64, flow_id=1, seq=2)
-        assert c is b  # LIFO: most recently released comes back first
-        assert pool.recycled == 1
-        assert pool.free_count() == 1
-        # the recycled packet is indistinguishable from a fresh one
-        fresh = Packet(PacketKind.ACK, 5, 6, 64, flow_id=1, seq=2)
-        assert _fields(c) == _fields(fresh)
-
-    def test_acquire_control_is_minimum_size(self):
-        pool = PacketPool()
-        pkt = pool.acquire_control(PacketKind.PFC_PAUSE, 3, 4)
-        twin = Packet.control(PacketKind.PFC_PAUSE, 3, 4)
-        assert pkt.size == CTRL_PKT_SIZE
-        assert _fields(pkt) == _fields(twin)
-
-    def test_disabled_pool_never_recycles(self):
-        pool = PacketPool(enabled=False)
-        a = pool.acquire(PacketKind.DATA, 0, 1, 1000)
-        pool.release(a)
-        assert pool.free_count() == 0
-        assert pool.released == 0 and pool.epoch == 0
-        b = pool.acquire(PacketKind.DATA, 0, 1, 1000)
-        assert b is not a
-
-    def test_shared_disabled_pool_is_off(self):
-        assert not DISABLED_POOL.enabled
-        assert DISABLED_POOL.free_count() == 0
+        Held for every kind and both constructors: the net a
+        kind-specific constructor will need.
+        """
+        for kind in PacketKind:
+            frame = Packet.control(kind, 0, 1)
+            assert frame.size == CTRL_PKT_SIZE
+            for pkt in (Packet(kind, 0, 1, 100, flow_id=7, seq=3), frame):
+                unset = [n for n in Packet.__slots__ if not hasattr(pkt, n)]
+                assert not unset, f"{kind.name} (size {pkt.size}): {unset} unset"
 
 
 class TestKindPredicates:

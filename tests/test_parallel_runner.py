@@ -144,6 +144,24 @@ class TestCache:
             SweepTask(key="b", config=tiny_config(seed=1))
         ) == task_fingerprint(t1)
 
+    def test_cached_runs_answer_only_the_sources_that_made_them(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments import parallel
+
+        task = SweepTask(key="k", config=tiny_config())
+        before = task_fingerprint(task)
+        run_sweep([task], serial=True, cache=tmp_path)
+        assert run_sweep([task], serial=True, cache=tmp_path)["k"].from_cache
+        # the package was edited: same config, different code
+        monkeypatch.setattr(parallel, "source_digest", lambda: "edited")
+        assert task_fingerprint(task) != before
+        assert not run_sweep([task], serial=True, cache=tmp_path)["k"].from_cache
+        # ... and back: the first entry is still there to be hit
+        monkeypatch.undo()
+        assert task_fingerprint(task) == before
+        assert run_sweep([task], serial=True, cache=tmp_path)["k"].from_cache
+
     def test_config_fingerprint_stable(self):
         assert config_fingerprint(tiny_config()) == config_fingerprint(
             tiny_config()

@@ -153,15 +153,16 @@ class TestRunner:
 
 def test_config_field_budget():
     """Every ScenarioConfig field doubles the configurations tests and
-    benchmarks must cover and forces a cache-schema bump: adding one is
-    a deliberate edit of this number, not drift.  Likewise the nested
-    telemetry config and the registry's entry record."""
+    benchmarks must cover (and changes every cached run's fingerprint by
+    itself): adding one is a deliberate edit of this number, not drift.
+    Likewise the nested telemetry config and the registry's entry
+    record."""
     import dataclasses
 
     from repro.experiments.registry import ScenarioEntry
     from repro.telemetry.registry import TelemetryConfig
 
-    assert len(dataclasses.fields(ScenarioConfig)) == 44
+    assert len(dataclasses.fields(ScenarioConfig)) == 43
     assert len(dataclasses.fields(TelemetryConfig)) == 2
     assert len(dataclasses.fields(ScenarioEntry)) == 6
 

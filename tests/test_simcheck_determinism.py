@@ -14,7 +14,6 @@ from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.simcheck.determinism import (
     SCHEMES,
     EventStreamDigest,
-    check_packet_pool_equivalence,
     check_pool_equivalence,
     check_repeatable,
     run_digest,
@@ -90,31 +89,6 @@ def test_serial_and_pooled_sweeps_agree():
         {name: tiny_cfg(fc) for name, fc in sorted(SCHEME_FC.items())[:2]}
     )
     assert rep["ok"], rep["mismatched"]
-
-
-@pytest.mark.parametrize("scheme", sorted(SCHEME_FC))
-def test_packet_pool_on_off_runs_are_byte_identical(scheme):
-    """Recycling packets must not change a single event or result.
-
-    Same seed, pool on vs pool off: the event streams hash identically
-    and the summaries (config-normalized) serialize identically, for
-    every scheme in the acceptance set.
-    """
-    rep = check_packet_pool_equivalence(tiny_cfg(SCHEME_FC[scheme]))
-    assert rep["events_identical"], rep
-    assert rep["summary_identical"], rep
-    assert rep["ok"], rep
-    assert rep["events"] > 100
-
-
-def test_packet_pool_actually_recycles():
-    """The equivalence above is meaningful only if the pool is hot."""
-    sc = Scenario(tiny_cfg("floodgate"))
-    sc.schedule_flows()
-    sc.sim.run(until=us(200))
-    assert sc.pool.enabled
-    assert sc.pool.recycled > 100  # reborn packets, not a no-op pool
-    assert sc.pool.released > sc.pool.recycled  # free list is non-empty
 
 
 @pytest.mark.parametrize("fidelity", ["packet", "flow", "hybrid"])
