@@ -18,8 +18,8 @@ from dataclasses import replace
 from benchmarks.conftest import show
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scenario, ScenarioConfig
+from repro.faults import RandomLoss, plan_of
 from repro.floodgate.config import FloodgateConfig
-from repro.net.switch import Switch
 from repro.stats.collector import FlowClass
 from repro.units import us
 
@@ -123,15 +123,13 @@ def test_ablation_loss_recovery(once):
                     syn_timeout=us(50),
                 ),
                 max_runtime_factor=25.0,
+                fault_plan=plan_of(
+                    RandomLoss(
+                        link="switch-switch", data_rate=0.05, ctrl_rate=0.05
+                    )
+                ),
             )
-            sc = Scenario(cfg)
-            rng = sc.rng.stream("ablation-loss")
-            for link in sc.topology.links:
-                if isinstance(link.node_a, Switch) and isinstance(
-                    link.node_b, Switch
-                ):
-                    link.set_loss(0.05, rng)
-            results[label] = run_scenario(cfg, scenario=sc)
+            results[label] = run_scenario(cfg)
         return results
 
     results = once(run_pair)

@@ -11,10 +11,16 @@ Run:  python examples/incast_storm.py
 """
 
 
-from repro.experiments import ScenarioConfig, Scenario, run_scenario
-from repro.stats.collector import FlowClass
-from repro.stats.timeseries import ThroughputMonitor
+from repro.experiments import ScenarioConfig, run_scenario
+from repro.telemetry import TelemetryConfig
 from repro.units import us
+
+#: label -> the telemetry export's per-class receive-rate series
+SERIES = {
+    "incast": "rx_gbps.incast",
+    "victim of incast": "rx_gbps.victim_incast",
+    "victim of PFC": "rx_gbps.victim_pfc",
+}
 
 
 def run_variant(label: str, flow_control: str) -> None:
@@ -26,39 +32,27 @@ def run_variant(label: str, flow_control: str) -> None:
         hosts_per_tor=4,
         incast_load=0.8,
         incast_fan_in=16,
+        telemetry=TelemetryConfig(interval=us(25), engine_profile=False),
     )
-    scenario = Scenario(cfg)
-    stats = scenario.stats
-    monitor = ThroughputMonitor(
-        scenario.sim,
-        {
-            "incast": lambda: stats.rx_bytes_of_class(FlowClass.INCAST),
-            "victim of incast": lambda: stats.rx_bytes_of_class(
-                FlowClass.VICTIM_INCAST
-            ),
-            "victim of PFC": lambda: stats.rx_bytes_of_class(
-                FlowClass.VICTIM_PFC
-            ),
-        },
-        interval=us(25),
-    )
-    monitor.start()
-    result = run_scenario(cfg, scenario=scenario)
-    monitor.stop()
+    result = run_scenario(cfg)
+    # [time_ns, gbps] samples per class
+    points = {
+        name: result.telemetry.series_named(series)["points"]
+        for name, series in SERIES.items()
+    }
 
     print(f"=== {label} ===")
     print(f"  PFC pause events: {result.stats.pfc_pause_events}")
-    for name in monitor.sources:
-        series = monitor.series(name)
-        mean = monitor.mean_after(name)
-        peak = monitor.peak(name)
-        first = monitor.first_nonzero_time(name)
+    for name, pts in points.items():
+        rates = [v for _, v in pts]
+        mean = sum(rates) / len(rates)
+        first = next((t / 1e6 for t, v in pts if v > 0), -1.0)
         print(
-            f"  {name:18s} mean {mean:6.2f} Gbps  peak {peak:6.2f} Gbps"
+            f"  {name:18s} mean {mean:6.2f} Gbps  peak {max(rates):6.2f} Gbps"
             f"  first byte at {first:.3f} ms"
         )
     # a tiny ASCII sparkline of the victim-of-incast series
-    series = monitor.series("victim of incast")
+    series = points["victim of incast"]
     if series:
         peak = max(v for _, v in series) or 1.0
         blocks = " .:-=+*#%@"

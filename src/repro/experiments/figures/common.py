@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.parallel import ResultSummary, SweepTask, run_sweep
 from repro.experiments.scenario import ScenarioConfig
@@ -56,6 +56,18 @@ def incastmix_base(
     return ScenarioConfig(**params)
 
 
+def variant_tasks(
+    base: ScenarioConfig,
+    variants: Optional[Dict[str, str]] = None,
+    **overrides,
+) -> List[SweepTask]:
+    """One pure-config task per flow-control variant, keyed by label."""
+    return [
+        SweepTask(key=label, config=replace(base, flow_control=fc, **overrides))
+        for label, fc in (variants or VARIANTS).items()
+    ]
+
+
 def run_variants(
     base: ScenarioConfig,
     variants: Optional[Dict[str, str]] = None,
@@ -70,32 +82,34 @@ def run_variants(
     ``cache=`` is set) and come back as slim
     :class:`~repro.experiments.parallel.ResultSummary` objects.
     """
-    tasks = [
-        SweepTask(key=label, config=replace(base, flow_control=fc, **overrides))
-        for label, fc in (variants or VARIANTS).items()
-    ]
-    return run_sweep(tasks, max_workers=max_workers, cache=cache)
+    return run_sweep(
+        variant_tasks(base, variants, **overrides),
+        max_workers=max_workers,
+        cache=cache,
+    )
 
 
-def format_table(
-    headers: Sequence[str], rows: Iterable[Sequence[object]]
-) -> str:
-    """Align a small result table for terminal output."""
-    str_rows = [[str(c) for c in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in str_rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths, strict=True)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in str_rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths, strict=True)))
-    return "\n".join(lines)
+# -- presentation of telemetry-export series ---------------------------------
+#
+# The time-resolved figures (2, 12, 16) read ``ResultSummary.telemetry``;
+# an export series' ``points`` are ``[time_ns, value]`` pairs.
+
+Points = Sequence[Sequence[float]]
 
 
-def fct_row(result: ResultSummary) -> List[float]:
-    """[avg_us, p99_us] of the Poisson (non-incast) flows."""
-    s = result.poisson_fct
-    return [round(s.avg_us, 1), round(s.p99_us, 1)]
+def points_ms(points: Points) -> List[Tuple[float, float]]:
+    """Export points as ``(time_ms, value)`` pairs, the unit figures plot."""
+    return [(t / 1_000_000.0, v) for t, v in points]
+
+
+def mean_value(points: Points) -> float:
+    """Mean sampled value (0.0 for an empty series)."""
+    return sum(v for _, v in points) / len(points) if points else 0.0
+
+
+def first_nonzero_ms(points: Points) -> float:
+    """Time (ms) of the first sample with a non-zero value, or -1."""
+    for t, v in points:
+        if v > 0:
+            return t / 1_000_000.0
+    return -1.0

@@ -32,13 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Tuple
 
-from repro.experiments.parallel import (
-    ResultSummary,
-    SweepTask,
-    run_scenario,
-    run_sweep,
-    summarize,
-)
+from repro.experiments.parallel import SweepTask, run_sweep
 from repro.experiments.scenario import ScenarioConfig
 from repro.faults import (
     BurstLoss,
@@ -101,11 +95,6 @@ def plan_for(kind: str, rate: float, duration: int) -> FaultPlan:
     return FaultPlan((fault,), stall_window=duration // 2)
 
 
-def _run_one(config: ScenarioConfig) -> ResultSummary:
-    """Worker entry point (module-level, so tasks pickle by reference)."""
-    return summarize(run_scenario(config))
-
-
 def _config(
     scheme: str, duration: int, plan: Optional[FaultPlan]
 ) -> ScenarioConfig:
@@ -133,7 +122,6 @@ def run(
         SweepTask(
             key=(scheme, "baseline", 0.0),
             config=_config(scheme, duration, None),
-            fn=_run_one,
         )
         for scheme in names
     ]
@@ -146,7 +134,6 @@ def run(
                         config=_config(
                             scheme, duration, plan_for(kind, rate, duration)
                         ),
-                        fn=_run_one,
                     )
                 )
     results = run_sweep(tasks, cache=cache)

@@ -4,54 +4,56 @@ The paper shows that without Floodgate, victim-of-incast flows are HOL
 blocked (their throughput stays at zero for ~1.8 ms) and victims of
 PFC dip when the pause storm spreads; with Floodgate both classes
 receive immediately and PFC never triggers.
+
+The per-class receive rates are the telemetry export's
+``rx_gbps.<class>`` series, sampled every 20 us.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict
+from typing import Dict, List
 
-from repro.experiments.runner import run_scenario
-from repro.experiments.scenario import Scenario
-from repro.stats.collector import FlowClass
-from repro.stats.timeseries import ThroughputMonitor
+from repro.experiments.figures.common import (
+    first_nonzero_ms,
+    incastmix_base,
+    mean_value,
+    points_ms,
+    variant_tasks,
+)
+from repro.experiments.parallel import SweepTask, run_sweep
+from repro.telemetry.registry import TelemetryConfig
 from repro.units import us
+
+VARIANTS = {"dcqcn": "none", "dcqcn+floodgate": "floodgate"}
+#: the flow classes the figure plots
+CLASSES = ("incast", "victim_incast", "victim_pfc")
+
+
+def tasks(quick: bool = True, workload: str = "webserver") -> List[SweepTask]:
+    base = incastmix_base(
+        quick,
+        workload,
+        telemetry=TelemetryConfig(interval=us(20), engine_profile=False),
+    )
+    return variant_tasks(base, VARIANTS)
 
 
 def run(quick: bool = True, workload: str = "webserver") -> Dict:
     """Returns per-variant throughput series and HOL-delay summary."""
-    from repro.experiments.figures.common import incastmix_base
-
-    base = incastmix_base(quick, workload)
     out: Dict = {"series": {}, "summary": {}}
-    for label, fc in (("dcqcn", "none"), ("dcqcn+floodgate", "floodgate")):
-        cfg = replace(base, flow_control=fc)
-        sc = Scenario(cfg)
-        stats = sc.stats
-        monitor = ThroughputMonitor(
-            sc.sim,
-            {
-                "incast": lambda s=stats: s.rx_bytes_of_class(FlowClass.INCAST),
-                "victim_incast": lambda s=stats: s.rx_bytes_of_class(
-                    FlowClass.VICTIM_INCAST
-                ),
-                "victim_pfc": lambda s=stats: s.rx_bytes_of_class(
-                    FlowClass.VICTIM_PFC
-                ),
-            },
-            interval=us(20),
-        )
-        monitor.start()
-        result = run_scenario(cfg, scenario=sc)
-        monitor.stop()
+    for label, r in run_sweep(tasks(quick, workload)).items():
+        points = {
+            name: r.telemetry.series_named(f"rx_gbps.{name}")["points"]
+            for name in CLASSES
+        }
         out["series"][label] = {
-            name: monitor.series(name) for name in monitor.sources
+            name: points_ms(pts) for name, pts in points.items()
         }
         out["summary"][label] = {
-            "victim_incast_first_rx_ms": monitor.first_nonzero_time(
-                "victim_incast"
+            "victim_incast_first_rx_ms": first_nonzero_ms(
+                points["victim_incast"]
             ),
-            "pfc_events": result.stats.pfc_pause_events,
-            "mean_victim_pfc_gbps": monitor.mean_after("victim_pfc"),
+            "pfc_events": r.stats.pfc_pause_events,
+            "mean_victim_pfc_gbps": mean_value(points["victim_pfc"]),
         }
     return out

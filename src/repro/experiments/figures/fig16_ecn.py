@@ -9,28 +9,31 @@ the paper draws:
   count past the ``Kmax`` inflection;
 * Floodgate's buffer converges to a level set by its initial window
   and topology, insensitive to the ECN thresholds.
+
+The buffer is the telemetry export's ``buffer_bytes.tor0`` series,
+sampled every 10 us.  Every flow of the run ends at the first host, so
+every packet buffered at its ToR (``tor0``) waits for that one
+downlink: the switch's occupancy *is* the destination port's.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from bisect import bisect_right
+from typing import Dict, Iterable, List, Tuple
 
-from repro.experiments.parallel import ResultSummary, SweepTask, run_sweep, summarize
-from repro.experiments.runner import run_scenario
+from repro.experiments.parallel import SweepTask, run_sweep
+from repro.experiments.runner import ScenarioResult, run_scenario
 from repro.experiments.scenario import Scenario, ScenarioConfig
-from repro.stats.timeseries import BufferSampler
+from repro.telemetry.registry import TelemetryConfig
 from repro.units import us
 from repro.workloads.poisson import FlowSpec
 
+#: ns between flow arrivals: room to converge
+ARRIVAL_INTERVAL = 40_000
 
-def _run_convergence(
-    cfg: ScenarioConfig, n_flows: int, interval: int
-) -> ResultSummary:
-    """Worker task: periodic arrivals plus a destination-port sampler.
 
-    The sampled buffer series rides back in ``ResultSummary.extras``
-    (the sampler itself stays in the worker process).
-    """
+def _run_convergence(cfg: ScenarioConfig, n_flows: int) -> ScenarioResult:
+    """Worker task: periodic long-lived flows, all to the first host."""
     sc = Scenario(cfg)
     hosts = [h.node_id for h in sc.topology.hosts]
     dst = hosts[0]
@@ -38,40 +41,22 @@ def _run_convergence(
     for i in range(n_flows):
         src = hosts[1 + (i % (len(hosts) - 1))]
         # long-lived flows: keep transmitting past the horizon
-        flows.append(FlowSpec(i, src, dst, size=400_000, start_time=i * interval))
+        flows.append(
+            FlowSpec(i, src, dst, size=400_000, start_time=i * ARRIVAL_INTERVAL)
+        )
     sc.flows = flows
-    tor0 = sc.topology.switches_of_kind("tor")[0]
-    dst_port = tor0.connected_hosts[dst]
-    sampler = BufferSampler(
-        sc.sim,
-        {"tor-down": lambda t=tor0, p=dst_port: t.port_occupancy(p)},
-        interval=us(10),
-    )
-    sampler.start()
-    result = run_scenario(cfg, scenario=sc)
-    sampler.stop()
-    # buffer level observed just before each flow arrival
-    series = [
-        (i, sampler.value_at("tor-down", (i + 1) * interval))
-        for i in range(n_flows)
-    ]
-    return summarize(result, extras={"series": series})
+    return run_scenario(cfg, scenario=sc)
 
 
-def run(
-    quick: bool = True,
-    n_flows: int = 0,
-    ecn_settings: Iterable[Tuple[int, int]] = (),
-) -> Dict:
-    n_flows = n_flows or (24 if quick else 80)
-    ecn_settings = tuple(ecn_settings) or ((20_000, 80_000), (20_000, 20_000))
-    interval = 40_000  # ns between flow arrivals: room to converge
+def tasks(
+    n_flows: int, ecn_settings: Iterable[Tuple[int, int]]
+) -> List[SweepTask]:
     variants = (
         ("dcqcn", "none"),
         ("dcqcn+ideal", "floodgate-ideal"),
         ("dcqcn+floodgate", "floodgate"),
     )
-    tasks = [
+    return [
         SweepTask(
             key=(kmin, kmax, label),
             config=ScenarioConfig(
@@ -81,20 +66,39 @@ def run(
                 ecn_kmax=kmax,
                 n_tors=3,
                 hosts_per_tor=4,
-                duration=n_flows * interval,
+                duration=n_flows * ARRIVAL_INTERVAL,
                 max_runtime_factor=30.0,
+                telemetry=TelemetryConfig(
+                    interval=us(10), engine_profile=False
+                ),
             ),
             fn=_run_convergence,
-            args=(n_flows, interval),
+            args=(n_flows,),
         )
         for kmin, kmax in ecn_settings
         for label, fc in variants
     ]
-    results = run_sweep(tasks)
+
+
+def run(
+    quick: bool = True,
+    n_flows: int = 0,
+    ecn_settings: Iterable[Tuple[int, int]] = (),
+) -> Dict:
+    n_flows = n_flows or (24 if quick else 80)
+    ecn_settings = tuple(ecn_settings) or ((20_000, 80_000), (20_000, 20_000))
+    results = run_sweep(tasks(n_flows, ecn_settings))
     out: Dict = {}
     for (kmin, kmax, label), r in results.items():
         key = f"kmin={kmin//1000}KB,kmax={kmax//1000}KB"
-        series = r.extras["series"]
+        points = r.telemetry.series_named("buffer_bytes.tor0")["points"]
+        times = [t for t, _ in points]
+        # buffer level observed just before each flow arrival: the last
+        # sample at or before it
+        series = []
+        for i in range(n_flows):
+            at = bisect_right(times, (i + 1) * ARRIVAL_INTERVAL)
+            series.append((i, points[at - 1][1] if at else 0))
         out.setdefault(key, {})[label] = {
             "buffer_vs_flows": series,
             "final_kb": series[-1][1] / 1000 if series else 0,

@@ -66,8 +66,6 @@ class ResultSummary(RunOutcome):
     the disk cache unchanged.
     """
 
-    #: figure-specific picklable payload (e.g. a sampled time series)
-    extras: Dict[str, Any] = field(default_factory=dict)
     #: wall time of the producing run; excluded from equality so
     #: serial / pooled / cached runs of the same seed compare equal
     wall_seconds: float = field(default=0.0, compare=False)
@@ -94,14 +92,10 @@ class ResultSummary(RunOutcome):
         return buf.getvalue()
 
 
-def summarize(
-    result: ScenarioResult, extras: Optional[Dict[str, Any]] = None
-) -> ResultSummary:
+def summarize(result: ScenarioResult) -> ResultSummary:
     """Extract the slim summary from a full in-process result."""
     shared = {f.name: getattr(result, f.name) for f in dataclasses.fields(RunOutcome)}
-    return ResultSummary(
-        **shared, extras=extras or {}, wall_seconds=result.wall_seconds
-    )
+    return ResultSummary(**shared, wall_seconds=result.wall_seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +104,8 @@ def summarize(
 
 #: a task function runs one scenario in the worker process; it must be
 #: a module-level callable (picklable by reference) taking the config
-#: plus ``args`` and returning a ScenarioResult or a ResultSummary
-TaskFn = Callable[..., Union[ScenarioResult, ResultSummary]]
+#: plus ``args`` and returning a ScenarioResult
+TaskFn = Callable[..., ScenarioResult]
 
 
 @dataclass(frozen=True)
@@ -127,12 +121,8 @@ class SweepTask:
 def execute_task(task: SweepTask) -> ResultSummary:
     """Run one task to a summary (the worker-process entry point)."""
     if task.fn is None:
-        result: Union[ScenarioResult, ResultSummary] = run_scenario(task.config)
-    else:
-        result = task.fn(task.config, *task.args)
-    if isinstance(result, ResultSummary):
-        return result
-    return summarize(result)
+        return summarize(run_scenario(task.config))
+    return summarize(task.fn(task.config, *task.args))
 
 
 # ---------------------------------------------------------------------------

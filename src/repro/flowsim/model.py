@@ -150,7 +150,7 @@ class FluidSimulation:
         #: start instant, so _admit can drain this list unconditionally
         self._injected: List[FluidFlow] = []
         self._completion_ev: Optional[Event] = None
-        #: rate recomputations performed (reported via extras/telemetry)
+        #: rate recomputations performed (reported via telemetry)
         self.reallocations = 0
         # the sanitizer's rate-conservation sweep finds us here
         scenario.fluid = self

@@ -3,26 +3,21 @@
 A link only models propagation (serialization lives in the egress
 port).  On a healthy link the port schedules the peer's ``receive``
 itself, at transmit start; :meth:`Link.deliver` runs — when
-serialization ends — only where the delivery is decided then: the two
-fault hooks below, and a ``channel`` that asks for it
-(``at_tx_done``).  Both hooks are zero-cost when unused:
+serialization ends — only where the delivery is decided then: the
+``fault`` slot, and a ``channel`` that asks for it (``at_tx_done``).
 
-* the legacy Bernoulli drop (``set_loss``) used by the paper's Fig. 12
-  robustness experiment — a flat loss rate for the whole run;
-* the ``fault`` slot, installed per link by
-  :class:`repro.faults.injector.FaultInjector` when a scenario carries
-  a :class:`~repro.faults.plan.FaultPlan` — scheduled outages, bursty
-  and class-split loss, corruption, and degradation.  Unfaulted links
-  pay one ``is None`` check per delivery.
+The ``fault`` slot is the one loss mechanism: installed per link by
+:class:`repro.faults.injector.FaultInjector` when a scenario carries a
+:class:`~repro.faults.plan.FaultPlan` — scheduled outages, Bernoulli,
+bursty and class-split loss, corruption, and degradation.  Unfaulted
+links pay one ``is None`` check per transmission.
 """
 
 from __future__ import annotations
 
-import random
 from heapq import heappush
 from typing import TYPE_CHECKING, Optional
 
-from repro.net.packet import PacketKind
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,11 +41,6 @@ class Link:
         "port_b",
         "bandwidth",
         "delay",
-        "loss_rate",
-        "_loss_rng",
-        "dropped_packets",
-        "dropped_data_packets",
-        "dropped_credit_packets",
         "fault",
         "lid_ab",
         "lid_ba",
@@ -73,13 +63,6 @@ class Link:
         #: port index of this link on each endpoint (set by Node.attach_link)
         self.port_a: int = -1
         self.port_b: int = -1
-        self.loss_rate: float = 0.0
-        self._loss_rng: Optional[random.Random] = None
-        self.dropped_packets: int = 0
-        #: kind-split Bernoulli drop counters, so the sanitizer's
-        #: conservation ledgers balance on lossy runs
-        self.dropped_data_packets: int = 0
-        self.dropped_credit_packets: int = 0
         #: scheduled-fault state (see repro.faults); None on healthy links
         self.fault: Optional["LinkFaultState"] = None
         #: per-direction link ids for the engine ordering key.  Assigned
@@ -97,13 +80,6 @@ class Link:
         #: None on every serial and intra-domain link.
         self.channel = None
 
-    def set_loss(self, rate: float, rng: random.Random) -> None:
-        """Enable Bernoulli packet loss on this link (both directions)."""
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"loss rate must be in [0, 1], got {rate}")
-        self.loss_rate = rate
-        self._loss_rng = rng
-
     def peer_of(self, node: "Node") -> "Node":
         """The endpoint opposite ``node``."""
         if node is self.node_a:
@@ -118,14 +94,6 @@ class Link:
 
     def deliver(self, pkt: "Packet", sender: "Node") -> None:
         """Carry ``pkt`` from ``sender`` to the peer after the prop delay."""
-        if self.loss_rate > 0.0 and self._loss_rng is not None:
-            if self._loss_rng.random() < self.loss_rate:
-                self.dropped_packets += 1
-                if pkt.kind == PacketKind.DATA:
-                    self.dropped_data_packets += 1
-                elif pkt.kind == PacketKind.CREDIT:
-                    self.dropped_credit_packets += 1
-                return
         # inline peer resolution (peer_of + peer_port_of): this runs
         # once per transmitted packet, and two method calls are
         # measurable at that rate

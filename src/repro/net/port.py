@@ -22,8 +22,8 @@ The wire is *busy-until*: starting a transmission records when it ends
 right away at ``now + serialization + propagation`` — one heap event
 per hop.  The end of serialization is an event of its own
 (:meth:`EgressPort._wake`) only when a packet is waiting for the wire,
-and on links where delivery is decided at that moment (loss, faults,
-the hybrid boundary: :meth:`EgressPort._tx_done`).  DESIGN.md "Engine
+and on links where delivery is decided at that moment (faults, the
+hybrid boundary: :meth:`EgressPort._tx_done`).  DESIGN.md "Engine
 fast path" has the ordering argument.
 """
 
@@ -373,7 +373,6 @@ class EgressPort:
         channel = link.channel
         if (
             delay
-            and link.loss_rate == 0.0
             and link.fault is None
             and (channel is None or not channel.at_tx_done)
         ):

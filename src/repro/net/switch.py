@@ -75,10 +75,6 @@ class SwitchExtension:
         """Observe a DATA packet leaving an egress queue (control and
         ACK-like frames are not reported)."""
 
-    def voq_bytes_for_port(self, port_index: int) -> int:
-        """Extension-held bytes logically belonging to ``port_index``."""
-        return 0
-
     def adjusted_qlen(self, pkt: Packet, port: EgressPort) -> Optional[int]:
         """Override the INT queue length for ``pkt`` (None = default)."""
         return None

@@ -69,9 +69,6 @@ class Topology:
     #: of scanning the flow table
     completed_flows: int = 0
 
-    def host_by_id(self, node_id: int) -> Host:
-        return self.hosts[node_id]
-
     def switches_of_kind(self, kind: str) -> List[Switch]:
         return [s for s in self.switches if s.kind == kind]
 

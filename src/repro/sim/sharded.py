@@ -272,14 +272,6 @@ def _bind_domains(
         db = domain_of[link.node_b.node_id]
         if da == db:
             link.sim = sims[da]
-        elif link.loss_rate > 0.0:
-            # both directions draw from one rng and count into one
-            # link object: neither has a domain-local meaning
-            raise ValueError(
-                f"Bernoulli loss on boundary link {link.node_a.name}<->"
-                f"{link.node_b.name} (domains {da} and {db}) cannot run "
-                "sharded; use a fault plan on intra-domain links or shards=1"
-            )
         else:
             link.channel = channel
     for sw in topo.switches:

@@ -8,9 +8,9 @@ increments that exist anyway; the rare control branches pay one
 run and again at the end:
 
 1. **Packet conservation** — DATA packets injected by hosts equal
-   packets delivered + dropped (switch admission, link loss, injected
-   faults) + trimmed (NDP) + still in flight (egress queues, VOQs,
-   the event heap).
+   packets delivered + dropped (switch admission, injected faults)
+   + trimmed (NDP) + still in flight (egress queues, VOQs, the event
+   heap).
 2. **Buffer consistency** — each switch's shared-buffer occupancy
    equals the sum of its per-ingress charges *and* the sum of its
    per-port occupancy, never negative, never above capacity.
@@ -61,6 +61,16 @@ class SanitizerConfig:
     #: sweep would otherwise flood the report)
     max_violations: int = 100
 
+    def __post_init__(self) -> None:
+        if self.check_interval <= 0:
+            raise ValueError(
+                f"check_interval must be positive, got {self.check_interval}"
+            )
+        if self.max_violations < 0:
+            raise ValueError(
+                f"max_violations must be >= 0, got {self.max_violations}"
+            )
+
 
 def count_kinds(packets) -> Tuple[int, int]:
     """``(DATA, CREDIT)`` packets in an iterable of packets."""
@@ -94,16 +104,15 @@ def conservation_violations(
     injected = total("injected")
     delivered = total("delivered")
     dropped = total("switch_dropped")
-    link_dropped = total("link_dropped")
     fault_dropped = total("fault_dropped")
     trimmed = total("trimmed")
     inflight = total("inflight_data") + extra_data
-    accounted = delivered + dropped + link_dropped + fault_dropped + trimmed
+    accounted = delivered + dropped + fault_dropped + trimmed
     if injected != accounted + inflight:
         messages.append(
             "DATA packet conservation broken: "
             f"injected={injected} != delivered={delivered} "
-            f"+ switch-dropped={dropped} + link-dropped={link_dropped} "
+            f"+ switch-dropped={dropped} "
             f"+ fault-dropped={fault_dropped} + trimmed={trimmed} "
             f"+ in-flight={inflight} (= {accounted + inflight}, "
             f"off by {injected - accounted - inflight})"
@@ -160,9 +169,9 @@ class SimSanitizer:
     (:mod:`repro.sim.sharded`) — a fabric-wide walk would read other
     domains' state mid-window, exactly the aliasing SIM005 and the
     isolation sanitizer forbid.  A link belongs to the domain of its
-    ``node_a`` (boundary links carry neither loss nor faults — the
-    sharded runner rejects both — so their drop counters stay zero on
-    either side).  A slice has no heap task: its runtime calls
+    ``node_a`` (boundary links carry no faults — the sharded runner
+    rejects such plans — so their drop counters stay zero on either
+    side).  A slice has no heap task: its runtime calls
     :meth:`sweep` when a window lands on a ``check_interval`` boundary,
     so sweeps never appear in event streams and the state read is the
     serial cut; and it judges no conservation equation — ``sweep``
@@ -239,14 +248,13 @@ class SimSanitizer:
     def _pairing_applicable(self) -> bool:
         """Pairing is only sound when control frames cannot be lost.
 
-        Resolved at the first pause/resume event (loss/fault config is
-        final by then): a dropped PAUSE would make the later RESUME
+        Resolved at the first pause/resume event (the fault plan is
+        installed by then): a dropped PAUSE would make the later RESUME
         look unmatched, which is loss, not a protocol bug.
         """
         if self._pairing is None:
             self._pairing = not any(
-                link.loss_rate > 0.0 or link.fault is not None
-                for link in self.topology.links
+                link.fault is not None for link in self.topology.links
             )
         return self._pairing
 
@@ -308,10 +316,8 @@ class SimSanitizer:
         a sharded run keep one per domain.
         """
         inflight_data, inflight_credit = count_kinds(self._packets_at_rest())
-        link_dropped = fault_dropped = credit_dropped = 0
+        fault_dropped = credit_dropped = 0
         for link in self.links:
-            link_dropped += link.dropped_data_packets
-            credit_dropped += link.dropped_credit_packets
             if link.fault is not None:
                 fault_dropped += link.fault.injected_drops_data
                 credit_dropped += link.fault.injected_drops_credit
@@ -334,7 +340,6 @@ class SimSanitizer:
             "injected": sum(h.tx_data_packets for h in self.hosts),
             "delivered": sum(h.rx_data_packets for h in self.hosts),
             "switch_dropped": sum(sw.dropped_packets for sw in self.switches),
-            "link_dropped": link_dropped,
             "fault_dropped": fault_dropped,
             "trimmed": sum(
                 getattr(ext, "trimmed_packets", 0) for ext in self.extensions

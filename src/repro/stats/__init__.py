@@ -3,7 +3,6 @@
 from repro.stats.collector import NON_INCAST, FlowClass, FlowSelector, StatsHub
 from repro.stats.fct import FctRecord, FctSummary, summarize_fct
 from repro.stats.rpc import RpcRecord, RpcSummary, requests_per_sec, summarize_rpc
-from repro.stats.timeseries import ThroughputMonitor, BufferSampler
 
 __all__ = [
     "FlowClass",
@@ -17,6 +16,4 @@ __all__ = [
     "RpcSummary",
     "summarize_rpc",
     "requests_per_sec",
-    "ThroughputMonitor",
-    "BufferSampler",
 ]

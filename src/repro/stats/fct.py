@@ -30,10 +30,6 @@ class FctRecord:
     def fct_ms(self) -> float:
         return self.fct / 1_000_000.0
 
-    @property
-    def fct_us(self) -> float:
-        return self.fct / 1_000.0
-
 
 def percentile(sorted_values: Sequence[float], p: float) -> float:
     """Nearest-rank percentile on an already-sorted sequence."""
@@ -58,10 +54,6 @@ class FctSummary:
     @property
     def avg_ms(self) -> float:
         return self.avg_ns / 1_000_000.0
-
-    @property
-    def p99_ms(self) -> float:
-        return self.p99_ns / 1_000_000.0
 
     @property
     def avg_us(self) -> float:

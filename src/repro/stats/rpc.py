@@ -30,14 +30,6 @@ class RpcRecord:
     def latency(self) -> int:
         return self.finish_time - self.start_time
 
-    @property
-    def latency_us(self) -> float:
-        return self.latency / 1_000.0
-
-    @property
-    def latency_ms(self) -> float:
-        return self.latency / 1_000_000.0
-
 
 @dataclass(frozen=True)
 class RpcSummary:
@@ -65,10 +57,6 @@ class RpcSummary:
     @property
     def p999_us(self) -> float:
         return self.p999_ns / 1_000.0
-
-    @property
-    def max_us(self) -> float:
-        return self.max_ns / 1_000.0
 
 
 def summarize_rpc(records: Iterable[RpcRecord]) -> RpcSummary:

@@ -33,6 +33,10 @@ class TelemetryConfig:
     #: engine profile: per-callback event counts, heap depth
     engine_profile: bool = True
 
+    def __post_init__(self) -> None:
+        if self.interval <= 0:
+            raise ValueError(f"interval must be positive, got {self.interval}")
+
 
 class Histogram:
     """Streaming histogram with power-of-two bins.

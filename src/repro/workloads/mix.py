@@ -40,14 +40,6 @@ class IncastMix:
         for flow_id, cls in self.classes.items():
             stats.register_flow_class(flow_id, cls)
 
-    @property
-    def poisson_flow_ids(self) -> List[int]:
-        return [
-            fid
-            for fid, cls in self.classes.items()
-            if cls is not FlowClass.INCAST
-        ]
-
 
 def classify_flows(
     poisson_flows: Sequence[FlowSpec],

@@ -7,6 +7,7 @@ from typing import Dict, Optional
 import pytest
 
 from repro.cc.base import CcAlgorithm, StaticWindowCc
+from repro.faults import FaultInjector, FaultPlan, LinkFaultState
 from repro.net.host import Host
 from repro.net.switch import Switch
 from repro.net.topology import (
@@ -15,8 +16,21 @@ from repro.net.topology import (
     build_leaf_spine,
 )
 from repro.sim.engine import Simulator
+from repro.sim.rng import RngRegistry
 from repro.stats.collector import StatsHub
 from repro.units import gbps, kb, mb
+
+
+def lossy_link(link, rate: float, rng) -> LinkFaultState:
+    """Bernoulli loss on a raw link, data and control alike.
+
+    Installs what a ``RandomLoss`` plan's injector installs — a
+    :class:`LinkFaultState` with one loss window open — without a
+    topology to resolve a selector against.
+    """
+    link.fault = state = LinkFaultState(link.sim, link, rng)
+    state.add_loss(rate, rate)
+    return state
 
 
 class MiniNet:
@@ -92,6 +106,15 @@ class MiniNet:
 
     def all_buffers_empty(self) -> bool:
         return all(sw.buffer.used == 0 for sw in self.topo.switches)
+
+
+def install(net: MiniNet, plan: FaultPlan, seed: int = 1) -> FaultInjector:
+    """Arm a plan on a MiniNet the way Scenario does."""
+    inj = FaultInjector(
+        net.sim, net.topo, plan, RngRegistry(seed), stats=net.stats
+    )
+    inj.install()
+    return inj
 
 
 @pytest.fixture

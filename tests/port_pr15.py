@@ -89,7 +89,7 @@ class TwoEventPort(EgressPort):
     def _tx_done(self, pkt) -> None:
         self._busy = False
         link = self.link
-        if link.loss_rate == 0.0 and link.fault is None and link.channel is None:
+        if link.fault is None and link.channel is None:
             peer = self._peer
             if peer is None:
                 peer = self._peer = link.peer_of(self.node)

@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.experiments.figures import fig12_loss
 from repro.experiments.parallel import SweepTask, run_sweep, summarize
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import ScenarioConfig
 from repro.faults import (
     BurstLoss,
     Corruption,
-    FaultInjector,
     FaultPlan,
     LinkDown,
     PortDegrade,
@@ -18,18 +18,8 @@ from repro.faults import (
     plan_of,
 )
 from repro.net.packet import Packet, PacketKind
-from repro.sim.rng import RngRegistry
 from repro.units import ms, us
-from tests.conftest import MiniNet
-
-
-def install(net: MiniNet, plan: FaultPlan, seed: int = 1) -> FaultInjector:
-    """Arm a plan on a MiniNet the way Scenario does."""
-    inj = FaultInjector(
-        net.sim, net.topo, plan, RngRegistry(seed), stats=net.stats
-    )
-    inj.install()
-    return inj
+from tests.conftest import MiniNet, install
 
 
 class TestPlan:
@@ -381,6 +371,25 @@ class TestDeterminism:
             config=dataclasses.replace(FAULTED_CFG, fault_plan=other_plan),
         )
         assert task_fingerprint(base) != task_fingerprint(changed)
+
+    def test_loss_rate_is_in_the_cache_key(self):
+        """Fig. 12's rows differ only in their plan's rate: a cached 5 %
+        run must never answer for the 10 % one."""
+        from repro.experiments.parallel import task_fingerprint
+
+        five, ten = fig12_loss.tasks(quick=True, loss_rates=(0.05, 0.10))
+        assert five.config.fault_plan != ten.config.fault_plan
+        assert task_fingerprint(five) != task_fingerprint(ten)
+
+    def test_lossy_boundary_link_cannot_run_sharded(self):
+        """The fault plan is the one way to make a link lossy, so its
+        boundary rule is the one that guards a sharded run."""
+        import dataclasses
+
+        (task,) = fig12_loss.tasks(quick=True, loss_rates=(0.05,))
+        cfg = dataclasses.replace(task.config, shards=2)
+        with pytest.raises(ValueError, match="matches boundary link"):
+            run_scenario(cfg)
 
     def test_empty_plan_equals_no_plan(self):
         """Acceptance: an installed-but-empty plan changes nothing."""

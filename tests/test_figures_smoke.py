@@ -6,6 +6,7 @@ meaningful parameters.
 """
 
 from repro.experiments.figures import (
+    fig02_throughput,
     fig07_workloads,
     fig14_scaleup,
     fig16_ecn,
@@ -50,6 +51,44 @@ class TestFigureSmoke:
         }
         for row in result[key].values():
             assert len(row["buffer_vs_flows"]) == 8
+
+    def test_fig02_and_fig16_outputs_are_pinned(self):
+        """Read off the live-monitor figures before they moved onto the
+        telemetry export: the export must say what the monitors said."""
+        fig02 = fig02_throughput.run(quick=True)
+        # (time_ms, gbps) pairs on the 20 us sampling grid
+        assert fig02["series"]["dcqcn"]["victim_pfc"][0][0] == 0.02
+        assert fig02["summary"] == {
+            "dcqcn": {
+                "victim_incast_first_rx_ms": 0.06,
+                "pfc_events": 27,
+                "mean_victim_pfc_gbps": 20.12305999999999,
+            },
+            "dcqcn+floodgate": {
+                "victim_incast_first_rx_ms": 0.06,
+                "pfc_events": 0,
+                "mean_victim_pfc_gbps": 21.676393333333312,
+            },
+        }
+        levels = {
+            setting: {
+                label: (row["final_kb"], row["mid_kb"])
+                for label, row in by_variant.items()
+            }
+            for setting, by_variant in fig16_ecn.run(quick=True).items()
+        }
+        assert levels == {
+            "kmin=20KB,kmax=80KB": {
+                "dcqcn": (394, 378),
+                "dcqcn+ideal": (70, 75),
+                "dcqcn+floodgate": (86, 75),
+            },
+            "kmin=20KB,kmax=20KB": {
+                "dcqcn": (394, 314),
+                "dcqcn+ideal": (73, 69),
+                "dcqcn+floodgate": (74, 75),
+            },
+        }
 
     def test_fig17_delay_credit(self):
         result = fig17_params.run_delay_credit(quick=True, multiples=(2,))

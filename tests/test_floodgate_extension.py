@@ -1,11 +1,10 @@
 """Floodgate end-to-end behaviour on real topologies."""
 
-import random
-
+from repro.faults import RandomLoss, plan_of
 from repro.floodgate.config import FloodgateConfig
 from repro.floodgate.extension import FloodgateExtension
 from repro.units import kb, ms, us
-from tests.conftest import MiniNet
+from tests.conftest import MiniNet, install
 
 
 def with_floodgate(net: MiniNet, **cfg_kwargs) -> list:
@@ -122,14 +121,7 @@ class TestLossRecovery:
     def test_flows_complete_despite_credit_and_data_loss(self):
         net = MiniNet("leaf-spine")
         exts = with_floodgate(net, syn_timeout=us(50))
-        rng = random.Random(3)
-        from repro.net.switch import Switch
-
-        for link in net.topo.links:
-            if isinstance(link.node_a, Switch) and isinstance(
-                link.node_b, Switch
-            ):
-                link.set_loss(0.05, rng)
+        install(net, plan_of(RandomLoss(data_rate=0.05, ctrl_rate=0.05)), seed=3)
         for host in net.topo.hosts:
             host.rto = us(400)
         flows = [
@@ -145,14 +137,7 @@ class TestLossRecovery:
         # drop EVERY switch-to-switch control frame one way by losing
         # 100% on one spine->tor direction is too brutal; instead lose
         # 60% so some credits vanish while data mostly flows
-        rng = random.Random(5)
-        from repro.net.switch import Switch
-
-        for link in net.topo.links:
-            if isinstance(link.node_a, Switch) and isinstance(
-                link.node_b, Switch
-            ):
-                link.set_loss(0.4, rng)
+        install(net, plan_of(RandomLoss(data_rate=0.4, ctrl_rate=0.4)), seed=5)
         for host in net.topo.hosts:
             host.rto = us(500)
         flows = [

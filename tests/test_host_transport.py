@@ -6,7 +6,7 @@ import pytest
 
 from repro.net.packet import Packet, PacketKind
 from repro.units import gbps, kb, ms, us
-from tests.conftest import MiniNet
+from tests.conftest import MiniNet, install, lossy_link
 
 
 class TestDelivery:
@@ -67,7 +67,7 @@ class TestReliability:
         # lossy trunk: GBN + NACK + RTO must still complete the flow
         trunk = net.topo.links[-1]
         net.topo.hosts[0].rto = us(300)
-        trunk.set_loss(0.10, random.Random(7))
+        lossy_link(trunk, 0.10, random.Random(7))
         f = net.flow(1, 0, 6, 60_000)  # cross-rack: uses the trunk
         net.run(ms(50))
         assert f.receiver_done
@@ -91,22 +91,12 @@ class TestReliability:
 class TestFaultRecovery:
     """Recovery paths under injected faults (repro.faults)."""
 
-    def _inject(self, net, plan):
-        from repro.faults import FaultInjector
-        from repro.sim.rng import RngRegistry
-
-        inj = FaultInjector(
-            net.sim, net.topo, plan, RngRegistry(5), stats=net.stats
-        )
-        inj.install()
-        return inj
-
     def test_rto_and_gbn_recover_from_burst_loss(self):
         from repro.faults import BurstLoss, plan_of
 
         net = MiniNet()
         net.topo.hosts[0].rto = us(300)
-        self._inject(
+        install(
             net,
             plan_of(
                 BurstLoss(
@@ -146,7 +136,7 @@ class TestFaultRecovery:
         from repro.faults import RandomLoss, plan_of
 
         lossy = build()
-        self._inject(
+        install(
             lossy,
             plan_of(
                 RandomLoss(link="host-switch", data_rate=0.0, ctrl_rate=1.0)

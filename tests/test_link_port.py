@@ -7,6 +7,7 @@ from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
 from repro.sim.engine import Simulator
 from repro.units import gbps, serialization_delay
+from tests.conftest import lossy_link
 
 
 class Sink(Node):
@@ -156,19 +157,20 @@ class TestLoss:
 
     def test_loss_drops_expected_fraction(self):
         sim, a, b, link = make_pair()
-        link.set_loss(0.5, random.Random(42))
+        state = lossy_link(link, 0.5, random.Random(42))
         for i in range(400):
             a.ports[0].enqueue(data(seq=i), 1)
         sim.run()
         assert 120 < len(b.received) < 280
-        assert link.dropped_packets == 400 - len(b.received)
+        assert state.injected_drops_data == 400 - len(b.received)
 
     def test_invalid_loss_rate_rejected(self):
         import pytest
 
-        _, _, _, link = make_pair()
+        from repro.faults import RandomLoss
+
         with pytest.raises(ValueError):
-            link.set_loss(1.5, random.Random(1))
+            RandomLoss(data_rate=1.5)
 
     def test_peer_helpers(self):
         _, a, b, link = make_pair()

@@ -18,7 +18,7 @@ from repro.experiments.parallel import (
     task_fingerprint,
 )
 from repro.experiments.runner import run_scenario
-from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.scenario import Scenario, ScenarioConfig
 
 
 def tiny_config(**overrides) -> ScenarioConfig:
@@ -45,9 +45,10 @@ def tiny_tasks():
 
 
 # a module-level task function, picklable by reference, for custom-fn tasks
-def _scaled_run(config, scale):
-    result = run_scenario(config)
-    return summarize(result, extras={"scale": scale})
+def _thinned_run(config, keep_every):
+    sc = Scenario(config)
+    sc.flows = sc.flows[::keep_every]
+    return run_scenario(config, scenario=sc)
 
 
 class TestDeterminism:
@@ -80,14 +81,44 @@ class TestDeterminism:
 
     def test_custom_fn_tasks_deterministic(self):
         tasks = [
-            SweepTask(key=s, config=tiny_config(seed=s), fn=_scaled_run, args=(2,))
+            SweepTask(key=s, config=tiny_config(seed=s), fn=_thinned_run, args=(2,))
             for s in (7, 8)
         ]
         a = run_sweep(tasks, serial=True)
         b = run_sweep(tasks, max_workers=2)
         for key in a:
-            assert a[key].extras == {"scale": 2}
+            whole = len(Scenario(tiny_config(seed=key)).flows)
+            assert a[key].total_flows == (whole + 1) // 2
             assert a[key].canonical_bytes() == b[key].canonical_bytes()
+
+
+    def test_time_resolved_figures_ride_the_sweep_runner(self, tmp_path):
+        """Figs. 2, 12 and 16 are task lists like every other figure:
+        their loss pattern and their time series are in the config, so
+        serial, pooled and cache-served runs agree to the byte."""
+        from repro.experiments.figures import (
+            fig02_throughput,
+            fig12_loss,
+            fig16_ecn,
+        )
+
+        tasks = [
+            *fig02_throughput.tasks(quick=True),
+            *fig12_loss.tasks(quick=True, loss_rates=(0.05,)),
+            *fig16_ecn.tasks(n_flows=4, ecn_settings=((20_000, 80_000),)),
+        ]
+        serial = run_sweep(tasks, serial=True, cache=tmp_path)
+        pooled = run_sweep(tasks, max_workers=2, cache=False)
+        warm = run_sweep(tasks, serial=True, cache=tmp_path)
+        assert len(serial) == len(tasks) == 6
+        for key, run in serial.items():
+            assert run.telemetry.series and not run.from_cache
+            assert warm[key].from_cache
+            assert (
+                run.canonical_bytes()
+                == pooled[key].canonical_bytes()
+                == warm[key].canonical_bytes()
+            )
 
 
 class TestCache:
@@ -133,9 +164,9 @@ class TestCache:
     def test_fingerprint_sensitive_to_config_and_fn(self):
         t1 = SweepTask(key="a", config=tiny_config(seed=1))
         t2 = SweepTask(key="a", config=tiny_config(seed=2))
-        t3 = SweepTask(key="a", config=tiny_config(seed=1), fn=_scaled_run)
+        t3 = SweepTask(key="a", config=tiny_config(seed=1), fn=_thinned_run)
         t4 = SweepTask(
-            key="a", config=tiny_config(seed=1), fn=_scaled_run, args=(3,)
+            key="a", config=tiny_config(seed=1), fn=_thinned_run, args=(3,)
         )
         prints = {task_fingerprint(t) for t in (t1, t2, t3, t4)}
         assert len(prints) == 4

@@ -22,6 +22,7 @@ from repro.net.port import EgressPort
 from repro.sim.engine import Simulator
 from repro.simcheck.sanitizer import SanitizerConfig
 from repro.units import gbps, serialization_delay, us
+from tests.conftest import lossy_link
 
 BW = gbps(10)
 DELAY = 1000
@@ -320,12 +321,12 @@ def test_hybrid_style_channel_is_called_when_serialization_ends():
 
 def test_lossy_link_draws_at_tx_done_in_transmit_order():
     def script(sim, a, b, link):
-        link.set_loss(0.5, random.Random(7))
+        state = lossy_link(link, 0.5, random.Random(7))
         for seq in range(40):
             a.ports[0].enqueue(data(seq), 1)
         # the draw happens when serialization ends, not when it starts
-        sim.schedule_call_at(SER - 1, lambda: b.received.append(link.dropped_packets))
-        sim.schedule_call_at(SER + 1, lambda: b.received.append(link._loss_rng.random()))
+        sim.schedule_call_at(SER - 1, lambda: b.received.append(state.injected_drops_data))
+        sim.schedule_call_at(SER + 1, lambda: b.received.append(state.rng.random()))
 
     new, old = on_both_ports(script)
     assert new == old

@@ -8,10 +8,11 @@ deterministic replay.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.faults import RandomLoss, plan_of
 from repro.floodgate.config import FloodgateConfig
 from repro.floodgate.extension import FloodgateExtension
 from repro.units import ms, us
-from tests.conftest import MiniNet
+from tests.conftest import MiniNet, install
 
 
 flows_strategy = st.lists(
@@ -33,16 +34,10 @@ def run_random(flow_specs, floodgate: bool, loss_pct: int = 0):
         for sw in net.topo.switches:
             sw.install_extension(FloodgateExtension(net.sim, config))
     if loss_pct:
-        import random as random_module
-
-        rng = random_module.Random(12345)
-        from repro.net.switch import Switch
-
-        for link in net.topo.links:
-            if isinstance(link.node_a, Switch) and isinstance(
-                link.node_b, Switch
-            ):
-                link.set_loss(loss_pct / 100.0, rng)
+        rate = loss_pct / 100.0
+        install(
+            net, plan_of(RandomLoss(data_rate=rate, ctrl_rate=rate)), seed=12345
+        )
         for host in net.topo.hosts:
             host.rto = us(300)
     flows = []

@@ -6,6 +6,8 @@ import pytest
 
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scale, Scenario, ScenarioConfig
+from repro.simcheck.sanitizer import SanitizerConfig
+from repro.telemetry.registry import TelemetryConfig
 from repro.units import gbps, mb
 
 
@@ -43,6 +45,23 @@ class TestConfigResolution:
     def test_unknown_topology_rejected(self):
         with pytest.raises(ValueError):
             Scenario(ScenarioConfig(topology="ring", **QUICK))
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: TelemetryConfig(interval=0), "interval"),
+            (lambda: TelemetryConfig(interval=-5), "interval"),
+            (lambda: SanitizerConfig(check_interval=0), "check_interval"),
+            (lambda: SanitizerConfig(check_interval=-5), "check_interval"),
+            (lambda: SanitizerConfig(max_violations=-1), "max_violations"),
+        ],
+    )
+    def test_observer_configs_validate_at_construction(self, build, field):
+        # these used to construct, hash into a cache key, and only fail
+        # inside Scenario.__init__ with PeriodicTask's anonymous message
+        with pytest.raises(ValueError, match=field):
+            build()
+        assert SanitizerConfig(max_violations=0).max_violations == 0
 
 
 class TestBuild:

@@ -9,8 +9,8 @@ import pytest
 from repro.experiments.parallel import summarize
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scenario, ScenarioConfig
+from repro.faults import RandomLoss, plan_of
 from repro.net.packet import Packet, PacketKind
-from repro.net.switch import Switch
 from repro.simcheck.sanitizer import SanitizerConfig, SanitizerError, SimSanitizer
 from repro.units import us
 
@@ -187,9 +187,10 @@ def test_double_dst_pause_is_flagged():
 def test_lossy_links_disable_pairing_but_not_conservation():
     """A dropped PAUSE makes the later RESUME look unmatched; that is
     loss, not a bug, so pairing checks stand down on lossy fabrics."""
-    cfg = small_cfg("none")
+    cfg = small_cfg(
+        "none", fault_plan=plan_of(RandomLoss(link="#0", ctrl_rate=0.5))
+    )
     sc = Scenario(cfg)
-    sc.topology.links[0].set_loss(0.5, sc.rng.stream("test-loss"))
     host = sc.topology.hosts[0]
     host.receive(Packet.control(PacketKind.PFC_RESUME, 0, host.node_id), 0)
     assert sc.sanitizer.violations == []  # pairing stood down
@@ -256,15 +257,12 @@ def test_fig12_style_lossy_incast_is_clean():
         max_runtime_factor=20.0,
         seed=1,
         sanitize=SanitizerConfig(),
+        fault_plan=plan_of(
+            RandomLoss(link="switch-switch", data_rate=0.05, ctrl_rate=0.05)
+        ),
     )
-    sc = Scenario(cfg)
-    rng = sc.rng.stream("link-loss")
-    lossy = 0
-    for link in sc.topology.links:
-        if isinstance(link.node_a, Switch) and isinstance(link.node_b, Switch):
-            link.set_loss(0.05, rng)
-            lossy += 1
-    assert lossy > 0
-    result = run_scenario(cfg, scenario=sc)
+    result = run_scenario(cfg)
+    assert result.fault_summary["faulted_links"] > 0
+    assert result.fault_drops_total > 0
     assert result.sanitizer_violations == []
-    assert sc.sanitizer.checks_run > 1
+    assert result.scenario.sanitizer.checks_run > 1

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.experiments.figures.common import first_nonzero_ms, mean_value
 from repro.sim.engine import Simulator
 from repro.stats.collector import NON_INCAST, FlowClass, StatsHub
 from repro.stats.fct import (
@@ -11,8 +12,8 @@ from repro.stats.fct import (
     percentile,
     summarize_fct,
 )
-from repro.stats.timeseries import BufferSampler, ThroughputMonitor, utilization
-from repro.units import gbps, us
+from repro.telemetry.samplers import GaugeSampler, RateSampler
+from repro.units import us
 
 
 def rec(flow_id, fct_ns, size=1000):
@@ -148,8 +149,8 @@ class TestTimeSeries:
 
         task = PeriodicTask(sim, us(1), feed)
         task.start()
-        mon = ThroughputMonitor(
-            sim, {"x": lambda: counter["bytes"]}, interval=us(10)
+        mon = RateSampler(
+            sim, {"x": lambda: counter["bytes"]}, interval=us(10), scale=8.0
         )
         mon.start()
         sim.run(until=us(100))
@@ -158,33 +159,29 @@ class TestTimeSeries:
         series = mon.series("x")
         assert series
         assert all(8.0 < gbps_v < 12.0 for _, gbps_v in series)
-        assert 8.0 < mon.mean_after("x") < 12.0
+        assert 8.0 < mean_value(series) < 12.0
 
     def test_first_nonzero_time(self):
         sim = Simulator()
         counter = {"bytes": 0}
         sim.schedule(us(50), lambda: counter.__setitem__("bytes", 99_999))
-        mon = ThroughputMonitor(
-            sim, {"x": lambda: counter["bytes"]}, interval=us(10)
+        mon = RateSampler(
+            sim, {"x": lambda: counter["bytes"]}, interval=us(10), scale=8.0
         )
         mon.start()
         sim.run(until=us(100))
         # the jump at 50 us is visible in the 50 us sample (the setter
         # event was scheduled first and wins the tie)
-        assert mon.first_nonzero_time("x") == pytest.approx(0.05)
+        assert first_nonzero_ms(mon.series("x")) == pytest.approx(0.05)
+        assert first_nonzero_ms([]) == -1.0
 
     def test_buffer_sampler(self):
         sim = Simulator()
         gauge = {"v": 0}
         sim.schedule(us(25), lambda: gauge.__setitem__("v", 7))
-        s = BufferSampler(sim, {"g": lambda: gauge["v"]}, interval=us(10))
+        s = GaugeSampler(sim, {"g": lambda: gauge["v"]}, interval=us(10))
         s.start()
         sim.run(until=us(60))
         assert s.max_value("g") == 7
         assert s.value_at("g", us(20)) == 0
         assert s.value_at("g", us(40)) == 7
-
-    def test_utilization(self):
-        # 1.25 GB in one second on a 10G link = 100%
-        assert utilization(1_250_000_000, gbps(10), 1_000_000_000) == pytest.approx(1.0)
-        assert utilization(0, gbps(10), 0) == 0.0

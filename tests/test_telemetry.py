@@ -18,7 +18,6 @@ from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.sim.engine import Simulator
 from repro.stats.collector import FlowClass
-from repro.stats.timeseries import ThroughputMonitor
 from repro.telemetry import (
     EngineProfiler,
     GaugeSampler,
@@ -84,7 +83,7 @@ class TestInstruments:
 
 class TestSamplers:
     def test_rate_sampler_started_mid_run(self):
-        # the old ThroughputMonitor divided the first sample by the
+        # the pre-RateSampler monitor divided the first sample by the
         # nominal interval even when started at sim.now > 0 or off the
         # tick grid — the rate must use the actual elapsed window
         sim = Simulator()
@@ -130,8 +129,8 @@ class TestSamplers:
             "bytes", box["bytes"] + 1_250))  # steady 10 Gbps
         feed.start()
         sim.run(until=us(50))
-        mon = ThroughputMonitor(
-            sim, {"x": lambda: box["bytes"]}, interval=us(10)
+        mon = RateSampler(
+            sim, {"x": lambda: box["bytes"]}, interval=us(10), scale=8.0
         )
         mon.start()
         sim.run(until=us(100))
