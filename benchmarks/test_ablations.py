@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from benchmarks.conftest import show
 from repro.experiments.runner import run_scenario
-from repro.experiments.scenario import Scenario, ScenarioConfig
+from repro.experiments.scenario import ScenarioConfig
 from repro.faults import RandomLoss, plan_of
 from repro.floodgate.config import FloodgateConfig
 from repro.stats.collector import FlowClass
@@ -71,13 +71,15 @@ def test_ablation_delay_credit(once):
     """delayCredit's value shows in the ToR scale-up regime (§6.2):
     the core's VOQ absorbs one window per source ToR unless credits
     back toward the ToRs are withheld."""
-    from repro.workloads.incast import all_to_one_incast
 
     def run_pair():
         results = {}
         for label, multiple in (("enabled", 0.5), ("disabled", 10_000.0)):
+            # one burst: the interval (1.57 ms at 28 senders) exceeds
+            # the duration
             cfg = ScenarioConfig(
-                pattern="none",
+                pattern="incast",
+                incast_dst=0,
                 flow_control="floodgate",
                 delay_credit_bdp=multiple,
                 n_tors=8,
@@ -85,12 +87,7 @@ def test_ablation_delay_credit(once):
                 duration=200_000,
                 max_runtime_factor=60.0,
             )
-            sc = Scenario(cfg)
-            rng = sc.rng.stream("ablation-dc")
-            hosts = [h.node_id for h in sc.topology.hosts]
-            spec = all_to_one_incast(hosts[4:], dst=0, rng=rng)
-            sc.flows = spec.flows
-            results[label] = run_scenario(cfg, scenario=sc)
+            results[label] = run_scenario(cfg)
         return results
 
     results = once(run_pair)

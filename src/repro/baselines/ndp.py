@@ -23,7 +23,7 @@ bottleneck's bandwidth.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Set
+from typing import Deque, Dict, Optional, Set
 
 from repro.net.host import Host
 from repro.net.packet import Packet, PacketKind
@@ -41,6 +41,10 @@ class NdpSwitchExtension(SwitchExtension):
         self.sim = sim
         self.trim_threshold = trim_threshold
         self.trimmed_packets = 0
+
+    def telemetry_counters(self) -> Dict[str, int]:
+        """End-of-run counter values for :mod:`repro.telemetry`."""
+        return {"ndp.trimmed_packets": self.trimmed_packets}
 
     def on_data(self, pkt: Packet, in_port: int, out_port: int) -> bool:
         port = self.switch.ports[out_port]

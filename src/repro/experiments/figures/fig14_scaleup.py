@@ -1,32 +1,44 @@
 """Fig. 14: buffer occupancy as the number of ToRs scales up (§6.2).
 
-Pure incast: every host (except the destination) sends one 30-40 MTU
-flow to one destination host, all at once.  For DCQCN the destination
-ToR's buffer grows proportionally to the number of flows; Floodgate
-stays stable (the delayCredit mechanism keeps even the core's share
-bounded as more ToRs contribute).
+Pure incast: every host outside the destination's rack sends one
+30-40 MTU flow to the first host, all at once.  For DCQCN the
+destination ToR's buffer grows proportionally to the number of flows;
+Floodgate stays stable (the delayCredit mechanism keeps even the core's
+share bounded as more ToRs contribute).
+
+The burst is ``pattern="incast"`` with a ``duration`` shorter than the
+burst interval (448 us at 8 senders, longer with more), so exactly one
+burst is generated, at t=0.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict, Iterable, List
 
 from repro.experiments.parallel import SweepTask, run_sweep
-from repro.experiments.runner import ScenarioResult, run_scenario
-from repro.experiments.scenario import Scenario, ScenarioConfig
-from repro.workloads.incast import all_to_one_incast
+from repro.experiments.scenario import ScenarioConfig
+
+HOSTS_PER_TOR = 4
 
 
-def _run_scaleup(cfg: ScenarioConfig) -> ScenarioResult:
-    """Worker task: build the all-to-one burst around ``cfg`` and run."""
-    sc = Scenario(cfg)
-    rng = sc.rng.stream("scaleup")
-    hosts = [h.node_id for h in sc.topology.hosts]
-    spec = all_to_one_incast(hosts[4:], dst=0, rng=rng)
-    for f in spec.flows:
-        sc.stats.register_incast_flow(f.flow_id)
-    sc.flows = spec.flows
-    return run_scenario(cfg, scenario=sc)
+def tasks(tor_counts: Iterable[int]) -> List[SweepTask]:
+    variants = (("dcqcn", "none"), ("dcqcn+floodgate", "floodgate"))
+    return [
+        SweepTask(
+            key=(label, n_tors),
+            config=ScenarioConfig(
+                pattern="incast",
+                incast_dst=0,
+                flow_control=fc,
+                n_tors=n_tors,
+                hosts_per_tor=HOSTS_PER_TOR,
+                duration=200_000,
+                max_runtime_factor=40.0,
+            ),
+        )
+        for label, fc in variants
+        for n_tors in tor_counts
+    ]
 
 
 def run(
@@ -34,26 +46,14 @@ def run(
     tor_counts: Iterable[int] = (),
 ) -> Dict:
     tor_counts = tuple(tor_counts) or ((3, 6) if quick else (4, 8, 12, 16))
-    variants = (("dcqcn", "none"), ("dcqcn+floodgate", "floodgate"))
-    tasks = [
-        SweepTask(
-            key=(label, n_tors),
-            config=ScenarioConfig(
-                pattern="none",
-                flow_control=fc,
-                n_tors=n_tors,
-                hosts_per_tor=4,
-                duration=200_000,
-                max_runtime_factor=40.0,
-            ),
-            fn=_run_scaleup,
-        )
-        for label, fc in variants
-        for n_tors in tor_counts
-    ]
-    results = run_sweep(tasks)
     out: Dict = {}
-    for (label, n_tors), r in results.items():
+    for (label, n_tors), r in run_sweep(tasks(tor_counts)).items():
+        expected = (n_tors - 1) * HOSTS_PER_TOR
+        if r.total_flows != expected:
+            raise RuntimeError(
+                f"{n_tors} ToRs: expected one burst of {expected} flows, got "
+                f"{r.total_flows} (a second burst fits in the duration?)"
+            )
         out.setdefault(label, {})[n_tors] = {
             "tor-up_mb": r.max_port_buffer_mb("tor-up"),
             "core_mb": r.max_port_buffer_mb("core"),

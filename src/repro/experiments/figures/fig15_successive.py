@@ -1,7 +1,10 @@
 """Fig. 15: successive incasts and the per-dst PAUSE trade-off (§6.3).
 
-Incast bursts are generated back to back, each targeting a *different*
-destination.  DCQCN fills the destination ToR and core buffers and
+All-to-one incast rounds are generated back to back (one every 20 us,
+so backlogs stack), round *i* targeting host *i* — the destinations
+walk the host list, so the quick scale's 2 / 4 rounds all land in the
+first rack (4 hosts); the full scale's 8 / 16 rounds reach two and
+all four racks.  DCQCN fills the destination ToR and core buffers and
 eventually storms PFC; Floodgate's source-ToR (ToR-Up) occupancy grows
 with the number of rounds (it is the gate-keeper); Floodgate with
 per-dst PAUSE pushes the backlog all the way into the source hosts,
@@ -10,49 +13,30 @@ keeping all switch buffers tiny.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict, Iterable, List
 
 from repro.experiments.parallel import SweepTask, run_sweep
-from repro.experiments.runner import ScenarioResult, run_scenario
-from repro.experiments.scenario import Scenario, ScenarioConfig
-from repro.workloads.incast import successive_incast
+from repro.experiments.scenario import ScenarioConfig
+from repro.workloads.incast import SUCCESSIVE_INTERVAL
 
 
-def _run_successive(cfg: ScenarioConfig, rounds: int) -> ScenarioResult:
-    """Worker task: back-to-back bursts at rotating destinations."""
-    sc = Scenario(cfg)
-    rng = sc.rng.stream("successive")
-    hosts = [h.node_id for h in sc.topology.hosts]
-    # destinations rotate across racks; bursts arrive back to back
-    # (every 20 us) so backlogs stack
-    dsts = [hosts[i % len(hosts)] for i in range(rounds)]
-    spec = successive_incast(hosts, dsts, interval=20_000, rng=rng)
-    for f in spec.flows:
-        sc.stats.register_incast_flow(f.flow_id)
-    sc.flows = spec.flows
-    return run_scenario(cfg, scenario=sc)
-
-
-def run(
-    quick: bool = True,
-    round_counts: Iterable[int] = (),
-) -> Dict:
-    round_counts = tuple(round_counts) or ((2, 4) if quick else (4, 8, 16))
+def tasks(quick: bool, round_counts: Iterable[int]) -> List[SweepTask]:
     variants = (
         ("dcqcn", "none", False),
         ("dcqcn+floodgate", "floodgate", False),
         ("dcqcn+floodgate(per-dst pause)", "floodgate", True),
     )
-    tasks = [
+    return [
         SweepTask(
             key=(label, rounds),
             config=ScenarioConfig(
-                pattern="none",
+                pattern="successive",
                 flow_control=fc,
                 per_dst_pause=pause,
                 n_tors=3 if quick else 4,
                 hosts_per_tor=4,
-                duration=200_000,
+                # one round per interval over the duration
+                duration=rounds * SUCCESSIVE_INTERVAL,
                 max_runtime_factor=60.0,
                 # short host links: the dstPause control loop is one
                 # hop and must be fast relative to a burst (as at the
@@ -61,15 +45,19 @@ def run(
                 host_link_delay=1_000,
                 swnd_bdp=4.0,
             ),
-            fn=_run_successive,
-            args=(rounds,),
         )
         for label, fc, pause in variants
         for rounds in round_counts
     ]
-    results = run_sweep(tasks)
+
+
+def run(
+    quick: bool = True,
+    round_counts: Iterable[int] = (),
+) -> Dict:
+    round_counts = tuple(round_counts) or ((2, 4) if quick else (4, 8, 16))
     out: Dict = {}
-    for (label, rounds), r in results.items():
+    for (label, rounds), r in run_sweep(tasks(quick, round_counts)).items():
         out.setdefault(label, {})[rounds] = {
             "tor-up_mb": r.max_port_buffer_mb("tor-up"),
             "core_mb": r.max_port_buffer_mb("core"),

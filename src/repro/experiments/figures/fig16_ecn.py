@@ -22,30 +22,10 @@ from bisect import bisect_right
 from typing import Dict, Iterable, List, Tuple
 
 from repro.experiments.parallel import SweepTask, run_sweep
-from repro.experiments.runner import ScenarioResult, run_scenario
-from repro.experiments.scenario import Scenario, ScenarioConfig
+from repro.experiments.scenario import ScenarioConfig
 from repro.telemetry.registry import TelemetryConfig
 from repro.units import us
-from repro.workloads.poisson import FlowSpec
-
-#: ns between flow arrivals: room to converge
-ARRIVAL_INTERVAL = 40_000
-
-
-def _run_convergence(cfg: ScenarioConfig, n_flows: int) -> ScenarioResult:
-    """Worker task: periodic long-lived flows, all to the first host."""
-    sc = Scenario(cfg)
-    hosts = [h.node_id for h in sc.topology.hosts]
-    dst = hosts[0]
-    flows = []
-    for i in range(n_flows):
-        src = hosts[1 + (i % (len(hosts) - 1))]
-        # long-lived flows: keep transmitting past the horizon
-        flows.append(
-            FlowSpec(i, src, dst, size=400_000, start_time=i * ARRIVAL_INTERVAL)
-        )
-    sc.flows = flows
-    return run_scenario(cfg, scenario=sc)
+from repro.workloads.incast import STAGGERED_INTERVAL
 
 
 def tasks(
@@ -60,20 +40,20 @@ def tasks(
         SweepTask(
             key=(kmin, kmax, label),
             config=ScenarioConfig(
-                pattern="none",
+                # one long-lived flow per interval, all to the first host
+                pattern="staggered",
+                incast_dst=0,
                 flow_control=fc,
                 ecn_kmin=kmin,
                 ecn_kmax=kmax,
                 n_tors=3,
                 hosts_per_tor=4,
-                duration=n_flows * ARRIVAL_INTERVAL,
+                duration=n_flows * STAGGERED_INTERVAL,
                 max_runtime_factor=30.0,
                 telemetry=TelemetryConfig(
                     interval=us(10), engine_profile=False
                 ),
             ),
-            fn=_run_convergence,
-            args=(n_flows,),
         )
         for kmin, kmax in ecn_settings
         for label, fc in variants
@@ -97,7 +77,7 @@ def run(
         # sample at or before it
         series = []
         for i in range(n_flows):
-            at = bisect_right(times, (i + 1) * ARRIVAL_INTERVAL)
+            at = bisect_right(times, (i + 1) * STAGGERED_INTERVAL)
             series.append((i, points[at - 1][1] if at else 0))
         out.setdefault(key, {})[label] = {
             "buffer_vs_flows": series,

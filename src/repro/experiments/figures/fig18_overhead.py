@@ -9,27 +9,21 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.experiments.runner import run_scenario
+from repro.experiments.figures.common import run_variants
 from repro.experiments.scenario import ScenarioConfig
 
 
 def run(quick: bool = True, workload: str = "webserver") -> Dict:
-    duration = 300_000 if quick else 1_000_000
+    base = ScenarioConfig(
+        workload=workload,
+        duration=300_000 if quick else 1_000_000,
+        n_tors=3 if quick else 0,
+        hosts_per_tor=4 if quick else 0,
+        track_bandwidth=True,
+    )
+    variants = {"dcqcn": "none", "ideal": "floodgate-ideal", "floodgate": "floodgate"}
     out: Dict = {}
-    for label, fc in (
-        ("dcqcn", "none"),
-        ("ideal", "floodgate-ideal"),
-        ("floodgate", "floodgate"),
-    ):
-        cfg = ScenarioConfig(
-            workload=workload,
-            flow_control=fc,
-            duration=duration,
-            n_tors=3 if quick else 0,
-            hosts_per_tor=4 if quick else 0,
-            track_bandwidth=True,
-        )
-        r = run_scenario(cfg)
+    for label, r in run_variants(base, variants).items():
         cat = r.stats.tx_bytes_by_category
         total = sum(cat.values()) or 1
         out[label] = {

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Iterable
 
 from repro.experiments.figures.common import incastmix_base
-from repro.experiments.runner import run_scenario
+from repro.experiments.parallel import SweepTask, run_sweep
 from repro.stats.collector import NON_INCAST
 from repro.stats.fct import fct_cdf
 
@@ -34,19 +34,22 @@ def run(
         ("bfc-highq", "static", "bfc", high_q),
         ("bfc-ideal", "static", "bfc", 0),
     )
-    out: Dict = {}
-    for workload in workloads:
-        out[workload] = {}
-        for label, cc, fc, queues in variants:
-            cfg = incastmix_base(
+    tasks = [
+        SweepTask(
+            key=(workload, label),
+            config=incastmix_base(
                 quick, workload, cc=cc, flow_control=fc, bfc_queues=queues
-            )
-            r = run_scenario(cfg)
-            records = r.stats.fct_of_class(NON_INCAST)
-            s = r.poisson_fct
-            out[workload][label] = {
-                "avg_us": s.avg_us,
-                "p99_us": s.p99_us,
-                "cdf": fct_cdf(records),
-            }
+            ),
+        )
+        for workload in workloads
+        for label, cc, fc, queues in variants
+    ]
+    out: Dict = {}
+    for (workload, label), r in run_sweep(tasks).items():
+        s = r.poisson_fct
+        out.setdefault(workload, {})[label] = {
+            "avg_us": s.avg_us,
+            "p99_us": s.p99_us,
+            "cdf": fct_cdf(r.stats.fct_of_class(NON_INCAST)),
+        }
     return out

@@ -6,6 +6,9 @@ once incast has depleted the queue to the cut-payload threshold, and
 retransmissions cost at least an RTT.  NDP also *prolongs* incast
 flows because trimmed headers consume significant bottleneck
 bandwidth.
+
+NDP's trim count is the telemetry export's ``ndp.trimmed_packets``
+counter (harvested from the switch extensions at the end of the run).
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ from __future__ import annotations
 from typing import Dict, Iterable
 
 from repro.experiments.figures.common import incastmix_base
-from repro.experiments.runner import run_scenario
+from repro.experiments.parallel import SweepTask, run_sweep
+from repro.telemetry.registry import TelemetryConfig
+from repro.units import us
 
 
 def run(
@@ -25,22 +30,27 @@ def run(
         ("dcqcn+floodgate", "dcqcn", "floodgate"),
         ("ndp", "static", "ndp"),
     )
+    # only the end-of-run counters are read: sample coarsely
+    telemetry = TelemetryConfig(interval=us(100), engine_profile=False)
+    tasks = [
+        SweepTask(
+            key=(workload, label),
+            config=incastmix_base(
+                quick, workload, cc=cc, flow_control=fc, telemetry=telemetry
+            ),
+        )
+        for workload in workloads
+        for label, cc, fc in variants
+    ]
     out: Dict = {}
-    for workload in workloads:
-        out[workload] = {}
-        for label, cc, fc in variants:
-            cfg = incastmix_base(quick, workload, cc=cc, flow_control=fc)
-            r = run_scenario(cfg)
-            p, i = r.poisson_fct, r.incast_fct
-            trimmed = sum(
-                getattr(ext, "trimmed_packets", 0)
-                for ext in r.scenario.extensions
-            )
-            out[workload][label] = {
-                "nonincast_avg_us": p.avg_us,
-                "nonincast_p99_us": p.p99_us,
-                "incast_avg_us": i.avg_us,
-                "incast_p99_us": i.p99_us,
-                "trimmed_packets": trimmed,
-            }
+    for (workload, label), r in run_sweep(tasks).items():
+        p, i = r.poisson_fct, r.incast_fct
+        trimmed = r.telemetry.counter_value("ndp.trimmed_packets")
+        out.setdefault(workload, {})[label] = {
+            "nonincast_avg_us": p.avg_us,
+            "nonincast_p99_us": p.p99_us,
+            "incast_avg_us": i.avg_us,
+            "incast_p99_us": i.p99_us,
+            "trimmed_packets": trimmed or 0,
+        }
     return out

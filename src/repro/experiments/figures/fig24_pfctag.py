@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.experiments.runner import run_scenario
+from repro.experiments.parallel import SweepTask, run_sweep
 from repro.experiments.scenario import ScenarioConfig
 from repro.units import gbps
 
@@ -30,11 +30,10 @@ def run(quick: bool = True, workload: str = "webserver") -> Dict:
         # 4:1 oversubscription: uplink capacity quartered
         "oversubscribed-4:1": dict(n_spines=1, fabric_bandwidth=gbps(10)),
     }
-    out: Dict = {}
-    for topo_label, topo_kw in topologies.items():
-        out[topo_label] = {}
-        for label, fc in variants:
-            cfg = ScenarioConfig(
+    tasks = [
+        SweepTask(
+            key=(topo_label, label),
+            config=ScenarioConfig(
                 flow_control=fc,
                 workload=workload,
                 duration=duration,
@@ -42,20 +41,17 @@ def run(quick: bool = True, workload: str = "webserver") -> Dict:
                 hosts_per_tor=4,
                 poisson_load=0.4 if topo_label.startswith("oversub") else 0.8,
                 **topo_kw,
-            )
-            r = run_scenario(cfg)
-            s = r.poisson_fct
-            voqs = max(
-                (
-                    ext.pool.max_in_use
-                    for ext in r.scenario.extensions
-                    if hasattr(ext, "pool")
-                ),
-                default=0,
-            )
-            out[topo_label][label] = {
-                "avg_us": s.avg_us,
-                "p99_us": s.p99_us,
-                "max_voqs": voqs,
-            }
+            ),
+        )
+        for topo_label, topo_kw in topologies.items()
+        for label, fc in variants
+    ]
+    out: Dict = {}
+    for (topo_label, label), r in run_sweep(tasks).items():
+        s = r.poisson_fct
+        out.setdefault(topo_label, {})[label] = {
+            "avg_us": s.avg_us,
+            "p99_us": s.p99_us,
+            "max_voqs": r.max_voqs_used,
+        }
     return out

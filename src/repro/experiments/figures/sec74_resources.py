@@ -4,6 +4,11 @@ The paper argues the runtime state is modest: sending-window entries
 scale with *active* destinations (not all hosts), VOQ usage stays in
 the dozens, and credit bandwidth is negligible.  This experiment
 measures all three on a live incastmix run.
+
+The one figure that does not ride ``run_sweep``: its subject is
+per-switch live state (window tables, per-switch VOQ and credit
+counts) that no run outcome carries, so it runs in-process and reads
+the result's scenario.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.experiments.runner import run_scenario
-from repro.experiments.scenario import Scenario, ScenarioConfig
+from repro.experiments.scenario import ScenarioConfig
 
 
 def run(quick: bool = True, workload: str = "webserver") -> Dict:
@@ -25,8 +30,8 @@ def run(quick: bool = True, workload: str = "webserver") -> Dict:
         incast_fan_in=16,
         track_bandwidth=True,
     )
-    sc = Scenario(cfg)
-    result = run_scenario(cfg, scenario=sc)
+    result = run_scenario(cfg)
+    sc = result.scenario
     n_hosts = len(sc.topology.hosts)
     per_switch = []
     for sw, ext in zip(sc.topology.switches, sc.extensions, strict=True):

@@ -7,27 +7,31 @@ under Web Server.  With Floodgate, PFC never triggers.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, Iterable
 
 from repro.experiments.figures.common import incastmix_base
-from repro.experiments.runner import run_scenario
+from repro.experiments.parallel import SweepTask, run_sweep
 
 
 def run(
     quick: bool = True,
     workloads: Iterable[str] = ("memcached", "webserver"),
 ) -> Dict:
-    """Returns {workload: {level: paused_us}} for DCQCN and +Floodgate."""
+    """Returns {variant: {workload: {level: paused_us}}}."""
+    tasks = [
+        SweepTask(
+            key=(label, workload),
+            config=incastmix_base(quick, workload, flow_control=fc),
+        )
+        for workload in workloads
+        for label, fc in (("dcqcn", "none"), ("dcqcn+floodgate", "floodgate"))
+    ]
     out: Dict = {"dcqcn": {}, "dcqcn+floodgate": {}}
-    for workload in workloads:
-        base = incastmix_base(quick, workload)
-        for label, fc in (("dcqcn", "none"), ("dcqcn+floodgate", "floodgate")):
-            r = run_scenario(replace(base, flow_control=fc))
-            out[label][workload] = {
-                "host_us": r.pfc_paused_us("host"),
-                "tor_us": r.pfc_paused_us("tor"),
-                "core_us": r.pfc_paused_us("core"),
-                "events": r.stats.pfc_pause_events,
-            }
+    for (label, workload), r in run_sweep(tasks).items():
+        out[label][workload] = {
+            "host_us": r.pfc_paused_us("host"),
+            "tor_us": r.pfc_paused_us("tor"),
+            "core_us": r.pfc_paused_us("core"),
+            "events": r.stats.pfc_pause_events,
+        }
     return out

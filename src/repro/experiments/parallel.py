@@ -4,18 +4,17 @@ Figures that compare variants or sweep a parameter run 3-15 independent
 simulations.  This module fans those runs out over a
 ``ProcessPoolExecutor`` and memoizes finished runs on disk:
 
-* each run is described by a picklable :class:`SweepTask` — a
-  :class:`ScenarioConfig` plus an optional module-level task function
-  for figures that build custom traffic around the config;
+* each run is described by a picklable :class:`SweepTask` — a result
+  key and a :class:`ScenarioConfig`, which says everything about the
+  run (traffic included: ``pattern=``);
 * the worker extracts a slim, picklable :class:`ResultSummary` (FCT
   summaries and records, buffer maxima, PFC accounting, VOQ usage,
   event/wall counters) so the unpicklable ``Scenario``/``Simulator``
   never crosses the process boundary;
 * completed runs are cached in ``REPRO_CACHE_DIR`` (or an explicit
   ``cache=`` directory) keyed by a stable hash of the package's own
-  sources, the config, the task function, and its arguments — a warm
-  sweep costs one pickle load per variant, and a cached run can only
-  answer the code that produced it.
+  sources and the config — a warm sweep costs one pickle load per
+  variant, and a cached run can only answer the code that produced it.
 
 Determinism: a sweep produces byte-identical summaries whether it runs
 serially, through the pool, or from a warm cache (``tasks`` map to
@@ -42,7 +41,7 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.experiments.runner import RunOutcome, ScenarioResult, run_scenario
 from repro.experiments.scenario import ScenarioConfig
@@ -102,27 +101,17 @@ def summarize(result: ScenarioResult) -> ResultSummary:
 # tasks
 # ---------------------------------------------------------------------------
 
-#: a task function runs one scenario in the worker process; it must be
-#: a module-level callable (picklable by reference) taking the config
-#: plus ``args`` and returning a ScenarioResult
-TaskFn = Callable[..., ScenarioResult]
-
-
 @dataclass(frozen=True)
 class SweepTask:
-    """One unit of a sweep: a result key plus how to produce it."""
+    """One unit of a sweep: a result key and the config that produces it."""
 
     key: Any
     config: ScenarioConfig
-    fn: Optional[TaskFn] = None
-    args: Tuple[Any, ...] = ()
 
 
 def execute_task(task: SweepTask) -> ResultSummary:
     """Run one task to a summary (the worker-process entry point)."""
-    if task.fn is None:
-        return summarize(run_scenario(task.config))
-    return summarize(task.fn(task.config, *task.args))
+    return summarize(run_scenario(task.config))
 
 
 # ---------------------------------------------------------------------------
@@ -158,22 +147,8 @@ def source_digest() -> str:
 
 
 def task_fingerprint(task: SweepTask) -> str:
-    """Cache key: package sources + config + task function + arguments."""
-    fn_id = (
-        f"{task.fn.__module__}.{task.fn.__qualname__}"
-        if task.fn is not None
-        else "run_scenario"
-    )
-    payload = json.dumps(
-        {
-            "source": source_digest(),
-            "config": dataclasses.asdict(task.config),
-            "fn": fn_id,
-            "args": repr(task.args),
-        },
-        sort_keys=True,
-        default=str,
-    )
+    """Cache key: package sources + config."""
+    payload = f"{source_digest()}\0{config_fingerprint(task.config)}"
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -265,6 +240,14 @@ def run_sweep(
     mapping is deterministic.
     """
     tasks = list(tasks)
+    seen = set()
+    for task in tasks:
+        if task.key in seen:
+            raise ValueError(
+                f"two sweep tasks share the key {task.key!r}: results map "
+                f"by key, so one run would silently replace the other"
+            )
+        seen.add(task.key)
     out: Dict[Any, ResultSummary] = {}
     cache_dir = _resolve_cache_dir(cache)
 

@@ -48,6 +48,11 @@ from repro.telemetry.recorder import TelemetryRecorder
 from repro.telemetry.registry import TelemetryConfig
 from repro.units import bdp_bytes, gbps, mb, ms, us
 from repro.workloads.distributions import WORKLOADS
+from repro.workloads.incast import (
+    periodic_incast,
+    staggered_flows,
+    successive_incast,
+)
 from repro.workloads.mix import IncastMix, build_incastmix
 from repro.workloads.poisson import FlowSpec, PoissonGenerator
 
@@ -72,7 +77,9 @@ FLOW_CONTROLS = (
     "pfc-tag",
     "ndp",
 )
-_VALID_PATTERNS = ("incastmix", "poisson", "incast", "rpc", "none")
+_VALID_PATTERNS = (
+    "incastmix", "poisson", "incast", "successive", "staggered", "rpc", "none",
+)
 _VALID_FIDELITY = ("packet", "flow", "hybrid")
 #: flow controls the fluid tier can model (per-dst window caps); the
 #: queue-level baselines have no fluid equivalent.  The hybrid tier
@@ -119,7 +126,6 @@ class ScenarioConfig:
     swnd_bdp: float = 1.0
     ecn_kmin: int = 0             # bytes; 0 -> BDP-derived default
     ecn_kmax: int = 0
-    ecn_pmax: float = 0.2
     floodgate: Optional[FloodgateConfig] = None  # None -> scale defaults
     #: delayCredit threshold in BDP units (0 -> scale default: 10 at
     #: paper scale, 2 at CI scale — see EXPERIMENTS.md scaling notes)
@@ -129,7 +135,10 @@ class ScenarioConfig:
 
     # --- workload ---------------------------------------------------------------
     workload: str = "websearch"
-    pattern: str = "incastmix"    # incastmix | poisson | incast | none
+    #: incastmix | poisson | incast (periodic bursts to ``incast_dst``;
+    #: just one if ``duration`` is under the burst interval) | successive
+    #: | staggered (repro.workloads.incast) | rpc | none (hand-built)
+    pattern: str = "incastmix"
     poisson_load: float = 0.8
     incast_load: float = 0.5
     incast_fan_in: int = 0        # 0 -> every host outside the dst rack
@@ -335,6 +344,10 @@ def reference_config(
     return None
 
 
+#: ECN marking probability at ``kmax`` (DCQCN's conventional setting)
+_ECN_PMAX = 0.2
+
+
 class Scenario:
     """A built, ready-to-run experiment."""
 
@@ -457,7 +470,7 @@ class Scenario:
             kmin = cfg.ecn_kmin or self._default_kmin()
             kmax = cfg.ecn_kmax or 4 * kmin
             ecn = EcnMarker(
-                EcnConfig(kmin, max(kmax, kmin), cfg.ecn_pmax),
+                EcnConfig(kmin, max(kmax, kmin), _ECN_PMAX),
                 self.rng.stream(f"ecn:{name}"),
             )
         # NDP is lossy by design (trimming replaces lossless fabrics)
@@ -698,20 +711,23 @@ class Scenario:
                 self, spec, first_flow_id=first_flow_id
             )
             self.rpc_driver.attach()
-        elif cfg.pattern == "incast":
-            from repro.workloads.incast import periodic_incast
-
-            spec = periodic_incast(
-                senders=self.incast_senders(),
-                dst=cfg.incast_dst,
-                host_bandwidth=cfg.host_bandwidth,
-                duration=cfg.duration,
-                rng=rng,
-                load=cfg.incast_load,
-            )
+        elif cfg.pattern in ("incast", "successive"):
+            if cfg.pattern == "incast":
+                spec = periodic_incast(
+                    senders=self.incast_senders(),
+                    dst=cfg.incast_dst,
+                    host_bandwidth=cfg.host_bandwidth,
+                    duration=cfg.duration,
+                    rng=rng,
+                    load=cfg.incast_load,
+                )
+            else:
+                spec = successive_incast(hosts, cfg.duration, rng)
             for f in spec.flows:
                 self.stats.register_incast_flow(f.flow_id)
             self.flows = spec.flows
+        elif cfg.pattern == "staggered":
+            self.flows = staggered_flows(hosts, cfg.incast_dst, cfg.duration)
         else:
             raise ValueError(f"unknown traffic pattern {cfg.pattern!r}")
 

@@ -353,7 +353,8 @@ def build_export(result, reports) -> TelemetryExport:
     for report in reports:
         for harvest in report.ext_harvests:
             for name, value in harvest.items():
-                name = f"floodgate.{name}"
+                if "." not in name:  # bare names are Floodgate's
+                    name = f"floodgate.{name}"
                 have = values.get(name, 0)
                 # max_in_use is a maximum, not a sum: keep the
                 # largest across switches

@@ -2,7 +2,7 @@
 
 Flow-size distributions (Fig. 7) for Memcached, Web Server, Hadoop,
 and Web Search; Poisson arrival background traffic; periodic,
-successive, and scale-up incast patterns; and the *incastmix* composer
+successive, and staggered incast patterns; and the *incastmix* composer
 used by most of the evaluation (§6.1).
 """
 
@@ -18,8 +18,8 @@ from repro.workloads.poisson import PoissonGenerator, FlowSpec
 from repro.workloads.incast import (
     IncastSpec,
     periodic_incast,
+    staggered_flows,
     successive_incast,
-    all_to_one_incast,
 )
 from repro.workloads.mix import IncastMix, build_incastmix, classify_flows
 
@@ -35,7 +35,7 @@ __all__ = [
     "IncastSpec",
     "periodic_incast",
     "successive_incast",
-    "all_to_one_incast",
+    "staggered_flows",
     "IncastMix",
     "build_incastmix",
     "classify_flows",

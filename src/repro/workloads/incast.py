@@ -5,11 +5,14 @@ Three shapes from the evaluation:
 * :func:`periodic_incast` — the §6 default: bursts of ``fan_in``
   synchronized flows (30-40 MTU each) to one fixed destination,
   repeating at an interval that realizes a target load on the
-  destination host (0.5 by default);
-* :func:`all_to_one_incast` — every host sends one flow to a single
-  destination simultaneously (Fig. 14 ToR scale-up);
-* :func:`successive_incast` — repeated all-to-one rounds, each round
-  targeting a *different* destination (Fig. 15).
+  destination host (0.5 by default).  A ``duration`` shorter than
+  that interval leaves exactly one burst: Fig. 14's all-to-one
+  ToR scale-up;
+* :func:`successive_incast` — repeated all-to-one rounds, round *i*
+  targeting host *i* (Fig. 15);
+* :func:`staggered_flows` — long flows to one receiver arriving one
+  at a time, spaced for congestion control to converge in between
+  (Fig. 16).
 """
 
 from __future__ import annotations
@@ -21,6 +24,14 @@ from typing import List, Sequence
 from repro.units import MTU
 from repro.workloads.poisson import FlowSpec
 
+#: ns between the rounds of ``pattern="successive"``: back to back, so
+#: backlogs stack
+SUCCESSIVE_INTERVAL = 20_000
+#: ns between the arrivals of ``pattern="staggered"``: room to converge
+STAGGERED_INTERVAL = 40_000
+#: bytes per staggered flow: long-lived, still sending at the horizon
+STAGGERED_FLOW_SIZE = 400_000
+
 
 @dataclass(frozen=True)
 class IncastSpec:
@@ -28,12 +39,11 @@ class IncastSpec:
 
     flows: List[FlowSpec]
     destinations: List[int]
-    next_flow_id: int
 
 
-def _incast_size(rng: random.Random, mtu: int = MTU) -> int:
+def _incast_size(rng: random.Random) -> int:
     """Paper §6: incast flow sizes uniform between 30 and 40 MTU."""
-    return rng.randint(30, 40) * mtu
+    return rng.randint(30, 40) * MTU
 
 
 def periodic_incast(
@@ -45,7 +55,6 @@ def periodic_incast(
     load: float = 0.5,
     first_flow_id: int = 0,
     start: int = 0,
-    mtu: int = MTU,
 ) -> IncastSpec:
     """Synchronized bursts to ``dst`` at an average destination load.
 
@@ -57,7 +66,7 @@ def periodic_incast(
         raise ValueError("the incast destination cannot also be a sender")
     if not 0.0 < load <= 1.0:
         raise ValueError(f"incast load must be in (0, 1], got {load}")
-    mean_burst_bytes = len(senders) * 35 * mtu
+    mean_burst_bytes = len(senders) * 35 * MTU
     interval = int(mean_burst_bytes * 8 / (load * host_bandwidth) * 1e9)
     flows: List[FlowSpec] = []
     fid = first_flow_id
@@ -65,52 +74,43 @@ def periodic_incast(
     end = start + duration
     while t < end:
         for src in senders:
-            flows.append(FlowSpec(fid, src, dst, _incast_size(rng, mtu), t))
+            flows.append(FlowSpec(fid, src, dst, _incast_size(rng), t))
             fid += 1
         t += interval
-    return IncastSpec(flows, [dst], fid)
-
-
-def all_to_one_incast(
-    senders: Sequence[int],
-    dst: int,
-    rng: random.Random,
-    first_flow_id: int = 0,
-    start: int = 0,
-    mtu: int = MTU,
-) -> IncastSpec:
-    """One synchronized burst: every sender -> ``dst`` (Fig. 14)."""
-    if dst in senders:
-        raise ValueError("the incast destination cannot also be a sender")
-    flows = []
-    fid = first_flow_id
-    for src in senders:
-        flows.append(FlowSpec(fid, src, dst, _incast_size(rng, mtu), start))
-        fid += 1
-    return IncastSpec(flows, [dst], fid)
+    return IncastSpec(flows, [dst])
 
 
 def successive_incast(
     hosts: Sequence[int],
-    destinations: Sequence[int],
-    interval: int,
+    duration: int,
     rng: random.Random,
-    first_flow_id: int = 0,
-    start: int = 0,
-    mtu: int = MTU,
+    interval: int = SUCCESSIVE_INTERVAL,
 ) -> IncastSpec:
-    """Back-to-back all-to-one rounds to different destinations (Fig. 15).
+    """Back-to-back all-to-one rounds walking the host list (Fig. 15).
 
-    Round ``i`` starts at ``start + i * interval``; every host except
-    the round's destination sends one 30-40 MTU flow to it.
+    Round ``i`` starts at ``i * interval`` (while that is inside
+    ``duration``) and targets ``hosts[i % len(hosts)]``; every other
+    host sends it one 30-40 MTU flow.
     """
     flows: List[FlowSpec] = []
-    fid = first_flow_id
-    for i, dst in enumerate(destinations):
-        t = start + i * interval
+    dsts: List[int] = []
+    for i, t in enumerate(range(0, duration, interval)):
+        dst = hosts[i % len(hosts)]
+        dsts.append(dst)
         for src in hosts:
-            if src == dst:
-                continue
-            flows.append(FlowSpec(fid, src, dst, _incast_size(rng, mtu), t))
-            fid += 1
-    return IncastSpec(flows, list(destinations), fid)
+            if src != dst:
+                flows.append(FlowSpec(len(flows), src, dst, _incast_size(rng), t))
+    return IncastSpec(flows, dsts)
+
+
+def staggered_flows(hosts: Sequence[int], dst: int, duration: int) -> List[FlowSpec]:
+    """One 400 KB flow to ``dst`` every 40 us over ``duration`` (Fig. 16).
+
+    Flow ``i`` comes from the ``i``-th of the other hosts, in rotation.
+    Deterministic: the sizes are fixed, so no RNG is drawn.
+    """
+    sources = [h for h in hosts if h != dst]
+    return [
+        FlowSpec(i, sources[i % len(sources)], dst, STAGGERED_FLOW_SIZE, t)
+        for i, t in enumerate(range(0, duration, STAGGERED_INTERVAL))
+    ]

@@ -19,9 +19,8 @@ from repro.analysis import (
     ideal_window_bytes,
 )
 from repro.experiments.runner import run_scenario
-from repro.experiments.scenario import Scenario, ScenarioConfig
+from repro.experiments.scenario import ScenarioConfig
 from repro.units import gbps, us
-from repro.workloads.incast import all_to_one_incast
 
 
 class TestClosedForms:
@@ -94,21 +93,20 @@ class TestClosedForms:
 
 class TestSimulatorRespectsBounds:
     def _incast_run(self, flow_control: str, n_tors: int = 4):
+        # Fig. 14's traffic: one all-to-one burst (the burst interval
+        # exceeds the duration) from every host outside rack 0
         cfg = ScenarioConfig(
-            pattern="none",
+            pattern="incast",
+            incast_dst=0,
             flow_control=flow_control,
             n_tors=n_tors,
             hosts_per_tor=4,
             duration=200_000,
             max_runtime_factor=60.0,
         )
-        sc = Scenario(cfg)
-        rng = sc.rng.stream("analysis")
-        hosts = [h.node_id for h in sc.topology.hosts]
-        spec = all_to_one_incast(hosts[4:], dst=0, rng=rng)
-        sc.flows = spec.flows
-        result = run_scenario(cfg, scenario=sc)
-        return sc, result, len(spec.flows)
+        result = run_scenario(cfg)
+        assert result.total_flows == (n_tors - 1) * 4
+        return result.scenario, result, result.total_flows
 
     def test_dcqcn_within_analytic_bound(self):
         sc, result, n_flows = self._incast_run("none")

@@ -105,3 +105,22 @@ class TestFigureSmoke:
         result = sec74_resources.run(quick=True)
         assert result["n_hosts"] == 16
         assert result["window_entries_vs_hosts"] <= 1.0
+
+
+def test_figures_shape_runs_through_the_config_only():
+    """A figure is a list of configs: no figure module builds a
+    ``Scenario`` or hands one to ``run_scenario``, and only §7.4 —
+    whose subject is per-switch live state no outcome carries — reads
+    the one its result holds."""
+    import re
+    from pathlib import Path
+
+    from repro.experiments import figures
+
+    live_readers = []
+    for path in sorted(Path(figures.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        assert not re.search(r"\bScenario\(|\bscenario=", source), path.name
+        if re.search(r"\w\.scenario\b(?! import)", source):  # attribute reads
+            live_readers.append(path.name)
+    assert live_readers == ["sec74_resources.py"]

@@ -2,12 +2,14 @@
 
 import random
 
+import pytest
+
 from repro.net.link import Link
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
 from repro.sim.engine import Simulator
-from repro.units import gbps, serialization_delay
-from tests.conftest import lossy_link
+from repro.units import SEC, gbps, serialization_delay
+from tests.conftest import MiniNet, lossy_link
 
 
 class Sink(Node):
@@ -141,8 +143,6 @@ class TestPause:
 
     def test_control_queue_cannot_be_paused(self):
         sim, a, _, _ = make_pair()
-        import pytest
-
         with pytest.raises(ValueError):
             a.ports[0].pause_queue(0)
 
@@ -165,8 +165,6 @@ class TestLoss:
         assert state.injected_drops_data == 400 - len(b.received)
 
     def test_invalid_loss_rate_rejected(self):
-        import pytest
-
         from repro.faults import RandomLoss
 
         with pytest.raises(ValueError):
@@ -177,3 +175,39 @@ class TestLoss:
         assert link.peer_of(a) is b
         assert link.peer_of(b) is a
         assert link.peer_port_of(a) == 0
+
+
+class TestDelayTable:
+    def _port(self):
+        return MiniNet().topo.hosts[0].ports[0]
+
+    def test_memoized_delay_matches_the_arithmetic(self):
+        port = self._port()
+        for size in (64, 1000, 1500):
+            expect = int(round(size * 8 * SEC / port.bandwidth))
+            assert port.serialization_delay_of(size) == expect
+            # second read comes from the memo and must agree
+            assert port.serialization_delay_of(size) == expect
+
+    def test_set_bandwidth_invalidates_the_memo(self):
+        port = self._port()
+        full = port.serialization_delay_of(1500)
+        port.set_bandwidth(port.bandwidth / 2)
+        assert port.serialization_delay_of(1500) == pytest.approx(
+            2 * full, rel=0.01
+        )
+
+    def test_bandwidth_property_setter_invalidates_too(self):
+        port = self._port()
+        full = port.serialization_delay_of(1000)
+        port.bandwidth = port.bandwidth / 4
+        assert port.serialization_delay_of(1000) == pytest.approx(
+            4 * full, rel=0.01
+        )
+
+    def test_rejects_non_positive_rate(self):
+        port = self._port()
+        with pytest.raises(ValueError):
+            port.set_bandwidth(0)
+        with pytest.raises(ValueError):
+            port.set_bandwidth(-1.0)

@@ -56,3 +56,25 @@ class TestTrim:
         assert not pkt.ecn_capable  # no longer buffer-charged
         # routing identity survives
         assert pkt.flow_id == 9 and pkt.seq == 4
+
+
+class TestPacketReset:
+    def test_reset_covers_every_slot(self):
+        """A new Packet field that ``__init__`` misses must fail loudly.
+
+        Held for every kind and both constructors: the net a
+        kind-specific constructor will need.
+        """
+        for kind in PacketKind:
+            frame = Packet.control(kind, 0, 1)
+            assert frame.size == CTRL_PKT_SIZE
+            for pkt in (Packet(kind, 0, 1, 100, flow_id=7, seq=3), frame):
+                unset = [n for n in Packet.__slots__ if not hasattr(pkt, n)]
+                assert not unset, f"{kind.name} (size {pkt.size}): {unset} unset"
+
+
+class TestKindPredicates:
+    def test_dense_tables_agree_with_the_frozensets(self):
+        for kind in PacketKind:
+            assert IS_CONTROL[kind] == (kind in CONTROL_KINDS)
+            assert IS_ACK_LIKE[kind] == (kind in ACK_KINDS)

@@ -18,7 +18,7 @@ from repro.experiments.parallel import (
     task_fingerprint,
 )
 from repro.experiments.runner import run_scenario
-from repro.experiments.scenario import Scenario, ScenarioConfig
+from repro.experiments.scenario import ScenarioConfig
 
 
 def tiny_config(**overrides) -> ScenarioConfig:
@@ -42,13 +42,6 @@ def tiny_tasks():
         SweepTask(key=f"seed{s}", config=tiny_config(seed=s))
         for s in (7, 8, 9)
     ]
-
-
-# a module-level task function, picklable by reference, for custom-fn tasks
-def _thinned_run(config, keep_every):
-    sc = Scenario(config)
-    sc.flows = sc.flows[::keep_every]
-    return run_scenario(config, scenario=sc)
 
 
 class TestDeterminism:
@@ -79,40 +72,50 @@ class TestDeterminism:
             assert warm[key].canonical_bytes() == serial[key].canonical_bytes()
             assert cold[key].canonical_bytes() == serial[key].canonical_bytes()
 
-    def test_custom_fn_tasks_deterministic(self):
+    def test_duplicate_keys_are_rejected_before_anything_runs(self, tmp_path):
+        """Results map by key: a second task under the same key would
+        silently replace the first run's summary."""
         tasks = [
-            SweepTask(key=s, config=tiny_config(seed=s), fn=_thinned_run, args=(2,))
-            for s in (7, 8)
+            SweepTask(key="k", config=tiny_config(seed=1)),
+            SweepTask(key="k", config=tiny_config(seed=2)),
         ]
-        a = run_sweep(tasks, serial=True)
-        b = run_sweep(tasks, max_workers=2)
-        for key in a:
-            whole = len(Scenario(tiny_config(seed=key)).flows)
-            assert a[key].total_flows == (whole + 1) // 2
-            assert a[key].canonical_bytes() == b[key].canonical_bytes()
+        with pytest.raises(ValueError, match="'k'"):
+            run_sweep(tasks, serial=True, cache=tmp_path)
+        assert list(tmp_path.iterdir()) == []  # nothing ran, nothing cached
 
-
-    def test_time_resolved_figures_ride_the_sweep_runner(self, tmp_path):
-        """Figs. 2, 12 and 16 are task lists like every other figure:
-        their loss pattern and their time series are in the config, so
-        serial, pooled and cache-served runs agree to the byte."""
+    def test_declared_traffic_figures_ride_the_sweep_runner(self, tmp_path):
+        """Figs. 2, 12 and 14-16 are task lists like every other figure:
+        their loss pattern, their time series and their traffic
+        (``pattern="incast"`` as one burst, ``"successive"``,
+        ``"staggered"``) are in the config, so serial, pooled and
+        cache-served runs agree to the byte."""
         from repro.experiments.figures import (
             fig02_throughput,
             fig12_loss,
+            fig14_scaleup,
+            fig15_successive,
             fig16_ecn,
         )
 
+        # keys are only unique within a figure: prefix them
         tasks = [
-            *fig02_throughput.tasks(quick=True),
-            *fig12_loss.tasks(quick=True, loss_rates=(0.05,)),
-            *fig16_ecn.tasks(n_flows=4, ecn_settings=((20_000, 80_000),)),
+            SweepTask(key=(fig, task.key), config=task.config)
+            for fig, fig_tasks in (
+                ("fig02", fig02_throughput.tasks(quick=True)),
+                ("fig12", fig12_loss.tasks(quick=True, loss_rates=(0.05,))),
+                ("fig14", fig14_scaleup.tasks(tor_counts=(3,))),
+                ("fig15", fig15_successive.tasks(quick=True, round_counts=(2,))),
+                ("fig16", fig16_ecn.tasks(4, ((20_000, 80_000),))),
+            )
+            for task in fig_tasks
         ]
         serial = run_sweep(tasks, serial=True, cache=tmp_path)
         pooled = run_sweep(tasks, max_workers=2, cache=False)
         warm = run_sweep(tasks, serial=True, cache=tmp_path)
-        assert len(serial) == len(tasks) == 6
+        assert len(serial) == len(tasks) == 11
         for key, run in serial.items():
-            assert run.telemetry.series and not run.from_cache
+            assert run.total_flows > 0 and not run.from_cache
+            assert run.telemetry is None or run.telemetry.series
             assert warm[key].from_cache
             assert (
                 run.canonical_bytes()
@@ -161,15 +164,10 @@ class TestCache:
         assert not again["k"].from_cache
         assert again["k"].completed_flows > 0
 
-    def test_fingerprint_sensitive_to_config_and_fn(self):
+    def test_fingerprint_sensitive_to_config(self):
         t1 = SweepTask(key="a", config=tiny_config(seed=1))
         t2 = SweepTask(key="a", config=tiny_config(seed=2))
-        t3 = SweepTask(key="a", config=tiny_config(seed=1), fn=_thinned_run)
-        t4 = SweepTask(
-            key="a", config=tiny_config(seed=1), fn=_thinned_run, args=(3,)
-        )
-        prints = {task_fingerprint(t) for t in (t1, t2, t3, t4)}
-        assert len(prints) == 4
+        assert task_fingerprint(t1) != task_fingerprint(t2)
         # the key is not part of the identity: same work, same digest
         assert task_fingerprint(
             SweepTask(key="b", config=tiny_config(seed=1))

@@ -181,7 +181,7 @@ def test_config_field_budget():
     from repro.experiments.registry import ScenarioEntry
     from repro.telemetry.registry import TelemetryConfig
 
-    assert len(dataclasses.fields(ScenarioConfig)) == 43
+    assert len(dataclasses.fields(ScenarioConfig)) == 42
     assert len(dataclasses.fields(TelemetryConfig)) == 2
     assert len(dataclasses.fields(ScenarioEntry)) == 6
 

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.net.packet import Packet, PacketKind
+from repro.net.switch import Switch
+from repro.sim.engine import Simulator
 from repro.units import ms
 
 
@@ -20,9 +22,6 @@ class TestRouting:
         assert not tor.is_last_hop_for(11)
 
     def test_finalize_required_before_data(self, leaf_spine):
-        from repro.net.switch import Switch
-        from repro.sim.engine import Simulator
-
         sw = Switch(Simulator(), 99, "orphan", 1_000_000)
         pkt = Packet(PacketKind.DATA, 0, 1, 1000)
         with pytest.raises(RuntimeError):
@@ -72,8 +71,44 @@ class TestControlPlane:
         assert not sw.ports[0].paused
 
     def test_report_pause_time_without_stats(self):
-        from repro.net.switch import Switch
-        from repro.sim.engine import Simulator
-
         sw = Switch(Simulator(), 1, "s", 1_000_000, stats=None)
         sw.report_pause_time()  # no stats hub: must be a no-op
+
+
+class TestFlatRoutes:
+    def _switch(self) -> Switch:
+        return Switch(Simulator(), 1_000_000, "sw", buffer_capacity=100_000)
+
+    def test_flat_table_agrees_with_dict_fallback(self):
+        sw = self._switch()
+        sw.set_route(3, 0)
+        sw.set_route(7, 1)
+        sw.set_route(9, (0, 1, 2))  # ECMP group
+        for dst in (3, 7, 9):
+            pkt = Packet(PacketKind.DATA, 0, dst, 1000, flow_id=dst)
+            assert sw.route(pkt) == sw._route_slow(dst, pkt.flow_id)
+            assert sw.route_for_dst(dst) == sw._route_slow(dst, None)
+
+    def test_huge_dst_uses_the_dict_fallback(self):
+        sw = self._switch()
+        big = 1 << 20  # beyond the flat-table bound
+        sw.set_route(big, 2)
+        assert len(sw._route_flat) < big
+        assert sw.route_for_dst(big) == 2
+        pkt = Packet(PacketKind.DATA, 0, big, 1000, flow_id=1)
+        assert sw.route(pkt) == 2
+
+    def test_unknown_dst_still_raises_keyerror(self):
+        sw = self._switch()
+        sw.set_route(3, 0)
+        with pytest.raises(KeyError):
+            sw.route_for_dst(4)
+        with pytest.raises(KeyError):
+            sw.route(Packet(PacketKind.DATA, 0, 99, 1000, flow_id=1))
+
+    def test_route_update_overwrites_flat_entry(self):
+        sw = self._switch()
+        sw.set_route(5, 0)
+        assert sw.route_for_dst(5) == 0
+        sw.set_route(5, 3)
+        assert sw.route_for_dst(5) == 3

@@ -14,8 +14,10 @@ from repro.workloads.distributions import (
     WORKLOADS,
 )
 from repro.workloads.incast import (
-    all_to_one_incast,
+    STAGGERED_FLOW_SIZE,
+    STAGGERED_INTERVAL,
     periodic_incast,
+    staggered_flows,
     successive_incast,
 )
 from repro.workloads.mix import build_incastmix
@@ -139,17 +141,24 @@ class TestPoisson:
 
 class TestIncast:
     def test_sizes_between_30_and_40_mtu(self):
-        spec = all_to_one_incast(range(1, 9), 0, random.Random(1))
+        spec = periodic_incast(
+            range(1, 9), 0, gbps(10), ms(2), random.Random(1)
+        )
         assert all(30 * MTU <= f.size <= 40 * MTU for f in spec.flows)
 
-    def test_all_to_one_synchronized(self):
-        spec = all_to_one_incast(range(1, 9), 0, random.Random(1), start=500)
+    def test_one_burst_when_duration_is_shorter_than_the_interval(self):
+        """Fig. 14's all-to-one burst: 8 senders at load 0.5 repeat
+        every 448 us, so 200 us of generation holds one burst."""
+        spec = periodic_incast(
+            range(1, 9), 0, gbps(10), 200_000, random.Random(1), start=500
+        )
+        assert sorted(f.src for f in spec.flows) == list(range(1, 9))
         assert all(f.start_time == 500 for f in spec.flows)
         assert all(f.dst == 0 for f in spec.flows)
 
     def test_dst_cannot_be_sender(self):
         with pytest.raises(ValueError):
-            all_to_one_incast(range(8), 0, random.Random(1))
+            periodic_incast(range(8), 0, gbps(10), ms(2), random.Random(1))
 
     def test_periodic_interval_matches_load(self):
         spec = periodic_incast(
@@ -164,7 +173,7 @@ class TestIncast:
 
     def test_successive_rounds_target_distinct_dsts(self):
         spec = successive_incast(
-            range(8), [0, 1, 2], 10_000, random.Random(1)
+            range(8), 30_000, random.Random(1), interval=10_000
         )
         assert spec.destinations == [0, 1, 2]
         for i, dst in enumerate([0, 1, 2]):
@@ -172,6 +181,22 @@ class TestIncast:
             assert all(f.dst == dst for f in round_flows)
             assert all(f.src != dst for f in round_flows)
             assert len(round_flows) == 7
+
+    def test_staggered_flow_list(self):
+        """Fig. 16's traffic, flow for flow: one long flow per interval
+        to the receiver, sources rotating over the other hosts."""
+        flows = staggered_flows(range(4), 0, 5 * STAGGERED_INTERVAL)
+        assert [(f.flow_id, f.src, f.dst, f.start_time) for f in flows] == [
+            (0, 1, 0, 0),
+            (1, 2, 0, 40_000),
+            (2, 3, 0, 80_000),
+            (3, 1, 0, 120_000),
+            (4, 2, 0, 160_000),
+        ]
+        assert {f.size for f in flows} == {STAGGERED_FLOW_SIZE}
+        # a receiver in the middle of the list is skipped, not shifted
+        assert [f.src for f in staggered_flows(range(4), 2, 120_000)] == [0, 1, 3]
+        assert staggered_flows(range(4), 0, 0) == []
 
 
 class TestIncastMix:
