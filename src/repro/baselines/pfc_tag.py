@@ -96,8 +96,6 @@ class PfcTagExtension(SwitchExtension):
                 sw.stats.record_drop()
             return
         sw._note_port_bytes(out_port, pkt.size)
-        if sw.stats is not None:
-            sw.stats.record_switch_buffer(sw.name, buffer.used)
         self.pool.push(voq, pkt)
 
     def _group_of(self, out_port: int) -> int:

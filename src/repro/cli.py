@@ -85,6 +85,8 @@ def _report(args) -> int:
 
     from repro.experiments.figures.common import incastmix_base
     from repro.experiments.runner import run_scenario
+    from repro.experiments.scenario import Scenario
+    from repro.telemetry.profile import EngineProfiler
     from repro.telemetry.registry import TelemetryConfig
 
     if args.scenario is not None:
@@ -115,15 +117,22 @@ def _report(args) -> int:
             file=sys.stderr,
         )
     start = time.monotonic()
-    result = run_scenario(cfg)
+    # the export carries counts only; the wall-clock half of the page
+    # comes from a live profiler on the engine (a sharded run's events
+    # execute on per-domain engines: it then has nothing to show)
+    scenario = Scenario(cfg)
+    profiler = EngineProfiler()
+    scenario.sim.set_profiler(profiler)
+    result = run_scenario(cfg, scenario=scenario)
     elapsed = time.monotonic() - start
     assert result.telemetry is not None
-    profiler = (
-        result.scenario.telemetry.profiler
-        if result.scenario.telemetry is not None
-        else None
+    print(
+        render_export(
+            result.telemetry,
+            width=args.width,
+            profiler=profiler if profiler.events else None,
+        )
     )
-    print(render_export(result.telemetry, width=args.width, profiler=profiler))
     if args.out:
         result.telemetry.write(args.out)
         print(f"export written to {args.out}", file=sys.stderr)

@@ -109,6 +109,8 @@ class FloodgateExtension(SwitchExtension):
     # -- data path ------------------------------------------------------------------------
 
     def on_data(self, pkt: Packet, in_port: int, out_port: int) -> bool:
+        """True when the packet was parked (or dropped at the pool);
+        False leaves it to the switch's own enqueue."""
         sw = self.switch
         dst = pkt.dst
         # Remember the upstream's PSN before we stamp our own: the
@@ -130,15 +132,13 @@ class FloodgateExtension(SwitchExtension):
             # first send of this (port, dst) for the switchSYN scan.
             windows.window[dst] = win - 1
             self._stamp_psn(pkt, out_port, dst)
-            sw.enqueue_data(pkt, out_port)
-            return True
+            return False
         voq = self.pool.allocate(dst, self._group_of(out_port))
         if voq is None:
             # pool exhausted, no same-group VOQ: forced bypass (rare),
             # forwarded without consuming the window
             self._stamp_psn(pkt, out_port, dst)
-            sw.enqueue_data(pkt, out_port)
-            return True
+            return False
         self._park(pkt, out_port, voq)
         return True
 
@@ -167,8 +167,6 @@ class FloodgateExtension(SwitchExtension):
             return
         pkt.no_win = True
         sw._note_port_bytes(out_port, pkt.size)
-        if sw.stats is not None:
-            sw.stats.record_switch_buffer(sw.name, buffer.used)
         self.pool.push(voq, pkt)
         self._maybe_pause_source(pkt)
 

@@ -375,14 +375,3 @@ class Host(Node):
             "tx_data_bytes": lambda h=self: h.tx_data_bytes,
             "active_flows": lambda h=self: len(h.active_flows),
         }
-
-    def report_pause_time(self) -> None:
-        """Flush accumulated PFC pause time into the stats hub."""
-        if self.stats is None:
-            return
-        for port in self.ports:
-            paused = port.total_paused_time
-            if port.pause_started >= 0:
-                paused += self.sim.now - port.pause_started
-            if paused:
-                self.stats.record_pfc_pause(self.kind, paused)

@@ -15,12 +15,19 @@ if TYPE_CHECKING:  # pragma: no cover
 class Node:
     """A device with numbered ports, each attached to one link."""
 
+    #: PFC accounting label ("host", "tor", "core", ...)
+    kind: str = "node"
+    #: the StatsHub the device reports to, if any (set by subclasses)
+    stats = None
+
     def __init__(self, sim: Simulator, node_id: int, name: str = "") -> None:
         self.sim = sim
         self.node_id = node_id
         self.name = name or f"node{node_id}"
         self.ports: List[EgressPort] = []
         self.links: List["Link"] = []
+        #: pause time already moved to the hub (all ports)
+        self._pause_reported = 0
 
     def attach_link(
         self,
@@ -54,6 +61,25 @@ class Node:
     def peer(self, port_index: int) -> "Node":
         """The node on the far side of ``port_index``."""
         return self.links[port_index].peer_of(self)
+
+    def report_to_hub(self) -> None:
+        """Move what the device keeps for the stats hub into it: the
+        time its egress ports spent PFC-paused (a pause still running
+        counts up to now).  Called when a run is collected; only what
+        accrued since the last call moves, so a second call adds
+        nothing."""
+        stats = self.stats
+        if stats is None:
+            return
+        now = self.sim.now
+        paused = 0
+        for port in self.ports:
+            paused += port.total_paused_time
+            if port.pause_started >= 0:  # still paused
+                paused += now - port.pause_started
+        if paused > self._pause_reported:
+            stats.record_pfc_pause(self.kind, paused - self._pause_reported)
+            self._pause_reported = paused
 
     # -- to be provided by subclasses ------------------------------------------------
 

@@ -147,6 +147,10 @@ class Switch(Node):
         #: per-port occupancy (egress queues + extension VOQ bytes)
         self._port_bytes: List[int] = []
         self.port_max_bytes: List[int] = []
+        #: per-port queueing delay of departed data packets since the
+        #: last report_to_hub(): [normal_sum_ns, normal_n, incast_sum_ns,
+        #: incast_n], classified when the packet leaves
+        self._port_queuing: List[List[int]] = []
 
     # -- construction -----------------------------------------------------------
 
@@ -155,6 +159,7 @@ class Switch(Node):
         self.port_roles.append("unknown")
         self._port_bytes.append(0)
         self.port_max_bytes.append(0)
+        self._port_queuing.append([0, 0, 0, 0])
         return index
 
     def finalize(self) -> None:
@@ -256,7 +261,27 @@ class Switch(Node):
             ext = self.extension
             if ext is not None and ext.on_data(pkt, ingress_port, out_port):
                 return
-            self.enqueue_data(pkt, out_port)
+            # enqueue_data(pkt, out_port) for a packet not yet charged,
+            # on the default queue, without its frame
+            buffer = self.buffer
+            if buffer is None:
+                raise RuntimeError(f"{self.name}: finalize() was not called")
+            size = pkt.size
+            if not buffer.admit(size, ingress_port):
+                self._drop(pkt)
+                return
+            port = self.ports[out_port]
+            ecn = self.ecn
+            if ecn is not None and pkt.ecn_capable and not pkt.ecn_marked:
+                # should_mark() draws nothing at or below kmin
+                queued = port._data_bytes
+                if queued > ecn.config.kmin and ecn.should_mark(queued):
+                    pkt.ecn_marked = True
+            used = self._port_bytes[out_port] + size
+            self._port_bytes[out_port] = used
+            if used > self.port_max_bytes[out_port]:
+                self.port_max_bytes[out_port] = used
+            port.enqueue(pkt, 1)
             return
         if kind == _PFC_PAUSE:
             port = self.ports[ingress_port]
@@ -303,22 +328,15 @@ class Switch(Node):
 
         ``already_charged`` skips buffer admission and port-occupancy
         accounting for packets moving out of an extension's VOQ (they
-        were charged when first buffered).
+        were charged when first buffered).  :meth:`receive` inlines the
+        uncharged default-queue case.
         """
         buffer = self.buffer
         if buffer is None:
             raise RuntimeError(f"{self.name}: finalize() was not called")
-        stats = self.stats
-        size = pkt.size
         if not already_charged:
-            if not buffer.admit(size, pkt.ingress_port):
-                self.dropped_packets += 1
-                if stats is not None:
-                    stats.record_drop()
-                if self.tracer is not None:
-                    # the dropped copy's "rx" must not be mistaken for
-                    # a queued packet when pairing rx/tx delays
-                    self.tracer.record(self.sim.now, self.name, "drop", pkt)
+            if not buffer.admit(pkt.size, pkt.ingress_port):
+                self._drop(pkt)
                 return
         port = self.ports[out_port]
         ecn = self.ecn
@@ -330,23 +348,27 @@ class Switch(Node):
         ):
             pkt.ecn_marked = True
         if not already_charged:
-            self._note_port_bytes(out_port, size)
-            if stats is not None:
-                stats.record_switch_buffer(self.name, buffer.used)
+            self._note_port_bytes(out_port, pkt.size)
         port.enqueue(pkt, queue_idx)
+
+    def _drop(self, pkt: Packet) -> None:
+        """The pool refused ``pkt``."""
+        self.dropped_packets += 1
+        if self.stats is not None:
+            self.stats.record_drop()
+        if self.tracer is not None:
+            # the dropped copy's "rx" must not be mistaken for
+            # a queued packet when pairing rx/tx delays
+            self.tracer.record(self.sim.now, self.name, "drop", pkt)
 
     # -- occupancy tracking ----------------------------------------------------------
 
     def _note_port_bytes(self, port_index: int, delta: int) -> None:
-        """Track per-port occupancy (egress + VOQ) and report maxima."""
-        self._port_bytes[port_index] += delta
-        used = self._port_bytes[port_index]
+        """Track per-port occupancy (egress + VOQ) and its maximum."""
+        used = self._port_bytes[port_index] + delta
+        self._port_bytes[port_index] = used
         if used > self.port_max_bytes[port_index]:
             self.port_max_bytes[port_index] = used
-            if self.stats is not None:
-                self.stats.record_port_buffer(
-                    self.name, self.port_roles[port_index], used
-                )
 
     def port_occupancy(self, port_index: int) -> int:
         """Current bytes held for ``port_index`` (queues + VOQs)."""
@@ -376,11 +398,16 @@ class Switch(Node):
                 self.buffer.release(pkt.size, pkt.ingress_port)
             self._port_bytes[port.index] -= pkt.size
             if stats is not None:
-                stats.record_queuing(
-                    self.port_roles[port.index],
-                    pkt.flow_id,
-                    self.sim.now - pkt.enqueue_time,
-                )
+                delay = self.sim.now - pkt.enqueue_time
+                histogram = stats.queuing_histogram
+                if histogram is not None:
+                    histogram.observe(delay)
+                # classified now: a closed-loop driver registers incast
+                # flows while the run is under way
+                cell = self._port_queuing[port.index]
+                i = 2 if pkt.flow_id in stats._incast_flows else 0
+                cell[i] += delay
+                cell[i + 1] += 1
             if self.int_enabled and pkt.int_records is not None:
                 qlen = None
                 if self.extension is not None:
@@ -416,13 +443,22 @@ class Switch(Node):
         frame = Packet.control(PacketKind.PFC_RESUME, self.node_id, peer.node_id)
         self.ports[ingress_port].enqueue_control(frame)
 
-    def report_pause_time(self) -> None:
-        """Flush accumulated egress pause durations into the stats hub."""
-        if self.stats is None:
+    def report_to_hub(self) -> None:
+        """Move what the switch keeps for the hub — buffer and port
+        maxima, queueing sums — into it, after the pause time
+        (:meth:`Node.report_to_hub`).  A second call adds nothing."""
+        super().report_to_hub()
+        stats = self.stats
+        if stats is None:
             return
-        for port in self.ports:
-            paused = port.total_paused_time
-            if port.pause_started >= 0:  # still paused at end of run
-                paused += self.sim.now - port.pause_started
-            if paused:
-                self.stats.record_pfc_pause(self.kind, paused)
+        if self.buffer is not None:
+            stats.record_switch_buffer(self.name, self.buffer.max_used)
+        for role, peak, cell in zip(
+            self.port_roles, self.port_max_bytes, self._port_queuing
+        ):
+            stats.record_port_buffer(self.name, role, peak)
+            if cell[1]:
+                stats.record_queuing(role, False, cell[0], cell[1])
+            if cell[3]:
+                stats.record_queuing(role, True, cell[2], cell[3])
+            cell[:] = (0, 0, 0, 0)

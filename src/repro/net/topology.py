@@ -289,12 +289,13 @@ class Topology:
             for f in flows
         )
 
-    def report_pause_times(self) -> None:
-        """Flush PFC pause accounting on every node (end of run)."""
-        for switch in self.switches:
-            switch.report_pause_time()
-        for host in self.hosts:
-            host.report_pause_time()
+    def report_to_hub(self) -> None:
+        """Close the devices' books: every node moves what it keeps
+        for the stats hub (pause time, buffer maxima, queueing sums)
+        into its hub.  Idempotent, so each scope of a sharded run may
+        call it: a node reports to its own domain's hub."""
+        for node in (*self.switches, *self.hosts):
+            node.report_to_hub()
 
 
 # ---------------------------------------------------------------------------

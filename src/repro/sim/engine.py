@@ -41,8 +41,8 @@ Design notes
 from __future__ import annotations
 
 import heapq
-import time
-from typing import Any, Callable, Iterable, Optional, Tuple
+from time import perf_counter  # simcheck: ignore[SIM002] -- read only for a profiler that keeps wall time
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 
 class Event:
@@ -98,9 +98,16 @@ class Simulator:
         self._running = False
         self._stopped = False
         #: optional EngineProfiler (repro.telemetry.profile); when set,
-        #: run() switches to an instrumented twin loop.  The unprofiled
-        #: path pays exactly one ``is None`` check per run() call.
+        #: or while counting is on, run() switches to an instrumented
+        #: twin loop.  The unobserved path pays two ``is None`` checks
+        #: per run() call.
         self._profiler = None
+        #: executions per callback since count_callbacks() (None: off),
+        #: keyed by the function itself — a method's ``__func__``, one
+        #: key per callback type; whoever reads the table names them
+        self.callback_counts: Optional[Dict[Callable[..., Any], int]] = None
+        #: deepest heap seen after a counted callback
+        self.max_heap_depth: int = 0
 
     # -- scheduling -----------------------------------------------------------
 
@@ -200,7 +207,7 @@ class Simulator:
         """
         if self._running:
             raise RuntimeError("simulator is already running (re-entrant run())")
-        if self._profiler is not None:
+        if self._profiler is not None or self.callback_counts is not None:
             self._run_profiled(until)
             return
         self._running = True
@@ -247,20 +254,27 @@ class Simulator:
             self.now = until
 
     def _run_profiled(self, until: Optional[int]) -> None:
-        """Instrumented twin of :meth:`run` (profiler installed).
+        """Instrumented twin of :meth:`run` (counting on, or a profiler
+        installed).
 
-        Times every callback and feeds per-type counts plus heap depth
-        to the profiler.  Kept separate so the common unprofiled loop
-        stays free of ``perf_counter`` calls and extra branches.
+        Counts executions per callback and the heap-depth maximum in
+        place, feeds whatever sits in the profiler slot, and reads the
+        wall clock only for a profiler that keeps wall time (one with a
+        ``wall_seconds`` accumulator).  Kept separate so the common
+        unobserved loop stays free of all three.
         """
         profiler = self._profiler
+        timed = hasattr(profiler, "wall_seconds")
+        counts = self.callback_counts
+        max_depth = self.max_heap_depth
         self._running = True
         self._stopped = False
         heap = self._heap
         pop = heapq.heappop
-        perf = time.perf_counter  # simcheck: ignore[SIM002] -- profiled loop times callbacks by design
         executed = self._events_executed
-        run_start = perf()
+        dt = 0.0
+        if timed:
+            run_start = perf_counter()
         try:
             while heap and not self._stopped:
                 if until is not None and heap[0][0] > until:
@@ -269,24 +283,55 @@ class Simulator:
                         pop(heap)
                         continue
                     break
-                item = pop(heap)
-                ev = item[3]
+                time_, lid, seq, ev, fn, args = pop(heap)
                 if ev is not None and ev.cancelled:
                     continue
-                self.now = item[0]
-                self._cur_lid = item[1]
-                self._cur_seq = item[2]
+                self.now = time_
+                self._cur_lid = lid
+                self._cur_seq = seq
                 executed += 1
-                t0 = perf()
-                item[4](*item[5])
-                profiler.note(item[4], perf() - t0, len(heap))
+                if timed:
+                    t0 = perf_counter()
+                    fn(*args)
+                    dt = perf_counter() - t0
+                else:
+                    fn(*args)
+                depth = len(heap)
+                if counts is not None:
+                    try:
+                        key = fn.__func__
+                    except AttributeError:  # a plain function or callable
+                        key = fn
+                    try:
+                        counts[key] += 1
+                    except KeyError:
+                        counts[key] = 1
+                    if depth > max_depth:
+                        max_depth = depth
+                if profiler is not None:
+                    profiler.note(fn, dt, depth)
         finally:
-            profiler.wall_seconds += perf() - run_start
+            if timed:
+                profiler.wall_seconds += perf_counter() - run_start
+            self.max_heap_depth = max_depth
             self._events_executed = executed
             self._running = False
             self._cur_lid = 1
         if until is not None and self.now < until and not self._stopped:
             self.now = until
+
+    def note_executed(self, fn: Callable[..., Any], heap_depth: int) -> None:
+        """The instrumented loop's bookkeeping for one callback, for a
+        caller that executes this engine's events itself (the lockstep
+        transport of :mod:`repro.sim.sharded`).  Keeps no wall time."""
+        counts = self.callback_counts
+        if counts is not None:
+            key = getattr(fn, "__func__", fn)
+            counts[key] = counts.get(key, 0) + 1
+            if heap_depth > self.max_heap_depth:
+                self.max_heap_depth = heap_depth
+        if self._profiler is not None:
+            self._profiler.note(fn, 0.0, heap_depth)
 
     def set_profiler(self, profiler) -> None:
         """Install (or with ``None`` remove) an engine profiler."""
@@ -295,6 +340,12 @@ class Simulator:
     @property
     def profiler(self):
         return self._profiler
+
+    def count_callbacks(self) -> None:
+        """Turn on ``callback_counts`` and ``max_heap_depth`` (the
+        deterministic half of the engine profile)."""
+        if self.callback_counts is None:
+            self.callback_counts = {}
 
     def stop(self) -> None:
         """Stop the run loop after the current event completes."""

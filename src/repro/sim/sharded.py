@@ -435,8 +435,7 @@ class DomainRuntime:
 
             self.digest = EventStreamDigest(sim, include_depth=False)
         # everything that listens on the engine's one profiler slot
-        profiler = self.recorder.profiler if self.recorder is not None else None
-        sinks = [s for s in (self.digest, profiler, probe) if s is not None]
+        sinks = [s for s in (self.digest, probe) if s is not None]
         if sinks:
             from repro.telemetry.profile import ProfilerFanout
 
@@ -644,11 +643,9 @@ class _LockstepTransport(_LocalTransport):
             sim._events_executed += 1
             fn(*args)
             # the merged loop bypasses Simulator.run(), so the domain's
-            # slot sinks (digest, telemetry profiler, isolation probe)
-            # get fed here
-            prof = sim._profiler
-            if prof is not None:
-                prof.note(fn, 0.0, len(heaps[best_d]))
+            # event counts and slot sinks (digest, isolation probe) get
+            # fed here
+            sim.note_executed(fn, len(heaps[best_d]))
             if digest is not None:
                 self.now = time_
                 digest.note(fn, 0.0, 0)

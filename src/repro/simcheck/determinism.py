@@ -50,13 +50,13 @@ SHARDED_SCHEMES: Tuple[Tuple[str, str], ...] = (
 class EventStreamDigest:
     """Profiler-slot instrument hashing the executed event stream.
 
-    Satisfies the engine's profiler contract (``note`` + a
-    ``wall_seconds`` accumulator) but ignores wall durations entirely:
-    only simulated time, callback identity, and heap depth — all
+    Satisfies the engine's profiler contract (``note``; it keeps no
+    ``wall_seconds``, so the loop reads no clock for it): only
+    simulated time, callback identity, and heap depth — all
     deterministic quantities — enter the hash.
     """
 
-    __slots__ = ("_sim", "_sha", "_depth", "events", "wall_seconds")
+    __slots__ = ("_sim", "_sha", "_depth", "events")
 
     def __init__(self, sim, include_depth: bool = True) -> None:
         self._sim = sim
@@ -69,7 +69,6 @@ class EventStreamDigest:
         #: cross-executor invariant the way timestamp+callback are
         self._depth = include_depth
         self.events = 0
-        self.wall_seconds = 0.0
 
     def note(self, fn, dt: float, heap_depth: int) -> None:
         # observer ticks (telemetry samplers, sanitizer sweeps, stall

@@ -112,16 +112,12 @@ class ShardIsolationSanitizer:
 class _DomainProbe:
     """Per-domain profiler sink (shares the slot via ProfilerFanout)."""
 
-    # wall_seconds: the engine's profiled loop charges run-loop wall
-    # time to whatever sits in the profiler slot; absorb it when the
-    # probe is the sole sink
-    __slots__ = ("iso", "domain", "clock", "wall_seconds")
+    __slots__ = ("iso", "domain", "clock")
 
     def __init__(self, iso: ShardIsolationSanitizer, domain: int, clock) -> None:
         self.iso = iso
         self.domain = domain
         self.clock = clock
-        self.wall_seconds = 0.0
 
     def note(self, fn: Callable[..., Any], dt: float, heap_depth: int) -> None:
         owner = self.iso._owner.get(id(getattr(fn, "__self__", None)))

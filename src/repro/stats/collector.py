@@ -178,20 +178,19 @@ class StatsHub:
         if self.rpc_histogram is not None:
             self.rpc_histogram.observe(record.latency)
 
-    def record_queuing(self, role: str, flow_id: int, delay: int) -> None:
-        if self.queuing_histogram is not None:
-            self.queuing_histogram.observe(delay)
-        table = (
-            self.queuing_incast
-            if flow_id in self._incast_flows
-            else self.queuing_normal
-        )
+    def record_queuing(
+        self, role: str, incast: bool, delay: int, count: int = 1
+    ) -> None:
+        """``count`` packets queued ``delay`` ns in total at ports of
+        ``role``.  A switch reports per-port sums at collect time; its
+        per-packet ``queuing_histogram.observe`` it does itself."""
+        table = self.queuing_incast if incast else self.queuing_normal
         cell = table.get(role)
         if cell is None:
-            table[role] = [delay, 1]
+            table[role] = [delay, count]
         else:
             cell[0] += delay
-            cell[1] += 1
+            cell[1] += count
 
     def record_switch_buffer(self, name: str, used: int) -> None:
         if used > self.switch_max_buffer.get(name, 0):

@@ -81,8 +81,7 @@ def collect_scope(scenario, scope, now: int) -> ScopeReport:
     sim = scope.sim
     if sim.now < now:
         sim.now = now
-    for node in (*scope.switches, *scope.hosts):
-        node.report_pause_time()
+    scenario.topology.report_to_hub()
     max_voqs = 0
     for ext in scope.extensions:
         stop = getattr(ext, "stop", None)

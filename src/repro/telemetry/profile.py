@@ -1,19 +1,23 @@
 """Engine profiling: who eats the event budget.
 
-Installed on a :class:`~repro.sim.engine.Simulator` via
-``set_profiler``; the engine then routes its run loop through an
-instrumented twin that times every callback and tracks heap depth.
-With no profiler installed the engine pays a single ``is None`` check
-per ``run()`` call — zero per-event cost.
-
 The profile splits into two halves:
 
 * **deterministic** — per-callback-type event counts, max heap depth,
   events executed.  These depend only on the simulated schedule, so
   they export byte-identically from serial, pooled, and cached runs.
+  The engine counts them itself (``Simulator.count_callbacks``, turned
+  on by the telemetry recorder) with no clock read and no call; the
+  recorder names the counted functions with :func:`callback_name` once,
+  at collect time.
 * **wall-clock** — per-callback-type time shares and events/sec.
-  Inherently machine- and run-dependent; surfaced by :meth:`report`
-  for live inspection but never part of the canonical export.
+  Inherently machine- and run-dependent, never part of the canonical
+  export: whoever wants them installs an :class:`EngineProfiler` via
+  ``Simulator.set_profiler`` (the ``report`` sub-command, the benchmark
+  worker).  Its ``wall_seconds`` accumulator is what tells the engine's
+  instrumented loop to read the clock around every callback.
+
+With neither on, the engine pays two ``is None`` checks per ``run()``
+call — zero per-event cost.
 """
 
 from __future__ import annotations
@@ -31,36 +35,18 @@ class ProfilerFanout:
     """Fan one engine profiler slot out to several sinks.
 
     A :class:`~repro.sim.engine.Simulator` has a single profiler slot,
-    but a sharded run can need up to three listeners on it at once: the
-    per-domain :class:`~repro.simcheck.determinism.EventStreamDigest`,
-    the per-domain :class:`EngineProfiler`, and the isolation probe of
+    but a sharded run can need two listeners on it at once: the
+    per-domain :class:`~repro.simcheck.determinism.EventStreamDigest`
+    and the isolation probe of
     :class:`~repro.simcheck.isolation.ShardIsolationSanitizer`.  Every
-    sink sees the exact same ``note`` calls in the same order.
+    sink sees the exact same ``note`` calls in the same order.  The
+    fan-out keeps no wall time, so its sinks see ``dt == 0.0``.
     """
 
-    __slots__ = ("sinks", "_wall_sink", "_wall_local")
+    __slots__ = ("sinks",)
 
     def __init__(self, *sinks: Any) -> None:
-        self.sinks = tuple(s for s in sinks if s is not None)
-        # the engine charges run-loop wall time to `profiler.wall_seconds`;
-        # route it to the sink that reports it (the EngineProfiler)
-        self._wall_sink = next(
-            (s for s in self.sinks if hasattr(s, "wall_seconds")), None
-        )
-        self._wall_local = 0.0
-
-    @property
-    def wall_seconds(self) -> float:
-        if self._wall_sink is not None:
-            return self._wall_sink.wall_seconds
-        return self._wall_local
-
-    @wall_seconds.setter
-    def wall_seconds(self, value: float) -> None:
-        if self._wall_sink is not None:
-            self._wall_sink.wall_seconds = value
-        else:
-            self._wall_local = value
+        self.sinks = sinks
 
     def note(self, fn: Callable[..., Any], dt: float, heap_depth: int) -> None:
         for sink in self.sinks:
@@ -88,7 +74,7 @@ class EngineProfiler:
         #: total wall time spent inside profiled run() calls
         self.wall_seconds = 0.0
 
-    # -- hot path (profiling mode only) ------------------------------------
+    # -- hot path (only while installed) -----------------------------------
 
     def note(self, fn: Callable[..., Any], dt: float, heap_depth: int) -> None:
         name = callback_name(fn)

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.stats.collector import FlowClass
 from repro.telemetry.export import TelemetryExport
-from repro.telemetry.profile import EngineProfiler
+from repro.telemetry.profile import callback_name
 from repro.telemetry.registry import Histogram, TelemetryConfig
 from repro.telemetry.samplers import GaugeSampler
 
@@ -85,10 +85,10 @@ class _CumulativeSampler(GaugeSampler):
 
 
 class DomainRecorder:
-    """One domain's samplers, hub histograms, and engine profiler.
+    """One domain's samplers, hub histograms, and engine event counts.
 
-    Wiring order (throughput, buffers, counters, histograms, profiler)
-    is the same for every domain, so per-domain event schedules stay a
+    Wiring order (throughput, buffers, counters, histograms) is the
+    same for every domain, so per-domain event schedules stay a
     restriction of the one-domain schedule.
     """
 
@@ -101,6 +101,7 @@ class DomainRecorder:
         switches: list,
     ) -> None:
         self.config = config
+        self.sim = sim
         cfg = config
         #: (series name -> merge kind, sampler) in wiring order
         self._samplers: List[Tuple[Dict[str, str], GaugeSampler]] = []
@@ -158,11 +159,9 @@ class DomainRecorder:
         hub.fct_histogram = Histogram("fct_ns", unit="ns")
         hub.queuing_histogram = Histogram("queuing_ns", unit="ns")
 
-        #: the caller installs this on the domain's engine (alone, or
-        #: behind a ProfilerFanout when digests/probes share the slot)
-        self.profiler: Optional[EngineProfiler] = (
-            EngineProfiler() if cfg.engine_profile else None
-        )
+        # the engine counts its own events; raw_profile() reads them
+        if cfg.engine_profile:
+            sim.count_callbacks()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -203,13 +202,18 @@ class DomainRecorder:
         return out
 
     def raw_profile(self) -> Optional[Dict[str, Any]]:
-        p = self.profiler
-        if p is None:
+        """The engine's per-function counts, named (two functions can
+        share a label: every lambda of one scope, every ``partial``)."""
+        if not self.config.engine_profile:
             return None
+        counts: Dict[str, int] = {}
+        for fn, count in self.sim.callback_counts.items():
+            name = callback_name(fn)
+            counts[name] = counts.get(name, 0) + count
         return {
-            "events": p.events,
-            "max_heap_depth": p.max_heap_depth,
-            "counts": dict(p.counts),
+            "events": sum(counts.values()),
+            "max_heap_depth": self.sim.max_heap_depth,
+            "counts": counts,
         }
 
 
@@ -233,8 +237,6 @@ class TelemetryRecorder(DomainRecorder):
             scenario.sim, config, scenario.stats, topo.hosts, topo.switches
         )
         wire_rpc_histogram(scenario)
-        if self.profiler is not None:
-            scenario.sim.set_profiler(self.profiler)
 
 
 # ---------------------------------------------------------------------------

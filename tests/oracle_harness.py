@@ -9,10 +9,14 @@ thing such a PR *does* change), a run's ``ResultSummary`` must have the
 same ``canonical_bytes`` with and without the oracle — ``sim_time``, the
 clock the run ended at, included — and the same per-flow FCT records.
 
-The oracle test files (``test_port_oracle.py``, ``test_host_oracle.py``)
-check the same named configs — the registry matrix, the full-length
-ones, ``SMALL_RPC`` — so the live run of those is memoized: a config
-checked against both oracles costs three runs, not four.
+``switch_pr22.py`` (the push-style switch hop) changes no event count,
+so its file compares the summary whole, profile block included.
+
+The oracle test files (``test_port_oracle.py``, ``test_host_oracle.py``,
+``test_switch_oracle.py``) check the same named configs — the registry
+matrix, the full-length ones, ``SMALL_RPC`` — so the live run of those
+is memoized: a config checked against all three oracles costs four
+runs, not six.
 """
 
 from __future__ import annotations
@@ -33,35 +37,55 @@ from repro.telemetry.registry import TelemetryConfig
 from repro.units import us
 
 
-def blanked(cfg: ScenarioConfig):
-    """Summary of one run with everything that counts heap events zeroed."""
+def unblanked(cfg: ScenarioConfig) -> Tuple[ResultSummary, int]:
+    """Summary of one run, whole, and its event count."""
     summary = summarize(run_scenario(cfg))
+    return summary, summary.events
+
+
+def _blank(summary: ResultSummary) -> ResultSummary:
+    """``summary`` with everything that counts heap events zeroed."""
     telemetry = summary.telemetry
     if telemetry is not None:
         meta = {k: v for k, v in telemetry.meta.items() if k != "events"}
         telemetry = dataclasses.replace(telemetry, profile=None, meta=meta)
-    return (
-        dataclasses.replace(summary, events=0, telemetry=telemetry),
-        summary.events,
-    )
+    return dataclasses.replace(summary, events=0, telemetry=telemetry)
 
 
-#: the live code's run of a named config, shared between the oracle files
-shared_live = lru_cache(maxsize=None)(blanked)
+def blanked(cfg: ScenarioConfig) -> Tuple[ResultSummary, int]:
+    summary, events = unblanked(cfg)
+    return _blank(summary), events
+
+
+#: the live code's run of a named config, shared between the oracle
+#: files: whole for an oracle that changes no event count
+#: (``test_switch_oracle.py``), blanked for the two that do
+shared_live_unblanked = lru_cache(maxsize=None)(unblanked)
+
+
+def shared_live(cfg: ScenarioConfig) -> Tuple[ResultSummary, int]:
+    summary, events = shared_live_unblanked(cfg)
+    return _blank(summary), events
 
 
 def assert_same_simulation(
-    cfg: ScenarioConfig, install: Callable, monkeypatch, live: Callable = shared_live
+    cfg: ScenarioConfig,
+    install: Callable,
+    monkeypatch,
+    live: Callable = shared_live,
+    oracle: Callable = blanked,
 ) -> Tuple[ResultSummary, int, int]:
     """Run ``cfg`` live and again under ``install(patch)``; everything
     simulated must be equal.  Returns the live summary and
     ``(live_events, oracle_events)`` for the caller's proof that the
     oracle really ran.  Hypothesis draws pass ``live=blanked``: each
-    file draws its own, so a memoized run would only sit in memory."""
+    file draws its own, so a memoized run would only sit in memory.
+    ``oracle`` summarizes the grafted run the way ``live`` does its own
+    (``blanked`` / ``unblanked``)."""
     new, new_events = live(cfg)
     with monkeypatch.context() as patch:
         install(patch)
-        old, old_events = blanked(cfg)
+        old, old_events = oracle(cfg)
     assert new.stats.fct_records == old.stats.fct_records
     # StatsHub has no __eq__: the summary's identity is its canonical bytes
     assert new.canonical_bytes() == old.canonical_bytes()

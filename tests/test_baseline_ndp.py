@@ -90,6 +90,7 @@ class TestTrimming:
         for i, src in enumerate((4, 5, 6, 7, 8, 9, 10, 11)):
             topo.start_flow(topo.make_flow(i, src, 0, 40_000, 0))
         sim.run(until=ms(50))
+        topo.report_to_hub()
         # trimming caps data queues near the threshold
         assert stats.max_switch_buffer < 100_000
 

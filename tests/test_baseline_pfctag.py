@@ -80,11 +80,13 @@ class TestPauseGeneration:
         for i, src in enumerate((4, 5, 6, 7, 8, 9, 10, 11)):
             plain_topo.start_flow(plain_topo.make_flow(i, src, 0, 40_000, 0))
         plain_sim.run(until=ms(50))
+        plain_topo.report_to_hub()
 
         sim, topo, exts, stats = build(pause_threshold=10_000, resume_threshold=5_000)
         for i, src in enumerate((4, 5, 6, 7, 8, 9, 10, 11)):
             topo.start_flow(topo.make_flow(i, src, 0, 40_000, 0))
         sim.run(until=ms(50))
+        topo.report_to_hub()
         assert (
             stats.max_port_buffer_by_role("tor-down")
             < plain_stats.max_port_buffer_by_role("tor-down")

@@ -72,9 +72,11 @@ class TestIncast:
         for i, src in enumerate((4, 5, 6, 7, 8, 9, 10, 11)):
             plain.flow(i, src, 0, 40_000)
         plain.run(ms(20))
+        plain.topo.report_to_hub()
 
         net, exts, flows = self.incast_net()
         net.run(ms(20))
+        net.topo.report_to_hub()
         td_plain = plain.stats.max_port_buffer_by_role("tor-down")
         td_fg = net.stats.max_port_buffer_by_role("tor-down")
         assert td_fg < td_plain / 2

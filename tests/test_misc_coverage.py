@@ -60,7 +60,7 @@ class TestPauseReporting:
         for i, src in enumerate((0, 1, 2, 3)):
             net.flow(i, src, 6, 60_000)
         net.run(ms(20))
-        net.topo.report_pause_times()
+        net.topo.report_to_hub()
         # at least one node class accumulated pause time under this
         # overload (PFC pauses ToR->host or ToR->ToR ports)
         assert sum(net.stats.pfc_paused_time.values()) > 0
@@ -70,8 +70,30 @@ class TestPauseReporting:
         port = net.topo.switches[0].ports[0]
         port.pause()
         net.run(us(100))
-        net.topo.switches[0].report_pause_time()
+        net.topo.switches[0].report_to_hub()
         assert net.stats.pfc_paused_time.get("tor", 0) >= us(100)
+
+    def test_a_second_report_moves_nothing(self):
+        """The flush moves: pause time, queueing sums and maxima reach
+        the hub once however often the books are closed, and a pause
+        still running keeps accruing between two flushes."""
+        net = MiniNet()
+        tor = net.topo.switches[0]
+        tor.ports[0].pause()
+        net.flow(1, 0, 6, 50_000)
+        net.run(us(100))
+        tor.report_to_hub()
+        net.topo.report_to_hub()
+        assert net.stats.pfc_paused_time == {"tor": us(100)}
+        queuing = {k: list(v) for k, v in net.stats.queuing_normal.items()}
+        maxima = dict(net.stats.port_max_buffer)
+        assert queuing and maxima
+        net.topo.report_to_hub()
+        assert net.stats.queuing_normal == queuing
+        assert net.stats.port_max_buffer == maxima
+        net.run(us(200))
+        net.topo.report_to_hub()
+        assert net.stats.pfc_paused_time == {"tor": us(200)}
 
 
 class TestWorkloadDeterminism:

@@ -91,8 +91,8 @@ class TestCollector:
     def test_queuing_split_by_incast(self):
         hub = StatsHub()
         hub.register_incast_flow(7)
-        hub.record_queuing("core", 7, 1000)
-        hub.record_queuing("core", 8, 3000)
+        hub.record_queuing("core", hub.is_incast_flow(7), 1000)
+        hub.record_queuing("core", hub.is_incast_flow(8), 3000)
         assert hub.avg_queuing_by_role("core", incast=True) == 1000
         assert hub.avg_queuing_by_role("core", incast=False) == 3000
         assert hub.avg_queuing_by_role("missing") == 0.0

@@ -2,6 +2,7 @@
 and for the hub's declared merge rules."""
 
 import functools
+import operator
 import random
 
 import numpy as np
@@ -65,10 +66,22 @@ class TestSummaryProperties:
         assert all(0 < y <= 1 for y in ys)
 
 
+class _LoggedHistogram(Histogram):
+    """A hub histogram that logs what it is fed."""
+
+    __slots__ = ("log",)
+
+    def observe(self, value):
+        self.log.append(("queuing_histogram.observe", (value,)))
+        super().observe(value)
+
+
 @functools.lru_cache(maxsize=None)
 def _recorded_serial_run():
     """One small serial run with every hub-writing layer on: the hub
-    it ended with, and every ``record_*`` call that built it."""
+    it ended with, and every write that built it — the ``record_*``
+    calls, and the queueing delays the switches feed the hub's
+    histogram themselves, one per packet."""
     sc = Scenario(
         ScenarioConfig(
             n_tors=2,
@@ -94,6 +107,8 @@ def _recorded_serial_run():
                 _method(*args)
 
             setattr(hub, name, logged)
+    hub.queuing_histogram = _LoggedHistogram("queuing_ns", unit="ns")
+    hub.queuing_histogram.log = log
     run_scenario(sc.config, scenario=sc)
     for name in [n for n in vars(hub) if n.startswith("record_")]:
         delattr(hub, name)
@@ -137,7 +152,7 @@ class TestHubMergeProperties:
             shard.queuing_histogram = Histogram("queuing_ns", unit="ns")
         pick = random.Random(seed)
         for name, args in log:
-            getattr(shards[pick.randrange(k)], name)(*args)
+            operator.attrgetter(name)(shards[pick.randrange(k)])(*args)
         merged = build_time.shard_clone()
         for shard in shards:
             merged.merge_from(shard)

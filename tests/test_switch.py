@@ -112,6 +112,7 @@ class TestBufferPressure:
         net = MiniNet()
         net.flow(1, 0, 6, 50_000)
         net.run(ms(5))
+        net.topo.report_to_hub()
         assert net.stats.max_switch_buffer > 0
 
 
@@ -121,7 +122,7 @@ class TestPfcAccounting:
         for i, src in enumerate((0, 1, 2, 3)):
             net.flow(i, src, 6, 60_000)
         net.run(ms(50))
-        net.topo.report_pause_times()
+        net.topo.report_to_hub()
         total = sum(net.stats.pfc_paused_time.values())
         assert total > 0
 
@@ -129,6 +130,7 @@ class TestPfcAccounting:
         net = MiniNet()
         net.flow(1, 0, 6, 50_000)
         net.run(ms(5))
+        net.topo.report_to_hub()
         assert net.stats.avg_queuing_by_role("tor-up") >= 0
         # data crossed the trunk, so the tor-up role saw packets
         assert ("torL", "tor-up") in net.stats.port_max_buffer

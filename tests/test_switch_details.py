@@ -72,7 +72,7 @@ class TestControlPlane:
 
     def test_report_pause_time_without_stats(self):
         sw = Switch(Simulator(), 1, "s", 1_000_000, stats=None)
-        sw.report_pause_time()  # no stats hub: must be a no-op
+        sw.report_to_hub()  # no stats hub: must be a no-op
 
 
 class TestFlatRoutes:

@@ -190,6 +190,44 @@ class TestProfiler:
         assert plain_sim.now == prof_sim.now
         assert plain_sim.events_executed == prof_sim.events_executed
 
+    def test_recorded_run_counts_in_the_loop_and_reads_no_clock(self, monkeypatch):
+        """The export's profile block is counted by the engine itself:
+        a recorded run completes with the engine's clock taken away,
+        and the block equals what an ``EngineProfiler`` installed by
+        hand (the wall-clock half's carrier) counts over the same run."""
+        import repro.sim.engine as engine
+
+        def no_clock():
+            raise AssertionError("a recorded run read the wall clock")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "perf_counter", no_clock)
+            counted = run_scenario(quick_config())
+        assert counted.scenario.sim.profiler is None
+        scenario = Scenario(quick_config())
+        by_hand = EngineProfiler()
+        scenario.sim.set_profiler(by_hand)
+        timed = run_scenario(scenario.config, scenario=scenario)
+        assert timed.telemetry.profile == counted.telemetry.profile
+        assert counted.telemetry.profile == {
+            "events": by_hand.events,
+            "max_heap_depth": by_hand.max_heap_depth,
+            "callbacks": [list(row) for row in by_hand.count_rows()],
+        }
+        assert by_hand.events == counted.events > 0
+        assert by_hand.wall_seconds > 0 and sum(by_hand.seconds.values()) > 0
+
+    def test_unrecorded_run_counts_nothing(self):
+        result = run_scenario(quick_config(telemetry=None))
+        sim = result.scenario.sim
+        assert sim.profiler is None
+        assert sim.callback_counts is None and sim.max_heap_depth == 0
+        off = run_scenario(
+            quick_config(telemetry=TelemetryConfig(engine_profile=False))
+        )
+        assert off.scenario.sim.callback_counts is None
+        assert off.telemetry.profile is None
+
 
 class TestScenarioTelemetry:
     def test_run_produces_export(self):
@@ -359,10 +397,12 @@ class TestSweepDeterminism:
 
 class TestReportRendering:
     def test_render_live_export(self):
-        result = run_scenario(quick_config())
-        text = render_export(
-            result.telemetry, profiler=result.scenario.telemetry.profiler
-        )
+        scenario = Scenario(quick_config())
+        profiler = EngineProfiler()
+        scenario.sim.set_profiler(profiler)
+        result = run_scenario(scenario.config, scenario=scenario)
+        text = render_export(result.telemetry, profiler=profiler)
+        assert "events/sec" in text  # the wall-clock half
         assert "throughput by flow class" in text
         assert "buffer occupancy" in text
         assert "histogram fct_ns" in text
