@@ -83,7 +83,7 @@ def main() -> None:
 
     print("flow completion:")
     for flow in flow_table.values():
-        kind = "incast" if stats.is_incast_flow(flow.flow_id) else "victim"
+        kind = "victim" if flow is victim else "incast"
         print(
             f"  flow {flow.flow_id} ({kind:6s}) {flow.src}->{flow.dst}"
             f"  {flow.size:6d} B  fct={flow.finish_time / 1000:8.1f} us"

@@ -8,8 +8,8 @@ Quick start::
 
     from repro.experiments import ScenarioConfig, run_scenario
 
-    result = run_scenario(ScenarioConfig(cc="dcqcn", floodgate="practical"))
-    print(result.poisson_fct.avg_ms, result.max_switch_buffer_mb)
+    result = run_scenario(ScenarioConfig(cc="dcqcn", flow_control="floodgate"))
+    print(result.poisson_fct.avg_us, result.max_switch_buffer_mb)
 """
 
 __version__ = "1.0.0"

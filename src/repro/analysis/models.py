@@ -10,18 +10,21 @@ from __future__ import annotations
 from repro.units import CTRL_PKT_SIZE, MTU, SEC, serialization_delay
 
 
-def hop_bdp_bytes(bandwidth: float, link_delay: int, mtu: int = MTU) -> int:
-    """One-hop bandwidth-delay product between adjacent switches.
-
-    The hop RTT counts both propagation directions plus the data and
-    credit serialization times — the time between forwarding a packet
-    and being able to see its credit (§3.2).
+def hop_rtt_ns(bandwidth: float, link_delay: int, mtu: int = MTU) -> int:
+    """Round trip between adjacent switches: both propagation
+    directions plus the data and credit serialization times — the time
+    between forwarding a packet and being able to see its credit (§3.2).
     """
-    hop_rtt = (
+    return (
         2 * link_delay
         + serialization_delay(mtu, bandwidth)
         + serialization_delay(CTRL_PKT_SIZE, bandwidth)
     )
+
+
+def hop_bdp_bytes(bandwidth: float, link_delay: int, mtu: int = MTU) -> int:
+    """One-hop bandwidth-delay product between adjacent switches."""
+    hop_rtt = hop_rtt_ns(bandwidth, link_delay, mtu)
     return max(1, int(bandwidth * hop_rtt / (8 * SEC)))
 
 

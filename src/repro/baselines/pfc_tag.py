@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Set
 
-from repro.floodgate.voq import GROUP_DOWN, GROUP_UP, VoqPool
-from repro.net.host import Host
+from repro.floodgate.voq import VoqPool, group_of
 from repro.net.packet import Packet, PacketKind
 from repro.net.port import EgressPort
 from repro.net.switch import Switch, SwitchExtension
@@ -69,7 +68,7 @@ class PfcTagExtension(SwitchExtension):
         voq = self.pool.lookup(dst)
         if dst in self.paused_dsts or voq is not None:
             if voq is None:
-                voq = self.pool.allocate(dst, self._group_of(out_port))
+                voq = self.pool.allocate(dst, group_of(sw, out_port))
             if voq is None:
                 sw.enqueue_data(pkt, out_port)
                 return True
@@ -91,20 +90,10 @@ class PfcTagExtension(SwitchExtension):
         buffer = sw.buffer
         assert buffer is not None
         if not buffer.admit(pkt.size, pkt.ingress_port):
-            sw.dropped_packets += 1
-            if sw.stats is not None:
-                sw.stats.record_drop()
+            sw._drop(pkt)
             return
         sw._note_port_bytes(out_port, pkt.size)
         self.pool.push(voq, pkt)
-
-    def _group_of(self, out_port: int) -> int:
-        peer = self.switch.peer(out_port)
-        if isinstance(peer, Host):
-            return GROUP_DOWN
-        if isinstance(peer, Switch) and peer.level < self.switch.level:
-            return GROUP_DOWN
-        return GROUP_UP
 
     # -- pause / resume ---------------------------------------------------------------
 

@@ -45,7 +45,6 @@ class Flow:
         "finish_time",
         "last_cnp_time",
         "last_nack_time",
-        "acks_received",
     )
 
     def __init__(
@@ -89,7 +88,6 @@ class Flow:
         self.finish_time = -1
         self.last_cnp_time = -(1 << 60)
         self.last_nack_time = -(1 << 60)
-        self.acks_received = 0
 
     # -- sequence/geometry helpers -----------------------------------------------
 

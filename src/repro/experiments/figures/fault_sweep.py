@@ -25,7 +25,7 @@ run; ``undetected_stalls`` counts runs that failed to complete
 
 Runs fan out through :func:`repro.experiments.parallel.run_sweep`, so
 the grid is pooled across cores and cache-served on re-runs (the
-fault plan is part of the config fingerprint).
+fault plan is part of the config, hence of the cache key).
 """
 
 from __future__ import annotations

@@ -44,10 +44,7 @@ def run(quick: bool = True) -> Dict:
     for label, r in results.items():
         s = r.poisson_fct
         out["fct"][label] = {"avg_us": s.avg_us, "p99_us": s.p99_us}
-        out["buffers"][label] = {
-            role: r.stats.max_port_buffer_by_role(role) / 1e6
-            for role in LEAF_SPINE_ROLES
-        }
+        out["buffers"][label] = r.per_hop_buffers_mb(LEAF_SPINE_ROLES)
     base_fct = out["fct"]["w/o floodgate"]
     fg_fct = out["fct"]["w/ floodgate"]
     out["avg_reduction_pct"] = (

@@ -27,10 +27,7 @@ def run(
         base = incastmix_base(quick, workload)
         results = run_variants(base)
         out["buffers_mb"][workload] = {
-            label: {
-                role: r.stats.max_port_buffer_by_role(role) / 1e6
-                for role in LEAF_SPINE_ROLES
-            }
+            label: r.per_hop_buffers_mb(LEAF_SPINE_ROLES)
             for label, r in results.items()
         }
         out["queuing_us"][workload] = {

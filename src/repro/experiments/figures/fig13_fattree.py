@@ -43,10 +43,7 @@ def run(
             for label, r in results.items()
         }
         out["buffers_mb"][workload] = {
-            label: {
-                role: r.stats.max_port_buffer_by_role(role) / 1e6
-                for role in FAT_TREE_ROLES
-            }
+            label: r.per_hop_buffers_mb(FAT_TREE_ROLES)
             for label, r in results.items()
         }
     return out

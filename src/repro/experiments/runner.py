@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.flowsim.model import FluidSimulation
@@ -76,17 +76,13 @@ class StatsViews:
     def max_port_buffer_mb(self, role: str) -> float:
         return self.stats.max_port_buffer_by_role(role) / 1e6
 
-    def per_hop_buffers_mb(self, roles: List[str]) -> Dict[str, float]:
+    def per_hop_buffers_mb(self, roles: Iterable[str]) -> Dict[str, float]:
         return {r: self.max_port_buffer_mb(r) for r in roles}
 
     # -- PFC ----------------------------------------------------------------------
 
     def pfc_paused_us(self, node_kind: str) -> float:
         return self.stats.total_pfc_paused_us(node_kind)
-
-    @property
-    def pfc_triggered(self) -> bool:
-        return self.stats.pfc_pause_events > 0
 
     @property
     def pfc_pause_events(self) -> int:

@@ -85,6 +85,15 @@ _VALID_FIDELITY = ("packet", "flow", "hybrid")
 #: queue-level baselines have no fluid equivalent.  The hybrid tier
 #: inherits the same set: its cold racks are fluid.
 _FLOW_FIDELITY_FLOW_CONTROL = ("none", "floodgate", "floodgate-ideal")
+#: FloodgateConfig fields ``Scenario._floodgate_config`` derives; a
+#: value handed in through ``floodgate=`` would be overwritten, so it
+#: is rejected, naming what does own the value
+_FLOODGATE_DERIVED = {
+    "ideal": "select the strawman design with flow_control='floodgate-ideal'",
+    "thre_credit_bytes": "set delay_credit_bdp (the threshold in base-BDP units)",
+    "thre_off_bytes": "the dstPause off threshold is one base BDP (§4.3)",
+    "thre_on_bytes": "the dstPause on threshold is half a base BDP (§4.3)",
+}
 
 
 @dataclass(frozen=True)
@@ -228,6 +237,14 @@ class ScenarioConfig:
                         "back, so closed-loop clients behind it stall "
                         "forever and the run only ends at the hard stop); "
                         "give the fault a finite duration"
+                    )
+        if self.floodgate is not None:
+            defaults = FloodgateConfig()
+            for name, owner in _FLOODGATE_DERIVED.items():
+                if getattr(self.floodgate, name) != getattr(defaults, name):
+                    raise ValueError(
+                        f"floodgate.{name} is derived from the scenario and "
+                        f"would be overwritten: {owner}"
                     )
         if not isinstance(self.shards, int) or self.shards < 1:
             raise ValueError(
@@ -596,8 +613,6 @@ class Scenario:
             return
         if fc in ("floodgate", "floodgate-ideal"):
             fg_cfg = self._floodgate_config(ideal=(fc == "floodgate-ideal"))
-            if cfg.per_dst_pause:
-                fg_cfg = replace(fg_cfg, per_dst_pause=True)
             for sw in self.topology.switches:
                 ext = FloodgateExtension(self.sim, fg_cfg)
                 sw.install_extension(ext)

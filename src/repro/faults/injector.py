@@ -8,8 +8,8 @@ else, so runs with a plan are exactly as deterministic as runs
 without one.
 
 Zero cost when off: an unfaulted link's ``deliver`` pays a single
-``is None`` check (the same discipline as ``PacketTracer``); only
-links a plan actually names carry fault state.
+``is None`` check; only links a plan actually names carry fault
+state.
 """
 
 from __future__ import annotations
@@ -396,13 +396,6 @@ class FaultInjector:
         port.set_bandwidth(rate)
 
     # -- reporting ----------------------------------------------------------------
-
-    @property
-    def injected_drops(self) -> int:
-        return sum(
-            s.injected_drops_data + s.injected_drops_ctrl
-            for s in self.states.values()
-        )
 
     def summary(self, owns=None) -> Dict[str, int]:
         """Aggregate injection counters (picklable, for experiments).

@@ -1,6 +1,6 @@
 """Declarative fault schedules.
 
-A :class:`FaultPlan` is a serializable list of fault specs plus the
+A :class:`FaultPlan` is a picklable list of fault specs plus the
 stall-watchdog window.  Plans are pure data: they name *what* goes
 wrong, *where* (a link selector), and *when* (absolute sim time in
 ns); the :mod:`repro.faults.injector` turns a plan into scheduled
@@ -13,11 +13,10 @@ Determinism contract
   the experiment's :class:`~repro.sim.rng.RngRegistry`, one stream per
   faulted link, so the same ``(seed, plan)`` pair replays the exact
   same loss pattern in serial, pooled, and cache-served runs.
-* Plans are frozen dataclasses that round-trip through
-  :meth:`FaultPlan.to_dict` / :meth:`FaultPlan.from_dict` and hash
-  into :func:`FaultPlan.fingerprint`; embedding a plan in a
-  :class:`~repro.experiments.scenario.ScenarioConfig` therefore keys
-  the parallel runner's disk cache correctly.
+* Plans are frozen dataclasses of plain values; a plan embedded in a
+  :class:`~repro.experiments.scenario.ScenarioConfig` enters the
+  parallel runner's disk-cache key with the rest of the config
+  (``parallel.config_fingerprint`` hashes ``dataclasses.asdict``).
 
 Link selectors
 --------------
@@ -33,10 +32,8 @@ Faults name their target links with a selector string:
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Tuple, Type, Union
+from dataclasses import dataclass, field
+from typing import Tuple, Union, get_args
 
 #: packet classes a loss fault can target independently
 CLASS_DATA = "data"
@@ -109,9 +106,9 @@ class BurstLoss:
     """A loss burst: everything (per class) dies inside the window.
 
     Semantically ``RandomLoss`` with rate 1.0, kept as its own kind so
-    serialized plans read as what they model (a microburst of loss,
-    e.g. an optical glitch), and so sweeps can vary burst placement
-    without touching rates.
+    a plan reads as what it models (a microburst of loss, e.g. an
+    optical glitch), and so sweeps can vary burst placement without
+    touching rates.
     """
 
     kind: str = field(default="burst-loss", init=False)
@@ -183,12 +180,6 @@ class PortDegrade:
 
 FaultSpec = Union[LinkDown, RandomLoss, BurstLoss, Corruption, PortDegrade]
 
-#: kind string -> spec class (kinds are dataclass field defaults)
-FAULT_KINDS: Dict[str, Type] = {
-    cls.kind: cls  # type: ignore[attr-defined]
-    for cls in (LinkDown, RandomLoss, BurstLoss, Corruption, PortDegrade)
-}
-
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -214,48 +205,11 @@ class FaultPlan:
         if not isinstance(self.faults, tuple):
             object.__setattr__(self, "faults", tuple(self.faults))
         for spec in self.faults:
-            _require(
-                type(spec) in FAULT_KINDS.values(),
-                f"not a fault spec: {spec!r}",
-            )
+            _require(type(spec) in get_args(FaultSpec), f"not a fault spec: {spec!r}")
 
     def __bool__(self) -> bool:
         """True when installing the plan changes anything."""
         return bool(self.faults) or self.stall_window > 0
-
-    def with_fault(self, spec: FaultSpec) -> "FaultPlan":
-        return FaultPlan(self.faults + (spec,), self.stall_window)
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "faults": [asdict(spec) for spec in self.faults],
-            "stall_window": self.stall_window,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
-        faults = []
-        for entry in data.get("faults", ()):
-            entry = dict(entry)
-            kind = entry.pop("kind")
-            spec_cls = FAULT_KINDS.get(kind)
-            if spec_cls is None:
-                raise ValueError(f"unknown fault kind {kind!r}")
-            faults.append(spec_cls(**entry))
-        return cls(tuple(faults), data.get("stall_window", 0))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(text))
-
-    def fingerprint(self) -> str:
-        """Stable hex digest; feeds the sweep runner's cache key."""
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
 
 
 def plan_of(*specs: FaultSpec, stall_window: int = 0) -> FaultPlan:

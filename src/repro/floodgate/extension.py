@@ -29,17 +29,17 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
+from repro.analysis.models import hop_bdp_bytes
 from repro.floodgate.config import FloodgateConfig
 from repro.floodgate.credit import CreditScheduler
-from repro.floodgate.voq import GROUP_DOWN, GROUP_UP, VoqPool
+from repro.floodgate.voq import VoqPool, group_of
 from repro.floodgate.window import WindowTable
-from repro.net.host import Host
 from repro.net.packet import Packet, PacketKind
 from repro.net.port import EgressPort
 from repro.net.switch import Switch, SwitchExtension
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicTask
-from repro.units import CTRL_PKT_SIZE, MTU, SEC, serialization_delay
+from repro.units import CTRL_PKT_SIZE, MTU, SEC
 
 
 class FloodgateExtension(SwitchExtension):
@@ -95,12 +95,7 @@ class FloodgateExtension(SwitchExtension):
         out = sw.route_for_dst(dst)
         link = sw.links[out]
         bw = link.bandwidth
-        hop_rtt = (
-            2 * link.delay
-            + serialization_delay(MTU, bw)
-            + serialization_delay(CTRL_PKT_SIZE, bw)
-        )
-        bdp_pkts = max(1, -(-int(bw * hop_rtt / (8 * SEC)) // MTU))
+        bdp_pkts = -(-hop_bdp_bytes(bw, link.delay) // MTU)
         if self.config.ideal:
             return max(1, int(self.config.m * bdp_pkts + 0.5))
         timer_pkts = -(-int(bw * self.config.credit_timer / (8 * SEC)) // MTU)
@@ -133,7 +128,7 @@ class FloodgateExtension(SwitchExtension):
             windows.window[dst] = win - 1
             self._stamp_psn(pkt, out_port, dst)
             return False
-        voq = self.pool.allocate(dst, self._group_of(out_port))
+        voq = self.pool.allocate(dst, group_of(sw, out_port))
         if voq is None:
             # pool exhausted, no same-group VOQ: forced bypass (rare),
             # forwarded without consuming the window
@@ -161,23 +156,12 @@ class FloodgateExtension(SwitchExtension):
         buffer = sw.buffer
         assert buffer is not None
         if not buffer.admit(pkt.size, pkt.ingress_port):
-            sw.dropped_packets += 1
-            if sw.stats is not None:
-                sw.stats.record_drop()
+            sw._drop(pkt)
             return
         pkt.no_win = True
         sw._note_port_bytes(out_port, pkt.size)
         self.pool.push(voq, pkt)
         self._maybe_pause_source(pkt)
-
-    def _group_of(self, out_port: int) -> int:
-        """VOQ direction group: is the next hop below or above us?"""
-        peer = self.switch.peer(out_port)
-        if isinstance(peer, Host):
-            return GROUP_DOWN
-        if isinstance(peer, Switch) and peer.level < self.switch.level:
-            return GROUP_DOWN
-        return GROUP_UP
 
     # -- VOQ drain ----------------------------------------------------------------------------
 

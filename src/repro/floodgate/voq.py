@@ -17,11 +17,23 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Set
 
+from repro.net.host import Host
 from repro.net.packet import Packet
+from repro.net.switch import Switch
 
 #: direction groups (deadlock avoidance)
 GROUP_DOWN = 0
 GROUP_UP = 1
+
+
+def group_of(switch: Switch, out_port: int) -> int:
+    """VOQ direction group: is the next hop below or above ``switch``?"""
+    peer = switch.peer(out_port)
+    if isinstance(peer, Host):
+        return GROUP_DOWN
+    if isinstance(peer, Switch) and peer.level < switch.level:
+        return GROUP_DOWN
+    return GROUP_UP
 
 
 def _crc_hash(value: int) -> int:
@@ -34,32 +46,27 @@ def _crc_hash(value: int) -> int:
 class Voq:
     """One virtual output queue."""
 
-    __slots__ = ("index", "packets", "bytes", "dsts", "group", "in_use")
+    __slots__ = ("index", "packets", "dsts", "group", "in_use")
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.packets: Deque[Packet] = deque()
-        self.bytes = 0
         self.dsts: Set[int] = set()
         self.group = GROUP_DOWN
         self.in_use = False
 
     def push(self, pkt: Packet) -> None:
         self.packets.append(pkt)
-        self.bytes += pkt.size
         self.dsts.add(pkt.dst)
 
     def head(self) -> Optional[Packet]:
         return self.packets[0] if self.packets else None
 
     def pop(self) -> Packet:
-        pkt = self.packets.popleft()
-        self.bytes -= pkt.size
-        return pkt
+        return self.packets.popleft()
 
     def reset(self) -> None:
         self.packets.clear()
-        self.bytes = 0
         self.dsts.clear()
         self.in_use = False
 
@@ -88,10 +95,6 @@ class VoqPool:
         self.overflow_bypasses = 0
 
     # -- queries --------------------------------------------------------------------
-
-    @property
-    def in_use_count(self) -> int:
-        return self._in_use
 
     def lookup(self, dst: int) -> Optional[Voq]:
         """The VOQ currently holding ``dst``'s packets, if any."""

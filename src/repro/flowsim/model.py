@@ -31,12 +31,13 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.models import hop_rtt_ns
 from repro.cc.flow import Flow
 from repro.flowsim.maxmin import max_min_rates
 from repro.net.switch import Switch, _ecmp_hash
 from repro.sim.engine import Event
 from repro.stats.fct import FctRecord
-from repro.units import CTRL_PKT_SIZE, MTU, SEC, serialization_delay
+from repro.units import MTU, SEC, serialization_delay
 
 #: projected-finish sentinel for starved flows (rate 0: a zero-capacity
 #: resource on the path); far beyond any runner hard stop
@@ -171,12 +172,7 @@ class FluidSimulation:
         window_bits = ext._initial_window(dst) * MTU * 8
         out = sw.route_for_dst(dst)
         link = sw.links[out]
-        hop_rtt = (
-            2 * link.delay
-            + serialization_delay(MTU, link.bandwidth)
-            + serialization_delay(CTRL_PKT_SIZE, link.bandwidth)
-        )
-        return window_bits * SEC / max(hop_rtt, 1)
+        return window_bits * SEC / max(hop_rtt_ns(link.bandwidth, link.delay), 1)
 
     def _directed_resource(self, link, node) -> int:
         """Directed-link resource index for ``link`` leaving ``node``."""

@@ -204,7 +204,6 @@ class _InboundState:
         "flow",
         "tor",
         "port",
-        "lead",
         "rate",
         "extra",
         "next_time",
@@ -213,7 +212,6 @@ class _InboundState:
         "event",
         "watchdog",
         "pause_retry",
-        "wire_bytes",
     )
 
     def __init__(self, ff: FluidFlow, tor, port: int, lead: int, pause_retry: int) -> None:
@@ -221,12 +219,11 @@ class _InboundState:
         self.flow = ff.flow
         self.tor = tor
         self.port = port
-        #: cold-segment latency: offset between fluid departure at the
-        #: source and packet arrival at the hot ToR
-        self.lead = lead
         self.rate = 0.0
         #: current cold-queueing extra delay folded into the pacing
         self.extra = 0
+        # ``lead`` is the cold-segment latency: offset between fluid
+        # departure at the source and packet arrival at the hot ToR
         self.next_time = ff.flow.start_time + lead
         self.seq = 0
         #: highest seq ever injected (unique-progress cursor; ``seq``
@@ -235,8 +232,6 @@ class _InboundState:
         self.event: Optional[Event] = None
         self.watchdog: Optional[Event] = None
         self.pause_retry = pause_retry
-        #: cumulative on-wire bytes injected (retransmissions included)
-        self.wire_bytes = 0
 
     def unique_bytes(self) -> int:
         """Distinct payload bytes injected at least once."""
@@ -260,7 +255,6 @@ class _OutboundState:
         "tick_bytes",
         "absorbed_packets",
         "absorbed_bytes",
-        "delivered_packets",
         "delivered_bytes",
     )
 
@@ -282,7 +276,6 @@ class _OutboundState:
         self.tick_bytes = 0
         self.absorbed_packets = 0
         self.absorbed_bytes = 0
-        self.delivered_packets = 0
         self.delivered_bytes = 0
 
 
@@ -556,7 +549,6 @@ class HybridSimulation(FluidSimulation):
         st.seq = seq + 1
         if st.seq > st.seq_high:
             st.seq_high = st.seq
-        st.wire_bytes += size
         self.injected_packets += 1
         self.injected_bytes += size
         # the cold source host "sent" this packet: its counters keep the
@@ -688,7 +680,6 @@ class HybridSimulation(FluidSimulation):
         return _OutboundState(flow, ghost, residual, line_rate)
 
     def _tunnel_deliver(self, st: _OutboundState, pkt) -> None:
-        st.delivered_packets += 1
         st.delivered_bytes += pkt.size
         self.tunnel_delivered_packets += 1
         self.tunnel_delivered_bytes += pkt.size

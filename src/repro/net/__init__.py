@@ -13,7 +13,6 @@ from repro.net.buffer import SharedBuffer
 from repro.net.node import Node
 from repro.net.switch import Switch, SwitchExtension
 from repro.net.host import Host
-from repro.net.trace import PacketTracer, TraceEvent
 from repro.net.topology import (
     PortRole,
     Topology,
@@ -33,8 +32,6 @@ __all__ = [
     "Switch",
     "SwitchExtension",
     "Host",
-    "PacketTracer",
-    "TraceEvent",
     "PortRole",
     "Topology",
     "build_dumbbell",

@@ -34,7 +34,6 @@ class SharedBuffer:
         "n_ports",
         "n_paused",
         "max_used",
-        "dropped",
         "hysteresis",
         "on_pause",
         "on_resume",
@@ -63,7 +62,6 @@ class SharedBuffer:
         #: its every-port resume scan in the common nothing-paused case
         self.n_paused = 0
         self.max_used = 0
-        self.dropped = 0
         #: callbacks installed by the switch: ``on_pause(ingress_port)``
         self.on_pause: Optional[Callable[[int], None]] = None
         self.on_resume: Optional[Callable[[int], None]] = None
@@ -88,7 +86,6 @@ class SharedBuffer:
         """
         used = self.used + size
         if used > self.capacity:
-            self.dropped += 1
             return False
         self.used = used
         if used > self.max_used:

@@ -31,12 +31,11 @@ class EcnConfig:
 class EcnMarker:
     """Stateless marking decision with a dedicated RNG stream."""
 
-    __slots__ = ("config", "_rng", "marked_count")
+    __slots__ = ("config", "_rng")
 
     def __init__(self, config: EcnConfig, rng: random.Random) -> None:
         self.config = config
         self._rng = rng
-        self.marked_count = 0
 
     def should_mark(self, queue_bytes: int) -> bool:
         """Marking decision for a packet arriving to a queue of this depth."""
@@ -44,11 +43,7 @@ class EcnMarker:
         if queue_bytes <= cfg.kmin:
             return False
         if queue_bytes >= cfg.kmax:
-            self.marked_count += 1
             return True
         span = cfg.kmax - cfg.kmin
         p = cfg.pmax * (queue_bytes - cfg.kmin) / span if span else cfg.pmax
-        if self._rng.random() < p:
-            self.marked_count += 1
-            return True
-        return False
+        return self._rng.random() < p

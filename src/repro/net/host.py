@@ -77,8 +77,6 @@ class Host(Node):
         #: emit DCQCN CNPs on marked arrivals (off for DCTCP-style CC,
         #: which reads the ECN echo on ACKs instead)
         self.cnp_enabled = True
-        #: optional per-packet tracer (see repro.net.trace)
-        self.tracer = None
         #: fired once per flow when the last byte arrives; the topology
         #: wires this to its completion counter so runners can check
         #: "all flows done" in O(1) instead of scanning the flow table
@@ -265,8 +263,6 @@ class Host(Node):
                 nack.seq = flow.expected_seq
                 self.ports[0].enqueue_control(nack)
             return
-        if self.tracer is not None:
-            self.tracer.record(now, self.name, "deliver", pkt)
         self.rx_data_bytes += pkt.size
         if self.stats is not None:
             self.stats.record_rx(pkt.flow_id, pkt.size)
@@ -333,7 +329,6 @@ class Host(Node):
         flow = self.flow_table.get(pkt.flow_id)
         if flow is None:
             return
-        flow.acks_received += 1
         n_packets = flow.n_packets
         acked = pkt.seq
         if acked > flow.acked_seq:

@@ -94,9 +94,9 @@ class Link:
 
     def deliver(self, pkt: "Packet", sender: "Node") -> None:
         """Carry ``pkt`` from ``sender`` to the peer after the prop delay."""
-        # inline peer resolution (peer_of + peer_port_of): this runs
-        # once per transmitted packet, and two method calls are
-        # measurable at that rate
+        # inline peer resolution (peer_of + peer_port_of).  Not the
+        # per-packet path: only ``EgressPort._tx_done`` calls this, where
+        # delivery is decided when serialization ends (module docstring)
         if sender is self.node_a:
             peer = self.node_b
             peer_port = self.port_b
@@ -122,8 +122,8 @@ class Link:
                  (pkt, peer_port)),
             )
             return
-        # handle-free fast path (schedule_call inlined): propagation
-        # events are never cancelled, and this runs once per packet
+        # handle-free (schedule_call inlined): propagation events are
+        # never cancelled
         sim = self.sim
         sim._seq += 1
         heappush(  # simcheck: ignore[SIM010] -- sim._seq is drawn on the line above

@@ -130,8 +130,6 @@ class Switch(Node):
         self.extension: Optional[SwitchExtension] = None
         # buffer is created on finalize() once the port count is known
         self.buffer: Optional[SharedBuffer] = None
-        #: optional per-packet tracer (see repro.net.trace)
-        self.tracer = None
         self.dropped_packets = 0
         #: control frames no extension claimed (e.g. Floodgate credits
         #: arriving after teardown, or frames meant for an extension
@@ -236,10 +234,7 @@ class Switch(Node):
     # -- receive path -----------------------------------------------------------------
 
     def receive(self, pkt: Packet, ingress_port: int) -> None:
-        pkt.hop_count += 1
         pkt.ingress_port = ingress_port
-        if self.tracer is not None:
-            self.tracer.record(self.sim.now, self.name, "rx", pkt)
         kind = pkt.kind
         is_data = kind == _DATA
         if is_data or IS_ACK_LIKE[kind]:
@@ -300,15 +295,13 @@ class Switch(Node):
                 pkt, ingress_port
             ):
                 return  # the extension consumed the frame
-            # unclaimed: no extension owns this frame — count and trace
-            # the discard instead of losing it silently
+            # unclaimed: no extension owns this frame — count the
+            # discard instead of losing it silently
             self.unclaimed_control_frames += 1
             if kind == PacketKind.CREDIT:
                 self.unclaimed_credit_frames += 1
             if self.stats is not None:
                 self.stats.record_unclaimed_control()
-            if self.tracer is not None:
-                self.tracer.record(self.sim.now, self.name, "drop", pkt)
             return
         out_port = self.route(pkt)
         if self.extension is not None and self.extension.on_data(
@@ -356,10 +349,6 @@ class Switch(Node):
         self.dropped_packets += 1
         if self.stats is not None:
             self.stats.record_drop()
-        if self.tracer is not None:
-            # the dropped copy's "rx" must not be mistaken for
-            # a queued packet when pairing rx/tx delays
-            self.tracer.record(self.sim.now, self.name, "drop", pkt)
 
     # -- occupancy tracking ----------------------------------------------------------
 
@@ -369,10 +358,6 @@ class Switch(Node):
         self._port_bytes[port_index] = used
         if used > self.port_max_bytes[port_index]:
             self.port_max_bytes[port_index] = used
-
-    def port_occupancy(self, port_index: int) -> int:
-        """Current bytes held for ``port_index`` (queues + VOQs)."""
-        return self._port_bytes[port_index]
 
     def telemetry_gauges(self):
         """Pull-read gauge surfaces for :mod:`repro.telemetry`.
@@ -390,8 +375,6 @@ class Switch(Node):
     # -- dequeue hook -------------------------------------------------------------------
 
     def on_port_dequeue(self, port: EgressPort, pkt: Packet, queue_idx: int) -> None:
-        if self.tracer is not None:
-            self.tracer.record(self.sim.now, self.name, "tx", pkt)
         stats = self.stats
         if pkt.ecn_capable:  # DATA packets only
             if self.buffer is not None:

@@ -60,12 +60,6 @@ class DestinationMatrix:
         self._cum_weights = cum
         self._total_weight = total
 
-    def rack_weight(self, rack: int) -> float:
-        """Selection probability of ``rack`` (ignoring locality)."""
-        k = self._ranked_racks.index(rack)
-        lo = self._cum_weights[k - 1] if k else 0.0
-        return (self._cum_weights[k] - lo) / self._total_weight
-
     def sample_servers(
         self, rng: random.Random, client: int, fan_out: int
     ) -> List[int]:

@@ -2,16 +2,13 @@
 
 An :class:`RpcWorkloadSpec` is plain frozen data, like
 :class:`repro.faults.plan.FaultPlan`: it lives inside a
-``ScenarioConfig``, survives ``dataclasses.asdict`` (so it hashes into
-the sweep cache key), and round-trips through ``to_dict``/``from_dict``
-for registry display and tooling.
+``ScenarioConfig`` and survives ``dataclasses.asdict``, which is how
+it enters the sweep cache key (``parallel.config_fingerprint``).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 from repro.units import MTU
 from repro.workloads.distributions import WORKLOADS
@@ -127,23 +124,3 @@ class RpcWorkloadSpec:
             raise ValueError(
                 f"background_load must be >= 0, got {self.background_load}"
             )
-
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RpcWorkloadSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown RpcWorkloadSpec fields: {sorted(unknown)}"
-            )
-        return cls(**data)
-
-    def fingerprint(self) -> str:
-        """Stable content hash (cache keys, provenance lines)."""
-        blob = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -94,7 +94,6 @@ from repro.simcheck.ownership import (
     SHARDED_RELPATH,
     _is_foreign_expr,
     boundary_contexts,
-    describe,
     foreign_locals,
     tainted_locals,
 )
@@ -444,7 +443,7 @@ class _RuleVisitor(ast.NodeVisitor):
                 self._add(
                     "SIM005",
                     target,
-                    f"write to `{describe(target)}` reaches another "
+                    f"write to `{ast.unparse(target)}` reaches another "
                     "domain's object through a foreign handle; only the "
                     "owning domain may mutate it",
                 )
@@ -512,7 +511,7 @@ class _RuleVisitor(ast.NodeVisitor):
             self._add(
                 "SIM010",
                 node,
-                f"raw push onto `{describe(node.args[0])}` bypasses schedule*(); "
+                f"raw push onto `{ast.unparse(node.args[0])}` bypasses schedule*(); "
                 "the ordering contract rests on the entry's seq being drawn "
                 "or reserved on sim._seq — justify where it comes from",
             )
@@ -535,7 +534,7 @@ class _RuleVisitor(ast.NodeVisitor):
                 self._add(
                     "SIM005",
                     node,
-                    f"`{describe(func)}(...)` mutates an object reached "
+                    f"`{ast.unparse(func)}(...)` mutates an object reached "
                     "through a foreign-domain handle; only the owning "
                     "domain may mutate it",
                 )
@@ -550,7 +549,7 @@ class _RuleVisitor(ast.NodeVisitor):
                             "SIM007",
                             node,
                             f".{func.attr}() registers "
-                            f"`{describe(arg)}` — a callback/argument "
+                            f"`{ast.unparse(arg)}` — a callback/argument "
                             "derived from a foreign-domain handle — on the "
                             "local engine",
                         )
@@ -564,7 +563,7 @@ class _RuleVisitor(ast.NodeVisitor):
                     self._add(
                         "SIM008",
                         node,
-                        f"`{describe(func)}(...)` accumulates into "
+                        f"`{ast.unparse(func)}(...)` accumulates into "
                         f"module-global `{root}`; route stats through a "
                         "domain-owned collector with a merge path",
                     )
@@ -603,7 +602,7 @@ class _RuleVisitor(ast.NodeVisitor):
             self._add(
                 "SIM009",
                 node,
-                f"`{describe(node)}` compares wall-clock time; elapsed "
+                f"`{ast.unparse(node)}` compares wall-clock time; elapsed "
                 "time depends on the machine — move the claim to "
                 "benchmarks/ with a hardware-derived bound",
             )

@@ -163,9 +163,6 @@ class StatsHub:
         for child in self._shard_children:
             child.register_flow_class(flow_id, cls)
 
-    def is_incast_flow(self, flow_id: int) -> bool:
-        return flow_id in self._incast_flows
-
     # -- event sinks (hot path) --------------------------------------------------------
 
     def record_fct(self, record: FctRecord) -> None:

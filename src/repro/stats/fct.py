@@ -52,10 +52,6 @@ class FctSummary:
     max_ns: float
 
     @property
-    def avg_ms(self) -> float:
-        return self.avg_ns / 1_000_000.0
-
-    @property
     def avg_us(self) -> float:
         return self.avg_ns / 1_000.0
 

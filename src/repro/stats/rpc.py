@@ -47,10 +47,6 @@ class RpcSummary:
         return self.avg_ns / 1_000.0
 
     @property
-    def p50_us(self) -> float:
-        return self.p50_ns / 1_000.0
-
-    @property
     def p99_us(self) -> float:
         return self.p99_ns / 1_000.0
 

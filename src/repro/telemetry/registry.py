@@ -24,7 +24,7 @@ class TelemetryConfig:
     A recorded run always carries the throughput, buffer and counter
     series, the end-of-run counters and the FCT / queueing / rpc
     histograms; only the sampling period and the engine profile vary.
-    Frozen so it hashes into the sweep-cache fingerprint: a cached run
+    Frozen so it hashes into the sweep cache key: a cached run
     can only serve requests that asked for the same telemetry.
     """
 
@@ -95,14 +95,3 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.total if self.total else 0.0
 
-    def quantile(self, q: float) -> int:
-        """Upper edge of the bin containing the ``q``-quantile (0..1)."""
-        if not self.total:
-            return 0
-        target = q * self.total
-        seen = 0
-        for edge, count in self.bins():
-            seen += count
-            if seen >= target:
-                return edge
-        return self.bins()[-1][0]

@@ -63,15 +63,6 @@ class PeriodicSampler:
     def max_value(self, name: str) -> float:
         return max((v for _, v in self.samples[name]), default=0)
 
-    def value_at(self, name: str, time: int) -> float:
-        """Last sampled value at or before ``time`` (0 if none yet)."""
-        best: float = 0
-        for t, v in self.samples[name]:
-            if t > time:
-                break
-            best = v
-        return best
-
 
 class GaugeSampler(PeriodicSampler):
     """Samples each source's level directly."""

@@ -42,16 +42,6 @@ def seconds(value: float) -> int:
     return int(round(value * SEC))
 
 
-def to_us(t: int) -> float:
-    """Internal time to microseconds (for reporting)."""
-    return t / US
-
-
-def to_ms(t: int) -> float:
-    """Internal time to milliseconds (for reporting)."""
-    return t / MS
-
-
 # --- bandwidth --------------------------------------------------------------
 
 KBPS = 1e3
@@ -62,11 +52,6 @@ GBPS = 1e9
 def gbps(value: float) -> float:
     """Gigabits per second to bits per second."""
     return value * GBPS
-
-
-def mbps(value: float) -> float:
-    """Megabits per second to bits per second."""
-    return value * MBPS
 
 
 # --- sizes ------------------------------------------------------------------

@@ -84,20 +84,6 @@ class FlowSizeDistribution:
         """The raw CDF knots (for plotting Fig. 7)."""
         return list(self.points)
 
-    def cdf_at(self, size: int) -> float:
-        """P(flow size <= size) under the interpolated CDF."""
-        if size <= self.points[0][0]:
-            return self.points[0][1] if size >= self.points[0][0] else 0.0
-        for (s0, p0), (s1, p1) in zip(self.points, self.points[1:], strict=False):
-            if size <= s1:
-                if s1 == s0:
-                    return p1
-                frac = (math.log(size) - math.log(max(s0, 1))) / (
-                    math.log(s1) - math.log(max(s0, 1))
-                )
-                return p0 + frac * (p1 - p0)
-        return 1.0
-
 
 #: Homa-style memcached: "most of the flows are smaller than 1 KB".
 MEMCACHED = FlowSizeDistribution(

@@ -120,7 +120,6 @@ def _receive_ack(self, pkt: Packet) -> None:
     if flow is None:
         return
     now = self.sim.now
-    flow.acks_received += 1
     if pkt.seq > flow.acked_seq:
         flow.acked_seq = pkt.seq
         if flow.rto_timer is not None:

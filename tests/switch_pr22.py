@@ -17,6 +17,7 @@ a reference, not code under test.
 from __future__ import annotations
 
 from repro.floodgate.extension import FloodgateExtension
+from repro.floodgate.voq import group_of
 from repro.net.packet import IS_ACK_LIKE, IS_CONTROL, IntRecord, Packet, PacketKind
 from repro.net.port import EgressPort
 from repro.net.switch import Switch
@@ -29,10 +30,7 @@ _CREDIT_LIKE = (PacketKind.CREDIT, PacketKind.SWITCH_SYN)
 
 
 def receive(self, pkt: Packet, ingress_port: int) -> None:
-    pkt.hop_count += 1
     pkt.ingress_port = ingress_port
-    if self.tracer is not None:
-        self.tracer.record(self.sim.now, self.name, "rx", pkt)
     kind = pkt.kind
     is_data = kind == _DATA
     if is_data or IS_ACK_LIKE[kind]:
@@ -80,8 +78,6 @@ def receive(self, pkt: Packet, ingress_port: int) -> None:
             self.unclaimed_credit_frames += 1
         if self.stats is not None:
             self.stats.record_unclaimed_control()
-        if self.tracer is not None:
-            self.tracer.record(self.sim.now, self.name, "drop", pkt)
         return
     out_port = self.route(pkt)
     if self.extension is not None and self.extension.on_data(
@@ -114,10 +110,6 @@ def enqueue_data(
             self.dropped_packets += 1
             if stats is not None:
                 stats.record_drop()
-            if self.tracer is not None:
-                # the dropped copy's "rx" must not be mistaken for
-                # a queued packet when pairing rx/tx delays
-                self.tracer.record(self.sim.now, self.name, "drop", pkt)
             return
     port = self.ports[out_port]
     ecn = self.ecn
@@ -148,8 +140,6 @@ def _note_port_bytes(self, port_index: int, delta: int) -> None:
 
 
 def on_port_dequeue(self, port: EgressPort, pkt: Packet, queue_idx: int) -> None:
-    if self.tracer is not None:
-        self.tracer.record(self.sim.now, self.name, "tx", pkt)
     stats = self.stats
     if pkt.ecn_capable:  # DATA packets only
         if self.buffer is not None:
@@ -206,7 +196,7 @@ def floodgate_on_data(self, pkt: Packet, in_port: int, out_port: int) -> bool:
         self._stamp_psn(pkt, out_port, dst)
         sw.enqueue_data(pkt, out_port)
         return True
-    voq = self.pool.allocate(dst, self._group_of(out_port))
+    voq = self.pool.allocate(dst, group_of(sw, out_port))
     if voq is None:
         # pool exhausted, no same-group VOQ: forced bypass (rare),
         # forwarded without consuming the window

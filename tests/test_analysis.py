@@ -18,9 +18,10 @@ from repro.analysis import (
     hop_bdp_bytes,
     ideal_window_bytes,
 )
+from repro.analysis.models import hop_rtt_ns
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import ScenarioConfig
-from repro.units import gbps, us
+from repro.units import CTRL_PKT_SIZE, MTU, SEC, gbps, serialization_delay, us
 
 
 class TestClosedForms:
@@ -29,6 +30,22 @@ class TestClosedForms:
         # serialization (200 + 12.8 ns): rtt ~ 1.2128 us -> ~6 KB
         bdp = hop_bdp_bytes(gbps(40), 500)
         assert 5_500 <= bdp <= 6_500
+
+    @pytest.mark.parametrize(
+        "bw", [1e6, 1e8, 1e9, gbps(10), gbps(25), gbps(40), gbps(100), gbps(400)]
+    )
+    @pytest.mark.parametrize("delay", [0, 100, 500, 1_000, 5_000, 10_000, 50_000])
+    def test_window_packets_equal_the_spelled_out_form(self, bw, delay):
+        """``FloodgateExtension._initial_window``'s BDP term as it was
+        spelled before it was built on ``hop_bdp_bytes``: same packets."""
+        rtt = (
+            2 * delay
+            + serialization_delay(MTU, bw)
+            + serialization_delay(CTRL_PKT_SIZE, bw)
+        )
+        assert hop_rtt_ns(bw, delay) == rtt
+        spelled_out = max(1, -(-int(bw * rtt / (8 * SEC)) // MTU))
+        assert -(-hop_bdp_bytes(bw, delay) // MTU) == spelled_out
 
     def test_window_grows_with_timer(self):
         w1 = floodgate_window_bytes(gbps(40), 500, us(1))

@@ -23,32 +23,10 @@ from tests.conftest import MiniNet, install
 
 
 class TestPlan:
-    def test_json_round_trip(self):
-        plan = plan_of(
-            LinkDown(at=100, link="torL<->torR", duration=50, mode="drop"),
-            RandomLoss(start=0, data_rate=0.1, ctrl_rate=0.02),
-            BurstLoss(at=10, link="#0", duration=5),
-            Corruption(start=0, rate=0.05),
-            PortDegrade(at=0, rate_factor=0.5, extra_delay=100),
-            stall_window=1000,
-        )
-        assert FaultPlan.from_json(plan.to_json()) == plan
-
-    def test_fingerprint_is_stable_and_distinguishes(self):
-        a = plan_of(RandomLoss(data_rate=0.1))
-        b = plan_of(RandomLoss(data_rate=0.1))
-        c = plan_of(RandomLoss(data_rate=0.2))
-        assert a.fingerprint() == b.fingerprint()
-        assert a.fingerprint() != c.fingerprint()
-
     def test_empty_plan_is_falsy(self):
         assert not FaultPlan()
         assert plan_of(LinkDown(at=0))
         assert FaultPlan(stall_window=100)
-
-    def test_with_fault_appends(self):
-        plan = FaultPlan().with_fault(LinkDown(at=5))
-        assert len(plan.faults) == 1
 
     @pytest.mark.parametrize(
         "bad",
@@ -64,10 +42,6 @@ class TestPlan:
     def test_validation_rejects(self, bad):
         with pytest.raises(ValueError):
             bad()
-
-    def test_unknown_kind_rejected_on_load(self):
-        with pytest.raises(ValueError):
-            FaultPlan.from_dict({"faults": [{"kind": "meteor-strike"}]})
 
 
 class TestSelectors:
@@ -363,9 +337,12 @@ class TestDeterminism:
         from repro.experiments.parallel import task_fingerprint
 
         base = SweepTask(key="x", config=FAULTED_CFG)
-        other_plan = FAULTED_CFG.fault_plan.with_fault(Corruption(rate=0.5))
         import dataclasses
 
+        plan = FAULTED_CFG.fault_plan
+        other_plan = dataclasses.replace(
+            plan, faults=plan.faults + (Corruption(rate=0.5),)
+        )
         changed = SweepTask(
             key="x",
             config=dataclasses.replace(FAULTED_CFG, fault_plan=other_plan),

@@ -2,7 +2,7 @@
 
 from repro.floodgate.config import FloodgateConfig
 from repro.floodgate.extension import FloodgateExtension
-from repro.floodgate.voq import GROUP_DOWN, GROUP_UP
+from repro.floodgate.voq import GROUP_DOWN, GROUP_UP, group_of
 from repro.net.host import Host
 from repro.net.packet import Packet, PacketKind
 from repro.net.switch import Switch
@@ -54,32 +54,29 @@ class TestVoqGrouping:
         sim, topo, exts, _ = build_fat_tree_net()
         aggs = topo.switches_of_kind("agg")
         agg = aggs[0]
-        ext = agg.extension
         # a destination inside this pod: next hop is an edge (down)
         pod_host = next(iter(
             topo.switches_of_kind("tor")[0].connected_hosts
         ))
         down_port = agg.route_for_dst(pod_host)
-        assert ext._group_of(down_port) == GROUP_DOWN
+        assert group_of(agg, down_port) == GROUP_DOWN
         # a destination in another pod: next hop is a core (up)
         remote_host = topo.hosts[-1].node_id
         up_port = agg.route_for_dst(remote_host)
-        assert ext._group_of(up_port) == GROUP_UP
+        assert group_of(agg, up_port) == GROUP_UP
 
     def test_tor_sends_everything_up(self):
         net = MiniNet("leaf-spine")
         exts = with_floodgate(net)
         tor = net.topo.switches_of_kind("tor")[0]
-        ext = tor.extension
         remote = 11  # another rack
-        assert ext._group_of(tor.route_for_dst(remote)) == GROUP_UP
+        assert group_of(tor, tor.route_for_dst(remote)) == GROUP_UP
 
     def test_spine_sends_everything_down(self):
         net = MiniNet("leaf-spine")
         exts = with_floodgate(net)
         spine = net.topo.switches_of_kind("core")[0]
-        ext = spine.extension
-        assert ext._group_of(spine.route_for_dst(0)) == GROUP_DOWN
+        assert group_of(spine, spine.route_for_dst(0)) == GROUP_DOWN
 
     def test_cross_pod_fat_tree_traffic_completes(self):
         sim, topo, exts, _ = build_fat_tree_net()

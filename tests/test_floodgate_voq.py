@@ -137,7 +137,7 @@ class TestInvariants:
         )
     )
     def test_counters_equal_a_scan_after_any_push_pop_sequence(self, ops):
-        """``in_use_count`` / ``total_bytes`` are counters; the scans
+        """``_in_use`` / ``total_bytes`` are counters; the scans
         they replaced are the oracle, hash-shared VOQs included."""
         pool = VoqPool(3)
         high_water = 0
@@ -152,7 +152,9 @@ class TestInvariants:
                 pool.pop(voq)
             in_use = sum(1 for v in pool.voqs if v.in_use)
             high_water = max(high_water, in_use)
-            assert pool.in_use_count == in_use
-            assert pool.total_bytes() == sum(v.bytes for v in pool.voqs)
+            assert pool._in_use == in_use
+            assert pool.total_bytes() == sum(
+                p.size for v in pool.voqs for p in v.packets
+            )
             assert pool.total_bytes() == sum(pool.bytes_by_dst.values())
         assert pool.max_in_use == high_water

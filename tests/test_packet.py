@@ -52,7 +52,6 @@ class TestTrim:
         pkt.trim()
         assert pkt.kind == PacketKind.NDP_HEADER
         assert pkt.size == CTRL_PKT_SIZE
-        assert pkt.trimmed
         assert not pkt.ecn_capable  # no longer buffer-charged
         # routing identity survives
         assert pkt.flow_id == 9 and pkt.seq == 4

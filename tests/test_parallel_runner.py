@@ -227,6 +227,6 @@ class TestResultSummary:
         assert summary.poisson_fct == result.poisson_fct
         assert summary.incast_fct == result.incast_fct
         assert summary.max_switch_buffer_mb == result.max_switch_buffer_mb
-        assert summary.pfc_triggered == result.pfc_triggered
+        assert summary.pfc_pause_events == result.pfc_pause_events
         assert summary.completion_rate == result.completion_rate
         assert summary.events == result.events

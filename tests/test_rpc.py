@@ -36,17 +36,6 @@ def rpc_cfg(**kw) -> ScenarioConfig:
 
 
 class TestSpec:
-    def test_roundtrips_and_fingerprints(self):
-        spec = RpcWorkloadSpec(fan_out=12, locality=0.3)
-        again = RpcWorkloadSpec.from_dict(spec.to_dict())
-        assert again == spec
-        assert again.fingerprint() == spec.fingerprint()
-        assert spec.fingerprint() != RpcWorkloadSpec().fingerprint()
-
-    def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="unknown RpcWorkloadSpec"):
-            RpcWorkloadSpec.from_dict({"fan_oot": 8})
-
     @pytest.mark.parametrize(
         "kw, match",
         [
@@ -98,23 +87,26 @@ class TestScenarioConfigValidation:
 # -- the destination matrix ---------------------------------------------------
 
 
+def rack_weights(m: DestinationMatrix) -> list:
+    """Selection probability per popularity rank (ignoring locality)."""
+    cum = m._cum_weights
+    return [(hi - lo) / m._total_weight for lo, hi in zip([0.0] + cum, cum, strict=False)]
+
+
 class TestDestinationMatrix:
     RACKS = {h: h // 4 for h in range(16)}  # 4 racks of 4
 
     def test_zipf_skews_toward_the_top_rank(self):
         spec = RpcWorkloadSpec(server_selection="zipf", zipf_alpha=1.2)
         m = DestinationMatrix(spec, self.RACKS, random.Random(7))
-        weights = sorted(
-            (m.rack_weight(rack) for rack in range(4)), reverse=True
-        )
+        weights = sorted(rack_weights(m), reverse=True)
         assert weights[0] > 2 * weights[-1]
         assert sum(weights) == pytest.approx(1.0)
 
     def test_uniform_selection_flattens_the_weights(self):
         spec = RpcWorkloadSpec(server_selection="uniform")
         m = DestinationMatrix(spec, self.RACKS, random.Random(7))
-        for rack in range(4):
-            assert m.rack_weight(rack) == pytest.approx(0.25)
+        assert rack_weights(m) == pytest.approx([0.25] * 4)
 
     def test_sampled_servers_are_distinct_and_never_the_client(self):
         spec = RpcWorkloadSpec(fan_out=8)
@@ -203,7 +195,6 @@ class TestSummaries:
         assert s.p50_ns == pytest.approx(50_000, rel=0.02)
         assert s.max_ns == 100_000
         assert s.p999_ns <= s.max_ns
-        assert s.p50_us == pytest.approx(s.p50_ns / 1000.0)
 
     def test_empty_summary_is_zero(self):
         s = summarize_rpc([])

@@ -56,10 +56,6 @@ class TestResultHelpers:
         incast = r.fct_summary(FlowClass.INCAST)
         assert incast.count == r.incast_fct.count
 
-    def test_pfc_flag(self):
-        r = self._result()
-        assert r.pfc_triggered == (r.stats.pfc_pause_events > 0)
-
     def test_max_voqs_zero_without_extensions(self):
         r = self._result()
         assert r.max_voqs_used == 0

@@ -6,9 +6,10 @@ import pytest
 
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scale, Scenario, ScenarioConfig
+from repro.floodgate.config import FloodgateConfig
 from repro.simcheck.sanitizer import SanitizerConfig
 from repro.telemetry.registry import TelemetryConfig
-from repro.units import gbps, mb
+from repro.units import gbps, mb, us
 
 
 QUICK = dict(n_tors=3, hosts_per_tor=2, duration=100_000)
@@ -45,6 +46,40 @@ class TestConfigResolution:
     def test_unknown_topology_rejected(self):
         with pytest.raises(ValueError):
             Scenario(ScenarioConfig(topology="ring", **QUICK))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ideal", True),
+            ("thre_credit_bytes", 1),
+            ("thre_off_bytes", 7),
+            ("thre_on_bytes", 3),
+        ],
+    )
+    def test_derived_floodgate_fields_rejected(self, field, value):
+        # Scenario._floodgate_config used to overwrite these four silently
+        with pytest.raises(ValueError, match=f"floodgate.{field}"):
+            ScenarioConfig(
+                flow_control="floodgate", floodgate=FloodgateConfig(**{field: value})
+            )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(credit_timer=us(10)),  # fig17, parameter_tuning
+            dict(credit_timer=us(10), isolate_incast=False),  # test_ablations
+            dict(credit_timer=us(2), loss_recovery=False, syn_timeout=us(50)),
+            dict(credit_regen_timeout=us(50)),  # test_floodgate_credit
+        ],
+    )
+    def test_floodgate_fields_in_use_construct_and_survive(self, kwargs):
+        given = FloodgateConfig(**kwargs)
+        cfg = ScenarioConfig(
+            flow_control="floodgate", pattern="none", floodgate=given, **QUICK
+        )
+        installed = Scenario(cfg).extensions[0].config
+        for name, value in kwargs.items():
+            assert getattr(installed, name) == value
 
     @pytest.mark.parametrize(
         "build, field",

@@ -3,10 +3,13 @@ allowlist hygiene, and the runtime isolation sanitizer."""
 
 from __future__ import annotations
 
+import ast
 import textwrap
+from pathlib import Path
 
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scenario, ScenarioConfig
+from repro.sim import sharded as sharded_module
 from repro.sim.sharded import run_domains
 from repro.simcheck.determinism import (
     EventStreamDigest,
@@ -17,8 +20,7 @@ from repro.simcheck.isolation import ShardIsolationSanitizer
 from repro.simcheck.linter import rule_applies, run_check
 from repro.simcheck.ownership import (
     _BOUNDARY_SEED,
-    build_ownership_map,
-    classify_file,
+    boundary_contexts,
     foreign_locals,
 )
 from repro.simcheck.rules import RULES, scan_source
@@ -231,8 +233,6 @@ def test_cli_rules_listing_is_generated_from_catalogue(capsys):
 
 
 def test_foreign_locals_fixpoint():
-    import ast
-
     tree = ast.parse(
         textwrap.dedent(
             """
@@ -247,41 +247,18 @@ def test_foreign_locals_fixpoint():
     assert env == {"a", "b"}
 
 
-def test_ownership_map_reads_partition_contract():
-    omap = build_ownership_map()
-    assert omap.domain_key == "node_id"
-    assert "partition_nodes" in omap.boundary_contexts
-    assert any("Channel" in name for name in omap.boundary_contexts)
-
-
 def test_boundary_contexts_name_live_scopes_only():
     # a seed entry naming a function sharded.py no longer defines is a
     # silently vanished exemption; a widened heuristic shows up here too
-    omap = build_ownership_map()
-    assert _BOUNDARY_SEED <= omap.boundary_contexts
-    assert omap.boundary_contexts - _BOUNDARY_SEED == {
+    contexts = boundary_contexts(ast.parse(Path(sharded_module.__file__).read_text()))
+    assert _BOUNDARY_SEED <= contexts
+    assert contexts - _BOUNDARY_SEED == {
         "_DirectChannel",
         "_OutboxChannel",
         "_LocalTransport",
         "_LockstepTransport",
         "_ForkedTransport",
     }
-
-
-def test_classify_file_labels_sites():
-    omap = build_ownership_map()
-    sites = classify_file(
-        textwrap.dedent(
-            """
-            def f(self, link):
-                self.count += 1
-                link.dst_port.credits = 0
-            """
-        ),
-        NET,
-        omap,
-    )
-    assert [s.classification for s in sites] == ["owned", "foreign"]
 
 
 # -- allowlist hygiene --------------------------------------------------------

@@ -50,9 +50,9 @@ class TestCharging:
         tor.receive(pkt, 4)
         # packet is either queued (occupancy 1000) or already passed
         # to the serializer (occupancy drained synchronously)
-        assert tor.port_occupancy(out) in (0, 1000)
+        assert tor._port_bytes[out] in (0, 1000)
         net.run(ms(1))
-        assert tor.port_occupancy(out) == 0
+        assert tor._port_bytes[out] == 0
         assert tor.port_max_bytes[out] >= 0
 
 

@@ -20,7 +20,6 @@ from repro.sim.engine import Simulator
 from repro.stats.collector import FlowClass
 from repro.telemetry import (
     EngineProfiler,
-    GaugeSampler,
     Histogram,
     RateSampler,
     TelemetryConfig,
@@ -28,6 +27,7 @@ from repro.telemetry import (
     render_export,
 )
 from repro.telemetry.recorder import DomainRecorder, build_export
+from repro.telemetry.report import _bin_quantile
 from repro.units import us
 
 
@@ -73,12 +73,12 @@ class TestInstruments:
         h = Histogram("x")
         for v in range(1, 101):
             h.observe(v)
-        assert h.quantile(0.5) <= h.quantile(0.99)
-        assert h.quantile(1.0) == 128  # bin holding 100
+        assert _bin_quantile(h.bins(), 0.5) <= _bin_quantile(h.bins(), 0.99)
+        assert _bin_quantile(h.bins(), 1.0) == 128  # bin holding 100
 
     def test_empty_histogram(self):
         h = Histogram("x")
-        assert h.bins() == [] and h.mean() == 0.0 and h.quantile(0.99) == 0
+        assert h.bins() == [] and h.mean() == 0.0
 
 
 class TestSamplers:
@@ -139,15 +139,6 @@ class TestSamplers:
         # every sample, including the first, reads ~10 Gbps; the old
         # code reported the first as 50 us of backlog / 10 us = 50 Gbps
         assert all(v == pytest.approx(10.0, rel=0.2) for _, v in series)
-
-    def test_gauge_sampler_value_at_before_first_sample(self):
-        sim = Simulator()
-        s = GaugeSampler(sim, {"g": lambda: 5}, interval=us(10))
-        s.start()
-        sim.run(until=us(25))
-        assert s.value_at("g", us(3)) == 0  # nothing sampled yet then
-        assert s.value_at("g", us(10)) == 5
-        assert s.max_value("g") == 5
 
     def test_same_instant_restart_tick_skipped(self):
         sim = Simulator()
