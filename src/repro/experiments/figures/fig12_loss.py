@@ -8,18 +8,24 @@ at 10 %.
 
 The loss is a :class:`~repro.faults.RandomLoss` in the config's fault
 plan; the receive rate is the telemetry export's ``rx_gbps.total``
-series, sampled every 20 us.
+series, sampled every 20 us.  That series counts every data packet a
+host receives, the out-of-order ones go-back-N discards included, and
+a lossy run lasts longer and so averages over more samples: its mean
+(``mean_gbps``) is no throughput verdict.  ``goodput_gbps`` is: the
+payload of the completed flows over the span from the first start to
+the last finish, read beside the incast flows' FCT.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Sequence
 
 from repro.experiments.figures.common import mean_value, points_ms
 from repro.experiments.parallel import SweepTask, run_sweep
 from repro.experiments.scenario import ScenarioConfig
 from repro.faults import RandomLoss, plan_of
+from repro.stats.fct import FctRecord
 from repro.telemetry.registry import TelemetryConfig
 from repro.units import us
 
@@ -53,6 +59,14 @@ def tasks(
     return out
 
 
+def goodput_gbps(records: Sequence[FctRecord]) -> float:
+    """Payload of ``records`` over first start to last finish, Gbps."""
+    if not records:
+        return 0.0
+    span = max(r.finish_time for r in records) - min(r.start_time for r in records)
+    return sum(r.size for r in records) * 8 / span if span > 0 else 0.0
+
+
 def run(
     quick: bool = True,
     loss_rates: Iterable[float] = (0.0, 0.05, 0.10),
@@ -61,9 +75,12 @@ def run(
     for key, r in run_sweep(tasks(quick, loss_rates)).items():
         points = r.telemetry.series_named("rx_gbps.total")["points"]
         out["series"][key] = points_ms(points)
+        incast = r.incast_fct
         out["summary"][key] = {
             "completion_rate": r.completion_rate,
             "mean_gbps": mean_value(points),
+            "goodput_gbps": goodput_gbps(r.stats.fct_records),
+            "incast_fct_us": (incast.avg_us, incast.p99_us),
             "link_drops": r.fault_drops_total,
             "switch_syn_sent": r.telemetry.counter_value("floodgate.syn_sent"),
         }

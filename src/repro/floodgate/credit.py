@@ -38,7 +38,13 @@ BacklogFn = Callable[[int], int]
 
 
 class CreditScheduler:
-    """Tracks owed credits per (ingress port, destination)."""
+    """Tracks owed credits per (ingress port, destination).
+
+    The data path fills the tables: ``FloodgateExtension.on_dequeue``
+    books each departed packet into ``owed`` / ``last_fwd_psn`` (or, in
+    the ideal design, which has no timers, returns its credit at once)
+    and starts the port's timer.
+    """
 
     def __init__(
         self,
@@ -53,8 +59,8 @@ class CreditScheduler:
         self.backlog_fn = backlog_fn
         #: owed credits: port -> {dst: count}
         self.owed: Dict[int, Dict[int, int]] = {}
-        #: highest PSN forwarded: (port, dst) -> psn
-        self.last_fwd_psn: Dict[tuple[int, int], int] = {}
+        #: highest PSN forwarded: port -> {dst: psn}
+        self.last_fwd_psn: Dict[int, Dict[int, int]] = {}
         self._timers: Dict[int, PeriodicTask] = {}
         self.credits_sent = 0
         self.credits_delayed = 0
@@ -64,8 +70,9 @@ class CreditScheduler:
         )
         #: sim time of the last credit emitted per (port, dst)
         self._last_emit: Dict[tuple[int, int], int] = {}
-        #: consecutive idle regenerations per port: {dst: count};
-        #: a dst leaves the table once it hits credit_regen_limit
+        #: consecutive idle regenerations per port: {dst: count}, only
+        #: with regeneration on; a dst leaves the table once it hits
+        #: credit_regen_limit
         self._regen_pending: Dict[int, Dict[int, int]] = {}
         self.credits_regenerated = 0
 
@@ -79,6 +86,9 @@ class CreditScheduler:
         return, so idle switches cost no events.
         """
         self.owed.setdefault(port, {})
+        self.last_fwd_psn.setdefault(port, {})
+        if self._regen_enabled:
+            self._regen_pending.setdefault(port, {})
         if not self.config.ideal and port not in self._timers:
             self._timers[port] = PeriodicTask(
                 self.sim, self.config.credit_timer, self._tick, port
@@ -88,31 +98,6 @@ class CreditScheduler:
         for task in self._timers.values():
             task.stop()
 
-    # -- data-path hooks ---------------------------------------------------------
-
-    def note_forwarded(self, in_port: int, dst: int, psn: int) -> None:
-        """A data packet from ``in_port`` toward ``dst`` left this switch."""
-        table = self.owed.get(in_port)
-        if table is None:
-            return  # upstream is a host: no credits
-        key = (in_port, dst)
-        if psn > self.last_fwd_psn.get(key, -1):
-            self.last_fwd_psn[key] = psn
-        if self.config.ideal:
-            self.send_fn(in_port, dst, 1, self.last_fwd_psn[key])
-            self.credits_sent += 1
-        else:
-            table[dst] = table.get(dst, 0) + 1
-            if self._regen_enabled:
-                # new forwarding activity re-arms the regeneration
-                # budget for this pair
-                self._regen_pending.setdefault(in_port, {})[dst] = 0
-            timer = self._timers[in_port]
-            if not timer.running:
-                # Stagger the phase by port index so a switch's ports
-                # do not all emit credit bursts in the same instant.
-                timer.start(phase=(in_port * 97) % self.config.credit_timer)
-
     def telemetry_counters(self) -> Dict[str, int]:
         """End-of-run counter values for :mod:`repro.telemetry`."""
         return {
@@ -121,16 +106,18 @@ class CreditScheduler:
             "credits_regenerated": self.credits_regenerated,
         }
 
+    # -- switchSYN ----------------------------------------------------------------
+
     def answer_syn(self, in_port: int, dst: int) -> None:
         """switchSYN reply: echo the last forwarded PSN unconditionally."""
-        key = (in_port, dst)
-        psn = self.last_fwd_psn.get(key, -1)
+        forwarded = self.last_fwd_psn.get(in_port)
+        psn = forwarded.get(dst, -1) if forwarded is not None else -1
         table = self.owed.get(in_port)
         count = table.pop(dst, 0) if table is not None else 0
         self.send_fn(in_port, dst, count, psn)
         self.credits_sent += 1
         if self._regen_enabled:
-            self._last_emit[key] = self.sim.now
+            self._last_emit[(in_port, dst)] = self.sim.now
 
     # -- timer ------------------------------------------------------------------------
 
@@ -145,11 +132,10 @@ class CreditScheduler:
                 else:
                     self.credits_delayed += 1
             now = self.sim.now
+            forwarded = self.last_fwd_psn[port]
             for dst in flushable:
                 count = table.pop(dst)
-                self.send_fn(
-                    port, dst, count, self.last_fwd_psn.get((port, dst), -1)
-                )
+                self.send_fn(port, dst, count, forwarded.get(dst, -1))
                 self.credits_sent += 1
                 if self._regen_enabled:
                     self._last_emit[(port, dst)] = now
@@ -172,6 +158,7 @@ class CreditScheduler:
         timeout = self.config.credit_regen_timeout
         limit = self.config.credit_regen_limit
         owed = self.owed.get(port) or {}
+        forwarded = self.last_fwd_psn[port]
         exhausted: List[int] = []
         for dst, idle in pending.items():
             if dst in owed:
@@ -179,7 +166,7 @@ class CreditScheduler:
             key = (port, dst)
             if now - self._last_emit.get(key, -timeout - 1) < timeout:
                 continue
-            self.send_fn(port, dst, 0, self.last_fwd_psn.get(key, -1))
+            self.send_fn(port, dst, 0, forwarded.get(dst, -1))
             self.credits_sent += 1
             self.credits_regenerated += 1
             self._last_emit[key] = now

@@ -77,6 +77,7 @@ class FloodgateExtension(SwitchExtension):
         super().attach(switch)
         for port in switch.ports:
             self.incast_queue.append(port.add_rr_queues(1))
+            self.windows.next_psn[port.index] = {}
             peer = switch.peer(port.index)
             if isinstance(peer, Switch):
                 self.credits.watch_port(port.index)
@@ -140,11 +141,12 @@ class FloodgateExtension(SwitchExtension):
     def _stamp_psn(self, pkt: Packet, out_port: int, dst: int) -> None:
         """Assign the next PSN of ``(out_port, dst)`` to a departing packet."""
         windows = self.windows
-        key = (out_port, dst)
-        next_psn = windows.next_psn
-        pkt.psn = psn = next_psn.get(key, 0)
-        next_psn[key] = psn + 1
+        psns = windows.next_psn[out_port]
+        pkt.psn = psn = psns.get(dst, 0)
+        psns[dst] = psn + 1
         if psn == 0:
+            key = (out_port, dst)
+            windows.sent_pairs.append(key)
             windows.last_credit_time.setdefault(key, self.sim.now)
         syn = self._syn_task
         if syn is not None and not syn.running:
@@ -205,11 +207,38 @@ class FloodgateExtension(SwitchExtension):
         return False
 
     def on_dequeue(self, port: EgressPort, pkt: Packet, queue_idx: int) -> None:
+        """The credit a departed packet earns its upstream (§4.1).
+
+        The scheduler's per-port tables say which design runs: the
+        ideal one has no timer and returns the credit now; the
+        practical one owes it until the port's timer fires, and with
+        regeneration on, re-arms the pair's regeneration budget.
+        """
         # hosts keep no window (§3.2): only switch-facing ingress ports
         # are watched, and only they are owed credits
+        credits = self.credits
         in_port = pkt.ingress_port
-        if in_port in self.credits.owed:
-            self.credits.note_forwarded(in_port, pkt.dst, pkt.upstream_psn)
+        owed = credits.owed.get(in_port)
+        if owed is None:
+            return
+        dst = pkt.dst
+        forwarded = credits.last_fwd_psn[in_port]
+        psn = forwarded.get(dst, -1)
+        if pkt.upstream_psn > psn:
+            forwarded[dst] = psn = pkt.upstream_psn
+        timer = credits._timers.get(in_port)
+        if timer is None:  # the ideal design: one credit per packet, now
+            credits.send_fn(in_port, dst, 1, psn)
+            credits.credits_sent += 1
+            return
+        owed[dst] = owed.get(dst, 0) + 1
+        pending = credits._regen_pending.get(in_port)
+        if pending is not None:
+            pending[dst] = 0
+        if not timer.running:
+            # Stagger the phase by port index so a switch's ports do
+            # not all emit credit bursts in the same instant.
+            timer.start(phase=(in_port * 97) % self.config.credit_timer)
 
     def adjusted_qlen(self, pkt: Packet, port: EgressPort) -> Optional[int]:
         """HPCC co-existence (§8): incast packets report VOQ backlog."""

@@ -3,6 +3,8 @@
 VOQ semantics (§4.2, §7.2):
 
 * a free VOQ is dedicated to one destination on demand (bitmap scan);
+  the pool creates a slot only when every existing one is in use, up
+  to ``max_voqs``, so a switch that never parks a packet holds none;
 * when the pool is exhausted, the destination is CRC-hashed onto an
   *occupied* VOQ of the same direction group, so packets of different
   destinations may share a VOQ (the corner case the paper tolerates);
@@ -15,7 +17,7 @@ VOQ semantics (§4.2, §7.2):
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set
+from typing import Callable, Deque, Dict, List, Optional, Set
 
 from repro.net.host import Host
 from repro.net.packet import Packet
@@ -81,13 +83,21 @@ class VoqPool:
     def __init__(self, max_voqs: int) -> None:
         if max_voqs < 1:
             raise ValueError(f"need at least one VOQ, got {max_voqs}")
-        self.voqs: List[Voq] = [Voq(i) for i in range(max_voqs)]
+        self.max_voqs = max_voqs
+        #: the slots created so far, by index.  A slot is created only
+        #: when every existing one is in use, which is exactly when the
+        #: lowest free index of a pool built with all ``max_voqs`` slots
+        #: would be a slot it never used before
+        self.voqs: List[Voq] = []
+        #: called with each new slot (the shard-isolation sanitizer's
+        #: domain tags)
+        self.on_new_voq: List[Callable[[Voq], None]] = []
         self.voq_of_dst: Dict[int, Voq] = {}
         self.bytes_by_dst: Dict[int, int] = {}
         #: VOQs currently dedicated / bytes held across them, kept as
         #: counters (allocate, push, pop) so neither the per-allocation
         #: high-water check nor the per-INT-record backlog read scans
-        #: all ``max_voqs`` queues
+        #: every slot
         self._in_use = 0
         self._bytes = 0
         self.max_in_use = 0
@@ -124,16 +134,22 @@ class VoqPool:
         VOQ of the same group exists (caller falls back to the default
         egress queue — counted as an overflow bypass).
         """
-        if self._in_use < len(self.voqs):
+        if self._in_use < self.max_voqs:
             for voq in self.voqs:
                 if not voq.in_use:
-                    voq.in_use = True
-                    voq.group = group
-                    self.voq_of_dst[dst] = voq
-                    self._in_use += 1
-                    if self._in_use > self.max_in_use:
-                        self.max_in_use = self._in_use
-                    return voq
+                    break
+            else:
+                voq = Voq(len(self.voqs))
+                self.voqs.append(voq)
+                for stamp in self.on_new_voq:
+                    stamp(voq)
+            voq.in_use = True
+            voq.group = group
+            self.voq_of_dst[dst] = voq
+            self._in_use += 1
+            if self._in_use > self.max_in_use:
+                self.max_in_use = self._in_use
+            return voq
         same_group = [v for v in self.voqs if v.in_use and v.group == group]
         if not same_group:
             self.overflow_bypasses += 1

@@ -14,7 +14,7 @@ loss.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 
 class WindowTable:
@@ -24,7 +24,9 @@ class WindowTable:
     path (``FloodgateExtension.on_data`` / ``_stamp_psn``) reads and
     writes ``window`` and ``next_psn`` directly — the open-window case
     is dict hits and an add, no call frames — with exactly the effect
-    of :meth:`consume` and :meth:`assign_psn`.
+    of :meth:`consume` and :meth:`assign_psn`.  The PSN tables are
+    keyed egress port, then destination, so a packet's path builds no
+    key tuple.
     """
 
     def __init__(self) -> None:
@@ -32,10 +34,13 @@ class WindowTable:
         self.window: Dict[int, int] = {}
         #: the initial window per destination (fixed per route)
         self.initial: Dict[int, int] = {}
-        #: PSN of the next data packet per (egress port, dst)
-        self.next_psn: Dict[Tuple[int, int], int] = {}
-        #: highest PSN echoed back by downstream per (egress port, dst)
-        self.echoed_psn: Dict[Tuple[int, int], int] = {}
+        #: PSN of the next data packet: egress port -> {dst: psn}
+        self.next_psn: Dict[int, Dict[int, int]] = {}
+        #: highest PSN echoed back by downstream: egress port -> {dst: psn}
+        self.echoed_psn: Dict[int, Dict[int, int]] = {}
+        #: (egress port, dst) pairs in first-send order, the order the
+        #: switchSYN scan visits them in
+        self.sent_pairs: List[Tuple[int, int]] = []
         #: last time a credit arrived per (egress port, dst), ns
         self.last_credit_time: Dict[Tuple[int, int], int] = {}
 
@@ -57,29 +62,37 @@ class WindowTable:
 
     def assign_psn(self, port: int, dst: int) -> int:
         """Next PSN for a data packet leaving ``port`` toward ``dst``."""
-        key = (port, dst)
-        psn = self.next_psn.get(key, 0)
-        self.next_psn[key] = psn + 1
+        psns = self.next_psn.setdefault(port, {})
+        psn = psns.get(dst, 0)
+        psns[dst] = psn + 1
+        if psn == 0:
+            self.sent_pairs.append((port, dst))
         return psn
 
     def reconcile(self, port: int, dst: int, echoed_psn: int, now: int) -> None:
         """Absolute window reconstruction from a PSN-bearing credit."""
-        key = (port, dst)
-        prev = self.echoed_psn.get(key, -1)
-        if echoed_psn < prev:
+        echoed = self.echoed_psn.get(port)
+        if echoed is None:
+            echoed = self.echoed_psn[port] = {}
+        if echoed_psn < echoed.get(dst, -1):
             return  # stale / reordered credit
-        self.echoed_psn[key] = echoed_psn
-        self.last_credit_time[key] = now
+        echoed[dst] = echoed_psn
+        self.last_credit_time[(port, dst)] = now
         if dst in self.initial:
-            inflight = self.next_psn.get(key, 0) - (echoed_psn + 1)
+            sent = self.next_psn.get(port)
+            inflight = (sent.get(dst, 0) if sent else 0) - (echoed_psn + 1)
             self.window[dst] = self.initial[dst] - max(inflight, 0)
 
     def exhausted_pairs(self) -> list[Tuple[int, int]]:
         """(port, dst) pairs with packets outstanding (switchSYN scan)."""
+        next_psn = self.next_psn
+        echoed_psn = self.echoed_psn
         pairs = []
-        for key, sent in self.next_psn.items():
-            if sent - (self.echoed_psn.get(key, -1) + 1) > 0:
-                pairs.append(key)
+        for port, dst in self.sent_pairs:
+            echoed = echoed_psn.get(port)
+            acked = echoed.get(dst, -1) + 1 if echoed else 0
+            if next_psn[port][dst] - acked > 0:
+                pairs.append((port, dst))
         return pairs
 
     def active_destinations(self) -> int:

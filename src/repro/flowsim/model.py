@@ -160,7 +160,7 @@ class FluidSimulation:
 
     def _route_port(self, sw: Switch, dst: int, flow_id: int) -> int:
         """The egress port the packet engine would pick (ECMP-faithful)."""
-        entry = sw.routes[dst]
+        entry = sw.route_entry(dst)
         if isinstance(entry, int):
             return entry
         key = flow_id if self.config.per_flow_ecmp else dst

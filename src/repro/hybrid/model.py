@@ -563,8 +563,15 @@ class HybridSimulation(FluidSimulation):
         rate = st.rate
         if rate <= 0.0:
             return  # starved mid-flow; _repace re-arms on recovery
-        st.next_time = max(now, st.next_time) + int(size * 8 * SEC / rate)
-        st.event = self.sim.schedule_at(st.next_time, self._inject_step, st)
+        st.next_time = when = max(now, st.next_time) + int(size * 8 * SEC / rate)
+        # ``schedule_at(when, _inject_step, st)`` as one push: the seq is
+        # drawn here, where schedule_at draws it
+        sim = self.sim
+        sim._seq = heap_seq = sim._seq + 1
+        fn = self._inject_step
+        args = (st,)
+        st.event = ev = Event(when, heap_seq, fn, args)
+        heappush(sim._heap, (when, 0, heap_seq, ev, fn, args))  # simcheck: ignore[SIM010] -- seq drawn from sim._seq just above, where schedule_at draws it
 
     def _arm_watchdog(self, st: _InboundState) -> None:
         if st.flow.receiver_done or st.watchdog is not None:

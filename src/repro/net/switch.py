@@ -15,7 +15,7 @@ out of the class hierarchy.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.net.buffer import SharedBuffer
 from repro.net.ecn import EcnMarker
@@ -113,6 +113,7 @@ class Switch(Node):
         self.int_enabled = int_enabled
         self.per_flow_ecmp = per_flow_ecmp
         # routing: dst host id -> port index, or tuple of candidates
+        # (on single-homed fabrics, filled on first lookup: route_entry)
         self.routes: Dict[int, Union[int, Tuple[int, ...]]] = {}
         #: dense dst-indexed route table (-1 = no entry): the per-dst
         #: ECMP choice is resolved once at set_route time, so the hot
@@ -123,6 +124,11 @@ class Switch(Node):
         #: consulted only under per-flow ECMP where the choice depends
         #: on the packet's flow id
         self._route_multi: List[Optional[Tuple[int, ...]]] = []
+        #: installs a missing entry on first lookup (set by
+        #: ``Topology.compute_routes`` on single-homed fabrics, where
+        #: only a ToR's own hosts are routed at build time); None means
+        #: every entry was installed up front
+        self.resolve_route: Optional[Callable[["Switch", int], None]] = None
         #: hosts attached directly: host id -> port index
         self.connected_hosts: Dict[int, int] = {}
         #: per-port role labels for stats ("tor-up", "core", ...)
@@ -175,15 +181,22 @@ class Switch(Node):
         self.extension = ext
         ext.attach(self)
 
+    def reserve_routes(self, n_dsts: int) -> None:
+        """Size the flat tables for every dst below ``n_dsts`` (unset
+        entries read -1), so a lookup of an entry not resolved yet
+        misses on the sign check instead of an IndexError."""
+        grow = min(n_dsts, _FLAT_ROUTE_LIMIT) - len(self._route_flat)
+        if grow > 0:
+            self._route_flat.extend([-1] * grow)
+            self._route_multi.extend([None] * grow)
+
     def set_route(self, dst: int, ports: Union[int, Tuple[int, ...]]) -> None:
         self.routes[dst] = ports
         if not 0 <= dst < _FLAT_ROUTE_LIMIT:
             return  # exotic dst: served from the dict fallback
         flat = self._route_flat
         if dst >= len(flat):
-            grow = dst + 1 - len(flat)
-            flat.extend([-1] * grow)
-            self._route_multi.extend([None] * grow)
+            self.reserve_routes(dst + 1)
         if isinstance(ports, int):
             flat[dst] = ports
             self._route_multi[dst] = None
@@ -219,9 +232,18 @@ class Switch(Node):
             return self._route_slow(dst, None)
         return port
 
+    def route_entry(self, dst: int) -> Union[int, Tuple[int, ...]]:
+        """The route entry for ``dst`` — a port, or its ECMP candidates —
+        resolved on first lookup."""
+        routes = self.routes
+        if dst not in routes and self.resolve_route is not None:
+            self.resolve_route(self, dst)
+        return routes[dst]  # KeyError for unknown dst, as before
+
     def _route_slow(self, dst: int, flow_id: Optional[int]) -> int:
-        """Dict fallback for dsts outside the flat table (or unset)."""
-        entry = self.routes[dst]  # KeyError for unknown dst, as before
+        """Miss path of the flat table: a dst outside it, or one not
+        resolved yet."""
+        entry = self.route_entry(dst)
         if isinstance(entry, int):
             return entry
         key = flow_id if (self.per_flow_ecmp and flow_id is not None) else dst

@@ -9,7 +9,9 @@ Builders cover every topology in the paper:
 * :func:`build_dumbbell` — a 2-ToR micro-topology for unit tests.
 
 Routing is hop-count BFS from every destination host; a switch's route
-entry lists all ports on shortest paths (ECMP).  Port *roles* label
+entry lists all ports on shortest paths (ECMP).  On single-homed
+fabrics an entry is resolved the first time a switch looks it up
+(:class:`_RackRoutes`).  Port *roles* label
 each egress for the paper's per-hop buffer accounting (ToR-Up, Core,
 ToR-Down, Edge-Up, Agg-Down, ...).
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Tuple
 
 from repro.cc.flow import Flow
 from repro.net.host import Host
@@ -102,13 +104,30 @@ class Topology:
     # -- routing --------------------------------------------------------------------
 
     def compute_routes(self) -> None:
-        """Populate every switch's route table with BFS/ECMP entries.
+        """Give every switch its BFS/ECMP route entries.
 
-        The per-destination BFS runs over a dense integer adjacency
-        built once (hosts first, then switches): node-object traversal
-        with per-visit ``peer_of`` calls and dict-keyed distances
-        dominated build time on 256-host fabrics.
+        Single-homed hosts (every built topology): each ToR gets its own
+        hosts now, and every other (switch, host) entry is resolved the
+        first time the switch looks it up (:class:`_RackRoutes`), so
+        the build costs O(hosts) and a run pays for the racks it
+        reaches.  Multi-homed hosts: every entry now, one BFS per
+        destination over a dense integer adjacency (hosts first, then
+        switches).
         """
+        if all(len(host.links) == 1 for host in self.hosts):
+            resolver = _RackRoutes(self.switches)
+            n_dsts = max((host.node_id for host in self.hosts), default=-1) + 1
+            for switch in self.switches:
+                switch.reserve_routes(n_dsts)
+                switch.resolve_route = resolver.install
+            for host in self.hosts:
+                link = host.links[0]
+                tor = link.peer_of(host)
+                port = link.peer_port_of(host)
+                tor.set_route(host.node_id, port)
+                tor.connected_hosts[host.node_id] = port  # simcheck: ignore[SIM005] -- build time, before any domain exists
+                resolver.add_host(host.node_id, tor)
+            return
         n_hosts = len(self.hosts)
         index_of: Dict[int, int] = {}
         for i, host in enumerate(self.hosts):
@@ -129,85 +148,10 @@ class Topology:
             [peer_idx for peer_idx, _ in adj[n_hosts + j]]
             for j in range(len(self.switches))
         ]
-        if any(len(host.links) != 1 for host in self.hosts):
-            # exotic (multi-homed) hosts: per-destination BFS
-            for host in self.hosts:
-                self._routes_to(
-                    host, index_of[host.node_id], adj, switch_neighbors, n_hosts
-                )
-            return
-        # single-homed hosts (every built topology): all hosts behind
-        # one ToR share every route except the ToR's own last hop, so
-        # one BFS per rack replaces one BFS per host
-        racks: Dict[int, List[Host]] = {}
         for host in self.hosts:
-            tor_idx = index_of[host.links[0].peer_of(host).node_id] - n_hosts
-            racks.setdefault(tor_idx, []).append(host)
-        for tor_idx in sorted(racks):
-            self._routes_via_tor(
-                tor_idx, racks[tor_idx], adj, switch_neighbors, n_hosts
+            self._routes_to(
+                host, index_of[host.node_id], adj, switch_neighbors, n_hosts
             )
-
-    def _routes_via_tor(
-        self,
-        tor_idx: int,
-        rack_hosts: List[Host],
-        adj: List[List[Tuple[int, bool]]],
-        switch_neighbors: List[List[int]],
-        n_hosts: int,
-    ) -> None:
-        """Install routes for every (single-homed) host behind one ToR.
-
-        BFS over the switch graph rooted at the ToR; a host's distance
-        is its ToR's plus one, so the shortest-path port sets at every
-        other switch are identical for all hosts on the rack and are
-        computed once.  Produces exactly the entries :meth:`_routes_to`
-        would.
-        """
-        n_switches = len(switch_neighbors)
-        dist = [-1] * n_switches
-        dist[tor_idx] = 0
-        frontier: deque[int] = deque([tor_idx])
-        while frontier:
-            node_idx = frontier.popleft()
-            d = dist[node_idx] + 1
-            for peer_idx, is_switch in adj[n_hosts + node_idx]:
-                if is_switch and dist[peer_idx - n_hosts] < 0:
-                    dist[peer_idx - n_hosts] = d
-                    frontier.append(peer_idx - n_hosts)
-        # shared candidate sets: ports toward the rack, per switch
-        shared: List[Optional[Union[int, Tuple[int, ...]]]] = [None] * n_switches
-        for j, neighbor_ids in enumerate(switch_neighbors):
-            if j == tor_idx or dist[j] < 0:
-                continue
-            want = dist[j] - 1
-            candidates = [
-                idx
-                for idx, peer_idx in enumerate(neighbor_ids)
-                if peer_idx >= n_hosts and dist[peer_idx - n_hosts] == want
-            ]
-            if candidates:
-                shared[j] = (
-                    candidates[0]
-                    if len(candidates) == 1
-                    else tuple(candidates)
-                )
-        tor = self.switches[tor_idx]
-        tor_neighbors = switch_neighbors[tor_idx]
-        switches = self.switches
-        for host in rack_hosts:
-            dst_id = host.node_id
-            host_idx = 0  # hosts are indexed by contiguous node id
-            for idx, peer_idx in enumerate(tor_neighbors):
-                if peer_idx == dst_id:
-                    host_idx = idx
-                    break
-            tor.set_route(dst_id, host_idx)
-            tor.connected_hosts[dst_id] = host_idx
-            for j in range(n_switches):
-                entry = shared[j]
-                if entry is not None:
-                    switches[j].set_route(dst_id, entry)
 
     def _routes_to(
         self,
@@ -296,6 +240,95 @@ class Topology:
         call it: a node reports to its own domain's hub."""
         for node in (*self.switches, *self.hosts):
             node.report_to_hub()
+
+
+class _RackRoutes:
+    """Single-homed routing, resolved on first lookup.
+
+    Every host behind one ToR has the same route at every other switch
+    (its distance is its ToR's plus one), so a miss at a switch installs
+    that switch's entry for the whole rack: ``set_route`` per host, the
+    candidate tuple and its ``_ecmp_hash`` pick exactly the eager ones.
+    The candidates are the switch's ports toward a peer one hop nearer
+    the rack's ToR; the hop distances come from one BFS over the switch
+    graph rooted at the ToR, run the first time any switch asks for the
+    rack and kept here.
+
+    Shard safety (SIM005-008): a miss writes the asking switch's own
+    tables and this cache.  The cache is a pure function of the
+    build-time graph, so whichever domain asks first stores what any
+    other would have stored, and a forked domain fills its own copy.
+    """
+
+    def __init__(self, switches: List[Switch]) -> None:
+        self.switches = switches
+        self._index = {sw.node_id: j for j, sw in enumerate(switches)}
+        #: host id -> its ToR's switch index
+        self._rack_of: Dict[int, int] = {}
+        #: ToR switch index -> its host ids, in host order
+        self._hosts: Dict[int, List[int]] = {}
+        #: per switch, per port: the peer's switch index, -1 for a host;
+        #: and per switch, its switch peers (both built on the first miss)
+        self._ports: List[List[int]] = []
+        self._adj: List[List[int]] = []
+        #: ToR switch index -> every switch's hop distance from it
+        self._dist: Dict[int, List[int]] = {}
+
+    def add_host(self, host_id: int, tor: Switch) -> None:
+        tor_idx = self._index[tor.node_id]
+        self._rack_of[host_id] = tor_idx
+        self._hosts.setdefault(tor_idx, []).append(host_id)
+
+    def install(self, switch: Switch, dst: int) -> None:
+        """``switch``'s entries for every host of ``dst``'s rack (none
+        for an unknown or unreachable ``dst``)."""
+        tor_idx = self._rack_of.get(dst)
+        if tor_idx is None:
+            return
+        dist = self._dist.get(tor_idx)
+        if dist is None:
+            dist = self._dist[tor_idx] = self._bfs(tor_idx)
+        j = self._index[switch.node_id]
+        want = dist[j] - 1
+        if want < 0:
+            return  # the rack's own ToR, or a switch cut off from it
+        candidates = [
+            port for port, peer in enumerate(self._ports[j]) if dist[peer] == want
+        ]
+        if candidates:
+            entry = candidates[0] if len(candidates) == 1 else tuple(candidates)
+            for host_id in self._hosts[tor_idx]:
+                switch.set_route(host_id, entry)
+
+    def _bfs(self, tor_idx: int) -> List[int]:
+        """Hop distance of every switch from switch ``tor_idx`` (-1: none)."""
+        if not self._adj:
+            index = self._index
+            self._ports = [
+                [
+                    index[peer.node_id] if isinstance(peer, Switch) else -1
+                    for peer in (link.peer_of(sw) for link in sw.links)
+                ]
+                for sw in self.switches
+            ]
+            self._adj = [[p for p in peers if p >= 0] for peers in self._ports]
+        adj = self._adj
+        # one slot past the switches: a host port's -1 reads it, and no
+        # distance a lookup wants is -1
+        dist = [-1] * (len(adj) + 1)
+        dist[tor_idx] = 0
+        frontier = [tor_idx]
+        d = 0
+        while frontier:
+            d += 1
+            reached = []
+            for j in frontier:
+                for peer in adj[j]:
+                    if dist[peer] < 0:
+                        dist[peer] = d
+                        reached.append(peer)
+            frontier = reached
+        return dist
 
 
 # ---------------------------------------------------------------------------

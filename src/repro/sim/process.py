@@ -125,30 +125,34 @@ class PeriodicTask:
         self._fn = fn
         self._args = args
         self._event: Optional[Event] = None
-        self._running = False
+        #: True from :meth:`start` until :meth:`stop`
+        self.running = False
         self.observer = observer
-
-    @property
-    def running(self) -> bool:
-        return self._running
 
     def start(self, phase: int = 0) -> None:
         """Begin ticking; first tick at ``now + interval + phase``."""
-        if self._running:
+        if self.running:
             return
-        self._running = True
+        self.running = True
         self._event = self._sim.schedule(self.interval + phase, self._tick)
 
     def stop(self) -> None:
         """Stop ticking; the pending tick is cancelled."""
-        self._running = False
+        self.running = False
         if self._event is not None:
             self._event.cancel()
             self._event = None
 
     def _tick(self) -> None:
-        if not self._running:
+        if not self.running:
             return
         self._fn(*self._args)
-        if self._running:
-            self._event = self._sim.schedule(self.interval, self._tick)
+        if self.running:
+            # ``schedule(interval, _tick)`` in this frame: the same seq
+            # draw, the same heap entry
+            sim = self._sim
+            sim._seq = seq = sim._seq + 1
+            time = sim.now + self.interval
+            fn = self._tick
+            self._event = ev = Event(time, seq, fn, ())
+            heappush(sim._heap, (time, 0, seq, ev, fn, ()))  # simcheck: ignore[SIM010] -- seq drawn from sim._seq just above, where schedule() draws it

@@ -4,7 +4,8 @@ The static side of shard safety lives in :mod:`repro.simcheck.rules`
 (SIM005..SIM008) and :mod:`repro.simcheck.ownership`; this module is
 the dynamic complement.  ``ShardIsolationSanitizer`` tags the hot
 objects of every execution domain — ports, links, VOQ state, credit
-tables — with a domain id at partition time, then rides each domain
+tables — with a domain id at partition time (a VOQ slot when its pool
+creates it), then rides each domain
 engine's profiler slot: every executed callback bound to a tagged
 object (``fn.__self__``) is checked against the domain it ran under.
 A callback owned by domain 1 firing on domain 0's engine is exactly
@@ -78,8 +79,13 @@ class ShardIsolationSanitizer:
             voq_pool = getattr(ext, "pool", None)
             if voq_pool is not None:
                 self.tag(voq_pool, d, f"{ext.switch.name}.voqs")
+                # slots are created on first use: tag them as they appear
+                label = f"{ext.switch.name}.voq"
                 for voq in voq_pool.voqs:
-                    self.tag(voq, d, f"{ext.switch.name}.voq")
+                    self.tag(voq, d, label)
+                voq_pool.on_new_voq.append(
+                    lambda voq, d=d, label=label: self.tag(voq, d, label)
+                )
             credits = getattr(ext, "credits", None)
             if credits is not None:
                 self.tag(credits, d, f"{ext.switch.name}.credits")

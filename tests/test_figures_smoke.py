@@ -8,6 +8,7 @@ meaningful parameters.
 from repro.experiments.figures import (
     fig02_throughput,
     fig07_workloads,
+    fig12_loss,
     fig14_scaleup,
     fig16_ecn,
     fig17_params,
@@ -89,6 +90,28 @@ class TestFigureSmoke:
                 "dcqcn+floodgate": (74, 75),
             },
         }
+
+    def test_fig12_goodput_and_incast_fct(self):
+        rows = fig12_loss.run(quick=True, loss_rates=(0.0, 0.05))["summary"]
+        clean, lossy = rows["0%"], rows["5%"]
+        # the receive-rate mean reads the lossy run as the faster one
+        # (longer run, discarded out-of-order packets counted) ...
+        assert lossy["mean_gbps"] > clean["mean_gbps"]
+        # ... goodput and the incast flows' FCT say it is the slower one
+        assert lossy["goodput_gbps"] < 0.5 * clean["goodput_gbps"]
+        assert lossy["incast_fct_us"][0] > 2 * clean["incast_fct_us"][0]
+        assert clean["incast_fct_us"][0] <= clean["incast_fct_us"][1]
+
+    def test_goodput_is_payload_over_first_start_to_last_finish(self):
+        from repro.stats.fct import FctRecord
+
+        records = [
+            FctRecord(1, 0, 1, 1_000, 0, 1_000),
+            FctRecord(2, 0, 1, 3_000, 100, 2_000),
+        ]
+        # (1 000 + 3 000) B x 8 over the 2 000 ns from 0 to 2 000
+        assert fig12_loss.goodput_gbps(records) == 16.0
+        assert fig12_loss.goodput_gbps([]) == 0.0
 
     def test_fig17_delay_credit(self):
         result = fig17_params.run_delay_credit(quick=True, multiples=(2,))

@@ -2,8 +2,10 @@
 
 from repro.floodgate.config import FloodgateConfig
 from repro.floodgate.credit import CreditScheduler
+from repro.floodgate.extension import FloodgateExtension
+from repro.net.packet import Packet, PacketKind
 from repro.sim.engine import Simulator
-from repro.units import us
+from repro.units import MTU, us
 
 
 class Harness:
@@ -17,6 +19,16 @@ class Harness:
             lambda p, d, c, psn: self.sent.append((p, d, c, psn)),
             lambda d: self.backlogs.get(d, 0),
         )
+        # the data path that books forwarded packets into the scheduler
+        self.ext = FloodgateExtension(self.sim, config)
+        self.ext.credits = self.sched
+
+    def note_forwarded(self, in_port, dst, psn):
+        """A data packet from ``in_port`` toward ``dst`` left the switch."""
+        pkt = Packet(PacketKind.DATA, 0, dst, MTU)
+        pkt.ingress_port = in_port
+        pkt.upstream_psn = psn
+        self.ext.on_dequeue(None, pkt, 1)
 
 
 class TestPractical:
@@ -24,7 +36,7 @@ class TestPractical:
         h = Harness(FloodgateConfig(credit_timer=us(10)))
         h.sched.watch_port(1)
         for psn in range(5):
-            h.sched.note_forwarded(1, dst=7, psn=psn)
+            h.note_forwarded(1, dst=7, psn=psn)
         h.sim.run(until=us(15))
         assert len(h.sent) == 1
         port, dst, count, psn = h.sent[0]
@@ -33,8 +45,8 @@ class TestPractical:
     def test_one_credit_packet_per_destination(self):
         h = Harness(FloodgateConfig(credit_timer=us(10)))
         h.sched.watch_port(1)
-        h.sched.note_forwarded(1, 7, 0)
-        h.sched.note_forwarded(1, 8, 0)
+        h.note_forwarded(1, 7, 0)
+        h.note_forwarded(1, 8, 0)
         h.sim.run(until=us(15))
         assert {d for _, d, _, _ in h.sent} == {7, 8}
 
@@ -46,20 +58,20 @@ class TestPractical:
 
     def test_unwatched_port_generates_nothing(self):
         h = Harness(FloodgateConfig(credit_timer=us(10)))
-        h.sched.note_forwarded(3, 7, 0)  # port 3 peers with a host
+        h.note_forwarded(3, 7, 0)  # port 3 peers with a host
         h.sim.run(until=us(50))
         assert h.sent == []
 
     def test_timer_stops_when_idle_and_restarts(self):
         h = Harness(FloodgateConfig(credit_timer=us(10)))
         h.sched.watch_port(1)
-        h.sched.note_forwarded(1, 7, 0)
+        h.note_forwarded(1, 7, 0)
         h.sim.run(until=us(25))
         events_after_flush = h.sim.events_executed
         h.sim.run(until=us(200))
         # idle timer stopped: no further periodic events
         assert h.sim.events_executed - events_after_flush <= 1
-        h.sched.note_forwarded(1, 7, 1)
+        h.note_forwarded(1, 7, 1)
         h.sim.run(until=us(250))
         assert len(h.sent) == 2
 
@@ -69,7 +81,7 @@ class TestDelayCredit:
         h = Harness(FloodgateConfig(credit_timer=us(10), thre_credit_bytes=5000))
         h.sched.watch_port(1)
         h.backlogs[7] = 10_000  # above threshold
-        h.sched.note_forwarded(1, 7, 0)
+        h.note_forwarded(1, 7, 0)
         h.sim.run(until=us(15))
         assert h.sent == []
         assert h.sched.credits_delayed >= 1
@@ -78,7 +90,7 @@ class TestDelayCredit:
         h = Harness(FloodgateConfig(credit_timer=us(10), thre_credit_bytes=5000))
         h.sched.watch_port(1)
         h.backlogs[7] = 10_000
-        h.sched.note_forwarded(1, 7, 0)
+        h.note_forwarded(1, 7, 0)
         h.sim.run(until=us(15))
         h.backlogs[7] = 0
         h.sim.run(until=us(25))
@@ -88,8 +100,8 @@ class TestDelayCredit:
         h = Harness(FloodgateConfig(credit_timer=us(10), thre_credit_bytes=5000))
         h.sched.watch_port(1)
         h.backlogs[7] = 10_000
-        h.sched.note_forwarded(1, 7, 0)
-        h.sched.note_forwarded(1, 8, 0)
+        h.note_forwarded(1, 7, 0)
+        h.note_forwarded(1, 8, 0)
         h.sim.run(until=us(15))
         assert [d for _, d, _, _ in h.sent] == [8]
 
@@ -98,15 +110,15 @@ class TestIdeal:
     def test_per_packet_credit_immediate(self):
         h = Harness(FloodgateConfig(ideal=True))
         h.sched.watch_port(1)
-        h.sched.note_forwarded(1, 7, 0)
-        h.sched.note_forwarded(1, 7, 1)
+        h.note_forwarded(1, 7, 0)
+        h.note_forwarded(1, 7, 1)
         assert h.sent == [(1, 7, 1, 0), (1, 7, 1, 1)]
 
     def test_ideal_ignores_delay_credit(self):
         h = Harness(FloodgateConfig(ideal=True, thre_credit_bytes=1))
         h.sched.watch_port(1)
         h.backlogs[7] = 1_000_000
-        h.sched.note_forwarded(1, 7, 0)
+        h.note_forwarded(1, 7, 0)
         assert len(h.sent) == 1
 
 
@@ -115,7 +127,7 @@ class TestSwitchSyn:
         h = Harness(FloodgateConfig(credit_timer=us(10)))
         h.sched.watch_port(1)
         for psn in range(3):
-            h.sched.note_forwarded(1, 7, psn)
+            h.note_forwarded(1, 7, psn)
         h.sched.answer_syn(1, 7)
         assert h.sent[-1] == (1, 7, 3, 2)
 
@@ -128,7 +140,7 @@ class TestSwitchSyn:
     def test_answer_clears_owed(self):
         h = Harness(FloodgateConfig(credit_timer=us(10)))
         h.sched.watch_port(1)
-        h.sched.note_forwarded(1, 7, 0)
+        h.note_forwarded(1, 7, 0)
         h.sched.answer_syn(1, 7)
         h.sim.run(until=us(15))
         # the timer must not send the same credits again
@@ -150,7 +162,7 @@ class TestRegeneration:
         h = Harness(self._config())
         h.sched.watch_port(1)
         for psn in range(5):
-            h.sched.note_forwarded(1, 7, psn)
+            h.note_forwarded(1, 7, psn)
         h.sim.run(until=us(100))
         # first the normal aggregate, then >= 1 regeneration
         assert h.sent[0] == (1, 7, 5, 4)
@@ -162,7 +174,7 @@ class TestRegeneration:
     def test_regeneration_bounded_then_quiesces(self):
         h = Harness(self._config(credit_regen_limit=2))
         h.sched.watch_port(1)
-        h.sched.note_forwarded(1, 7, 0)
+        h.note_forwarded(1, 7, 0)
         h.sim.run(until=us(500))
         assert h.sched.credits_regenerated == 2
         events = h.sim.events_executed
@@ -173,17 +185,17 @@ class TestRegeneration:
     def test_new_forwarding_rearms_the_budget(self):
         h = Harness(self._config(credit_regen_limit=1))
         h.sched.watch_port(1)
-        h.sched.note_forwarded(1, 7, 0)
+        h.note_forwarded(1, 7, 0)
         h.sim.run(until=us(200))
         assert h.sched.credits_regenerated == 1
-        h.sched.note_forwarded(1, 7, 1)
+        h.note_forwarded(1, 7, 1)
         h.sim.run(until=us(400))
         assert h.sched.credits_regenerated == 2
 
     def test_disabled_by_default(self):
         h = Harness(FloodgateConfig(credit_timer=us(10)))
         h.sched.watch_port(1)
-        h.sched.note_forwarded(1, 7, 0)
+        h.note_forwarded(1, 7, 0)
         h.sim.run(until=us(500))
         assert h.sched.credits_regenerated == 0
         assert len(h.sent) == 1  # just the normal aggregate
@@ -193,14 +205,14 @@ class TestRegeneration:
             FloodgateConfig(ideal=True, credit_regen_timeout=us(30))
         )
         h.sched.watch_port(1)
-        h.sched.note_forwarded(1, 7, 0)
+        h.note_forwarded(1, 7, 0)
         h.sim.run(until=us(500))
         assert h.sched.credits_regenerated == 0
 
     def test_answer_syn_counts_as_emission(self):
         h = Harness(self._config())
         h.sched.watch_port(1)
-        h.sched.note_forwarded(1, 7, 0)
+        h.note_forwarded(1, 7, 0)
         h.sim.run(until=us(15))  # aggregate flushed at ~10us
         h.sched.answer_syn(1, 7)  # fresh emission at 15us
         h.sim.run(until=us(32))

@@ -17,6 +17,7 @@ class TestLeafSpine:
         topo = leaf_spine.topo
         for sw in topo.switches:
             for host in topo.hosts:
+                sw.route_entry(host.node_id)
                 assert host.node_id in sw.routes
 
     def test_connected_hosts_on_tors(self, leaf_spine):
@@ -45,7 +46,7 @@ class TestLeafSpine:
             for h in leaf_spine.topo.hosts
             if h.node_id not in tor.connected_hosts
         )
-        entry = tor.routes[remote]
+        entry = tor.route_entry(remote)
         assert isinstance(entry, tuple) and len(entry) == 2  # both spines
 
     def test_route_for_dst_deterministic(self, leaf_spine):
@@ -102,6 +103,7 @@ class TestFatTree:
     def test_all_pairs_reachable(self, fat_tree):
         for sw in fat_tree.switches:
             for host in fat_tree.hosts:
+                sw.route_entry(host.node_id)
                 assert host.node_id in sw.routes
 
     def test_odd_k_rejected(self):
