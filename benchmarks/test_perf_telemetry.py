@@ -1,8 +1,8 @@
 """Telemetry overhead budgets, off and on.
 
 Off: the telemetry layer's contract mirrors the fault subsystem's, zero
-cost when off.  The engine pays two ``is None`` checks per ``run()``
-call (not per event), and the stats hub pays one ``is None`` check per
+cost when off.  The engine pays two checks per ``run()`` call (an
+empty observer list, counting off; not per event), and the stats hub pays one ``is None`` check per
 FCT/queueing record.  This benchmark times the real event loop against
 a twin recompiled from the same source with the instrumented-loop
 branch deleted (``conftest.without_fragments``), on identical event
@@ -52,14 +52,14 @@ class _LegacySimulator(Simulator):
     """Simulator whose ``run`` has no instrumented twin to switch to.
 
     A subclass (not a wrapper) so both variants are bound methods with
-    identical call overhead — the measurement isolates the two
-    ``is None`` checks per ``run()`` call.
+    identical call overhead — the measurement isolates the two checks
+    per ``run()`` call.
     """
 
     run = without_fragments(
         Simulator.run,
         profiler_branch=(
-            "    if self._profiler is not None or self.callback_counts is not None:\n"
+            "    if self._observers or self.callback_counts is not None:\n"
             "        self._run_profiled(until)\n"
             "        return\n"
         ),

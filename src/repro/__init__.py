@@ -14,7 +14,8 @@ Quick start::
 
 __version__ = "1.0.0"
 
-from repro.sim import Simulator
+from repro.lazy import exports
 from repro.units import gbps, kb, mb, ms, us
 
+__getattr__, __dir__, _ = exports(__name__, {"sim": ("Simulator",)})
 __all__ = ["Simulator", "gbps", "kb", "mb", "ms", "us", "__version__"]

@@ -14,23 +14,13 @@ Appendix B:
   tracking in-flight packets proactively.
 """
 
-from repro.baselines.bfc import BfcConfig, BfcExtension, BfcHost, install_bfc
-from repro.baselines.ndp import (
-    NdpHost,
-    NdpSwitchExtension,
-    configure_ndp_hosts,
-)
-from repro.baselines.pfc_tag import PfcTagConfig, PfcTagExtension, install_pfc_tag
+from repro.lazy import exports
 
-__all__ = [
-    "BfcConfig",
-    "BfcExtension",
-    "BfcHost",
-    "install_bfc",
-    "NdpHost",
-    "NdpSwitchExtension",
-    "configure_ndp_hosts",
-    "PfcTagConfig",
-    "PfcTagExtension",
-    "install_pfc_tag",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "bfc": ("BfcConfig", "BfcExtension", "BfcHost", "install_bfc"),
+        "ndp": ("NdpHost", "NdpSwitchExtension", "configure_ndp_hosts"),
+        "pfc_tag": ("PfcTagConfig", "PfcTagExtension", "install_pfc_tag"),
+    },
+)

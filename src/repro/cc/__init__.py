@@ -6,23 +6,16 @@ sending window (one BDP by default) that models the first-RTT behaviour
 of production RoCE stacks.
 """
 
-from repro.cc.flow import Flow
-from repro.cc.base import CcAlgorithm, StaticWindowCc
-from repro.cc.dcqcn import Dcqcn, DcqcnConfig
-from repro.cc.dctcp import Dctcp, DctcpConfig
-from repro.cc.timely import Timely, TimelyConfig
-from repro.cc.hpcc import Hpcc, HpccConfig
+from repro.lazy import exports
 
-__all__ = [
-    "Flow",
-    "CcAlgorithm",
-    "StaticWindowCc",
-    "Dcqcn",
-    "DcqcnConfig",
-    "Dctcp",
-    "DctcpConfig",
-    "Timely",
-    "TimelyConfig",
-    "Hpcc",
-    "HpccConfig",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "flow": ("Flow",),
+        "base": ("CcAlgorithm", "StaticWindowCc"),
+        "dcqcn": ("Dcqcn", "DcqcnConfig"),
+        "dctcp": ("Dctcp", "DctcpConfig"),
+        "timely": ("Timely", "TimelyConfig"),
+        "hpcc": ("Hpcc", "HpccConfig"),
+    },
+)

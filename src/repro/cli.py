@@ -290,10 +290,12 @@ def _check(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The full argument parser.  Every ``choices`` list that mirrors a
     table elsewhere (schemes, flow controls, validation scenarios, the
-    rule span) is generated from that table, so none can drift."""
+    rule span) is generated from that table, so none can drift.  Every
+    table lives in a module that loads no part of the simulator, so
+    ``list`` and ``--help`` never build one."""
     from repro.experiments import validate
+    from repro.experiments.choices import FLOW_CONTROLS
     from repro.experiments.figures import fault_sweep
-    from repro.experiments.scenario import FLOW_CONTROLS
     from repro.simcheck import determinism
     from repro.simcheck.rules import RULES
 

@@ -30,11 +30,9 @@ fault plan is part of the config, hence of the cache key).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
-from repro.experiments.parallel import SweepTask, run_sweep
-from repro.experiments.scenario import ScenarioConfig
-from repro.faults import (
+from repro.faults.plan import (
     BurstLoss,
     Corruption,
     FaultPlan,
@@ -43,7 +41,12 @@ from repro.faults import (
 )
 from repro.units import us
 
-#: flow-control settings, keyed by the label the paper uses
+if TYPE_CHECKING:
+    from repro.experiments.scenario import ScenarioConfig
+
+#: flow-control settings, keyed by the label the paper uses (the CLI
+#: parser's ``faults --schemes`` choices: this module loads no simulator
+#: until a sweep runs)
 SCHEMES: Dict[str, str] = {
     "floodgate": "floodgate",
     "pfc": "none",  # today's lossless fabric: PFC only
@@ -98,6 +101,8 @@ def plan_for(kind: str, rate: float, duration: int) -> FaultPlan:
 def _config(
     scheme: str, duration: int, plan: Optional[FaultPlan]
 ) -> ScenarioConfig:
+    from repro.experiments.scenario import ScenarioConfig
+
     return ScenarioConfig(
         flow_control=SCHEMES[scheme],
         workload="websearch",
@@ -114,6 +119,8 @@ def run(
     schemes: Optional[Iterable[str]] = None,
     cache=None,
 ) -> Dict:
+    from repro.experiments.parallel import SweepTask, run_sweep
+
     duration = 300_000 if quick else 1_500_000
     rates = tuple(loss_rates) if loss_rates else ((0.02,) if quick else (0.01, 0.05, 0.10))
     names = tuple(schemes) if schemes else tuple(SCHEMES)

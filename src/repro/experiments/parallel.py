@@ -34,11 +34,9 @@ import functools
 import hashlib
 import io
 import json
-import multiprocessing
 import os
 import pickle
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
@@ -219,6 +217,8 @@ def available_cpus() -> int:
 
 def _pool_context():
     """Prefer fork (cheap, inherits the imported package) when available."""
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:
         return multiprocessing.get_context("fork")
@@ -271,6 +271,8 @@ def run_sweep(
         if workers <= 1 or len(misses) == 1:
             summaries = [execute_task(t) for t in misses]
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(
                 max_workers=workers, mp_context=_pool_context()
             ) as pool:

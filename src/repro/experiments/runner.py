@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Union
 
 from repro.experiments.scenario import Scenario, ScenarioConfig
-from repro.flowsim.model import FluidSimulation
 from repro.stats.collector import NON_INCAST, FlowClass, FlowSelector, StatsHub
 from repro.stats.fct import FctSummary, summarize_fct
 from repro.stats.rpc import RpcSummary, requests_per_sec, summarize_rpc
 from repro.stats.scope import ScopeReport, collect_scope, whole_fabric
-from repro.telemetry.export import TelemetryExport
 from repro.units import us
+
+if TYPE_CHECKING:
+    from repro.telemetry.export import TelemetryExport
 
 
 class StatsViews:
@@ -235,6 +236,8 @@ def run_scenario(
         # fluid tier: same Scenario build (topology, routes, traffic,
         # CC/flow-control parameters), but flows evolve as rates on the
         # event loop instead of packets — see repro.flowsim
+        from repro.flowsim.model import FluidSimulation
+
         fluid = FluidSimulation(sc)
         fluid.schedule()
     elif sc.config.fidelity == "hybrid":

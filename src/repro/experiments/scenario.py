@@ -16,18 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from types import SimpleNamespace
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.cc.base import CcAlgorithm, StaticWindowCc
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
-from repro.faults.watchdog import StallWatchdog
 from repro.cc.dcqcn import Dcqcn, DcqcnConfig
-from repro.cc.dctcp import Dctcp, DctcpConfig
-from repro.cc.hpcc import Hpcc, HpccConfig
-from repro.cc.timely import Timely, TimelyConfig
-from repro.floodgate.config import FloodgateConfig
-from repro.floodgate.extension import FloodgateExtension
+from repro.experiments.choices import FLOW_CONTROLS
 from repro.net.ecn import EcnConfig, EcnMarker
 from repro.net.host import Host
 from repro.net.switch import Switch
@@ -38,14 +31,9 @@ from repro.net.topology import (
     build_leaf_spine,
     build_testbed,
 )
-from repro.rpc.driver import ClosedLoopDriver
-from repro.rpc.spec import RpcWorkloadSpec
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
-from repro.simcheck.sanitizer import SanitizerConfig, SimSanitizer
 from repro.stats.collector import StatsHub
-from repro.telemetry.recorder import TelemetryRecorder
-from repro.telemetry.registry import TelemetryConfig
 from repro.units import bdp_bytes, gbps, mb, ms, us
 from repro.workloads.distributions import WORKLOADS
 from repro.workloads.incast import (
@@ -55,6 +43,19 @@ from repro.workloads.incast import (
 )
 from repro.workloads.mix import IncastMix, build_incastmix
 from repro.workloads.poisson import FlowSpec, PoissonGenerator
+
+if TYPE_CHECKING:
+    # optional subsystems: each is imported in the branch that builds
+    # it, so a run that does not select it never loads it
+    from repro.faults.injector import FaultInjector
+    from repro.faults.plan import FaultPlan
+    from repro.faults.watchdog import StallWatchdog
+    from repro.floodgate.config import FloodgateConfig
+    from repro.rpc.driver import ClosedLoopDriver
+    from repro.rpc.spec import RpcWorkloadSpec
+    from repro.simcheck.sanitizer import SanitizerConfig, SimSanitizer
+    from repro.telemetry.recorder import TelemetryRecorder
+    from repro.telemetry.registry import TelemetryConfig
 
 
 class Scale(str, Enum):
@@ -66,17 +67,10 @@ class Scale(str, Enum):
 
 #: legal values for every enumerated config field, used by
 #: ``ScenarioConfig.__post_init__`` — a typo'd value must fail at
-#: construction, not silently run a default
+#: construction, not silently run a default (``FLOW_CONTROLS`` is
+#: imported from :mod:`repro.experiments.choices`)
 _VALID_TOPOLOGIES = ("leaf-spine", "fat-tree", "testbed", "dumbbell")
 _VALID_CC = ("dcqcn", "dctcp", "timely", "hpcc", "static")
-FLOW_CONTROLS = (
-    "none",
-    "floodgate",
-    "floodgate-ideal",
-    "bfc",
-    "pfc-tag",
-    "ndp",
-)
 _VALID_PATTERNS = (
     "incastmix", "poisson", "incast", "successive", "staggered", "rpc", "none",
 )
@@ -239,6 +233,8 @@ class ScenarioConfig:
                         "give the fault a finite duration"
                     )
         if self.floodgate is not None:
+            from repro.floodgate.config import FloodgateConfig
+
             defaults = FloodgateConfig()
             for name, owner in _FLOODGATE_DERIVED.items():
                 if getattr(self.floodgate, name) != getattr(defaults, name):
@@ -426,9 +422,13 @@ class Scenario:
             # install order there mirrors this one
             self.install_faults()
             if cfg.telemetry is not None:
+                from repro.telemetry.recorder import TelemetryRecorder
+
                 self.telemetry = TelemetryRecorder(self, cfg.telemetry)
                 self.telemetry.start()
             if cfg.sanitize is not None:
+                from repro.simcheck.sanitizer import SimSanitizer
+
                 self.sanitizer = SimSanitizer(self, cfg.sanitize)
                 self.sanitizer.start()
 
@@ -444,11 +444,15 @@ class Scenario:
         if plan is None or not plan:
             return
         if plan.faults:
+            from repro.faults.injector import FaultInjector
+
             self.fault_injector = FaultInjector(
                 self.sim, self.topology, plan, self.rng, stats=self.stats
             )
             self.fault_injector.install()
         if plan.stall_window > 0:
+            from repro.faults.watchdog import StallWatchdog
+
             self.watchdog = StallWatchdog(
                 self.sim if watchdog_sim is None else watchdog_sim,
                 self.topology, self.stats, plan.stall_window,
@@ -570,14 +574,20 @@ class Scenario:
         if cfg.cc == "dcqcn":
             return Dcqcn(cfg.host_bandwidth, swnd, DcqcnConfig())
         if cfg.cc == "dctcp":
+            from repro.cc.dctcp import Dctcp, DctcpConfig
+
             return Dctcp(
                 cfg.host_bandwidth, swnd, DctcpConfig(base_rtt=self.base_rtt)
             )
         if cfg.cc == "timely":
+            from repro.cc.timely import Timely, TimelyConfig
+
             return Timely(
                 cfg.host_bandwidth, swnd, TimelyConfig(base_rtt=self.base_rtt)
             )
         if cfg.cc == "hpcc":
+            from repro.cc.hpcc import Hpcc, HpccConfig
+
             return Hpcc(
                 cfg.host_bandwidth, swnd, HpccConfig(base_rtt=self.base_rtt)
             )
@@ -586,6 +596,8 @@ class Scenario:
         raise ValueError(f"unknown congestion control {cfg.cc!r}")
 
     def _floodgate_config(self, ideal: bool) -> FloodgateConfig:
+        from repro.floodgate.config import FloodgateConfig
+
         cfg = self.config
         ci = cfg.scale is Scale.CI
         if cfg.floodgate is not None:
@@ -612,6 +624,8 @@ class Scenario:
         if fc == "none":
             return
         if fc in ("floodgate", "floodgate-ideal"):
+            from repro.floodgate.extension import FloodgateExtension
+
             fg_cfg = self._floodgate_config(ideal=(fc == "floodgate-ideal"))
             for sw in self.topology.switches:
                 ext = FloodgateExtension(self.sim, fg_cfg)
@@ -710,6 +724,8 @@ class Scenario:
             )
             self.flows = gen.generate(cfg.duration)
         elif cfg.pattern == "rpc":
+            from repro.rpc.driver import ClosedLoopDriver
+
             spec = cfg.rpc
             first_flow_id = 0
             if spec.background_load > 0.0:

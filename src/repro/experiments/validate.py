@@ -47,12 +47,13 @@ asserted nowhere.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.experiments import registry
-from repro.experiments.runner import run_scenario
-from repro.experiments.scenario import ScenarioConfig, reference_config
-from repro.stats.fct import summarize_fct
+if TYPE_CHECKING:
+    from repro.experiments.scenario import ScenarioConfig
+
+# the tables below are the CLI parser's choice lists; the runs import
+# the simulator in the functions that make them
 
 #: registry scenarios a tier can be validated on: open-loop packet
 #: scenarios whose flow ids exist before the run on every tier
@@ -152,6 +153,10 @@ def compare(
     ``hot_racks`` or its auto-selection), so a hybrid comparison always
     covers exactly the domain that ran at packet level.
     """
+    from repro.experiments.runner import run_scenario
+    from repro.experiments.scenario import reference_config
+    from repro.stats.fct import summarize_fct
+
     approx_config = replace(config, fidelity=tier)
     _, twin = reference_config(approx_config)
     approx = run_scenario(approx_config)
@@ -198,6 +203,8 @@ def compare(
 
 def validation_configs(scenario: str) -> Tuple[ScenarioConfig, ...]:
     """The packet-tier configs ``scenario`` is cross-validated on."""
+    from repro.experiments import registry
+
     if scenario not in SCENARIOS:
         raise ValueError(
             f"unknown validation scenario {scenario!r}; "

@@ -17,41 +17,30 @@ Quick tour::
 Embedding the plan in the :class:`ScenarioConfig` is all it takes:
 the scenario builder installs a :class:`FaultInjector` on the built
 topology, the plan hashes into the sweep runner's cache key, and the
-same ``(seed, plan)`` replays byte-identically everywhere.
+same ``(seed, plan)`` replays byte-identically everywhere.  A plan is
+plain data: building one loads neither the injector nor the watchdog.
 """
 
-from repro.faults.injector import FaultInjector, LinkFaultState, match_links
-from repro.faults.plan import (
-    CLASS_CTRL,
-    CLASS_DATA,
-    MODE_DRAIN,
-    MODE_DROP,
-    BurstLoss,
-    Corruption,
-    FaultPlan,
-    FaultSpec,
-    LinkDown,
-    PortDegrade,
-    RandomLoss,
-    plan_of,
-)
-from repro.faults.watchdog import StallWatchdog
+from repro.lazy import exports
 
-__all__ = [
-    "BurstLoss",
-    "CLASS_CTRL",
-    "CLASS_DATA",
-    "Corruption",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "LinkDown",
-    "LinkFaultState",
-    "MODE_DRAIN",
-    "MODE_DROP",
-    "PortDegrade",
-    "RandomLoss",
-    "StallWatchdog",
-    "match_links",
-    "plan_of",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "injector": ("FaultInjector", "LinkFaultState", "match_links"),
+        "plan": (
+            "CLASS_CTRL",
+            "CLASS_DATA",
+            "MODE_DRAIN",
+            "MODE_DROP",
+            "BurstLoss",
+            "Corruption",
+            "FaultPlan",
+            "FaultSpec",
+            "LinkDown",
+            "PortDegrade",
+            "RandomLoss",
+            "plan_of",
+        ),
+        "watchdog": ("StallWatchdog",),
+    },
+)

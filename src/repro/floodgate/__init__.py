@@ -17,9 +17,14 @@ The paper's contribution (§3-§4).  Installed on switches as a
   control one hop into the source hosts.
 """
 
-from repro.floodgate.config import FloodgateConfig
-from repro.floodgate.extension import FloodgateExtension
-from repro.floodgate.voq import Voq, VoqPool
-from repro.floodgate.window import WindowTable
+from repro.lazy import exports
 
-__all__ = ["FloodgateConfig", "FloodgateExtension", "Voq", "VoqPool", "WindowTable"]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "config": ("FloodgateConfig",),
+        "extension": ("FloodgateExtension",),
+        "voq": ("Voq", "VoqPool"),
+        "window": ("WindowTable",),
+    },
+)

@@ -14,7 +14,8 @@ packet-level FCT distributions by :mod:`repro.experiments.validate`
 (``floodgate-experiment validate-flowsim``).
 """
 
-from repro.flowsim.maxmin import max_min_rates
-from repro.flowsim.model import FluidSimulation
+from repro.lazy import exports
 
-__all__ = ["FluidSimulation", "max_min_rates"]
+__getattr__, __dir__, __all__ = exports(
+    __name__, {"model": ("FluidSimulation",), "maxmin": ("max_min_rates",)}
+)

@@ -13,8 +13,13 @@ responses are the incast.  This package models that loop directly:
   emerges from latency feedback instead of a fixed arrival schedule.
 """
 
-from repro.rpc.driver import ClosedLoopDriver
-from repro.rpc.matrix import DestinationMatrix
-from repro.rpc.spec import RpcWorkloadSpec
+from repro.lazy import exports
 
-__all__ = ["RpcWorkloadSpec", "DestinationMatrix", "ClosedLoopDriver"]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "spec": ("RpcWorkloadSpec",),
+        "matrix": ("DestinationMatrix",),
+        "driver": ("ClosedLoopDriver",),
+    },
+)

@@ -97,11 +97,13 @@ class Simulator:
         self._events_executed: int = 0
         self._running = False
         self._stopped = False
-        #: optional EngineProfiler (repro.telemetry.profile); when set,
-        #: or while counting is on, run() switches to an instrumented
-        #: twin loop.  The unobserved path pays two ``is None`` checks
+        #: observers of the executed event stream, fed in install order
+        #: (an EngineProfiler from repro.telemetry.profile, the
+        #: determinism digest, the shard isolation probe); while any is
+        #: installed, or counting is on, run() switches to an
+        #: instrumented twin loop.  The unobserved path pays two checks
         #: per run() call.
-        self._profiler = None
+        self._observers: list = []
         #: executions per callback since count_callbacks() (None: off),
         #: keyed by the function itself — a method's ``__func__``, one
         #: key per callback type; whoever reads the table names them
@@ -166,31 +168,28 @@ class Simulator:
         cheaper than re-heapifying the whole heap.  Ties break by
         overall insertion order (the shared sequence counter) either
         way, exactly as if each entry had been scheduled one by one.
+        A batch with an entry in the past is rejected whole: the heap
+        and the counter are left as they were.
         """
         heap = self._heap
         seq = self._seq
         now = self.now
-        batch = items if isinstance(items, list) else list(items)
-        n = len(heap)
-        if n and len(batch) * n.bit_length() < n:
-            push = heapq.heappush
-            for time, fn, args in batch:
-                if time < now:
-                    raise ValueError(
-                        f"cannot schedule at {time}, current time is {now}"
-                    )
-                seq += 1
-                push(heap, (time, 0, seq, None, fn, args))
-            self._seq = seq
-            return
-        for time, fn, args in batch:
+        entries = []
+        for time, fn, args in items:
             if time < now:
                 raise ValueError(
                     f"cannot schedule at {time}, current time is {now}"
                 )
             seq += 1
-            heap.append((time, 0, seq, None, fn, args))
+            entries.append((time, 0, seq, None, fn, args))
         self._seq = seq
+        n = len(heap)
+        if n and len(entries) * n.bit_length() < n:
+            push = heapq.heappush
+            for entry in entries:
+                push(heap, entry)
+            return
+        heap.extend(entries)
         heapq.heapify(heap)
 
     # -- execution ------------------------------------------------------------
@@ -207,7 +206,7 @@ class Simulator:
         """
         if self._running:
             raise RuntimeError("simulator is already running (re-entrant run())")
-        if self._profiler is not None or self.callback_counts is not None:
+        if self._observers or self.callback_counts is not None:
             self._run_profiled(until)
             return
         self._running = True
@@ -254,17 +253,17 @@ class Simulator:
             self.now = until
 
     def _run_profiled(self, until: Optional[int]) -> None:
-        """Instrumented twin of :meth:`run` (counting on, or a profiler
+        """Instrumented twin of :meth:`run` (counting on, or an observer
         installed).
 
         Counts executions per callback and the heap-depth maximum in
-        place, feeds whatever sits in the profiler slot, and reads the
-        wall clock only for a profiler that keeps wall time (one with a
-        ``wall_seconds`` accumulator).  Kept separate so the common
-        unobserved loop stays free of all three.
+        place, feeds every observer, and reads the wall clock only when
+        an observer keeps wall time (one with a ``wall_seconds``
+        accumulator).  Kept separate so the common unobserved loop stays
+        free of all three.
         """
-        profiler = self._profiler
-        timed = hasattr(profiler, "wall_seconds")
+        observers = self._observers
+        timed = [o for o in observers if hasattr(o, "wall_seconds")]
         counts = self.callback_counts
         max_depth = self.max_heap_depth
         self._running = True
@@ -308,11 +307,14 @@ class Simulator:
                         counts[key] = 1
                     if depth > max_depth:
                         max_depth = depth
-                if profiler is not None:
-                    profiler.note(fn, dt, depth)
+                if observers:
+                    for observer in observers:
+                        observer.note(fn, dt, depth)
         finally:
             if timed:
-                profiler.wall_seconds += perf_counter() - run_start
+                elapsed = perf_counter() - run_start
+                for observer in timed:
+                    observer.wall_seconds += elapsed
             self.max_heap_depth = max_depth
             self._events_executed = executed
             self._running = False
@@ -330,16 +332,22 @@ class Simulator:
             counts[key] = counts.get(key, 0) + 1
             if heap_depth > self.max_heap_depth:
                 self.max_heap_depth = heap_depth
-        if self._profiler is not None:
-            self._profiler.note(fn, 0.0, heap_depth)
+        for observer in self._observers:
+            observer.note(fn, 0.0, heap_depth)
+
+    def add_observer(self, observer) -> None:
+        """Feed ``observer.note(fn, dt, heap_depth)`` every executed
+        callback, after the observers installed before it."""
+        self._observers.append(observer)
 
     def set_profiler(self, profiler) -> None:
-        """Install (or with ``None`` remove) an engine profiler."""
-        self._profiler = profiler
+        """Make ``profiler`` the one observer (``None``: no observer)."""
+        self._observers = [] if profiler is None else [profiler]
 
     @property
     def profiler(self):
-        return self._profiler
+        """The first observer, or None."""
+        return self._observers[0] if self._observers else None
 
     def count_callbacks(self) -> None:
         """Turn on ``callback_counts`` and ``max_heap_depth`` (the

@@ -99,7 +99,8 @@ class PeriodicTask:
     The first call happens one full interval after :meth:`start` (use
     ``phase`` to shift it).  The callback runs before the next interval
     is scheduled, so a callback that calls :meth:`stop` terminates the
-    task cleanly.
+    task cleanly, and one that calls :meth:`stop` then :meth:`start`
+    restarts it on the new phase (one tick per interval).
 
     ``observer=True`` marks the task as pure observation: its callback
     reads simulation state but never mutates it or schedules follow-up
@@ -146,8 +147,11 @@ class PeriodicTask:
     def _tick(self) -> None:
         if not self.running:
             return
+        fired = self._event
         self._fn(*self._args)
-        if self.running:
+        # a callback that restarted the task (stop + start) has already
+        # armed its next tick: re-arming here would tick twice
+        if self.running and self._event is fired:
             # ``schedule(interval, _tick)`` in this frame: the same seq
             # draw, the same heap entry
             sim = self._sim

@@ -434,14 +434,9 @@ class DomainRuntime:
             from repro.simcheck.determinism import EventStreamDigest
 
             self.digest = EventStreamDigest(sim, include_depth=False)
-        # everything that listens on the engine's one profiler slot
-        sinks = [s for s in (self.digest, probe) if s is not None]
-        if sinks:
-            from repro.telemetry.profile import ProfilerFanout
-
-            sim.set_profiler(
-                sinks[0] if len(sinks) == 1 else ProfilerFanout(*sinks)
-            )
+        for observer in (self.digest, probe):
+            if observer is not None:
+                sim.add_observer(observer)
 
     def step(self, h_next: int, incoming: list, sweep: bool) -> DomainState:
         """Merge ``incoming`` boundary deliveries, run to ``h_next``."""
@@ -643,7 +638,7 @@ class _LockstepTransport(_LocalTransport):
             sim._events_executed += 1
             fn(*args)
             # the merged loop bypasses Simulator.run(), so the domain's
-            # event counts and slot sinks (digest, isolation probe) get
+            # event counts and observers (digest, isolation probe) get
             # fed here
             sim.note_executed(fn, len(heaps[best_d]))
             if digest is not None:

@@ -15,20 +15,17 @@ function of ``(config, seed)``:
   and compares repeated same-seed runs.
 
 Run both from the CLI: ``python -m repro.cli check [--sanitize]``.
+The halves load apart: a sanitized run never imports the AST rules.
 """
 
-from repro.simcheck.determinism import EventStreamDigest, run_digest
-from repro.simcheck.linter import CheckReport, run_check
-from repro.simcheck.rules import Finding
-from repro.simcheck.sanitizer import SanitizerConfig, SanitizerError, SimSanitizer
+from repro.lazy import exports
 
-__all__ = [
-    "CheckReport",
-    "EventStreamDigest",
-    "Finding",
-    "SanitizerConfig",
-    "SanitizerError",
-    "SimSanitizer",
-    "run_check",
-    "run_digest",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "linter": ("CheckReport", "run_check"),
+        "determinism": ("EventStreamDigest", "run_digest"),
+        "rules": ("Finding",),
+        "sanitizer": ("SanitizerConfig", "SanitizerError", "SimSanitizer"),
+    },
+)

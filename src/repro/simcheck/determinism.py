@@ -1,6 +1,6 @@
 """Determinism harness: event-stream digests and same-seed comparison.
 
-``EventStreamDigest`` plugs into the engine's profiler slot (the same
+``EventStreamDigest`` observes the engine's executed events (the same
 interface as :class:`repro.telemetry.profile.EngineProfiler`) and
 folds every executed event — its integer-ns timestamp, callback
 qualname, and heap depth — into a SHA-256.  Two runs with the same
@@ -48,9 +48,9 @@ SHARDED_SCHEMES: Tuple[Tuple[str, str], ...] = (
 
 
 class EventStreamDigest:
-    """Profiler-slot instrument hashing the executed event stream.
+    """Engine observer hashing the executed event stream.
 
-    Satisfies the engine's profiler contract (``note``; it keeps no
+    Satisfies the engine's observer contract (``note``; it keeps no
     ``wall_seconds``, so the loop reads no clock for it): only
     simulated time, callback identity, and heap depth — all
     deterministic quantities — enter the hash.

@@ -5,8 +5,8 @@ The static side of shard safety lives in :mod:`repro.simcheck.rules`
 the dynamic complement.  ``ShardIsolationSanitizer`` tags the hot
 objects of every execution domain — ports, links, VOQ state, credit
 tables — with a domain id at partition time (a VOQ slot when its pool
-creates it), then rides each domain
-engine's profiler slot: every executed callback bound to a tagged
+creates it), then observes each domain
+engine: every executed callback bound to a tagged
 object (``fn.__self__``) is checked against the domain it ran under.
 A callback owned by domain 1 firing on domain 0's engine is exactly
 the cross-domain mutation the conservative-parallel executors must
@@ -18,8 +18,8 @@ the *receiving* domain's own nodes, so the executing domain and the
 owner agree.  Enable per run via ``check --sharded --isolate``.
 
 Zero cost when off: tagging and probing only happen when the sharded
-runner is asked to isolate, and the probe shares the engine's single
-profiler slot through :class:`~repro.telemetry.profile.ProfilerFanout`.
+runner is asked to isolate, and the probe is one more observer on the
+domain's engine (``Simulator.add_observer``), after the digest.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ class ShardIsolationSanitizer:
     # -- probing (run time) ------------------------------------------------
 
     def probe(self, domain: int, clock) -> "_DomainProbe":
-        """A profiler-slot sink asserting callbacks run under ``domain``."""
+        """An engine observer asserting callbacks run under ``domain``."""
         return _DomainProbe(self, domain, clock)
 
     def record(self, domain: int, owner: int, label: str, name: str, now) -> None:
@@ -116,7 +116,7 @@ class ShardIsolationSanitizer:
 
 
 class _DomainProbe:
-    """Per-domain profiler sink (shares the slot via ProfilerFanout)."""
+    """Per-domain engine observer (installed after the digest, if any)."""
 
     __slots__ = ("iso", "domain", "clock")
 

@@ -5,24 +5,20 @@ Opt in per run via ``ScenarioConfig(telemetry=TelemetryConfig())``;
 the resulting :class:`TelemetryExport` rides on
 ``ScenarioResult.telemetry`` / ``ResultSummary.telemetry``, survives
 the process pool and the sweep cache byte-identically, and renders
-with the ``report`` CLI subcommand.
+with the ``report`` CLI subcommand.  A run without telemetry loads
+none of the recorder, the samplers, the export or the report.
 """
 
-from repro.telemetry.export import TelemetryExport
-from repro.telemetry.profile import EngineProfiler
-from repro.telemetry.recorder import TelemetryRecorder
-from repro.telemetry.report import render_export
-from repro.telemetry.registry import Histogram, TelemetryConfig
-from repro.telemetry.samplers import GaugeSampler, PeriodicSampler, RateSampler
+from repro.lazy import exports
 
-__all__ = [
-    "EngineProfiler",
-    "GaugeSampler",
-    "Histogram",
-    "PeriodicSampler",
-    "RateSampler",
-    "TelemetryConfig",
-    "TelemetryExport",
-    "TelemetryRecorder",
-    "render_export",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "profile": ("EngineProfiler",),
+        "samplers": ("GaugeSampler", "PeriodicSampler", "RateSampler"),
+        "registry": ("Histogram", "TelemetryConfig"),
+        "export": ("TelemetryExport",),
+        "recorder": ("TelemetryRecorder",),
+        "report": ("render_export",),
+    },
+)

@@ -11,13 +11,14 @@ The profile splits into two halves:
   at collect time.
 * **wall-clock** — per-callback-type time shares and events/sec.
   Inherently machine- and run-dependent, never part of the canonical
-  export: whoever wants them installs an :class:`EngineProfiler` via
-  ``Simulator.set_profiler`` (the ``report`` sub-command, the benchmark
-  worker).  Its ``wall_seconds`` accumulator is what tells the engine's
-  instrumented loop to read the clock around every callback.
+  export: whoever wants them installs an :class:`EngineProfiler` as the
+  engine's one observer via ``Simulator.set_profiler`` (the ``report``
+  sub-command, the benchmark worker).  Its ``wall_seconds`` accumulator
+  is what tells the engine's instrumented loop to read the clock around
+  every callback.
 
-With neither on, the engine pays two ``is None`` checks per ``run()``
-call — zero per-event cost.
+With neither on, the engine pays two checks per ``run()`` call — zero
+per-event cost.
 """
 
 from __future__ import annotations
@@ -29,28 +30,6 @@ def callback_name(fn: Callable[..., Any]) -> str:
     """Stable label for a callback (no memory addresses)."""
     name = getattr(fn, "__qualname__", None)
     return name if name is not None else type(fn).__name__
-
-
-class ProfilerFanout:
-    """Fan one engine profiler slot out to several sinks.
-
-    A :class:`~repro.sim.engine.Simulator` has a single profiler slot,
-    but a sharded run can need two listeners on it at once: the
-    per-domain :class:`~repro.simcheck.determinism.EventStreamDigest`
-    and the isolation probe of
-    :class:`~repro.simcheck.isolation.ShardIsolationSanitizer`.  Every
-    sink sees the exact same ``note`` calls in the same order.  The
-    fan-out keeps no wall time, so its sinks see ``dt == 0.0``.
-    """
-
-    __slots__ = ("sinks",)
-
-    def __init__(self, *sinks: Any) -> None:
-        self.sinks = sinks
-
-    def note(self, fn: Callable[..., Any], dt: float, heap_depth: int) -> None:
-        for sink in self.sinks:
-            sink.note(fn, dt, heap_depth)
 
 
 class EngineProfiler:

@@ -2,11 +2,12 @@
 
 A root is code that runs without a test calling it: the module-level
 statements of every non-``__init__`` module under ``src/repro`` (which
-covers ``repro.cli``'s ``main()``), every word under ``benchmarks/``,
-and the frozen oracles (``tests/*_pr*.py`` + ``tests/oracle_harness.py``).
-Tests, ``examples/`` and ``__init__`` re-exports are not roots: a
-definition whose only callers are its own tests is dead code with a
-test suite.
+covers ``repro.cli``'s ``main()``), the statement of a package
+``__init__`` that assigns its module ``__getattr__`` / ``__dir__``,
+every word under ``benchmarks/``, and the frozen oracles
+(``tests/*_pr*.py`` + ``tests/oracle_harness.py``).  Tests,
+``examples/`` and ``__init__`` re-exports are not roots: a definition
+whose only callers are its own tests is dead code with a test suite.
 
 The walk is name-level.  A definition is a ``def`` / ``class``; what it
 *uses* is every identifier, attribute name and keyword in its body,
@@ -36,6 +37,10 @@ WORD_ROOTS = (
     + [ROOT / "tests" / "oracle_harness.py"]
 )
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+#: module attributes the interpreter calls (PEP 562): like a class's
+#: dunders they are live, and so is the statement binding them in a
+#: package ``__init__`` (a lazy façade)
+MODULE_HOOKS = {"__getattr__", "__dir__"}
 
 #: a definition's name, or a module's path for all of it -> why it stays
 #: although only tests (or an example) reach it.  Ten entries at most.
@@ -102,12 +107,25 @@ def _definitions(path: str, node: ast.AST, owner=None):
         yield from _definitions(path, child, inner)
 
 
+def _binds_hook(stmt: ast.stmt) -> bool:
+    """True for a module-level statement assigning a PEP 562 hook (a
+    ``def __getattr__`` is live by its name)."""
+    return any(
+        isinstance(node, ast.Name)
+        and isinstance(node.ctx, ast.Store)
+        and node.id in MODULE_HOOKS
+        for node in ast.walk(stmt)
+    )
+
+
 def _unreachable() -> list:
     defs = [d for path, tree in _src().items() for d in _definitions(path, tree)]
-    live: set = set()
+    live: set = set(MODULE_HOOKS)
     for path, tree in _src().items():
         if not path.endswith("__init__.py"):
             live |= _uses(tree.body)
+        else:
+            live |= _uses([s for s in tree.body if _binds_hook(s)])
     for path in WORD_ROOTS:
         live.update(re.findall(r"\w+", path.read_text()))
     grew = True

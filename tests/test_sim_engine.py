@@ -220,6 +220,25 @@ class TestFastPathScheduling:
         with pytest.raises(ValueError):
             sim.schedule_many([(5, lambda: None, ())])
 
+    @pytest.mark.parametrize(
+        "queued", [1, 200], ids=["heapify-path", "push-path"]
+    )
+    def test_schedule_many_rejects_a_batch_whole(self, queued):
+        # a past entry after valid ones: nothing of the batch may land,
+        # and the sequence counter must not move (the next draw would
+        # repeat a seq the heap already holds)
+        sim = Simulator()
+        sim.schedule_call_at(50, lambda: None)
+        sim.run(until=50)
+        for i in range(queued):
+            sim.schedule_call_at(100 + i, lambda: None)
+        heap, seq, pending = list(sim._heap), sim._seq, sim.pending_events
+        with pytest.raises(ValueError, match="cannot schedule at 10"):
+            sim.schedule_many([(60, lambda: None, ()), (10, lambda: None, ())])
+        assert sim._heap == heap
+        assert sim._seq == seq
+        assert sim.pending_events == pending
+
     def test_schedule_many_small_batch_matches_one_by_one(self):
         # a tiny batch against a large heap takes the heappush branch;
         # the same loads scheduled one by one must execute identically
@@ -489,6 +508,23 @@ class TestPeriodicTask:
         sim.run(until=100)
         assert ticks == [10]
 
+    def test_restart_from_callback_ticks_once_per_interval(self):
+        sim = Simulator()
+        ticks = []
+
+        def tick():
+            ticks.append(sim.now)
+            if sim.now == 30:
+                task.stop()
+                task.start(phase=5)
+
+        task = PeriodicTask(sim, 10, tick)
+        task.start()
+        sim.run(until=70)
+        task.stop()
+        assert ticks == [10, 20, 30, 45, 55, 65]
+        assert sim.pending_events == 1  # the cancelled tick, nothing else
+
     def test_phase_shifts_first_tick(self):
         sim = Simulator()
         ticks = []
@@ -511,6 +547,51 @@ class TestPeriodicTask:
         sim.run(until=15)
         task.stop()
         assert ticks == [10]
+
+
+class _Observer:
+    """Records every ``note`` it is fed, and the order observers ran in."""
+
+    def __init__(self, name, log):
+        self.name = name
+        self.log = log
+        self.notes = []
+
+    def note(self, fn, dt, heap_depth):
+        self.notes.append((fn, dt, heap_depth))
+        self.log.append(self.name)
+
+
+class TestObservers:
+    def test_two_observers_see_identical_notes_in_install_order(self):
+        sim = Simulator()
+        log = []
+        first, second = _Observer("first", log), _Observer("second", log)
+        sim.add_observer(first)
+        sim.add_observer(second)
+        for t in (5, 5, 9):
+            sim.schedule_call(t, sim.schedule_call, 1, lambda: None)
+        sim.run()
+        sim.note_executed(len, 7)  # the lockstep transport's entry point
+        assert len(first.notes) == 7
+        assert first.notes == second.notes
+        assert log == ["first", "second"] * 7
+        assert first.notes[-1] == (len, 0.0, 7)
+        assert sim.profiler is first
+
+    def test_set_profiler_is_the_one_observer_form(self):
+        sim = Simulator()
+        log = []
+        dropped, kept = _Observer("dropped", log), _Observer("kept", log)
+        sim.add_observer(dropped)
+        sim.set_profiler(kept)
+        sim.schedule_call(1, lambda: None)
+        sim.run()
+        assert sim.profiler is kept and log == ["kept"]
+        sim.set_profiler(None)
+        sim.schedule_call(1, lambda: None)
+        sim.run()
+        assert sim.profiler is None and log == ["kept"]
 
 
 class TestRngRegistry:
