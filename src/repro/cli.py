@@ -122,7 +122,7 @@ def _report(args) -> int:
     # execute on per-domain engines: it then has nothing to show)
     scenario = Scenario(cfg)
     profiler = EngineProfiler()
-    scenario.sim.set_profiler(profiler)
+    scenario.sim.add_observer(profiler)
     result = run_scenario(cfg, scenario=scenario)
     elapsed = time.monotonic() - start
     assert result.telemetry is not None

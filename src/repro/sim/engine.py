@@ -341,7 +341,12 @@ class Simulator:
         self._observers.append(observer)
 
     def set_profiler(self, profiler) -> None:
-        """Make ``profiler`` the one observer (``None``: no observer)."""
+        """Make ``profiler`` the one observer (``None``: no observer),
+        dropping any installed before it.
+
+        The older one-observer form, kept for the benchmark worker and
+        the tests written against it; new code installs with
+        :meth:`add_observer`."""
         self._observers = [] if profiler is None else [profiler]
 
     @property

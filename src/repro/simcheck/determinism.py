@@ -107,7 +107,7 @@ def run_digest(config) -> RunDigest:
 
     sc = Scenario(config)
     digest = EventStreamDigest(sc.sim)
-    sc.sim.set_profiler(digest)
+    sc.sim.add_observer(digest)
     result = run_scenario(config, scenario=sc)
     summary = summarize(result)
     return RunDigest(
@@ -210,7 +210,7 @@ def check_sharded_equivalence(
 
     sc = Scenario(config)
     serial_digest = EventStreamDigest(sc.sim, include_depth=False)
-    sc.sim.set_profiler(serial_digest)
+    sc.sim.add_observer(serial_digest)
     serial_bytes = norm_bytes(run_scenario(config, scenario=sc))
 
     modes = ["lockstep", "barrier"]

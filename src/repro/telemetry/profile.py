@@ -11,9 +11,10 @@ The profile splits into two halves:
   at collect time.
 * **wall-clock** — per-callback-type time shares and events/sec.
   Inherently machine- and run-dependent, never part of the canonical
-  export: whoever wants them installs an :class:`EngineProfiler` as the
-  engine's one observer via ``Simulator.set_profiler`` (the ``report``
-  sub-command, the benchmark worker).  Its ``wall_seconds`` accumulator
+  export: whoever wants them installs an :class:`EngineProfiler` as an
+  engine observer via ``Simulator.add_observer`` (the ``report``
+  sub-command; the benchmark worker uses the older one-observer form,
+  ``Simulator.set_profiler``).  Its ``wall_seconds`` accumulator
   is what tells the engine's instrumented loop to read the clock around
   every callback.
 

@@ -25,13 +25,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 #: modules only a config that selects them may load (a name also
-#: covers its submodules)
+#: covers its submodules).  ``repro.flowsim.maxmin`` is not one: the
+#: runner loads the max-min kernel with every run (see its imports)
 OPTIONAL = (
     "repro.faults.injector",
     "repro.faults.watchdog",
     "repro.rpc.driver",
     "repro.rpc.matrix",
-    "repro.flowsim.maxmin",
     "repro.flowsim.model",
     "repro.hybrid.model",
     "repro.sim.sharded",
@@ -114,6 +114,7 @@ def test_worker_imports_load_no_optional_subsystem():
 def test_a_plain_packet_run_loads_no_optional_subsystem():
     loaded = _modules_after(_run("flow_control='none'"))
     assert "repro.net.switch" in loaded  # it did build and run a fabric
+    assert "repro.flowsim.maxmin" in loaded  # the kernel loads with the runner
     assert _optional(loaded) == []
 
 
@@ -138,7 +139,7 @@ def test_a_plain_packet_run_loads_no_optional_subsystem():
             "think_time=5_000)",
             {"repro.rpc.driver", "repro.rpc.matrix"},
         ),
-        ("", "fidelity='flow'", {"repro.flowsim.model", "repro.flowsim.maxmin"}),
+        ("", "fidelity='flow'", {"repro.flowsim.model"}),
         ("", "fidelity='hybrid'", {"repro.hybrid.model", "repro.flowsim.model"}),
         ("", "flow_control='floodgate'", {"repro.floodgate.extension"}),
         ("", "cc='hpcc'", {"repro.cc.hpcc"}),
