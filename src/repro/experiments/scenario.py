@@ -90,6 +90,16 @@ _FLOODGATE_DERIVED = {
 }
 
 
+#: numeric fields whose 0 means "default" or "none" and whose negative
+#: values mean nothing
+_NON_NEGATIVE = (
+    "n_spines", "n_tors", "hosts_per_tor", "host_bandwidth",
+    "fabric_bandwidth", "link_delay", "host_link_delay", "buffer_bytes",
+    "ecn_kmin", "ecn_kmax", "delay_credit_bdp", "bfc_queues", "rto",
+    "incast_fan_in", "incast_dst", "duration",
+)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything one experiment run needs."""
@@ -117,14 +127,12 @@ class ScenarioConfig:
     link_delay: int = 0           # ns (switch-switch); 0 -> scale default
     host_link_delay: int = 0      # ns (host-ToR); 0 -> scale default
     buffer_bytes: int = 0         # 0 -> scale default
-    per_flow_ecmp: bool = False
 
     # --- protocol stack ------------------------------------------------------
     cc: str = "dcqcn"             # dcqcn | dctcp | timely | hpcc | static
     flow_control: str = "none"    # none | floodgate | floodgate-ideal |
     #                               bfc | pfc-tag | ndp
     per_dst_pause: bool = False
-    pfc_enabled: bool = True
     #: per-flow sending window in base-BDP units (§6: one BDP)
     swnd_bdp: float = 1.0
     ecn_kmin: int = 0             # bytes; 0 -> BDP-derived default
@@ -211,6 +219,22 @@ class ScenarioConfig:
                     f"unknown {name} {value!r}; valid values: "
                     f"{', '.join(valid)}"
                 )
+        for name in _NON_NEGATIVE:
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must not be negative, got {value!r}")
+        for name in ("swnd_bdp", "max_runtime_factor", "hosts_per_edge"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        if not 0.0 < self.poisson_load < 1.5:
+            raise ValueError(
+                f"poisson_load must be in (0, 1.5), got {self.poisson_load!r}"
+            )
+        if not 0.0 < self.incast_load <= 1.0:
+            raise ValueError(
+                f"incast_load must be in (0, 1], got {self.incast_load!r}"
+            )
         if self.pattern == "rpc" and self.rpc is None:
             raise ValueError(
                 "pattern='rpc' needs a workload description: pass "
@@ -357,6 +381,33 @@ def reference_config(
     return None
 
 
+def _check_fabric(cfg: ScenarioConfig) -> None:
+    """Reject what only the resolved fabric size decides, before the
+    build: an ``incast_dst`` that is not a host, and an incast with no
+    host outside the destination's rack."""
+    if cfg.topology == "leaf-spine":
+        racks, hosts = cfg.n_tors, cfg.n_tors * cfg.hosts_per_tor
+    elif cfg.topology == "fat-tree":
+        racks = cfg.fat_tree_k * (cfg.fat_tree_k // 2)
+        hosts = racks * cfg.hosts_per_edge
+    elif cfg.topology == "testbed":
+        racks, hosts = 3, 6  # build_testbed's fixed 3 ToRs x 2 hosts
+    else:
+        racks, hosts = 2, 2 * max(cfg.hosts_per_tor, 2)  # dumbbell
+    if cfg.pattern not in ("incastmix", "incast", "staggered"):
+        return  # the patterns that aim traffic at incast_dst
+    if cfg.incast_dst >= hosts:
+        raise ValueError(
+            f"incast_dst {cfg.incast_dst} is not a host: the "
+            f"{cfg.topology} fabric has hosts 0..{hosts - 1}"
+        )
+    if racks < 2 and cfg.pattern != "staggered":
+        raise ValueError(
+            f"pattern={cfg.pattern!r} needs incast senders outside the "
+            f"destination's rack, but the {cfg.topology} fabric has one rack"
+        )
+
+
 #: ECN marking probability at ``kmax`` (DCQCN's conventional setting)
 _ECN_PMAX = 0.2
 
@@ -375,6 +426,7 @@ class Scenario:
     def __init__(self, config: ScenarioConfig) -> None:
         self.config = config.resolved()
         cfg = self.config
+        _check_fabric(cfg)
         self.sim = Simulator()
         self.stats = StatsHub()
         self.stats.track_bandwidth = cfg.track_bandwidth
@@ -494,19 +546,17 @@ class Scenario:
                 EcnConfig(kmin, max(kmax, kmin), _ECN_PMAX),
                 self.rng.stream(f"ecn:{name}"),
             )
-        # NDP is lossy by design (trimming replaces lossless fabrics)
-        pfc = cfg.pfc_enabled and cfg.flow_control != "ndp"
         sw = Switch(
             sim,
             node_id,
             name,
             buffer_capacity=cfg.buffer_bytes,
             kind=kind,
-            pfc_enabled=pfc,
+            # NDP is lossy by design (trimming replaces lossless fabrics)
+            pfc_enabled=cfg.flow_control != "ndp",
             ecn=ecn,
             stats=self.stats,
             int_enabled=(cfg.cc == "hpcc"),
-            per_flow_ecmp=cfg.per_flow_ecmp,
         )
         sw.level = level
         return sw

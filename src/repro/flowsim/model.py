@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.models import hop_rtt_ns
 from repro.cc.flow import Flow
 from repro.flowsim.maxmin import max_min_rates
-from repro.net.switch import Switch, _ecmp_hash
+from repro.net.switch import Switch
 from repro.sim.engine import Event
 from repro.stats.fct import FctRecord
 from repro.units import MTU, SEC, serialization_delay
@@ -131,12 +131,12 @@ class FluidSimulation:
         #: must never be booked here — they already accumulate in
         #: ``_resource_bits`` — or utilization would be counted twice.
         self._packet_bits: List[float] = [0.0] * self._n_link_resources
-        #: (first-switch, dst, ecmp-key) -> path tail from that switch
-        #: onward.  Every host in a rack shares its ToR's tail, so
-        #: boundary crossings and whole-rack workloads stop rebuilding
-        #: hop tuples per flow; per-flow ECMP keys the tail by flow id.
+        #: (first-switch, dst) -> path tail from that switch onward.
+        #: Every host in a rack shares its ToR's tail, so boundary
+        #: crossings and whole-rack workloads stop rebuilding hop tuples
+        #: per flow.
         self._tail_cache: Dict[
-            Tuple[int, int, int], Tuple[Tuple[int, ...], Tuple]
+            Tuple[int, int], Tuple[Tuple[int, ...], Tuple]
         ] = {}
         self._active: List[FluidFlow] = []
         #: resource index -> insertion-ordered dict of active flows
@@ -158,14 +158,6 @@ class FluidSimulation:
 
     # -- path construction -------------------------------------------------
 
-    def _route_port(self, sw: Switch, dst: int, flow_id: int) -> int:
-        """The egress port the packet engine would pick (ECMP-faithful)."""
-        entry = sw.route_entry(dst)
-        if isinstance(entry, int):
-            return entry
-        key = flow_id if self.config.per_flow_ecmp else dst
-        return entry[_ecmp_hash(key) % len(entry)]
-
     def _voq_cap(self, sw: Switch, dst: int) -> float:
         """Sustainable rate of a Floodgate per-dst window (bits/s)."""
         ext = self._floodgate_ext[sw.node_id]
@@ -179,9 +171,7 @@ class FluidSimulation:
         direction = 0 if link.node_a is node else 1
         return 2 * self._link_index[id(link)] + direction
 
-    def _build_tail(
-        self, node: Switch, dst: int, flow_id: int
-    ) -> Tuple[Tuple[int, ...], Tuple]:
+    def _build_tail(self, node: Switch, dst: int) -> Tuple[Tuple[int, ...], Tuple]:
         """Resources + hops from switch ``node`` to host ``dst``."""
         resources: List[int] = []
         hops: List[Tuple[float, int]] = []
@@ -194,7 +184,8 @@ class FluidSimulation:
                     self.capacities.append(self._voq_cap(node, dst))
                     self._voq_resource[key] = voq
                 resources.append(voq)
-            link = node.links[self._route_port(node, dst, flow_id)]
+            # the port the packet engine picks: the switch decides
+            link = node.links[node.route_for_dst(dst)]
             resources.append(self._directed_resource(link, node))
             hops.append((link.bandwidth, link.delay))
             peer = link.peer_of(node)
@@ -206,27 +197,20 @@ class FluidSimulation:
                 return tuple(resources), tuple(hops)
             node = peer
 
-    def _tail_from(
-        self, node: Switch, dst: int, flow_id: int
-    ) -> Tuple[Tuple[int, ...], Tuple]:
-        """Cached :meth:`_build_tail`, keyed (switch, dst, ecmp-key).
+    def _tail_from(self, node: Switch, dst: int) -> Tuple[Tuple[int, ...], Tuple]:
+        """Cached :meth:`_build_tail`, keyed (switch, dst).
 
-        Without per-flow ECMP the route from a switch depends only on
-        the destination, so every host behind one ToR shares a single
-        cached tail; per-flow ECMP hashes the flow id, so the tail is
-        keyed by it instead.
+        The route from a switch depends only on the destination, so
+        every host behind one ToR shares a single cached tail.
         """
-        ecmp_key = flow_id if self.config.per_flow_ecmp else -1
-        key = (node.node_id, dst, ecmp_key)
+        key = (node.node_id, dst)
         cached = self._tail_cache.get(key)
         if cached is None:
-            cached = self._build_tail(node, dst, flow_id)
+            cached = self._build_tail(node, dst)
             self._tail_cache[key] = cached
         return cached
 
-    def _build_path(
-        self, src: int, dst: int, flow_id: int
-    ) -> Tuple[Tuple[int, ...], Tuple]:
+    def _build_path(self, src: int, dst: int) -> Tuple[Tuple[int, ...], Tuple]:
         """Resource indices plus (bandwidth, delay) hops from src to dst."""
         node = self.topology.hosts[src]
         link = node.links[0]
@@ -240,11 +224,11 @@ class FluidSimulation:
                     f"{peer.node_id}"
                 )
             return (head_resource,), (head_hop,)
-        tail_resources, tail_hops = self._tail_from(peer, dst, flow_id)
+        tail_resources, tail_hops = self._tail_from(peer, dst)
         return (head_resource,) + tail_resources, (head_hop,) + tail_hops
 
     def _path_of(self, flow: Flow) -> Tuple[Tuple[int, ...], Tuple]:
-        return self._build_path(flow.src, flow.dst, flow.flow_id)
+        return self._build_path(flow.src, flow.dst)
 
     def _tail_latency(self, size: int, hops: Tuple) -> int:
         """Unloaded delivery lag of the flow's final packet.

@@ -669,7 +669,7 @@ class HybridSimulation(FluidSimulation):
 
     def _make_outbound(self, chan: _BoundaryChannel, pkt) -> _OutboundState:
         flow = self.topology.flow_table[pkt.flow_id]
-        tail_res, tail_hops = self._tail_from(chan.peer, flow.dst, flow.flow_id)
+        tail_res, tail_hops = self._tail_from(chan.peer, flow.dst)
         ghost = FluidFlow(flow, tail_res, self._flow_ceiling, 0)
         # a standing flow: it never completes through the fluid clock —
         # it is dropped when the real receiver reports the flow done

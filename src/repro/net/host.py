@@ -53,7 +53,6 @@ class Host(Node):
         rto: int = us(500),
         nack_interval: int = us(10),
         cnp_interval: int = us(50),
-        ack_interval: int = 1,
         int_enabled: bool = False,
     ) -> None:
         super().__init__(sim, node_id, name)
@@ -63,7 +62,6 @@ class Host(Node):
         self.rto = rto
         self.nack_interval = nack_interval
         self.cnp_interval = cnp_interval
-        self.ack_interval = ack_interval
         self.int_enabled = int_enabled
         self.paused_dsts: Set[int] = set()
         self.active_flows: Set[int] = set()
@@ -284,12 +282,10 @@ class Host(Node):
                     )
                 if self.on_flow_done is not None:
                     self.on_flow_done(flow)
-            last = flow.expected_seq >= flow.n_packets
-            if last or flow.expected_seq % self.ack_interval == 0:
-                # hybrid boundary flows have no packet-level sender to
-                # ACK-clock; the injector paces off fluid allocations
-                if not flow.fluid_src:
-                    self._send_ack(flow, pkt)
+            # hybrid boundary flows have no packet-level sender to
+            # ACK-clock; the injector paces off fluid allocations
+            if not flow.fluid_src:
+                self._send_ack(flow, pkt)
         elif pkt.seq > flow.expected_seq:
             # gap: go-back-N NACK, rate limited
             if not flow.fluid_src and now - flow.last_nack_time >= self.nack_interval:

@@ -1,7 +1,7 @@
 """Output-queued switch with shared buffer, ECN, PFC, and extensions.
 
 The base switch implements what the paper calls "today's commodity
-switch": per-dst (or per-flow) ECMP forwarding, RED/ECN marking at
+switch": per-destination ECMP forwarding, RED/ECN marking at
 egress, a shared buffer with dynamic-threshold PFC, and in-band
 telemetry for HPCC.
 
@@ -48,6 +48,13 @@ _FLAT_ROUTE_LIMIT = 1 << 17
 def _ecmp_hash(value: int) -> int:
     """Cheap deterministic integer hash (Knuth multiplicative)."""
     return (value * 2654435761) & 0xFFFFFFFF
+
+
+def _ecmp_pick(dst: int, entry: Union[int, Tuple[int, ...]]) -> int:
+    """The port a route entry gives ``dst``: per-destination ECMP."""
+    if isinstance(entry, int):
+        return entry
+    return entry[_ecmp_hash(dst) % len(entry)]
 
 
 class SwitchExtension:
@@ -98,7 +105,6 @@ class Switch(Node):
         ecn: Optional[EcnMarker] = None,
         stats: Optional[StatsHub] = None,
         int_enabled: bool = False,
-        per_flow_ecmp: bool = False,
     ) -> None:
         super().__init__(sim, node_id, name)
         self.kind = kind
@@ -111,23 +117,18 @@ class Switch(Node):
         self.ecn = ecn
         self.stats = stats
         self.int_enabled = int_enabled
-        self.per_flow_ecmp = per_flow_ecmp
         # routing: dst host id -> port index, or tuple of candidates
-        # (on single-homed fabrics, filled on first lookup: route_entry)
+        # (filled on first lookup: route_entry)
         self.routes: Dict[int, Union[int, Tuple[int, ...]]] = {}
         #: dense dst-indexed route table (-1 = no entry): the per-dst
         #: ECMP choice is resolved once at set_route time, so the hot
         #: path is a single list index instead of dict + isinstance +
         #: hash per packet
         self._route_flat: List[int] = []
-        #: parallel table of ECMP candidate tuples (None = single port),
-        #: consulted only under per-flow ECMP where the choice depends
-        #: on the packet's flow id
-        self._route_multi: List[Optional[Tuple[int, ...]]] = []
         #: installs a missing entry on first lookup (set by
-        #: ``Topology.compute_routes`` on single-homed fabrics, where
-        #: only a ToR's own hosts are routed at build time); None means
-        #: every entry was installed up front
+        #: ``Topology.compute_routes``, which routes only a ToR's own
+        #: hosts at build time); None on a hand-wired switch, whose
+        #: entries all come from ``set_route``
         self.resolve_route: Optional[Callable[["Switch", int], None]] = None
         #: hosts attached directly: host id -> port index
         self.connected_hosts: Dict[int, int] = {}
@@ -182,13 +183,12 @@ class Switch(Node):
         ext.attach(self)
 
     def reserve_routes(self, n_dsts: int) -> None:
-        """Size the flat tables for every dst below ``n_dsts`` (unset
+        """Size the flat table for every dst below ``n_dsts`` (unset
         entries read -1), so a lookup of an entry not resolved yet
         misses on the sign check instead of an IndexError."""
         grow = min(n_dsts, _FLAT_ROUTE_LIMIT) - len(self._route_flat)
         if grow > 0:
             self._route_flat.extend([-1] * grow)
-            self._route_multi.extend([None] * grow)
 
     def set_route(self, dst: int, ports: Union[int, Tuple[int, ...]]) -> None:
         self.routes[dst] = ports
@@ -197,39 +197,24 @@ class Switch(Node):
         flat = self._route_flat
         if dst >= len(flat):
             self.reserve_routes(dst + 1)
-        if isinstance(ports, int):
-            flat[dst] = ports
-            self._route_multi[dst] = None
-        else:
-            # per-dst ECMP resolved once, here, instead of per packet
-            flat[dst] = ports[_ecmp_hash(dst) % len(ports)]
-            self._route_multi[dst] = tuple(ports)
+        flat[dst] = _ecmp_pick(dst, ports)
 
     # -- routing ------------------------------------------------------------------
 
-    def route(self, pkt: Packet) -> int:
-        """Egress port index for ``pkt`` (ECMP resolved here)."""
-        dst = pkt.dst
-        try:
-            port = self._route_flat[dst]
-        except IndexError:
-            port = -1
-        if port < 0:
-            return self._route_slow(dst, pkt.flow_id)
-        if self.per_flow_ecmp:
-            entry = self._route_multi[dst]
-            if entry is not None:
-                return entry[_ecmp_hash(pkt.flow_id) % len(entry)]
-        return port
-
     def route_for_dst(self, dst: int) -> int:
-        """Egress port for a destination under per-dst ECMP."""
+        """Egress port toward host ``dst``: the one routing decision.
+
+        Per-destination ECMP: every packet to ``dst`` leaves on the same
+        port, hashed from ``dst`` over the entry's candidates.  A dst not
+        resolved yet (or outside the flat table) goes through
+        :meth:`route_entry`.
+        """
         try:
             port = self._route_flat[dst]
         except IndexError:
             port = -1
         if port < 0:
-            return self._route_slow(dst, None)
+            return _ecmp_pick(dst, self.route_entry(dst))
         return port
 
     def route_entry(self, dst: int) -> Union[int, Tuple[int, ...]]:
@@ -239,15 +224,6 @@ class Switch(Node):
         if dst not in routes and self.resolve_route is not None:
             self.resolve_route(self, dst)
         return routes[dst]  # KeyError for unknown dst, as before
-
-    def _route_slow(self, dst: int, flow_id: Optional[int]) -> int:
-        """Miss path of the flat table: a dst outside it, or one not
-        resolved yet."""
-        entry = self.route_entry(dst)
-        if isinstance(entry, int):
-            return entry
-        key = flow_id if (self.per_flow_ecmp and flow_id is not None) else dst
-        return entry[_ecmp_hash(key) % len(entry)]
 
     def is_last_hop_for(self, dst: int) -> bool:
         """True when ``dst`` is a host directly attached to this switch."""
@@ -261,14 +237,14 @@ class Switch(Node):
         is_data = kind == _DATA
         if is_data or IS_ACK_LIKE[kind]:
             # data and end-to-end control are nearly every arrival:
-            # dispatch before the link-control ladder, with route()'s
-            # per-dst table hit inlined
+            # dispatch before the link-control ladder, with
+            # route_for_dst()'s flat-table hit inlined
             try:
                 out_port = self._route_flat[pkt.dst]
             except IndexError:
                 out_port = -1
-            if out_port < 0 or self.per_flow_ecmp:
-                out_port = self.route(pkt)
+            if out_port < 0:
+                out_port = self.route_for_dst(pkt.dst)
             if not is_data:
                 # End-to-end control: strictly prioritized, not
                 # buffer-accounted (negligible size, never the
@@ -325,7 +301,7 @@ class Switch(Node):
             if self.stats is not None:
                 self.stats.record_unclaimed_control()
             return
-        out_port = self.route(pkt)
+        out_port = self.route_for_dst(pkt.dst)
         if self.extension is not None and self.extension.on_data(
             pkt, ingress_port, out_port
         ):

@@ -8,17 +8,16 @@ Builders cover every topology in the paper:
 * :func:`build_testbed` — the 1-core / 3-ToR / 6-host testbed (§5.2);
 * :func:`build_dumbbell` — a 2-ToR micro-topology for unit tests.
 
-Routing is hop-count BFS from every destination host; a switch's route
-entry lists all ports on shortest paths (ECMP).  On single-homed
-fabrics an entry is resolved the first time a switch looks it up
-(:class:`_RackRoutes`).  Port *roles* label
-each egress for the paper's per-hop buffer accounting (ToR-Up, Core,
-ToR-Down, Edge-Up, Agg-Down, ...).
+Every host is single-homed.  A switch's route entry for a host lists
+all its ports on shortest paths to the host's ToR (hop-count BFS), and
+the switch picks one of them per destination (ECMP).  An entry is
+resolved the first time a switch looks it up (:class:`_RackRoutes`).
+Port *roles* label each egress for the paper's per-hop buffer
+accounting (ToR-Up, Core, ToR-Down, Edge-Up, Agg-Down, ...).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
@@ -106,96 +105,36 @@ class Topology:
     def compute_routes(self) -> None:
         """Give every switch its BFS/ECMP route entries.
 
-        Single-homed hosts (every built topology): each ToR gets its own
-        hosts now, and every other (switch, host) entry is resolved the
-        first time the switch looks it up (:class:`_RackRoutes`), so
-        the build costs O(hosts) and a run pays for the racks it
-        reaches.  Multi-homed hosts: every entry now, one BFS per
-        destination over a dense integer adjacency (hosts first, then
-        switches).
+        Every host is single-homed: each ToR gets its own hosts now, and
+        every other (switch, host) entry is resolved the first time the
+        switch looks it up (:class:`_RackRoutes`), so the build costs
+        O(hosts) and a run pays for the racks it reaches.
         """
-        if all(len(host.links) == 1 for host in self.hosts):
-            resolver = _RackRoutes(self.switches)
-            n_dsts = max((host.node_id for host in self.hosts), default=-1) + 1
-            for switch in self.switches:
-                switch.reserve_routes(n_dsts)
-                switch.resolve_route = resolver.install
-            for host in self.hosts:
-                link = host.links[0]
-                tor = link.peer_of(host)
-                port = link.peer_port_of(host)
-                tor.set_route(host.node_id, port)
-                tor.connected_hosts[host.node_id] = port  # simcheck: ignore[SIM005] -- build time, before any domain exists
-                resolver.add_host(host.node_id, tor)
-            return
-        n_hosts = len(self.hosts)
-        index_of: Dict[int, int] = {}
-        for i, host in enumerate(self.hosts):
-            index_of[host.node_id] = i
-        for j, switch in enumerate(self.switches):
-            index_of[switch.node_id] = n_hosts + j
-        adj: List[List[Tuple[int, bool]]] = [
-            [] for _ in range(n_hosts + len(self.switches))
-        ]
-        for node in (*self.hosts, *self.switches):
-            entries = adj[index_of[node.node_id]]
-            for link in node.links:
-                peer = link.peer_of(node)
-                entries.append(
-                    (index_of[peer.node_id], isinstance(peer, Switch))
-                )
-        switch_neighbors = [
-            [peer_idx for peer_idx, _ in adj[n_hosts + j]]
-            for j in range(len(self.switches))
-        ]
+        resolver = _RackRoutes(self.switches)
+        n_dsts = max((host.node_id for host in self.hosts), default=-1) + 1
+        for switch in self.switches:
+            switch.reserve_routes(n_dsts)
+            switch.resolve_route = resolver.install
         for host in self.hosts:
-            self._routes_to(
-                host, index_of[host.node_id], adj, switch_neighbors, n_hosts
-            )
-
-    def _routes_to(
-        self,
-        dst: Host,
-        dst_idx: int,
-        adj: List[List[Tuple[int, bool]]],
-        switch_neighbors: List[List[int]],
-        n_hosts: int,
-    ) -> None:
-        dist = [-1] * len(adj)
-        dist[dst_idx] = 0
-        frontier: deque[int] = deque([dst_idx])
-        while frontier:
-            node_idx = frontier.popleft()
-            d = dist[node_idx] + 1
-            for peer_idx, is_switch in adj[node_idx]:
-                if dist[peer_idx] < 0:
-                    dist[peer_idx] = d
-                    # hosts other than dst never forward traffic
-                    if is_switch:
-                        frontier.append(peer_idx)
-        dst_id = dst.node_id
-        for j, neighbor_ids in enumerate(switch_neighbors):
-            my_dist = dist[n_hosts + j]
-            if my_dist < 0:
-                continue  # disconnected from this dst
-            want = my_dist - 1
-            candidates = [
-                idx
-                for idx, peer_idx in enumerate(neighbor_ids)
-                if dist[peer_idx] == want
-            ]
-            if not candidates:
-                continue
-            switch = self.switches[j]
-            if len(candidates) == 1:
-                switch.set_route(dst_id, candidates[0])
-            else:
-                switch.set_route(dst_id, tuple(candidates))
-            if my_dist == 1:
-                switch.connected_hosts[dst_id] = candidates[0]
+            link = host.links[0]
+            tor = link.peer_of(host)
+            port = link.peer_port_of(host)
+            tor.set_route(host.node_id, port)
+            tor.connected_hosts[host.node_id] = port  # simcheck: ignore[SIM005] -- build time, before any domain exists
+            resolver.add_host(host.node_id, tor)
 
     def finalize(self) -> None:
-        """Compute routes, create switch buffers, wire completion; call once."""
+        """Compute routes, create switch buffers, wire completion; call once.
+
+        Raises ``ValueError`` for a host that does not have exactly one
+        link: routing is per-destination ECMP on single-homed racks.
+        """
+        for host in self.hosts:
+            if len(host.links) != 1:
+                raise ValueError(
+                    f"host {host.name} has {len(host.links)} links; every "
+                    f"host must attach to exactly one ToR"
+                )
         self.compute_routes()
         for switch in self.switches:
             switch.finalize()
@@ -248,7 +187,7 @@ class _RackRoutes:
     Every host behind one ToR has the same route at every other switch
     (its distance is its ToR's plus one), so a miss at a switch installs
     that switch's entry for the whole rack: ``set_route`` per host, the
-    candidate tuple and its ``_ecmp_hash`` pick exactly the eager ones.
+    candidate tuple and its per-destination pick exactly the eager ones.
     The candidates are the switch's ports toward a peer one hop nearer
     the rack's ToR; the hop distances come from one BFS over the switch
     graph rooted at the ToR, run the first time any switch asks for the

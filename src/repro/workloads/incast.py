@@ -62,6 +62,8 @@ def periodic_incast(
     same instant; the burst interval is sized so the destination
     host's average offered load equals ``load``.
     """
+    if not senders:
+        raise ValueError("an incast needs at least one sender")
     if dst in senders:
         raise ValueError("the incast destination cannot also be a sender")
     if not 0.0 < load <= 1.0:

@@ -123,7 +123,6 @@ def install_eager_routes(topo) -> None:
     for sw in topo.switches:
         sw.routes = {}
         sw._route_flat = []
-        sw._route_multi = []
         sw.connected_hosts = {}
         sw.resolve_route = None
     compute_routes(topo)

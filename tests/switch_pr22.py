@@ -41,8 +41,8 @@ def receive(self, pkt: Packet, ingress_port: int) -> None:
             out_port = self._route_flat[pkt.dst]
         except IndexError:
             out_port = -1
-        if out_port < 0 or self.per_flow_ecmp:
-            out_port = self.route(pkt)
+        if out_port < 0:
+            out_port = self.route_for_dst(pkt.dst)
         if not is_data:
             # End-to-end control: strictly prioritized, not
             # buffer-accounted (negligible size, never the
@@ -79,7 +79,7 @@ def receive(self, pkt: Packet, ingress_port: int) -> None:
         if self.stats is not None:
             self.stats.record_unclaimed_control()
         return
-    out_port = self.route(pkt)
+    out_port = self.route_for_dst(pkt.dst)
     if self.extension is not None and self.extension.on_data(
         pkt, ingress_port, out_port
     ):

@@ -222,29 +222,13 @@ def test_tail_paths_are_cached_per_rack_and_destination():
     a, b = racks[0][0], racks[0][1]
     dst = racks[1][0]
     fs._tail_cache.clear()
-    pa, hops_a = fs._build_path(a, dst, flow_id=1)
-    pb, hops_b = fs._build_path(b, dst, flow_id=2)
+    pa, hops_a = fs._build_path(a, dst)
+    pb, hops_b = fs._build_path(b, dst)
     # both sources sit behind one ToR: a single shared cache entry,
     # and identical paths past the first (host->ToR) hop
     assert len(fs._tail_cache) == 1
     assert pa[1:] == pb[1:]
     assert hops_a[1:] == hops_b[1:]
-
-
-def test_tail_cache_keys_by_flow_under_per_flow_ecmp():
-    from repro.experiments.scenario import Scenario
-    from repro.flowsim.model import FluidSimulation
-
-    sc = Scenario(tiny_cfg(fidelity="flow", per_flow_ecmp=True))
-    fs = FluidSimulation(sc)
-    rack_of = sc.rack_of()
-    racks = {}
-    for host, rack in sorted(rack_of.items()):
-        racks.setdefault(rack, []).append(host)
-    fs._tail_cache.clear()
-    fs._build_path(racks[0][0], racks[1][0], flow_id=1)
-    fs._build_path(racks[0][0], racks[1][0], flow_id=2)
-    assert len(fs._tail_cache) == 2
 
 
 # -- packet-tier cross traffic in the queueing correction ---------------------

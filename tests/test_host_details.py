@@ -1,4 +1,4 @@
-"""Host transport details: coalescing, pacing, RTO behaviour."""
+"""Host transport details: pacing, RTO behaviour."""
 
 from repro.net.packet import PacketKind
 from repro.telemetry.profile import EngineProfiler
@@ -17,32 +17,6 @@ def acks_seen_by(host) -> list:
 
     host._receive_ack = spy
     return seen
-
-
-class TestAckCoalescing:
-    def test_ack_interval_reduces_ack_count(self):
-        net_every = MiniNet()
-        acks_every = acks_seen_by(net_every.topo.hosts[0])
-        f1 = net_every.flow(1, 0, 4, 40_000)
-        net_every.run(ms(10))
-
-        net_coalesced = MiniNet()
-        for host in net_coalesced.topo.hosts:
-            host.ack_interval = 4
-        acks_coalesced = acks_seen_by(net_coalesced.topo.hosts[0])
-        f2 = net_coalesced.flow(1, 0, 4, 40_000)
-        net_coalesced.run(ms(20))
-
-        assert f1.receiver_done and f2.receiver_done
-        assert len(acks_coalesced) < len(acks_every)
-
-    def test_final_packet_always_acked(self):
-        net = MiniNet()
-        for host in net.topo.hosts:
-            host.ack_interval = 7  # 40 packets not divisible by 7
-        f = net.flow(1, 0, 4, 40_000)
-        net.run(ms(20))
-        assert f.sender_done  # the tail ACK arrived
 
 
 class TestPacing:

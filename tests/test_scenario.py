@@ -99,6 +99,47 @@ class TestConfigResolution:
         assert SanitizerConfig(max_violations=0).max_violations == 0
 
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(swnd_bdp=0.0), "swnd_bdp"),
+            (dict(max_runtime_factor=0.0), "max_runtime_factor"),
+            (dict(duration=-5), "duration"),
+            (dict(hosts_per_tor=-1), "hosts_per_tor"),
+            (dict(poisson_load=-1), "poisson_load"),
+            (dict(incast_load=0.0), "incast_load"),
+            (dict(n_tors=1, hosts_per_tor=4, incast_dst=99), "incast_dst"),
+            (dict(incast_dst=99, pattern="staggered"), "incast_dst"),
+        ],
+    )
+    def test_bad_numeric_fields_fail_before_the_build(self, kwargs, field):
+        # these used to run to a hard stop with nothing done, or raise
+        # KeyError / a generator's anonymous error mid-build
+        with pytest.raises(ValueError, match=field):
+            Scenario(ScenarioConfig(**kwargs))
+
+    @pytest.mark.parametrize("pattern", ["incastmix", "incast"])
+    def test_incast_on_one_rack_is_rejected(self, pattern):
+        # no host outside the destination's rack: the build used to
+        # divide by zero here, or spin forever with incast_fan_in=0
+        cfg = ScenarioConfig(
+            n_tors=1, hosts_per_tor=4, duration=20_000, pattern=pattern,
+            incast_fan_in=4,
+        )
+        with pytest.raises(ValueError, match="one rack"):
+            Scenario(cfg)
+
+    def test_periodic_incast_rejects_no_senders(self):
+        import random
+
+        from repro.workloads.incast import periodic_incast
+
+        # duration 0, so the old loop (interval 0) returns instead of
+        # spinning if the check is ever lost
+        with pytest.raises(ValueError, match="at least one sender"):
+            periodic_incast([], 0, gbps(10), 0, random.Random(1))
+
+
 class TestBuild:
     @pytest.mark.parametrize("cc", ["dcqcn", "dctcp", "timely", "hpcc", "static"])
     def test_all_ccs_build(self, cc):
@@ -216,7 +257,7 @@ def test_config_field_budget():
     from repro.experiments.registry import ScenarioEntry
     from repro.telemetry.registry import TelemetryConfig
 
-    assert len(dataclasses.fields(ScenarioConfig)) == 42
+    assert len(dataclasses.fields(ScenarioConfig)) == 40
     assert len(dataclasses.fields(TelemetryConfig)) == 2
     assert len(dataclasses.fields(ScenarioEntry)) == 6
 

@@ -11,9 +11,8 @@ from repro.units import ms
 class TestRouting:
     def test_unknown_destination_raises(self, leaf_spine):
         sw = leaf_spine.topo.switches[0]
-        pkt = Packet(PacketKind.DATA, 0, 9999, 1000)
         with pytest.raises(KeyError):
-            sw.route(pkt)
+            sw.route_for_dst(9999)
 
     def test_is_last_hop(self, leaf_spine):
         tor = leaf_spine.topo.switches_of_kind("tor")[0]
@@ -84,10 +83,9 @@ class TestFlatRoutes:
         sw.set_route(3, 0)
         sw.set_route(7, 1)
         sw.set_route(9, (0, 1, 2))  # ECMP group
-        for dst in (3, 7, 9):
-            pkt = Packet(PacketKind.DATA, 0, dst, 1000, flow_id=dst)
-            assert sw.route(pkt) == sw._route_slow(dst, pkt.flow_id)
-            assert sw.route_for_dst(dst) == sw._route_slow(dst, None)
+        flat = {dst: sw.route_for_dst(dst) for dst in (3, 7, 9)}
+        sw._route_flat = []  # every lookup now misses into the dict
+        assert {dst: sw.route_for_dst(dst) for dst in (3, 7, 9)} == flat
 
     def test_huge_dst_uses_the_dict_fallback(self):
         sw = self._switch()
@@ -95,8 +93,6 @@ class TestFlatRoutes:
         sw.set_route(big, 2)
         assert len(sw._route_flat) < big
         assert sw.route_for_dst(big) == 2
-        pkt = Packet(PacketKind.DATA, 0, big, 1000, flow_id=1)
-        assert sw.route(pkt) == 2
 
     def test_unknown_dst_still_raises_keyerror(self):
         sw = self._switch()
@@ -104,7 +100,7 @@ class TestFlatRoutes:
         with pytest.raises(KeyError):
             sw.route_for_dst(4)
         with pytest.raises(KeyError):
-            sw.route(Packet(PacketKind.DATA, 0, 99, 1000, flow_id=1))
+            sw.route_for_dst(99)
 
     def test_route_update_overwrites_flat_entry(self):
         sw = self._switch()

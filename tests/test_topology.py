@@ -131,6 +131,40 @@ class TestDumbbell:
         assert left.route_for_dst(1) == left.connected_hosts[1]
 
 
+class TestSingleHomed:
+    @staticmethod
+    def _fabric(n_links: int):
+        from repro.cc.base import StaticWindowCc
+        from repro.net.host import Host
+        from repro.net.switch import Switch
+        from repro.net.topology import SWITCH_ID_BASE, Topology
+        from repro.sim.engine import Simulator
+        from repro.units import gbps, kb, mb
+
+        sim = Simulator()
+        topo = Topology(sim)
+        cc = StaticWindowCc(gbps(10), kb(30))
+        host = Host(sim, 0, "h0", cc, topo.flow_table)
+        topo.hosts.append(host)
+        for i in range(2):
+            sw = Switch(sim, SWITCH_ID_BASE + i, f"tor{i}", mb(1), kind="tor")
+            topo.switches.append(sw)
+            if i < n_links:
+                topo.connect(sw, host, gbps(10), 500)
+        return topo
+
+    def test_one_link_per_host_builds(self):
+        topo = self._fabric(1)
+        topo.finalize()
+        assert topo.switches[0].route_for_dst(0) == 0
+
+    @pytest.mark.parametrize("n_links", [0, 2])
+    def test_finalize_rejects_a_host_without_exactly_one_link(self, n_links):
+        topo = self._fabric(n_links)
+        with pytest.raises(ValueError, match=f"host h0 has {n_links} links"):
+            topo.finalize()
+
+
 class TestFlowRegistration:
     def test_make_flow_registers(self, mini):
         f = mini.topo.make_flow(5, 0, 4, 1000, 0)
