@@ -14,7 +14,6 @@ __getattr__, __dir__, __all__ = exports(
         "flow": ("Flow",),
         "base": ("CcAlgorithm", "StaticWindowCc"),
         "dcqcn": ("Dcqcn", "DcqcnConfig"),
-        "dctcp": ("Dctcp", "DctcpConfig"),
         "timely": ("Timely", "TimelyConfig"),
         "hpcc": ("Hpcc", "HpccConfig"),
     },

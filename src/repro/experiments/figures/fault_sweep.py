@@ -8,8 +8,8 @@ BFC, NDP) with a grid of fault types x loss rates from
   switch-to-switch link, data and control frames independently (the
   Fig. 12 hazard, but hitting every scheme's control plane: credits,
   PFC PAUSE frames, NDP pulls);
-* ``burst-loss`` — a total blackout window on one core link whose
-  length scales with *r*;
+* ``burst-loss`` — a total blackout window (``RandomLoss`` at rate 1)
+  on one core link whose length scales with *r*;
 * ``link-flap`` — one core link goes down mid-run (in-flight packets
   dropped) and comes back after a window scaling with *r*;
 * ``corruption`` — packets delivered but failing their integrity
@@ -32,13 +32,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
-from repro.faults.plan import (
-    BurstLoss,
-    Corruption,
-    FaultPlan,
-    LinkDown,
-    RandomLoss,
-)
+from repro.faults.plan import Corruption, FaultPlan, LinkDown, RandomLoss
 from repro.units import us
 
 if TYPE_CHECKING:
@@ -78,17 +72,15 @@ def plan_for(kind: str, rate: float, duration: int) -> FaultPlan:
             start=0, link="switch-switch", data_rate=rate, ctrl_rate=rate
         )
     elif kind == "burst-loss":
-        fault = BurstLoss(
-            at=duration // 4,
+        fault = RandomLoss(
+            start=duration // 4,
             link=FAULTED_LINK,
             duration=window,
             data_rate=1.0,
             ctrl_rate=1.0,
         )
     elif kind == "link-flap":
-        fault = LinkDown(
-            at=duration // 4, link=FAULTED_LINK, duration=window, mode="drop"
-        )
+        fault = LinkDown(at=duration // 4, link=FAULTED_LINK, duration=window)
     elif kind == "corruption":
         fault = Corruption(start=0, link="switch-switch", rate=rate)
     else:

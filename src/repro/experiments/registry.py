@@ -126,7 +126,6 @@ def _rpc_fanout_config() -> ScenarioConfig:
             n_clients=8,
             fan_out=8,
             think_time=us(20),
-            server_selection="zipf",
             zipf_alpha=1.2,
         ),
         flow_control="floodgate",

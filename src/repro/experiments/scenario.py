@@ -70,7 +70,7 @@ class Scale(str, Enum):
 #: construction, not silently run a default (``FLOW_CONTROLS`` is
 #: imported from :mod:`repro.experiments.choices`)
 _VALID_TOPOLOGIES = ("leaf-spine", "fat-tree", "testbed", "dumbbell")
-_VALID_CC = ("dcqcn", "dctcp", "timely", "hpcc", "static")
+_VALID_CC = ("dcqcn", "timely", "hpcc", "static")
 _VALID_PATTERNS = (
     "incastmix", "poisson", "incast", "successive", "staggered", "rpc", "none",
 )
@@ -87,6 +87,7 @@ _FLOODGATE_DERIVED = {
     "thre_credit_bytes": "set delay_credit_bdp (the threshold in base-BDP units)",
     "thre_off_bytes": "the dstPause off threshold is one base BDP (§4.3)",
     "thre_on_bytes": "the dstPause on threshold is half a base BDP (§4.3)",
+    "per_dst_pause": "set ScenarioConfig.per_dst_pause",
 }
 
 
@@ -129,7 +130,7 @@ class ScenarioConfig:
     buffer_bytes: int = 0         # 0 -> scale default
 
     # --- protocol stack ------------------------------------------------------
-    cc: str = "dcqcn"             # dcqcn | dctcp | timely | hpcc | static
+    cc: str = "dcqcn"             # dcqcn | timely | hpcc | static
     flow_control: str = "none"    # none | floodgate | floodgate-ideal |
     #                               bfc | pfc-tag | ndp
     per_dst_pause: bool = False
@@ -227,6 +228,13 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
+        if self.topology == "fat-tree" and (
+            self.fat_tree_k <= 0 or self.fat_tree_k % 2
+        ):
+            raise ValueError(
+                f"fat_tree_k must be a positive even number, "
+                f"got {self.fat_tree_k!r}"
+            )
         if not 0.0 < self.poisson_load < 1.5:
             raise ValueError(
                 f"poisson_load must be in (0, 1.5), got {self.poisson_load!r}"
@@ -383,8 +391,8 @@ def reference_config(
 
 def _check_fabric(cfg: ScenarioConfig) -> None:
     """Reject what only the resolved fabric size decides, before the
-    build: an ``incast_dst`` that is not a host, and an incast with no
-    host outside the destination's rack."""
+    build: more rpc clients than hosts, an ``incast_dst`` that is not a
+    host, and an incast with no host outside the destination's rack."""
     if cfg.topology == "leaf-spine":
         racks, hosts = cfg.n_tors, cfg.n_tors * cfg.hosts_per_tor
     elif cfg.topology == "fat-tree":
@@ -394,6 +402,11 @@ def _check_fabric(cfg: ScenarioConfig) -> None:
         racks, hosts = 3, 6  # build_testbed's fixed 3 ToRs x 2 hosts
     else:
         racks, hosts = 2, 2 * max(cfg.hosts_per_tor, 2)  # dumbbell
+    if cfg.rpc is not None and cfg.rpc.n_clients > hosts:
+        raise ValueError(
+            f"rpc.n_clients {cfg.rpc.n_clients} exceeds the {hosts} hosts "
+            f"of the {cfg.topology} fabric"
+        )
     if cfg.pattern not in ("incastmix", "incast", "staggered"):
         return  # the patterns that aim traffic at incast_dst
     if cfg.incast_dst >= hosts:
@@ -539,7 +552,7 @@ class Scenario:
     ) -> Switch:
         cfg = self.config
         ecn = None
-        if cfg.cc in ("dcqcn", "dctcp", "hpcc"):
+        if cfg.cc in ("dcqcn", "hpcc"):
             kmin = cfg.ecn_kmin or self._default_kmin()
             kmax = cfg.ecn_kmax or 4 * kmin
             ecn = EcnMarker(
@@ -623,12 +636,6 @@ class Scenario:
         swnd = max(int(cfg.swnd_bdp * self.base_bdp), 2_000)
         if cfg.cc == "dcqcn":
             return Dcqcn(cfg.host_bandwidth, swnd, DcqcnConfig())
-        if cfg.cc == "dctcp":
-            from repro.cc.dctcp import Dctcp, DctcpConfig
-
-            return Dctcp(
-                cfg.host_bandwidth, swnd, DctcpConfig(base_rtt=self.base_rtt)
-            )
         if cfg.cc == "timely":
             from repro.cc.timely import Timely, TimelyConfig
 
@@ -662,11 +669,7 @@ class Scenario:
             base = FloodgateConfig()
         multiple = cfg.delay_credit_bdp or (2.0 if ci else 10.0)
         base = base.with_base_bdp(self.base_bdp, multiple)
-        return replace(
-            base,
-            ideal=ideal,
-            per_dst_pause=cfg.per_dst_pause or (ideal and base.per_dst_pause),
-        )
+        return replace(base, ideal=ideal, per_dst_pause=cfg.per_dst_pause)
 
     def _install_flow_control(self) -> None:
         cfg = self.config
@@ -776,21 +779,7 @@ class Scenario:
         elif cfg.pattern == "rpc":
             from repro.rpc.driver import ClosedLoopDriver
 
-            spec = cfg.rpc
-            first_flow_id = 0
-            if spec.background_load > 0.0:
-                gen = PoissonGenerator(
-                    dist,
-                    hosts,
-                    cfg.host_bandwidth,
-                    spec.background_load,
-                    rng,
-                )
-                self.flows = gen.generate(cfg.duration)
-                first_flow_id = gen.next_flow_id
-            self.rpc_driver = ClosedLoopDriver(
-                self, spec, first_flow_id=first_flow_id
-            )
+            self.rpc_driver = ClosedLoopDriver(self, cfg.rpc)
             self.rpc_driver.attach()
         elif cfg.pattern in ("incast", "successive"):
             if cfg.pattern == "incast":

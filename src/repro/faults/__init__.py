@@ -2,7 +2,7 @@
 
 Quick tour::
 
-    from repro.faults import BurstLoss, FaultPlan, LinkDown, RandomLoss
+    from repro.faults import FaultPlan, LinkDown, RandomLoss
 
     plan = FaultPlan(
         faults=(
@@ -30,14 +30,10 @@ __getattr__, __dir__, __all__ = exports(
         "plan": (
             "CLASS_CTRL",
             "CLASS_DATA",
-            "MODE_DRAIN",
-            "MODE_DROP",
-            "BurstLoss",
             "Corruption",
             "FaultPlan",
             "FaultSpec",
             "LinkDown",
-            "PortDegrade",
             "RandomLoss",
             "plan_of",
         ),

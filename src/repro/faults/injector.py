@@ -16,15 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.faults.plan import (
-    MODE_DROP,
-    BurstLoss,
-    Corruption,
-    FaultPlan,
-    LinkDown,
-    PortDegrade,
-    RandomLoss,
-)
+from repro.faults.plan import Corruption, FaultPlan, LinkDown, RandomLoss
 from repro.net.packet import PacketKind
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
@@ -33,7 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.link import Link
     from repro.net.node import Node
     from repro.net.packet import Packet
-    from repro.net.port import EgressPort
     from repro.net.topology import Topology
     from repro.stats.collector import StatsHub
 
@@ -88,9 +79,8 @@ class LinkFaultState:
     """Live fault state for one link (installed as ``link.fault``).
 
     Holds the link's current effective loss/corruption rates (the
-    composition of every active window), down/flap state, and added
-    latency.  ``transmit`` replaces the tail of ``Link.deliver`` while
-    installed.
+    composition of every active window) and down/flap state.
+    ``transmit`` replaces the tail of ``Link.deliver`` while installed.
     """
 
     __slots__ = (
@@ -103,11 +93,9 @@ class LinkFaultState:
         "_data_loss_rates",
         "_ctrl_loss_rates",
         "_corrupt_rates",
-        "_extra_delays",
         "data_loss",
         "ctrl_loss",
         "corrupt_rate",
-        "extra_delay",
         "injected_drops_data",
         "injected_drops_ctrl",
         "injected_drops_credit",
@@ -126,18 +114,16 @@ class LinkFaultState:
         self.rng = rng
         self.stats = stats
         self.down = False
-        #: route arrivals through a guard so a drop-mode LinkDown can
-        #: kill packets already in flight (set once at install time so
-        #: the event pattern never depends on fault timing)
+        #: route arrivals through a guard so a LinkDown can kill
+        #: packets already in flight (set once at install time so the
+        #: event pattern never depends on fault timing)
         self.guard_arrivals = False
         self._data_loss_rates: List[float] = []
         self._ctrl_loss_rates: List[float] = []
         self._corrupt_rates: List[float] = []
-        self._extra_delays: List[int] = []
         self.data_loss = 0.0
         self.ctrl_loss = 0.0
         self.corrupt_rate = 0.0
-        self.extra_delay = 0
         self.injected_drops_data = 0
         self.injected_drops_ctrl = 0
         #: subset of the ctrl drops that were Floodgate CREDIT frames
@@ -175,19 +161,10 @@ class LinkFaultState:
         self._corrupt_rates.remove(rate)
         self.corrupt_rate = self._combine(self._corrupt_rates)
 
-    def add_delay(self, extra: int) -> None:
-        self._extra_delays.append(extra)
-        self.extra_delay = sum(self._extra_delays)
-
-    def remove_delay(self, extra: int) -> None:
-        self._extra_delays.remove(extra)
-        self.extra_delay = sum(self._extra_delays)
-
-    def set_down(self, drop_in_flight: bool) -> None:
+    def set_down(self) -> None:
+        # in-flight arrivals are filtered by _arrive; guard_arrivals
+        # was latched at install time
         self.down = True
-        # drop-mode arrivals are filtered by _arrive; guard_arrivals
-        # was already latched at install time
-        assert not drop_in_flight or self.guard_arrivals
 
     def set_up(self) -> None:
         self.down = False
@@ -212,7 +189,7 @@ class LinkFaultState:
         elif self.ctrl_loss > 0.0 and self.rng.random() < self.ctrl_loss:
             self._count_drop(pkt.kind)
             return
-        delay = self.link.delay + self.extra_delay
+        delay = self.link.delay
         if self.guard_arrivals:
             self.sim.schedule_call(delay, self._arrive, pkt, peer, peer_port)
         else:
@@ -222,7 +199,7 @@ class LinkFaultState:
             self.sim.schedule_call(delay, peer.receive, pkt, peer_port)  # simcheck: ignore[SIM007] -- intra-domain by validation; boundary fault plans are rejected
 
     def _arrive(self, pkt: "Packet", peer: "Node", peer_port: int) -> None:
-        """Arrival guard: a drop-mode outage kills packets in flight."""
+        """Arrival guard: an outage kills packets in flight."""
         if self.down:
             self._count_drop(pkt.kind)
             return
@@ -257,8 +234,6 @@ class FaultInjector:
         self.stats = stats
         #: link -> its fault state (shared by all faults naming it)
         self.states: Dict[int, LinkFaultState] = {}
-        #: port -> [baseline_bandwidth, active rate factors]
-        self._port_rates: Dict["EgressPort", List] = {}
         self.installed = False
         self.flaps_scheduled = 0
 
@@ -302,25 +277,22 @@ class FaultInjector:
         for spec in self.plan.faults:
             links = match_links(spec.link, self.topology)
             if isinstance(spec, LinkDown):
-                drop = spec.mode == MODE_DROP
                 for link in links:
                     at = self._at_for(link)
                     state = self._state_for(link)
-                    if drop:
-                        state.guard_arrivals = True
-                    at(spec.at, state.set_down, drop)
+                    state.guard_arrivals = True
+                    at(spec.at, state.set_down)
                     if spec.duration > 0:
                         at(spec.at + spec.duration, state.set_up)
                     self.flaps_scheduled += 1
-            elif isinstance(spec, (RandomLoss, BurstLoss)):
-                start = spec.at if isinstance(spec, BurstLoss) else spec.start
+            elif isinstance(spec, RandomLoss):
                 for link in links:
                     at = self._at_for(link)
                     state = self._state_for(link)
-                    at(start, state.add_loss, spec.data_rate, spec.ctrl_rate)
+                    at(spec.start, state.add_loss, spec.data_rate, spec.ctrl_rate)
                     if spec.duration > 0:
                         at(
-                            start + spec.duration,
+                            spec.start + spec.duration,
                             state.remove_loss,
                             spec.data_rate,
                             spec.ctrl_rate,
@@ -336,64 +308,8 @@ class FaultInjector:
                             state.remove_corruption,
                             spec.rate,
                         )
-            elif isinstance(spec, PortDegrade):
-                for link in links:
-                    at = self._at_for(link)
-                    if spec.extra_delay:
-                        state = self._state_for(link)
-                        at(spec.at, state.add_delay, spec.extra_delay)
-                        if spec.duration > 0:
-                            at(
-                                spec.at + spec.duration,
-                                state.remove_delay,
-                                spec.extra_delay,
-                            )
-                    if spec.rate_factor < 1.0:
-                        for port in self._ports_of(link):
-                            at(spec.at, self._scale_port, port, spec.rate_factor)
-                            if spec.duration > 0:
-                                at(
-                                    spec.at + spec.duration,
-                                    self._unscale_port,
-                                    port,
-                                    spec.rate_factor,
-                                )
             else:  # pragma: no cover - plan validation rejects these
                 raise TypeError(f"unhandled fault spec {spec!r}")
-
-    def _ports_of(self, link: "Link") -> List["EgressPort"]:
-        return [
-            link.node_a.ports[link.port_a],
-            link.node_b.ports[link.port_b],
-        ]
-
-    # -- port-rate transitions ---------------------------------------------------
-
-    def _scale_port(self, port: "EgressPort", factor: float) -> None:
-        cell = self._port_rates.get(port)
-        if cell is None:
-            cell = [port.bandwidth, []]
-            self._port_rates[port] = cell
-        cell[1].append(factor)
-        self._apply_rate(port, cell)
-
-    def _unscale_port(self, port: "EgressPort", factor: float) -> None:
-        cell = self._port_rates[port]
-        cell[1].remove(factor)
-        self._apply_rate(port, cell)
-        # a restored port may have packets waiting behind the slow rate
-        port.kick()
-
-    @staticmethod
-    def _apply_rate(port: "EgressPort", cell: List) -> None:
-        baseline, factors = cell
-        rate = baseline
-        for f in factors:
-            rate *= f
-        # set_bandwidth invalidates the port's memoized serialization
-        # delays — without that, a degraded port would keep serializing
-        # at the rate its delay table was built for
-        port.set_bandwidth(rate)
 
     # -- reporting ----------------------------------------------------------------
 

@@ -39,10 +39,6 @@ from typing import Tuple, Union, get_args
 CLASS_DATA = "data"
 CLASS_CTRL = "ctrl"
 
-#: link-down semantics for packets already on the wire
-MODE_DRAIN = "drain"  # in-flight packets are delivered
-MODE_DROP = "drop"    # in-flight packets die with the link
-
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
@@ -57,25 +53,18 @@ def _check_rate(name: str, rate: float) -> None:
 class LinkDown:
     """Take a link down at ``at``; back up after ``duration`` (0 = forever).
 
-    ``mode`` picks what happens to packets in flight when the link
-    dies: ``"drain"`` delivers them (fiber cut after the last bit
-    left), ``"drop"`` discards them at their would-be arrival time
-    (both deterministic — no RNG draw is involved).
+    Packets in flight when the link dies die with it, at their would-be
+    arrival time (deterministic — no RNG draw is involved).
     """
 
     kind: str = field(default="link-down", init=False)
     at: int = 0
     link: str = "*"
     duration: int = 0
-    mode: str = MODE_DRAIN
 
     def __post_init__(self) -> None:
         _require(self.at >= 0, f"at must be >= 0, got {self.at}")
         _require(self.duration >= 0, f"duration must be >= 0, got {self.duration}")
-        _require(
-            self.mode in (MODE_DRAIN, MODE_DROP),
-            f"mode must be 'drain' or 'drop', got {self.mode!r}",
-        )
 
 
 @dataclass(frozen=True)
@@ -84,7 +73,9 @@ class RandomLoss:
 
     Data packets and control frames (credits, PAUSE/RESUME, ACKs, ...)
     are independent classes: ``ctrl_rate`` can starve Floodgate credits
-    or PFC frames while payload flows untouched, and vice versa.
+    or PFC frames while payload flows untouched, and vice versa.  A
+    rate of 1.0 over a short window is a loss burst (an optical
+    glitch).
     """
 
     kind: str = field(default="random-loss", init=False)
@@ -97,30 +88,6 @@ class RandomLoss:
     def __post_init__(self) -> None:
         _require(self.start >= 0, f"start must be >= 0, got {self.start}")
         _require(self.duration >= 0, f"duration must be >= 0, got {self.duration}")
-        _check_rate("data_rate", self.data_rate)
-        _check_rate("ctrl_rate", self.ctrl_rate)
-
-
-@dataclass(frozen=True)
-class BurstLoss:
-    """A loss burst: everything (per class) dies inside the window.
-
-    Semantically ``RandomLoss`` with rate 1.0, kept as its own kind so
-    a plan reads as what it models (a microburst of loss, e.g. an
-    optical glitch), and so sweeps can vary burst placement without
-    touching rates.
-    """
-
-    kind: str = field(default="burst-loss", init=False)
-    at: int = 0
-    link: str = "switch-switch"
-    duration: int = 10_000
-    data_rate: float = 1.0
-    ctrl_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        _require(self.at >= 0, f"at must be >= 0, got {self.at}")
-        _require(self.duration > 0, f"duration must be > 0, got {self.duration}")
         _check_rate("data_rate", self.data_rate)
         _check_rate("ctrl_rate", self.ctrl_rate)
 
@@ -148,37 +115,7 @@ class Corruption:
         _check_rate("rate", self.rate)
 
 
-@dataclass(frozen=True)
-class PortDegrade:
-    """Degrade a link: scale its egress rate and/or add latency.
-
-    ``rate_factor`` multiplies the egress bandwidth of both endpoint
-    ports (0.25 = the link runs at a quarter speed); ``extra_delay``
-    adds propagation latency in ns.  Overlapping degradations compose
-    (factors multiply, delays add) and restore cleanly when they end.
-    """
-
-    kind: str = field(default="port-degrade", init=False)
-    at: int = 0
-    link: str = "*"
-    duration: int = 0
-    rate_factor: float = 1.0
-    extra_delay: int = 0
-
-    def __post_init__(self) -> None:
-        _require(self.at >= 0, f"at must be >= 0, got {self.at}")
-        _require(self.duration >= 0, f"duration must be >= 0, got {self.duration}")
-        _require(
-            0.0 < self.rate_factor <= 1.0,
-            f"rate_factor must be in (0, 1], got {self.rate_factor}",
-        )
-        _require(
-            self.extra_delay >= 0,
-            f"extra_delay must be >= 0, got {self.extra_delay}",
-        )
-
-
-FaultSpec = Union[LinkDown, RandomLoss, BurstLoss, Corruption, PortDegrade]
+FaultSpec = Union[LinkDown, RandomLoss, Corruption]
 
 
 @dataclass(frozen=True)

@@ -43,22 +43,26 @@ class FloodgateConfig:
     loss_recovery: bool = True
     #: switchSYN probe timeout, ns ("a relatively large timeout")
     syn_timeout: int = us(100)
-    #: credit-regeneration guard: when > 0 (ns), a downstream switch
-    #: that has emitted no credit toward an (ingress port, dst) for
-    #: this long re-sends a count-0 credit echoing the last forwarded
-    #: PSN, so a *dropped* credit cannot strand the upstream VOQ
-    #: forever (the upstream heals its window via PSN reconcile).
-    #: 0 disables the guard (default — keeps fault-free runs
-    #: bit-identical with earlier versions).  Practical design only.
-    credit_regen_timeout: int = 0
-    #: max consecutive regenerations per (port, dst) with no new
-    #: forwarding activity in between; bounds idle control traffic
-    credit_regen_limit: int = 3
     #: ablation: when False, VOQ-drained (incast) packets re-enter the
     #: normal egress queue instead of the dedicated lowest-priority
     #: queue — removing the isolation that protects non-incast traffic
     #: from HOL blocking (§3.2 "incast isolation")
     isolate_incast: bool = True
+
+    def __post_init__(self) -> None:
+        """Reject values the extension would only trip over mid-build."""
+        for name in ("credit_timer", "syn_timeout", "m", "max_voqs"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(
+                    f"floodgate.{name} must be positive, got {value!r}"
+                )
+        for name in ("thre_credit_bytes", "thre_off_bytes", "thre_on_bytes"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(
+                    f"floodgate.{name} must not be negative, got {value!r}"
+                )
 
     def with_base_bdp(
         self, bdp_bytes: int, credit_multiple: float = 10.0

@@ -8,19 +8,9 @@ destination's VOQ backlog exceeds the *delayCredit* threshold, in
 which case the credits stay owed until the backlog drains (avoiding
 "unnecessary buffer buildup" upstream).
 
-Credits echo the highest PSN forwarded for loss recovery (§4.3).
-
-Credit regeneration (fault tolerance): credits ride a lossy network,
-and a credit dropped by a fault would leave the upstream window
-permanently tight — the upstream's switchSYN probe covers the case
-where it *knows* packets are unaccounted, but a credit lost after the
-SYN exchange still strands the VOQ.  With
-``credit_regen_timeout > 0`` the scheduler re-emits a count-0 credit
-carrying the last forwarded PSN whenever an (ingress port, dst) pair
-has been credit-silent for that long; the upstream reconciles against
-the PSN and recovers the window.  At most ``credit_regen_limit``
-consecutive regenerations are sent per pair with no forwarding
-activity in between, so an idle fabric quiesces.
+Credits echo the highest PSN forwarded for loss recovery (§4.3): a
+credit lost on the wire is healed by the upstream's switchSYN probe,
+which this side answers with that PSN.
 """
 
 from __future__ import annotations
@@ -64,17 +54,6 @@ class CreditScheduler:
         self._timers: Dict[int, PeriodicTask] = {}
         self.credits_sent = 0
         self.credits_delayed = 0
-        # -- regeneration guard (practical design only) -------------------
-        self._regen_enabled = (
-            not config.ideal and config.credit_regen_timeout > 0
-        )
-        #: sim time of the last credit emitted per (port, dst)
-        self._last_emit: Dict[tuple[int, int], int] = {}
-        #: consecutive idle regenerations per port: {dst: count}, only
-        #: with regeneration on; a dst leaves the table once it hits
-        #: credit_regen_limit
-        self._regen_pending: Dict[int, Dict[int, int]] = {}
-        self.credits_regenerated = 0
 
     def watch_port(self, port: int) -> None:
         """Enable credit generation toward the peer on ``port``.
@@ -87,8 +66,6 @@ class CreditScheduler:
         """
         self.owed.setdefault(port, {})
         self.last_fwd_psn.setdefault(port, {})
-        if self._regen_enabled:
-            self._regen_pending.setdefault(port, {})
         if not self.config.ideal and port not in self._timers:
             self._timers[port] = PeriodicTask(
                 self.sim, self.config.credit_timer, self._tick, port
@@ -103,7 +80,6 @@ class CreditScheduler:
         return {
             "credits_sent": self.credits_sent,
             "credits_delayed": self.credits_delayed,
-            "credits_regenerated": self.credits_regenerated,
         }
 
     # -- switchSYN ----------------------------------------------------------------
@@ -116,8 +92,6 @@ class CreditScheduler:
         count = table.pop(dst, 0) if table is not None else 0
         self.send_fn(in_port, dst, count, psn)
         self.credits_sent += 1
-        if self._regen_enabled:
-            self._last_emit[(in_port, dst)] = self.sim.now
 
     # -- timer ------------------------------------------------------------------------
 
@@ -131,48 +105,10 @@ class CreditScheduler:
                     flushable.append(dst)
                 else:
                     self.credits_delayed += 1
-            now = self.sim.now
             forwarded = self.last_fwd_psn[port]
             for dst in flushable:
                 count = table.pop(dst)
                 self.send_fn(port, dst, count, forwarded.get(dst, -1))
                 self.credits_sent += 1
-                if self._regen_enabled:
-                    self._last_emit[(port, dst)] = now
-        if self._regen_enabled and self._regenerate(port):
-            return  # regeneration still pending: keep the timer alive
         if not table:
             self._timers[port].stop()
-
-    def _regenerate(self, port: int) -> bool:
-        """Re-emit count-0 credits for credit-silent pairs.
-
-        Returns True while any pair on ``port`` still has regeneration
-        budget, so the caller keeps the per-port timer running even
-        with no owed credits.
-        """
-        pending = self._regen_pending.get(port)
-        if not pending:
-            return False
-        now = self.sim.now
-        timeout = self.config.credit_regen_timeout
-        limit = self.config.credit_regen_limit
-        owed = self.owed.get(port) or {}
-        forwarded = self.last_fwd_psn[port]
-        exhausted: List[int] = []
-        for dst, idle in pending.items():
-            if dst in owed:
-                continue  # credits owed: the flush path covers this dst
-            key = (port, dst)
-            if now - self._last_emit.get(key, -timeout - 1) < timeout:
-                continue
-            self.send_fn(port, dst, 0, forwarded.get(dst, -1))
-            self.credits_sent += 1
-            self.credits_regenerated += 1
-            self._last_emit[key] = now
-            pending[dst] = idle + 1
-            if pending[dst] >= limit:
-                exhausted.append(dst)
-        for dst in exhausted:
-            del pending[dst]
-        return bool(pending)

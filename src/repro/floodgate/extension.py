@@ -211,8 +211,7 @@ class FloodgateExtension(SwitchExtension):
 
         The scheduler's per-port tables say which design runs: the
         ideal one has no timer and returns the credit now; the
-        practical one owes it until the port's timer fires, and with
-        regeneration on, re-arms the pair's regeneration budget.
+        practical one owes it until the port's timer fires.
         """
         # hosts keep no window (§3.2): only switch-facing ingress ports
         # are watched, and only they are owed credits
@@ -232,9 +231,6 @@ class FloodgateExtension(SwitchExtension):
             credits.credits_sent += 1
             return
         owed[dst] = owed.get(dst, 0) + 1
-        pending = credits._regen_pending.get(in_port)
-        if pending is not None:
-            pending[dst] = 0
         if not timer.running:
             # Stagger the phase by port index so a switch's ports do
             # not all emit credit bursts in the same instant.

@@ -1,6 +1,6 @@
 """RED/ECN marking.
 
-Implements the marking curve DCQCN (and DCTCP) assume at switch egress
+Implements the marking curve DCQCN assumes at switch egress
 queues: below ``kmin`` never mark, above ``kmax`` always mark, and
 between the two mark with probability rising linearly to ``pmax``.
 The paper's convergence study (Fig. 16) sweeps ``(kmin, kmax)``, so the

@@ -72,8 +72,7 @@ class Host(Node):
         #: optional SimSanitizer back-reference (repro.simcheck); None
         #: on unsanitized runs, so control paths pay one is-None check
         self.sanitizer = None
-        #: emit DCQCN CNPs on marked arrivals (off for DCTCP-style CC,
-        #: which reads the ECN echo on ACKs instead)
+        #: emit DCQCN CNPs on marked arrivals (off for the other CC laws)
         self.cnp_enabled = True
         #: fired once per flow when the last byte arrives; the topology
         #: wires this to its completion counter so runners can check
@@ -317,8 +316,6 @@ class Host(Node):
         ack.seq = flow.expected_seq
         ack.echo_time = data_pkt.sent_time
         ack.int_records = data_pkt.int_records
-        # ECN echo (DCTCP-style controllers read it; others ignore it)
-        ack.ecn_marked = data_pkt.ecn_marked
         self.ports[0].enqueue_control(ack)
 
     def _receive_ack(self, pkt: Packet) -> None:

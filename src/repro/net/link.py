@@ -8,8 +8,8 @@ serialization ends — only where the delivery is decided then: the
 
 The ``fault`` slot is the one loss mechanism: installed per link by
 :class:`repro.faults.injector.FaultInjector` when a scenario carries a
-:class:`~repro.faults.plan.FaultPlan` — scheduled outages, Bernoulli,
-bursty and class-split loss, corruption, and degradation.  Unfaulted
+:class:`~repro.faults.plan.FaultPlan` — scheduled outages, Bernoulli
+and class-split loss (bursts included), and corruption.  Unfaulted
 links pay one ``is None`` check per transmission.
 """
 

@@ -146,30 +146,11 @@ class EgressPort:
 
     @property
     def bandwidth(self) -> float:
-        """Current egress rate, bits/s (see :meth:`set_bandwidth`)."""
+        """Egress rate, bits/s (the link's, fixed for the port's life)."""
         return self._bandwidth
 
-    @bandwidth.setter
-    def bandwidth(self, value: float) -> None:
-        self.set_bandwidth(value)
-
-    def set_bandwidth(self, value: float) -> None:
-        """Change the egress rate and rebuild the delay table.
-
-        The single invalidation path shared by construction, fault
-        injection (``PortDegrade`` rate scaling), and any future rate
-        changes: the memoized per-size serialization delays are only
-        valid for the rate they were computed at, so a stale table
-        would keep a degraded port serializing at full speed.
-        """
-        if value <= 0:
-            raise ValueError(f"bandwidth must be positive, got {value}")
-        if value != self._bandwidth:
-            self._bandwidth = value
-            self._delay_table.clear()
-
     def serialization_delay_of(self, size: int) -> int:
-        """Memoized wire time for ``size`` bytes at the current rate."""
+        """Memoized wire time for ``size`` bytes."""
         delay = self._delay_table.get(size)
         if delay is None:
             delay = int(round(size * 8 * SEC / self._bandwidth))

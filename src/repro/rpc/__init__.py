@@ -6,7 +6,7 @@ responses are the incast.  This package models that loop directly:
 
 * :class:`RpcWorkloadSpec` — declarative, serializable description of
   the client population, think times, fan-out, sizes, and the skewed
-  destination matrix (Zipf over racks with a locality knob);
+  destination matrix (Zipf over racks);
 * :class:`DestinationMatrix` — deterministic server sampling;
 * :class:`ClosedLoopDriver` — injects flows reactively off flow
   completion callbacks on either fidelity tier, so offered load

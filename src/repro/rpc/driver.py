@@ -5,7 +5,7 @@ hook both fidelity tiers fire when a flow's last byte reaches its
 destination — and turns flow completions into application progress:
 
 * a **request** flow completing at a server schedules that shard's
-  response after the configured service time;
+  response at the delivery instant;
 * a **response** flow completing back at the client decrements the
   request's fan-in count; when the last response lands, the request
   latency is recorded and the client schedules its next request after
@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.rpc.matrix import DestinationMatrix
 from repro.rpc.spec import RpcWorkloadSpec
 from repro.stats.rpc import RpcRecord
-from repro.workloads.distributions import WORKLOADS
 
 #: pending-flow roles (identity-compared in the dispatch hot path)
 _REQUEST = "request"
@@ -64,28 +63,16 @@ class _Request:
 class ClosedLoopDriver:
     """Injects request/response flows reactively on either fidelity tier."""
 
-    def __init__(
-        self,
-        scenario,
-        spec: RpcWorkloadSpec,
-        first_flow_id: int = 0,
-    ) -> None:
+    def __init__(self, scenario, spec: RpcWorkloadSpec) -> None:
         self.scenario = scenario
         self.sim = scenario.sim
         self.topology = scenario.topology
         self.stats = scenario.stats
         self.spec = spec
         self.gen_end = scenario.config.duration
-        self._response_dist = (
-            WORKLOADS[spec.response_workload] if spec.response_workload else None
-        )
         host_ids = [h.node_id for h in self.topology.hosts]
+        # (Scenario's _check_fabric caps n_clients at the host count)
         n = spec.n_clients or len(host_ids)
-        if n > len(host_ids):
-            raise ValueError(
-                f"n_clients={n} exceeds the {len(host_ids)} hosts in the "
-                f"topology; shrink the client population or grow the fabric"
-            )
         # spread clients evenly over the host id space -> across racks
         picked = [host_ids[i * len(host_ids) // n] for i in range(n)]
         self.clients: Dict[int, _Client] = {
@@ -101,7 +88,6 @@ class ClosedLoopDriver:
         #: between a serial run and a sharded run even when every
         #: client's behavior is identical
         self._n_clients = len(picked)
-        self._first_flow_id = first_flow_id
         #: flow id -> (role, request, response_size, slot) for flows we
         #: own; ``slot`` is the shard index within the request's fan-out
         self._pending_flow: Dict[int, Tuple[str, _Request, int, int]] = {}
@@ -147,19 +133,16 @@ class ClosedLoopDriver:
     # -- the loop ----------------------------------------------------------
 
     def _think(self, client: _Client) -> int:
-        """One think-time draw, ns (relative delay)."""
+        """One exponential think-time draw, ns (relative delay)."""
         mean = self.spec.think_time
         if mean <= 0:
             return 0
-        if self.spec.think_distribution == "constant":
-            return mean
         return int(client.rng.expovariate(1.0 / mean))
 
     def _issue(self, client: _Client) -> None:
         spec = self.spec
         now = self.topology.hosts[client.host_id].sim.now
-        cap = spec.requests_per_client
-        if now >= self.gen_end or (cap and client.requests_done >= cap):
+        if now >= self.gen_end:
             self._live_clients -= 1
             return
         client.requests_done += 1
@@ -171,7 +154,7 @@ class ClosedLoopDriver:
         servers = self.matrix.sample_servers(rng, client.host_id, spec.fan_out)
         flows = []
         for slot, server in enumerate(servers):
-            resp_size = self._response_size(rng)
+            resp_size = rng.randint(spec.response_size_min, spec.response_size_max)
             flow = self.topology.make_flow(
                 self._flow_id(request_id, slot),
                 client.host_id,
@@ -183,13 +166,6 @@ class ClosedLoopDriver:
             flows.append(flow)
         self._start_flows(flows)
 
-    def _response_size(self, rng: random.Random) -> int:
-        if self._response_dist is not None:
-            return self._response_dist.sample(rng)
-        return rng.randint(
-            self.spec.response_size_min, self.spec.response_size_max
-        )
-
     def _flow_id(self, request_id: int, slot: int) -> int:
         """Deterministic flow id: 2*fan_out ids per request.
 
@@ -197,7 +173,7 @@ class ClosedLoopDriver:
         2*fan_out)`` the responses — a pure function of the request, so
         ids agree between serial and sharded execution orders.
         """
-        return self._first_flow_id + request_id * 2 * self.spec.fan_out + slot
+        return request_id * 2 * self.spec.fan_out + slot
 
     def _start_flows(self, flows: List) -> None:
         if self._fluid is not None:
@@ -215,7 +191,7 @@ class ClosedLoopDriver:
             chain(flow)
         entry = self._pending_flow.pop(flow.flow_id, None)
         if entry is None:
-            return  # background traffic, not ours
+            return
         role, request, resp_size, slot = entry
         # in the fluid tier this callback fires at the rate-completion
         # instant while finish_time includes the unloaded tail latency;
@@ -224,10 +200,10 @@ class ClosedLoopDriver:
         hosts = self.topology.hosts
         if role is _REQUEST:
             # shard query arrived at the server: schedule the response
-            # (a fresh event even at zero service time — the fluid tier
-            # must not admit flows from inside its own callback)
+            # (a fresh event — the fluid tier must not admit flows from
+            # inside its own callback)
             hosts[flow.dst].sim.schedule_call_at(
-                done_at + self.spec.server_time,
+                done_at,
                 self._respond,
                 request,
                 flow.dst,

@@ -4,8 +4,7 @@ Server popularity in real clusters is far from uniform: a few racks
 hold the hot shards.  :class:`DestinationMatrix` models that with a
 Zipf distribution over *racks* — rack popularity ranks are a
 seed-determined permutation, so different seeds put the hot rack in
-different places — plus a locality knob giving each shard query a
-fixed probability of staying inside the client's own rack.
+different places.
 
 All sampling goes through caller-provided ``random.Random`` streams
 (the driver passes per-client ``RngRegistry`` children), so the matrix
@@ -30,7 +29,6 @@ class DestinationMatrix:
         rack_of: Dict[int, int],
         rng: random.Random,
     ) -> None:
-        self.spec = spec
         self._all_hosts: List[int] = sorted(rack_of)
         if len(self._all_hosts) < 2:
             raise ValueError("rpc workloads need at least two hosts")
@@ -39,23 +37,15 @@ class DestinationMatrix:
         for host in self._all_hosts:
             by_rack[rack_of[host]].append(host)
         self._rack_hosts = by_rack
-        self._rack_of = dict(rack_of)
         # popularity ranking: a seed-determined shuffle of the racks,
-        # then Zipf weight 1/(k+1)^alpha by rank (uniform selection
-        # just flattens the weights)
+        # then Zipf weight 1/(k+1)^alpha by rank
         ranked = list(racks)
         rng.shuffle(ranked)
         self._ranked_racks = ranked
-        if spec.server_selection == "zipf":
-            weights = [
-                1.0 / (k + 1) ** spec.zipf_alpha for k in range(len(ranked))
-            ]
-        else:
-            weights = [1.0] * len(ranked)
         cum: List[float] = []
         total = 0.0
-        for w in weights:
-            total += w
+        for k in range(len(ranked)):
+            total += 1.0 / (k + 1) ** spec.zipf_alpha
             cum.append(total)
         self._cum_weights = cum
         self._total_weight = total
@@ -96,14 +86,9 @@ class DestinationMatrix:
         return chosen
 
     def _sample_one(self, rng: random.Random, client: int) -> int:
-        spec = self.spec
-        client_rack = self._rack_of[client]
         for _ in range(16):
-            if spec.locality > 0.0 and rng.random() < spec.locality:
-                rack = client_rack
-            else:
-                u = rng.random() * self._total_weight
-                rack = self._ranked_racks[bisect_left(self._cum_weights, u)]
+            u = rng.random() * self._total_weight
+            rack = self._ranked_racks[bisect_left(self._cum_weights, u)]
             hosts = self._rack_hosts[rack]
             idx = rng.randrange(len(hosts))
             if hosts[idx] == client:

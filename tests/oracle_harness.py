@@ -31,7 +31,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from repro.experiments import ResultSummary, registry, run_scenario, summarize
 from repro.experiments.scenario import FLOW_CONTROLS, ScenarioConfig
-from repro.faults.plan import FaultPlan, LinkDown, PortDegrade, RandomLoss
+from repro.faults.plan import FaultPlan, LinkDown, RandomLoss
 from repro.rpc.spec import RpcWorkloadSpec
 from repro.telemetry.registry import TelemetryConfig
 from repro.units import us
@@ -115,31 +115,23 @@ def matrix_config(cfg: ScenarioConfig, flow_control: str) -> ScenarioConfig:
 
 
 #: faulted links keep the tx-done path while their neighbours fuse: a
-#: loss draw per delivery, a link that dies mid-serialization, a rate
-#: change mid-serialization.  For the hosts the same plan is what makes
-#: go-back-N work: lost data and ACKs (NACK and RTO rewinds, and the
-#: kick each ends in), a dead uplink in ``drop`` mode.
+#: loss draw per delivery, a link that dies mid-serialization.  For the
+#: hosts the same plan is what makes go-back-N work: lost data and ACKs
+#: (NACK and RTO rewinds, and the kick each ends in), a dead uplink.
 FABRIC_FAULTS = FaultPlan(
     faults=(
         RandomLoss(start=us(5), link="switch-switch", data_rate=0.02, ctrl_rate=0.02),
-        LinkDown(at=us(30), link="tor0<->spine0", duration=us(25), mode="drop"),
-        PortDegrade(at=us(10), link="tor1<->spine1", duration=us(60), rate_factor=0.25),
+        LinkDown(at=us(30), link="tor0<->spine0", duration=us(25)),
     )
 )
 
 
-def edge_faults(hosts_per_tor: int) -> FaultPlan:
+def edge_faults() -> FaultPlan:
     """The same on host links: the sharded engine only accepts faults
-    on intra-domain links (host ids run tor by tor: this is tor1's first)."""
+    on intra-domain links."""
     return FaultPlan(
         faults=(
             RandomLoss(start=us(5), link="host-switch", data_rate=0.02, ctrl_rate=0.02),
-            PortDegrade(
-                at=us(10),
-                link=f"tor1<->h{hosts_per_tor}",
-                duration=us(60),
-                rate_factor=0.25,
-            ),
         )
     )
 
@@ -147,7 +139,7 @@ def edge_faults(hosts_per_tor: int) -> FaultPlan:
 def on_shards(cfg: ScenarioConfig, shards: int, faulted: bool) -> ScenarioConfig:
     """``cfg`` on ``shards`` domains, with the fault plan its sharding admits."""
     if faulted:
-        plan = FABRIC_FAULTS if shards == 1 else edge_faults(cfg.hosts_per_tor)
+        plan = FABRIC_FAULTS if shards == 1 else edge_faults()
         cfg = replace(cfg, fault_plan=plan)
     return replace(cfg, shards=shards)
 
@@ -158,7 +150,7 @@ small_configs = st.builds(
     st.builds(
         ScenarioConfig,
         flow_control=st.sampled_from(FLOW_CONTROLS),
-        cc=st.sampled_from(["dcqcn", "dctcp", "hpcc", "timely"]),
+        cc=st.sampled_from(["dcqcn", "hpcc", "timely"]),
         pattern=st.sampled_from(["incastmix", "poisson", "incast"]),
         workload=st.just("webserver"),
         n_tors=st.integers(min_value=2, max_value=3),

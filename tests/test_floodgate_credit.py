@@ -1,4 +1,4 @@
-"""Credit scheduler: aggregation, delayCredit, switchSYN replies."""
+"""Credit scheduler: aggregation, delayCredit, switchSYN replies and recovery."""
 
 from repro.floodgate.config import FloodgateConfig
 from repro.floodgate.credit import CreditScheduler
@@ -146,91 +146,16 @@ class TestSwitchSyn:
         # the timer must not send the same credits again
         assert len(h.sent) == 1
 
-
-class TestRegeneration:
-    """The credit-regeneration guard: a dropped credit cannot strand a
-    VOQ forever (the count-0 re-emission lets the upstream reconcile
-    its window from the echoed PSN)."""
-
-    @staticmethod
-    def _config(**kw):
-        return FloodgateConfig(
-            credit_timer=us(10), credit_regen_timeout=us(30), **kw
-        )
-
-    def test_silent_pair_gets_count0_psn_credit(self):
-        h = Harness(self._config())
-        h.sched.watch_port(1)
-        for psn in range(5):
-            h.note_forwarded(1, 7, psn)
-        h.sim.run(until=us(100))
-        # first the normal aggregate, then >= 1 regeneration
-        assert h.sent[0] == (1, 7, 5, 4)
-        regens = [s for s in h.sent[1:] if s[2] == 0]
-        assert regens
-        assert all(s == (1, 7, 0, 4) for s in regens)
-        assert h.sched.credits_regenerated == len(regens)
-
-    def test_regeneration_bounded_then_quiesces(self):
-        h = Harness(self._config(credit_regen_limit=2))
-        h.sched.watch_port(1)
-        h.note_forwarded(1, 7, 0)
-        h.sim.run(until=us(500))
-        assert h.sched.credits_regenerated == 2
-        events = h.sim.events_executed
-        h.sim.run(until=us(2000))
-        # exhausted: the timer stopped, no idle ticking
-        assert h.sim.events_executed == events
-
-    def test_new_forwarding_rearms_the_budget(self):
-        h = Harness(self._config(credit_regen_limit=1))
-        h.sched.watch_port(1)
-        h.note_forwarded(1, 7, 0)
-        h.sim.run(until=us(200))
-        assert h.sched.credits_regenerated == 1
-        h.note_forwarded(1, 7, 1)
-        h.sim.run(until=us(400))
-        assert h.sched.credits_regenerated == 2
-
-    def test_disabled_by_default(self):
-        h = Harness(FloodgateConfig(credit_timer=us(10)))
-        h.sched.watch_port(1)
-        h.note_forwarded(1, 7, 0)
-        h.sim.run(until=us(500))
-        assert h.sched.credits_regenerated == 0
-        assert len(h.sent) == 1  # just the normal aggregate
-
-    def test_ideal_mode_never_regenerates(self):
-        h = Harness(
-            FloodgateConfig(ideal=True, credit_regen_timeout=us(30))
-        )
-        h.sched.watch_port(1)
-        h.note_forwarded(1, 7, 0)
-        h.sim.run(until=us(500))
-        assert h.sched.credits_regenerated == 0
-
-    def test_answer_syn_counts_as_emission(self):
-        h = Harness(self._config())
-        h.sched.watch_port(1)
-        h.note_forwarded(1, 7, 0)
-        h.sim.run(until=us(15))  # aggregate flushed at ~10us
-        h.sched.answer_syn(1, 7)  # fresh emission at 15us
-        h.sim.run(until=us(32))
-        # regen timeout counts from the SYN answer, so nothing yet
-        assert h.sched.credits_regenerated == 0
-        h.sim.run(until=us(60))
-        assert h.sched.credits_regenerated >= 1
-
-    def test_regen_survives_end_to_end_credit_kill(self):
-        """Integration: kill every credit for a window; the regen path
-        must unstick the upstream windows afterwards."""
+    def test_switch_syn_survives_end_to_end_credit_kill(self):
+        """Integration: kill every credit for a window; PSN + switchSYN
+        (§4.3) must unstick the upstream windows afterwards."""
         from repro.experiments.runner import run_scenario
         from repro.experiments.scenario import ScenarioConfig
-        from repro.faults import BurstLoss, plan_of
+        from repro.faults import RandomLoss, plan_of
 
         plan = plan_of(
-            BurstLoss(
-                at=20_000,
+            RandomLoss(
+                start=20_000,
                 link="switch-switch",
                 duration=60_000,
                 data_rate=0.0,
@@ -238,26 +163,17 @@ class TestRegeneration:
             ),
             stall_window=150_000,
         )
-        def run_with(fg):
-            cfg = ScenarioConfig(
+        result = run_scenario(
+            ScenarioConfig(
                 flow_control="floodgate",
                 duration=150_000,
                 seed=4,
                 fault_plan=plan,
-                floodgate=fg,
+                floodgate=FloodgateConfig(),
                 max_runtime_factor=20.0,
             )
-            return run_scenario(cfg)
-
-        result = run_with(FloodgateConfig(credit_regen_timeout=us(50)))
-        regens = sum(
-            ext.credits.credits_regenerated
-            for ext in result.scenario.extensions
-            if hasattr(ext, "credits")
         )
+        assert result.stats.fault_drops["ctrl"] > 0
+        assert sum(ext.syn_sent for ext in result.scenario.extensions) > 0
         assert result.completion_rate == 1.0
-        assert regens > 0
-        # without the guard the fabric leans on switchSYN retries and
-        # drains later; regeneration must not be slower than that
-        baseline = run_with(FloodgateConfig())
-        assert result.sim_time <= baseline.sim_time
+        assert result.stall_events == 0

@@ -92,15 +92,15 @@ class TestFaultRecovery:
     """Recovery paths under injected faults (repro.faults)."""
 
     def test_rto_and_gbn_recover_from_burst_loss(self):
-        from repro.faults import BurstLoss, plan_of
+        from repro.faults import RandomLoss, plan_of
 
         net = MiniNet()
         net.topo.hosts[0].rto = us(300)
         install(
             net,
             plan_of(
-                BurstLoss(
-                    at=us(20),
+                RandomLoss(
+                    start=us(20),
                     link="torL<->torR",
                     duration=us(80),
                     data_rate=1.0,

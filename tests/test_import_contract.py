@@ -44,7 +44,6 @@ OPTIONAL = (
     "repro.simcheck.ownership",
     "repro.simcheck.determinism",
     "repro.simcheck.isolation",
-    "repro.cc.dctcp",
     "repro.cc.hpcc",
     "repro.cc.timely",
     "repro.floodgate.extension",
@@ -193,17 +192,16 @@ FACADES = {
     ],
     "repro.cc": [
         "Flow", "CcAlgorithm", "StaticWindowCc", "Dcqcn", "DcqcnConfig",
-        "Dctcp", "DctcpConfig", "Timely", "TimelyConfig", "Hpcc", "HpccConfig",
+        "Timely", "TimelyConfig", "Hpcc", "HpccConfig",
     ],
     "repro.experiments": [
         "Scale", "Scenario", "ScenarioConfig", "ScenarioResult",
         "ResultSummary", "SweepTask", "run_scenario", "run_sweep", "summarize",
     ],
     "repro.faults": [
-        "BurstLoss", "CLASS_CTRL", "CLASS_DATA", "Corruption", "FaultInjector",
-        "FaultPlan", "FaultSpec", "LinkDown", "LinkFaultState", "MODE_DRAIN",
-        "MODE_DROP", "PortDegrade", "RandomLoss", "StallWatchdog",
-        "match_links", "plan_of",
+        "CLASS_CTRL", "CLASS_DATA", "Corruption", "FaultInjector",
+        "FaultPlan", "FaultSpec", "LinkDown", "LinkFaultState",
+        "RandomLoss", "StallWatchdog", "match_links", "plan_of",
     ],
     "repro.floodgate": [
         "FloodgateConfig", "FloodgateExtension", "Voq", "VoqPool", "WindowTable",

@@ -24,7 +24,6 @@ ALL_STACKS = [
     ("static", "bfc"),
     ("static", "ndp"),
     ("dcqcn", "pfc-tag"),
-    ("dctcp", "floodgate"),
 ]
 
 

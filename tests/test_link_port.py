@@ -188,26 +188,3 @@ class TestDelayTable:
             assert port.serialization_delay_of(size) == expect
             # second read comes from the memo and must agree
             assert port.serialization_delay_of(size) == expect
-
-    def test_set_bandwidth_invalidates_the_memo(self):
-        port = self._port()
-        full = port.serialization_delay_of(1500)
-        port.set_bandwidth(port.bandwidth / 2)
-        assert port.serialization_delay_of(1500) == pytest.approx(
-            2 * full, rel=0.01
-        )
-
-    def test_bandwidth_property_setter_invalidates_too(self):
-        port = self._port()
-        full = port.serialization_delay_of(1000)
-        port.bandwidth = port.bandwidth / 4
-        assert port.serialization_delay_of(1000) == pytest.approx(
-            4 * full, rel=0.01
-        )
-
-    def test_rejects_non_positive_rate(self):
-        port = self._port()
-        with pytest.raises(ValueError):
-            port.set_bandwidth(0)
-        with pytest.raises(ValueError):
-            port.set_bandwidth(-1.0)

@@ -50,7 +50,7 @@ ALLOWED = {
     "allocation_errors": "full-recompute reference of the incremental fluid allocator",
     "RateSampler": "tick-time differentiation test_telemetry holds the merged export to",
     "serialization_delay_of": "spelled-out form of the delay memo _try_transmit inlines; "
-    "the rate-change tests probe the memo through it",
+    "test_link_port probes the memo through it",
     "assign_psn": "spelled-out form of the PSN draw _stamp_psn inlines (with consume, "
     "what WindowTable documents); test_floodgate_window drives reconcile with it",
     "switches_of_kind": "fixture helper with dozens of test call sites",
@@ -188,3 +188,50 @@ def test_every_slot_is_read_outside_its_own_init():
                 if everywhere[slot] == in_own_init[slot]
             ]
     assert unread == []
+
+
+#: where a selectable value must be named to count as something a run
+#: turns on: the figures, the registry, simcheck, the CLI, the benchmarks
+SELECTING_FILES = (
+    sorted((ROOT / "src" / "repro" / "experiments" / "figures").rglob("*.py"))
+    + [ROOT / "src" / "repro" / "experiments" / "registry.py"]
+    + sorted((ROOT / "src" / "repro" / "simcheck").rglob("*.py"))
+    + [ROOT / "src" / "repro" / "cli.py"]
+    + sorted((ROOT / "benchmarks").rglob("*.py"))
+)
+
+
+def test_every_selectable_value_is_selected_by_a_root():
+    """Each enumerated config value and each fault kind is named by a
+    figure, the registry, simcheck, the CLI or a benchmark (or is the
+    field's default): a value only tests select is a code path no
+    result depends on — delete it rather than keep it behind an
+    option."""
+    from dataclasses import fields
+    from typing import get_args
+
+    from repro.experiments import scenario
+    from repro.experiments.choices import FLOW_CONTROLS
+    from repro.faults.plan import FaultSpec
+
+    strings = {
+        f.default for f in fields(scenario.ScenarioConfig) if isinstance(f.default, str)
+    }
+    names: set = set()
+    for path in SELECTING_FILES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.add(node.value)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    values = (
+        scenario._VALID_CC
+        + FLOW_CONTROLS
+        + scenario._VALID_PATTERNS
+        + scenario._VALID_TOPOLOGIES
+        + scenario._VALID_FIDELITY
+    )
+    assert [v for v in values if v not in strings] == []
+    assert [t.__name__ for t in get_args(FaultSpec) if t.__name__ not in names] == []

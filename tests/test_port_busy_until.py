@@ -267,19 +267,6 @@ def test_dequeue_hook_enqueueing_on_its_own_port_does_not_reenter():
     assert new[3] == [(0, 0), (SER, 10), (2 * SER, 11)]  # hook call times
 
 
-def test_set_bandwidth_mid_serialization_applies_from_the_next_packet():
-    def script(sim, a, b, link):
-        port = a.ports[0]
-        port.enqueue(data(0), 1)
-        sim.schedule_call_at(SER // 2, port.set_bandwidth, gbps(40))
-        sim.schedule_call_at(SER // 2 + 1, port.enqueue, data(1), 1)
-
-    new, old = on_both_ports(script)
-    assert new == old
-    fast = serialization_delay(1000, gbps(40))
-    assert [t for t, _, _ in new] == [SER + DELAY, SER + fast + DELAY]
-
-
 # -- links that keep the transmit-done event -----------------------------------
 
 
@@ -340,7 +327,7 @@ def test_faulted_link_that_dies_mid_serialization_drops_the_packet():
     def script(sim, a, b, link):
         link.fault = state = LinkFaultState(sim, link, random.Random(1))
         a.ports[0].enqueue(data(0), 1)
-        sim.schedule_call_at(SER // 2, state.set_down, False)
+        sim.schedule_call_at(SER // 2, state.set_down)
         sim.schedule_call_at(3 * SER, state.set_up)
         sim.schedule_call_at(4 * SER, a.ports[0].enqueue, data(1), 1)
 

@@ -1,5 +1,6 @@
 """Scenario construction and the runner."""
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scale, Scenario, ScenarioConfig
 from repro.floodgate.config import FloodgateConfig
+from repro.rpc.spec import RpcWorkloadSpec
 from repro.simcheck.sanitizer import SanitizerConfig
 from repro.telemetry.registry import TelemetryConfig
 from repro.units import gbps, mb, us
@@ -54,10 +56,11 @@ class TestConfigResolution:
             ("thre_credit_bytes", 1),
             ("thre_off_bytes", 7),
             ("thre_on_bytes", 3),
+            ("per_dst_pause", True),
         ],
     )
     def test_derived_floodgate_fields_rejected(self, field, value):
-        # Scenario._floodgate_config used to overwrite these four silently
+        # Scenario._floodgate_config used to overwrite these silently
         with pytest.raises(ValueError, match=f"floodgate.{field}"):
             ScenarioConfig(
                 flow_control="floodgate", floodgate=FloodgateConfig(**{field: value})
@@ -69,7 +72,7 @@ class TestConfigResolution:
             dict(credit_timer=us(10)),  # fig17, parameter_tuning
             dict(credit_timer=us(10), isolate_incast=False),  # test_ablations
             dict(credit_timer=us(2), loss_recovery=False, syn_timeout=us(50)),
-            dict(credit_regen_timeout=us(50)),  # test_floodgate_credit
+            dict(max_voqs=4),  # tests shrink the pool to reach VOQ sharing
         ],
     )
     def test_floodgate_fields_in_use_construct_and_survive(self, kwargs):
@@ -118,6 +121,42 @@ class TestConfigResolution:
         with pytest.raises(ValueError, match=field):
             Scenario(ScenarioConfig(**kwargs))
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: FloodgateConfig(credit_timer=0), "floodgate.credit_timer"),
+            (lambda: FloodgateConfig(syn_timeout=-1), "floodgate.syn_timeout"),
+            (lambda: FloodgateConfig(m=0.0), "floodgate.m "),
+            (lambda: FloodgateConfig(max_voqs=0), "floodgate.max_voqs"),
+            (
+                lambda: FloodgateConfig(thre_credit_bytes=-1),
+                "floodgate.thre_credit_bytes",
+            ),
+            (lambda: ScenarioConfig(topology="fat-tree", fat_tree_k=3), "fat_tree_k"),
+            (lambda: ScenarioConfig(topology="fat-tree", fat_tree_k=0), "fat_tree_k"),
+            (
+                lambda: Scenario(
+                    ScenarioConfig(
+                        pattern="rpc", rpc=RpcWorkloadSpec(n_clients=999), **QUICK
+                    )
+                ),
+                "rpc.n_clients",
+            ),
+        ],
+    )
+    def test_bad_component_parameters_fail_naming_the_field(self, build, field):
+        # these used to build, then die inside PeriodicTask, the
+        # topology builder or the rpc driver, naming some other field
+        with pytest.raises(ValueError, match=re.escape(field)):
+            build()
+
+    def test_per_dst_pause_is_the_scenario_field_on_both_designs(self):
+        for fc in ("floodgate", "floodgate-ideal"):
+            cfg = ScenarioConfig(
+                flow_control=fc, per_dst_pause=True, pattern="none", **QUICK
+            )
+            assert Scenario(cfg).extensions[0].config.per_dst_pause
+
     @pytest.mark.parametrize("pattern", ["incastmix", "incast"])
     def test_incast_on_one_rack_is_rejected(self, pattern):
         # no host outside the destination's rack: the build used to
@@ -141,7 +180,7 @@ class TestConfigResolution:
 
 
 class TestBuild:
-    @pytest.mark.parametrize("cc", ["dcqcn", "dctcp", "timely", "hpcc", "static"])
+    @pytest.mark.parametrize("cc", ["dcqcn", "timely", "hpcc", "static"])
     def test_all_ccs_build(self, cc):
         sc = Scenario(ScenarioConfig(cc=cc, **QUICK))
         assert sc.cc.name in (cc, f"{cc}-window", "static-window")

@@ -49,7 +49,6 @@ def rpc_cfg(**kw) -> ScenarioConfig:
         rpc=RpcWorkloadSpec(
             n_clients=4,
             fan_out=3,
-            requests_per_client=2,
             think_time=us(10),
         ),
         flow_control="floodgate",

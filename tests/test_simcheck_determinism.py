@@ -130,7 +130,6 @@ def rpc_cfg(fidelity: str, seed: int = 5) -> ScenarioConfig:
             n_clients=4,
             fan_out=4,
             think_time=us(10),
-            background_load=0.2,
         ),
         flow_control="floodgate",
         fidelity=fidelity,
