@@ -23,12 +23,13 @@ queues:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
 from repro.net.host import Host
 from repro.net.packet import Packet, PacketKind
-from repro.net.port import EgressPort
+from repro.net.port import EMPTY_SET, EgressPort
 from repro.net.switch import Switch, SwitchExtension
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
@@ -84,14 +85,15 @@ class BfcExtension(SwitchExtension):
     def __init__(self, sim: Simulator, config: BfcConfig) -> None:
         self.sim = sim
         self.config = config
-        #: per port: FID -> queue index
-        self.assignment: List[Dict[int, int]] = []
+        #: per port: FID -> queue index (a port's table appears with
+        #: its first packet, as do the two below)
+        self.assignment: Dict[int, Dict[int, int]] = defaultdict(dict)
         #: per port: queue index -> state
-        self.queue_state: List[Dict[int, _QueueState]] = []
+        self.queue_state: Dict[int, Dict[int, _QueueState]] = defaultdict(dict)
         #: per port: first RR queue index
         self.first_queue: List[int] = []
         #: ideal mode: per port, drained queues ready for reuse
-        self.free_queues: List[List[int]] = []
+        self.free_queues: Dict[int, List[int]] = defaultdict(list)
         self.pauses_sent = 0
         self.collisions = 0
 
@@ -101,9 +103,6 @@ class BfcExtension(SwitchExtension):
         for port in switch.ports:
             first = port.add_rr_queues(n) if n else len(port.queues)
             self.first_queue.append(first)
-            self.assignment.append({})
-            self.queue_state.append({})
-            self.free_queues.append([])
 
     # -- queue assignment -------------------------------------------------------
 
@@ -232,7 +231,8 @@ class BfcHost(Host):
     def __init__(self, *args, bfc_config: Optional[BfcConfig] = None, **kwargs):
         super().__init__(*args, **kwargs)
         self.bfc_config = bfc_config or BfcConfig()
-        self.paused_queues: Set[int] = set()
+        #: EMPTY_SET until the first pause frame
+        self.paused_queues: AbstractSet[int] = EMPTY_SET
 
     def _host_queue_of(self, flow_id: int) -> int:
         n = self.bfc_config.n_queues or 128
@@ -249,10 +249,13 @@ class BfcHost(Host):
 
     def receive(self, pkt: Packet, ingress_port: int) -> None:
         if pkt.kind == PacketKind.BFC_PAUSE:
+            if self.paused_queues is EMPTY_SET:
+                self.paused_queues = set()
             self.paused_queues.add(pkt.pause_port)
             return
         if pkt.kind == PacketKind.BFC_RESUME:
-            self.paused_queues.discard(pkt.pause_port)
+            if self.paused_queues:
+                self.paused_queues.discard(pkt.pause_port)
             for flow_id in sorted(self.active_flows):
                 flow = self.flow_table[flow_id]
                 if (

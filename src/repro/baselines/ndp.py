@@ -23,10 +23,11 @@ bottleneck's bandwidth.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional, Set
+from typing import Dict, Optional, Sequence, Set
 
 from repro.net.host import Host
 from repro.net.packet import Packet, PacketKind
+from repro.net.port import EMPTY_QUEUE
 from repro.net.switch import SwitchExtension
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
@@ -69,7 +70,8 @@ class NdpHost(Host):
         self.ndp_unscheduled = 12
         #: pull pacing interval, ns (one MTU at line rate)
         self.pull_interval = 800
-        self._pull_queue: Deque[int] = deque()
+        #: flows owed a pull, in order; both appear with the first pull
+        self._pull_queue: Sequence[int] = EMPTY_QUEUE
         self._pull_task: Optional[PeriodicTask] = None
 
     # -- sender ---------------------------------------------------------------------
@@ -78,7 +80,7 @@ class NdpHost(Host):
         if flow.src != self.node_id:
             raise ValueError(f"flow {flow.flow_id} does not start at this host")
         self.flow_table[flow.flow_id] = flow
-        self.active_flows.add(flow.flow_id)
+        self._activate(flow.flow_id)
         cc = flow.cc
         cc.retx = deque()
         cc.acked: Set[int] = set()
@@ -156,11 +158,12 @@ class NdpHost(Host):
             return
         if cc.rx_pulls_sent < cc.rx_pulls_needed:
             cc.rx_pulls_sent += 1
-            self._pull_queue.append(flow.flow_id)
             if self._pull_task is None:
+                self._pull_queue = deque()
                 self._pull_task = PeriodicTask(
                     self.sim, self.pull_interval, self._emit_pull
                 )
+            self._pull_queue.append(flow.flow_id)
             if not self._pull_task.running:
                 self._pull_task.start()
 

@@ -224,6 +224,11 @@ class ScenarioConfig:
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"{name} must not be negative, got {value!r}")
+        if self.ecn_kmin and self.ecn_kmax and self.ecn_kmax < self.ecn_kmin:
+            raise ValueError(
+                f"ecn_kmax {self.ecn_kmax} is below ecn_kmin "
+                f"{self.ecn_kmin}; the marking ramp needs kmin <= kmax"
+            )
         for name in ("swnd_bdp", "max_runtime_factor", "hosts_per_edge"):
             value = getattr(self, name)
             if not value > 0:
@@ -447,6 +452,7 @@ class Scenario:
         self.flow_table: Dict[int, object] = {}
         self._hosts_pending_cc: List[Host] = []
         self.extensions: List[object] = []
+        self._ecn = self._ecn_config()
         self.topology = self._build_topology()
         # hosts and topology share one flow table
         self.topology.flow_table = self.flow_table
@@ -552,13 +558,8 @@ class Scenario:
     ) -> Switch:
         cfg = self.config
         ecn = None
-        if cfg.cc in ("dcqcn", "hpcc"):
-            kmin = cfg.ecn_kmin or self._default_kmin()
-            kmax = cfg.ecn_kmax or 4 * kmin
-            ecn = EcnMarker(
-                EcnConfig(kmin, max(kmax, kmin), _ECN_PMAX),
-                self.rng.stream(f"ecn:{name}"),
-            )
+        if self._ecn is not None:
+            ecn = EcnMarker(self._ecn, self.rng, f"ecn:{name}")
         sw = Switch(
             sim,
             node_id,
@@ -574,11 +575,31 @@ class Scenario:
         sw.level = level
         return sw
 
-    def _default_kmin(self) -> int:
-        # ECN marking threshold ~ one base BDP, the conventional setting
+    def _ecn_config(self) -> Optional[EcnConfig]:
+        """The marking thresholds every switch shares; None for a CC
+        law that reads no marks.
+
+        An unset ``ecn_kmin`` is about one base BDP (the conventional
+        setting) and an unset ``ecn_kmax`` four times ``kmin``.  An
+        explicit ``ecn_kmax`` below the derived ``kmin`` is rejected
+        here, before the build (both set and inverted fails in
+        ``ScenarioConfig.__post_init__``).
+        """
         cfg = self.config
-        approx_rtt = 8 * cfg.link_delay + us(4)
-        return max(10_000, bdp_bytes(cfg.host_bandwidth, approx_rtt))
+        if cfg.cc not in ("dcqcn", "hpcc"):
+            return None
+        if cfg.ecn_kmin:
+            kmin = cfg.ecn_kmin
+        else:
+            approx_rtt = 8 * cfg.link_delay + us(4)
+            kmin = max(10_000, bdp_bytes(cfg.host_bandwidth, approx_rtt))
+            if cfg.ecn_kmax and cfg.ecn_kmax < kmin:
+                raise ValueError(
+                    f"ecn_kmax {cfg.ecn_kmax} is below the BDP-derived "
+                    f"default ecn_kmin {kmin}; set ecn_kmin as well, or "
+                    f"an ecn_kmax of at least {kmin}"
+                )
+        return EcnConfig(kmin, cfg.ecn_kmax or 4 * kmin, _ECN_PMAX)
 
     def _build_topology(self) -> Topology:
         cfg = self.config

@@ -15,7 +15,7 @@ which this side answers with that PSN.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Set
 
 from repro.floodgate.config import FloodgateConfig
 from repro.sim.engine import Simulator
@@ -33,7 +33,8 @@ class CreditScheduler:
     The data path fills the tables: ``FloodgateExtension.on_dequeue``
     books each departed packet into ``owed`` / ``last_fwd_psn`` (or, in
     the ideal design, which has no timers, returns its credit at once)
-    and starts the port's timer.
+    and starts the port's timer.  A watched port has neither tables nor
+    a timer until the first credit it owes (:meth:`open_port`).
     """
 
     def __init__(
@@ -47,9 +48,11 @@ class CreditScheduler:
         self.config = config
         self.send_fn = send_fn
         self.backlog_fn = backlog_fn
-        #: owed credits: port -> {dst: count}
+        #: ports whose upstream peer is a Floodgate switch
+        self.watched: Set[int] = set()
+        #: owed credits: port -> {dst: count}, for opened ports
         self.owed: Dict[int, Dict[int, int]] = {}
-        #: highest PSN forwarded: port -> {dst: psn}
+        #: highest PSN forwarded: port -> {dst: psn}, for opened ports
         self.last_fwd_psn: Dict[int, Dict[int, int]] = {}
         self._timers: Dict[int, PeriodicTask] = {}
         self.credits_sent = 0
@@ -59,17 +62,27 @@ class CreditScheduler:
         """Enable credit generation toward the peer on ``port``.
 
         Only ports whose upstream peer is a Floodgate switch need
-        credits; hosts never maintain windows (§3.2).  The per-port
-        timer is created here but runs lazily: it starts on the first
-        owed credit and stops once the port has nothing left to
-        return, so idle switches cost no events.
+        credits; hosts never maintain windows (§3.2).  Nothing is
+        allocated here: the port's tables and timer appear with its
+        first owed credit (:meth:`open_port`).
         """
-        self.owed.setdefault(port, {})
-        self.last_fwd_psn.setdefault(port, {})
-        if not self.config.ideal and port not in self._timers:
+        self.watched.add(port)
+
+    def open_port(self, port: int) -> Dict[int, int]:
+        """The first credit a watched port owes: create its tables and,
+        in the practical design, its timer; return its ``owed`` table.
+
+        The timer runs lazily: it starts on an owed credit and stops
+        once the port has nothing left to return, so idle ports cost
+        no events.
+        """
+        owed = self.owed[port] = {}
+        self.last_fwd_psn[port] = {}
+        if not self.config.ideal:
             self._timers[port] = PeriodicTask(
                 self.sim, self.config.credit_timer, self._tick, port
             )
+        return owed
 
     def stop(self) -> None:
         for task in self._timers.values():

@@ -77,7 +77,6 @@ class FloodgateExtension(SwitchExtension):
         super().attach(switch)
         for port in switch.ports:
             self.incast_queue.append(port.add_rr_queues(1))
-            self.windows.next_psn[port.index] = {}
             peer = switch.peer(port.index)
             if isinstance(peer, Switch):
                 self.credits.watch_port(port.index)
@@ -219,7 +218,9 @@ class FloodgateExtension(SwitchExtension):
         in_port = pkt.ingress_port
         owed = credits.owed.get(in_port)
         if owed is None:
-            return
+            if in_port not in credits.watched:
+                return
+            owed = credits.open_port(in_port)
         dst = pkt.dst
         forwarded = credits.last_fwd_psn[in_port]
         psn = forwarded.get(dst, -1)

@@ -14,13 +14,16 @@ loss.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Dict, List, Tuple
 
 
 class WindowTable:
     """Sending-window state for one Floodgate switch.
 
-    The tables are plain dicts on purpose: the extension's per-packet
+    The tables are plain dicts on purpose (``next_psn`` a
+    ``defaultdict``, so a port's table appears with its first packet
+    at no per-packet cost): the extension's per-packet
     path (``FloodgateExtension.on_data`` / ``_stamp_psn``) reads and
     writes ``window`` and ``next_psn`` directly — the open-window case
     is dict hits and an add, no call frames — with exactly the effect
@@ -34,8 +37,9 @@ class WindowTable:
         self.window: Dict[int, int] = {}
         #: the initial window per destination (fixed per route)
         self.initial: Dict[int, int] = {}
-        #: PSN of the next data packet: egress port -> {dst: psn}
-        self.next_psn: Dict[int, Dict[int, int]] = {}
+        #: PSN of the next data packet: egress port -> {dst: psn}; a
+        #: port's table appears with its first stamped packet
+        self.next_psn: Dict[int, Dict[int, int]] = defaultdict(dict)
         #: highest PSN echoed back by downstream: egress port -> {dst: psn}
         self.echoed_psn: Dict[int, Dict[int, int]] = {}
         #: (egress port, dst) pairs in first-send order, the order the
@@ -62,7 +66,7 @@ class WindowTable:
 
     def assign_psn(self, port: int, dst: int) -> int:
         """Next PSN for a data packet leaving ``port`` toward ``dst``."""
-        psns = self.next_psn.setdefault(port, {})
+        psns = self.next_psn[port]
         psn = psns.get(dst, 0)
         psns[dst] = psn + 1
         if psn == 0:

@@ -9,8 +9,13 @@ thresholds are per-instance configuration rather than globals.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:  # pragma: no cover
+    import random
+
+    from repro.sim.rng import RngRegistry
 
 
 @dataclass(frozen=True)
@@ -29,13 +34,22 @@ class EcnConfig:
 
 
 class EcnMarker:
-    """Stateless marking decision with a dedicated RNG stream."""
+    """Stateless marking decision with a dedicated RNG stream.
 
-    __slots__ = ("config", "_rng")
+    The stream is ``rngs.stream(stream)``, fetched at the first
+    probabilistic draw: a marker whose queues never sit between
+    ``kmin`` and ``kmax`` never holds one.  The registry derives a
+    stream from its name alone, so the draws are the ones a stream
+    fetched at build time would give.
+    """
 
-    def __init__(self, config: EcnConfig, rng: random.Random) -> None:
+    __slots__ = ("config", "_rngs", "_stream", "_rng")
+
+    def __init__(self, config: EcnConfig, rngs: "RngRegistry", stream: str) -> None:
         self.config = config
-        self._rng = rng
+        self._rngs = rngs
+        self._stream = stream
+        self._rng: Optional["random.Random"] = None
 
     def should_mark(self, queue_bytes: int) -> bool:
         """Marking decision for a packet arriving to a queue of this depth."""
@@ -46,4 +60,7 @@ class EcnMarker:
             return True
         span = cfg.kmax - cfg.kmin
         p = cfg.pmax * (queue_bytes - cfg.kmin) / span if span else cfg.pmax
-        return self._rng.random() < p
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self._rngs.stream(self._stream)
+        return rng.random() < p

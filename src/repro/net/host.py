@@ -18,12 +18,13 @@ keeps per-destination pause state (§4.3 "Hosts' support").
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Callable, Dict, Optional, Set
+from typing import AbstractSet, Callable, Dict, Optional
 
 from repro.cc.base import CcAlgorithm
 from repro.cc.flow import Flow
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
+from repro.net.port import EMPTY_SET
 from repro.sim.engine import Event, Simulator
 from repro.sim.process import Timer
 from repro.stats.collector import StatsHub
@@ -63,8 +64,9 @@ class Host(Node):
         self.nack_interval = nack_interval
         self.cnp_interval = cnp_interval
         self.int_enabled = int_enabled
-        self.paused_dsts: Set[int] = set()
-        self.active_flows: Set[int] = set()
+        #: both EMPTY_SET until their first add
+        self.paused_dsts: AbstractSet[int] = EMPTY_SET
+        self.active_flows: AbstractSet[int] = EMPTY_SET
         self.rx_data_bytes = 0
         self.tx_data_bytes = 0
         self.rx_data_packets = 0
@@ -100,11 +102,17 @@ class Host(Node):
                 f"flow {flow.flow_id} has src {flow.src}, host is {self.node_id}"
             )
         self.flow_table[flow.flow_id] = flow
-        self.active_flows.add(flow.flow_id)
+        self._activate(flow.flow_id)
         self._cc.on_flow_start(flow, self.sim.now)
         flow.next_send_time = self.sim.now
         flow.rto_timer = Timer(self.sim, self._on_rto, flow)
         self._try_send(flow)
+
+    def _activate(self, flow_id: int) -> None:
+        """Note a flow this host sends until its last byte is ACKed."""
+        if self.active_flows is EMPTY_SET:
+            self.active_flows = set()
+        self.active_flows.add(flow_id)
 
     def _kick(self, flow: Flow) -> None:
         """(Re)run the send loop, collapsing any pending send event."""
@@ -227,13 +235,16 @@ class Host(Node):
                 self.sanitizer.note_dst_pause(
                     self, pkt.pause_dst, True, pkt.pause_dst in self.paused_dsts
                 )
+            if self.paused_dsts is EMPTY_SET:
+                self.paused_dsts = set()
             self.paused_dsts.add(pkt.pause_dst)
         elif kind == PacketKind.DST_RESUME:
             if self.sanitizer is not None:
                 self.sanitizer.note_dst_pause(
                     self, pkt.pause_dst, False, pkt.pause_dst in self.paused_dsts
                 )
-            self.paused_dsts.discard(pkt.pause_dst)
+            if self.paused_dsts:
+                self.paused_dsts.discard(pkt.pause_dst)
             for flow_id in sorted(self.active_flows):
                 flow = self.flow_table[flow_id]
                 if flow.dst == pkt.pause_dst and not flow.sender_done:

@@ -16,7 +16,7 @@ links pay one ``is None`` check per transmission.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.sim.engine import Simulator
 
@@ -44,6 +44,7 @@ class Link:
         "fault",
         "lid_ab",
         "lid_ba",
+        "delay_table",
         "channel",
     )
 
@@ -71,6 +72,12 @@ class Link:
         #: topology, which keeps plain insertion-order tie-breaks.
         self.lid_ab: int = 0
         self.lid_ba: int = 0
+        #: serialization-delay memo (wire size -> ns) the two egress
+        #: ports of this link share with every other port of its
+        #: bandwidth; set by ``Topology.connect`` from
+        #: ``Topology.delay_tables``.  None on a raw link: each port
+        #: then keeps its own.
+        self.delay_table: Optional[Dict[int, int]] = None
         #: boundary channel (repro.sim.sharded, repro.hybrid); when
         #: set, deliveries cross a domain boundary through
         #: ``channel.send(peer, heap_item)`` instead of the local heap.

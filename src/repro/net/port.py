@@ -17,6 +17,13 @@ owns a configurable set of FIFO queues:
 Pausing is supported at two granularities: the whole port (PFC) or a
 single queue (BFC); both exempt the control queue.
 
+A port holds only the state its traffic uses (DESIGN.md "A run pays for
+what it touches"): a queue is the shared :data:`EMPTY_QUEUE` until one
+of the two enqueues appends to it, the per-queue pause set is the
+shared :data:`EMPTY_SET` until :meth:`EgressPort.pause_queue`, and the
+serialization-delay memo is shared by every port of one bandwidth in a
+topology.
+
 The wire is *busy-until*: starting a transmission records when it ends
 (``_free_at``) and, on a healthy link, schedules the peer's ``receive``
 right away at ``now + serialization + propagation`` — one heap event
@@ -31,7 +38,15 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+)
 
 from repro.sim.engine import Simulator
 from repro.units import SEC
@@ -43,6 +58,22 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Index of the always-on control queue.
 CONTROL_QUEUE = 0
+
+#: An egress queue that has never held a packet.  Immutable and shared
+#: by every such queue: :meth:`EgressPort.enqueue` and
+#: :meth:`EgressPort.enqueue_control` swap in a ``deque`` on the first
+#: append (an identity check), and every other reader only tests
+#: truthiness or iterates, which an empty tuple answers at C level.
+EMPTY_QUEUE: tuple = ()
+
+#: A pause or active-flow set nothing has been added to yet, shared
+#: the same way: the site that adds the first member swaps in a
+#: ``set`` (an identity check); membership tests, ``len`` and
+#: iteration work on either.  A non-empty one is always a ``set``, so
+#: a pause-set remover, which a resume frame may reach before any
+#: pause, tests truthiness before it discards.  ``active_flows`` needs
+#: no test: only the last ACK of a flow its host activated discards.
+EMPTY_SET: frozenset = frozenset()
 
 
 class EgressPort:
@@ -94,10 +125,15 @@ class EgressPort:
         #: traffic uses only a handful of distinct sizes (data MTU, the
         #: flow-tail remainder, ACK/credit/PFC frames), so the division
         #: and round in ``size * 8 * SEC / bandwidth`` run once per
-        #: (port, size) instead of once per packet.
-        self._delay_table: Dict[int, int] = {}
+        #: (bandwidth, size) instead of once per packet.  A topology
+        #: hands every port of one bandwidth the same table through
+        #: ``link.delay_table``; a port on a raw link keeps its own.
+        self._delay_table: Dict[int, int] = (
+            {} if link.delay_table is None else link.delay_table
+        )
         total = 1 + n_data_queues + rr_data_queues
-        self.queues: List[Deque["Packet"]] = [deque() for _ in range(total)]
+        #: a queue is EMPTY_QUEUE until its first packet
+        self.queues: List[Sequence["Packet"]] = [EMPTY_QUEUE] * total
         self.queue_bytes: List[int] = [0] * total
         self.rr_start = 1 + n_data_queues
         self._rr_next = self.rr_start
@@ -132,7 +168,7 @@ class EgressPort:
         #: together with ``_peer``
         self._lid = 0
         self.paused = False
-        self.paused_queues: set[int] = set()
+        self.paused_queues: AbstractSet[int] = EMPTY_SET
         self.tx_bytes = 0        # everything, for INT and overhead stats
         self.tx_data_bytes = 0   # DATA only, for goodput accounting
         #: callback fired when a packet leaves a queue for the wire:
@@ -167,9 +203,8 @@ class EgressPort:
     def add_rr_queues(self, count: int) -> int:
         """Append ``count`` round-robin queues; returns first new index."""
         first = len(self.queues)
-        for _ in range(count):
-            self.queues.append(deque())
-            self.queue_bytes.append(0)
+        self.queues.extend([EMPTY_QUEUE] * count)
+        self.queue_bytes.extend([0] * count)
         return first
 
     # -- enqueue ----------------------------------------------------------------
@@ -198,7 +233,10 @@ class EgressPort:
                 # could only pick this packet, so it skips the queue
                 self._try_transmit(pkt, queue_idx)
                 return
-        self.queues[queue_idx].append(pkt)
+        queue = self.queues[queue_idx]
+        if queue is EMPTY_QUEUE:
+            queue = self.queues[queue_idx] = deque()
+        queue.append(pkt)
         self.queue_bytes[queue_idx] += pkt.size
         self._queued += 1
         if queue_idx != CONTROL_QUEUE:
@@ -229,7 +267,10 @@ class EgressPort:
             if idle and not self._queued:
                 self._try_transmit(pkt, CONTROL_QUEUE)
                 return
-        self.queues[CONTROL_QUEUE].append(pkt)
+        queue = self.queues[CONTROL_QUEUE]
+        if queue is EMPTY_QUEUE:
+            queue = self.queues[CONTROL_QUEUE] = deque()
+        queue.append(pkt)
         self.queue_bytes[CONTROL_QUEUE] += pkt.size
         self._queued += 1
         if idle:
@@ -261,11 +302,14 @@ class EgressPort:
         """BFC: stop serving one data queue."""
         if queue_idx == CONTROL_QUEUE:
             raise ValueError("the control queue cannot be paused")
+        if self.paused_queues is EMPTY_SET:
+            self.paused_queues = set()
         self.paused_queues.add(queue_idx)
 
     def resume_queue(self, queue_idx: int) -> None:
         """BFC: resume one data queue."""
-        self.paused_queues.discard(queue_idx)
+        if self.paused_queues:
+            self.paused_queues.discard(queue_idx)
         self._try_transmit()
 
     # -- transmit machinery ---------------------------------------------------------

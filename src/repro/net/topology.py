@@ -69,6 +69,10 @@ class Topology:
     #: callbacks, wired in :meth:`finalize`) — runners read this instead
     #: of scanning the flow table
     completed_flows: int = 0
+    #: link bandwidth -> the serialization-delay memo every egress port
+    #: of that bandwidth shares (wire size -> ns; a pure function of
+    #: the two, so one table per bandwidth serves the whole fabric)
+    delay_tables: Dict[float, Dict[int, int]] = field(default_factory=dict)
 
     def switches_of_kind(self, kind: str) -> List[Switch]:
         return [s for s in self.switches if s.kind == kind]
@@ -91,6 +95,7 @@ class Topology:
         # sharded-vs-serial equivalence rests on
         link.lid_ab = 2 * len(self.links) + 1
         link.lid_ba = 2 * len(self.links) + 2
+        link.delay_table = self.delay_tables.setdefault(bandwidth, {})
         idx_a = a.attach_link(link, rr_data_queues=rr_queues)
         idx_b = b.attach_link(link, rr_data_queues=rr_queues)
         if isinstance(a, Switch):

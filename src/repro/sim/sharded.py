@@ -230,9 +230,9 @@ def _rebind_extension(ext, sim: Simulator) -> None:
         ext.sim = sim
     credits = getattr(ext, "credits", None)
     if credits is not None:
+        # its per-port timers appear with the first owed credit, on
+        # this sim: a build creates none
         credits.sim = sim
-        for task in getattr(credits, "_timers", {}).values():
-            task._sim = sim
     syn = getattr(ext, "_syn_task", None)
     if syn is not None:
         syn._sim = sim

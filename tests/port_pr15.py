@@ -13,10 +13,29 @@ not code under test.
 """
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappush
 
-from repro.net.port import CONTROL_QUEUE, EgressPort
+from repro.net.port import CONTROL_QUEUE, EMPTY_QUEUE, EgressPort
 from repro.units import SEC
+
+
+class _Deques(list):
+    """The queue list of a :class:`TwoEventPort`.
+
+    The live port keeps a queue as the shared ``EMPTY_QUEUE`` until its
+    own enqueue swaps in a deque; this transmit path appends to
+    ``queues[i]`` directly, so an index read here hands out a deque in
+    the placeholder's place (queues the live ``add_rr_queues`` appends
+    later included).
+    """
+
+    def __getitem__(self, idx):
+        queue = list.__getitem__(self, idx)
+        if queue is EMPTY_QUEUE:
+            queue = deque()
+            list.__setitem__(self, idx, queue)
+        return queue
 
 
 class TwoEventPort(EgressPort):
@@ -27,6 +46,7 @@ class TwoEventPort(EgressPort):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._busy = False
+        self.queues = _Deques(self.queues)
 
     def enqueue(self, pkt, queue_idx: int = 1) -> None:
         pkt.enqueue_time = self.sim.now

@@ -150,7 +150,7 @@ class TestHostSide:
         host = topo.hosts[4]
         f = topo.make_flow(1, 4, 0, 50_000, 0)
         q = host._host_queue_of(1)
-        host.paused_queues.add(q)
+        host.paused_queues = {q}
         topo.start_flow(f)
         sim.run(until=ms(2))
         assert not f.receiver_done

@@ -46,7 +46,7 @@ class TestBfcHostEdges:
         f2 = topo.make_flow(2, 4, 1, 30_000, 0)
         q1 = host._host_queue_of(1)
         q2 = host._host_queue_of(2)
-        host.paused_queues.update({q1, q2})
+        host.paused_queues = {q1, q2}
         topo.start_flow(f1)
         topo.start_flow(f2)
         sim.run(until=ms(1))

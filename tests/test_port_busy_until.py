@@ -211,7 +211,7 @@ def _kicks(sim, a, b, link):
     port.enqueue(data(0), 1)  # on the wire until SER
     port.pause()
     port.enqueue(data(1), 1)
-    port.paused_queues.add(2)
+    port.pause_queue(2)
     port.enqueue(data(2), 2)
     sim.schedule_call_at(100, port.kick)
     sim.schedule_call_at(200, port.resume)

@@ -16,7 +16,7 @@ class TestKick:
     def test_kick_resumes_after_external_unblock(self):
         sim, a, b, _ = make_pair()
         port = a.ports[0]
-        port.paused_queues.add(1)  # direct manipulation, then kick
+        port.pause_queue(1)  # pauses without a kick
         port.enqueue(data(), 1)
         sim.run()
         assert b.received == []

@@ -179,6 +179,24 @@ class TestConfigResolution:
             periodic_incast([], 0, gbps(10), 0, random.Random(1))
 
 
+class TestEcnThresholds:
+    def test_inverted_thresholds_fail_at_construction(self):
+        # this used to build with kmax silently raised to kmin
+        with pytest.raises(ValueError, match="ecn_kmax 20000 is below ecn_kmin 50000"):
+            ScenarioConfig(ecn_kmin=50_000, ecn_kmax=20_000)
+
+    def test_kmax_below_the_derived_kmin_fails_before_the_build(self):
+        cfg = ScenarioConfig(ecn_kmax=5_000, **QUICK)  # kmin floor is 10 KB
+        with pytest.raises(ValueError, match="ecn_kmax 5000 .* default ecn_kmin"):
+            Scenario(cfg)
+
+    @pytest.mark.parametrize("kmin, kmax", [(20_000, 80_000), (20_000, 20_000)])
+    def test_fig16_settings_are_accepted(self, kmin, kmax):
+        sc = Scenario(ScenarioConfig(ecn_kmin=kmin, ecn_kmax=kmax, **QUICK))
+        configs = {sw.ecn.config for sw in sc.topology.switches}
+        assert {(c.kmin, c.kmax) for c in configs} == {(kmin, kmax)}
+
+
 class TestBuild:
     @pytest.mark.parametrize("cc", ["dcqcn", "timely", "hpcc", "static"])
     def test_all_ccs_build(self, cc):

@@ -1,9 +1,8 @@
 """Switch forwarding, ECN, buffer pressure, and PFC generation."""
 
-import random
-
 from repro.net.ecn import EcnConfig, EcnMarker
 from repro.net.packet import PacketKind
+from repro.sim.rng import RngRegistry
 from repro.units import ms
 from tests.conftest import MiniNet
 
@@ -43,16 +42,15 @@ class TestForwarding:
 
 class TestEcnMarking:
     def test_marks_above_kmax(self):
-        marker = EcnMarker(EcnConfig(1000, 2000, 1.0), random.Random(1))
+        marker = EcnMarker(EcnConfig(1000, 2000, 1.0), RngRegistry(1), "ecn:s")
         assert marker.should_mark(5000)
 
     def test_never_marks_below_kmin(self):
-        marker = EcnMarker(EcnConfig(1000, 2000, 1.0), random.Random(1))
+        marker = EcnMarker(EcnConfig(1000, 2000, 1.0), RngRegistry(1), "ecn:s")
         assert not any(marker.should_mark(999) for _ in range(100))
 
     def test_probability_ramps_between(self):
-        rng = random.Random(1)
-        marker = EcnMarker(EcnConfig(0, 100_000, 1.0), rng)
+        marker = EcnMarker(EcnConfig(0, 100_000, 1.0), RngRegistry(1), "ecn:s")
         low = sum(marker.should_mark(10_000) for _ in range(2000))
         high = sum(marker.should_mark(90_000) for _ in range(2000))
         assert low < high
@@ -68,7 +66,9 @@ class TestEcnMarking:
     def test_switch_marks_under_congestion(self):
         net = MiniNet(pfc=False)
         for sw in net.topo.switches:
-            sw.ecn = EcnMarker(EcnConfig(5_000, 20_000, 1.0), random.Random(3))
+            sw.ecn = EcnMarker(
+                EcnConfig(5_000, 20_000, 1.0), RngRegistry(3), f"ecn:{sw.name}"
+            )
         # 4-to-1 incast overloads the receiver's port
         for i, src in enumerate((0, 1, 2, 3)):
             net.flow(i, src, 6, 40_000)
