@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Set, Tuple
 
 from repro.net.host import Host
 from repro.net.packet import Packet, PacketKind
@@ -43,6 +43,12 @@ def _fid_hash(value: int) -> int:
     return value ^ (value >> 21)
 
 
+#: FID table size; smaller -> more flow-id collisions
+FID_SPACE = 4096
+#: sticky assignment grace period after a queue drains, ns
+STICKY_TIME = us(20)
+
+
 @dataclass(frozen=True)
 class BfcConfig:
     """BFC parameters."""
@@ -51,20 +57,16 @@ class BfcConfig:
     n_queues: int = 32
     #: queue occupancy (bytes) that triggers pausing the upstream queue
     pause_threshold: int = 20_000
-    #: occupancy below which paused upstreams are resumed
-    #: (0 -> half the pause threshold)
-    resume_threshold: int = 0
-    #: FID table size; smaller -> more flow-id collisions
-    fid_space: int = 4096
-    #: sticky assignment grace period after a queue drains, ns
-    sticky_time: int = us(20)
 
     @property
     def ideal(self) -> bool:
         return self.n_queues == 0
 
-    def resolved_resume(self) -> int:
-        return self.resume_threshold or max(self.pause_threshold // 2, 1)
+    @property
+    def resume_threshold(self) -> int:
+        """Occupancy below which paused upstreams are resumed: half the
+        pause threshold."""
+        return max(self.pause_threshold // 2, 1)
 
 
 class _QueueState:
@@ -109,7 +111,7 @@ class BfcExtension(SwitchExtension):
     def _fid_of(self, flow_id: int) -> int:
         if self.config.ideal:
             return flow_id
-        return _fid_hash(flow_id) % self.config.fid_space
+        return _fid_hash(flow_id) % FID_SPACE
 
     def _queue_for(self, out_port: int, fid: int) -> int:
         """Current or fresh queue assignment for ``fid`` at ``out_port``."""
@@ -122,7 +124,7 @@ class BfcExtension(SwitchExtension):
             state = states[qidx]
             # sticky: keep while occupied or within the grace period
             if port.queue_bytes[qidx] > 0 or (
-                now - state.last_enqueue <= self.config.sticky_time
+                now - state.last_enqueue <= STICKY_TIME
             ):
                 return qidx
             state.fids.discard(fid)
@@ -141,7 +143,7 @@ class BfcExtension(SwitchExtension):
                 state is None
                 or (
                     not state.fids
-                    and now - state.last_enqueue > self.config.sticky_time
+                    and now - state.last_enqueue > STICKY_TIME
                 )
             ):
                 return self._bind(out_port, fid, idx)
@@ -186,7 +188,7 @@ class BfcExtension(SwitchExtension):
             return
         if (
             state.paused_upstreams
-            and port.queue_bytes[queue_idx] <= self.config.resolved_resume()
+            and port.queue_bytes[queue_idx] <= self.config.resume_threshold
         ):
             for in_port, up_q in sorted(state.paused_upstreams):
                 self._send_pause(in_port, up_q, resume=True)
@@ -228,9 +230,10 @@ class BfcHost(Host):
     pause), and suspends the flows of a paused queue.
     """
 
-    def __init__(self, *args, bfc_config: Optional[BfcConfig] = None, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.bfc_config = bfc_config or BfcConfig()
+        #: the fabric's config (``install_bfc`` assigns it)
+        self.bfc_config = BfcConfig()
         #: EMPTY_SET until the first pause frame
         self.paused_queues: AbstractSet[int] = EMPTY_SET
 

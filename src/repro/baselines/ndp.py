@@ -35,12 +35,17 @@ from repro.sim.process import PeriodicTask, Timer
 from repro.units import CTRL_PKT_SIZE, MTU, bdp_packets, serialization_delay
 
 
+#: the shallow trim threshold, bytes
+TRIM_THRESHOLD = 8 * MTU
+
+
 class NdpSwitchExtension(SwitchExtension):
     """Cut-payload trimming at the egress queue."""
 
-    def __init__(self, sim: Simulator, trim_threshold: int = 8 * MTU) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.trim_threshold = trim_threshold
+        #: egress data bytes above which an arriving packet is trimmed
+        self.trim_threshold = TRIM_THRESHOLD
         self.trimmed_packets = 0
 
     def telemetry_counters(self) -> Dict[str, int]:

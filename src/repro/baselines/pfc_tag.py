@@ -32,13 +32,16 @@ from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 
 
+#: VOQs per switch
+MAX_VOQS = 1000
+
+
 @dataclass(frozen=True)
 class PfcTagConfig:
     """PFC-w/-tag parameters (thresholds in bytes)."""
 
     pause_threshold: int = 40_000
     resume_threshold: int = 20_000
-    max_voqs: int = 1000
 
 
 class PfcTagExtension(SwitchExtension):
@@ -47,7 +50,7 @@ class PfcTagExtension(SwitchExtension):
     def __init__(self, sim: Simulator, config: PfcTagConfig) -> None:
         self.sim = sim
         self.config = config
-        self.pool = VoqPool(config.max_voqs)
+        self.pool = VoqPool(MAX_VOQS)
         #: destinations this switch is currently told to pause
         self.paused_dsts: Set[int] = set()
         #: dst -> upstream ingress ports we have paused

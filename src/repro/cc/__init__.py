@@ -13,8 +13,8 @@ __getattr__, __dir__, __all__ = exports(
     {
         "flow": ("Flow",),
         "base": ("CcAlgorithm", "StaticWindowCc"),
-        "dcqcn": ("Dcqcn", "DcqcnConfig"),
-        "timely": ("Timely", "TimelyConfig"),
-        "hpcc": ("Hpcc", "HpccConfig"),
+        "dcqcn": ("Dcqcn",),
+        "timely": ("Timely",),
+        "hpcc": ("Hpcc",),
     },
 )

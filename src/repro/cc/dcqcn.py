@@ -9,13 +9,12 @@ Sender-side reaction point, faithful to the published control law:
   fast-recovery, additive-increase, and hyper-increase stages.
 
 The notification point (receiver) lives in the host: it emits at most
-one CNP per ``cnp_interval`` per flow upon ECN-marked arrivals, as the
-RoCE NIC does.
+one CNP per ``CNP_GAP`` (``repro.net.host``) per flow upon ECN-marked
+arrivals, as the RoCE NIC does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.cc.base import CcAlgorithm
@@ -26,28 +25,25 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.packet import Packet
 
 
-@dataclass(frozen=True)
-class DcqcnConfig:
-    """DCQCN parameters (defaults follow the paper / NS-3 model)."""
+# Parameters follow the paper / NS-3 model.
 
-    g: float = 1.0 / 256.0
-    #: alpha-decay period, ns
-    alpha_timer: int = us(55)
-    #: rate-increase timer period, ns
-    increase_timer: int = us(55)
-    #: byte counter for rate increase (bytes); the classic 10 MB scaled
-    #: relative to line rate is applied in :meth:`Dcqcn.byte_counter`
-    byte_counter_ms: float = 2.0
-    #: fast-recovery stage threshold
-    f: int = 5
-    #: additive increase step as a fraction of line rate
-    rai_fraction: float = 0.005
-    #: hyper increase step as a fraction of line rate
-    rhai_fraction: float = 0.05
-    #: rate floor as a fraction of line rate
-    min_rate_fraction: float = 0.002
-    #: minimum gap between CNPs for one flow (receiver side), ns
-    cnp_interval: int = us(50)
+#: alpha EWMA gain
+G = 1.0 / 256.0
+#: alpha-decay period, ns
+ALPHA_TIMER = us(55)
+#: rate-increase timer period, ns
+INCREASE_TIMER = us(55)
+#: byte counter for rate increase, as this many ms of line rate (the
+#: classic 10 MB scaled relative to line rate)
+BYTE_COUNTER_MS = 2.0
+#: fast-recovery stage threshold
+F = 5
+#: additive increase step as a fraction of line rate
+RAI_FRACTION = 0.005
+#: hyper increase step as a fraction of line rate
+RHAI_FRACTION = 0.05
+#: rate floor as a fraction of line rate
+MIN_RATE_FRACTION = 0.002
 
 
 class Dcqcn(CcAlgorithm):
@@ -55,20 +51,14 @@ class Dcqcn(CcAlgorithm):
 
     name = "dcqcn"
 
-    def __init__(
-        self,
-        line_rate: float,
-        swnd_bytes: int,
-        config: DcqcnConfig | None = None,
-    ) -> None:
+    def __init__(self, line_rate: float, swnd_bytes: int) -> None:
         super().__init__(line_rate, swnd_bytes)
-        self.config = config or DcqcnConfig()
-        self.rai = line_rate * self.config.rai_fraction
-        self.rhai = line_rate * self.config.rhai_fraction
-        self.min_rate = line_rate * self.config.min_rate_fraction
+        self.rai = line_rate * RAI_FRACTION
+        self.rhai = line_rate * RHAI_FRACTION
+        self.min_rate = line_rate * MIN_RATE_FRACTION
         # byte counter: bytes the flow must send between byte-triggered
-        # increases; expressed as `byte_counter_ms` worth of line rate.
-        self.byte_counter = int(line_rate * self.config.byte_counter_ms / 8_000.0)
+        # increases; expressed as BYTE_COUNTER_MS worth of line rate.
+        self.byte_counter = int(line_rate * BYTE_COUNTER_MS / 8_000.0)
 
     # -- hooks -------------------------------------------------------------------
 
@@ -88,7 +78,7 @@ class Dcqcn(CcAlgorithm):
     def on_cnp(self, flow: Flow, now: int) -> None:
         cc = flow.cc
         self._decay_alpha(flow, now)
-        cc.alpha = (1.0 - self.config.g) * cc.alpha + self.config.g
+        cc.alpha = (1.0 - G) * cc.alpha + G
         cc.last_alpha_update = now
         cc.rt = flow.rate
         flow.rate = max(self.min_rate, flow.rate * (1.0 - cc.alpha / 2.0))
@@ -102,10 +92,9 @@ class Dcqcn(CcAlgorithm):
         # both updates are lazy and owe nothing until a full period has
         # passed: test that here, a period spans dozens of ACKs
         cc = flow.cc
-        config = self.config
-        if now - cc.last_alpha_update >= config.alpha_timer:
+        if now - cc.last_alpha_update >= ALPHA_TIMER:
             self._decay_alpha(flow, now)
-        if now - cc.last_increase >= config.increase_timer:
+        if now - cc.last_increase >= INCREASE_TIMER:
             self._maybe_increase(flow, now)
 
     def on_data_sent(self, flow: Flow, size: int, now: int) -> None:
@@ -126,28 +115,28 @@ class Dcqcn(CcAlgorithm):
     def _decay_alpha(self, flow: Flow, now: int) -> None:
         """Apply pending (1-g) alpha decays lazily instead of per-timer."""
         cc = flow.cc
-        periods = (now - cc.last_alpha_update) // self.config.alpha_timer
+        periods = (now - cc.last_alpha_update) // ALPHA_TIMER
         if periods > 0:
-            cc.alpha *= (1.0 - self.config.g) ** periods
-            cc.last_alpha_update += periods * self.config.alpha_timer
+            cc.alpha *= (1.0 - G) ** periods
+            cc.last_alpha_update += periods * ALPHA_TIMER
 
     def _maybe_increase(self, flow: Flow, now: int) -> None:
         """Apply timer-triggered increase events lazily on ACK arrivals."""
         cc = flow.cc
-        periods = (now - cc.last_increase) // self.config.increase_timer
+        periods = (now - cc.last_increase) // INCREASE_TIMER
         for _ in range(min(periods, 8)):  # bound work per ACK
             cc.t_stage += 1
             self._increase(flow)
         if periods > 0:
-            cc.last_increase += periods * self.config.increase_timer
+            cc.last_increase += periods * INCREASE_TIMER
 
     def _increase(self, flow: Flow) -> None:
         cc = flow.cc
         stage = max(cc.t_stage, cc.b_stage)
-        if stage <= self.config.f:
+        if stage <= F:
             # fast recovery: move halfway back to the target rate
             pass
-        elif min(cc.t_stage, cc.b_stage) > self.config.f:
+        elif min(cc.t_stage, cc.b_stage) > F:
             # hyper increase
             cc.rt = min(self.line_rate, cc.rt + self.rhai)
         else:

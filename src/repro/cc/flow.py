@@ -1,9 +1,10 @@
 """The flow abstraction shared by senders, receivers, and CC modules.
 
 A flow is a one-way transfer of ``size`` bytes from ``src`` to ``dst``,
-segmented into MTU-sized packets.  Sequence numbers count packets;
-reliability is go-back-N (the RoCE model): the receiver delivers only
-in-order packets and NACKs on a gap, the sender rewinds.
+segmented into MTU-sized packets (every flow uses the one ``MTU``).
+Sequence numbers count packets; reliability is go-back-N (the RoCE
+model): the receiver delivers only in-order packets and NACKs on a gap,
+the sender rewinds.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ class Flow:
         "dst",
         "size",
         "start_time",
-        "mtu",
         "n_packets",
         # sender state
         "next_seq",
@@ -54,7 +54,6 @@ class Flow:
         dst: int,
         size: int,
         start_time: int = 0,
-        mtu: int = MTU,
     ) -> None:
         if size <= 0:
             raise ValueError(f"flow size must be positive, got {size}")
@@ -63,8 +62,7 @@ class Flow:
         self.dst = dst
         self.size = size
         self.start_time = start_time
-        self.mtu = mtu
-        self.n_packets = -(-size // mtu)  # ceil division
+        self.n_packets = -(-size // MTU)  # ceil division
         # -- sender ------------------------------------------------------------
         self.next_seq = 0
         self.acked_seq = 0          # cumulative: packets known delivered
@@ -96,18 +94,18 @@ class Flow:
         if seq < 0 or seq >= self.n_packets:
             raise ValueError(f"seq {seq} out of range for {self.n_packets} packets")
         if seq == self.n_packets - 1:
-            return self.size - (self.n_packets - 1) * self.mtu
-        return self.mtu
+            return self.size - (self.n_packets - 1) * MTU
+        return MTU
 
     @property
     def inflight_bytes(self) -> int:
         """Bytes sent but not yet cumulatively acknowledged."""
         if self.next_seq <= self.acked_seq:
             return 0
-        full = (self.next_seq - self.acked_seq) * self.mtu
+        full = (self.next_seq - self.acked_seq) * MTU
         if self.next_seq == self.n_packets:
             # the tail packet may be short
-            full -= self.mtu - self.packet_size(self.n_packets - 1)
+            full -= MTU - self.packet_size(self.n_packets - 1)
         return full
 
     @property

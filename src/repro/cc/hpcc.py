@@ -19,7 +19,6 @@ with the reference window ``W_c`` updated once per RTT.  Pacing rate is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.cc.base import CcAlgorithm
@@ -30,16 +29,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.packet import Packet
 
 
-@dataclass(frozen=True)
-class HpccConfig:
-    """HPCC parameters (defaults per the paper)."""
+# Parameters per the paper.
 
-    base_rtt: int
-    eta: float = 0.95
-    max_stage: int = 5
-    #: additive increment as a fraction of BDP
-    wai_fraction: float = 0.01
-    min_window_bytes: int = 1_000
+#: target utilization
+ETA = 0.95
+#: additive-increase stages before a multiplicative update
+MAX_STAGE = 5
+#: additive increment as a fraction of BDP
+WAI_FRACTION = 0.01
+#: window floor, bytes
+MIN_WINDOW_BYTES = 1_000
 
 
 class Hpcc(CcAlgorithm):
@@ -48,18 +47,14 @@ class Hpcc(CcAlgorithm):
     name = "hpcc"
     needs_int = True
 
-    def __init__(
-        self,
-        line_rate: float,
-        swnd_bytes: int,
-        config: HpccConfig,
-    ) -> None:
+    def __init__(self, line_rate: float, swnd_bytes: int, base_rtt: int) -> None:
         super().__init__(line_rate, swnd_bytes)
-        self.config = config
+        #: unloaded RTT, ns: the INT normalization period ``T``
+        self.base_rtt = base_rtt
         #: one-BDP window: the paper's W_init
-        self.w_init = int(line_rate * config.base_rtt / (8 * 1_000_000_000))
-        self.w_init = max(self.w_init, config.min_window_bytes)
-        self.w_ai = max(1, int(self.w_init * config.wai_fraction))
+        self.w_init = int(line_rate * base_rtt / (8 * 1_000_000_000))
+        self.w_init = max(self.w_init, MIN_WINDOW_BYTES)
+        self.w_ai = max(1, int(self.w_init * WAI_FRACTION))
 
     def on_flow_start(self, flow: Flow, now: int) -> None:
         cc = flow.cc
@@ -79,11 +74,10 @@ class Hpcc(CcAlgorithm):
         cc.last_int = records
         if u is None:
             return
-        eta = self.config.eta
-        if u >= eta or cc.inc_stage >= self.config.max_stage:
+        if u >= ETA or cc.inc_stage >= MAX_STAGE:
             cc.window = max(
-                self.config.min_window_bytes,
-                int(cc.w_c / (u / eta)) + self.w_ai,
+                MIN_WINDOW_BYTES,
+                int(cc.w_c / (u / ETA)) + self.w_ai,
             )
             if pkt.seq >= cc.last_update_seq:
                 # once per RTT: move the reference window
@@ -101,7 +95,7 @@ class Hpcc(CcAlgorithm):
 
     def on_timeout(self, flow: Flow, now: int) -> None:
         cc = flow.cc
-        cc.window = max(self.config.min_window_bytes, cc.window // 2)
+        cc.window = max(MIN_WINDOW_BYTES, cc.window // 2)
         cc.w_c = cc.window
         self._apply(flow)
 
@@ -115,7 +109,7 @@ class Hpcc(CcAlgorithm):
             self.line_rate,
             max(
                 self.line_rate * 0.001,
-                cc.window * 8 * 1_000_000_000 / self.config.base_rtt,
+                cc.window * 8 * 1_000_000_000 / self.base_rtt,
             ),
         )
 
@@ -128,7 +122,7 @@ class Hpcc(CcAlgorithm):
         if prev is None or len(prev) != len(curr):
             return None
         u_max = 0.0
-        t = self.config.base_rtt
+        t = self.base_rtt
         for p, c in zip(prev, curr, strict=True):
             dt = c.timestamp - p.timestamp
             if dt <= 0:

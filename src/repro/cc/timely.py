@@ -4,8 +4,8 @@ RTT-gradient congestion control.  Each ACK carries an RTT sample; the
 algorithm maintains an EWMA of the RTT *difference*, normalizes it by
 the minimum RTT, and:
 
-* below ``t_low``  -> additive increase (delta);
-* above ``t_high`` -> multiplicative decrease toward ``t_high``;
+* below ``t_low`` (1.5x base RTT) -> additive increase (delta);
+* above ``t_high`` (5x base RTT)  -> multiplicative decrease toward ``t_high``;
 * otherwise        -> gradient tracking: negative gradient increases
   additively (with hyper-active increase after five consecutive
   negative samples), positive gradient decreases multiplicatively.
@@ -13,7 +13,6 @@ the minimum RTT, and:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.cc.base import CcAlgorithm
@@ -23,30 +22,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.packet import Packet
 
 
-@dataclass(frozen=True)
-class TimelyConfig:
-    """TIMELY parameters.
-
-    ``t_low``/``t_high`` default to multiples of the base (unloaded)
-    RTT, which keeps the controller meaningful across the scaled-down
-    topologies this reproduction runs on.
-    """
-
-    base_rtt: int
-    t_low: int = 0      # 0 -> derived: 1.5x base RTT
-    t_high: int = 0     # 0 -> derived: 5x base RTT
-    ewma_alpha: float = 0.46
-    beta: float = 0.8
-    #: additive step as a fraction of line rate
-    delta_fraction: float = 0.01
-    min_rate_fraction: float = 0.002
-    hai_threshold: int = 5
-
-    def resolved_t_low(self) -> int:
-        return self.t_low if self.t_low > 0 else int(self.base_rtt * 1.5)
-
-    def resolved_t_high(self) -> int:
-        return self.t_high if self.t_high > 0 else int(self.base_rtt * 5)
+#: RTT-difference EWMA gain
+EWMA_ALPHA = 0.46
+#: multiplicative decrease factor
+BETA = 0.8
+#: additive step as a fraction of line rate
+DELTA_FRACTION = 0.01
+#: rate floor as a fraction of line rate
+MIN_RATE_FRACTION = 0.002
+#: consecutive negative-gradient samples before hyper-active increase
+HAI_THRESHOLD = 5
 
 
 class Timely(CcAlgorithm):
@@ -54,18 +39,16 @@ class Timely(CcAlgorithm):
 
     name = "timely"
 
-    def __init__(
-        self,
-        line_rate: float,
-        swnd_bytes: int,
-        config: TimelyConfig,
-    ) -> None:
+    def __init__(self, line_rate: float, swnd_bytes: int, base_rtt: int) -> None:
         super().__init__(line_rate, swnd_bytes)
-        self.config = config
-        self.delta = line_rate * config.delta_fraction
-        self.min_rate = line_rate * config.min_rate_fraction
-        self.t_low = config.resolved_t_low()
-        self.t_high = config.resolved_t_high()
+        #: unloaded RTT, ns: normalizes the gradient and places the
+        #: thresholds, which keeps the controller meaningful across the
+        #: scaled-down topologies this reproduction runs on
+        self.base_rtt = base_rtt
+        self.delta = line_rate * DELTA_FRACTION
+        self.min_rate = line_rate * MIN_RATE_FRACTION
+        self.t_low = int(base_rtt * 1.5)
+        self.t_high = int(base_rtt * 5)
 
     def on_flow_start(self, flow: Flow, now: int) -> None:
         flow.rate = self.line_rate
@@ -85,9 +68,8 @@ class Timely(CcAlgorithm):
             return
         rtt_diff = rtt - cc.prev_rtt
         cc.prev_rtt = rtt
-        a = self.config.ewma_alpha
-        cc.rtt_diff_ewma = (1.0 - a) * cc.rtt_diff_ewma + a * rtt_diff
-        gradient = cc.rtt_diff_ewma / self.config.base_rtt
+        cc.rtt_diff_ewma = (1.0 - EWMA_ALPHA) * cc.rtt_diff_ewma + EWMA_ALPHA * rtt_diff
+        gradient = cc.rtt_diff_ewma / self.base_rtt
 
         if rtt < self.t_low:
             cc.neg_gradient_count = 0
@@ -95,16 +77,16 @@ class Timely(CcAlgorithm):
             return
         if rtt > self.t_high:
             cc.neg_gradient_count = 0
-            factor = 1.0 - self.config.beta * (1.0 - self.t_high / rtt)
+            factor = 1.0 - BETA * (1.0 - self.t_high / rtt)
             flow.rate = max(self.min_rate, flow.rate * factor)
             return
         if gradient <= 0:
             cc.neg_gradient_count += 1
-            n = 5 if cc.neg_gradient_count >= self.config.hai_threshold else 1
+            n = 5 if cc.neg_gradient_count >= HAI_THRESHOLD else 1
             flow.rate = min(self.line_rate, flow.rate + n * self.delta)
         else:
             cc.neg_gradient_count = 0
-            factor = 1.0 - self.config.beta * gradient
+            factor = 1.0 - BETA * gradient
             flow.rate = max(self.min_rate, flow.rate * max(factor, 0.1))
 
     def on_timeout(self, flow: Flow, now: int) -> None:

@@ -6,8 +6,7 @@ Every figure/table in the paper has a module under
 reports.  Benchmarks under ``benchmarks/`` call those modules.
 
 Importing the package loads none of them: the CLI parser reads its
-choice lists from ``validate`` and ``figures.fault_sweep`` without
-building a simulator.
+choice lists from ``validate`` without building a simulator.
 """
 
 from repro.lazy import exports

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.parallel import ResultSummary, SweepTask, run_sweep
 from repro.experiments.scenario import ScenarioConfig
@@ -57,36 +56,26 @@ def incastmix_base(
 
 
 def variant_tasks(
-    base: ScenarioConfig,
-    variants: Optional[Dict[str, str]] = None,
-    **overrides,
+    base: ScenarioConfig, variants: Optional[Dict[str, str]] = None
 ) -> List[SweepTask]:
     """One pure-config task per flow-control variant, keyed by label."""
     return [
-        SweepTask(key=label, config=replace(base, flow_control=fc, **overrides))
+        SweepTask(key=label, config=replace(base, flow_control=fc))
         for label, fc in (variants or VARIANTS).items()
     ]
 
 
 def run_variants(
-    base: ScenarioConfig,
-    variants: Optional[Dict[str, str]] = None,
-    max_workers: Optional[int] = None,
-    cache: Union[bool, str, Path, None] = None,
-    **overrides,
+    base: ScenarioConfig, variants: Optional[Dict[str, str]] = None
 ) -> Dict[str, ResultSummary]:
     """Run the same scenario under several flow-control variants.
 
     The variants fan out over the parallel sweep runner (one process
-    per variant, results cached on disk when ``REPRO_CACHE_DIR`` or
-    ``cache=`` is set) and come back as slim
+    per variant, results cached on disk when ``REPRO_CACHE_DIR`` is
+    set) and come back as slim
     :class:`~repro.experiments.parallel.ResultSummary` objects.
     """
-    return run_sweep(
-        variant_tasks(base, variants, **overrides),
-        max_workers=max_workers,
-        cache=cache,
-    )
+    return run_sweep(variant_tasks(base, variants))
 
 
 # -- presentation of telemetry-export series ---------------------------------

@@ -30,7 +30,7 @@ fault plan is part of the config, hence of the cache key).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.faults.plan import Corruption, FaultPlan, LinkDown, RandomLoss
 from repro.units import us
@@ -38,9 +38,7 @@ from repro.units import us
 if TYPE_CHECKING:
     from repro.experiments.scenario import ScenarioConfig
 
-#: flow-control settings, keyed by the label the paper uses (the CLI
-#: parser's ``faults --schemes`` choices: this module loads no simulator
-#: until a sweep runs)
+#: flow-control settings, keyed by the label the paper uses
 SCHEMES: Dict[str, str] = {
     "floodgate": "floodgate",
     "pfc": "none",  # today's lossless fabric: PFC only
@@ -105,26 +103,20 @@ def _config(
     )
 
 
-def run(
-    quick: bool = True,
-    loss_rates: Optional[Iterable[float]] = None,
-    schemes: Optional[Iterable[str]] = None,
-    cache=None,
-) -> Dict:
+def run(quick: bool = True) -> Dict:
     from repro.experiments.parallel import SweepTask, run_sweep
 
     duration = 300_000 if quick else 1_500_000
-    rates = tuple(loss_rates) if loss_rates else ((0.02,) if quick else (0.01, 0.05, 0.10))
-    names = tuple(schemes) if schemes else tuple(SCHEMES)
+    rates = (0.02,) if quick else (0.01, 0.05, 0.10)
 
     tasks = [
         SweepTask(
             key=(scheme, "baseline", 0.0),
             config=_config(scheme, duration, None),
         )
-        for scheme in names
+        for scheme in SCHEMES
     ]
-    for scheme in names:
+    for scheme in SCHEMES:
         for kind in FAULT_KINDS:
             for rate in rates:
                 tasks.append(
@@ -135,10 +127,10 @@ def run(
                         ),
                     )
                 )
-    results = run_sweep(tasks, cache=cache)
+    results = run_sweep(tasks)
 
     out: Dict = {"summary": {}, "undetected_stalls": 0}
-    for scheme in names:
+    for scheme in SCHEMES:
         base = results[(scheme, "baseline", 0.0)]
         base_avg = base.poisson_fct.avg_ns or 1
         cells: Dict[str, Dict] = {

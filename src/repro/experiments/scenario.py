@@ -19,7 +19,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.cc.base import CcAlgorithm, StaticWindowCc
-from repro.cc.dcqcn import Dcqcn, DcqcnConfig
+from repro.cc.dcqcn import Dcqcn
 from repro.experiments.choices import FLOW_CONTROLS
 from repro.net.ecn import EcnConfig, EcnMarker
 from repro.net.host import Host
@@ -656,19 +656,15 @@ class Scenario:
         cfg = self.config
         swnd = max(int(cfg.swnd_bdp * self.base_bdp), 2_000)
         if cfg.cc == "dcqcn":
-            return Dcqcn(cfg.host_bandwidth, swnd, DcqcnConfig())
+            return Dcqcn(cfg.host_bandwidth, swnd)
         if cfg.cc == "timely":
-            from repro.cc.timely import Timely, TimelyConfig
+            from repro.cc.timely import Timely
 
-            return Timely(
-                cfg.host_bandwidth, swnd, TimelyConfig(base_rtt=self.base_rtt)
-            )
+            return Timely(cfg.host_bandwidth, swnd, self.base_rtt)
         if cfg.cc == "hpcc":
-            from repro.cc.hpcc import Hpcc, HpccConfig
+            from repro.cc.hpcc import Hpcc
 
-            return Hpcc(
-                cfg.host_bandwidth, swnd, HpccConfig(base_rtt=self.base_rtt)
-            )
+            return Hpcc(cfg.host_bandwidth, swnd, self.base_rtt)
         if cfg.cc == "static":
             return StaticWindowCc(cfg.host_bandwidth, swnd)
         raise ValueError(f"unknown congestion control {cfg.cc!r}")

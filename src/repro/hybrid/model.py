@@ -238,7 +238,7 @@ class _InboundState:
         flow = self.flow
         if self.seq_high >= flow.n_packets:
             return flow.size
-        return self.seq_high * flow.mtu
+        return self.seq_high * MTU
 
 
 class _OutboundState:
@@ -514,7 +514,7 @@ class HybridSimulation(FluidSimulation):
         # boundary conservation sweep holds the two tiers to this
         moved = flow.size * 8.0 - ff.remaining_bits
         ahead = st.unique_bytes() * 8.0 - moved
-        if ahead > flow.mtu * 8.0:
+        if ahead > MTU * 8.0:
             defer = now + int(ahead * SEC / rate)
             if defer > st.next_time:
                 st.next_time = defer

@@ -11,7 +11,7 @@ DCQCN/HPCC NS-3 models do:
   minus a hysteresis margin (two MTUs here);
 * a packet that cannot be admitted at all (pool exhausted) is dropped.
 
-The paper runs with the dynamic threshold and ``alpha = 2``.
+The paper runs with the dynamic threshold and ``alpha = 2`` (``ALPHA``).
 """
 
 from __future__ import annotations
@@ -19,6 +19,11 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.units import MTU
+
+#: dynamic-threshold factor: the paper runs with ``alpha = 2``
+ALPHA = 2.0
+#: a paused ingress resumes this far below the threshold, bytes
+HYSTERESIS = 2 * MTU
 
 
 class SharedBuffer:
@@ -34,7 +39,6 @@ class SharedBuffer:
         "n_ports",
         "n_paused",
         "max_used",
-        "hysteresis",
         "on_pause",
         "on_resume",
         "headroom",
@@ -44,16 +48,14 @@ class SharedBuffer:
         self,
         capacity: int,
         n_ports: int,
-        alpha: float = 2.0,
         pfc_enabled: bool = True,
-        hysteresis: int = 2 * MTU,
     ) -> None:
         if capacity <= 0:
             raise ValueError(f"buffer capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.alpha = alpha
+        #: dynamic-threshold factor (a test may lower it to pause early)
+        self.alpha = ALPHA
         self.pfc_enabled = pfc_enabled
-        self.hysteresis = hysteresis
         self.used = 0
         self.ingress_bytes: List[int] = [0] * n_ports
         self.ingress_paused: List[bool] = [False] * n_ports
@@ -131,7 +133,7 @@ class SharedBuffer:
     def _check_resume(self, port: int) -> None:
         if not self.pfc_enabled or not self.ingress_paused[port]:
             return
-        if self.ingress_bytes[port] + self.headroom + self.hysteresis < self.threshold():
+        if self.ingress_bytes[port] + self.headroom + HYSTERESIS < self.threshold():
             self.ingress_paused[port] = False
             self.n_paused -= 1
             if self.on_resume is not None:

@@ -29,13 +29,18 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.process import Timer
 from repro.stats.collector import StatsHub
 from repro.stats.fct import FctRecord
-from repro.units import CTRL_PKT_SIZE, SEC, us
+from repro.units import CTRL_PKT_SIZE, MTU, SEC, us
 
 #: hoisted enum members for the per-packet receive dispatch
 _DATA = PacketKind.DATA
 _ACK = PacketKind.ACK
 _NACK = PacketKind.NACK
 _CNP = PacketKind.CNP
+
+#: least gap between two NACKs for one flow, ns
+NACK_GAP = us(10)
+#: least gap between two CNPs for one flow, ns (DCQCN's notification point)
+CNP_GAP = us(50)
 
 
 class Host(Node):
@@ -51,19 +56,15 @@ class Host(Node):
         cc: CcAlgorithm,
         flow_table: Dict[int, Flow],
         stats: Optional[StatsHub] = None,
-        rto: int = us(500),
-        nack_interval: int = us(10),
-        cnp_interval: int = us(50),
-        int_enabled: bool = False,
     ) -> None:
         super().__init__(sim, node_id, name)
         self.cc = cc  # property: also caches the optional send hook
         self.flow_table = flow_table
         self.stats = stats
-        self.rto = rto
-        self.nack_interval = nack_interval
-        self.cnp_interval = cnp_interval
-        self.int_enabled = int_enabled
+        #: retransmission timeout, ns (the scenario sets its config's)
+        self.rto = us(500)
+        #: stamp an INT stack on every data packet (HPCC; set by the scenario)
+        self.int_enabled = False
         #: both EMPTY_SET until their first add
         self.paused_dsts: AbstractSet[int] = EMPTY_SET
         self.active_flows: AbstractSet[int] = EMPTY_SET
@@ -152,10 +153,9 @@ class Host(Node):
             return
         if self._flow_blocked(flow):
             return  # resumed when the pause lifts
-        mtu = flow.mtu
-        size = mtu if seq != n_packets - 1 else flow.size - seq * mtu
+        size = MTU if seq != n_packets - 1 else flow.size - seq * MTU
         acked = flow.acked_seq
-        inflight = (seq - acked) * mtu if seq > acked else 0
+        inflight = (seq - acked) * MTU if seq > acked else 0
         if inflight + size > min(flow.cwnd_bytes, self._cc.swnd_bytes):
             return  # ACK-clocked: resumed by _receive_ack
         sim = self.sim
@@ -262,7 +262,7 @@ class Host(Node):
             # rewinds to it (fault injection's delivered-but-NACKed class)
             if self.stats is not None:
                 self.stats.record_corrupt_rx()
-            if now - flow.last_nack_time >= self.nack_interval:
+            if now - flow.last_nack_time >= NACK_GAP:
                 flow.last_nack_time = now
                 nack = Packet(
                     PacketKind.NACK, self.node_id, flow.src, CTRL_PKT_SIZE
@@ -298,7 +298,7 @@ class Host(Node):
                 self._send_ack(flow, pkt)
         elif pkt.seq > flow.expected_seq:
             # gap: go-back-N NACK, rate limited
-            if not flow.fluid_src and now - flow.last_nack_time >= self.nack_interval:
+            if not flow.fluid_src and now - flow.last_nack_time >= NACK_GAP:
                 flow.last_nack_time = now
                 nack = Packet(
                     PacketKind.NACK, self.node_id, flow.src, CTRL_PKT_SIZE
@@ -314,7 +314,7 @@ class Host(Node):
             self.cnp_enabled
             and not flow.fluid_src
             and pkt.ecn_marked
-            and now - flow.last_cnp_time >= self.cnp_interval
+            and now - flow.last_cnp_time >= CNP_GAP
         ):
             flow.last_cnp_time = now
             cnp = Packet(PacketKind.CNP, self.node_id, flow.src, CTRL_PKT_SIZE)

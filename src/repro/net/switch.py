@@ -101,7 +101,6 @@ class Switch(Node):
         buffer_capacity: int,
         kind: str = "switch",
         pfc_enabled: bool = True,
-        pfc_alpha: float = 2.0,
         ecn: Optional[EcnMarker] = None,
         stats: Optional[StatsHub] = None,
         int_enabled: bool = False,
@@ -113,7 +112,6 @@ class Switch(Node):
         self.level = 0
         self.buffer_capacity = buffer_capacity
         self.pfc_enabled = pfc_enabled
-        self.pfc_alpha = pfc_alpha
         self.ecn = ecn
         self.stats = stats
         self.int_enabled = int_enabled
@@ -172,7 +170,6 @@ class Switch(Node):
         self.buffer = SharedBuffer(
             self.buffer_capacity,
             n_ports=len(self.ports),
-            alpha=self.pfc_alpha,
             pfc_enabled=self.pfc_enabled,
         )
         self.buffer.on_pause = self._send_pfc_pause

@@ -18,7 +18,6 @@ accounting (ToR-Up, Core, ToR-Down, Edge-Up, Agg-Down, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
 from repro.cc.flow import Flow
@@ -52,27 +51,27 @@ SwitchFactory = Callable[[Simulator, int, str, str, int], Switch]
 SWITCH_ID_BASE = 1_000_000
 
 
-@dataclass
 class Topology:
     """A built network: nodes, links, and shared flow state."""
 
-    sim: Simulator
-    hosts: List[Host] = field(default_factory=list)
-    switches: List[Switch] = field(default_factory=list)
-    links: List[Link] = field(default_factory=list)
-    flow_table: Dict[int, Flow] = field(default_factory=dict)
-    #: unloaded round-trip time between the two most distant hosts, ns
-    base_rtt: int = 0
-    #: one-hop host link bandwidth, bits/s
-    host_bandwidth: float = 0.0
-    #: flows fully delivered so far (kept by the hosts' ``on_flow_done``
-    #: callbacks, wired in :meth:`finalize`) — runners read this instead
-    #: of scanning the flow table
-    completed_flows: int = 0
-    #: link bandwidth -> the serialization-delay memo every egress port
-    #: of that bandwidth shares (wire size -> ns; a pure function of
-    #: the two, so one table per bandwidth serves the whole fabric)
-    delay_tables: Dict[float, Dict[int, int]] = field(default_factory=dict)
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        self.hosts: List[Host] = []
+        self.switches: List[Switch] = []
+        self.links: List[Link] = []
+        self.flow_table: Dict[int, Flow] = {}
+        #: unloaded round-trip time between the two most distant hosts, ns
+        self.base_rtt = 0
+        #: one-hop host link bandwidth, bits/s
+        self.host_bandwidth = 0.0
+        #: flows fully delivered so far (kept by the hosts' ``on_flow_done``
+        #: callbacks, wired in :meth:`finalize`) — runners read this instead
+        #: of scanning the flow table
+        self.completed_flows = 0
+        #: link bandwidth -> the serialization-delay memo every egress port
+        #: of that bandwidth shares (wire size -> ns; a pure function of
+        #: the two, so one table per bandwidth serves the whole fabric)
+        self.delay_tables: Dict[float, Dict[int, int]] = {}
 
     def switches_of_kind(self, kind: str) -> List[Switch]:
         return [s for s in self.switches if s.kind == kind]
@@ -85,8 +84,7 @@ class Topology:
         delay: int,
         role_a: str = "unknown",
         role_b: str = "unknown",
-        rr_queues: int = 0,
-    ) -> Link:
+        ) -> Link:
         """Create a link and both endpoints' egress ports."""
         link = Link(self.sim, a, b, bandwidth, delay)
         # per-direction ordering-key ids, assigned in link-creation
@@ -96,8 +94,8 @@ class Topology:
         link.lid_ab = 2 * len(self.links) + 1
         link.lid_ba = 2 * len(self.links) + 2
         link.delay_table = self.delay_tables.setdefault(bandwidth, {})
-        idx_a = a.attach_link(link, rr_data_queues=rr_queues)
-        idx_b = b.attach_link(link, rr_data_queues=rr_queues)
+        idx_a = a.attach_link(link)
+        idx_b = b.attach_link(link)
         if isinstance(a, Switch):
             a.port_roles[idx_a] = role_a
         if isinstance(b, Switch):
@@ -291,7 +289,6 @@ def build_leaf_spine(
     spine_bandwidth: float = gbps(400),
     link_delay: int = ns(600),
     host_link_delay: int = 0,
-    rr_queues: int = 0,
 ) -> Topology:
     """The paper's 2-level leaf-spine fabric (§6, default topology).
 
@@ -324,7 +321,6 @@ def build_leaf_spine(
                 host_link_delay,
                 role_a=PortRole.TOR_DOWN,
                 role_b=PortRole.HOST_UP,
-                rr_queues=rr_queues,
             )
         for spine in spines:
             topo.connect(
@@ -334,7 +330,6 @@ def build_leaf_spine(
                 link_delay,
                 role_a=PortRole.TOR_UP,
                 role_b=PortRole.CORE,
-                rr_queues=rr_queues,
             )
     topo.finalize()
     # host -> ToR -> spine -> ToR -> host: 4 links each way
@@ -359,7 +354,6 @@ def build_fat_tree(
     fabric_bandwidth: float = gbps(100),
     link_delay: int = ns(600),
     host_link_delay: int = 0,
-    rr_queues: int = 0,
 ) -> Topology:
     """k-ary fat tree (k pods, k/2 edge + k/2 agg per pod, (k/2)^2 cores).
 
@@ -402,8 +396,7 @@ def build_fat_tree(
                     host_link_delay,
                     role_a=PortRole.EDGE_DOWN,
                     role_b=PortRole.HOST_UP,
-                    rr_queues=rr_queues,
-                )
+                    )
             for agg in aggs:
                 topo.connect(
                     edge,
@@ -412,8 +405,7 @@ def build_fat_tree(
                     link_delay,
                     role_a=PortRole.EDGE_UP,
                     role_b=PortRole.AGG_DOWN,
-                    rr_queues=rr_queues,
-                )
+                    )
         for a, agg in enumerate(aggs):
             for c in range(half):
                 core = cores[a * half + c]
@@ -424,8 +416,7 @@ def build_fat_tree(
                     link_delay,
                     role_a=PortRole.AGG_UP,
                     role_b=PortRole.CORE,
-                    rr_queues=rr_queues,
-                )
+                    )
     topo.finalize()
     topo.base_rtt = _path_rtt(
         [(host_bandwidth, host_link_delay)]
@@ -439,13 +430,10 @@ def build_testbed(
     sim: Simulator,
     host_factory: HostFactory,
     switch_factory: SwitchFactory,
-    hosts_per_tor: int = 2,
-    n_tors: int = 3,
     host_bandwidth: float = gbps(10),
     core_bandwidth: float = gbps(20),
     link_delay: int = ns(1000),
     host_link_delay: int = 0,
-    rr_queues: int = 0,
 ) -> Topology:
     """The §5.2 testbed: one core, three ToRs, two hosts per ToR."""
     return build_leaf_spine(
@@ -453,13 +441,12 @@ def build_testbed(
         host_factory,
         switch_factory,
         n_spines=1,
-        n_tors=n_tors,
-        hosts_per_tor=hosts_per_tor,
+        n_tors=3,
+        hosts_per_tor=2,
         host_bandwidth=host_bandwidth,
         spine_bandwidth=core_bandwidth,
         link_delay=link_delay,
         host_link_delay=host_link_delay,
-        rr_queues=rr_queues,
     )
 
 
@@ -471,7 +458,6 @@ def build_dumbbell(
     host_bandwidth: float = gbps(10),
     trunk_bandwidth: float = gbps(10),
     link_delay: int = ns(500),
-    rr_queues: int = 0,
 ) -> Topology:
     """Two ToRs joined by one trunk link — the unit-test micro-fabric."""
     topo = Topology(sim)
@@ -490,8 +476,7 @@ def build_dumbbell(
             link_delay,
             role_a=PortRole.TOR_DOWN,
             role_b=PortRole.HOST_UP,
-            rr_queues=rr_queues,
-        )
+            )
     topo.connect(
         left,
         right,
@@ -499,7 +484,6 @@ def build_dumbbell(
         link_delay,
         role_a=PortRole.TOR_UP,
         role_b=PortRole.TOR_UP,
-        rr_queues=rr_queues,
     )
     topo.finalize()
     topo.base_rtt = _path_rtt(

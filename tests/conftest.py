@@ -67,7 +67,6 @@ class MiniNet:
                 buffer_capacity=buffer_bytes,
                 kind=kind,
                 pfc_enabled=pfc,
-                pfc_alpha=pfc_alpha,
                 stats=self.stats,
             )
             sw.level = level
@@ -95,6 +94,8 @@ class MiniNet:
             )
         # hosts and topology share one flow table
         self.topo.flow_table = self.flow_table
+        for sw in self.topo.switches:
+            sw.buffer.alpha = pfc_alpha
 
     def flow(self, flow_id, src, dst, size, start=0):
         f = self.topo.make_flow(flow_id, src, dst, size, start)

@@ -9,7 +9,7 @@ from repro.stats.collector import StatsHub
 from repro.units import gbps, kb, mb, ms, us
 
 
-def build(n_queues=8, pause_threshold=10_000, sticky_time=us(20)):
+def build(n_queues=8, pause_threshold=10_000):
     sim = Simulator()
     stats = StatsHub()
     flow_table = {}
@@ -17,13 +17,10 @@ def build(n_queues=8, pause_threshold=10_000, sticky_time=us(20)):
     config = BfcConfig(
         n_queues=n_queues,
         pause_threshold=pause_threshold,
-        sticky_time=sticky_time,
     )
 
     def host_factory(s, nid, name):
-        return BfcHost(
-            s, nid, name, cc, flow_table, stats=stats, bfc_config=config
-        )
+        return BfcHost(s, nid, name, cc, flow_table, stats=stats)
 
     def switch_factory(s, nid, name, kind, level):
         sw = Switch(s, nid, name, mb(1), kind=kind, stats=stats)

@@ -39,7 +39,8 @@ def build(trim_threshold=4 * MTU):
     topo.flow_table = flow_table
     exts = []
     for sw in topo.switches:
-        ext = NdpSwitchExtension(sim, trim_threshold=trim_threshold)
+        ext = NdpSwitchExtension(sim)
+        ext.trim_threshold = trim_threshold
         sw.install_extension(ext)
         exts.append(ext)
     configure_ndp_hosts(topo, topo.base_rtt)

@@ -12,11 +12,7 @@ class TestBfcConfig:
 
     def test_resume_default_half(self):
         cfg = BfcConfig(pause_threshold=10_000)
-        assert cfg.resolved_resume() == 5_000
-
-    def test_resume_explicit(self):
-        cfg = BfcConfig(pause_threshold=10_000, resume_threshold=2_000)
-        assert cfg.resolved_resume() == 2_000
+        assert cfg.resume_threshold == 5_000
 
     def test_fid_hash_deterministic_and_spread(self):
         values = {_fid_hash(i) % 32 for i in range(1000)}

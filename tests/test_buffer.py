@@ -7,7 +7,8 @@ from repro.net.buffer import SharedBuffer
 
 
 def make(capacity=100_000, alpha=2.0, pfc=True):
-    buf = SharedBuffer(capacity, n_ports=4, alpha=alpha, pfc_enabled=pfc)
+    buf = SharedBuffer(capacity, n_ports=4, pfc_enabled=pfc)
+    buf.alpha = alpha
     events = []
     buf.on_pause = lambda p: events.append(("pause", p))
     buf.on_resume = lambda p: events.append(("resume", p))

@@ -1,6 +1,6 @@
 """DCQCN control law."""
 
-from repro.cc.dcqcn import Dcqcn, DcqcnConfig
+from repro.cc.dcqcn import F, Dcqcn
 from repro.cc.flow import Flow
 from repro.net.packet import Packet, PacketKind
 from repro.units import gbps, us
@@ -91,7 +91,8 @@ class TestRateIncrease:
         assert f.rate <= LINE
 
     def test_fast_recovery_moves_halfway_to_target(self):
-        cc = Dcqcn(LINE, 30_000, DcqcnConfig(f=5))
+        assert F == 5
+        cc = Dcqcn(LINE, 30_000)
         f = make_flow(cc)
         cc.on_cnp(f, 0)
         rc, rt = f.rate, f.cc.rt
@@ -100,8 +101,8 @@ class TestRateIncrease:
         assert abs(f.rate - (rc + rt) / 2) < 1e-3 * LINE
 
     def test_byte_counter_triggers_increase(self):
-        cfg = DcqcnConfig(byte_counter_ms=0.001)  # tiny: trip often
-        cc = Dcqcn(LINE, 30_000, cfg)
+        cc = Dcqcn(LINE, 30_000)
+        cc.byte_counter = 1_250  # 0.001 ms of line rate, tiny: trip often
         f = make_flow(cc)
         cc.on_cnp(f, 0)
         reduced = f.rate

@@ -1,7 +1,7 @@
 """HPCC control law."""
 
 from repro.cc.flow import Flow
-from repro.cc.hpcc import Hpcc, HpccConfig
+from repro.cc.hpcc import MAX_STAGE, MIN_WINDOW_BYTES, Hpcc
 from repro.net.packet import IntRecord, Packet, PacketKind
 from repro.units import gbps, us
 
@@ -10,7 +10,7 @@ BASE_RTT = us(10)
 
 
 def make():
-    cc = Hpcc(LINE, 1 << 30, HpccConfig(base_rtt=BASE_RTT))
+    cc = Hpcc(LINE, 1 << 30, BASE_RTT)
     f = Flow(1, 0, 1, 1_000_000)
     cc.on_flow_start(f, 0)
     return cc, f
@@ -61,7 +61,7 @@ class TestWindow:
                 t1=us(10 * (2 * i + 2)),
             )
             f.cc.last_int = None  # force fresh pairs
-        assert f.cc.window >= cc.config.min_window_bytes
+        assert f.cc.window >= MIN_WINDOW_BYTES
 
     def test_window_sets_pacing_rate(self):
         cc, f = make()
@@ -95,7 +95,7 @@ class TestWindow:
         cc, f = make()
         w0 = f.cc.window
         cc.on_timeout(f, us(50))
-        assert f.cc.window == max(cc.config.min_window_bytes, w0 // 2)
+        assert f.cc.window == max(MIN_WINDOW_BYTES, w0 // 2)
 
 
 class TestMaxStage:
@@ -104,7 +104,7 @@ class TestMaxStage:
         f.cc.w_c = f.cc.window = cc.w_init // 2
         # several uncongested RTTs: additive growth, then the stage cap
         # forces a multiplicative update
-        for i in range(cc.config.max_stage + 2):
+        for i in range(MAX_STAGE + 2):
             f.cc.last_int = None
             ack(
                 cc,
@@ -114,4 +114,4 @@ class TestMaxStage:
                 t0=us(100 * (i + 1)),
                 t1=us(100 * (i + 1) + 10),
             )
-        assert f.cc.inc_stage <= cc.config.max_stage + 1
+        assert f.cc.inc_stage <= MAX_STAGE + 1

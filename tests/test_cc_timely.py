@@ -1,7 +1,7 @@
 """TIMELY control law."""
 
 from repro.cc.flow import Flow
-from repro.cc.timely import Timely, TimelyConfig
+from repro.cc.timely import Timely
 from repro.net.packet import Packet, PacketKind
 from repro.units import gbps, us
 
@@ -10,7 +10,7 @@ BASE_RTT = us(10)
 
 
 def make():
-    cc = Timely(LINE, 30_000, TimelyConfig(base_rtt=BASE_RTT))
+    cc = Timely(LINE, 30_000, BASE_RTT)
     f = Flow(1, 0, 1, 1_000_000)
     cc.on_flow_start(f, 0)
     return cc, f

@@ -43,6 +43,20 @@ class TestRun:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("stalls, status", [(0, 0), (1, 1)])
+    def test_run_faults_exits_1_on_an_undetected_stall(
+        self, monkeypatch, capsys, stalls, status
+    ):
+        """The fault sweep's acceptance criterion gates the exit status."""
+        from repro.experiments.figures import fault_sweep
+
+        def sweep(quick=True):
+            return {"summary": {}, "undetected_stalls": stalls}
+
+        monkeypatch.setattr(fault_sweep, "run", sweep)
+        assert main(["run", "faults"]) == status
+        assert '"undetected_stalls": %d' % stalls in capsys.readouterr().out
+
 
 def _subparsers():
     import argparse
@@ -62,13 +76,19 @@ class TestSubcommands:
         assert list(_subparsers().choices) == [
             "list",
             "run",
-            "faults",
             "validate-flowsim",
             "validate-hybrid",
             "report",
             "scenarios",
             "check",
         ]
+
+    def test_faults_is_run_faults(self, capsys):
+        """One path to the fault sweep: ``run faults [--full]``."""
+        with pytest.raises(SystemExit) as exc:
+            main(["faults"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'faults'" in capsys.readouterr().err
 
     def test_bench_is_an_argparse_error_not_an_alias(self, capsys):
         """Simulator speed has one instrument, ``python3 -m
@@ -105,11 +125,6 @@ class TestGeneratedChoices:
         choices = self._choices("check", "--schemes")
         assert set(choices) == {n for n, _ in SCHEMES + SHARDED_SCHEMES}
         assert len(choices) == len(set(choices))
-
-    def test_faults_schemes_mirror_the_sweep(self):
-        from repro.experiments.figures import fault_sweep
-
-        assert self._choices("faults", "--schemes") == list(fault_sweep.SCHEMES)
 
     def test_parser_rejects_a_scheme_outside_the_table(self):
         from repro.cli import build_parser

@@ -1,6 +1,7 @@
 """End-host transport: delivery, reliability, pacing, pausing."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -212,6 +213,33 @@ class TestCnp:
             1 for p in host.ports[0].queues[0] if p.kind == PacketKind.CNP
         )
         assert queued_cnps <= 1
+
+        # at the boundary, on a fresh net: one CNP per 50 us and one
+        # NACK per 10 us per flow, a gap of exactly the limit allowed
+        net = MiniNet()
+        host = net.topo.hosts[2]
+        sent = []
+        # the NIC port records control frames instead of sending them
+        host.ports[0] = SimpleNamespace(
+            enqueue_control=lambda p: sent.append((net.sim.now, p.kind))
+        )
+        net.topo.make_flow(1, 0, 2, 50_000, 0)
+        net.topo.make_flow(2, 0, 2, 50_000, 0)
+        arrivals = [  # (time, flow, seq, marked): flow 2 arrives past a gap
+            (0, 1, 0, True),
+            (0, 2, 5, False),
+            (us(10) - 1, 2, 6, False),
+            (us(10), 2, 7, False),
+            (us(50) - 1, 1, 1, True),
+            (us(50), 1, 2, True),
+        ]
+        for at, flow_id, seq, marked in arrivals:
+            net.run(at)
+            pkt = Packet(PacketKind.DATA, 0, 2, 1000, flow_id=flow_id, seq=seq)
+            pkt.ecn_marked = marked
+            host.receive(pkt, 0)
+        assert [t for t, kind in sent if kind == PacketKind.CNP] == [0, us(50)]
+        assert [t for t, kind in sent if kind == PacketKind.NACK] == [0, us(10)]
 
 
 class TestDstPause:

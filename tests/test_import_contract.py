@@ -191,8 +191,7 @@ FACADES = {
         "PfcTagExtension", "install_pfc_tag",
     ],
     "repro.cc": [
-        "Flow", "CcAlgorithm", "StaticWindowCc", "Dcqcn", "DcqcnConfig",
-        "Timely", "TimelyConfig", "Hpcc", "HpccConfig",
+        "Flow", "CcAlgorithm", "StaticWindowCc", "Dcqcn", "Timely", "Hpcc",
     ],
     "repro.experiments": [
         "Scale", "Scenario", "ScenarioConfig", "ScenarioResult",

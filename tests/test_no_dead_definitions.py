@@ -19,7 +19,9 @@ To a fixpoint.
 
 The walk does not see attributes, so a second test holds the slots:
 every ``__slots__`` entry of a class under ``src/repro`` is loaded
-somewhere in ``src/`` outside that class's own ``__init__``.
+somewhere in ``src/`` outside that class's own ``__init__``.  Two more
+hold what a run can select: every enumerated config value is named by
+a root, and every model parameter is set by a caller.
 """
 
 from __future__ import annotations
@@ -235,3 +237,185 @@ def test_every_selectable_value_is_selected_by_a_root():
     )
     assert [v for v in values if v not in strings] == []
     assert [t.__name__ for t in get_args(FaultSpec) if t.__name__ not in names] == []
+
+
+#: the packages whose parameters model the network (what a run simulates)
+MODEL_PACKAGES = ("sim", "net", "cc", "floodgate", "baselines")
+#: where a call must set a model parameter for it to count as varied
+CALLER_FILES = sorted((ROOT / "src").rglob("*.py")) + sorted(
+    (ROOT / "benchmarks").rglob("*.py")
+)
+#: more positionals than any call passes: a parameter only a keyword sets
+KEYWORD_ONLY = 1 << 30
+#: ``Owner.param`` -> why it stays settable although no caller sets it.
+#: Two entries at most.
+ALLOWED_PARAMETERS = {
+    "FloodgateConfig.m": "ScenarioConfig.floodgate is pickled into canonical_bytes "
+    "and into every cache key: dropping a field moves every digest",
+    "FloodgateConfig.max_voqs": "ScenarioConfig.floodgate is pickled into "
+    "canonical_bytes and into every cache key: dropping a field moves every digest",
+}
+
+
+def _callee(call: ast.Call):
+    """The name a call reaches, name-level: ``f(...)`` and ``x.f(...)``
+    give ``f``; None for anything else (a call on a call's result)."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _is_super_init(call: ast.Call) -> bool:
+    func = call.func
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr == "__init__"
+        and isinstance(func.value, ast.Call)
+        and getattr(func.value.func, "id", None) == "super"
+    )
+
+
+def _calls() -> dict:
+    """callee name -> ``(positional count, keyword names)`` of every
+    call under ``src/`` and ``benchmarks/``; a ``super().__init__`` call
+    counts as a call of each base of its class.  A ``*args`` or
+    ``**kwargs`` names nothing: a forwarding ``__init__`` is followed
+    through its class instead (``_model_parameters``)."""
+    out: dict = {}
+
+    def record(name, call: ast.Call) -> None:
+        positional = 0
+        for arg in call.args:
+            if isinstance(arg, ast.Starred):
+                break
+            positional += 1
+        keywords = {k.arg for k in call.keywords if k.arg}
+        out.setdefault(name, []).append((positional, keywords))
+
+    def walk(node: ast.AST, bases=()) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(child, tuple(getattr(b, "id", "") for b in child.bases))
+                continue
+            if isinstance(child, ast.Call):
+                if _is_super_init(child):
+                    for base in bases:
+                        record(base, child)
+                else:
+                    name = _callee(child)
+                    if name is not None:
+                        record(name, child)
+            walk(child, bases)
+
+    for path in CALLER_FILES:
+        walk(ast.parse(path.read_text()))
+    return out
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        getattr(d, "id", None) == "dataclass"
+        or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+        for d in cls.decorator_list
+    )
+
+
+def _model_parameters():
+    """``(owner, param, reach)`` for every parameter with a default and
+    every dataclass field under the model packages; ``reach`` maps each
+    callee name that can set it to the positionals a call of that name
+    passes to reach it (``replace`` sets a field by keyword only)."""
+    subclasses: dict = {}
+    for path, tree in _src().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for base in node.bases:
+                    subclasses.setdefault(getattr(base, "id", None), []).append(node)
+
+    def forwards(cls: ast.ClassDef) -> bool:
+        """True when ``cls`` inherits ``__init__`` or its own takes
+        ``*args, **kwargs`` (and passes them up)."""
+        return all(
+            item.args.vararg and item.args.kwarg
+            for item in cls.body
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+        )
+
+    def constructors(cls: ast.ClassDef) -> set:
+        """The names a call of ``cls.__init__`` goes by: the class, and
+        each subclass that forwards to it."""
+        names = {cls.name}
+        for sub in subclasses.get(cls.name, []):
+            if forwards(sub):
+                names |= constructors(sub)
+        return names
+
+    for path, tree in _src().items():
+        if path.split("/")[1] not in MODEL_PACKAGES:
+            continue
+        owners = {
+            id(item): cls
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+        }
+        for node in ast.walk(tree):
+            cls = owners.get(id(node))
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields = [
+                    item.target.id
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and "ClassVar" not in ast.unparse(item.annotation)
+                ]
+                for i, field in enumerate(fields):
+                    reach = dict.fromkeys(constructors(node), i)
+                    yield node.name, field, {**reach, "replace": KEYWORD_ONLY}
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            skip = 1 if cls is not None and not any(
+                getattr(d, "id", None) == "staticmethod" for d in node.decorator_list
+            ) else 0
+            if cls is not None and node.name == "__init__":
+                owner, names = cls.name, constructors(cls)
+            else:
+                owner = f"{cls.name}.{node.name}" if cls is not None else node.name
+                names = {node.name}
+            first_default = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional):
+                if i >= first_default:
+                    yield owner, arg.arg, dict.fromkeys(names, i - skip)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield owner, arg.arg, dict.fromkeys(names, KEYWORD_ONLY)
+
+
+def _unset_model_parameters() -> list:
+    calls = _calls()
+    unset = set()
+    for owner, param, reach in _model_parameters():
+        if not any(
+            param in keywords or positional > position
+            for name, position in reach.items()
+            for positional, keywords in calls.get(name, ())
+        ):
+            unset.add(f"{owner}.{param}")
+    return sorted(unset)
+
+
+def test_every_model_parameter_has_a_caller():
+    """A parameter with a default, or a dataclass field, under
+    ``repro.{sim,net,cc,floodgate,baselines}`` is set by some call or
+    ``replace(...)`` under ``src/`` or ``benchmarks/`` (name-level, as
+    above): with one value in use it is a constant, not an option.  A
+    test that needs another value sets the instance attribute."""
+    unset = _unset_model_parameters()
+    assert [p for p in unset if p not in ALLOWED_PARAMETERS] == []
+    assert sorted(set(ALLOWED_PARAMETERS) - set(unset)) == [], "allow-listed, but set"
+    assert len(ALLOWED_PARAMETERS) <= 2
