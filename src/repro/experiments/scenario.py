@@ -394,24 +394,22 @@ def reference_config(
     return None
 
 
-def _check_fabric(cfg: ScenarioConfig) -> None:
-    """Reject what only the resolved fabric size decides, before the
-    build: more rpc clients than hosts, an ``incast_dst`` that is not a
-    host, and an incast with no host outside the destination's rack."""
-    if cfg.topology == "leaf-spine":
-        racks, hosts = cfg.n_tors, cfg.n_tors * cfg.hosts_per_tor
-    elif cfg.topology == "fat-tree":
-        racks = cfg.fat_tree_k * (cfg.fat_tree_k // 2)
-        hosts = racks * cfg.hosts_per_edge
-    elif cfg.topology == "testbed":
-        racks, hosts = 3, 6  # build_testbed's fixed 3 ToRs x 2 hosts
-    else:
-        racks, hosts = 2, 2 * max(cfg.hosts_per_tor, 2)  # dumbbell
+def _check_fabric(cfg: ScenarioConfig, topology: Topology) -> None:
+    """Reject what only the built fabric decides, before any traffic
+    or rpc driver exists: more rpc clients than hosts, a ``hot_racks``
+    entry that is not a rack, an ``incast_dst`` that is not a host, and
+    an incast with no host outside the destination's rack."""
+    hosts, racks = len(topology.hosts), len(topology.racks)
     if cfg.rpc is not None and cfg.rpc.n_clients > hosts:
         raise ValueError(
             f"rpc.n_clients {cfg.rpc.n_clients} exceeds the {hosts} hosts "
             f"of the {cfg.topology} fabric"
         )
+    for rack in cfg.hot_racks:
+        if rack >= racks:
+            raise ValueError(
+                f"hot rack {rack} out of range: topology has {racks} racks"
+            )
     if cfg.pattern not in ("incastmix", "incast", "staggered"):
         return  # the patterns that aim traffic at incast_dst
     if cfg.incast_dst >= hosts:
@@ -444,7 +442,6 @@ class Scenario:
     def __init__(self, config: ScenarioConfig) -> None:
         self.config = config.resolved()
         cfg = self.config
-        _check_fabric(cfg)
         self.sim = Simulator()
         self.stats = StatsHub()
         self.stats.track_bandwidth = cfg.track_bandwidth
@@ -454,6 +451,7 @@ class Scenario:
         self.extensions: List[object] = []
         self._ecn = self._ecn_config()
         self.topology = self._build_topology()
+        _check_fabric(cfg, self.topology)
         # hosts and topology share one flow table
         self.topology.flow_table = self.flow_table
         self.base_rtt = self.topology.base_rtt
@@ -734,13 +732,9 @@ class Scenario:
     # -- traffic ------------------------------------------------------------------------
 
     def rack_of(self) -> Dict[int, int]:
-        """Host id -> rack index (derived from ToR attachment)."""
-        mapping: Dict[int, int] = {}
-        tors = [s for s in self.topology.switches if s.level == 0]
-        for rack, tor in enumerate(tors):
-            for host_id in tor.connected_hosts:
-                mapping[host_id] = rack
-        return mapping
+        """Host id -> rack index: the topology's rack map (read it, do
+        not change it)."""
+        return self.topology.rack_of
 
     def incast_senders(self) -> List[int]:
         """Incast senders: hosts outside the destination's rack.

@@ -102,9 +102,6 @@ class FluidSimulation:
         for link in self.topology.links:
             self.capacities.append(link.bandwidth)
             self.capacities.append(link.bandwidth)
-        self._link_index: Dict[int, int] = {
-            id(link): i for i, link in enumerate(self.topology.links)
-        }
         #: Floodgate per-(switch, dst) VOQ resources, created lazily
         self._voq_resource: Dict[Tuple[int, int], int] = {}
         self._floodgate_ext: Dict[int, object] = {}
@@ -167,9 +164,10 @@ class FluidSimulation:
         return window_bits * SEC / max(hop_rtt_ns(link.bandwidth, link.delay), 1)
 
     def _directed_resource(self, link, node) -> int:
-        """Directed-link resource index for ``link`` leaving ``node``."""
-        direction = 0 if link.node_a is node else 1
-        return 2 * self._link_index[id(link)] + direction
+        """Directed-link resource index for ``link`` leaving ``node``:
+        its ordering-key id less one (``Topology.connect`` numbers link
+        ``i``'s directions ``2i + 1`` and ``2i + 2``)."""
+        return (link.lid_ab if link.node_a is node else link.lid_ba) - 1
 
     def _build_tail(self, node: Switch, dst: int) -> Tuple[Tuple[int, ...], Tuple]:
         """Resources + hops from switch ``node`` to host ``dst``."""

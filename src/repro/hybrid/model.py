@@ -112,11 +112,7 @@ def select_hot_racks(scenario) -> Tuple[int, ...]:
     cfg = scenario.config
     rack_of = scenario.rack_of()
     duration = max(cfg.duration, 1)
-    # the *built* NIC rate, not cfg.host_bandwidth: topology presets
-    # (fat-tree among them) leave the config field 0 and resolve the
-    # real rate at build time
-    line_rate = scenario.topology.hosts[0].links[0].bandwidth
-    src_cap_bits = line_rate * duration / SEC
+    src_cap_bits = cfg.host_bandwidth * duration / SEC
     per_src: Dict[int, Dict[int, float]] = {}
     for spec in scenario.flows:
         srcs = per_src.setdefault(spec.dst, {})
@@ -285,23 +281,18 @@ class HybridSimulation(FluidSimulation):
     def __init__(self, scenario) -> None:
         super().__init__(scenario)
         cfg = scenario.config
-        tors = [s for s in self.topology.switches if s.level == 0]
+        # an explicit hot_racks entry was range-checked by the scenario
         racks = cfg.hot_racks or select_hot_racks(scenario)
-        for rack in racks:
-            if rack >= len(tors):
-                raise ValueError(
-                    f"hot rack {rack} out of range: topology has "
-                    f"{len(tors)} racks"
-                )
         self.hot_racks: Tuple[int, ...] = tuple(sorted(dict.fromkeys(racks)))
         #: hot host ids (deterministic set: insertion-ordered dict)
-        self._hot_hosts: Dict[int, None] = {}
-        self._hot_tors: List[Switch] = []
-        for rack in self.hot_racks:
-            tor = tors[rack]
-            self._hot_tors.append(tor)
-            for host_id in tor.connected_hosts:
-                self._hot_hosts[host_id] = None
+        self._hot_hosts: Dict[int, None] = {
+            host_id: None
+            for host_id, rack in self.topology.rack_of.items()
+            if rack in self.hot_racks
+        }
+        self._hot_tors: List[Switch] = [
+            self.topology.racks[rack] for rack in self.hot_racks
+        ]
         #: boundary interceptors, one per hot-ToR uplink
         self._channels: List[_BoundaryChannel] = []
         for tor in self._hot_tors:
@@ -680,11 +671,8 @@ class HybridSimulation(FluidSimulation):
         self._ghost_flows[ghost] = None
         self._injected.append(ghost)
         self._process()
-        # seed the offered-rate EWMA from the sender's actual NIC rate:
-        # config.host_bandwidth is 0.0 for topology presets that resolve
-        # bandwidths at build time (e.g. fat-tree)
-        line_rate = self.topology.hosts[flow.src].links[0].bandwidth
-        return _OutboundState(flow, ghost, residual, line_rate)
+        # seed the offered-rate EWMA from the sender's NIC rate
+        return _OutboundState(flow, ghost, residual, self.config.host_bandwidth)
 
     def _tunnel_deliver(self, st: _OutboundState, pkt) -> None:
         st.delivered_bytes += pkt.size

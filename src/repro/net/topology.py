@@ -62,8 +62,13 @@ class Topology:
         self.flow_table: Dict[int, Flow] = {}
         #: unloaded round-trip time between the two most distant hosts, ns
         self.base_rtt = 0
-        #: one-hop host link bandwidth, bits/s
-        self.host_bandwidth = 0.0
+        #: the rack map, built by :meth:`finalize`: the ToRs (switches
+        #: with attached hosts) in switch order — a rack's number is its
+        #: index here — and host id -> rack number, rack by rack in each
+        #: ToR's ``connected_hosts`` order.  The one place that decides
+        #: which hosts share a rack.
+        self.racks: List[Switch] = []
+        self.rack_of: Dict[int, int] = {}
         #: flows fully delivered so far (kept by the hosts' ``on_flow_done``
         #: callbacks, wired in :meth:`finalize`) — runners read this instead
         #: of scanning the flow table
@@ -111,9 +116,10 @@ class Topology:
         Every host is single-homed: each ToR gets its own hosts now, and
         every other (switch, host) entry is resolved the first time the
         switch looks it up (:class:`_RackRoutes`), so the build costs
-        O(hosts) and a run pays for the racks it reaches.
+        O(hosts) and a run pays for the racks it reaches.  The same pass
+        builds the rack map (:attr:`racks`, :attr:`rack_of`).
         """
-        resolver = _RackRoutes(self.switches)
+        resolver = _RackRoutes(self)
         n_dsts = max((host.node_id for host in self.hosts), default=-1) + 1
         for switch in self.switches:
             switch.reserve_routes(n_dsts)
@@ -124,7 +130,12 @@ class Topology:
             port = link.peer_port_of(host)
             tor.set_route(host.node_id, port)
             tor.connected_hosts[host.node_id] = port  # simcheck: ignore[SIM005] -- build time, before any domain exists
-            resolver.add_host(host.node_id, tor)
+        self.racks = [sw for sw in self.switches if sw.connected_hosts]
+        self.rack_of = {
+            host_id: rack
+            for rack, tor in enumerate(self.racks)
+            for host_id in tor.connected_hosts
+        }
 
     def finalize(self) -> None:
         """Compute routes, create switch buffers, wire completion; call once.
@@ -191,8 +202,10 @@ class _RackRoutes:
     (its distance is its ToR's plus one), so a miss at a switch installs
     that switch's entry for the whole rack: ``set_route`` per host, the
     candidate tuple and its per-destination pick exactly the eager ones.
-    The candidates are the switch's ports toward a peer one hop nearer
-    the rack's ToR; the hop distances come from one BFS over the switch
+    The rack, its ToR and its hosts come from the topology's rack map
+    (``racks[rack_of[dst]]`` and that ToR's ``connected_hosts``).  The
+    candidates are the switch's ports toward a peer one hop nearer the
+    rack's ToR; the hop distances come from one BFS over the switch
     graph rooted at the ToR, run the first time any switch asks for the
     rack and kept here.
 
@@ -202,34 +215,27 @@ class _RackRoutes:
     other would have stored, and a forked domain fills its own copy.
     """
 
-    def __init__(self, switches: List[Switch]) -> None:
-        self.switches = switches
-        self._index = {sw.node_id: j for j, sw in enumerate(switches)}
-        #: host id -> its ToR's switch index
-        self._rack_of: Dict[int, int] = {}
-        #: ToR switch index -> its host ids, in host order
-        self._hosts: Dict[int, List[int]] = {}
+    def __init__(self, topology: Topology) -> None:
+        self.topology = topology
+        self.switches = topology.switches
+        self._index = {sw.node_id: j for j, sw in enumerate(self.switches)}
         #: per switch, per port: the peer's switch index, -1 for a host;
         #: and per switch, its switch peers (both built on the first miss)
         self._ports: List[List[int]] = []
         self._adj: List[List[int]] = []
-        #: ToR switch index -> every switch's hop distance from it
+        #: rack number -> every switch's hop distance from its ToR
         self._dist: Dict[int, List[int]] = {}
-
-    def add_host(self, host_id: int, tor: Switch) -> None:
-        tor_idx = self._index[tor.node_id]
-        self._rack_of[host_id] = tor_idx
-        self._hosts.setdefault(tor_idx, []).append(host_id)
 
     def install(self, switch: Switch, dst: int) -> None:
         """``switch``'s entries for every host of ``dst``'s rack (none
         for an unknown or unreachable ``dst``)."""
-        tor_idx = self._rack_of.get(dst)
-        if tor_idx is None:
+        rack = self.topology.rack_of.get(dst)
+        if rack is None:
             return
-        dist = self._dist.get(tor_idx)
+        tor = self.topology.racks[rack]
+        dist = self._dist.get(rack)
         if dist is None:
-            dist = self._dist[tor_idx] = self._bfs(tor_idx)
+            dist = self._dist[rack] = self._bfs(self._index[tor.node_id])
         j = self._index[switch.node_id]
         want = dist[j] - 1
         if want < 0:
@@ -239,7 +245,7 @@ class _RackRoutes:
         ]
         if candidates:
             entry = candidates[0] if len(candidates) == 1 else tuple(candidates)
-            for host_id in self._hosts[tor_idx]:
+            for host_id in tor.connected_hosts:
                 switch.set_route(host_id, entry)
 
     def _bfs(self, tor_idx: int) -> List[int]:
@@ -298,7 +304,6 @@ def build_leaf_spine(
     """
     host_link_delay = host_link_delay or link_delay
     topo = Topology(sim)
-    topo.host_bandwidth = host_bandwidth
     next_switch = SWITCH_ID_BASE
     spines: List[Switch] = []
     for i in range(n_spines):
@@ -365,7 +370,6 @@ def build_fat_tree(
     host_link_delay = host_link_delay or link_delay
     half = k // 2
     topo = Topology(sim)
-    topo.host_bandwidth = host_bandwidth
     next_switch = SWITCH_ID_BASE
     cores: List[Switch] = []
     for i in range(half * half):
@@ -461,7 +465,6 @@ def build_dumbbell(
 ) -> Topology:
     """Two ToRs joined by one trunk link — the unit-test micro-fabric."""
     topo = Topology(sim)
-    topo.host_bandwidth = host_bandwidth
     left = switch_factory(sim, SWITCH_ID_BASE, "torL", "tor", 0)
     right = switch_factory(sim, SWITCH_ID_BASE + 1, "torR", "tor", 0)
     topo.switches.extend([left, right])

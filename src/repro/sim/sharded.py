@@ -96,9 +96,10 @@ def partition_nodes(scenario, shards: int) -> Dict[int, int]:
     Fat trees partition per pod (``pod * shards // k``) with core
     switches block-distributed across domains; every other built
     topology partitions its ToRs into contiguous groups
-    (``tor * shards // n_tors``), hosts follow their rack, and
-    spines/cores are block-distributed.  The rules are pure functions
-    of the build, so every worker process computes the same map.
+    (``rack * shards // n_racks``) and block-distributes the other
+    switches.  On every topology a host lives in its rack's ToR's
+    domain.  The rules are pure functions of the build, so every worker
+    process computes the same map.
     """
     cfg = scenario.config
     topo = scenario.topology
@@ -114,21 +115,15 @@ def partition_nodes(scenario, shards: int) -> Dict[int, int]:
                 # per pod: half aggs then half edges, k switches total
                 pod = (i - n_cores) // k
                 domain[sw.node_id] = pod * shards // k
-        hosts_per_pod = half * cfg.hosts_per_edge
-        for h in topo.hosts:
-            pod = h.node_id // hosts_per_pod
-            domain[h.node_id] = pod * shards // k
     else:
-        tors = [s for s in topo.switches if s.level == 0]
-        spines = [s for s in topo.switches if s.level != 0]
-        n_tors = len(tors)
-        for t, sw in enumerate(tors):
-            domain[sw.node_id] = t * shards // n_tors
+        n_racks = len(topo.racks)
+        for rack, sw in enumerate(topo.racks):
+            domain[sw.node_id] = rack * shards // n_racks
+        spines = [s for s in topo.switches if s.node_id not in domain]
         for s, sw in enumerate(spines):
             domain[sw.node_id] = s * shards // len(spines)
-        for h in topo.hosts:
-            tor = h.links[0].peer_of(h)
-            domain[h.node_id] = domain[tor.node_id]
+    for host_id, rack in topo.rack_of.items():
+        domain[host_id] = domain[topo.racks[rack].node_id]
     populated = set(domain.values())
     if populated != set(range(shards)):
         empty = sorted(set(range(shards)) - populated)

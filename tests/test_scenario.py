@@ -168,6 +168,13 @@ class TestConfigResolution:
         with pytest.raises(ValueError, match="one rack"):
             Scenario(cfg)
 
+    def test_out_of_range_hot_rack_fails_at_construction(self):
+        # this used to build, and fail only when the runner built the
+        # hybrid engine
+        cfg = ScenarioConfig(fidelity="hybrid", hot_racks=(3,), **QUICK)
+        with pytest.raises(ValueError, match="hot rack 3 out of range: topology has 3 racks"):
+            Scenario(cfg)
+
     def test_periodic_incast_rejects_no_senders(self):
         import random
 

@@ -169,3 +169,69 @@ class TestFlowRegistration:
     def test_make_flow_registers(self, mini):
         f = mini.topo.make_flow(5, 0, 4, 1000, 0)
         assert mini.topo.flow_table[5] is f
+
+
+def _asymmetric_fabric():
+    """The hand-built 2/2/6-host fabric of ``examples/custom_topology.py``."""
+    from repro.net.host import Host
+    from repro.net.switch import Switch
+    from repro.net.topology import SWITCH_ID_BASE, Topology
+    from repro.sim.engine import Simulator
+    from repro.units import gbps, mb
+
+    sim = Simulator()
+    topo = Topology(sim)
+    spine = Switch(sim, SWITCH_ID_BASE, "spine", mb(1), kind="core")
+    spine.level = 1
+    topo.switches.append(spine)
+    host_id = 0
+    for t, size in enumerate([2, 2, 6]):
+        tor = Switch(sim, SWITCH_ID_BASE + 1 + t, f"tor{t}", mb(1), kind="tor")
+        topo.switches.append(tor)
+        for _ in range(size):
+            host = Host(sim, host_id, f"h{host_id}", None, topo.flow_table)
+            topo.hosts.append(host)
+            topo.connect(tor, host, gbps(10), 3_000)
+            host_id += 1
+        topo.connect(tor, spine, gbps(25), 500)
+    topo.finalize()
+    return topo, None
+
+
+def _scenario_fabric(topology: str):
+    def build():
+        from repro.experiments.scenario import Scenario, ScenarioConfig
+
+        sc = Scenario(ScenarioConfig(topology=topology, pattern="none"))
+        return sc.topology, sc
+
+    return build
+
+
+class TestRackMap:
+    @pytest.mark.parametrize(
+        "build, rack_sizes",
+        [
+            (_scenario_fabric("leaf-spine"), [8] * 4),  # CI n_tors x hosts_per_tor
+            (_scenario_fabric("fat-tree"), [2] * 8),  # k=4: 8 edges x 2 hosts
+            (_scenario_fabric("testbed"), [2] * 3),
+            (_scenario_fabric("dumbbell"), [8] * 2),  # max(hosts_per_tor, 2)
+            (_asymmetric_fabric, [2, 2, 6]),
+        ],
+        ids=["leaf-spine", "fat-tree", "testbed", "dumbbell", "asymmetric"],
+    )
+    def test_one_map_built_at_finalize(self, build, rack_sizes):
+        topo, sc = build()
+        assert topo.racks == [s for s in topo.switches if s.level == 0]
+        assert [len(tor.connected_hosts) for tor in topo.racks] == rack_sizes
+        # every host once, rack by rack, in its ToR's connected_hosts order
+        assert list(topo.rack_of.items()) == [
+            (host_id, rack)
+            for rack, tor in enumerate(topo.racks)
+            for host_id in tor.connected_hosts
+        ]
+        assert sorted(topo.rack_of) == sorted(h.node_id for h in topo.hosts)
+        for host in topo.hosts:
+            assert topo.racks[topo.rack_of[host.node_id]] is host.links[0].peer_of(host)
+        if sc is not None:
+            assert sc.rack_of() is sc.rack_of() is topo.rack_of
