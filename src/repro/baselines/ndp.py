@@ -238,22 +238,7 @@ class NdpHost(Host):
             cc.rx_received.add(pkt.seq)
             flow.delivered_bytes += pkt.size
             if flow.receiver_done and flow.finish_time < 0:
-                flow.finish_time = self.sim.now
-                if self.stats is not None:
-                    from repro.stats.fct import FctRecord
-
-                    self.stats.record_fct(
-                        FctRecord(
-                            flow.flow_id,
-                            flow.src,
-                            flow.dst,
-                            flow.size,
-                            flow.start_time,
-                            self.sim.now,
-                        )
-                    )
-                if self.on_flow_done is not None:
-                    self.on_flow_done(flow)
+                self.finish_flow(flow, self.sim.now)
         ack = Packet(PacketKind.ACK, self.node_id, flow.src, CTRL_PKT_SIZE)
         ack.flow_id = flow.flow_id
         ack.seq = pkt.seq

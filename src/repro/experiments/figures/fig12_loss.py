@@ -82,6 +82,6 @@ def run(
             "goodput_gbps": goodput_gbps(r.stats.fct_records),
             "incast_fct_us": (incast.avg_us, incast.p99_us),
             "link_drops": r.fault_drops_total,
-            "switch_syn_sent": r.telemetry.counter_value("floodgate.syn_sent"),
+            "switch_syn_sent": r.stats.extension_counters["floodgate.syn_sent"],
         }
     return out

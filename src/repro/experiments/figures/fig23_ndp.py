@@ -7,8 +7,8 @@ retransmissions cost at least an RTT.  NDP also *prolongs* incast
 flows because trimmed headers consume significant bottleneck
 bandwidth.
 
-NDP's trim count is the telemetry export's ``ndp.trimmed_packets``
-counter (harvested from the switch extensions at the end of the run).
+NDP's trim count is the hub's ``ndp.trimmed_packets`` extension
+counter (collected from the switch extensions at the end of the run).
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from typing import Dict, Iterable
 
 from repro.experiments.figures.common import incastmix_base
 from repro.experiments.parallel import SweepTask, run_sweep
-from repro.telemetry.registry import TelemetryConfig
-from repro.units import us
 
 
 def run(
@@ -30,14 +28,10 @@ def run(
         ("dcqcn+floodgate", "dcqcn", "floodgate"),
         ("ndp", "static", "ndp"),
     )
-    # only the end-of-run counters are read: sample coarsely
-    telemetry = TelemetryConfig(interval=us(100), engine_profile=False)
     tasks = [
         SweepTask(
             key=(workload, label),
-            config=incastmix_base(
-                quick, workload, cc=cc, flow_control=fc, telemetry=telemetry
-            ),
+            config=incastmix_base(quick, workload, cc=cc, flow_control=fc),
         )
         for workload in workloads
         for label, cc, fc in variants
@@ -45,12 +39,12 @@ def run(
     out: Dict = {}
     for (workload, label), r in run_sweep(tasks).items():
         p, i = r.poisson_fct, r.incast_fct
-        trimmed = r.telemetry.counter_value("ndp.trimmed_packets")
+        trimmed = r.stats.extension_counters.get("ndp.trimmed_packets", 0)
         out.setdefault(workload, {})[label] = {
             "nonincast_avg_us": p.avg_us,
             "nonincast_p99_us": p.p99_us,
             "incast_avg_us": i.avg_us,
             "incast_p99_us": i.p99_us,
-            "trimmed_packets": trimmed or 0,
+            "trimmed_packets": trimmed,
         }
     return out

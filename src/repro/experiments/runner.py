@@ -36,12 +36,12 @@ class StatsViews:
     """The figure-facing views over a finished run's stats.
 
     A plain mixin (no fields) under :class:`RunOutcome`, which provides
-    ``stats``, ``sim_time``, ``completed_flows`` and ``total_flows``.
+    ``stats``, ``sim_time`` and ``total_flows``; every other number is
+    read off the hub.
     """
 
     stats: StatsHub
     sim_time: int
-    completed_flows: int
     total_flows: int
 
     # -- FCT ---------------------------------------------------------------------
@@ -98,6 +98,10 @@ class StatsViews:
     # -- completion ---------------------------------------------------------------
 
     @property
+    def completed_flows(self) -> int:
+        return len(self.stats.fct_records)
+
+    @property
     def completion_rate(self) -> float:
         if self.total_flows == 0:
             return 1.0
@@ -113,6 +117,18 @@ class StatsViews:
     def fault_drops_total(self) -> int:
         return self.stats.fault_drops_total
 
+    # -- transport and switch extensions --------------------------------------------
+
+    @property
+    def retransmitted_packets(self) -> int:
+        """Go-back-N/NDP retransmissions summed over every flow."""
+        return self.stats.retransmitted_packets
+
+    @property
+    def max_voqs_used(self) -> int:
+        """Max VOQs in use on any one switch (Floodgate, PFC w/ tag)."""
+        return self.stats.max_voqs_used
+
 
 @dataclass
 class RunOutcome(StatsViews):
@@ -122,16 +138,9 @@ class RunOutcome(StatsViews):
 
     config: ScenarioConfig
     stats: StatsHub
-    completed_flows: int = 0
     total_flows: int = 0
     sim_time: int = 0
     events: int = 0
-    #: max VOQs in use on any one switch extension (Floodgate)
-    max_voqs_used: int = 0
-    #: go-back-N/NDP retransmissions summed over every flow
-    retransmitted_packets: int = 0
-    #: FaultInjector counters, {} when no plan was installed
-    fault_summary: Dict[str, int] = field(default_factory=dict)
     #: telemetry export (plain data, so it pickles across the pool and
     #: into the cache byte-identically), None unless enabled
     telemetry: Optional[TelemetryExport] = None
@@ -164,19 +173,25 @@ def merge_reports(
     A serial run hands in the single whole-fabric report, a sharded run
     one per domain (:func:`repro.sim.sharded.run_domains`) plus the
     whole-fabric conservation ``violations`` only its window loop could
-    judge.  Everything is a sum, a max, or a domain-order concatenation
-    of disjoint per-scope parts, so N reports give the result one
-    would.  The scenario hub holds what never belonged to a domain —
-    build-time registrations every domain hub was cloned from (the
-    union merges dedup them), the rpc driver's request records, the
-    stall watchdog's episodes — and, on a serial run, everything else.
+    judge.  It folds hubs (each measurement by its ``MEASURES`` rule),
+    event counts and violations — nothing else is on a report — so N
+    reports give the result one would.  The scenario hub holds what
+    never belonged to a domain — build-time registrations every domain
+    hub was cloned from (the union merges dedup them), the rpc driver's
+    request records, the stall watchdog's episodes — and, on a serial
+    run, everything else.
     """
     cfg = scenario.config
-    completed = sum(r.completed for r in reports)
+    stats = scenario.stats
+    found: List[str] = []
+    for report in reports:
+        if report.stats is not stats:  # the whole-fabric scope *is* the run hub
+            stats.merge_from(report.stats)
+        found.extend(report.violations)
     total = reports[0].total_flows
     watchdog = scenario.watchdog
     if watchdog is not None:
-        if completed < total:
+        if len(stats.fct_records) < total:
             # ended (hard stop or drain) with flows stranded: make sure
             # the stall is on the record even if the last watchdog
             # window never elapsed
@@ -184,17 +199,6 @@ def merge_reports(
         watchdog.stop()
     if scenario.hybrid is not None:
         scenario.hybrid.stop()
-    stats = scenario.stats
-    fault_summary: Dict[str, int] = {}
-    found: List[str] = []
-    for report in reports:
-        if report.stats is not stats:  # the whole-fabric scope *is* the run hub
-            stats.merge_from(report.stats)
-        found.extend(report.violations)
-        for key, value in (report.fault_summary or {}).items():
-            if key.startswith("injected_"):  # disjoint partials: they sum
-                value += fault_summary.get(key, 0)
-            fault_summary[key] = value  # else the plan's shape, same in all
     # canonical record order: makes serial and sharded runs produce
     # identical summary bytes
     stats.canonicalize()
@@ -202,14 +206,10 @@ def merge_reports(
         config=cfg,
         stats=stats,
         scenario=scenario,
-        completed_flows=completed,
         total_flows=total,
         sim_time=now,
         wall_seconds=time.monotonic() - wall_start,  # simcheck: ignore[SIM002] -- wall time for reporting only
         events=sum(r.events for r in reports),
-        max_voqs_used=max(r.max_voqs for r in reports),
-        retransmitted_packets=sum(r.retransmitted for r in reports),
-        fault_summary=fault_summary,
         sanitizer_violations=found + violations,
     )
     if cfg.telemetry is not None:

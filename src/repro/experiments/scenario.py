@@ -476,7 +476,7 @@ class Scenario:
         #: the hybrid engine (repro.hybrid) attaches itself here on a
         #: fidelity="hybrid" run (it also sets ``fluid``: it *is* the
         #: cold tier); the sanitizer's boundary-conservation sweep and
-        #: the telemetry harvest look for it
+        #: the telemetry export look for it
         self.hybrid = None
         self.fault_injector: Optional[FaultInjector] = None
         self.watchdog: Optional[StallWatchdog] = None

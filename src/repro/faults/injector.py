@@ -97,9 +97,7 @@ class LinkFaultState:
         "ctrl_loss",
         "corrupt_rate",
         "injected_drops_data",
-        "injected_drops_ctrl",
         "injected_drops_credit",
-        "injected_corruptions",
     )
 
     def __init__(
@@ -124,12 +122,11 @@ class LinkFaultState:
         self.data_loss = 0.0
         self.ctrl_loss = 0.0
         self.corrupt_rate = 0.0
+        #: the sanitizer's conservation ledgers: data packets and
+        #: Floodgate CREDIT frames this link dropped (the run's fault
+        #: counts are the hub's ``fault_drops`` / ``fault_corruptions``)
         self.injected_drops_data = 0
-        self.injected_drops_ctrl = 0
-        #: subset of the ctrl drops that were Floodgate CREDIT frames
-        #: (the sanitizer's credit ledger needs them split out)
         self.injected_drops_credit = 0
-        self.injected_corruptions = 0
 
     # -- effective-rate composition -------------------------------------------
 
@@ -183,7 +180,6 @@ class LinkFaultState:
                 return
             if self.corrupt_rate > 0.0 and self.rng.random() < self.corrupt_rate:
                 pkt.corrupted = True
-                self.injected_corruptions += 1
                 if self.stats is not None:
                     self.stats.record_fault_corruption()
         elif self.ctrl_loss > 0.0 and self.rng.random() < self.ctrl_loss:
@@ -208,10 +204,8 @@ class LinkFaultState:
     def _count_drop(self, kind: PacketKind) -> None:
         if kind == PacketKind.DATA:
             self.injected_drops_data += 1
-        else:
-            self.injected_drops_ctrl += 1
-            if kind == PacketKind.CREDIT:
-                self.injected_drops_credit += 1
+        elif kind == PacketKind.CREDIT:
+            self.injected_drops_credit += 1
         if self.stats is not None:
             self.stats.record_fault_drop(kind == PacketKind.DATA)
 
@@ -235,12 +229,12 @@ class FaultInjector:
         #: link -> its fault state (shared by all faults naming it)
         self.states: Dict[int, LinkFaultState] = {}
         self.installed = False
-        self.flaps_scheduled = 0
 
     # -- installation ----------------------------------------------------------
 
     def _state_for(self, link: "Link") -> LinkFaultState:
-        idx = self.topology.links.index(link)
+        # Topology.connect numbers link i's a->b direction 2i + 1
+        idx = (link.lid_ab - 1) // 2
         state = self.states.get(idx)
         if state is None:
             # domain-local application: the state lives on the link's
@@ -284,7 +278,6 @@ class FaultInjector:
                     at(spec.at, state.set_down)
                     if spec.duration > 0:
                         at(spec.at + spec.duration, state.set_up)
-                    self.flaps_scheduled += 1
             elif isinstance(spec, RandomLoss):
                 for link in links:
                     at = self._at_for(link)
@@ -310,25 +303,3 @@ class FaultInjector:
                         )
             else:  # pragma: no cover - plan validation rejects these
                 raise TypeError(f"unhandled fault spec {spec!r}")
-
-    # -- reporting ----------------------------------------------------------------
-
-    def summary(self, owns=None) -> Dict[str, int]:
-        """Aggregate injection counters (picklable, for experiments).
-
-        ``owns`` (a link predicate) restricts the injection counters to
-        the links one sharded domain owns; the plan's static shape
-        (``faulted_links``, ``flaps_scheduled``) is reported whole.
-        """
-        states = [
-            s for s in self.states.values() if owns is None or owns(s.link)
-        ]
-        return {
-            "faulted_links": len(self.states),
-            "flaps_scheduled": self.flaps_scheduled,
-            "injected_drops_data": sum(s.injected_drops_data for s in states),
-            "injected_drops_ctrl": sum(s.injected_drops_ctrl for s in states),
-            "injected_corruptions": sum(
-                s.injected_corruptions for s in states
-            ),
-        }

@@ -64,7 +64,8 @@ class FloodgateExtension(SwitchExtension):
         self.credit_frames_rx = 0
 
     def telemetry_counters(self) -> Dict[str, int]:
-        """Credit + VOQ counters for :mod:`repro.telemetry` harvesting."""
+        """Credit + VOQ counters, summed over switches into the hub's
+        ``extension_counters`` at collect time."""
         counters = dict(self.credits.telemetry_counters())
         counters.update(self.pool.telemetry_counters())
         counters["syn_sent"] = self.syn_sent

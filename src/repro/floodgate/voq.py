@@ -118,9 +118,9 @@ class VoqPool:
         return self._bytes
 
     def telemetry_counters(self) -> Dict[str, int]:
-        """End-of-run counter values for :mod:`repro.telemetry`."""
+        """End-of-run counter values, summed over switches (the pool's
+        ``max_in_use`` is a maximum: ``collect_scope`` reads it apart)."""
         return {
-            "voq_max_in_use": self.max_in_use,
             "voq_hash_fallbacks": self.hash_fallbacks,
             "voq_overflow_bypasses": self.overflow_bypasses,
         }

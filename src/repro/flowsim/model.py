@@ -36,7 +36,6 @@ from repro.cc.flow import Flow
 from repro.flowsim.maxmin import max_min_rates
 from repro.net.switch import Switch
 from repro.sim.engine import Event
-from repro.stats.fct import FctRecord
 from repro.units import MTU, SEC, serialization_delay
 
 #: projected-finish sentinel for starved flows (rate 0: a zero-capacity
@@ -104,12 +103,8 @@ class FluidSimulation:
             self.capacities.append(link.bandwidth)
         #: Floodgate per-(switch, dst) VOQ resources, created lazily
         self._voq_resource: Dict[Tuple[int, int], int] = {}
-        self._floodgate_ext: Dict[int, object] = {}
-        if cfg.flow_control in ("floodgate", "floodgate-ideal"):
-            for ext in scenario.extensions:
-                sw = getattr(ext, "switch", None)
-                if sw is not None and hasattr(ext, "_initial_window"):
-                    self._floodgate_ext[sw.node_id] = ext
+        #: every switch runs Floodgate (``sw.extension``)
+        self._floodgate = cfg.flow_control in ("floodgate", "floodgate-ideal")
         #: per-flow ceiling: the sending window over the base RTT
         swnd_bytes = max(int(cfg.swnd_bdp * scenario.base_bdp), 2_000)
         base_rtt = max(scenario.base_rtt, 1)
@@ -157,8 +152,7 @@ class FluidSimulation:
 
     def _voq_cap(self, sw: Switch, dst: int) -> float:
         """Sustainable rate of a Floodgate per-dst window (bits/s)."""
-        ext = self._floodgate_ext[sw.node_id]
-        window_bits = ext._initial_window(dst) * MTU * 8
+        window_bits = sw.extension._initial_window(dst) * MTU * 8
         out = sw.route_for_dst(dst)
         link = sw.links[out]
         return window_bits * SEC / max(hop_rtt_ns(link.bandwidth, link.delay), 1)
@@ -174,7 +168,7 @@ class FluidSimulation:
         resources: List[int] = []
         hops: List[Tuple[float, int]] = []
         while True:
-            if self._floodgate_ext and not node.is_last_hop_for(dst):
+            if self._floodgate and not node.is_last_hop_for(dst):
                 key = (node.node_id, dst)
                 voq = self._voq_resource.get(key)
                 if voq is None:
@@ -389,29 +383,17 @@ class FluidSimulation:
         measured from real packet delivery instead.
         """
         flow = ff.flow
-        finish = now + ff.tail_latency + self._queueing_wait(ff, now)
-        flow.finish_time = finish
         flow.delivered_bytes = flow.size
         flow.sender_done = True
         flow.expected_seq = flow.n_packets
         flow.acked_seq = flow.n_packets
         dst_host = self.topology.hosts[flow.dst]
         dst_host.rx_data_bytes += flow.size
-        stats = self.stats
-        if stats is not None:
-            stats.record_rx(flow.flow_id, flow.size)
-            stats.record_fct(
-                FctRecord(
-                    flow.flow_id,
-                    flow.src,
-                    flow.dst,
-                    flow.size,
-                    flow.start_time,
-                    finish,
-                )
-            )
-        if dst_host.on_flow_done is not None:
-            dst_host.on_flow_done(flow)
+        if self.stats is not None:
+            self.stats.record_rx(flow.flow_id, flow.size)
+        dst_host.finish_flow(
+            flow, now + ff.tail_latency + self._queueing_wait(ff, now)
+        )
 
     def _unlink(self, ff: FluidFlow) -> None:
         """Drop a flow from the resource-incidence index."""

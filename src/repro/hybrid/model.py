@@ -327,7 +327,7 @@ class HybridSimulation(FluidSimulation):
         self._headroom_task = PeriodicTask(
             self.sim, self._headroom_interval, self._headroom_tick
         )
-        # the sanitizer's boundary sweep and the telemetry harvest find
+        # the sanitizer's boundary sweep and the telemetry export find
         # the hybrid tier here (``scenario.fluid`` is set by the base)
         scenario.hybrid = self
 
@@ -643,8 +643,7 @@ class HybridSimulation(FluidSimulation):
         self.sim.schedule_at(when, self._tunnel_deliver, st, pkt)
         # return the credit the absorbed fabric would have generated so
         # the hot ToR's Floodgate window keeps cycling toward cold dsts
-        ext = self._floodgate_ext.get(chan.tor.node_id)
-        if ext is not None:
+        if self._floodgate:
             credit = Packet(
                 PacketKind.CREDIT, chan.peer.node_id, chan.tor.node_id, CTRL_PKT_SIZE
             )

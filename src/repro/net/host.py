@@ -278,20 +278,7 @@ class Host(Node):
             flow.expected_seq += 1
             flow.delivered_bytes += pkt.size
             if flow.delivered_bytes >= flow.size and flow.finish_time < 0:
-                flow.finish_time = now
-                if self.stats is not None:
-                    self.stats.record_fct(
-                        FctRecord(
-                            flow.flow_id,
-                            flow.src,
-                            flow.dst,
-                            flow.size,
-                            flow.start_time,
-                            now,
-                        )
-                    )
-                if self.on_flow_done is not None:
-                    self.on_flow_done(flow)
+                self.finish_flow(flow, now)
             # hybrid boundary flows have no packet-level sender to
             # ACK-clock; the injector paces off fluid allocations
             if not flow.fluid_src:
@@ -320,6 +307,25 @@ class Host(Node):
             cnp = Packet(PacketKind.CNP, self.node_id, flow.src, CTRL_PKT_SIZE)
             cnp.flow_id = flow.flow_id
             self.ports[0].enqueue_control(cnp)
+
+    def finish_flow(self, flow: Flow, now: int) -> None:
+        """``flow`` finished arriving here at ``now``: stamp it, record
+        its FCT and fire the completion hook.  Every tier ends a flow
+        here (the packet and NDP receivers, the fluid model)."""
+        flow.finish_time = now
+        if self.stats is not None:
+            self.stats.record_fct(
+                FctRecord(
+                    flow.flow_id,
+                    flow.src,
+                    flow.dst,
+                    flow.size,
+                    flow.start_time,
+                    now,
+                )
+            )
+        if self.on_flow_done is not None:
+            self.on_flow_done(flow)
 
     def _send_ack(self, flow: Flow, data_pkt: Packet) -> None:
         ack = Packet(PacketKind.ACK, self.node_id, flow.src, CTRL_PKT_SIZE)

@@ -96,7 +96,6 @@ class ClosedLoopDriver:
         self._live_clients = len(picked)
         self._open_requests = 0
         self.requests_issued = 0
-        self.requests_completed = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -216,7 +215,6 @@ class ClosedLoopDriver:
         request.remaining -= 1
         if request.remaining:
             return
-        self.requests_completed += 1
         self._open_requests -= 1
         self.stats.record_rpc(
             RpcRecord(

@@ -111,6 +111,15 @@ class StatsHub:
         self.unclaimed_control_frames: int = 0
         #: stall episodes: (sim time, flows completed at detection)
         self.stalls: List[Tuple[int, int]] = []
+        # --- transport and switch extensions (collected at the end) ------
+        #: go-back-N / NDP retransmissions, summed over every flow
+        self.retransmitted_packets: int = 0
+        #: most VOQs in use at once on any one switch's pool (Floodgate,
+        #: PFC w/ tag)
+        self.max_voqs_used: int = 0
+        #: the switch extensions' ``telemetry_counters()``, summed per
+        #: name over switches (export names: ``floodgate.credits_sent``)
+        self.extension_counters: Dict[str, int] = {}
         # --- bandwidth breakdown (Fig. 18) ------------------------------------
         self.track_bandwidth: bool = False
         self.tx_bytes_by_category: Dict[str, int] = {
@@ -225,6 +234,16 @@ class StatsHub:
 
     def record_stall(self, now: int, completed_flows: int) -> None:
         self.stalls.append((now, completed_flows))
+
+    def record_retransmissions(self, count: int) -> None:
+        self.retransmitted_packets += count
+
+    def record_voqs_used(self, in_use: int) -> None:
+        if in_use > self.max_voqs_used:
+            self.max_voqs_used = in_use
+
+    def record_extension_counters(self, counters: Dict[str, int]) -> None:
+        add_by_key(self.extension_counters, counters)
 
     def record_tx(self, category: str, size: int) -> None:
         if self.track_bandwidth:
@@ -346,7 +365,8 @@ class StatsHub:
     def counter_rows(self) -> Iterator[Tuple[str, str, int]]:
         """``(name, unit, value)`` per end-of-run telemetry counter: a
         scalar under its declared name, a record list as its length, a
-        keyed table as one row per key (the name is the prefix)."""
+        keyed table as one row per key (the name is the prefix), a
+        histogram as its observation count when one was wired."""
         for m in MEASURES:
             if m.counter is None:
                 continue
@@ -354,9 +374,13 @@ class StatsHub:
             if isinstance(value, dict):
                 for key, cell in value.items():
                     yield f"{m.counter}{key}", m.unit, cell
+            elif isinstance(value, list):
+                yield m.counter, m.unit, len(value)
+            elif m.combine is fold_histogram:
+                if value is not None:
+                    yield m.counter, m.unit, value.total
             else:
-                is_list = isinstance(value, list)
-                yield m.counter, m.unit, len(value) if is_list else value
+                yield m.counter, m.unit, value
 
     @property
     def fault_drops_total(self) -> int:
@@ -435,7 +459,12 @@ def _natural(item):
 
 
 MEASURES: Tuple[Measure, ...] = (
-    Measure("fct_records", concatenate, lambda r: (r.finish_time, r.flow_id)),
+    Measure(
+        "fct_records",
+        concatenate,
+        lambda r: (r.finish_time, r.flow_id),
+        "flows.completed",
+    ),
     Measure("flow_class", union, _by_key),
     Measure("rpc_records", concatenate, lambda r: (r.finish_time, r.request_id)),
     Measure("switch_max_buffer", max_by_key, _by_key),
@@ -451,11 +480,16 @@ MEASURES: Tuple[Measure, ...] = (
     Measure("corrupt_rx", operator.add, counter="rx.corrupt"),
     Measure("unclaimed_control_frames", operator.add, counter="control.unclaimed"),
     Measure("stalls", concatenate, _natural, "stalls"),
+    Measure("retransmitted_packets", operator.add, counter="retransmissions"),
+    Measure("max_voqs_used", max, counter="floodgate.voq_max_in_use"),
+    Measure("extension_counters", add_by_key, _by_key, ""),
     Measure("track_bandwidth", max),
     Measure("tx_bytes_by_category", add_by_key),
     Measure("rx_bytes_by_class", add_by_key, lambda kv: kv[0].value),
     Measure("_incast_flows", union, _natural),
     Measure("fct_histogram", fold_histogram),
     Measure("queuing_histogram", fold_histogram),
-    Measure("rpc_histogram", fold_histogram),
+    # wired only on a recorded closed-loop run; its count is the
+    # completed requests
+    Measure("rpc_histogram", fold_histogram, counter="rpc.requests_completed"),
 )

@@ -8,9 +8,11 @@ picklable :class:`ScopeReport`; the run merge
 into the result.  No run becomes an outcome any other way, so a serial
 run is exactly the one-report case of a sharded one.
 
-The optional layers (telemetry, sanitizer, fault injection, switch
-extensions) are touched only through the objects the scope carries,
-and only when present: a run without them executes none of their code.
+The optional layers (telemetry, sanitizer, switch extensions) are
+touched only through the objects the scope carries, and only when
+present: a run without them executes none of their code.  Every
+end-of-run number lands on the scope's hub, through its ``record_*``
+sinks, so the merge folds hubs and the export reads the merged one.
 """
 
 from __future__ import annotations
@@ -50,25 +52,18 @@ class ScopeReport:
 
     Picklable, and field-for-field the same whichever way the scope was
     executed (serially, in-process windows, a forked worker) — the
-    property that makes one merge sufficient.
+    property that makes one merge sufficient.  Every end-of-run number
+    is on the hub; the rest is what a hub cannot merge.
     """
 
     domain: int
     #: the scope's hub; the merge folds them in domain order
     stats: StatsHub
-    completed: int
     total_flows: int
     events: int
-    max_voqs: int
-    retransmitted: int
-    #: one ``telemetry_counters()`` dict per switch extension owned
-    ext_harvests: List[Dict[str, int]] = field(default_factory=list)
     #: raw telemetry recording, None when telemetry is off
     series: Optional[list] = None
     profile: Optional[dict] = None
-    #: the plan's static shape plus this scope's injection counters,
-    #: None without injected faults
-    fault_summary: Optional[Dict[str, int]] = None
     #: sanitizer: the scope's violations and final conservation ledger
     #: (a whole-fabric scope has judged its own; the window loop sums
     #: and judges domain ledgers)
@@ -82,41 +77,45 @@ def collect_scope(scenario, scope, now: int) -> ScopeReport:
     if sim.now < now:
         sim.now = now
     scenario.topology.report_to_hub()
-    max_voqs = 0
+    hub = scope.hub
     for ext in scope.extensions:
         stop = getattr(ext, "stop", None)
         if stop is not None:
             stop()
         pool = getattr(ext, "pool", None)
-        if pool is not None and pool.max_in_use > max_voqs:
-            max_voqs = pool.max_in_use
-    # only a flow's sender counts its retransmissions, and only a
-    # link's owner its injected faults, so per-scope sums are disjoint
+        if pool is not None:
+            hub.record_voqs_used(pool.max_in_use)
+        counters = getattr(ext, "telemetry_counters", None)
+        if counters is not None:
+            # bare names are Floodgate's; the others carry their scheme
+            hub.record_extension_counters(
+                {
+                    name if "." in name else f"floodgate.{name}": value
+                    for name, value in counters().items()
+                }
+            )
+    # only a flow's sender counts its retransmissions, so per-scope
+    # sums are disjoint
     owned = {node.node_id for node in (*scope.hosts, *scope.switches)}
     flow_table = scenario.topology.flow_table
-    report = ScopeReport(
-        domain=scope.domain,
-        stats=scope.hub,
-        completed=len(scope.hub.fct_records),
-        total_flows=len(flow_table),
-        events=sim.events_executed,
-        max_voqs=max_voqs,
-        retransmitted=sum(
+    hub.record_retransmissions(
+        sum(
             f.retransmitted_packets
             for f in flow_table.values()
             if f.src in owned
-        ),
+        )
+    )
+    report = ScopeReport(
+        domain=scope.domain,
+        stats=hub,
+        total_flows=len(flow_table),
+        events=sim.events_executed,
     )
     recorder = scope.recorder
     if recorder is not None:
         recorder.stop()
-        report.ext_harvests = recorder.harvest(scope.extensions)
         report.series = recorder.raw_series()
         report.profile = recorder.raw_profile()
-    if scenario.fault_injector is not None:
-        report.fault_summary = scenario.fault_injector.summary(
-            lambda link: link.node_a.node_id in owned
-        )
     if scope.sanitizer is not None:
         report.ledger = scope.sanitizer.final_check()
         report.violations = list(scope.sanitizer.violations)

@@ -22,9 +22,9 @@ reproduces, byte for byte, what one fabric-wide recorder exports:
 * single-owner gauges (``buffer_bytes.<switch>``): recorded by exactly
   one domain and passed through verbatim.
 
-Histograms live on the hubs and merge exactly (power-of-two bins,
-:meth:`StatsHub.merge_from`); end-of-run counters are sums and maxima
-of per-domain harvests.  The engine profile is the one deliberately
+Histograms and end-of-run counters live on the hubs and merge by their
+``MEASURES`` rules (:meth:`StatsHub.merge_from`; power-of-two bins make
+the histogram merge exact).  The engine profile is the one deliberately
 non-identical surface: a sharded run executes extra observer ticks and
 per-domain heaps have different depths, so the equivalence harness
 strips it before comparing.
@@ -174,15 +174,6 @@ class DomainRecorder:
             sampler.stop()
 
     # -- raw payload (picklable; crosses the forked transport's pipe) --------
-
-    @staticmethod
-    def harvest(extensions) -> List[Dict[str, int]]:
-        """``telemetry_counters()`` of every extension that has them."""
-        return [
-            ext.telemetry_counters()
-            for ext in extensions
-            if hasattr(ext, "telemetry_counters")
-        ]
 
     def raw_series(self) -> List[Dict[str, Any]]:
         out: List[Dict[str, Any]] = []
@@ -337,39 +328,18 @@ def build_export(result, reports) -> TelemetryExport:
     """Assemble the export from a merged result and its recordings.
 
     ``result`` is the run's :class:`ScenarioResult` — its hub the
-    domain-order merge of the per-scope hubs, its scalars run totals;
-    ``reports`` holds one recording per scope (``ext_harvests``: a
-    ``telemetry_counters()`` dict per switch extension; ``series``;
-    ``profile``).  The hub's counters come from its measurement
-    declaration (:meth:`StatsHub.counter_rows`), never named here.
+    domain-order merge of the per-scope hubs; ``reports`` holds one
+    recording per scope (``series``, ``profile``).  The end-of-run
+    counters are the hub's (:meth:`StatsHub.counter_rows`, never named
+    here) plus the run facts no hub holds.
     """
     config = result.config
     cfg: TelemetryConfig = config.telemetry
     hub = result.stats
     scenario = result.scenario
-    values: Dict[str, int] = {
-        "flows.completed": result.completed_flows,
-        "flows.total": result.total_flows,
-        "retransmissions": result.retransmitted_packets,
-    }
-    for report in reports:
-        for harvest in report.ext_harvests:
-            for name, value in harvest.items():
-                if "." not in name:  # bare names are Floodgate's
-                    name = f"floodgate.{name}"
-                have = values.get(name, 0)
-                # max_in_use is a maximum, not a sum: keep the
-                # largest across switches
-                values[name] = (
-                    max(have, value)
-                    if name.endswith("max_in_use")
-                    else have + value
-                )
+    values: Dict[str, int] = {"flows.total": result.total_flows}
     if scenario.rpc_driver is not None:
         values["rpc.requests_issued"] = scenario.rpc_driver.requests_issued
-        values["rpc.requests_completed"] = (
-            scenario.rpc_driver.requests_completed
-        )
     if scenario.hybrid is not None:
         values.update(scenario.hybrid.telemetry_counters())
     counters = [(name, "", value) for name, value in values.items()]

@@ -68,10 +68,7 @@ def _slo_block(export: TelemetryExport, width: int) -> List[str]:
     lines.append(
         f"  n={hist['total']:,}  mean={hist['sum'] / hist['total'] / 1000.0:,.1f} us"
     )
-    completed = next(
-        (v for n, _, v in export.counters if n == "rpc.requests_completed"),
-        None,
-    )
+    completed = export.counter_value("rpc.requests_completed")
     sim_ns = export.meta.get("sim_time_ns", 0)
     if completed is not None and sim_ns:
         rate = completed / (sim_ns / 1e9)

@@ -385,8 +385,9 @@ def test_fault_counters_survive_process_merge():
     )
     serial = run_scenario(tiny_cfg(fault_plan=sharded_battery_fault_plan()))
     sharded = run_scenario(cfg)
-    assert sharded.fault_summary == serial.fault_summary
-    assert sharded.fault_summary["injected_drops_data"] > 0
+    assert sharded.stats.fault_drops == serial.stats.fault_drops
+    assert sharded.stats.fault_corruptions == serial.stats.fault_corruptions
+    assert sharded.stats.fault_drops["data"] > 0
 
 
 def test_drained_domain_receives_boundary_tuple_mid_window():
@@ -412,7 +413,7 @@ def test_drained_domain_receives_boundary_tuple_mid_window():
     for mode in ("lockstep", "process"):
         sc = build(shards=2, shard_mode=mode)
         run = run_domains(sc, us(100), collect_digests=True)
-        assert sum(r.completed for r in run.reports) == 1, mode
+        assert sum(len(r.stats.fct_records) for r in run.reports) == 1, mode
         if mode == "lockstep":
             assert run.global_digest == digest.hexdigest()
             reference = run.domain_digests

@@ -224,9 +224,9 @@ def two_flow_scenario(**kw) -> Scenario:
 
 class TestOneOutcomePath:
     def test_plain_result_fields_agree_across_executors(self):
-        # max_voqs_used / retransmitted_packets / fault_summary are
-        # plain fields the merge fills from the reports: one report
-        # (serial) and two (barrier, forked) must give the same values
+        # max_voqs_used / retransmitted_packets / the injected fault
+        # counts are hub rows each scope collects and the merge folds:
+        # one report (serial) and two (barrier, forked) must agree
         cfg = tiny_cfg(
             flow_control="floodgate",
             fault_plan=sharded_battery_fault_plan(),
@@ -234,8 +234,9 @@ class TestOneOutcomePath:
         serial = run_scenario(cfg)
         assert serial.max_voqs_used > 0
         assert serial.retransmitted_packets > 0
-        assert serial.fault_summary["injected_drops_data"] > 0
-        assert serial.fault_summary["faulted_links"] > 0
+        assert serial.stats.fault_drops["data"] > 0
+        assert serial.stats.extension_counters["floodgate.credits_sent"] > 0
+        assert serial.scenario.fault_injector.states
         for mode in ("barrier", "process"):
             sharded = run_scenario(
                 dataclasses.replace(cfg, shards=2, shard_mode=mode)
@@ -244,7 +245,14 @@ class TestOneOutcomePath:
             assert (
                 sharded.retransmitted_packets == serial.retransmitted_packets
             ), mode
-            assert sharded.fault_summary == serial.fault_summary, mode
+            assert sharded.stats.fault_drops == serial.stats.fault_drops, mode
+            assert (
+                sharded.stats.fault_corruptions == serial.stats.fault_corruptions
+            ), mode
+            assert (
+                sharded.stats.extension_counters
+                == serial.stats.extension_counters
+            ), mode
             assert not hasattr(sharded, "shard_digests")
 
     def test_sanitizer_interval_mismatch_rejected_before_anything_runs(self):
@@ -294,7 +302,7 @@ class TestOneRuntimeManyTransports:
                     a, b = pickle.dumps(a), pickle.dumps(b)
                 assert a == b, (ours.domain, field.name)
         # and the reports are not vacuous
-        assert sum(r.fault_summary["injected_drops_data"] for r in barrier) > 0
+        assert sum(r.stats.fault_drops["data"] for r in barrier) > 0
         assert all(r.ledger["injected"] > 0 for r in barrier)
         assert all(r.series for r in barrier)
 

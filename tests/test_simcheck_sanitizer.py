@@ -262,7 +262,7 @@ def test_fig12_style_lossy_incast_is_clean():
         ),
     )
     result = run_scenario(cfg)
-    assert result.fault_summary["faulted_links"] > 0
+    assert result.scenario.fault_injector.states
     assert result.fault_drops_total > 0
     assert result.sanitizer_violations == []
     assert result.scenario.sanitizer.checks_run > 1

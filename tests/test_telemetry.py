@@ -1,5 +1,6 @@
 """The unified telemetry layer: instruments, samplers, exports, CLI."""
 
+import inspect
 import json
 import pickle
 from dataclasses import replace
@@ -17,7 +18,7 @@ from repro.experiments import registry
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.sim.engine import Simulator
-from repro.stats.collector import FlowClass
+from repro.stats.collector import FlowClass, StatsHub
 from repro.telemetry import (
     EngineProfiler,
     Histogram,
@@ -26,7 +27,7 @@ from repro.telemetry import (
     TelemetryExport,
     render_export,
 )
-from repro.telemetry.recorder import DomainRecorder, build_export
+from repro.telemetry.recorder import build_export
 from repro.telemetry.report import _bin_quantile
 from repro.units import us
 
@@ -297,7 +298,6 @@ class TestOneRecorder:
         sc = result.scenario
         recorder = sc.telemetry
         recording = SimpleNamespace(
-            ext_harvests=recorder.harvest(sc.extensions),
             series=recorder.raw_series(),
             profile=recorder.raw_profile(),
         )
@@ -323,11 +323,11 @@ class TestOneRecorder:
         )
         result, export = self._check(cfg)
         driver = result.scenario.rpc_driver
-        assert driver.requests_completed > 0
+        assert result.completed_requests > 0
         assert export.counter_value("rpc.requests_issued") == driver.requests_issued
         assert (
             export.counter_value("rpc.requests_completed")
-            == driver.requests_completed
+            == len(result.stats.rpc_records)
         )
         totals = {h["name"]: h["total"] for h in export.histograms}
         assert totals["rpc_latency_ns"] == len(result.stats.rpc_records)
@@ -335,15 +335,77 @@ class TestOneRecorder:
 
     def test_floodgate_counters_sum_except_the_maximum(self):
         result, export = self._check(quick_config())
-        harvests = DomainRecorder.harvest(result.scenario.extensions)
-        assert len(harvests) > 1
-        for name in harvests[0]:
-            fold = max if name.endswith("max_in_use") else sum
-            assert export.counter_value(f"floodgate.{name}") == fold(
-                h[name] for h in harvests
-            ), name
-        assert export.counter_value("floodgate.voq_max_in_use") < sum(
-            h["voq_max_in_use"] for h in harvests
+        exts = result.scenario.extensions
+        per_switch = [ext.telemetry_counters() for ext in exts]
+        pools = [ext.pool.max_in_use for ext in exts]
+        assert len(exts) > 1
+        # one hub per switch, merged as a sharded run merges domains:
+        # the counters sum per name, the VOQ pool is a maximum
+        merged = StatsHub()
+        for counters, in_use in zip(per_switch, pools):
+            hub = StatsHub()
+            hub.record_extension_counters(
+                {f"floodgate.{name}": value for name, value in counters.items()}
+            )
+            hub.record_voqs_used(in_use)
+            merged.merge_from(hub)
+        for name in per_switch[0]:
+            value = sum(c[name] for c in per_switch)
+            assert merged.extension_counters[f"floodgate.{name}"] == value
+            assert export.counter_value(f"floodgate.{name}") == value, name
+        assert "voq_max_in_use" not in per_switch[0]
+        assert merged.max_voqs_used == max(pools) == result.max_voqs_used
+        assert export.counter_value("floodgate.voq_max_in_use") == max(pools)
+        assert max(pools) < sum(pools)
+
+
+class TestCountOnce:
+    """Every end-of-run number is a hub row: the export adds only the
+    run facts no hub holds, and names no extension counter itself."""
+
+    @staticmethod
+    def _config(kind):
+        if kind == "rpc":
+            (base,) = registry.get("rpc-fanout").configs
+            return replace(
+                base, duration=base.duration // 8, telemetry=TelemetryConfig()
+            )
+        return {
+            "packet": quick_config(),
+            "fluid": quick_config(fidelity="flow"),
+            "barrier": quick_config(shards=2, shard_mode="barrier"),
+        }[kind]
+
+    @pytest.mark.parametrize("kind", ["packet", "fluid", "rpc", "barrier"])
+    def test_export_counters_are_the_hub_rows_plus_run_facts(self, kind):
+        result = run_scenario(self._config(kind))
+        sc = result.scenario
+        facts = {"flows.total": result.total_flows}
+        if sc.rpc_driver is not None:
+            facts["rpc.requests_issued"] = sc.rpc_driver.requests_issued
+        if sc.hybrid is not None:
+            facts.update(sc.hybrid.telemetry_counters())
+        rows = list(result.stats.counter_rows())
+        want = sorted([(name, "", v) for name, v in facts.items()] + rows)
+        assert result.telemetry.counters == want
+        hub = dict((name, v) for name, _, v in rows)
+        assert hub["flows.completed"] == result.completed_flows
+        assert hub["retransmissions"] == result.retransmitted_packets
+        assert hub["floodgate.voq_max_in_use"] == result.max_voqs_used
+        if kind == "rpc":
+            assert hub["rpc.requests_completed"] == result.completed_requests > 0
+        else:
+            assert "rpc.requests_completed" not in hub
+            assert hub["floodgate.credits_sent"] > 0 or kind == "fluid"
+        source = inspect.getsource(build_export)
+        assert "floodgate" not in source and "max_in_use" not in source
+
+    def test_pfc_tag_export_carries_the_voq_maximum(self):
+        result = run_scenario(quick_config(flow_control="pfc-tag"))
+        assert result.max_voqs_used > 0
+        assert (
+            result.telemetry.counter_value("floodgate.voq_max_in_use")
+            == result.max_voqs_used
         )
 
 
