@@ -1,20 +1,22 @@
 """Sanitizer-off overhead benchmark.
 
 The simcheck runtime half follows the faults/telemetry contract: an
-unsanitized run pays only the ``sanitizer is None`` checks on the rare
-control branches (PFC/dstPause handling) plus two unconditional integer
+unsanitized run pays only the ``sanitizer is None`` check in the one
+pause handler (``Node.receive_pause``) plus two unconditional integer
 counters on the data path.  This benchmark times the real
-``Host.receive`` control dispatch against a twin recompiled from the
-same source with the sanitizer branches deleted
-(``conftest.without_fragments``), on the same frames, and asserts the
-hooks cost < 2 %.
+``Host.receive`` dispatch of PAUSE / RESUME frames against a twin whose
+pause handler is recompiled from the same source with the sanitizer
+branch deleted (``conftest.without_fragments``), on the same frames,
+and asserts the hook costs < 2 %.
 
-One ``is None`` per frame is ~8 ns of a ~360 ns dispatch, so the
+One ``is None`` per frame is a few ns of a 250-450 ns dispatch
+(``Host.receive``'s ladder, then ``receive_pause``), so the
 measurement has to resolve about 2 %: each side is the fastest of many
 short timings spread over several independently built hosts, which
 takes the memory-layout luck of any one instance out of the minimum
 (one host per side: an identical twin against itself read -2.0 % ..
-+2.2 %; six per side: -0.0 % .. +1.3 %, and the hooks 1.3 % .. 2.6 %).
++2.2 %; six per side: -0.0 % .. +1.3 %, and the four per-protocol
+hooks this one replaced 1.3 % .. 2.6 %).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from benchmarks.conftest import min_of_interleaved, show, without_fragments
 
 from repro.cc.base import StaticWindowCc
 from repro.net.host import Host
+from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
 from repro.sim.engine import Simulator
 from repro.units import gbps, kb
@@ -47,7 +50,7 @@ NOISE_MARGIN = 0.02
 
 
 class _StubPort:
-    """Port stand-in: just the pause state ``Host.receive`` toggles."""
+    """Port stand-in: just the pause state ``receive_pause`` toggles."""
 
     __slots__ = ("paused",)
 
@@ -62,34 +65,18 @@ class _StubPort:
 
 
 class _LegacyHost(Host):
-    """Host whose ``receive`` has no sanitizer slot to check.
+    """Host whose pause handler has no sanitizer slot to check.
 
     A subclass (not a wrapper function) so both variants are bound
     methods with identical call overhead — the measurement isolates the
-    ``sanitizer is None`` branches on the PFC/dstPause paths.
+    one ``sanitizer is None`` branch on the pause path.
     """
 
-    receive = without_fragments(
-        Host.receive,
-        pfc_pause=(
-            "        if self.sanitizer is not None:\n"
-            "            self.sanitizer.note_pfc(self, ingress_port, True, port.paused)\n"
-        ),
-        pfc_resume=(
-            "        if self.sanitizer is not None:\n"
-            "            self.sanitizer.note_pfc(self, ingress_port, False, port.paused)\n"
-        ),
-        dst_pause=(
-            "        if self.sanitizer is not None:\n"
-            "            self.sanitizer.note_dst_pause(\n"
-            "                self, pkt.pause_dst, True, pkt.pause_dst in self.paused_dsts\n"
-            "            )\n"
-        ),
-        dst_resume=(
-            "        if self.sanitizer is not None:\n"
-            "            self.sanitizer.note_dst_pause(\n"
-            "                self, pkt.pause_dst, False, pkt.pause_dst in self.paused_dsts\n"
-            "            )\n"
+    receive_pause = without_fragments(
+        Node.receive_pause,
+        note_pause=(
+            "    if self.sanitizer is not None:\n"
+            "        self.sanitizer.note_pause(self, in_port, key, pause, was_paused)\n"
         ),
     )
 
@@ -99,8 +86,8 @@ def _build(cls):
     host = cls(sim, 0, "h0", StaticWindowCc(gbps(10), kb(30)), {})
     host.ports.append(_StubPort())
     assert host.sanitizer is None  # the path being priced
-    pause = Packet.control(PacketKind.PFC_PAUSE, 1, 0)
-    resume = Packet.control(PacketKind.PFC_RESUME, 1, 0)
+    pause = Packet.control(PacketKind.PAUSE, 1, 0)
+    resume = Packet.control(PacketKind.RESUME, 1, 0)
     return host.receive, pause, resume
 
 

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.net.host import Host
 from repro.net.packet import Packet, PacketKind
-from repro.net.port import EMPTY_SET, EgressPort
+from repro.net.port import EgressPort
 from repro.net.switch import Switch, SwitchExtension
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
@@ -176,7 +176,8 @@ class BfcExtension(SwitchExtension):
             key = (in_port, upstream_q)
             if key not in state.paused_upstreams:
                 state.paused_upstreams.add(key)
-                self._send_pause(in_port, upstream_q, resume=False)
+                self.switch.send_pause(in_port, upstream_q, True)
+                self.pauses_sent += 1
         return True
 
     def on_dequeue(self, port: EgressPort, pkt: Packet, queue_idx: int) -> None:
@@ -191,7 +192,7 @@ class BfcExtension(SwitchExtension):
             and port.queue_bytes[queue_idx] <= self.config.resume_threshold
         ):
             for in_port, up_q in sorted(state.paused_upstreams):
-                self._send_pause(in_port, up_q, resume=True)
+                self.switch.send_pause(in_port, up_q, False)
             state.paused_upstreams.clear()
         if self.config.ideal and port.queue_bytes[queue_idx] == 0:
             # BFC-ideal: immediately recycle the drained per-flow queue
@@ -203,23 +204,16 @@ class BfcExtension(SwitchExtension):
 
     # -- control -----------------------------------------------------------------------
 
-    def handle_control(self, pkt: Packet, in_port: int) -> bool:
-        if pkt.kind == PacketKind.BFC_PAUSE:
-            self.switch.ports[in_port].pause_queue(pkt.pause_port)
-            return True
-        if pkt.kind == PacketKind.BFC_RESUME:
-            self.switch.ports[in_port].resume_queue(pkt.pause_port)
-            return True
-        return False
-
-    def _send_pause(self, in_port: int, upstream_q: int, resume: bool) -> None:
-        peer = self.switch.peer(in_port)
-        kind = PacketKind.BFC_RESUME if resume else PacketKind.BFC_PAUSE
-        frame = Packet.control(kind, self.switch.node_id, peer.node_id)
-        frame.pause_port = upstream_q
-        self.switch.ports[in_port].enqueue_control(frame)
-        if not resume:
-            self.pauses_sent += 1
+    def pause_key(self, in_port: int, key: int, pause: bool) -> bool:
+        """The downstream switch on ``in_port`` pauses or resumes our
+        egress queue ``key``."""
+        port = self.switch.ports[in_port]
+        was_paused = key in port.paused_queues
+        if pause:
+            port.pause_queue(key)
+        else:
+            port.resume_queue(key)
+        return was_paused
 
 
 class BfcHost(Host):
@@ -227,47 +221,23 @@ class BfcHost(Host):
 
     The host hashes each flow onto ``n_queues`` virtual queues, stamps
     the queue index into outgoing packets (so the ToR knows what to
-    pause), and suspends the flows of a paused queue.
+    pause), and keys its pauses by that queue: a paused queue suspends
+    its flows.  The queues are virtual — the NIC port has one data
+    queue, so they never reach ``EgressPort.paused_queues``.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         #: the fabric's config (``install_bfc`` assigns it)
         self.bfc_config = BfcConfig()
-        #: EMPTY_SET until the first pause frame
-        self.paused_queues: AbstractSet[int] = EMPTY_SET
 
-    def _host_queue_of(self, flow_id: int) -> int:
-        n = self.bfc_config.n_queues or 128
-        return _fid_hash(flow_id) % n
-
-    def _flow_blocked(self, flow) -> bool:
-        if super()._flow_blocked(flow):
-            return True
-        return self._host_queue_of(flow.flow_id) in self.paused_queues
+    def _pause_key_of(self, flow) -> int:
+        """``flow``'s virtual NIC queue."""
+        return _fid_hash(flow.flow_id) % (self.bfc_config.n_queues or 128)
 
     def _stamp_packet(self, pkt: Packet, flow) -> None:
         # the ToR conveys this queue index back in pause frames
-        pkt.upstream_queue = self._host_queue_of(flow.flow_id)
-
-    def receive(self, pkt: Packet, ingress_port: int) -> None:
-        if pkt.kind == PacketKind.BFC_PAUSE:
-            if self.paused_queues is EMPTY_SET:
-                self.paused_queues = set()
-            self.paused_queues.add(pkt.pause_port)
-            return
-        if pkt.kind == PacketKind.BFC_RESUME:
-            if self.paused_queues:
-                self.paused_queues.discard(pkt.pause_port)
-            for flow_id in sorted(self.active_flows):
-                flow = self.flow_table[flow_id]
-                if (
-                    self._host_queue_of(flow_id) == pkt.pause_port
-                    and not flow.sender_done
-                ):
-                    self._kick(flow)
-            return
-        super().receive(pkt, ingress_port)
+        pkt.upstream_queue = self._pause_key_of(flow)
 
 
 def install_bfc(

@@ -207,16 +207,8 @@ class NdpHost(Host):
                     flow.cc.retx.append(pkt.seq)
         elif kind == PacketKind.ACK:
             self._rx_ack(pkt)
-        elif kind == PacketKind.PFC_PAUSE:
-            port = self.ports[ingress_port]
-            if self.sanitizer is not None:
-                self.sanitizer.note_pfc(self, ingress_port, True, port.paused)
-            port.pause()
-        elif kind == PacketKind.PFC_RESUME:
-            port = self.ports[ingress_port]
-            if self.sanitizer is not None:
-                self.sanitizer.note_pfc(self, ingress_port, False, port.paused)
-            port.resume()
+        elif kind == PacketKind.PAUSE or kind == PacketKind.RESUME:
+            self.receive_pause(pkt, ingress_port)
 
     def _rx_data(self, pkt: Packet) -> None:
         self.rx_data_packets += 1

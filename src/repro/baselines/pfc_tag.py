@@ -3,14 +3,15 @@
 Behaviour per the paper:
 
 * the last-hop ToR watches each host-facing egress queue; when it
-  exceeds the pause threshold, a ``TAG_PAUSE`` carrying the congested
+  exceeds the pause threshold, a PAUSE keyed by the congested
   destination goes to the upstream switch the triggering packet came
-  from;
-* an upstream switch that holds a pause for a destination parks that
-  destination's packets in a VOQ; if the VOQ itself exceeds the
+  from (:meth:`~repro.net.node.Node.send_pause`);
+* an upstream switch that holds a pause for a destination (its
+  ``paused_dsts``, which :meth:`PfcTagExtension.pause_key` keeps) parks
+  that destination's packets in a VOQ; if the VOQ itself exceeds the
   threshold, the pause propagates another hop upstream;
 * when the congested queue (or VOQ) drains below the resume
-  threshold, ``TAG_RESUME`` frames release the recorded upstream
+  threshold, keyed RESUME frames release the recorded upstream
   entities and the VOQs drain.
 
 Unlike Floodgate this is *reactive* — nothing is tamed until the
@@ -108,11 +109,7 @@ class PfcTagExtension(SwitchExtension):
         if in_port in paused:
             return
         paused.add(in_port)
-        frame = Packet.control(
-            PacketKind.TAG_PAUSE, self.switch.node_id, peer.node_id
-        )
-        frame.pause_dst = dst
-        self.switch.ports[in_port].enqueue_control(frame)
+        self.switch.send_pause(in_port, dst, True)
         self.pauses_sent += 1
 
     def _maybe_resume(self, dst: int, backlog: int) -> None:
@@ -120,12 +117,7 @@ class PfcTagExtension(SwitchExtension):
         if not paused or backlog > self.config.resume_threshold:
             return
         for in_port in sorted(paused):
-            peer = self.switch.peer(in_port)
-            frame = Packet.control(
-                PacketKind.TAG_RESUME, self.switch.node_id, peer.node_id
-            )
-            frame.pause_dst = dst
-            self.switch.ports[in_port].enqueue_control(frame)
+            self.switch.send_pause(in_port, dst, False)
         paused.clear()
 
     def on_dequeue(self, port: EgressPort, pkt: Packet, queue_idx: int) -> None:
@@ -173,15 +165,15 @@ class PfcTagExtension(SwitchExtension):
 
     # -- control -----------------------------------------------------------------------
 
-    def handle_control(self, pkt: Packet, in_port: int) -> bool:
-        if pkt.kind == PacketKind.TAG_PAUSE:
-            self.paused_dsts.add(pkt.pause_dst)
-            return True
-        if pkt.kind == PacketKind.TAG_RESUME:
-            self.paused_dsts.discard(pkt.pause_dst)
-            self._drain(pkt.pause_dst)
-            return True
-        return False
+    def pause_key(self, in_port: int, key: int, pause: bool) -> bool:
+        """The downstream switch pauses or resumes destination ``key``."""
+        was_paused = key in self.paused_dsts
+        if pause:
+            self.paused_dsts.add(key)
+        else:
+            self.paused_dsts.discard(key)
+            self._drain(key)
+        return was_paused
 
     def _drain(self, dst: int) -> None:
         """Start releasing a destination's VOQ after a resume.

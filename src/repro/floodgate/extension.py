@@ -202,7 +202,7 @@ class FloodgateExtension(SwitchExtension):
                 self._drain_dst(dst)
             return True
         if pkt.kind == PacketKind.SWITCH_SYN:
-            self.credits.answer_syn(in_port, pkt.pause_dst)
+            self.credits.answer_syn(in_port, pkt.target)
             return True
         return False
 
@@ -272,7 +272,7 @@ class FloodgateExtension(SwitchExtension):
                 syn = Packet.control(
                     PacketKind.SWITCH_SYN, self.switch.node_id, peer.node_id
                 )
-                syn.pause_dst = dst
+                syn.target = dst
                 self.switch.ports[port].enqueue_control(syn)
                 self.windows.last_credit_time[(port, dst)] = now
                 self.syn_sent += 1
@@ -293,9 +293,7 @@ class FloodgateExtension(SwitchExtension):
             return
         paused.add(pkt.src)
         self.dst_pauses_sent += 1
-        frame = Packet.control(PacketKind.DST_PAUSE, self.switch.node_id, pkt.src)
-        frame.pause_dst = dst
-        self.switch.ports[src_port].enqueue_control(frame)
+        self.switch.send_pause(src_port, dst, True)
 
     def _maybe_resume_sources(self, dst: int) -> None:
         if not self.config.per_dst_pause:
@@ -309,9 +307,7 @@ class FloodgateExtension(SwitchExtension):
             src_port = self.switch.connected_hosts.get(src)
             if src_port is None:
                 continue
-            frame = Packet.control(PacketKind.DST_RESUME, self.switch.node_id, src)
-            frame.pause_dst = dst
-            self.switch.ports[src_port].enqueue_control(frame)
+            self.switch.send_pause(src_port, dst, False)
         paused.clear()
 
     # -- teardown / stats --------------------------------------------------------------------------------

@@ -10,9 +10,11 @@ Receiver side
     DCQCN CNP generation on ECN-marked arrivals, INT echo for HPCC,
     and FCT recording at last-byte arrival.
 
-The host also understands PFC pause frames from its ToR and Floodgate's
-optional per-dst pause (``dstPause``/``dstResume``), for which the NIC
-keeps per-destination pause state (§4.3 "Hosts' support").
+Pause frames from the ToR arrive through :meth:`Node.receive_pause`:
+a PFC pause stops the NIC port; a keyed one goes into ``paused_keys``
+and stops the flows whose :meth:`Host._pause_key_of` it names — the
+destination here, for Floodgate's optional per-dst pause (§4.3 "Hosts'
+support"), or a BFC host's virtual NIC queue.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ _DATA = PacketKind.DATA
 _ACK = PacketKind.ACK
 _NACK = PacketKind.NACK
 _CNP = PacketKind.CNP
+_PAUSE = PacketKind.PAUSE
+_RESUME = PacketKind.RESUME
 
 #: least gap between two NACKs for one flow, ns
 NACK_GAP = us(10)
@@ -66,15 +70,12 @@ class Host(Node):
         #: stamp an INT stack on every data packet (HPCC; set by the scenario)
         self.int_enabled = False
         #: both EMPTY_SET until their first add
-        self.paused_dsts: AbstractSet[int] = EMPTY_SET
+        self.paused_keys: AbstractSet[int] = EMPTY_SET
         self.active_flows: AbstractSet[int] = EMPTY_SET
         self.rx_data_bytes = 0
         self.tx_data_bytes = 0
         self.rx_data_packets = 0
         self.tx_data_packets = 0
-        #: optional SimSanitizer back-reference (repro.simcheck); None
-        #: on unsanitized runs, so control paths pay one is-None check
-        self.sanitizer = None
         #: emit DCQCN CNPs on marked arrivals (off for the other CC laws)
         self.cnp_enabled = True
         #: fired once per flow when the last byte arrives; the topology
@@ -123,9 +124,16 @@ class Host(Node):
             flow.send_event = None
         self._try_send(flow)
 
+    def _pause_key_of(self, flow: Flow) -> int:
+        """The key a keyed PAUSE names to stop ``flow``: its dst."""
+        return flow.dst
+
     def _flow_blocked(self, flow: Flow) -> bool:
-        """NIC-level pause check (per-dst pause; subclasses extend)."""
-        return flow.dst in self.paused_dsts
+        """NIC-level pause check: is ``flow``'s key paused?"""
+        paused = self.paused_keys
+        if not paused:
+            return False
+        return self._pause_key_of(flow) in paused
 
     def _try_send(self, flow: Flow) -> None:
         """The send loop: emit one packet if the windows, the NIC pause
@@ -220,35 +228,24 @@ class Host(Node):
             flow = self.flow_table.get(pkt.flow_id)
             if flow is not None and not flow.sender_done:
                 self._cc.on_cnp(flow, self.sim.now)
-        elif kind == PacketKind.PFC_PAUSE:
-            port = self.ports[ingress_port]
-            if self.sanitizer is not None:
-                self.sanitizer.note_pfc(self, ingress_port, True, port.paused)
-            port.pause()
-        elif kind == PacketKind.PFC_RESUME:
-            port = self.ports[ingress_port]
-            if self.sanitizer is not None:
-                self.sanitizer.note_pfc(self, ingress_port, False, port.paused)
-            port.resume()
-        elif kind == PacketKind.DST_PAUSE:
-            if self.sanitizer is not None:
-                self.sanitizer.note_dst_pause(
-                    self, pkt.pause_dst, True, pkt.pause_dst in self.paused_dsts
-                )
-            if self.paused_dsts is EMPTY_SET:
-                self.paused_dsts = set()
-            self.paused_dsts.add(pkt.pause_dst)
-        elif kind == PacketKind.DST_RESUME:
-            if self.sanitizer is not None:
-                self.sanitizer.note_dst_pause(
-                    self, pkt.pause_dst, False, pkt.pause_dst in self.paused_dsts
-                )
-            if self.paused_dsts:
-                self.paused_dsts.discard(pkt.pause_dst)
-            for flow_id in sorted(self.active_flows):
-                flow = self.flow_table[flow_id]
-                if flow.dst == pkt.pause_dst and not flow.sender_done:
-                    self._kick(flow)
+        elif kind == _PAUSE or kind == _RESUME:
+            self.receive_pause(pkt, ingress_port)
+
+    def pause_key(self, in_port: int, key: int, pause: bool) -> bool:
+        paused = self.paused_keys
+        was_paused = key in paused
+        if pause:
+            if paused is EMPTY_SET:
+                self.paused_keys = paused = set()
+            paused.add(key)
+            return was_paused
+        if paused:
+            paused.discard(key)
+        for flow_id in sorted(self.active_flows):
+            flow = self.flow_table[flow_id]
+            if self._pause_key_of(flow) == key and not flow.sender_done:
+                self._kick(flow)
+        return was_paused
 
     def _receive_data(self, pkt: Packet) -> None:
         self.rx_data_packets += 1

@@ -5,11 +5,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List
 
 from repro.sim.engine import Simulator
+from repro.net.packet import Packet, PacketKind
 from repro.net.port import EgressPort
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.link import Link
-    from repro.net.packet import Packet
+
+_PAUSE = PacketKind.PAUSE
 
 
 class Node:
@@ -26,6 +28,10 @@ class Node:
         self.name = name or f"node{node_id}"
         self.ports: List[EgressPort] = []
         self.links: List["Link"] = []
+        #: optional SimSanitizer back-reference (repro.simcheck); None on
+        #: unsanitized runs, so pause frames pay one is-None check (an
+        #: instance attribute: a class-level default costs a type lookup)
+        self.sanitizer = None
         #: pause time already moved to the hub (all ports)
         self._pause_reported = 0
 
@@ -81,10 +87,45 @@ class Node:
             stats.record_pfc_pause(self.kind, paused - self._pause_reported)
             self._pause_reported = paused
 
+    # -- pause frames ------------------------------------------------------------------
+
+    def send_pause(self, port: int, target: int, pause: bool) -> None:
+        """Send the peer on ``port`` a PAUSE (or RESUME) for ``target``:
+        -1 is the peer's whole egress port (PFC), any other value a key
+        of the fabric's per-key scheme.  The one place a pause frame is
+        built."""
+        kind = PacketKind.PAUSE if pause else PacketKind.RESUME
+        frame = Packet.control(kind, self.node_id, self.peer(port).node_id)
+        frame.target = target
+        self.ports[port].enqueue_control(frame)
+
+    def receive_pause(self, pkt: Packet, in_port: int) -> None:
+        """Apply a PAUSE / RESUME that arrived on ``in_port``: target -1
+        pauses or resumes that egress port, a key goes to
+        :meth:`pause_key`.  The one place a pause frame is applied."""
+        pause = pkt.kind == _PAUSE
+        key = pkt.target
+        if key < 0:
+            port = self.ports[in_port]
+            was_paused = port.paused
+            if pause:
+                port.pause()
+            else:
+                port.resume()
+        else:
+            was_paused = self.pause_key(in_port, key, pause)
+        if self.sanitizer is not None:
+            self.sanitizer.note_pause(self, in_port, key, pause, was_paused)
+
     # -- to be provided by subclasses ------------------------------------------------
 
     def receive(self, pkt: "Packet", ingress_port: int) -> None:
         """Handle a packet delivered by a link."""
+        raise NotImplementedError
+
+    def pause_key(self, in_port: int, key: int, pause: bool) -> bool:
+        """Pause or resume ``key`` as the peer on ``in_port`` asks;
+        return whether it was paused before."""
         raise NotImplementedError
 
     def on_port_dequeue(

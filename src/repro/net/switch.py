@@ -15,6 +15,7 @@ out of the class hierarchy.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.net.buffer import SharedBuffer
@@ -34,8 +35,8 @@ from repro.stats.collector import BW_CREDIT, BW_CTRL, BW_DATA, StatsHub
 #: hoisted enum members: the receive dispatcher compares against these
 #: once per packet, and a module global beats an Enum class attribute
 _DATA = PacketKind.DATA
-_PFC_PAUSE = PacketKind.PFC_PAUSE
-_PFC_RESUME = PacketKind.PFC_RESUME
+_PAUSE = PacketKind.PAUSE
+_RESUME = PacketKind.RESUME
 _CREDIT_LIKE = (PacketKind.CREDIT, PacketKind.SWITCH_SYN)
 
 #: dense route entries only for dsts below this bound.  Host ids are
@@ -69,6 +70,12 @@ class SwitchExtension:
     def handle_control(self, pkt: Packet, in_port: int) -> bool:
         """Consume a control frame; return True if handled."""
         return False
+
+    def pause_key(self, in_port: int, key: int, pause: bool) -> bool:
+        """Apply a keyed PAUSE / RESUME from the peer on ``in_port``
+        (BFC: an egress queue; PFC w/ tag: a destination); return
+        whether ``key`` was paused before."""
+        raise NotImplementedError(f"{type(self).__name__} keeps no pause keys")
 
     def on_data(self, pkt: Packet, in_port: int, out_port: int) -> bool:
         """See a data packet before default forwarding.
@@ -144,9 +151,6 @@ class Switch(Node):
         #: subset of the above that were Floodgate CREDIT frames, so the
         #: sanitizer can balance the credit conservation ledger
         self.unclaimed_credit_frames = 0
-        #: optional SimSanitizer back-reference (repro.simcheck); None
-        #: on unsanitized runs, so control paths pay one is-None check
-        self.sanitizer = None
         #: per-port occupancy (egress queues + extension VOQ bytes)
         self._port_bytes: List[int] = []
         self.port_max_bytes: List[int] = []
@@ -173,7 +177,7 @@ class Switch(Node):
             pfc_enabled=self.pfc_enabled,
         )
         self.buffer.on_pause = self._send_pfc_pause
-        self.buffer.on_resume = self._send_pfc_resume
+        self.buffer.on_resume = partial(self.send_pause, target=-1, pause=False)
 
     def install_extension(self, ext: SwitchExtension) -> None:
         self.extension = ext
@@ -273,17 +277,8 @@ class Switch(Node):
                 self.port_max_bytes[out_port] = used
             port.enqueue(pkt, 1)
             return
-        if kind == _PFC_PAUSE:
-            port = self.ports[ingress_port]
-            if self.sanitizer is not None:
-                self.sanitizer.note_pfc(self, ingress_port, True, port.paused)
-            port.pause()
-            return
-        if kind == _PFC_RESUME:
-            port = self.ports[ingress_port]
-            if self.sanitizer is not None:
-                self.sanitizer.note_pfc(self, ingress_port, False, port.paused)
-            port.resume()
+        if kind == _PAUSE or kind == _RESUME:
+            self.receive_pause(pkt, ingress_port)
             return
         if IS_CONTROL[kind]:
             if self.extension is not None and self.extension.handle_control(
@@ -406,20 +401,16 @@ class Switch(Node):
             else:
                 stats.record_tx(BW_CTRL, pkt.size)
 
-    # -- PFC generation --------------------------------------------------------------------
+    # -- pause frames ----------------------------------------------------------------------
 
     def _send_pfc_pause(self, ingress_port: int) -> None:
         """Our ingress crossed the threshold: pause the upstream peer."""
-        peer = self.peer(ingress_port)
-        frame = Packet.control(PacketKind.PFC_PAUSE, self.node_id, peer.node_id)
-        self.ports[ingress_port].enqueue_control(frame)
+        self.send_pause(ingress_port, -1, True)
         if self.stats is not None:
             self.stats.record_pfc_event()
 
-    def _send_pfc_resume(self, ingress_port: int) -> None:
-        peer = self.peer(ingress_port)
-        frame = Packet.control(PacketKind.PFC_RESUME, self.node_id, peer.node_id)
-        self.ports[ingress_port].enqueue_control(frame)
+    def pause_key(self, in_port: int, key: int, pause: bool) -> bool:
+        return self.extension.pause_key(in_port, key, pause)
 
     def report_to_hub(self) -> None:
         """Move what the switch keeps for the hub — buffer and port

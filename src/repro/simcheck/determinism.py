@@ -25,13 +25,15 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-#: scheme label -> ScenarioConfig.flow_control value, the four schemes
-#: the acceptance criteria name (DCQCN runs with no switch assistance)
+#: scheme label -> ScenarioConfig.flow_control value: every scheme
+#: with its own pause or trim machinery (DCQCN runs with no switch
+#: assistance; pfc_tag arms the per-dst pause pairing at switches)
 SCHEMES: Tuple[Tuple[str, str], ...] = (
     ("dcqcn", "none"),
     ("floodgate", "floodgate"),
     ("bfc", "bfc"),
     ("ndp", "ndp"),
+    ("pfc_tag", "pfc-tag"),
 )
 
 #: schemes the sharded-equivalence check covers: the sharded engine is

@@ -14,7 +14,7 @@ SIM002
     and ``telemetry/profile.py``.  Wall time must never leak into
     simulated state.
 SIM003
-    Iteration over set-typed simulator state (``paused_dsts``,
+    Iteration over set-typed simulator state (``paused_keys``,
     ``paused_queues``, ``paused_upstreams``, ``fids``, ...) in
     ``net/``, ``floodgate/`` or ``baselines/``.  Set order is
     hash-dependent; when the loop body schedules events, the event
@@ -169,6 +169,7 @@ SET_STATE_NAMES = frozenset(
         "fids",
         "paused",
         "paused_dsts",
+        "paused_keys",
         "paused_queues",
         "paused_sources",
         "paused_upstreams",

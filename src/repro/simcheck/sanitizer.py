@@ -14,10 +14,11 @@ run and again at the end:
 2. **Buffer consistency** — each switch's shared-buffer occupancy
    equals the sum of its per-ingress charges *and* the sum of its
    per-port occupancy, never negative, never above capacity.
-3. **Pause/resume pairing** — PFC PAUSE/RESUME per port, and
-   Floodgate's per-dst pause per (host, dst), strictly alternate.
-   (BFC's queue-level pauses are exempt: two switch queues may
-   legitimately pause the same upstream queue.)
+3. **Pause/resume pairing** — PAUSE and RESUME frames strictly
+   alternate per port (PFC) and per (node, key): Floodgate's per-dst
+   pause at a host, PFC w/ tag's per-dst pause at a switch.  (BFC's
+   queue keys are exempt: two switch queues may legitimately pause the
+   same upstream queue.)
 4. **Theorem-1 bound** — no Floodgate per-dst window goes negative
    (in-flight beyond the VOQ window) or above its initial value,
    except after a forced overflow bypass, which the paper's bound
@@ -205,9 +206,15 @@ class SimSanitizer:
         #: messages dropped once ``max_violations`` was reached
         self.truncated = 0
         self.checks_run = 0
-        #: lazily resolved: pause/resume pairing assumes lossless
-        #: control delivery, so lossy/faulted links switch it off
-        self._pairing: Optional[bool] = None
+        #: pairing needs every PAUSE / RESUME delivered: off when the
+        #: plan can drop a control frame (LinkDown, RandomLoss.ctrl_rate)
+        plan = scenario.config.fault_plan
+        self._pairing = plan is None or not any(
+            spec.kind == "link-down" or getattr(spec, "ctrl_rate", 0.0) > 0.0
+            for spec in plan.faults
+        )
+        #: BFC's keys are exempt (see the module docstring)
+        self._pair_keys = scenario.config.flow_control != "bfc"
         #: periodic sweep driver, None for a domain slice (swept from
         #: window boundaries instead).  Observer-tagged: sweeps read
         #: state, so the determinism digests exclude their ticks.
@@ -243,50 +250,23 @@ class SimSanitizer:
         else:
             self.truncated += 1
 
-    # -- event-driven pairing hooks (called from rare control branches) ----
+    # -- event-driven pairing hook (called from Node.receive_pause) --------
 
-    def _pairing_applicable(self) -> bool:
-        """Pairing is only sound when control frames cannot be lost.
-
-        Resolved at the first pause/resume event (the fault plan is
-        installed by then): a dropped PAUSE would make the later RESUME
-        look unmatched, which is loss, not a protocol bug.
-        """
-        if self._pairing is None:
-            self._pairing = not any(
-                link.fault is not None for link in self.topology.links
-            )
-        return self._pairing
-
-    def note_pfc(self, node, port_index: int, pause: bool, was_paused: bool) -> None:
-        """A PFC PAUSE/RESUME frame reached ``node`` on ``port_index``."""
-        if not self._pairing_applicable():
+    def note_pause(
+        self, node, port_index: int, key: int, pause: bool, was_paused: bool
+    ) -> None:
+        """A PAUSE / RESUME for ``key`` (-1: the whole port) reached
+        ``node`` on ``port_index``; ``was_paused`` is the state before."""
+        if not self._pairing or (key >= 0 and not self._pair_keys):
             return
+        scope = f"port {port_index}" if key < 0 else f"key {key}"
         if pause and was_paused:
             self.record(
-                f"double PFC PAUSE at {node.name} port {port_index} "
+                f"double PAUSE at {node.name} {scope} "
                 "(already paused; pauses must strictly alternate with resumes)"
             )
         elif not pause and not was_paused:
-            self.record(
-                f"PFC RESUME without matching PAUSE at {node.name} "
-                f"port {port_index}"
-            )
-
-    def note_dst_pause(self, host, dst: int, pause: bool, was_paused: bool) -> None:
-        """A Floodgate dstPause/dstResume frame reached ``host``."""
-        if not self._pairing_applicable():
-            return
-        if pause and was_paused:
-            self.record(
-                f"double dstPause at {host.name} for dst {dst} "
-                "(ToR must not re-pause an already-paused source)"
-            )
-        elif not pause and not was_paused:
-            self.record(
-                f"dstResume without matching dstPause at {host.name} "
-                f"for dst {dst}"
-            )
+            self.record(f"RESUME without matching PAUSE at {node.name} {scope}")
 
     # -- conservation ledger -----------------------------------------------
 

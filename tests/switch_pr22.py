@@ -12,7 +12,9 @@ through ``enqueue_data`` and ``_note_port_bytes``, and an extension
 that calls ``sw.enqueue_data`` itself — and
 ``tests/test_switch_oracle.py`` holds the live code ``==`` to it on the
 full summary, event counts included.  Do not "improve" this file: it is
-a reference, not code under test.
+a reference, not code under test.  One edit since: its PFC branches
+hand PAUSE / RESUME to ``Node.receive_pause``, the one pause handler
+that replaced the per-protocol frame kinds.
 """
 from __future__ import annotations
 
@@ -24,8 +26,8 @@ from repro.net.switch import Switch
 from repro.stats.collector import BW_CREDIT, BW_CTRL, BW_DATA, StatsHub
 
 _DATA = PacketKind.DATA
-_PFC_PAUSE = PacketKind.PFC_PAUSE
-_PFC_RESUME = PacketKind.PFC_RESUME
+_PAUSE = PacketKind.PAUSE
+_RESUME = PacketKind.RESUME
 _CREDIT_LIKE = (PacketKind.CREDIT, PacketKind.SWITCH_SYN)
 
 
@@ -54,17 +56,8 @@ def receive(self, pkt: Packet, ingress_port: int) -> None:
             return
         self.enqueue_data(pkt, out_port)
         return
-    if kind == _PFC_PAUSE:
-        port = self.ports[ingress_port]
-        if self.sanitizer is not None:
-            self.sanitizer.note_pfc(self, ingress_port, True, port.paused)
-        port.pause()
-        return
-    if kind == _PFC_RESUME:
-        port = self.ports[ingress_port]
-        if self.sanitizer is not None:
-            self.sanitizer.note_pfc(self, ingress_port, False, port.paused)
-        port.resume()
+    if kind == _PAUSE or kind == _RESUME:
+        self.receive_pause(pkt, ingress_port)
         return
     if IS_CONTROL[kind]:
         if self.extension is not None and self.extension.handle_control(

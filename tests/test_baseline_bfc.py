@@ -139,19 +139,19 @@ class TestHostSide:
             p.upstream_queue
             for p in host.ports[0].queues[1]
         ]
-        expected = host._host_queue_of(1)
+        expected = host._pause_key_of(f)
         assert all(q == expected for q in stamped) or stamped == []
 
     def test_paused_host_queue_blocks_flow(self):
         sim, topo, exts, _ = build()
         host = topo.hosts[4]
         f = topo.make_flow(1, 4, 0, 50_000, 0)
-        q = host._host_queue_of(1)
-        host.paused_queues = {q}
+        q = host._pause_key_of(f)
+        host.paused_keys = {q}
         topo.start_flow(f)
         sim.run(until=ms(2))
         assert not f.receiver_done
-        host.paused_queues.discard(q)
+        host.paused_keys.discard(q)
         host._kick(f)
         sim.run(until=ms(20))
         assert f.receiver_done

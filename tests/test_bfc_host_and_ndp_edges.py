@@ -26,12 +26,15 @@ class TestBfcHostEdges:
 
         sim, topo, exts, _ = build()
         host = topo.hosts[0]
-        frame = Packet.control(PacketKind.BFC_PAUSE, 99, 0)
-        frame.pause_port = 123456
+        frame = Packet.control(PacketKind.PAUSE, 99, 0)
+        frame.target = 123456
         host.receive(frame, 0)  # must not raise
-        frame2 = Packet.control(PacketKind.BFC_RESUME, 99, 0)
-        frame2.pause_port = 123456
+        assert host.paused_keys == {123456}
+        assert not host.ports[0].paused_queues  # virtual: not the NIC's
+        frame2 = Packet.control(PacketKind.RESUME, 99, 0)
+        frame2.target = 123456
         host.receive(frame2, 0)
+        assert not host.paused_keys
 
     def test_resume_kicks_only_matching_flows(self):
         from tests.test_baseline_bfc import build
@@ -40,15 +43,15 @@ class TestBfcHostEdges:
         host = topo.hosts[4]
         f1 = topo.make_flow(1, 4, 0, 30_000, 0)
         f2 = topo.make_flow(2, 4, 1, 30_000, 0)
-        q1 = host._host_queue_of(1)
-        q2 = host._host_queue_of(2)
-        host.paused_queues = {q1, q2}
+        q1 = host._pause_key_of(f1)
+        q2 = host._pause_key_of(f2)
+        host.paused_keys = {q1, q2}
         topo.start_flow(f1)
         topo.start_flow(f2)
         sim.run(until=ms(1))
         assert not f1.receiver_done and not f2.receiver_done
-        resume = Packet.control(PacketKind.BFC_RESUME, 99, 4)
-        resume.pause_port = q1
+        resume = Packet.control(PacketKind.RESUME, 99, 4)
+        resume.target = q1
         host.receive(resume, 0)
         sim.run(until=ms(30))
         assert f1.receiver_done

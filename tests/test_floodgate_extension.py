@@ -165,7 +165,7 @@ class TestPerDstPause:
         assert sum(ext.dst_pauses_sent for ext in exts) > 0
         assert all(f.receiver_done for f in flows)
         # all pauses were lifted by the end
-        assert all(not h.paused_dsts for h in net.topo.hosts)
+        assert all(not h.paused_keys for h in net.topo.hosts)
 
 
 class TestDeadlockFreedom:

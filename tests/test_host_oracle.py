@@ -63,7 +63,7 @@ def test_the_oracle_is_grafted_and_removed(monkeypatch):
 def test_registry_config_under_every_scheme(cfg, flow_control, monkeypatch):
     """Every packet/rpc registry fabric and traffic pattern x every
     flow-control scheme — ``ndp`` runs ``NdpHost``'s own RTO path over
-    the timer, ``bfc`` runs ``BfcHost``'s ``_flow_blocked`` /
+    the timer, ``bfc`` runs ``BfcHost``'s ``_pause_key_of`` /
     ``_stamp_packet`` overrides and its resume kicks over the send loop."""
     assert_same_on_both_hosts(matrix_config(cfg, flow_control), monkeypatch)
 

@@ -245,8 +245,8 @@ class TestCnp:
 class TestDstPause:
     def test_dst_pause_blocks_only_that_destination(self, mini):
         host = mini.topo.hosts[0]
-        pause = Packet.control(PacketKind.DST_PAUSE, 100, 0)
-        pause.pause_dst = 2
+        pause = Packet.control(PacketKind.PAUSE, 100, 0)
+        pause.target = 2
         host.receive(pause, 0)
         f_blocked = mini.flow(1, 0, 2, 20_000)
         f_free = mini.flow(2, 0, 3, 20_000)
@@ -256,14 +256,14 @@ class TestDstPause:
 
     def test_dst_resume_restarts(self, mini):
         host = mini.topo.hosts[0]
-        pause = Packet.control(PacketKind.DST_PAUSE, 100, 0)
-        pause.pause_dst = 2
+        pause = Packet.control(PacketKind.PAUSE, 100, 0)
+        pause.target = 2
         host.receive(pause, 0)
         f = mini.flow(1, 0, 2, 20_000)
         mini.run(ms(2))
         assert not f.receiver_done
-        resume = Packet.control(PacketKind.DST_RESUME, 100, 0)
-        resume.pause_dst = 2
+        resume = Packet.control(PacketKind.RESUME, 100, 0)
+        resume.target = 2
         host.receive(resume, 0)
         mini.run(mini.sim.now + ms(5))
         assert f.receiver_done
@@ -272,10 +272,10 @@ class TestDstPause:
 class TestPfcOnHost:
     def test_pfc_pause_stops_nic(self, mini):
         host = mini.topo.hosts[0]
-        host.receive(Packet.control(PacketKind.PFC_PAUSE, 100, 0), 0)
+        host.receive(Packet.control(PacketKind.PAUSE, 100, 0), 0)
         f = mini.flow(1, 0, 2, 10_000)
         mini.run(ms(2))
         assert not f.receiver_done
-        host.receive(Packet.control(PacketKind.PFC_RESUME, 100, 0), 0)
+        host.receive(Packet.control(PacketKind.RESUME, 100, 0), 0)
         mini.run(mini.sim.now + ms(5))
         assert f.receiver_done

@@ -55,7 +55,7 @@ def test_a_built_fabric_holds_no_per_element_state(cfg):
     assert all(q is EMPTY_QUEUE for port in ports for q in port.queues)
     assert all(port.paused_queues is EMPTY_SET for port in ports)
     assert all(
-        host.paused_dsts is EMPTY_SET and host.active_flows is EMPTY_SET
+        host.paused_keys is EMPTY_SET and host.active_flows is EMPTY_SET
         for host in topo.hosts
     )
     markers = [sw.ecn for sw in topo.switches]

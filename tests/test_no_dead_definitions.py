@@ -48,7 +48,7 @@ MODULE_HOOKS = {"__getattr__", "__dir__"}
 #: although only tests (or an example) reach it.  Ten entries at most.
 ALLOWED = {
     "repro/analysis/models.py": "the paper's closed forms, the one outside reference "
-    "tests/test_analysis.py holds the packet engine to (the bounds wait for ROADMAP item 5)",
+    "tests/test_analysis.py holds the packet engine to (the bounds wait for ROADMAP item 10)",
     "allocation_errors": "full-recompute reference of the incremental fluid allocator",
     "RateSampler": "tick-time differentiation test_telemetry holds the merged export to",
     "serialization_delay_of": "spelled-out form of the delay memo _try_transmit inlines; "

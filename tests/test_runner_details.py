@@ -27,7 +27,7 @@ class TestRunnerEdges:
         cfg = ScenarioConfig(pattern="none", max_runtime_factor=2.0, **QUICK)
         sc = Scenario(cfg)
         host = sc.topology.hosts[0]
-        host.paused_dsts = {3}  # flow will never start moving
+        host.paused_keys = {3}  # flow will never start moving
         f = sc.topology.make_flow(1, 0, 3, 10_000, 0)
         sc.topology.start_flow(f)
         r = run_scenario(cfg, scenario=sc)

@@ -37,7 +37,7 @@ def tiny_cfg(flow_control: str, seed: int = 5) -> ScenarioConfig:
 
 
 def test_schemes_cover_the_acceptance_set():
-    assert set(SCHEME_FC) == {"dcqcn", "floodgate", "bfc", "ndp"}
+    assert set(SCHEME_FC) == {"dcqcn", "floodgate", "bfc", "ndp", "pfc_tag"}
 
 
 def test_event_stream_digest_hashes_sim_state_only():

@@ -9,7 +9,7 @@ import pytest
 from repro.experiments.parallel import summarize
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scenario, ScenarioConfig
-from repro.faults import RandomLoss, plan_of
+from repro.faults import Corruption, LinkDown, RandomLoss, plan_of
 from repro.net.packet import Packet, PacketKind
 from repro.simcheck.sanitizer import SanitizerConfig, SanitizerError, SimSanitizer
 from repro.units import us
@@ -37,7 +37,7 @@ def run_sanitized(flow_control: str, **kw):
 # -- clean runs stay clean ----------------------------------------------------
 
 
-@pytest.mark.parametrize("scheme", ["none", "floodgate", "bfc", "ndp"])
+@pytest.mark.parametrize("scheme", ["none", "floodgate", "bfc", "ndp", "pfc-tag"])
 def test_clean_run_has_zero_violations(scheme):
     sc, result = run_sanitized(scheme)
     assert result.sanitizer_violations == []
@@ -154,9 +154,9 @@ def test_pfc_resume_without_pause_is_flagged():
     cfg = small_cfg("none")
     sc = Scenario(cfg)  # unrun: every port starts unpaused
     host = sc.topology.hosts[0]
-    host.receive(Packet.control(PacketKind.PFC_RESUME, 0, host.node_id), 0)
+    host.receive(Packet.control(PacketKind.RESUME, 0, host.node_id), 0)
     assert any(
-        "PFC RESUME without matching PAUSE" in m
+        "RESUME without matching PAUSE at h0 port 0" in m
         for m in sc.sanitizer.violations
     )
 
@@ -165,40 +165,79 @@ def test_double_pfc_pause_is_flagged():
     cfg = small_cfg("none")
     sc = Scenario(cfg)
     host = sc.topology.hosts[0]
-    pause = Packet.control(PacketKind.PFC_PAUSE, 0, host.node_id)
+    pause = Packet.control(PacketKind.PAUSE, 0, host.node_id)
     host.receive(pause, 0)
     assert sc.sanitizer.violations == []
     host.receive(pause, 0)
-    assert any("double PFC PAUSE" in m for m in sc.sanitizer.violations)
+    assert any("double PAUSE at h0 port 0" in m for m in sc.sanitizer.violations)
 
 
 def test_double_dst_pause_is_flagged():
     cfg = small_cfg("floodgate")
     sc = Scenario(cfg)
     host = sc.topology.hosts[0]
-    pkt = Packet.control(PacketKind.DST_PAUSE, 0, host.node_id)
-    pkt.pause_dst = 5
+    pkt = Packet.control(PacketKind.PAUSE, 0, host.node_id)
+    pkt.target = 5
     host.receive(pkt, 0)
     assert sc.sanitizer.violations == []
     host.receive(pkt, 0)
-    assert any("double dstPause" in m for m in sc.sanitizer.violations)
+    assert any("double PAUSE at h0 key 5" in m for m in sc.sanitizer.violations)
+
+
+def test_double_keyed_pause_at_a_pfc_tag_switch_is_flagged():
+    """PFC w/ tag's per-dst pause between switches is paired like any
+    other key; BFC's queue keys stay exempt."""
+    sc = Scenario(small_cfg("pfc-tag"))
+    sw = sc.topology.switches[0]
+    pause = Packet.control(PacketKind.PAUSE, 0, sw.node_id)
+    pause.target = 5
+    sw.receive(pause, 0)
+    assert sc.sanitizer.violations == []
+    sw.receive(pause, 0)
+    assert any(
+        f"double PAUSE at {sw.name} key 5" in m for m in sc.sanitizer.violations
+    )
+
+    sc = Scenario(small_cfg("bfc"))
+    sw = sc.topology.switches[0]
+    sw.receive(pause, 0)
+    sw.receive(pause, 0)
+    assert sc.sanitizer.violations == []
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [Corruption(link="*", rate=0.02), RandomLoss(link="*", data_rate=0.05)],
+    ids=["corruption", "data-only-loss"],
+)
+def test_faults_that_spare_control_frames_keep_pairing_armed(fault):
+    """Only a lost control frame excuses an unmatched RESUME."""
+    sc = Scenario(small_cfg("none", fault_plan=plan_of(fault)))
+    host = sc.topology.hosts[0]
+    host.receive(Packet.control(PacketKind.RESUME, 0, host.node_id), 0)
+    assert any(
+        "RESUME without matching PAUSE" in m for m in sc.sanitizer.violations
+    )
 
 
 def test_lossy_links_disable_pairing_but_not_conservation():
     """A dropped PAUSE makes the later RESUME look unmatched; that is
-    loss, not a bug, so pairing checks stand down on lossy fabrics."""
-    cfg = small_cfg(
-        "none", fault_plan=plan_of(RandomLoss(link="#0", ctrl_rate=0.5))
-    )
-    sc = Scenario(cfg)
-    host = sc.topology.hosts[0]
-    host.receive(Packet.control(PacketKind.PFC_RESUME, 0, host.node_id), 0)
-    assert sc.sanitizer.violations == []  # pairing stood down
-    host.tx_data_packets += 1
-    sc.sanitizer.check_now()
-    assert any(  # conservation still armed
-        "conservation broken" in m for m in sc.sanitizer.violations
-    )
+    loss, not a bug, so pairing checks stand down when control frames
+    can be lost (control-frame loss, or a link that dies with frames in
+    flight)."""
+    for fault in (
+        RandomLoss(link="#0", ctrl_rate=0.5),
+        LinkDown(link="#0", at=us(1)),
+    ):
+        sc = Scenario(small_cfg("none", fault_plan=plan_of(fault)))
+        host = sc.topology.hosts[0]
+        host.receive(Packet.control(PacketKind.RESUME, 0, host.node_id), 0)
+        assert sc.sanitizer.violations == []  # pairing stood down
+        host.tx_data_packets += 1
+        sc.sanitizer.check_now()
+        assert any(  # conservation still armed
+            "conservation broken" in m for m in sc.sanitizer.violations
+        )
 
 
 def test_strict_mode_raises_at_the_violation():

@@ -64,9 +64,9 @@ class TestControlPlane:
 
     def test_pfc_pause_resume_roundtrip(self, leaf_spine):
         sw = leaf_spine.topo.switches[0]
-        sw.receive(Packet.control(PacketKind.PFC_PAUSE, 1, sw.node_id), 0)
+        sw.receive(Packet.control(PacketKind.PAUSE, 1, sw.node_id), 0)
         assert sw.ports[0].paused
-        sw.receive(Packet.control(PacketKind.PFC_RESUME, 1, sw.node_id), 0)
+        sw.receive(Packet.control(PacketKind.RESUME, 1, sw.node_id), 0)
         assert not sw.ports[0].paused
 
     def test_report_pause_time_without_stats(self):
