@@ -19,8 +19,8 @@ from repro.lazy import exports
 __getattr__, __dir__, __all__ = exports(
     __name__,
     {
-        "bfc": ("BfcConfig", "BfcExtension", "BfcHost", "install_bfc"),
-        "ndp": ("NdpHost", "NdpSwitchExtension", "configure_ndp_hosts"),
-        "pfc_tag": ("PfcTagConfig", "PfcTagExtension", "install_pfc_tag"),
+        "bfc": ("BfcExtension", "BfcHost"),
+        "ndp": ("NdpHost", "NdpSwitchExtension"),
+        "pfc_tag": ("PfcTagExtension",),
     },
 )

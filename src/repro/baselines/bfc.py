@@ -24,14 +24,12 @@ queues:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 from repro.net.host import Host
 from repro.net.packet import Packet, PacketKind
 from repro.net.port import EgressPort
 from repro.net.switch import Switch, SwitchExtension
-from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.units import us
 
@@ -49,26 +47,6 @@ FID_SPACE = 4096
 STICKY_TIME = us(20)
 
 
-@dataclass(frozen=True)
-class BfcConfig:
-    """BFC parameters."""
-
-    #: physical queues per egress port; 0 = ideal (per-flow, unbounded)
-    n_queues: int = 32
-    #: queue occupancy (bytes) that triggers pausing the upstream queue
-    pause_threshold: int = 20_000
-
-    @property
-    def ideal(self) -> bool:
-        return self.n_queues == 0
-
-    @property
-    def resume_threshold(self) -> int:
-        """Occupancy below which paused upstreams are resumed: half the
-        pause threshold."""
-        return max(self.pause_threshold // 2, 1)
-
-
 class _QueueState:
     """Book-keeping for one egress queue at one port."""
 
@@ -84,9 +62,15 @@ class _QueueState:
 class BfcExtension(SwitchExtension):
     """BFC logic for one switch."""
 
-    def __init__(self, sim: Simulator, config: BfcConfig) -> None:
+    def __init__(self, sim: Simulator, n_queues: int, base_bdp: int) -> None:
         self.sim = sim
-        self.config = config
+        #: physical queues per egress port; 0 = ideal (per-flow, unbounded)
+        self.n_queues = n_queues
+        self.ideal = n_queues == 0
+        #: queue occupancy (bytes) that pauses the upstream queue: one
+        #: base BDP; paused upstreams resume below half of that
+        self.pause_threshold = base_bdp
+        self.resume_threshold = max(base_bdp // 2, 1)
         #: per port: FID -> queue index (a port's table appears with
         #: its first packet, as do the two below)
         self.assignment: Dict[int, Dict[int, int]] = defaultdict(dict)
@@ -101,7 +85,7 @@ class BfcExtension(SwitchExtension):
 
     def attach(self, switch: Switch) -> None:
         super().attach(switch)
-        n = self.config.n_queues
+        n = self.n_queues
         for port in switch.ports:
             first = port.add_rr_queues(n) if n else len(port.queues)
             self.first_queue.append(first)
@@ -109,7 +93,7 @@ class BfcExtension(SwitchExtension):
     # -- queue assignment -------------------------------------------------------
 
     def _fid_of(self, flow_id: int) -> int:
-        if self.config.ideal:
+        if self.ideal:
             return flow_id
         return _fid_hash(flow_id) % FID_SPACE
 
@@ -129,13 +113,13 @@ class BfcExtension(SwitchExtension):
                 return qidx
             state.fids.discard(fid)
             del table[fid]
-        if self.config.ideal:
+        if self.ideal:
             # dedicate a queue per flow, reusing drained ones (O(1))
             free = self.free_queues[out_port]
             idx = free.pop() if free else port.add_rr_queues(1)
             return self._bind(out_port, fid, idx)
         first = self.first_queue[out_port]
-        n = self.config.n_queues
+        n = self.n_queues
         # prefer an empty, unbound queue
         for idx in range(first, first + n):
             state = states.get(idx)
@@ -170,7 +154,7 @@ class BfcExtension(SwitchExtension):
         port = self.switch.ports[out_port]
         self.switch.enqueue_data(pkt, out_port, queue_idx=qidx)
         if (
-            port.queue_bytes[qidx] > self.config.pause_threshold
+            port.queue_bytes[qidx] > self.pause_threshold
             and upstream_q >= 0
         ):
             key = (in_port, upstream_q)
@@ -189,12 +173,12 @@ class BfcExtension(SwitchExtension):
             return
         if (
             state.paused_upstreams
-            and port.queue_bytes[queue_idx] <= self.config.resume_threshold
+            and port.queue_bytes[queue_idx] <= self.resume_threshold
         ):
             for in_port, up_q in sorted(state.paused_upstreams):
                 self.switch.send_pause(in_port, up_q, False)
             state.paused_upstreams.clear()
-        if self.config.ideal and port.queue_bytes[queue_idx] == 0:
+        if self.ideal and port.queue_bytes[queue_idx] == 0:
             # BFC-ideal: immediately recycle the drained per-flow queue
             table = self.assignment[port.index]
             for fid in sorted(state.fids):
@@ -228,29 +212,25 @@ class BfcHost(Host):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        #: the fabric's config (``install_bfc`` assigns it)
-        self.bfc_config = BfcConfig()
+        #: the fabric's queues per port (:func:`install` sets it)
+        self.n_queues = 32
 
     def _pause_key_of(self, flow) -> int:
         """``flow``'s virtual NIC queue."""
-        return _fid_hash(flow.flow_id) % (self.bfc_config.n_queues or 128)
+        return _fid_hash(flow.flow_id) % (self.n_queues or 128)
 
     def _stamp_packet(self, pkt: Packet, flow) -> None:
         # the ToR conveys this queue index back in pause frames
         pkt.upstream_queue = self._pause_key_of(flow)
 
 
-def install_bfc(
-    sim: Simulator,
-    topology: Topology,
-    config: BfcConfig,
-    extensions: List[object],
-) -> None:
-    """Install BFC on every switch and configure host-side queues."""
-    for sw in topology.switches:
-        ext = BfcExtension(sim, config)
+def install(scenario) -> None:
+    """Install BFC on every switch, then give every host (a
+    :class:`BfcHost`) the fabric's queue count."""
+    n_queues = scenario.config.bfc_queues
+    for sw in scenario.topology.switches:
+        ext = BfcExtension(scenario.sim, n_queues, scenario.base_bdp)
         sw.install_extension(ext)
-        extensions.append(ext)
-    for host in topology.hosts:
-        if isinstance(host, BfcHost):
-            host.bfc_config = config
+        scenario.extensions.append(ext)
+    for host in scenario.topology.hosts:
+        host.n_queues = n_queues

@@ -29,8 +29,6 @@ from repro.net.host import Host
 from repro.net.packet import Packet, PacketKind
 from repro.net.port import EMPTY_QUEUE
 from repro.net.switch import SwitchExtension
-from repro.net.topology import Topology
-from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicTask, Timer
 from repro.units import CTRL_PKT_SIZE, MTU, bdp_packets, serialization_delay
 
@@ -42,8 +40,7 @@ TRIM_THRESHOLD = 8 * MTU
 class NdpSwitchExtension(SwitchExtension):
     """Cut-payload trimming at the egress queue."""
 
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
+    def __init__(self) -> None:
         #: egress data bytes above which an arriving packet is trimmed
         self.trim_threshold = TRIM_THRESHOLD
         self.trimmed_packets = 0
@@ -71,7 +68,7 @@ class NdpHost(Host):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        #: unscheduled window in packets (set by configure_ndp_hosts)
+        #: unscheduled window in packets (:func:`install` sets it)
         self.ndp_unscheduled = 12
         #: pull pacing interval, ns (one MTU at line rate)
         self.pull_interval = 800
@@ -266,11 +263,15 @@ class NdpHost(Host):
             flow.rto_timer.start(self.rto)
 
 
-def configure_ndp_hosts(topology: Topology, base_rtt: int) -> None:
-    """Size the unscheduled window and pull pacing from the fabric."""
-    for host in topology.hosts:
-        if not isinstance(host, NdpHost):
-            continue
+def install(scenario) -> None:
+    """Install trimming on every switch, then size every host's (an
+    :class:`NdpHost`) unscheduled window and pull pacing from the
+    fabric."""
+    for sw in scenario.topology.switches:
+        ext = NdpSwitchExtension()
+        sw.install_extension(ext)
+        scenario.extensions.append(ext)
+    for host in scenario.topology.hosts:
         line_rate = host.ports[0].bandwidth
-        host.ndp_unscheduled = bdp_packets(line_rate, base_rtt)
+        host.ndp_unscheduled = bdp_packets(line_rate, scenario.base_rtt)
         host.pull_interval = serialization_delay(MTU, line_rate)

@@ -22,35 +22,26 @@ oversubscribed fabrics).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Set
 
 from repro.floodgate.voq import VoqPool, group_of
 from repro.net.packet import Packet, PacketKind
 from repro.net.port import EgressPort
 from repro.net.switch import Switch, SwitchExtension
-from repro.net.topology import Topology
-from repro.sim.engine import Simulator
 
 
 #: VOQs per switch
 MAX_VOQS = 1000
 
 
-@dataclass(frozen=True)
-class PfcTagConfig:
-    """PFC-w/-tag parameters (thresholds in bytes)."""
-
-    pause_threshold: int = 40_000
-    resume_threshold: int = 20_000
-
-
 class PfcTagExtension(SwitchExtension):
     """Per-switch PFC-w/-tag state."""
 
-    def __init__(self, sim: Simulator, config: PfcTagConfig) -> None:
-        self.sim = sim
-        self.config = config
+    def __init__(self, base_bdp: int) -> None:
+        #: queue (or VOQ) bytes that pause the upstream: two base BDPs;
+        #: it resumes below one
+        self.pause_threshold = 2 * base_bdp
+        self.resume_threshold = base_bdp
         self.pool = VoqPool(MAX_VOQS)
         #: destinations this switch is currently told to pause
         self.paused_dsts: Set[int] = set()
@@ -78,13 +69,13 @@ class PfcTagExtension(SwitchExtension):
                 return True
             self._park(pkt, out_port, voq)
             # VOQ overflowing: push the pause another hop upstream
-            if self.pool.dst_backlog(dst) > self.config.pause_threshold:
+            if self.pool.dst_backlog(dst) > self.pause_threshold:
                 self._pause_upstream(dst, in_port)
             return True
         sw.enqueue_data(pkt, out_port)
         if (
             sw.is_last_hop_for(dst)
-            and sw.ports[out_port].data_bytes_queued > self.config.pause_threshold
+            and sw.ports[out_port].data_bytes_queued > self.pause_threshold
         ):
             self._pause_upstream(dst, in_port)
         return True
@@ -114,7 +105,7 @@ class PfcTagExtension(SwitchExtension):
 
     def _maybe_resume(self, dst: int, backlog: int) -> None:
         paused = self.paused_upstreams.get(dst)
-        if not paused or backlog > self.config.resume_threshold:
+        if not paused or backlog > self.resume_threshold:
             return
         for in_port in sorted(paused):
             self.switch.send_pause(in_port, dst, False)
@@ -150,7 +141,7 @@ class PfcTagExtension(SwitchExtension):
                 voq is not None
                 and voq.packets
                 and voq.packets[0].dst not in self.paused_dsts
-                and port.data_bytes_queued < self.config.pause_threshold
+                and port.data_bytes_queued < self.pause_threshold
             ):
                 head = self.pool.pop(voq)
                 out = sw.route_for_dst(head.dst)
@@ -191,7 +182,7 @@ class PfcTagExtension(SwitchExtension):
             if head.dst in self.paused_dsts:
                 break  # shared VOQ: a still-paused dst blocks the head
             out = sw.route_for_dst(head.dst)
-            if sw.ports[out].data_bytes_queued >= self.config.pause_threshold:
+            if sw.ports[out].data_bytes_queued >= self.pause_threshold:
                 break
             pkt = self.pool.pop(voq)
             sw.enqueue_data(
@@ -201,14 +192,9 @@ class PfcTagExtension(SwitchExtension):
             voq = self.pool.lookup(dst)
 
 
-def install_pfc_tag(
-    sim: Simulator,
-    topology: Topology,
-    config: PfcTagConfig,
-    extensions: List[object],
-) -> None:
+def install(scenario) -> None:
     """Install PFC w/ tag on every switch."""
-    for sw in topology.switches:
-        ext = PfcTagExtension(sim, config)
+    for sw in scenario.topology.switches:
+        ext = PfcTagExtension(scenario.base_bdp)
         sw.install_extension(ext)
-        extensions.append(ext)
+        scenario.extensions.append(ext)

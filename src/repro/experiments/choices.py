@@ -1,16 +1,40 @@
 """The flow-control schemes a :class:`ScenarioConfig` may name.
 
-``ScenarioConfig`` checks ``flow_control`` against this table, and the
-CLI offers it as ``report --scheme``'s choices.  It lives apart from
-:mod:`repro.experiments.scenario` so that building the parser (``--help``,
-``list``) loads no part of the simulator.
+One row per ``flow_control`` value.  ``ScenarioConfig`` checks the
+value against this table, the CLI offers its keys as ``report
+--scheme``'s choices, and the builder, the fluid tiers and the
+sanitizer read the row instead of comparing scheme names.  The rows
+hold module paths, not classes, and the table lives apart from
+:mod:`repro.experiments.scenario`, so that building the parser
+(``--help``, ``list``) loads no part of the simulator.
 """
 
-FLOW_CONTROLS = (
-    "none",
-    "floodgate",
-    "floodgate-ideal",
-    "bfc",
-    "pfc-tag",
-    "ndp",
-)
+from typing import Dict, NamedTuple, Optional
+
+
+class FlowControl(NamedTuple):
+    """What the build needs to know about one scheme."""
+
+    #: module whose ``install(scenario)`` installs the scheme once the
+    #: hosts have their CC law; None installs nothing
+    module: Optional[str] = None
+    #: name of the :class:`~repro.net.host.Host` subclass in ``module``
+    #: every host is built as; None builds plain hosts
+    host: Optional[str] = None
+    #: switches send PFC (NDP trims instead: it is lossy by design)
+    pfc: bool = True
+    #: the fluid tiers (fidelity "flow" and "hybrid") can model it
+    fluid: bool = False
+    #: the sanitizer pairs its keyed PAUSE / RESUME frames (BFC's
+    #: upstream-queue keys are exempt: see repro.simcheck.sanitizer)
+    paired_keys: bool = True
+
+
+FLOW_CONTROLS: Dict[str, FlowControl] = {
+    "none": FlowControl(fluid=True),
+    "floodgate": FlowControl("repro.floodgate.extension", fluid=True),
+    "floodgate-ideal": FlowControl("repro.floodgate.extension", fluid=True),
+    "bfc": FlowControl("repro.baselines.bfc", host="BfcHost", paired_keys=False),
+    "pfc-tag": FlowControl("repro.baselines.pfc_tag"),
+    "ndp": FlowControl("repro.baselines.ndp", host="NdpHost", pfc=False),
+}

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from importlib import import_module
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -75,20 +76,6 @@ _VALID_PATTERNS = (
     "incastmix", "poisson", "incast", "successive", "staggered", "rpc", "none",
 )
 _VALID_FIDELITY = ("packet", "flow", "hybrid")
-#: flow controls the fluid tier can model (per-dst window caps); the
-#: queue-level baselines have no fluid equivalent.  The hybrid tier
-#: inherits the same set: its cold racks are fluid.
-_FLOW_FIDELITY_FLOW_CONTROL = ("none", "floodgate", "floodgate-ideal")
-#: FloodgateConfig fields ``Scenario._floodgate_config`` derives; a
-#: value handed in through ``floodgate=`` would be overwritten, so it
-#: is rejected, naming what does own the value
-_FLOODGATE_DERIVED = {
-    "ideal": "select the strawman design with flow_control='floodgate-ideal'",
-    "thre_credit_bytes": "set delay_credit_bdp (the threshold in base-BDP units)",
-    "thre_off_bytes": "the dstPause off threshold is one base BDP (§4.3)",
-    "thre_on_bytes": "the dstPause on threshold is half a base BDP (§4.3)",
-    "per_dst_pause": "set ScenarioConfig.per_dst_pause",
-}
 
 
 #: numeric fields whose 0 means "default" or "none" and whose negative
@@ -270,15 +257,9 @@ class ScenarioConfig:
                         "give the fault a finite duration"
                     )
         if self.floodgate is not None:
-            from repro.floodgate.config import FloodgateConfig
+            from repro.floodgate.config import reject_derived
 
-            defaults = FloodgateConfig()
-            for name, owner in _FLOODGATE_DERIVED.items():
-                if getattr(self.floodgate, name) != getattr(defaults, name):
-                    raise ValueError(
-                        f"floodgate.{name} is derived from the scenario and "
-                        f"would be overwritten: {owner}"
-                    )
+            reject_derived(self.floodgate)
         if not isinstance(self.shards, int) or self.shards < 1:
             raise ValueError(
                 f"shards must be a positive integer, got {self.shards!r}"
@@ -299,11 +280,13 @@ class ScenarioConfig:
                 "model is a single global rate computation)"
             )
         if self.fidelity in ("flow", "hybrid"):
-            if self.flow_control not in _FLOW_FIDELITY_FLOW_CONTROL:
+            # the fluid tiers model Floodgate's per-dst windows as rate
+            # caps; the queue-level baselines have no fluid equivalent
+            if not FLOW_CONTROLS[self.flow_control].fluid:
+                fluid = [fc for fc, row in FLOW_CONTROLS.items() if row.fluid]
                 raise ValueError(
                     f"fidelity={self.fidelity!r} cannot model flow_control="
-                    f"{self.flow_control!r}; supported: "
-                    f"{', '.join(_FLOW_FIDELITY_FLOW_CONTROL)}"
+                    f"{self.flow_control!r}; supported: {', '.join(fluid)}"
                 )
             if self.fault_plan is not None and self.fault_plan:
                 raise ValueError(
@@ -435,7 +418,7 @@ class Scenario:
     #: constant stands in for its two counters because
     #: ``benchmarks/e2e/worker.py::_counts`` reads them on every
     #: operation and a PR may not edit the benchmark that judges it;
-    #: nothing else may read it.  ROADMAP item 6(e) drops that read and
+    #: nothing else may read it.  ROADMAP item 1(a) drops that read and
     #: then this line.
     pool = SimpleNamespace(allocated=0, recycled=0)
 
@@ -449,6 +432,11 @@ class Scenario:
         self.flow_table: Dict[int, object] = {}
         self._hosts_pending_cc: List[Host] = []
         self.extensions: List[object] = []
+        #: the flow-control scheme's row (repro.experiments.choices), its
+        #: module and the class every host is built as
+        self._scheme = row = FLOW_CONTROLS[cfg.flow_control]
+        scheme = import_module(row.module) if row.module else None
+        self._host_class = getattr(scheme, row.host) if row.host else Host
         self._ecn = self._ecn_config()
         self.topology = self._build_topology()
         _check_fabric(cfg, self.topology)
@@ -462,7 +450,8 @@ class Scenario:
             host.int_enabled = getattr(self.cc, "needs_int", False)
             host.rto = cfg.rto or 20 * self.base_rtt
             host.cnp_enabled = cfg.cc == "dcqcn"
-        self._install_flow_control()
+        if scheme is not None:
+            scheme.install(self)
         self.mix: Optional[IncastMix] = None
         self.flows: List[FlowSpec] = []
         #: closed-loop driver (repro.rpc), built iff pattern="rpc"; the
@@ -531,23 +520,9 @@ class Scenario:
     # -- topology ----------------------------------------------------------------
 
     def _host_factory(self, sim: Simulator, node_id: int, name: str) -> Host:
-        cfg = self.config
-        if cfg.flow_control == "ndp":
-            from repro.baselines.ndp import NdpHost
-
-            host: Host = NdpHost(
-                sim, node_id, name, None, self.flow_table, stats=self.stats
-            )
-        elif cfg.flow_control == "bfc":
-            from repro.baselines.bfc import BfcHost
-
-            host = BfcHost(
-                sim, node_id, name, None, self.flow_table, stats=self.stats
-            )
-        else:
-            host = Host(
-                sim, node_id, name, None, self.flow_table, stats=self.stats
-            )
+        host = self._host_class(
+            sim, node_id, name, None, self.flow_table, stats=self.stats
+        )
         self._hosts_pending_cc.append(host)
         return host
 
@@ -564,8 +539,7 @@ class Scenario:
             name,
             buffer_capacity=cfg.buffer_bytes,
             kind=kind,
-            # NDP is lossy by design (trimming replaces lossless fabrics)
-            pfc_enabled=cfg.flow_control != "ndp",
+            pfc_enabled=self._scheme.pfc,
             ecn=ecn,
             stats=self.stats,
             int_enabled=(cfg.cc == "hpcc"),
@@ -666,68 +640,6 @@ class Scenario:
         if cfg.cc == "static":
             return StaticWindowCc(cfg.host_bandwidth, swnd)
         raise ValueError(f"unknown congestion control {cfg.cc!r}")
-
-    def _floodgate_config(self, ideal: bool) -> FloodgateConfig:
-        from repro.floodgate.config import FloodgateConfig
-
-        cfg = self.config
-        ci = cfg.scale is Scale.CI
-        if cfg.floodgate is not None:
-            base = cfg.floodgate
-        elif ci:
-            # Preserve the window-to-buffer ratio at CI scale: the
-            # paper's T=10us at 400 Gbps adds ~500 KB to each window
-            # against a 20 MB buffer (2.5%); 2us at 40 Gbps adds 10 KB
-            # against 0.5 MB (2%).
-            base = FloodgateConfig(credit_timer=us(2))
-        else:
-            base = FloodgateConfig()
-        multiple = cfg.delay_credit_bdp or (2.0 if ci else 10.0)
-        base = base.with_base_bdp(self.base_bdp, multiple)
-        return replace(base, ideal=ideal, per_dst_pause=cfg.per_dst_pause)
-
-    def _install_flow_control(self) -> None:
-        cfg = self.config
-        fc = cfg.flow_control
-        if fc == "none":
-            return
-        if fc in ("floodgate", "floodgate-ideal"):
-            from repro.floodgate.extension import FloodgateExtension
-
-            fg_cfg = self._floodgate_config(ideal=(fc == "floodgate-ideal"))
-            for sw in self.topology.switches:
-                ext = FloodgateExtension(self.sim, fg_cfg)
-                sw.install_extension(ext)
-                self.extensions.append(ext)
-            return
-        if fc == "bfc":
-            from repro.baselines.bfc import BfcConfig, install_bfc
-
-            bfc_cfg = BfcConfig(
-                n_queues=cfg.bfc_queues,
-                pause_threshold=self.base_bdp,
-            )
-            install_bfc(self.sim, self.topology, bfc_cfg, self.extensions)
-            return
-        if fc == "pfc-tag":
-            from repro.baselines.pfc_tag import PfcTagConfig, install_pfc_tag
-
-            tag_cfg = PfcTagConfig(
-                pause_threshold=2 * self.base_bdp,
-                resume_threshold=self.base_bdp,
-            )
-            install_pfc_tag(self.sim, self.topology, tag_cfg, self.extensions)
-            return
-        if fc == "ndp":
-            from repro.baselines.ndp import NdpSwitchExtension, configure_ndp_hosts
-
-            for sw in self.topology.switches:
-                ext = NdpSwitchExtension(self.sim)
-                sw.install_extension(ext)
-                self.extensions.append(ext)
-            configure_ndp_hosts(self.topology, self.base_rtt)
-            return
-        raise ValueError(f"unknown flow control {fc!r}")
 
     # -- traffic ------------------------------------------------------------------------
 

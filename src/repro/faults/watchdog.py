@@ -63,9 +63,11 @@ class StallWatchdog:
     # -- detection ---------------------------------------------------------------
 
     def _progress_marker(self) -> Tuple[int, int]:
-        """(completed flows, delivered bytes) — any growth is progress."""
+        """(completed flows, bytes delivered in order) — any growth is
+        progress.  Bytes a receiver discards out of order (go-back-N)
+        are not: a retransmission livelock must read as a stall."""
         topo = self.topology
-        delivered = sum(h.rx_data_bytes for h in topo.hosts)
+        delivered = sum(f.delivered_bytes for f in topo.flow_table.values())
         return (topo.completed_flows, delivered)
 
     def _flows_remaining(self) -> bool:

@@ -2,7 +2,8 @@
 
 Defaults follow §6 ("Parameters"): credit timer ``T = 10 µs``,
 delayCredit threshold ``10 BDP``, ``m = 1.5`` for the ideal design, and
-up to 100 VOQs per switch.
+up to 100 VOQs per switch.  :func:`scenario_config` derives a run's
+config from its scenario; :data:`DERIVED` names the fields it sets.
 """
 
 from __future__ import annotations
@@ -10,6 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.units import us
+
+#: fields :func:`scenario_config` derives from the scenario; a value
+#: handed in through ``ScenarioConfig.floodgate`` would be overwritten,
+#: so :func:`reject_derived` rejects it, naming what does own the value
+DERIVED = (
+    ("ideal", "select the strawman design with flow_control='floodgate-ideal'"),
+    ("thre_credit_bytes", "set delay_credit_bdp (the threshold in base-BDP units)"),
+    ("thre_off_bytes", "the dstPause off threshold is one base BDP (§4.3)"),
+    ("thre_on_bytes", "the dstPause on threshold is half a base BDP (§4.3)"),
+    ("per_dst_pause", "set ScenarioConfig.per_dst_pause"),
+)
 
 
 @dataclass(frozen=True)
@@ -80,3 +92,34 @@ class FloodgateConfig:
             thre_off_bytes=bdp_bytes,
             thre_on_bytes=max(bdp_bytes // 2, 1),
         )
+
+
+def reject_derived(config: FloodgateConfig) -> None:
+    """Raise if ``config`` sets a field :func:`scenario_config` derives."""
+    defaults = FloodgateConfig()
+    for name, owner in DERIVED:
+        if getattr(config, name) != getattr(defaults, name):
+            raise ValueError(
+                f"floodgate.{name} is derived from the scenario and "
+                f"would be overwritten: {owner}"
+            )
+
+
+def scenario_config(scenario, ideal: bool) -> FloodgateConfig:
+    """The config every switch of ``scenario`` runs: its ``floodgate``
+    (or the scale's defaults) with the :data:`DERIVED` fields set."""
+    cfg = scenario.config
+    ci = cfg.scale == "ci"  # a str enum: no import of repro.experiments
+    if cfg.floodgate is not None:
+        base = cfg.floodgate
+    elif ci:
+        # Preserve the window-to-buffer ratio at CI scale: the
+        # paper's T=10us at 400 Gbps adds ~500 KB to each window
+        # against a 20 MB buffer (2.5%); 2us at 40 Gbps adds 10 KB
+        # against 0.5 MB (2%).
+        base = FloodgateConfig(credit_timer=us(2))
+    else:
+        base = FloodgateConfig()
+    multiple = cfg.delay_credit_bdp or (2.0 if ci else 10.0)
+    base = base.with_base_bdp(scenario.base_bdp, multiple)
+    return replace(base, ideal=ideal, per_dst_pause=cfg.per_dst_pause)

@@ -1,10 +1,8 @@
 """The Floodgate switch extension: where windows, VOQs, credits meet.
 
 Install on every switch *after* the topology is built (ports must
-exist)::
-
-    for sw in topo.switches:
-        sw.install_extension(FloodgateExtension(sim, config))
+exist): :func:`install` does it for a scenario, with the config
+:func:`~repro.floodgate.config.scenario_config` derives.
 
 Data path (§4.2):
 
@@ -30,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.analysis.models import hop_bdp_bytes
-from repro.floodgate.config import FloodgateConfig
+from repro.floodgate.config import FloodgateConfig, scenario_config
 from repro.floodgate.credit import CreditScheduler
 from repro.floodgate.voq import VoqPool, group_of
 from repro.floodgate.window import WindowTable
@@ -317,3 +315,15 @@ class FloodgateExtension(SwitchExtension):
         self.credits.stop()
         if self._syn_task is not None:
             self._syn_task.stop()
+
+
+def install(scenario) -> None:
+    """Install Floodgate on every switch: the ideal design (§3.2) for
+    ``flow_control="floodgate-ideal"``, else the practical one (§4)."""
+    config = scenario_config(
+        scenario, ideal=scenario.config.flow_control == "floodgate-ideal"
+    )
+    for sw in scenario.topology.switches:
+        ext = FloodgateExtension(scenario.sim, config)
+        sw.install_extension(ext)
+        scenario.extensions.append(ext)

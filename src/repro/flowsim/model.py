@@ -103,8 +103,9 @@ class FluidSimulation:
             self.capacities.append(link.bandwidth)
         #: Floodgate per-(switch, dst) VOQ resources, created lazily
         self._voq_resource: Dict[Tuple[int, int], int] = {}
-        #: every switch runs Floodgate (``sw.extension``)
-        self._floodgate = cfg.flow_control in ("floodgate", "floodgate-ideal")
+        #: every switch runs Floodgate (``sw.extension``): the fluid
+        #: tiers admit no other extension (ScenarioConfig checks it)
+        self._floodgate = bool(scenario.extensions)
         #: per-flow ceiling: the sending window over the base RTT
         swnd_bytes = max(int(cfg.swnd_bdp * scenario.base_bdp), 2_000)
         base_rtt = max(scenario.base_rtt, 1)

@@ -59,7 +59,7 @@ class Host(Node):
         name: str,
         cc: CcAlgorithm,
         flow_table: Dict[int, Flow],
-        stats: Optional[StatsHub] = None,
+        stats: Optional[StatsHub],
     ) -> None:
         super().__init__(sim, node_id, name)
         self.cc = cc  # property: also caches the optional send hook

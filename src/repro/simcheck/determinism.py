@@ -25,15 +25,18 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-#: scheme label -> ScenarioConfig.flow_control value: every scheme
-#: with its own pause or trim machinery (DCQCN runs with no switch
-#: assistance; pfc_tag arms the per-dst pause pairing at switches)
-SCHEMES: Tuple[Tuple[str, str], ...] = (
-    ("dcqcn", "none"),
-    ("floodgate", "floodgate"),
-    ("bfc", "bfc"),
-    ("ndp", "ndp"),
-    ("pfc_tag", "pfc-tag"),
+#: scheme label -> the ScenarioConfig fields that select it: every
+#: scheme with its own pause or trim machinery (DCQCN runs with no
+#: switch assistance; pfc_tag arms the per-dst pause pairing at
+#: switches, floodgate_ideal the ideal design's per-packet credits and
+#: the pairing of Floodgate's dstPause at hosts)
+SCHEMES: Tuple[Tuple[str, Dict[str, object]], ...] = (
+    ("dcqcn", {"flow_control": "none"}),
+    ("floodgate", {"flow_control": "floodgate"}),
+    ("bfc", {"flow_control": "bfc"}),
+    ("ndp", {"flow_control": "ndp"}),
+    ("pfc_tag", {"flow_control": "pfc-tag"}),
+    ("floodgate_ideal", {"flow_control": "floodgate-ideal", "per_dst_pause": True}),
 )
 
 #: schemes the sharded-equivalence check covers: the sharded engine is
@@ -332,18 +335,19 @@ def run_sharded_suite(
     return report
 
 
-def _scheme_config(flow_control: str, seed: int, sanitize):
-    """A small, fast scenario exercising the full stack of one scheme."""
+def _scheme_config(scheme: Dict[str, object], seed: int, sanitize):
+    """A small, fast scenario exercising the full stack of one scheme
+    (``scheme``: its :data:`SCHEMES` fields)."""
     from repro.experiments.scenario import ScenarioConfig
     from repro.units import ms
 
     return ScenarioConfig(
-        flow_control=flow_control,
         n_tors=3,
         hosts_per_tor=4,
         duration=ms(1),
         seed=seed,
         sanitize=sanitize,
+        **scheme,
     )
 
 
@@ -377,8 +381,8 @@ def run_suite(
         else SanitizerConfig()
     )
     report: Dict[str, object] = {"schemes": {}, "ok": True}
-    for name, fc in selected.items():
-        rep = check_repeatable(_scheme_config(fc, seed, sanitize))
+    for name, scheme in selected.items():
+        rep = check_repeatable(_scheme_config(scheme, seed, sanitize))
         scheme_ok = bool(rep["ok"]) and not rep["violations"]
         report["schemes"][name] = {
             "digest": rep["event_digests"][0],
@@ -389,7 +393,7 @@ def run_suite(
         }
         report["ok"] = report["ok"] and scheme_ok
     pool = check_pool_equivalence(
-        {name: _scheme_config(fc, seed, None) for name, fc in selected.items()}
+        {name: _scheme_config(s, seed, None) for name, s in selected.items()}
     )
     report["pool_identical"] = pool["ok"]
     report["pool_mismatched"] = pool["mismatched"]

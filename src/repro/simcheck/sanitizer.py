@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.experiments.choices import FLOW_CONTROLS
 from repro.net.packet import Packet, PacketKind
 from repro.sim.process import PeriodicTask
 from repro.units import us
@@ -213,8 +214,9 @@ class SimSanitizer:
             spec.kind == "link-down" or getattr(spec, "ctrl_rate", 0.0) > 0.0
             for spec in plan.faults
         )
-        #: BFC's keys are exempt (see the module docstring)
-        self._pair_keys = scenario.config.flow_control != "bfc"
+        #: the scheme's row says whether its keys pair (BFC's are
+        #: exempt: see the module docstring)
+        self._pair_keys = FLOW_CONTROLS[scenario.config.flow_control].paired_keys
         #: periodic sweep driver, None for a domain slice (swept from
         #: window boundaries instead).  Observer-tagged: sweeps read
         #: state, so the determinism digests exclude their ticks.

@@ -149,7 +149,7 @@ small_configs = st.builds(
     on_shards,
     st.builds(
         ScenarioConfig,
-        flow_control=st.sampled_from(FLOW_CONTROLS),
+        flow_control=st.sampled_from(tuple(FLOW_CONTROLS)),
         cc=st.sampled_from(["dcqcn", "hpcc", "timely"]),
         pattern=st.sampled_from(["incastmix", "poisson", "incast"]),
         workload=st.just("webserver"),

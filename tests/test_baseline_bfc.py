@@ -1,6 +1,8 @@
 """BFC baseline: queue assignment, pause propagation, host queues."""
 
-from repro.baselines.bfc import BfcConfig, BfcHost, install_bfc
+from types import SimpleNamespace
+
+from repro.baselines.bfc import BfcHost, install
 from repro.cc.base import StaticWindowCc
 from repro.net.switch import Switch
 from repro.net.topology import build_leaf_spine
@@ -9,15 +11,13 @@ from repro.stats.collector import StatsHub
 from repro.units import gbps, kb, mb, ms, us
 
 
-def build(n_queues=8, pause_threshold=10_000):
+def build(n_queues=8, base_bdp=10_000):
+    """A leaf-spine with BFC installed; switches pause an upstream queue
+    at ``base_bdp`` bytes."""
     sim = Simulator()
     stats = StatsHub()
     flow_table = {}
     cc = StaticWindowCc(gbps(10), kb(30))
-    config = BfcConfig(
-        n_queues=n_queues,
-        pause_threshold=pause_threshold,
-    )
 
     def host_factory(s, nid, name):
         return BfcHost(s, nid, name, cc, flow_table, stats=stats)
@@ -39,7 +39,15 @@ def build(n_queues=8, pause_threshold=10_000):
     )
     topo.flow_table = flow_table
     extensions = []
-    install_bfc(sim, topo, config, extensions)
+    install(
+        SimpleNamespace(
+            sim=sim,
+            topology=topo,
+            config=SimpleNamespace(bfc_queues=n_queues),
+            base_bdp=base_bdp,
+            extensions=extensions,
+        )
+    )
     return sim, topo, extensions, stats
 
 
@@ -96,7 +104,7 @@ class TestEndToEnd:
         assert all(f.receiver_done for f in flows)
 
     def test_pause_frames_generated_under_incast(self):
-        sim, topo, exts, stats = build(pause_threshold=5_000)
+        sim, topo, exts, stats = build(base_bdp=5_000)
         for i, src in enumerate((4, 5, 6, 7, 8, 9, 10, 11)):
             topo.start_flow(topo.make_flow(i, src, 0, 40_000, 0))
         sim.run(until=ms(50))

@@ -1,6 +1,8 @@
 """NDP baseline: trimming, pulls, out-of-order assembly."""
 
-from repro.baselines.ndp import NdpHost, NdpSwitchExtension, configure_ndp_hosts
+from types import SimpleNamespace
+
+from repro.baselines.ndp import NdpHost, install
 from repro.cc.base import StaticWindowCc
 from repro.net.packet import Packet, PacketKind
 from repro.net.switch import Switch
@@ -38,12 +40,13 @@ def build(trim_threshold=4 * MTU):
     )
     topo.flow_table = flow_table
     exts = []
-    for sw in topo.switches:
-        ext = NdpSwitchExtension(sim)
+    install(
+        SimpleNamespace(
+            sim=sim, topology=topo, base_rtt=topo.base_rtt, extensions=exts
+        )
+    )
+    for ext in exts:
         ext.trim_threshold = trim_threshold
-        sw.install_extension(ext)
-        exts.append(ext)
-    configure_ndp_hosts(topo, topo.base_rtt)
     return sim, topo, exts, stats
 
 

@@ -1,6 +1,8 @@
 """PFC w/ tag baseline."""
 
-from repro.baselines.pfc_tag import PfcTagConfig, install_pfc_tag
+from types import SimpleNamespace
+
+from repro.baselines.pfc_tag import install
 from repro.cc.base import StaticWindowCc
 from repro.net.host import Host
 from repro.net.switch import Switch
@@ -10,7 +12,9 @@ from repro.stats.collector import StatsHub
 from repro.units import gbps, kb, mb, ms
 
 
-def build(pause_threshold=20_000, resume_threshold=10_000):
+def build(base_bdp=10_000):
+    """A leaf-spine with PFC w/ tag installed: it pauses at two
+    ``base_bdp`` and resumes at one."""
     sim = Simulator()
     stats = StatsHub()
     flow_table = {}
@@ -36,20 +40,15 @@ def build(pause_threshold=20_000, resume_threshold=10_000):
     )
     topo.flow_table = flow_table
     exts = []
-    install_pfc_tag(
-        sim,
-        topo,
-        PfcTagConfig(
-            pause_threshold=pause_threshold, resume_threshold=resume_threshold
-        ),
-        exts,
+    install(
+        SimpleNamespace(sim=sim, topology=topo, base_bdp=base_bdp, extensions=exts)
     )
     return sim, topo, exts, stats
 
 
 class TestPauseGeneration:
     def test_incast_triggers_tagged_pause(self):
-        sim, topo, exts, _ = build(pause_threshold=10_000, resume_threshold=5_000)
+        sim, topo, exts, _ = build(base_bdp=5_000)
         flows = [
             topo.make_flow(i, src, 0, 40_000, 0)
             for i, src in enumerate((4, 5, 6, 7, 8, 9, 10, 11))
@@ -61,7 +60,7 @@ class TestPauseGeneration:
         assert all(f.receiver_done for f in flows)
 
     def test_paused_dst_parked_in_voq(self):
-        sim, topo, exts, _ = build(pause_threshold=10_000, resume_threshold=5_000)
+        sim, topo, exts, _ = build(base_bdp=5_000)
         for i, src in enumerate((4, 5, 6, 7, 8, 9, 10, 11)):
             topo.start_flow(topo.make_flow(i, src, 0, 40_000, 0))
         sim.run(until=ms(50))
@@ -76,13 +75,13 @@ class TestPauseGeneration:
         assert f.receiver_done
 
     def test_reduces_last_hop_buffer(self):
-        plain_sim, plain_topo, _, plain_stats = build(pause_threshold=1 << 40)
+        plain_sim, plain_topo, _, plain_stats = build(base_bdp=1 << 40)
         for i, src in enumerate((4, 5, 6, 7, 8, 9, 10, 11)):
             plain_topo.start_flow(plain_topo.make_flow(i, src, 0, 40_000, 0))
         plain_sim.run(until=ms(50))
         plain_topo.report_to_hub()
 
-        sim, topo, exts, stats = build(pause_threshold=10_000, resume_threshold=5_000)
+        sim, topo, exts, stats = build(base_bdp=5_000)
         for i, src in enumerate((4, 5, 6, 7, 8, 9, 10, 11)):
             topo.start_flow(topo.make_flow(i, src, 0, 40_000, 0))
         sim.run(until=ms(50))
@@ -93,7 +92,7 @@ class TestPauseGeneration:
         )
 
     def test_resume_releases_everything(self):
-        sim, topo, exts, _ = build(pause_threshold=10_000, resume_threshold=5_000)
+        sim, topo, exts, _ = build(base_bdp=5_000)
         flows = [
             topo.make_flow(i, src, 0, 40_000, 0)
             for i, src in enumerate((4, 5, 6, 7, 8, 9, 10, 11))

@@ -1,18 +1,19 @@
 """Baseline host-side edge cases that full runs rarely hit."""
 
-from repro.baselines.bfc import BfcConfig, _fid_hash
+from repro.baselines.bfc import BfcExtension, _fid_hash
 from repro.net.packet import Packet, PacketKind
 from repro.units import ms
 
 
 class TestBfcConfig:
     def test_ideal_flag(self):
-        assert BfcConfig(n_queues=0).ideal
-        assert not BfcConfig(n_queues=32).ideal
+        assert BfcExtension(None, 0, 10_000).ideal
+        assert not BfcExtension(None, 32, 10_000).ideal
 
     def test_resume_default_half(self):
-        cfg = BfcConfig(pause_threshold=10_000)
-        assert cfg.resume_threshold == 5_000
+        ext = BfcExtension(None, 32, 10_000)
+        assert ext.pause_threshold == 10_000
+        assert ext.resume_threshold == 5_000
 
     def test_fid_hash_deterministic_and_spread(self):
         values = {_fid_hash(i) % 32 for i in range(1000)}

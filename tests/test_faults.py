@@ -177,6 +177,17 @@ class TestWatchdog:
         assert f.receiver_done
         assert mini.stats.stall_events == 0
 
+    def test_out_of_order_bytes_are_not_progress(self, mini):
+        # go-back-N counts a discarded out-of-order packet in
+        # rx_data_bytes: a retransmission livelock must read as a stall
+        dog = StallWatchdog(mini.sim, mini.topo, mini.stats, window=us(100))
+        f = mini.flow(1, 0, 6, 40_000)
+        dog._check()
+        mini.topo.hosts[6].rx_data_bytes += 1_000
+        dog._check()
+        assert f.delivered_bytes == 0
+        assert mini.stats.stall_events == 1
+
     def test_watchdog_stops_itself_when_done(self, mini):
         dog = StallWatchdog(mini.sim, mini.topo, mini.stats, window=us(100))
         dog.start()

@@ -1,0 +1,71 @@
+"""One row per flow-control scheme (``repro.experiments.choices``).
+
+The builder, the fluid tiers and the sanitizer read a scheme's row;
+only the table and the modules its rows name may compare a
+``flow_control`` value with a scheme name.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+from repro.experiments.choices import FLOW_CONTROLS
+from repro.net.host import Host
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: the table, and every module a row names
+EXEMPT = {SRC / "repro" / "experiments" / "choices.py"} | {
+    SRC.joinpath(*row.module.split(".")).with_suffix(".py")
+    for row in FLOW_CONTROLS.values()
+    if row.module
+}
+
+
+def _names_flow_control(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "flow_control") or (
+        isinstance(node, ast.Attribute) and node.attr == "flow_control"
+    )
+
+
+def _is_string(node: ast.AST) -> bool:
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_is_string(elt) for elt in node.elts)
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def scheme_name_tests(root: Path):
+    """``path:line`` of every comparison of ``flow_control`` with a
+    string literal (or a collection of them) under ``root``."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path in EXEMPT:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if any(map(_names_flow_control, operands)) and any(
+                map(_is_string, operands)
+            ):
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+    return found
+
+
+def test_no_module_outside_the_rows_compares_a_scheme_name():
+    assert scheme_name_tests(SRC / "repro") == []
+
+
+@pytest.mark.parametrize(
+    "flow_control", [fc for fc, row in FLOW_CONTROLS.items() if row.module]
+)
+def test_every_row_module_installs_its_scheme(flow_control):
+    row = FLOW_CONTROLS[flow_control]
+    module = importlib.import_module(row.module)
+    assert callable(getattr(module, "install", None))
+    if row.host is not None:
+        host = getattr(module, row.host)
+        assert issubclass(host, Host)
+        assert host.__module__ == row.module

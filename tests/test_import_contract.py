@@ -186,9 +186,8 @@ def test_cli_start_up_builds_no_simulator(argv):
 FACADES = {
     "repro": ["Simulator", "gbps", "kb", "mb", "ms", "us", "__version__"],
     "repro.baselines": [
-        "BfcConfig", "BfcExtension", "BfcHost", "install_bfc", "NdpHost",
-        "NdpSwitchExtension", "configure_ndp_hosts", "PfcTagConfig",
-        "PfcTagExtension", "install_pfc_tag",
+        "BfcExtension", "BfcHost", "NdpHost", "NdpSwitchExtension",
+        "PfcTagExtension",
     ],
     "repro.cc": [
         "Flow", "CcAlgorithm", "StaticWindowCc", "Dcqcn", "Timely", "Hpcc",

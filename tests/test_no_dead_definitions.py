@@ -230,7 +230,7 @@ def test_every_selectable_value_is_selected_by_a_root():
                 names.add(node.attr)
     values = (
         scenario._VALID_CC
-        + FLOW_CONTROLS
+        + tuple(FLOW_CONTROLS)
         + scenario._VALID_PATTERNS
         + scenario._VALID_TOPOLOGIES
         + scenario._VALID_FIDELITY

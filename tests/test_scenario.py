@@ -60,7 +60,7 @@ class TestConfigResolution:
         ],
     )
     def test_derived_floodgate_fields_rejected(self, field, value):
-        # Scenario._floodgate_config used to overwrite these silently
+        # floodgate.config.scenario_config would overwrite these silently
         with pytest.raises(ValueError, match=f"floodgate.{field}"):
             ScenarioConfig(
                 flow_control="floodgate", floodgate=FloodgateConfig(**{field: value})

@@ -23,21 +23,24 @@ from repro.units import us
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-SCHEME_FC = dict(SCHEMES)
+SCHEME_FIELDS = dict(SCHEMES)
 
 
-def tiny_cfg(flow_control: str, seed: int = 5) -> ScenarioConfig:
+def tiny_cfg(flow_control: str, seed: int = 5, **fields) -> ScenarioConfig:
     return ScenarioConfig(
         flow_control=flow_control,
         n_tors=3,
         hosts_per_tor=2,
         duration=us(200),
         seed=seed,
+        **fields,
     )
 
 
 def test_schemes_cover_the_acceptance_set():
-    assert set(SCHEME_FC) == {"dcqcn", "floodgate", "bfc", "ndp", "pfc_tag"}
+    assert set(SCHEME_FIELDS) == {
+        "dcqcn", "floodgate", "bfc", "ndp", "pfc_tag", "floodgate_ideal"
+    }
 
 
 def test_event_stream_digest_hashes_sim_state_only():
@@ -57,9 +60,9 @@ def test_event_stream_digest_hashes_sim_state_only():
     assert a.hexdigest() != b.hexdigest()
 
 
-@pytest.mark.parametrize("scheme", sorted(SCHEME_FC))
+@pytest.mark.parametrize("scheme", sorted(SCHEME_FIELDS))
 def test_same_seed_runs_are_byte_identical(scheme):
-    rep = check_repeatable(tiny_cfg(SCHEME_FC[scheme]))
+    rep = check_repeatable(tiny_cfg(**SCHEME_FIELDS[scheme]))
     assert rep["ok"], rep
     assert rep["events"] > 100
     assert rep["violations"] == []
@@ -86,7 +89,7 @@ def test_digest_installs_via_profiler_slot():
 
 def test_serial_and_pooled_sweeps_agree():
     rep = check_pool_equivalence(
-        {name: tiny_cfg(fc) for name, fc in sorted(SCHEME_FC.items())[:2]}
+        {name: tiny_cfg(**f) for name, f in sorted(SCHEME_FIELDS.items())[:2]}
     )
     assert rep["ok"], rep["mismatched"]
 

@@ -81,7 +81,7 @@ class TestFatTree:
         flow_table = {}
 
         def host_factory(sim, nid, name):
-            return Host(sim, nid, name, None, flow_table)
+            return Host(sim, nid, name, None, flow_table, None)
 
         def switch_factory(sim, nid, name, kind, level):
             sw = Switch(sim, nid, name, mb(1), kind=kind)
@@ -144,7 +144,7 @@ class TestSingleHomed:
         sim = Simulator()
         topo = Topology(sim)
         cc = StaticWindowCc(gbps(10), kb(30))
-        host = Host(sim, 0, "h0", cc, topo.flow_table)
+        host = Host(sim, 0, "h0", cc, topo.flow_table, None)
         topo.hosts.append(host)
         for i in range(2):
             sw = Switch(sim, SWITCH_ID_BASE + i, f"tor{i}", mb(1), kind="tor")
@@ -189,7 +189,7 @@ def _asymmetric_fabric():
         tor = Switch(sim, SWITCH_ID_BASE + 1 + t, f"tor{t}", mb(1), kind="tor")
         topo.switches.append(tor)
         for _ in range(size):
-            host = Host(sim, host_id, f"h{host_id}", None, topo.flow_table)
+            host = Host(sim, host_id, f"h{host_id}", None, topo.flow_table, None)
             topo.hosts.append(host)
             topo.connect(tor, host, gbps(10), 3_000)
             host_id += 1
