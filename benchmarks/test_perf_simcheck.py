@@ -28,12 +28,12 @@ import pytest
 
 from benchmarks.conftest import min_of_interleaved, show, without_fragments
 
-from repro.cc.base import StaticWindowCc
+from repro.cc.base import CcAlgorithm
 from repro.net.host import Host
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
 from repro.sim.engine import Simulator
-from repro.units import gbps, kb
+from repro.units import gbps, kb, us
 
 #: PAUSE/RESUME frames per timed repeat; large enough to swamp timer
 #: resolution on the sub-microsecond dispatch being measured
@@ -83,7 +83,7 @@ class _LegacyHost(Host):
 
 def _build(cls):
     sim = Simulator()
-    host = cls(sim, 0, "h0", StaticWindowCc(gbps(10), kb(30)), {})
+    host = cls(sim, 0, "h0", CcAlgorithm(gbps(10), kb(30), us(10)), {}, None)
     host.ports.append(_StubPort())
     assert host.sanitizer is None  # the path being priced
     pause = Packet.control(PacketKind.PAUSE, 1, 0)

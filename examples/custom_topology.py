@@ -25,7 +25,7 @@ def main() -> None:
     sim = Simulator()
     stats = StatsHub()
     flow_table = {}
-    cc = Dcqcn(line_rate=gbps(10), swnd_bytes=kb(35))
+    cc = Dcqcn(line_rate=gbps(10), swnd_bytes=kb(35), base_rtt=us(16))
 
     topo = Topology(sim)
     topo.flow_table = flow_table

@@ -12,7 +12,7 @@ __getattr__, __dir__, __all__ = exports(
     __name__,
     {
         "flow": ("Flow",),
-        "base": ("CcAlgorithm", "StaticWindowCc"),
+        "base": ("CcAlgorithm",),
         "dcqcn": ("Dcqcn",),
         "timely": ("Timely",),
         "hpcc": ("Hpcc",),

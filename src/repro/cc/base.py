@@ -17,16 +17,21 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class CcAlgorithm:
-    """Base class: a fixed-rate, fixed-window 'null' controller."""
+    """Base class, and the ``static`` law: line rate, limited only by the
+    per-flow sending window (the testbed's transport, §5.2)."""
 
-    #: human-readable name used in experiment labels
-    name = "static"
+    #: switches ECN-mark data packets; a receiver answers a mark with a CNP
+    reads_ecn = False
+    #: switches stamp an INT record on this law's data packets
+    needs_int = False
 
-    def __init__(self, line_rate: float, swnd_bytes: int) -> None:
+    def __init__(self, line_rate: float, swnd_bytes: int, base_rtt: int) -> None:
         #: host NIC line rate, bits/s
         self.line_rate = line_rate
         #: the per-flow sending window the paper adds to every protocol
         self.swnd_bytes = swnd_bytes
+        #: unloaded RTT, ns
+        self.base_rtt = base_rtt
 
     # -- lifecycle hooks -------------------------------------------------------------
 
@@ -44,13 +49,3 @@ class CcAlgorithm:
     def on_timeout(self, flow: Flow, now: int) -> None:
         """Retransmission timeout fired."""
 
-
-class StaticWindowCc(CcAlgorithm):
-    """Line-rate sender limited only by the per-flow sending window.
-
-    This is the transport the testbed experiment uses ("a per-flow
-    sending window on hosts is added to emulate the first-RTT actions",
-    §5.2) and a useful control when isolating Floodgate's contribution.
-    """
-
-    name = "static-window"

@@ -49,10 +49,10 @@ MIN_RATE_FRACTION = 0.002
 class Dcqcn(CcAlgorithm):
     """DCQCN reaction point."""
 
-    name = "dcqcn"
+    reads_ecn = True
 
-    def __init__(self, line_rate: float, swnd_bytes: int) -> None:
-        super().__init__(line_rate, swnd_bytes)
+    def __init__(self, line_rate: float, swnd_bytes: int, base_rtt: int) -> None:
+        super().__init__(line_rate, swnd_bytes, base_rtt)
         self.rai = line_rate * RAI_FRACTION
         self.rhai = line_rate * RHAI_FRACTION
         self.min_rate = line_rate * MIN_RATE_FRACTION
@@ -68,7 +68,6 @@ class Dcqcn(CcAlgorithm):
         cc = flow.cc
         cc.rt = self.line_rate          # target rate
         cc.alpha = 1.0
-        cc.last_cnp = -1
         cc.last_alpha_update = now
         cc.last_increase = now
         cc.bytes_since_increase = 0
@@ -82,7 +81,6 @@ class Dcqcn(CcAlgorithm):
         cc.last_alpha_update = now
         cc.rt = flow.rate
         flow.rate = max(self.min_rate, flow.rate * (1.0 - cc.alpha / 2.0))
-        cc.last_cnp = now
         cc.last_increase = now
         cc.bytes_since_increase = 0
         cc.t_stage = 0

@@ -44,13 +44,11 @@ MIN_WINDOW_BYTES = 1_000
 class Hpcc(CcAlgorithm):
     """HPCC sender."""
 
-    name = "hpcc"
     needs_int = True
 
     def __init__(self, line_rate: float, swnd_bytes: int, base_rtt: int) -> None:
-        super().__init__(line_rate, swnd_bytes)
-        #: unloaded RTT, ns: the INT normalization period ``T``
-        self.base_rtt = base_rtt
+        # base_rtt is the INT normalization period ``T``
+        super().__init__(line_rate, swnd_bytes, base_rtt)
         #: one-BDP window: the paper's W_init
         self.w_init = int(line_rate * base_rtt / (8 * 1_000_000_000))
         self.w_init = max(self.w_init, MIN_WINDOW_BYTES)

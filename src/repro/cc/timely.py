@@ -37,14 +37,9 @@ HAI_THRESHOLD = 5
 class Timely(CcAlgorithm):
     """TIMELY rate controller."""
 
-    name = "timely"
-
     def __init__(self, line_rate: float, swnd_bytes: int, base_rtt: int) -> None:
-        super().__init__(line_rate, swnd_bytes)
-        #: unloaded RTT, ns: normalizes the gradient and places the
-        #: thresholds, which keeps the controller meaningful across the
-        #: scaled-down topologies this reproduction runs on
-        self.base_rtt = base_rtt
+        # base_rtt normalizes the gradient and places the thresholds
+        super().__init__(line_rate, swnd_bytes, base_rtt)
         self.delta = line_rate * DELTA_FRACTION
         self.min_rate = line_rate * MIN_RATE_FRACTION
         self.t_low = int(base_rtt * 1.5)

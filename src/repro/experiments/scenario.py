@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from importlib import import_module
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Type
 
-from repro.cc.base import CcAlgorithm, StaticWindowCc
+from repro.cc.base import CcAlgorithm
 from repro.cc.dcqcn import Dcqcn
 from repro.experiments.choices import FLOW_CONTROLS
 from repro.net.ecn import EcnConfig, EcnMarker
@@ -71,11 +71,19 @@ class Scale(str, Enum):
 #: construction, not silently run a default (``FLOW_CONTROLS`` is
 #: imported from :mod:`repro.experiments.choices`)
 _VALID_TOPOLOGIES = ("leaf-spine", "fat-tree", "testbed", "dumbbell")
-_VALID_CC = ("dcqcn", "timely", "hpcc", "static")
 _VALID_PATTERNS = (
     "incastmix", "poisson", "incast", "successive", "staggered", "rpc", "none",
 )
 _VALID_FIDELITY = ("packet", "flow", "hybrid")
+
+#: ``cc`` value -> the law's class, whose flags say what it needs from
+#: the fabric; TIMELY and HPCC are imported only when selected
+_CC_LAWS: Dict[str, Callable[[], Type[CcAlgorithm]]] = {
+    "dcqcn": lambda: Dcqcn,
+    "timely": lambda: import_module("repro.cc.timely").Timely,
+    "hpcc": lambda: import_module("repro.cc.hpcc").Hpcc,
+    "static": lambda: CcAlgorithm,
+}
 
 
 #: numeric fields whose 0 means "default" or "none" and whose negative
@@ -196,7 +204,7 @@ class ScenarioConfig:
         checks = (
             ("fidelity", self.fidelity, _VALID_FIDELITY),
             ("topology", self.topology, _VALID_TOPOLOGIES),
-            ("cc", self.cc, _VALID_CC),
+            ("cc", self.cc, tuple(_CC_LAWS)),
             ("flow_control", self.flow_control, FLOW_CONTROLS),
             ("pattern", self.pattern, _VALID_PATTERNS),
             ("workload", self.workload, tuple(WORKLOADS)),
@@ -211,6 +219,10 @@ class ScenarioConfig:
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"{name} must not be negative, got {value!r}")
+        for name in ("ecn_kmin", "ecn_kmax"):
+            # the law is resolved only when a threshold is set
+            if getattr(self, name) and not _CC_LAWS[self.cc]().reads_ecn:
+                raise ValueError(f"{name} is set, but cc={self.cc!r} reads no ECN marks")
         if self.ecn_kmin and self.ecn_kmax and self.ecn_kmax < self.ecn_kmin:
             raise ValueError(
                 f"ecn_kmax {self.ecn_kmax} is below ecn_kmin "
@@ -437,19 +449,21 @@ class Scenario:
         self._scheme = row = FLOW_CONTROLS[cfg.flow_control]
         scheme = import_module(row.module) if row.module else None
         self._host_class = getattr(scheme, row.host) if row.host else Host
-        self._ecn = self._ecn_config()
+        # the switches depend on the law's class; its instance needs
+        # the fabric's base RTT
+        law = _CC_LAWS[cfg.cc]()
+        self._ecn = self._ecn_config() if law.reads_ecn else None
         self.topology = self._build_topology()
         _check_fabric(cfg, self.topology)
         # hosts and topology share one flow table
         self.topology.flow_table = self.flow_table
         self.base_rtt = self.topology.base_rtt
         self.base_bdp = bdp_bytes(cfg.host_bandwidth, self.base_rtt)
-        self.cc = self._build_cc()
+        swnd = max(int(cfg.swnd_bdp * self.base_bdp), 2_000)
+        self.cc = law(cfg.host_bandwidth, swnd, self.base_rtt)
         for host in self._hosts_pending_cc:
             host.cc = self.cc
-            host.int_enabled = getattr(self.cc, "needs_int", False)
             host.rto = cfg.rto or 20 * self.base_rtt
-            host.cnp_enabled = cfg.cc == "dcqcn"
         if scheme is not None:
             scheme.install(self)
         self.mix: Optional[IncastMix] = None
@@ -542,14 +556,13 @@ class Scenario:
             pfc_enabled=self._scheme.pfc,
             ecn=ecn,
             stats=self.stats,
-            int_enabled=(cfg.cc == "hpcc"),
         )
         sw.level = level
         return sw
 
-    def _ecn_config(self) -> Optional[EcnConfig]:
-        """The marking thresholds every switch shares; None for a CC
-        law that reads no marks.
+    def _ecn_config(self) -> EcnConfig:
+        """The marking thresholds every switch shares (built only for a
+        CC law that reads marks).
 
         An unset ``ecn_kmin`` is about one base BDP (the conventional
         setting) and an unset ``ecn_kmax`` four times ``kmin``.  An
@@ -558,8 +571,6 @@ class Scenario:
         ``ScenarioConfig.__post_init__``).
         """
         cfg = self.config
-        if cfg.cc not in ("dcqcn", "hpcc"):
-            return None
         if cfg.ecn_kmin:
             kmin = cfg.ecn_kmin
         else:
@@ -621,25 +632,6 @@ class Scenario:
                 link_delay=cfg.link_delay,
             )
         raise ValueError(f"unknown topology {cfg.topology!r}")
-
-    # -- protocol stack -------------------------------------------------------------
-
-    def _build_cc(self) -> CcAlgorithm:
-        cfg = self.config
-        swnd = max(int(cfg.swnd_bdp * self.base_bdp), 2_000)
-        if cfg.cc == "dcqcn":
-            return Dcqcn(cfg.host_bandwidth, swnd)
-        if cfg.cc == "timely":
-            from repro.cc.timely import Timely
-
-            return Timely(cfg.host_bandwidth, swnd, self.base_rtt)
-        if cfg.cc == "hpcc":
-            from repro.cc.hpcc import Hpcc
-
-            return Hpcc(cfg.host_bandwidth, swnd, self.base_rtt)
-        if cfg.cc == "static":
-            return StaticWindowCc(cfg.host_bandwidth, swnd)
-        raise ValueError(f"unknown congestion control {cfg.cc!r}")
 
     # -- traffic ------------------------------------------------------------------------
 

@@ -107,9 +107,8 @@ class FluidSimulation:
         #: tiers admit no other extension (ScenarioConfig checks it)
         self._floodgate = bool(scenario.extensions)
         #: per-flow ceiling: the sending window over the base RTT
-        swnd_bytes = max(int(cfg.swnd_bdp * scenario.base_bdp), 2_000)
         base_rtt = max(scenario.base_rtt, 1)
-        self._flow_ceiling = swnd_bytes * 8.0 * SEC / base_rtt
+        self._flow_ceiling = scenario.cc.swnd_bytes * 8.0 * SEC / base_rtt
         #: cumulative bits carried per *directed link* resource (VOQ
         #: resources are excluded: they model windows, not queues).
         #: Deltas over a flow's lifetime give the mean utilization its

@@ -307,9 +307,9 @@ class HybridSimulation(FluidSimulation):
         #: estimate the injector folds into its pacing
         self._res_load: Dict[int, float] = {}
         #: pace cold-bottlenecked inbound flows below their max-min
-        #: allocation when the packet twin runs DCQCN (see
-        #: ``_DCQCN_COLD_UTILIZATION``)
-        self._dcqcn_cold = cfg.cc == "dcqcn"
+        #: allocation when the packet twin's law cuts its rate on ECN
+        #: marks, as DCQCN does (see ``_DCQCN_COLD_UTILIZATION``)
+        self._dcqcn_cold = scenario.cc.reads_ecn
         self._in_states: Dict[FluidFlow, _InboundState] = {}
         self._out_states: Dict[int, _OutboundState] = {}
         self._ghost_flows: Dict[FluidFlow, None] = {}

@@ -67,8 +67,6 @@ class Host(Node):
         self.stats = stats
         #: retransmission timeout, ns (the scenario sets its config's)
         self.rto = us(500)
-        #: stamp an INT stack on every data packet (HPCC; set by the scenario)
-        self.int_enabled = False
         #: both EMPTY_SET until their first add
         self.paused_keys: AbstractSet[int] = EMPTY_SET
         self.active_flows: AbstractSet[int] = EMPTY_SET
@@ -76,8 +74,6 @@ class Host(Node):
         self.tx_data_bytes = 0
         self.rx_data_packets = 0
         self.tx_data_packets = 0
-        #: emit DCQCN CNPs on marked arrivals (off for the other CC laws)
-        self.cnp_enabled = True
         #: fired once per flow when the last byte arrives; the topology
         #: wires this to its completion counter so runners can check
         #: "all flows done" in O(1) instead of scanning the flow table
@@ -94,6 +90,9 @@ class Host(Node):
         #: resolved at assignment: the optional CC send hook would
         #: otherwise cost a getattr per emitted data packet
         self._cc_on_data_sent = getattr(value, "on_data_sent", None)
+        #: attach an INT stack to every data packet, which each switch
+        #: on the path stamps (a host may be built before its law)
+        self.int_enabled = getattr(value, "needs_int", False)
 
     # -- sending -------------------------------------------------------------------
 
@@ -294,9 +293,9 @@ class Host(Node):
             # duplicate after a rewind: re-ACK so the sender advances
             if not flow.fluid_src:
                 self._send_ack(flow, pkt)
+        # switches mark only under a law that reads the marks
         if (
-            self.cnp_enabled
-            and not flow.fluid_src
+            not flow.fluid_src
             and pkt.ecn_marked
             and now - flow.last_cnp_time >= CNP_GAP
         ):

@@ -110,7 +110,6 @@ class Switch(Node):
         pfc_enabled: bool = True,
         ecn: Optional[EcnMarker] = None,
         stats: Optional[StatsHub] = None,
-        int_enabled: bool = False,
     ) -> None:
         super().__init__(sim, node_id, name)
         self.kind = kind
@@ -121,7 +120,6 @@ class Switch(Node):
         self.pfc_enabled = pfc_enabled
         self.ecn = ecn
         self.stats = stats
-        self.int_enabled = int_enabled
         # routing: dst host id -> port index, or tuple of candidates
         # (filled on first lookup: route_entry)
         self.routes: Dict[int, Union[int, Tuple[int, ...]]] = {}
@@ -381,7 +379,8 @@ class Switch(Node):
                 i = 2 if pkt.flow_id in stats._incast_flows else 0
                 cell[i] += delay
                 cell[i + 1] += 1
-            if self.int_enabled and pkt.int_records is not None:
+            # only a law that needs INT attaches a stack
+            if pkt.int_records is not None:
                 qlen = None
                 if self.extension is not None:
                     qlen = self.extension.adjusted_qlen(pkt, port)

@@ -26,10 +26,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 #: scheme label -> the ScenarioConfig fields that select it: every
-#: scheme with its own pause or trim machinery (DCQCN runs with no
-#: switch assistance; pfc_tag arms the per-dst pause pairing at
+#: scheme with its own pause or trim machinery, under DCQCN (which runs
+#: with no switch assistance; pfc_tag arms the per-dst pause pairing at
 #: switches, floodgate_ideal the ideal design's per-packet credits and
-#: the pairing of Floodgate's dstPause at hosts)
+#: the pairing of Floodgate's dstPause at hosts); then each other CC
+#: law, and HPCC's INT under Floodgate's ``adjusted_qlen`` (§8)
 SCHEMES: Tuple[Tuple[str, Dict[str, object]], ...] = (
     ("dcqcn", {"flow_control": "none"}),
     ("floodgate", {"flow_control": "floodgate"}),
@@ -37,6 +38,10 @@ SCHEMES: Tuple[Tuple[str, Dict[str, object]], ...] = (
     ("ndp", {"flow_control": "ndp"}),
     ("pfc_tag", {"flow_control": "pfc-tag"}),
     ("floodgate_ideal", {"flow_control": "floodgate-ideal", "per_dst_pause": True}),
+    ("timely", {"cc": "timely"}),
+    ("hpcc", {"cc": "hpcc"}),
+    ("static", {"cc": "static"}),
+    ("hpcc_floodgate", {"cc": "hpcc", "flow_control": "floodgate"}),
 )
 
 #: schemes the sharded-equivalence check covers: the sharded engine is

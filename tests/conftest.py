@@ -6,7 +6,7 @@ from typing import Dict, Optional
 
 import pytest
 
-from repro.cc.base import CcAlgorithm, StaticWindowCc
+from repro.cc.base import CcAlgorithm
 from repro.faults import FaultInjector, FaultPlan, LinkFaultState
 from repro.net.host import Host
 from repro.net.switch import Switch
@@ -18,7 +18,7 @@ from repro.net.topology import (
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.stats.collector import StatsHub
-from repro.units import gbps, kb, mb
+from repro.units import gbps, kb, mb, us
 
 
 def lossy_link(link, rate: float, rng) -> LinkFaultState:
@@ -51,7 +51,7 @@ class MiniNet:
         self.sim = Simulator()
         self.stats = StatsHub()
         self.flow_table: Dict[int, object] = {}
-        self.cc = cc or StaticWindowCc(host_bandwidth, kb(30))
+        self.cc = cc or CcAlgorithm(host_bandwidth, kb(30), us(10))
         self.hosts = []
 
         def host_factory(sim, nid, name):

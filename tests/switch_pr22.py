@@ -234,5 +234,9 @@ def install(patch) -> None:
     patch.setattr(Switch, "enqueue_data", enqueue_data)
     patch.setattr(Switch, "_note_port_bytes", _note_port_bytes)
     patch.setattr(Switch, "on_port_dequeue", on_port_dequeue)
+    # the old hop reads a switch INT flag the switch no longer has:
+    # a packet carries an INT stack exactly when its sender's law
+    # needs INT, so an always-on flag stamps the same packets
+    patch.setattr(Switch, "int_enabled", True, raising=False)
     patch.setattr(FloodgateExtension, "on_data", floodgate_on_data)
     patch.setattr(StatsHub, "record_queuing", record_queuing)

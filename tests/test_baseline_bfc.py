@@ -3,7 +3,7 @@
 from types import SimpleNamespace
 
 from repro.baselines.bfc import BfcHost, install
-from repro.cc.base import StaticWindowCc
+from repro.cc.base import CcAlgorithm
 from repro.net.switch import Switch
 from repro.net.topology import build_leaf_spine
 from repro.sim.engine import Simulator
@@ -17,7 +17,7 @@ def build(n_queues=8, base_bdp=10_000):
     sim = Simulator()
     stats = StatsHub()
     flow_table = {}
-    cc = StaticWindowCc(gbps(10), kb(30))
+    cc = CcAlgorithm(gbps(10), kb(30), us(10))
 
     def host_factory(s, nid, name):
         return BfcHost(s, nid, name, cc, flow_table, stats=stats)

@@ -3,7 +3,7 @@
 from types import SimpleNamespace
 
 from repro.baselines.ndp import NdpHost, install
-from repro.cc.base import StaticWindowCc
+from repro.cc.base import CcAlgorithm
 from repro.net.packet import Packet, PacketKind
 from repro.net.switch import Switch
 from repro.net.topology import build_leaf_spine
@@ -16,7 +16,7 @@ def build(trim_threshold=4 * MTU):
     sim = Simulator()
     stats = StatsHub()
     flow_table = {}
-    cc = StaticWindowCc(gbps(10), kb(30))
+    cc = CcAlgorithm(gbps(10), kb(30), us(10))
 
     def host_factory(s, nid, name):
         h = NdpHost(s, nid, name, cc, flow_table, stats=stats)

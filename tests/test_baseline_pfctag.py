@@ -3,13 +3,13 @@
 from types import SimpleNamespace
 
 from repro.baselines.pfc_tag import install
-from repro.cc.base import StaticWindowCc
+from repro.cc.base import CcAlgorithm
 from repro.net.host import Host
 from repro.net.switch import Switch
 from repro.net.topology import build_leaf_spine
 from repro.sim.engine import Simulator
 from repro.stats.collector import StatsHub
-from repro.units import gbps, kb, mb, ms
+from repro.units import gbps, kb, mb, ms, us
 
 
 def build(base_bdp=10_000):
@@ -18,7 +18,7 @@ def build(base_bdp=10_000):
     sim = Simulator()
     stats = StatsHub()
     flow_table = {}
-    cc = StaticWindowCc(gbps(10), kb(30))
+    cc = CcAlgorithm(gbps(10), kb(30), us(10))
 
     def host_factory(s, nid, name):
         return Host(s, nid, name, cc, flow_table, stats=stats)

@@ -6,6 +6,7 @@ from repro.net.packet import Packet, PacketKind
 from repro.units import gbps, us
 
 LINE = gbps(10)
+BASE_RTT = us(10)
 
 
 def make_flow(cc, now=0):
@@ -16,7 +17,7 @@ def make_flow(cc, now=0):
 
 class TestStart:
     def test_starts_at_line_rate(self):
-        cc = Dcqcn(LINE, 30_000)
+        cc = Dcqcn(LINE, 30_000, BASE_RTT)
         f = make_flow(cc)
         assert f.rate == LINE
         assert f.cc.alpha == 1.0
@@ -25,7 +26,7 @@ class TestStart:
 
 class TestCnpReaction:
     def test_first_cnp_halves_rate(self):
-        cc = Dcqcn(LINE, 30_000)
+        cc = Dcqcn(LINE, 30_000, BASE_RTT)
         f = make_flow(cc)
         cc.on_cnp(f, now=0)
         # alpha ~= 1 -> Rc *= (1 - 1/2)
@@ -33,7 +34,7 @@ class TestCnpReaction:
         assert f.cc.rt == LINE  # target remembers the old rate
 
     def test_successive_cnps_keep_reducing(self):
-        cc = Dcqcn(LINE, 30_000)
+        cc = Dcqcn(LINE, 30_000, BASE_RTT)
         f = make_flow(cc)
         cc.on_cnp(f, 0)
         r1 = f.rate
@@ -41,14 +42,14 @@ class TestCnpReaction:
         assert f.rate < r1
 
     def test_rate_never_below_floor(self):
-        cc = Dcqcn(LINE, 30_000)
+        cc = Dcqcn(LINE, 30_000, BASE_RTT)
         f = make_flow(cc)
         for i in range(100):
             cc.on_cnp(f, i * us(50))
         assert f.rate >= cc.min_rate
 
     def test_cnp_resets_increase_state(self):
-        cc = Dcqcn(LINE, 30_000)
+        cc = Dcqcn(LINE, 30_000, BASE_RTT)
         f = make_flow(cc)
         f.cc.t_stage = 7
         cc.on_cnp(f, 0)
@@ -57,7 +58,7 @@ class TestCnpReaction:
 
 class TestAlphaDecay:
     def test_alpha_decays_without_cnp(self):
-        cc = Dcqcn(LINE, 30_000)
+        cc = Dcqcn(LINE, 30_000, BASE_RTT)
         f = make_flow(cc)
         cc.on_cnp(f, 0)
         alpha_after_cnp = f.cc.alpha
@@ -66,7 +67,7 @@ class TestAlphaDecay:
         assert f.cc.alpha < alpha_after_cnp
 
     def test_decay_is_time_proportional(self):
-        cc = Dcqcn(LINE, 30_000)
+        cc = Dcqcn(LINE, 30_000, BASE_RTT)
         f1, f2 = make_flow(cc), make_flow(cc)
         cc.on_cnp(f1, 0)
         cc.on_cnp(f2, 0)
@@ -78,7 +79,7 @@ class TestAlphaDecay:
 
 class TestRateIncrease:
     def test_rate_recovers_after_congestion_clears(self):
-        cc = Dcqcn(LINE, 30_000)
+        cc = Dcqcn(LINE, 30_000, BASE_RTT)
         f = make_flow(cc)
         cc.on_cnp(f, 0)
         reduced = f.rate
@@ -92,7 +93,7 @@ class TestRateIncrease:
 
     def test_fast_recovery_moves_halfway_to_target(self):
         assert F == 5
-        cc = Dcqcn(LINE, 30_000)
+        cc = Dcqcn(LINE, 30_000, BASE_RTT)
         f = make_flow(cc)
         cc.on_cnp(f, 0)
         rc, rt = f.rate, f.cc.rt
@@ -101,7 +102,7 @@ class TestRateIncrease:
         assert abs(f.rate - (rc + rt) / 2) < 1e-3 * LINE
 
     def test_byte_counter_triggers_increase(self):
-        cc = Dcqcn(LINE, 30_000)
+        cc = Dcqcn(LINE, 30_000, BASE_RTT)
         cc.byte_counter = 1_250  # 0.001 ms of line rate, tiny: trip often
         f = make_flow(cc)
         cc.on_cnp(f, 0)
@@ -113,7 +114,7 @@ class TestRateIncrease:
 
 class TestTimeout:
     def test_timeout_halves_rate(self):
-        cc = Dcqcn(LINE, 30_000)
+        cc = Dcqcn(LINE, 30_000, BASE_RTT)
         f = make_flow(cc)
         cc.on_timeout(f, 0)
         assert f.rate == LINE / 2

@@ -18,9 +18,9 @@ def build_fat_tree_net():
     sim = Simulator()
     stats = StatsHub()
     flow_table = {}
-    from repro.cc.base import StaticWindowCc
+    from repro.cc.base import CcAlgorithm
 
-    cc = StaticWindowCc(gbps(10), kb(30))
+    cc = CcAlgorithm(gbps(10), kb(30), us(10))
 
     def host_factory(s, nid, name):
         return Host(s, nid, name, cc, flow_table, stats=stats)

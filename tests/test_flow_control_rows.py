@@ -1,8 +1,11 @@
-"""One row per flow-control scheme (``repro.experiments.choices``).
+"""One row per flow-control scheme (``repro.experiments.choices``), and
+one class per CC law (``repro.experiments.scenario``).
 
 The builder, the fluid tiers and the sanitizer read a scheme's row;
 only the table and the modules its rows name may compare a
-``flow_control`` value with a scheme name.
+``flow_control`` value with a scheme name.  What a CC law needs from
+the fabric is read off its class, so no module compares a ``cc``
+value with a law's name.
 """
 
 import ast
@@ -24,9 +27,9 @@ EXEMPT = {SRC / "repro" / "experiments" / "choices.py"} | {
 }
 
 
-def _names_flow_control(node: ast.AST) -> bool:
-    return (isinstance(node, ast.Name) and node.id == "flow_control") or (
-        isinstance(node, ast.Attribute) and node.attr == "flow_control"
+def _names(node: ast.AST, field: str) -> bool:
+    return (isinstance(node, ast.Name) and node.id == field) or (
+        isinstance(node, ast.Attribute) and node.attr == field
     )
 
 
@@ -36,18 +39,19 @@ def _is_string(node: ast.AST) -> bool:
     return isinstance(node, ast.Constant) and isinstance(node.value, str)
 
 
-def scheme_name_tests(root: Path):
-    """``path:line`` of every comparison of ``flow_control`` with a
-    string literal (or a collection of them) under ``root``."""
+def name_tests(root: Path, field: str, exempt=frozenset()):
+    """``path:line`` of every comparison of ``field`` with a string
+    literal (or a collection of them) under ``root``, outside
+    ``exempt``."""
     found = []
     for path in sorted(root.rglob("*.py")):
-        if path in EXEMPT:
+        if path in exempt:
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]
-            if any(map(_names_flow_control, operands)) and any(
+            if any(_names(op, field) for op in operands) and any(
                 map(_is_string, operands)
             ):
                 found.append(f"{path.relative_to(root)}:{node.lineno}")
@@ -55,7 +59,11 @@ def scheme_name_tests(root: Path):
 
 
 def test_no_module_outside_the_rows_compares_a_scheme_name():
-    assert scheme_name_tests(SRC / "repro") == []
+    assert name_tests(SRC / "repro", "flow_control", EXEMPT) == []
+
+
+def test_no_module_compares_a_cc_law_name():
+    assert name_tests(SRC / "repro", "cc") == []
 
 
 @pytest.mark.parametrize(

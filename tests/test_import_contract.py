@@ -190,7 +190,7 @@ FACADES = {
         "PfcTagExtension",
     ],
     "repro.cc": [
-        "Flow", "CcAlgorithm", "StaticWindowCc", "Dcqcn", "Timely", "Hpcc",
+        "Flow", "CcAlgorithm", "Dcqcn", "Timely", "Hpcc",
     ],
     "repro.experiments": [
         "Scale", "Scenario", "ScenarioConfig", "ScenarioResult",

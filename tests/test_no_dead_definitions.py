@@ -229,7 +229,7 @@ def test_every_selectable_value_is_selected_by_a_root():
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
     values = (
-        scenario._VALID_CC
+        tuple(scenario._CC_LAWS)
         + tuple(FLOW_CONTROLS)
         + scenario._VALID_PATTERNS
         + scenario._VALID_TOPOLOGIES

@@ -8,6 +8,7 @@ import pytest
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scale, Scenario, ScenarioConfig
 from repro.floodgate.config import FloodgateConfig
+from repro.net.packet import PacketKind
 from repro.rpc.spec import RpcWorkloadSpec
 from repro.simcheck.sanitizer import SanitizerConfig
 from repro.telemetry.registry import TelemetryConfig
@@ -197,6 +198,13 @@ class TestEcnThresholds:
         with pytest.raises(ValueError, match="ecn_kmax 5000 .* default ecn_kmin"):
             Scenario(cfg)
 
+    @pytest.mark.parametrize("cc", ["timely", "hpcc", "static"])
+    @pytest.mark.parametrize("field", ["ecn_kmin", "ecn_kmax"])
+    def test_thresholds_under_a_law_that_reads_no_marks_fail(self, field, cc):
+        # these used to build and ignore the thresholds
+        with pytest.raises(ValueError, match=f"{field} is set, but cc='{cc}'"):
+            ScenarioConfig(cc=cc, **{field: 20_000})
+
     @pytest.mark.parametrize("kmin, kmax", [(20_000, 80_000), (20_000, 20_000)])
     def test_fig16_settings_are_accepted(self, kmin, kmax):
         sc = Scenario(ScenarioConfig(ecn_kmin=kmin, ecn_kmax=kmax, **QUICK))
@@ -208,7 +216,11 @@ class TestBuild:
     @pytest.mark.parametrize("cc", ["dcqcn", "timely", "hpcc", "static"])
     def test_all_ccs_build(self, cc):
         sc = Scenario(ScenarioConfig(cc=cc, **QUICK))
-        assert sc.cc.name in (cc, f"{cc}-window", "static-window")
+        law = {
+            "dcqcn": "Dcqcn", "timely": "Timely", "hpcc": "Hpcc",
+            "static": "CcAlgorithm",
+        }[cc]
+        assert type(sc.cc).__name__ == law
         assert all(h.cc is sc.cc for h in sc.topology.hosts)
 
     @pytest.mark.parametrize(
@@ -223,9 +235,31 @@ class TestBuild:
             assert len(sc.extensions) == len(sc.topology.switches)
 
     def test_hpcc_enables_int(self):
+        """Every delivered data packet carries one INT record per
+        switch on its path (ToR, or ToR-spine-ToR)."""
         sc = Scenario(ScenarioConfig(cc="hpcc", **QUICK))
         assert all(h.int_enabled for h in sc.topology.hosts)
-        assert all(sw.int_enabled for sw in sc.topology.switches)
+        rack_of = sc.topology.rack_of
+        stacks = []  # (records, switch hops)
+        for host in sc.topology.hosts:
+
+            def spy(pkt, port, receive=host.receive):
+                if pkt.kind == PacketKind.DATA:
+                    hops = 1 if rack_of[pkt.src] == rack_of[pkt.dst] else 3
+                    stacks.append((len(pkt.int_records), hops))
+                receive(pkt, port)
+
+            host.receive = spy
+        run_scenario(sc.config, scenario=sc)
+        assert stacks and all(n == hops for n, hops in stacks)
+
+    @pytest.mark.parametrize("cc", ["dcqcn", "timely", "hpcc", "static"])
+    def test_only_a_law_that_reads_marks_gets_ecn_markers(self, cc):
+        # HPCC's switches used to mark packets no receiver read
+        sc = Scenario(ScenarioConfig(cc=cc, **QUICK))
+        assert {sw.ecn is not None for sw in sc.topology.switches} == {
+            cc == "dcqcn"
+        }
 
     def test_ndp_disables_pfc(self):
         sc = Scenario(ScenarioConfig(flow_control="ndp", cc="static", **QUICK))

@@ -26,7 +26,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 SCHEME_FIELDS = dict(SCHEMES)
 
 
-def tiny_cfg(flow_control: str, seed: int = 5, **fields) -> ScenarioConfig:
+def tiny_cfg(flow_control: str = "none", seed: int = 5, **fields) -> ScenarioConfig:
     return ScenarioConfig(
         flow_control=flow_control,
         n_tors=3,
@@ -39,7 +39,8 @@ def tiny_cfg(flow_control: str, seed: int = 5, **fields) -> ScenarioConfig:
 
 def test_schemes_cover_the_acceptance_set():
     assert set(SCHEME_FIELDS) == {
-        "dcqcn", "floodgate", "bfc", "ndp", "pfc_tag", "floodgate_ideal"
+        "dcqcn", "floodgate", "bfc", "ndp", "pfc_tag", "floodgate_ideal",
+        "timely", "hpcc", "static", "hpcc_floodgate",
     }
 
 
@@ -203,7 +204,7 @@ def test_rpc_spec_changes_the_cache_key(tmp_path):
 
 def test_run_suite_rejects_unknown_schemes():
     with pytest.raises(ValueError, match="unknown scheme"):
-        run_suite(schemes=["dcqcn", "hpcc"])
+        run_suite(schemes=["dcqcn", "dctcp"])
 
 
 # -- satellite regression: event order must not depend on the hash seed -------

@@ -26,8 +26,6 @@ class TestForwarding:
         dst_host = leaf_spine.topo.hosts[8]
         original = dst_host.receive
         leaf_spine.topo.hosts[0].int_enabled = True
-        for sw in leaf_spine.topo.switches:
-            sw.int_enabled = True
 
         def spy(pkt, port):
             if pkt.kind == PacketKind.DATA:

@@ -134,16 +134,16 @@ class TestDumbbell:
 class TestSingleHomed:
     @staticmethod
     def _fabric(n_links: int):
-        from repro.cc.base import StaticWindowCc
+        from repro.cc.base import CcAlgorithm
         from repro.net.host import Host
         from repro.net.switch import Switch
         from repro.net.topology import SWITCH_ID_BASE, Topology
         from repro.sim.engine import Simulator
-        from repro.units import gbps, kb, mb
+        from repro.units import gbps, kb, mb, us
 
         sim = Simulator()
         topo = Topology(sim)
-        cc = StaticWindowCc(gbps(10), kb(30))
+        cc = CcAlgorithm(gbps(10), kb(30), us(10))
         host = Host(sim, 0, "h0", cc, topo.flow_table, None)
         topo.hosts.append(host)
         for i in range(2):
