@@ -5,7 +5,7 @@ from repro.experiments.figures import fig07_workloads
 
 
 def test_fig07_flow_size_cdfs(once):
-    result = once(fig07_workloads.run, samples=20_000)
+    result = once(fig07_workloads.run)
     lines = []
     for name, props in result["properties"].items():
         lines.append(

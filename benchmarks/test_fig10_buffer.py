@@ -5,9 +5,7 @@ from repro.experiments.figures import fig10_buffer
 
 
 def test_fig10_max_buffer(once):
-    result = once(
-        fig10_buffer.run, quick=True, workloads=("memcached", "webserver")
-    )
+    result = once(fig10_buffer.run, quick=True)
     lines = []
     for workload, row in result["max_buffer_mb"].items():
         lines.append(

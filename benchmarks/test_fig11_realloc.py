@@ -5,7 +5,7 @@ from repro.experiments.figures import fig11_realloc
 
 
 def test_fig11_traffic_reallocation(once):
-    result = once(fig11_realloc.run, quick=True, workloads=("webserver",))
+    result = once(fig11_realloc.run, quick=True)
     buffers = result["buffers_mb"]["webserver"]
     queuing = result["queuing_us"]["webserver"]
     lines = []

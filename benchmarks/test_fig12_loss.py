@@ -5,7 +5,7 @@ from repro.experiments.figures import fig12_loss
 
 
 def test_fig12_loss_robustness(once):
-    result = once(fig12_loss.run, quick=True, loss_rates=(0.0, 0.05, 0.10))
+    result = once(fig12_loss.run, quick=True)
     lines = []
     for rate, s in result["summary"].items():
         lines.append(

@@ -5,7 +5,7 @@ from repro.experiments.figures import fig13_fattree
 
 
 def test_fig13_fat_tree(once):
-    result = once(fig13_fattree.run, quick=True, workloads=("memcached",))
+    result = once(fig13_fattree.run, quick=True)
     fct = result["fct"]["memcached"]
     buffers = result["buffers_mb"]["memcached"]
     lines = []

@@ -5,7 +5,7 @@ from repro.experiments.figures import fig14_scaleup
 
 
 def test_fig14_tor_scaleup(once):
-    result = once(fig14_scaleup.run, quick=True, tor_counts=(3, 6))
+    result = once(fig14_scaleup.run, quick=True)
     lines = []
     for variant, by_tors in result.items():
         for n_tors, row in by_tors.items():

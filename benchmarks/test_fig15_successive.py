@@ -5,7 +5,7 @@ from repro.experiments.figures import fig15_successive
 
 
 def test_fig15_successive_incast(once):
-    result = once(fig15_successive.run, quick=True, round_counts=(2, 4))
+    result = once(fig15_successive.run, quick=True)
     lines = []
     for variant, by_rounds in result.items():
         for rounds, row in by_rounds.items():

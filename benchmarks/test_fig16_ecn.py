@@ -5,7 +5,7 @@ from repro.experiments.figures import fig16_ecn
 
 
 def test_fig16_ecn_convergence(once):
-    result = once(fig16_ecn.run, quick=True, n_flows=24)
+    result = once(fig16_ecn.run, quick=True)
     lines = []
     for setting, by_variant in result.items():
         for variant, row in by_variant.items():

@@ -5,7 +5,7 @@ from repro.experiments.figures import fig17_params
 
 
 def test_fig17a_credit_timer_tradeoff(once):
-    result = once(fig17_params.run_credit_timer, quick=True, timers_us=(1, 2, 8))
+    result = once(fig17_params.run_credit_timer, quick=True)
     lines = []
     for t, row in result.items():
         lines.append(
@@ -30,7 +30,7 @@ def test_fig17a_credit_timer_tradeoff(once):
 
 
 def test_fig17d_delay_credit_robust(once):
-    result = once(fig17_params.run_delay_credit, quick=True, multiples=(1, 2, 10))
+    result = once(fig17_params.run_delay_credit, quick=True)
     lines = []
     for m, row in result.items():
         lines.append(

@@ -5,7 +5,7 @@ from repro.experiments.figures import fig20_bfc
 
 
 def test_fig20_vs_bfc(once):
-    result = once(fig20_bfc.run, quick=True, workloads=("memcached",))
+    result = once(fig20_bfc.run, quick=True)
     rows = result["memcached"]
     lines = []
     for variant, v in rows.items():

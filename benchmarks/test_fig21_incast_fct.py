@@ -5,9 +5,7 @@ from repro.experiments.figures import fig21_incast_fct
 
 
 def test_fig21_incast_flows_unharmed(once):
-    result = once(
-        fig21_incast_fct.run, quick=True, workloads=("memcached", "webserver")
-    )
+    result = once(fig21_incast_fct.run, quick=True)
     lines = []
     for workload, rows in result.items():
         for variant, v in rows.items():

@@ -5,7 +5,7 @@ from repro.experiments.figures import fig23_ndp
 
 
 def test_fig23_vs_ndp(once):
-    result = once(fig23_ndp.run, quick=True, workloads=("memcached",))
+    result = once(fig23_ndp.run, quick=True)
     rows = result["memcached"]
     lines = []
     for variant, v in rows.items():

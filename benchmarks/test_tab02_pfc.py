@@ -5,9 +5,7 @@ from repro.experiments.figures import tab02_pfc
 
 
 def test_tab02_pfc_pause_time(once):
-    result = once(
-        tab02_pfc.run, quick=True, workloads=("memcached", "webserver")
-    )
+    result = once(tab02_pfc.run, quick=True)
     lines = [f"{'variant':18s} {'workload':10s} {'host us':>9s} "
              f"{'tor us':>9s} {'core us':>9s} {'events':>7s}"]
     for variant, by_workload in result.items():

@@ -9,7 +9,7 @@ hold module paths, not classes, and the table lives apart from
 (``--help``, ``list``) loads no part of the simulator.
 """
 
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional, Tuple
 
 
 class FlowControl(NamedTuple):
@@ -28,13 +28,26 @@ class FlowControl(NamedTuple):
     #: the sanitizer pairs its keyed PAUSE / RESUME frames (BFC's
     #: upstream-queue keys are exempt: see repro.simcheck.sanitizer)
     paired_keys: bool = True
+    #: the ``ScenarioConfig`` fields only this scheme reads: a config
+    #: naming another scheme must leave them at their defaults
+    reads: Tuple[str, ...] = ()
+
+
+#: what the two Floodgate rows read (the extension's derived config)
+_FLOODGATE_READS = ("per_dst_pause", "delay_credit_bdp", "floodgate")
 
 
 FLOW_CONTROLS: Dict[str, FlowControl] = {
     "none": FlowControl(fluid=True),
-    "floodgate": FlowControl("repro.floodgate.extension", fluid=True),
-    "floodgate-ideal": FlowControl("repro.floodgate.extension", fluid=True),
-    "bfc": FlowControl("repro.baselines.bfc", host="BfcHost", paired_keys=False),
+    "floodgate": FlowControl(
+        "repro.floodgate.extension", fluid=True, reads=_FLOODGATE_READS
+    ),
+    "floodgate-ideal": FlowControl(
+        "repro.floodgate.extension", fluid=True, reads=_FLOODGATE_READS
+    ),
+    "bfc": FlowControl(
+        "repro.baselines.bfc", host="BfcHost", paired_keys=False, reads=("bfc_queues",)
+    ),
     "pfc-tag": FlowControl("repro.baselines.pfc_tag"),
     "ndp": FlowControl("repro.baselines.ndp", host="NdpHost", pfc=False),
 }

@@ -25,23 +25,24 @@ from repro.telemetry.registry import TelemetryConfig
 from repro.units import us
 
 VARIANTS = {"dcqcn": "none", "dcqcn+floodgate": "floodgate"}
+WORKLOAD = "webserver"
 #: the flow classes the figure plots
 CLASSES = ("incast", "victim_incast", "victim_pfc")
 
 
-def tasks(quick: bool = True, workload: str = "webserver") -> List[SweepTask]:
+def tasks(quick: bool = True) -> List[SweepTask]:
     base = incastmix_base(
         quick,
-        workload,
+        WORKLOAD,
         telemetry=TelemetryConfig(interval=us(20), engine_profile=False),
     )
     return variant_tasks(base, VARIANTS)
 
 
-def run(quick: bool = True, workload: str = "webserver") -> Dict:
+def run(quick: bool = True) -> Dict:
     """Returns per-variant throughput series and HOL-delay summary."""
     out: Dict = {"series": {}, "summary": {}}
-    for label, r in run_sweep(tasks(quick, workload)).items():
+    for label, r in run_sweep(tasks(quick)).items():
         points = {
             name: r.telemetry.series_named(f"rx_gbps.{name}")["points"]
             for name in CLASSES

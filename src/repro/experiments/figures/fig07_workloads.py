@@ -20,13 +20,17 @@ from typing import Dict
 from repro.sim.rng import RngRegistry
 from repro.workloads.distributions import WORKLOADS
 
+#: flow sizes drawn per workload, and the registry's seed
+SAMPLES = 20_000
+SEED = 7
 
-def run(samples: int = 20_000, seed: int = 7) -> Dict:
+
+def run() -> Dict:
     out: Dict = {"cdf": {}, "properties": {}}
-    streams = RngRegistry(seed)
+    streams = RngRegistry(SEED)
     for name, dist in WORKLOADS.items():
         rng = streams.stream(f"fig07:{name}")
-        draws = sorted(dist.sample(rng) for _ in range(samples))
+        draws = sorted(dist.sample(rng) for _ in range(SAMPLES))
         n = len(draws)
         frac_below_1kb = sum(1 for v in draws if v <= 1_000) / n
         mean = sum(draws) / n

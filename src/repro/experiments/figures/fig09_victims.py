@@ -14,9 +14,11 @@ from repro.experiments.figures.common import incastmix_base, run_variants
 from repro.stats.collector import FlowClass
 from repro.stats.fct import fct_cdf, summarize_fct
 
+WORKLOAD = "webserver"
 
-def run(quick: bool = True, workload: str = "webserver") -> Dict:
-    base = incastmix_base(quick, workload)
+
+def run(quick: bool = True) -> Dict:
+    base = incastmix_base(quick, WORKLOAD)
     results = run_variants(base)
     out: Dict = {"cdf": {}, "summary": {}}
     for label, r in results.items():

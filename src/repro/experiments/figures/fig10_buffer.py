@@ -7,20 +7,18 @@ in its VOQs instead of letting it pile onto the destination ToR.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
 from repro.experiments.figures.common import incastmix_base, run_variants
 
+WORKLOADS = ("memcached", "webserver")
 
-def run(
-    quick: bool = True,
-    workloads: Iterable[str] = ("memcached", "webserver"),
-    cc: str = "dcqcn",
-) -> Dict:
+
+def run(quick: bool = True) -> Dict:
     """Returns {workload: {variant: max_buffer_mb}} plus factors."""
     out: Dict = {"max_buffer_mb": {}, "reduction_factor": {}}
-    for workload in workloads:
-        base = incastmix_base(quick, workload, cc=cc)
+    for workload in WORKLOADS:
+        base = incastmix_base(quick, workload)
         results = run_variants(base)
         row = {
             label: r.max_switch_buffer_mb for label, r in results.items()

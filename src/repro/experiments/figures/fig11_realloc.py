@@ -9,7 +9,7 @@ non-incast flows, because incast sits isolated in VOQs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
 from repro.experiments.figures.common import (
     LEAF_SPINE_ROLES,
@@ -17,13 +17,12 @@ from repro.experiments.figures.common import (
     run_variants,
 )
 
+WORKLOADS = ("webserver",)
 
-def run(
-    quick: bool = True,
-    workloads: Iterable[str] = ("webserver",),
-) -> Dict:
+
+def run(quick: bool = True) -> Dict:
     out: Dict = {"buffers_mb": {}, "queuing_us": {}}
-    for workload in workloads:
+    for workload in WORKLOADS:
         base = incastmix_base(quick, workload)
         results = run_variants(base)
         out["buffers_mb"][workload] = {

@@ -19,7 +19,7 @@ the last finish, read beside the incast flows' FCT.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.experiments.figures.common import mean_value, points_ms
 from repro.experiments.parallel import SweepTask, run_sweep
@@ -29,11 +29,11 @@ from repro.stats.fct import FctRecord
 from repro.telemetry.registry import TelemetryConfig
 from repro.units import us
 
+#: Bernoulli loss rate on every switch-to-switch link, one row each
+LOSS_RATES = (0.0, 0.05, 0.10)
 
-def tasks(
-    quick: bool = True,
-    loss_rates: Iterable[float] = (0.0, 0.05, 0.10),
-) -> List[SweepTask]:
+
+def tasks(quick: bool = True) -> List[SweepTask]:
     base = ScenarioConfig(
         workload="webserver",
         pattern="incast",
@@ -45,7 +45,7 @@ def tasks(
         telemetry=TelemetryConfig(interval=us(20), engine_profile=False),
     )
     out = []
-    for rate in loss_rates:
+    for rate in LOSS_RATES:
         # the lossless row carries no plan: a 0 % fault would still
         # move every core delivery to the end of serialization
         plan = None
@@ -67,12 +67,9 @@ def goodput_gbps(records: Sequence[FctRecord]) -> float:
     return sum(r.size for r in records) * 8 / span if span > 0 else 0.0
 
 
-def run(
-    quick: bool = True,
-    loss_rates: Iterable[float] = (0.0, 0.05, 0.10),
-) -> Dict:
+def run(quick: bool = True) -> Dict:
     out: Dict = {"series": {}, "summary": {}}
-    for key, r in run_sweep(tasks(quick, loss_rates)).items():
+    for key, r in run_sweep(tasks(quick)).items():
         points = r.telemetry.series_named("rx_gbps.total")["points"]
         out["series"][key] = points_ms(points)
         incast = r.incast_fct

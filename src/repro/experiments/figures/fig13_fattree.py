@@ -8,20 +8,19 @@ buffers show the same reallocation pattern across the five hop roles.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
 from repro.experiments.figures.common import FAT_TREE_ROLES, run_variants
 from repro.experiments.scenario import ScenarioConfig
 
+WORKLOADS = ("memcached",)
 
-def run(
-    quick: bool = True,
-    workloads: Iterable[str] = ("memcached",),
-) -> Dict:
+
+def run(quick: bool = True) -> Dict:
     duration = 300_000 if quick else 1_000_000
     k = 4 if quick else 8
     out: Dict = {"fct": {}, "buffers_mb": {}}
-    for workload in workloads:
+    for workload in WORKLOADS:
         base = ScenarioConfig(
             topology="fat-tree",
             fat_tree_k=k,

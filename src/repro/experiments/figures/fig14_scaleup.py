@@ -13,15 +13,18 @@ burst is generated, at t=0.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 from repro.experiments.parallel import SweepTask, run_sweep
 from repro.experiments.scenario import ScenarioConfig
 
 HOSTS_PER_TOR = 4
+#: ToR counts swept at bench (quick) and paper (full) scale
+QUICK_TOR_COUNTS = (3, 6)
+FULL_TOR_COUNTS = (4, 8, 12, 16)
 
 
-def tasks(tor_counts: Iterable[int]) -> List[SweepTask]:
+def tasks(quick: bool = True) -> List[SweepTask]:
     variants = (("dcqcn", "none"), ("dcqcn+floodgate", "floodgate"))
     return [
         SweepTask(
@@ -37,17 +40,13 @@ def tasks(tor_counts: Iterable[int]) -> List[SweepTask]:
             ),
         )
         for label, fc in variants
-        for n_tors in tor_counts
+        for n_tors in (QUICK_TOR_COUNTS if quick else FULL_TOR_COUNTS)
     ]
 
 
-def run(
-    quick: bool = True,
-    tor_counts: Iterable[int] = (),
-) -> Dict:
-    tor_counts = tuple(tor_counts) or ((3, 6) if quick else (4, 8, 12, 16))
+def run(quick: bool = True) -> Dict:
     out: Dict = {}
-    for (label, n_tors), r in run_sweep(tasks(tor_counts)).items():
+    for (label, n_tors), r in run_sweep(tasks(quick)).items():
         expected = (n_tors - 1) * HOSTS_PER_TOR
         if r.total_flows != expected:
             raise RuntimeError(

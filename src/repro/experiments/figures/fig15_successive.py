@@ -13,14 +13,18 @@ keeping all switch buffers tiny.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 from repro.experiments.parallel import SweepTask, run_sweep
 from repro.experiments.scenario import ScenarioConfig
 from repro.workloads.incast import SUCCESSIVE_INTERVAL
 
+#: incast rounds swept at bench (quick) and paper (full) scale
+QUICK_ROUND_COUNTS = (2, 4)
+FULL_ROUND_COUNTS = (4, 8, 16)
 
-def tasks(quick: bool, round_counts: Iterable[int]) -> List[SweepTask]:
+
+def tasks(quick: bool = True) -> List[SweepTask]:
     variants = (
         ("dcqcn", "none", False),
         ("dcqcn+floodgate", "floodgate", False),
@@ -47,17 +51,13 @@ def tasks(quick: bool, round_counts: Iterable[int]) -> List[SweepTask]:
             ),
         )
         for label, fc, pause in variants
-        for rounds in round_counts
+        for rounds in (QUICK_ROUND_COUNTS if quick else FULL_ROUND_COUNTS)
     ]
 
 
-def run(
-    quick: bool = True,
-    round_counts: Iterable[int] = (),
-) -> Dict:
-    round_counts = tuple(round_counts) or ((2, 4) if quick else (4, 8, 16))
+def run(quick: bool = True) -> Dict:
     out: Dict = {}
-    for (label, rounds), r in run_sweep(tasks(quick, round_counts)).items():
+    for (label, rounds), r in run_sweep(tasks(quick)).items():
         out.setdefault(label, {})[rounds] = {
             "tor-up_mb": r.max_port_buffer_mb("tor-up"),
             "core_mb": r.max_port_buffer_mb("core"),

@@ -19,7 +19,7 @@ downlink: the switch's occupancy *is* the destination port's.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List
 
 from repro.experiments.parallel import SweepTask, run_sweep
 from repro.experiments.scenario import ScenarioConfig
@@ -27,10 +27,15 @@ from repro.telemetry.registry import TelemetryConfig
 from repro.units import us
 from repro.workloads.incast import STAGGERED_INTERVAL
 
+#: flows arriving over the run at bench (quick) and paper (full) scale
+QUICK_N_FLOWS = 24
+FULL_N_FLOWS = 80
+#: the (Kmin, Kmax) ECN thresholds compared, in bytes
+ECN_SETTINGS = ((20_000, 80_000), (20_000, 20_000))
 
-def tasks(
-    n_flows: int, ecn_settings: Iterable[Tuple[int, int]]
-) -> List[SweepTask]:
+
+def tasks(quick: bool = True) -> List[SweepTask]:
+    n_flows = QUICK_N_FLOWS if quick else FULL_N_FLOWS
     variants = (
         ("dcqcn", "none"),
         ("dcqcn+ideal", "floodgate-ideal"),
@@ -55,19 +60,14 @@ def tasks(
                 ),
             ),
         )
-        for kmin, kmax in ecn_settings
+        for kmin, kmax in ECN_SETTINGS
         for label, fc in variants
     ]
 
 
-def run(
-    quick: bool = True,
-    n_flows: int = 0,
-    ecn_settings: Iterable[Tuple[int, int]] = (),
-) -> Dict:
-    n_flows = n_flows or (24 if quick else 80)
-    ecn_settings = tuple(ecn_settings) or ((20_000, 80_000), (20_000, 20_000))
-    results = run_sweep(tasks(n_flows, ecn_settings))
+def run(quick: bool = True) -> Dict:
+    n_flows = QUICK_N_FLOWS if quick else FULL_N_FLOWS
+    results = run_sweep(tasks(quick))
     out: Dict = {}
     for (kmin, kmax, label), r in results.items():
         key = f"kmin={kmin//1000}KB,kmax={kmax//1000}KB"

@@ -9,12 +9,19 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
 from repro.experiments.parallel import SweepTask, run_sweep
 from repro.experiments.scenario import ScenarioConfig
 from repro.floodgate.config import FloodgateConfig
 from repro.units import us
+
+#: credit timers T (us) swept at bench (quick) and paper (full) scale
+QUICK_TIMERS_US = (1, 2, 8)
+FULL_TIMERS_US = (1, 2, 5, 10, 20)
+#: delayCredit thresholds (BDP multiples) swept at each scale
+QUICK_MULTIPLES = (1, 2, 10)
+FULL_MULTIPLES = (1, 2, 5, 10, 25, 50)
 
 
 def _credit_timer_config(quick: bool, t: float) -> ScenarioConfig:
@@ -40,14 +47,10 @@ def _delay_credit_config(quick: bool, m: float) -> ScenarioConfig:
     )
 
 
-def run_credit_timer(
-    quick: bool = True,
-    timers_us: Iterable[float] = (),
-) -> Dict:
-    timers_us = tuple(timers_us) or ((1, 2, 8) if quick else (1, 2, 5, 10, 20))
+def run_credit_timer(quick: bool = True) -> Dict:
     results = run_sweep(
         SweepTask(key=t, config=_credit_timer_config(quick, t))
-        for t in timers_us
+        for t in (QUICK_TIMERS_US if quick else FULL_TIMERS_US)
     )
     out: Dict = {}
     for t, r in results.items():
@@ -66,14 +69,10 @@ def run_credit_timer(
     return out
 
 
-def run_delay_credit(
-    quick: bool = True,
-    multiples: Iterable[float] = (),
-) -> Dict:
-    multiples = tuple(multiples) or ((1, 2, 10) if quick else (1, 2, 5, 10, 25, 50))
+def run_delay_credit(quick: bool = True) -> Dict:
     results = run_sweep(
         SweepTask(key=m, config=_delay_credit_config(quick, m))
-        for m in multiples
+        for m in (QUICK_MULTIPLES if quick else FULL_MULTIPLES)
     )
     return {
         m: {

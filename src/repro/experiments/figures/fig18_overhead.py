@@ -12,10 +12,12 @@ from typing import Dict
 from repro.experiments.figures.common import run_variants
 from repro.experiments.scenario import ScenarioConfig
 
+WORKLOAD = "webserver"
 
-def run(quick: bool = True, workload: str = "webserver") -> Dict:
+
+def run(quick: bool = True) -> Dict:
     base = ScenarioConfig(
-        workload=workload,
+        workload=WORKLOAD,
         duration=300_000 if quick else 1_000_000,
         n_tors=3 if quick else 0,
         hosts_per_tor=4 if quick else 0,

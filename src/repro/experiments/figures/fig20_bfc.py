@@ -10,18 +10,18 @@ overhead costs Floodgate; Floodgate wins on Web Server).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from dataclasses import replace
+from typing import Dict
 
 from repro.experiments.figures.common import incastmix_base
 from repro.experiments.parallel import SweepTask, run_sweep
 from repro.stats.collector import NON_INCAST
 from repro.stats.fct import fct_cdf
 
+WORKLOADS = ("memcached",)
 
-def run(
-    quick: bool = True,
-    workloads: Iterable[str] = ("memcached",),
-) -> Dict:
+
+def run(quick: bool = True) -> Dict:
     # Queue counts scale with the incast degree: the paper's 32/128
     # queues face 144-flow incasts (ratio ~0.2/0.9); the quick scale's
     # 16-flow incasts need 4/16 queues to hit the same
@@ -37,11 +37,12 @@ def run(
     tasks = [
         SweepTask(
             key=(workload, label),
-            config=incastmix_base(
-                quick, workload, cc=cc, flow_control=fc, bfc_queues=queues
+            config=replace(
+                incastmix_base(quick, workload, cc=cc, flow_control=fc),
+                bfc_queues=queues,
             ),
         )
-        for workload in workloads
+        for workload in WORKLOADS
         for label, cc, fc, queues in variants
     ]
     out: Dict = {}

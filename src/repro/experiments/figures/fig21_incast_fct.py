@@ -8,17 +8,16 @@ slowdown for bigger Poisson gains.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
 from repro.experiments.figures.common import incastmix_base, run_variants
 
+WORKLOADS = ("memcached", "webserver")
 
-def run(
-    quick: bool = True,
-    workloads: Iterable[str] = ("memcached", "webserver"),
-) -> Dict:
+
+def run(quick: bool = True) -> Dict:
     out: Dict = {}
-    for workload in workloads:
+    for workload in WORKLOADS:
         base = incastmix_base(quick, workload)
         results = run_variants(base)
         out[workload] = {

@@ -13,16 +13,15 @@ counter (collected from the switch extensions at the end of the run).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
 from repro.experiments.figures.common import incastmix_base
 from repro.experiments.parallel import SweepTask, run_sweep
 
+WORKLOADS = ("memcached",)
 
-def run(
-    quick: bool = True,
-    workloads: Iterable[str] = ("memcached",),
-) -> Dict:
+
+def run(quick: bool = True) -> Dict:
     variants = (
         ("dcqcn", "dcqcn", "none"),
         ("dcqcn+floodgate", "dcqcn", "floodgate"),
@@ -33,7 +32,7 @@ def run(
             key=(workload, label),
             config=incastmix_base(quick, workload, cc=cc, flow_control=fc),
         )
-        for workload in workloads
+        for workload in WORKLOADS
         for label, cc, fc in variants
     ]
     out: Dict = {}

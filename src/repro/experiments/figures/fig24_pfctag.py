@@ -16,8 +16,10 @@ from repro.experiments.parallel import SweepTask, run_sweep
 from repro.experiments.scenario import ScenarioConfig
 from repro.units import gbps
 
+WORKLOAD = "webserver"
 
-def run(quick: bool = True, workload: str = "webserver") -> Dict:
+
+def run(quick: bool = True) -> Dict:
     duration = 300_000 if quick else 1_000_000
     variants = (
         ("dcqcn", "none"),
@@ -35,7 +37,7 @@ def run(quick: bool = True, workload: str = "webserver") -> Dict:
             key=(topo_label, label),
             config=ScenarioConfig(
                 flow_control=fc,
-                workload=workload,
+                workload=WORKLOAD,
                 duration=duration,
                 n_tors=3,
                 hosts_per_tor=4,

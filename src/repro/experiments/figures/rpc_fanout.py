@@ -13,7 +13,7 @@ stays flat as the fan-out grows.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterable
+from typing import Dict
 
 from repro.experiments.parallel import SweepTask, run_sweep
 from repro.experiments.registry import get
@@ -26,12 +26,11 @@ SCHEMES = {
     "pfc-tag": "pfc-tag",
     "floodgate": "floodgate",
 }
+#: request fan-outs swept
+FAN_OUTS = (4, 8, 12, 15)
 
 
-def run(
-    quick: bool = True,
-    fan_outs: Iterable[int] = (4, 8, 12, 15),
-) -> Dict:
+def run(quick: bool = True) -> Dict:
     """Sweep fan-out x scheme; report p999 request latency + req/s.
 
     The responses are sized up from the bench scenario (60-80 MTU vs
@@ -59,11 +58,11 @@ def run(
             ),
         )
         for label, fc in SCHEMES.items()
-        for fan_out in fan_outs
+        for fan_out in FAN_OUTS
     ]
     results = run_sweep(tasks)
 
-    out: Dict = {"fan_outs": list(fan_outs)}
+    out: Dict = {"fan_outs": list(FAN_OUTS)}
     for label in SCHEMES:
         out[label] = {
             fan_out: {
@@ -74,9 +73,9 @@ def run(
                     results[(label, fan_out)].requests_per_sec
                 ),
             }
-            for fan_out in fan_outs
+            for fan_out in FAN_OUTS
         }
-    top = max(fan_outs)
+    top = max(FAN_OUTS)
     fg = out["floodgate"][top]["p999_us"]
     out["floodgate_wins_p999_at_max_fanout"] = all(
         fg < out[label][top]["p999_us"]

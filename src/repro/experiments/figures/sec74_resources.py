@@ -18,10 +18,12 @@ from typing import Dict
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import ScenarioConfig
 
+WORKLOAD = "webserver"
 
-def run(quick: bool = True, workload: str = "webserver") -> Dict:
+
+def run(quick: bool = True) -> Dict:
     cfg = ScenarioConfig(
-        workload=workload,
+        workload=WORKLOAD,
         flow_control="floodgate",
         duration=400_000 if quick else 1_500_000,
         n_tors=4,

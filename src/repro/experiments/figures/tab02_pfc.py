@@ -7,23 +7,22 @@ under Web Server.  With Floodgate, PFC never triggers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
 from repro.experiments.figures.common import incastmix_base
 from repro.experiments.parallel import SweepTask, run_sweep
 
+WORKLOADS = ("memcached", "webserver")
 
-def run(
-    quick: bool = True,
-    workloads: Iterable[str] = ("memcached", "webserver"),
-) -> Dict:
+
+def run(quick: bool = True) -> Dict:
     """Returns {variant: {workload: {level: paused_us}}}."""
     tasks = [
         SweepTask(
             key=(label, workload),
             config=incastmix_base(quick, workload, flow_control=fc),
         )
-        for workload in workloads
+        for workload in WORKLOADS
         for label, fc in (("dcqcn", "none"), ("dcqcn+floodgate", "floodgate"))
     ]
     out: Dict = {"dcqcn": {}, "dcqcn+floodgate": {}}

@@ -86,10 +86,6 @@ def names(tag: Optional[str] = None) -> List[str]:
     ]
 
 
-def entries(tag: Optional[str] = None) -> List[ScenarioEntry]:
-    return [_REGISTRY[name] for name in names(tag)]
-
-
 # -- built-in entries ---------------------------------------------------------
 
 

@@ -25,8 +25,7 @@ from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.stats.collector import NON_INCAST, FlowClass, FlowSelector, StatsHub
 from repro.stats.fct import FctSummary, summarize_fct
 from repro.stats.rpc import RpcSummary, requests_per_sec, summarize_rpc
-from repro.stats.scope import ScopeReport, collect_scope, whole_fabric
-from repro.units import us
+from repro.stats.scope import CHECK_INTERVAL, ScopeReport, collect_scope, whole_fabric
 
 if TYPE_CHECKING:
     from repro.telemetry.export import TelemetryExport
@@ -222,7 +221,6 @@ def merge_reports(
 def run_scenario(
     config: ScenarioConfig,
     scenario: Optional[Scenario] = None,
-    check_interval: int = us(100),
 ) -> ScenarioResult:
     """Build (unless given), schedule, and run a scenario to completion."""
     wall_start = time.monotonic()  # simcheck: ignore[SIM002] -- wall time for reporting only
@@ -233,7 +231,7 @@ def run_scenario(
         # serial loop below stays byte-for-byte untouched at shards=1.
         from repro.sim.sharded import run_domains
 
-        run = run_domains(sc, check_interval)
+        run = run_domains(sc)
         return merge_reports(
             sc, run.now, run.reports, run.violations, wall_start
         )
@@ -269,7 +267,7 @@ def run_scenario(
     # Closed-loop drivers grow the flow table while the run progresses,
     # so `total` is re-read each check rather than captured once.
     while True:
-        next_stop = min(sim.now + check_interval, hard_end)
+        next_stop = min(sim.now + CHECK_INTERVAL, hard_end)
         sim.run(until=next_stop)
         total = len(topo.flow_table)
         if topo.completed_flows >= total and (

@@ -223,6 +223,15 @@ class ScenarioConfig:
             # the law is resolved only when a threshold is set
             if getattr(self, name) and not _CC_LAWS[self.cc]().reads_ecn:
                 raise ValueError(f"{name} is set, but cc={self.cc!r} reads no ECN marks")
+        own = FLOW_CONTROLS[self.flow_control].reads
+        for row in FLOW_CONTROLS.values():
+            for name in row.reads:
+                default = self.__dataclass_fields__[name].default
+                if name not in own and getattr(self, name) != default:
+                    raise ValueError(
+                        f"{name} is set, but flow_control="
+                        f"{self.flow_control!r} does not read it"
+                    )
         if self.ecn_kmin and self.ecn_kmax and self.ecn_kmax < self.ecn_kmin:
             raise ValueError(
                 f"ecn_kmax {self.ecn_kmax} is below ecn_kmin "
@@ -392,8 +401,10 @@ def reference_config(
 def _check_fabric(cfg: ScenarioConfig, topology: Topology) -> None:
     """Reject what only the built fabric decides, before any traffic
     or rpc driver exists: more rpc clients than hosts, a ``hot_racks``
-    entry that is not a rack, an ``incast_dst`` that is not a host, and
-    an incast with no host outside the destination's rack."""
+    entry that is not a rack, an ``incast_dst`` that is not a host, an
+    incast with no host outside the destination's rack, and an
+    incastmix with fewer than two Poisson hosts besides the incast
+    destination."""
     hosts, racks = len(topology.hosts), len(topology.racks)
     if cfg.rpc is not None and cfg.rpc.n_clients > hosts:
         raise ValueError(
@@ -416,6 +427,12 @@ def _check_fabric(cfg: ScenarioConfig, topology: Topology) -> None:
         raise ValueError(
             f"pattern={cfg.pattern!r} needs incast senders outside the "
             f"destination's rack, but the {cfg.topology} fabric has one rack"
+        )
+    if cfg.pattern == "incastmix" and hosts < 3:
+        raise ValueError(
+            f"pattern='incastmix' needs at least three hosts (its Poisson "
+            f"traffic runs between two or more hosts besides the incast "
+            f"destination), but the {cfg.topology} fabric has {hosts}"
         )
 
 
@@ -501,7 +518,7 @@ class Scenario:
             if cfg.sanitize is not None:
                 from repro.simcheck.sanitizer import SimSanitizer
 
-                self.sanitizer = SimSanitizer(self, cfg.sanitize)
+                self.sanitizer = SimSanitizer(self)
                 self.sanitizer.start()
 
     def install_faults(self, watchdog_sim: Optional[Simulator] = None) -> None:

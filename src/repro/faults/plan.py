@@ -149,6 +149,6 @@ class FaultPlan:
         return bool(self.faults) or self.stall_window > 0
 
 
-def plan_of(*specs: FaultSpec, stall_window: int = 0) -> FaultPlan:
+def plan_of(*specs: FaultSpec) -> FaultPlan:
     """Convenience constructor: ``plan_of(LinkDown(...), RandomLoss(...))``."""
-    return FaultPlan(tuple(specs), stall_window)
+    return FaultPlan(tuple(specs))

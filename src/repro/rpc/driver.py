@@ -20,7 +20,7 @@ events interleave with the rest of the run.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.rpc.matrix import DestinationMatrix
 from repro.rpc.spec import RpcWorkloadSpec

@@ -36,7 +36,7 @@ The machinery is three pieces, each written once:
 * the **window loop** (:func:`_window_loop`) picks each window's end
   from the domains' next-event times and the lookahead, routes
   boundary deliveries between domains, judges the whole-fabric
-  conservation equations at every ``check_interval`` boundary,
+  conservation equations at every ``CHECK_INTERVAL`` boundary,
   decides when the run is over, and collects the reports;
 * a **transport** carries the loop's calls to the runtimes:
   ``barrier`` calls them in this process, ``process`` forks one worker
@@ -75,7 +75,7 @@ from heapq import heappop, heappush
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.sim.engine import Simulator
-from repro.stats.scope import ScopeReport, collect_scope
+from repro.stats.scope import CHECK_INTERVAL, ScopeReport, collect_scope
 
 __all__ = [
     "partition_nodes",
@@ -412,7 +412,7 @@ class DomainRuntime:
             from repro.simcheck.sanitizer import SimSanitizer
 
             self.sanitizer = SimSanitizer(
-                scenario, cfg.sanitize, sim=sim,
+                scenario, sim=sim,
                 owns=lambda node: domain_of[node.node_id] == domain,
             )
         self.iso = None
@@ -445,7 +445,7 @@ class DomainRuntime:
         """Observe the domain; ``sweep`` also runs the sanitizer slice.
 
         The loop sweeps only where a window lands on a
-        ``check_interval`` boundary: the domain has then executed
+        ``CHECK_INTERVAL`` boundary: the domain has then executed
         exactly the serial prefix of its events, so the slice reads the
         serial cut.
         """
@@ -573,7 +573,7 @@ class _LockstepTransport(_LocalTransport):
     window machinery: domains never run on their own, the merged loop
     below executes the globally smallest key across all heaps, and
     boundary deliveries go straight into the target heap.  The caller
-    gives the window loop a lookahead of one ``check_interval``, so
+    gives the window loop a lookahead of one ``CHECK_INTERVAL``, so
     each step spans a whole one.
     """
 
@@ -774,13 +774,13 @@ class _ForkedTransport:
 
 
 def _window_loop(
-    transport, scenario, check_interval: int, lookahead: int
+    transport, scenario, lookahead: int
 ) -> Tuple[int, List[DomainOutcome], List[str]]:
     """Advance every domain to the end of the run and collect them.
 
     Returns ``(sim time, one outcome per domain, whole-fabric
     conservation violations)``.  Stop semantics are the serial
-    runner's: the run advances in ``check_interval`` steps and ends at
+    runner's: the run advances in ``CHECK_INTERVAL`` steps and ends at
     the first step boundary where every flow has completed (and any
     rpc driver is finished), the hard end is reached, or every domain
     has drained.
@@ -808,12 +808,12 @@ def _window_loop(
             from repro.simcheck.sanitizer import judge_shard_sweep
 
             transit = (item[5][0] for box in pending for item in box)
-            judge_shard_sweep(cfg.sanitize, now, ledgers, transit, violations)
+            judge_shard_sweep(now, ledgers, transit, violations)
 
     states = transport.start()
     now = 0
     while True:
-        next_stop = min(now + check_interval, hard_end)
+        next_stop = min(now + CHECK_INTERVAL, hard_end)
         H = now
         while H < next_stop:
             min_next: Optional[int] = None
@@ -833,7 +833,7 @@ def _window_loop(
                 )
             incoming, pending = pending, [[] for _ in range(shards)]
             # the last window of each step lands exactly on the
-            # check_interval boundary: the domains sweep there
+            # CHECK_INTERVAL boundary: the domains sweep there
             states = transport.step(h_next, incoming, h_next == next_stop)
             for st in states:
                 for target, items in st.outgoing:
@@ -895,7 +895,6 @@ class ShardedRun(NamedTuple):
 
 def run_domains(
     scenario,
-    check_interval: int,
     collect_digests: bool = False,
     isolate: bool = False,
 ) -> ShardedRun:
@@ -911,13 +910,6 @@ def run_domains(
     """
     cfg = scenario.config
     mode = resolve_mode(cfg)
-    if cfg.sanitize is not None and cfg.sanitize.check_interval != check_interval:
-        raise ValueError(
-            f"sanitize.check_interval={cfg.sanitize.check_interval} ns differs "
-            f"from the run's check_interval={check_interval} ns: sharded "
-            "domains sweep where a window lands on the run's check_interval "
-            "boundary, so the two must be equal (or use shards=1)"
-        )
     if scenario.sim.pending_events:
         raise RuntimeError(
             "sharded execution requires an empty build-time heap; "
@@ -938,13 +930,13 @@ def run_domains(
         transport_cls = _ForkedTransport
     elif mode == "lockstep":
         transport_cls = _LockstepTransport
-        lookahead = check_interval  # one step per check_interval
+        lookahead = CHECK_INTERVAL  # one step per CHECK_INTERVAL
     else:
         transport_cls = _LocalTransport
     transport = transport_cls(scenario, domain_of, collect_digests, isolate)
     try:
         now, outcomes, violations = _window_loop(
-            transport, scenario, check_interval, lookahead
+            transport, scenario, lookahead
         )
     finally:
         transport.close()

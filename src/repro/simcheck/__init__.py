@@ -26,6 +26,6 @@ __getattr__, __dir__, __all__ = exports(
         "linter": ("CheckReport", "run_check"),
         "determinism": ("EventStreamDigest", "run_digest"),
         "rules": ("Finding",),
-        "sanitizer": ("SanitizerConfig", "SanitizerError", "SimSanitizer"),
+        "sanitizer": ("SanitizerConfig", "SimSanitizer"),
     },
 )

@@ -129,9 +129,9 @@ def run_digest(config) -> RunDigest:
     )
 
 
-def check_repeatable(config, runs: int = 2) -> Dict[str, object]:
-    """Run ``config`` ``runs`` times; digests must be byte-identical."""
-    digests = [run_digest(config) for _ in range(runs)]
+def check_repeatable(config) -> Dict[str, object]:
+    """Run ``config`` twice; digests must be byte-identical."""
+    digests = [run_digest(config) for _ in range(2)]
     event_ok = len({d.event_digest for d in digests}) == 1
     summary_ok = len({d.summary_digest for d in digests}) == 1
     return {
@@ -159,8 +159,7 @@ def check_pool_equivalence(configs: Dict[str, object]) -> Dict[str, object]:
 
 
 def check_sharded_equivalence(
-    config, shards: int, check_interval: Optional[int] = None,
-    isolate: bool = False,
+    config, shards: int, isolate: bool = False
 ) -> Dict[str, object]:
     """Sharded execution must replay the serial run byte-for-byte.
 
@@ -199,9 +198,6 @@ def check_sharded_equivalence(
     from repro.experiments.runner import merge_reports, run_scenario
     from repro.experiments.scenario import Scenario
     from repro.sim.sharded import run_domains
-    from repro.units import us
-
-    interval = check_interval if check_interval else us(100)
 
     def norm_bytes(result) -> bytes:
         summary = summarize(result)
@@ -236,7 +232,7 @@ def check_sharded_equivalence(
     for mode in modes:
         sc = Scenario(dc_replace(config, shards=shards, shard_mode=mode))
         wall_start = _time.monotonic()  # simcheck: ignore[SIM002] -- wall time for reporting only
-        run = run_domains(sc, interval, collect_digests=True, isolate=isolate)
+        run = run_domains(sc, collect_digests=True, isolate=isolate)
         result = merge_reports(
             sc, run.now, run.reports, run.violations, wall_start
         )
@@ -285,17 +281,15 @@ def run_sharded_suite(
     schemes: Optional[List[str]] = None,
     shards: Tuple[int, ...] = (2, 4),
     scenarios: Tuple[str, ...] = ("quick", "incast256"),
-    faults: bool = True,
-    telemetry: bool = True,
     isolate: bool = False,
 ) -> Dict[str, object]:
     """The battery behind ``repro.cli check --sharded``.
 
     For every (scenario, scheme, shard count): serial vs lockstep vs
     barrier vs process, asserting byte-identical event streams and
-    result summaries (:func:`check_sharded_equivalence`).  By default
-    every case runs with a fault plan active *and* telemetry export
-    enabled, so the comparison also covers domain-local fault
+    result summaries (:func:`check_sharded_equivalence`).  Every case
+    runs with a fault plan active *and* telemetry export enabled, so
+    the comparison also covers domain-local fault
     application (identical injected-drop counters) and the per-domain
     telemetry merge (identical series, histograms, and counters).
     ``isolate`` arms the isolation sanitizer on the sharded runs.
@@ -306,6 +300,7 @@ def run_sharded_suite(
     from dataclasses import replace as dc_replace
 
     from repro.experiments import registry
+    from repro.telemetry.registry import TelemetryConfig
 
     wanted = dict(SHARDED_SCHEMES)
     if schemes:
@@ -317,16 +312,13 @@ def run_sharded_suite(
         selected = {name: wanted[name] for name in schemes}
     else:
         selected = wanted
-    overrides: Dict[str, object] = {}
-    if faults:
-        overrides["fault_plan"] = sharded_battery_fault_plan()
-    if telemetry:
+    overrides = {
+        "fault_plan": sharded_battery_fault_plan(),
         # the engine profile is the one surface that is deliberately
         # not serial-identical (per-domain observer ticks and heaps);
         # everything else in the export must match byte-for-byte
-        from repro.telemetry.registry import TelemetryConfig
-
-        overrides["telemetry"] = TelemetryConfig(engine_profile=False)
+        "telemetry": TelemetryConfig(engine_profile=False),
+    }
     report: Dict[str, object] = {"cases": {}, "ok": True}
     for scenario_name in scenarios:
         base = registry.get(scenario_name).configs[0]
@@ -357,9 +349,7 @@ def _scheme_config(scheme: Dict[str, object], seed: int, sanitize):
 
 
 def run_suite(
-    seed: int = 1,
-    schemes: Optional[List[str]] = None,
-    check_interval: Optional[int] = None,
+    seed: int = 1, schemes: Optional[List[str]] = None
 ) -> Dict[str, object]:
     """The full runtime battery behind ``repro.cli check --sanitize``.
 
@@ -380,14 +370,9 @@ def run_suite(
         selected = {name: wanted[name] for name in schemes}
     else:
         selected = wanted
-    sanitize = (
-        SanitizerConfig(check_interval=check_interval)
-        if check_interval
-        else SanitizerConfig()
-    )
     report: Dict[str, object] = {"schemes": {}, "ok": True}
     for name, scheme in selected.items():
-        rep = check_repeatable(_scheme_config(scheme, seed, sanitize))
+        rep = check_repeatable(_scheme_config(scheme, seed, SanitizerConfig()))
         scheme_ok = bool(rep["ok"]) and not rep["violations"]
         report["schemes"][name] = {
             "digest": rep["event_digests"][0],

@@ -26,20 +26,19 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Tuple
 
-#: cap on collected violations, mirroring the sanitizer's default (a
-#: mis-bound callback would otherwise report once per event)
-MAX_VIOLATIONS = 100
+from repro.simcheck.sanitizer import MAX_VIOLATIONS
 
 
 class ShardIsolationSanitizer:
     """Domain-ownership tags plus per-domain execution probes."""
 
-    def __init__(self, max_violations: int = MAX_VIOLATIONS) -> None:
+    def __init__(self) -> None:
         #: id(obj) -> (owning domain, human label)
         self._owner: Dict[int, Tuple[int, str]] = {}
         self.violations: List[str] = []
+        #: violations dropped once ``MAX_VIOLATIONS`` was reached (a
+        #: mis-bound callback would otherwise report once per event)
         self.truncated = 0
-        self.max_violations = max_violations
 
     # -- tagging (partition time) ------------------------------------------
 
@@ -100,19 +99,13 @@ class ShardIsolationSanitizer:
         return _DomainProbe(self, domain, clock)
 
     def record(self, domain: int, owner: int, label: str, name: str, now) -> None:
-        if len(self.violations) < self.max_violations:
+        if len(self.violations) < MAX_VIOLATIONS:
             self.violations.append(
                 f"t={now}ns: domain {domain} executed {name} bound to "
                 f"{label} owned by domain {owner} (cross-domain mutation)"
             )
         else:
             self.truncated += 1
-
-    def summary(self) -> Dict[str, int]:
-        return {
-            "isolation_violations": len(self.violations),
-            "isolation_truncated": self.truncated,
-        }
 
 
 class _DomainProbe:

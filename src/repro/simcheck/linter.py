@@ -78,9 +78,10 @@ class CheckReport:
         )
 
 
-def find_root(start: Optional[Path] = None) -> Path:
-    """Repo root: nearest ancestor of `start` holding pyproject.toml."""
-    here = (start or Path.cwd()).resolve()
+def find_root() -> Path:
+    """Repo root: nearest ancestor of the working directory holding
+    pyproject.toml."""
+    here = Path.cwd().resolve()
     for cand in (here, *here.parents):
         if (cand / "pyproject.toml").is_file():
             return cand
@@ -211,11 +212,11 @@ def check_file(
 def run_check(
     root: Optional[Path] = None,
     paths: Optional[Sequence[str]] = None,
-    allowlist_path: Optional[Path] = None,
 ) -> CheckReport:
-    """Lint `paths` (default: the standard tree) under the repo `root`."""
+    """Lint `paths` (default: the standard tree) under the repo `root`,
+    against the allowlist at its top."""
     root = (root or find_root()).resolve()
-    allowlist = load_allowlist(allowlist_path or root / ALLOWLIST_NAME)
+    allowlist = load_allowlist(root / ALLOWLIST_NAME)
     report = CheckReport()
     scanned: List[str] = []
     for path in iter_py_files(root, paths or DEFAULT_PATHS):

@@ -29,10 +29,10 @@ run and again at the end:
    never oversubscribes a directed link or Floodgate VOQ cap: the sum
    of allocated flow rates on each resource stays within its capacity.
 
-Violations are collected (with sim timestamps) rather than raised,
-unless ``strict=True``.  Enable per run via
-``ScenarioConfig(sanitize=SanitizerConfig())`` or the CLI's
-``check --sanitize``.
+Violations are collected (with sim timestamps), never raised; sweeps
+run at the run's one cadence, ``repro.stats.scope.CHECK_INTERVAL``.
+Enable per run via ``ScenarioConfig(sanitize=SanitizerConfig())`` or
+the CLI's ``check --sanitize``.
 """
 
 from __future__ import annotations
@@ -43,35 +43,17 @@ from typing import Dict, List, Optional, Tuple
 from repro.experiments.choices import FLOW_CONTROLS
 from repro.net.packet import Packet, PacketKind
 from repro.sim.process import PeriodicTask
-from repro.units import us
+from repro.stats.scope import CHECK_INTERVAL
 
-
-class SanitizerError(AssertionError):
-    """Raised at the point of violation when ``strict`` is set."""
+#: cap on collected messages, per sanitizer (a broken invariant
+#: re-detected every sweep would otherwise flood the report)
+MAX_VIOLATIONS = 100
 
 
 @dataclass(frozen=True)
 class SanitizerConfig:
-    """Knobs for :class:`SimSanitizer` (frozen: hashes into cache keys)."""
-
-    #: ns between periodic invariant sweeps during the run
-    check_interval: int = us(100)
-    #: raise :class:`SanitizerError` at the first violation instead of
-    #: collecting messages
-    strict: bool = False
-    #: cap on collected messages (a broken invariant re-detected every
-    #: sweep would otherwise flood the report)
-    max_violations: int = 100
-
-    def __post_init__(self) -> None:
-        if self.check_interval <= 0:
-            raise ValueError(
-                f"check_interval must be positive, got {self.check_interval}"
-            )
-        if self.max_violations < 0:
-            raise ValueError(
-                f"max_violations must be >= 0, got {self.max_violations}"
-            )
+    """The on switch for :class:`SimSanitizer`: a run sanitizes when its
+    config carries one (frozen: hashes into cache keys)."""
 
 
 def count_kinds(packets) -> Tuple[int, int]:
@@ -138,7 +120,6 @@ def conservation_violations(
 
 
 def judge_shard_sweep(
-    config: SanitizerConfig,
     now: int,
     ledgers: List[Dict[str, int]],
     transit,
@@ -152,11 +133,8 @@ def judge_shard_sweep(
     and what does not balance is appended to ``violations``.
     """
     for message in conservation_violations(ledgers, *count_kinds(transit)):
-        message = f"t={now}ns: {message}"
-        if config.strict:
-            raise SanitizerError(message)
-        if len(violations) < config.max_violations:
-            violations.append(message)
+        if len(violations) < MAX_VIOLATIONS:
+            violations.append(f"t={now}ns: {message}")
 
 
 class SimSanitizer:
@@ -174,25 +152,17 @@ class SimSanitizer:
     ``node_a`` (boundary links carry no faults — the sharded runner
     rejects such plans — so their drop counters stay zero on either
     side).  A slice has no heap task: its runtime calls
-    :meth:`sweep` when a window lands on a ``check_interval`` boundary,
+    :meth:`sweep` when a window lands on a ``CHECK_INTERVAL`` boundary,
     so sweeps never appear in event streams and the state read is the
     serial cut; and it judges no conservation equation — ``sweep``
     returns the domain's ledger and the coordinator sums them
     (:func:`judge_shard_sweep`).
     """
 
-    def __init__(
-        self,
-        scenario,
-        config: Optional[SanitizerConfig] = None,
-        *,
-        sim=None,
-        owns=None,
-    ) -> None:
+    def __init__(self, scenario, *, sim=None, owns=None) -> None:
         """``sim``/``owns``: one domain's engine and node predicate
         (both or neither)."""
         self.scenario = scenario
-        self.config = config or SanitizerConfig()
         self.topology = topo = scenario.topology
         self.sim = scenario.sim if sim is None else sim
         if owns is None:
@@ -204,7 +174,7 @@ class SimSanitizer:
             self.extensions = [e for e in scenario.extensions if owns(e.switch)]
             self.links = [link for link in topo.links if owns(link.node_a)]
         self.violations: List[str] = []
-        #: messages dropped once ``max_violations`` was reached
+        #: messages dropped once ``MAX_VIOLATIONS`` was reached
         self.truncated = 0
         self.checks_run = 0
         #: pairing needs every PAUSE / RESUME delivered: off when the
@@ -223,7 +193,7 @@ class SimSanitizer:
         self._task: Optional[PeriodicTask] = None
         if owns is None:
             self._task = PeriodicTask(
-                self.sim, self.config.check_interval, self.check_now,
+                self.sim, CHECK_INTERVAL, self.check_now,
                 observer=True,
             )
         # rare-path hooks: pause/resume pairing is event-driven, so the
@@ -244,11 +214,8 @@ class SimSanitizer:
     # -- violation plumbing ------------------------------------------------
 
     def record(self, message: str) -> None:
-        message = f"t={self.sim.now}ns: {message}"
-        if self.config.strict:
-            raise SanitizerError(message)
-        if len(self.violations) < self.config.max_violations:
-            self.violations.append(message)
+        if len(self.violations) < MAX_VIOLATIONS:
+            self.violations.append(f"t={self.sim.now}ns: {message}")
         else:
             self.truncated += 1
 
@@ -449,13 +416,3 @@ class SimSanitizer:
             return
         for message in hybrid.boundary_errors(final=final):
             self.record(message)
-
-    # -- reporting ----------------------------------------------------------
-
-    def summary(self) -> Dict[str, int]:
-        """Picklable counters for experiment plumbing."""
-        return {
-            "checks_run": self.checks_run,
-            "violations": len(self.violations),
-            "violations_truncated": self.truncated,
-        }

@@ -217,8 +217,8 @@ class StatsHub:
     def record_pfc_event(self) -> None:
         self.pfc_pause_events += 1
 
-    def record_drop(self, count: int = 1) -> None:
-        self.packets_dropped += count
+    def record_drop(self) -> None:
+        self.packets_dropped += 1
 
     def record_fault_drop(self, data: bool) -> None:
         self.fault_drops["data" if data else "ctrl"] += 1

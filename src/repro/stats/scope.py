@@ -21,6 +21,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional
 
 from repro.stats.collector import StatsHub
+from repro.units import us
+
+#: the run's one check cadence, in ns: the serial loop and the sharded
+#: window loop test for completion, and the sanitizer sweeps, at every
+#: multiple of it
+CHECK_INTERVAL = us(100)
 
 
 class Scope(NamedTuple):

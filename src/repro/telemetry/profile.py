@@ -26,6 +26,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Tuple
 
+#: callbacks listed in :meth:`EngineProfiler.report`, busiest first
+REPORT_ROWS = 12
+
 
 def callback_name(fn: Callable[..., Any]) -> str:
     """Stable label for a callback (no memory addresses)."""
@@ -86,8 +89,9 @@ class EngineProfiler:
             return 0.0
         return self.events / self.wall_seconds
 
-    def report(self, limit: int = 12) -> str:
-        """Human-readable profile table (wall-clock half included)."""
+    def report(self) -> str:
+        """Human-readable profile table (wall-clock half included), its
+        ``REPORT_ROWS`` busiest callbacks."""
         lines = [
             f"events executed   {self.events:,}",
             f"max heap depth    {self.max_heap_depth:,}",
@@ -96,7 +100,7 @@ class EngineProfiler:
             f"{'callback':<44s} {'events':>10s} {'seconds':>9s} {'share':>7s}",
         ]
         shares = {name: (secs, share) for name, secs, share in self.time_shares()}
-        for name, count in self.count_rows()[:limit]:
+        for name, count in self.count_rows()[:REPORT_ROWS]:
             secs, share = shares.get(name, (0.0, 0.0))
             lines.append(f"{name:<44s} {count:>10,d} {secs:>9.3f} {share:>6.1%}")
         return "\n".join(lines)

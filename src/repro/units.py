@@ -93,6 +93,6 @@ def bdp_bytes(bandwidth_bps: float, rtt_ns: int) -> int:
     return int(round(bandwidth_bps * rtt_ns / (8 * SEC)))
 
 
-def bdp_packets(bandwidth_bps: float, rtt_ns: int, mtu: int = MTU) -> int:
+def bdp_packets(bandwidth_bps: float, rtt_ns: int) -> int:
     """Bandwidth-delay product in MTU-sized packets (at least 1)."""
-    return max(1, -(-bdp_bytes(bandwidth_bps, rtt_ns) // mtu))
+    return max(1, -(-bdp_bytes(bandwidth_bps, rtt_ns) // MTU))

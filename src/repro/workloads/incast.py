@@ -54,9 +54,9 @@ def periodic_incast(
     rng: random.Random,
     load: float = 0.5,
     first_flow_id: int = 0,
-    start: int = 0,
 ) -> IncastSpec:
-    """Synchronized bursts to ``dst`` at an average destination load.
+    """Synchronized bursts to ``dst`` at an average destination load,
+    the first at t=0.
 
     Each burst has every sender transmit one 30-40 MTU flow at the
     same instant; the burst interval is sized so the destination
@@ -72,9 +72,8 @@ def periodic_incast(
     interval = int(mean_burst_bytes * 8 / (load * host_bandwidth) * 1e9)
     flows: List[FlowSpec] = []
     fid = first_flow_id
-    t = start
-    end = start + duration
-    while t < end:
+    t = 0
+    while t < duration:
         for src in senders:
             flows.append(FlowSpec(fid, src, dst, _incast_size(rng), t))
             fid += 1
@@ -86,17 +85,16 @@ def successive_incast(
     hosts: Sequence[int],
     duration: int,
     rng: random.Random,
-    interval: int = SUCCESSIVE_INTERVAL,
 ) -> IncastSpec:
     """Back-to-back all-to-one rounds walking the host list (Fig. 15).
 
-    Round ``i`` starts at ``i * interval`` (while that is inside
+    Round ``i`` starts at ``i * SUCCESSIVE_INTERVAL`` (while that is inside
     ``duration``) and targets ``hosts[i % len(hosts)]``; every other
     host sends it one 30-40 MTU flow.
     """
     flows: List[FlowSpec] = []
     dsts: List[int] = []
-    for i, t in enumerate(range(0, duration, interval)):
+    for i, t in enumerate(range(0, duration, SUCCESSIVE_INTERVAL)):
         dst = hosts[i % len(hosts)]
         dsts.append(dst)
         for src in hosts:

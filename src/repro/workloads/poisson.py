@@ -60,15 +60,14 @@ class PoissonGenerator:
         aggregate_bps = host_bandwidth * len(self.hosts)
         self.arrival_rate = load * aggregate_bps / (8.0 * mean_size * 1e9)
 
-    def generate(self, duration: int, start: int = 0) -> List[FlowSpec]:
-        """All flows arriving in ``[start, start + duration)``."""
+    def generate(self, duration: int) -> List[FlowSpec]:
+        """All flows arriving in ``[0, duration)``."""
         flows: List[FlowSpec] = []
-        t = float(start)
-        end = start + duration
+        t = 0.0
         rng = self.rng
         while True:
             t += rng.expovariate(self.arrival_rate)
-            if t >= end:
+            if t >= duration:
                 break
             src = rng.choice(self.hosts)
             dst = rng.choice(self.dst_hosts)

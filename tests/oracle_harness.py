@@ -144,11 +144,18 @@ def on_shards(cfg: ScenarioConfig, shards: int, faulted: bool) -> ScenarioConfig
     return replace(cfg, shards=shards)
 
 
+def drawn_config(per_dst_pause: bool, **fields) -> ScenarioConfig:
+    """A ``ScenarioConfig`` whose drawn ``per_dst_pause`` is kept only
+    under a scheme that reads it (any other rejects it)."""
+    reads = FLOW_CONTROLS[fields["flow_control"]].reads
+    return ScenarioConfig(per_dst_pause=per_dst_pause and "per_dst_pause" in reads, **fields)
+
+
 #: scheme / cc / pattern / load / buffer / dstPause / rto / shards / faults
 small_configs = st.builds(
     on_shards,
     st.builds(
-        ScenarioConfig,
+        drawn_config,
         flow_control=st.sampled_from(tuple(FLOW_CONTROLS)),
         cc=st.sampled_from(["dcqcn", "hpcc", "timely"]),
         pattern=st.sampled_from(["incastmix", "poisson", "incast"]),

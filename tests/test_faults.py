@@ -216,9 +216,11 @@ FAULTED_CFG = ScenarioConfig(
     flow_control="floodgate",
     duration=150_000,
     seed=11,
-    fault_plan=plan_of(
-        RandomLoss(start=0, link="switch-switch", data_rate=0.02, ctrl_rate=0.02),
-        LinkDown(at=30_000, link="tor0<->spine0", duration=20_000),
+    fault_plan=FaultPlan(
+        (
+            RandomLoss(start=0, link="switch-switch", data_rate=0.02, ctrl_rate=0.02),
+            LinkDown(at=30_000, link="tor0<->spine0", duration=20_000),
+        ),
         stall_window=75_000,
     ),
 )
@@ -275,7 +277,8 @@ class TestDeterminism:
         run must never answer for the 10 % one."""
         from repro.experiments.parallel import task_fingerprint
 
-        five, ten = fig12_loss.tasks(quick=True, loss_rates=(0.05, 0.10))
+        _, five, ten = fig12_loss.tasks(quick=True)
+        assert (five.key, ten.key) == ("5%", "10%")
         assert five.config.fault_plan != ten.config.fault_plan
         assert task_fingerprint(five) != task_fingerprint(ten)
 
@@ -284,7 +287,7 @@ class TestDeterminism:
         boundary rule is the one that guards a sharded run."""
         import dataclasses
 
-        (task,) = fig12_loss.tasks(quick=True, loss_rates=(0.05,))
+        (task,) = [t for t in fig12_loss.tasks(quick=True) if t.key == "5%"]
         cfg = dataclasses.replace(task.config, shards=2)
         with pytest.raises(ValueError, match="matches boundary link"):
             run_scenario(cfg)

@@ -2,7 +2,8 @@
 
 The benchmarks exercise every figure thoroughly; these keep the figure
 modules covered by a plain ``pytest tests/`` run using the smallest
-meaningful parameters.
+meaningful sweeps: a test shrinks a figure's axis by monkeypatching the
+module constant that holds it.
 """
 
 from repro.experiments.figures import (
@@ -18,8 +19,9 @@ from repro.experiments.figures import (
 
 
 class TestFigureSmoke:
-    def test_fig07(self):
-        result = fig07_workloads.run(samples=2_000)
+    def test_fig07(self, monkeypatch):
+        monkeypatch.setattr(fig07_workloads, "SAMPLES", 2_000)
+        result = fig07_workloads.run()
         assert set(result["properties"]) == {
             "memcached",
             "webserver",
@@ -31,8 +33,9 @@ class TestFigureSmoke:
             assert fractions == sorted(fractions)
             assert fractions[-1] == 1.0
 
-    def test_fig14(self):
-        result = fig14_scaleup.run(quick=True, tor_counts=(3,))
+    def test_fig14(self, monkeypatch):
+        monkeypatch.setattr(fig14_scaleup, "QUICK_TOR_COUNTS", (3,))
+        result = fig14_scaleup.run(quick=True)
         assert result["dcqcn"][3]["completion"] == 1.0
         assert result["dcqcn+floodgate"][3]["completion"] == 1.0
         assert (
@@ -40,10 +43,10 @@ class TestFigureSmoke:
             < result["dcqcn"][3]["tor-down_mb"]
         )
 
-    def test_fig16(self):
-        result = fig16_ecn.run(
-            quick=True, n_flows=8, ecn_settings=((20_000, 80_000),)
-        )
+    def test_fig16(self, monkeypatch):
+        monkeypatch.setattr(fig16_ecn, "QUICK_N_FLOWS", 8)
+        monkeypatch.setattr(fig16_ecn, "ECN_SETTINGS", ((20_000, 80_000),))
+        result = fig16_ecn.run(quick=True)
         key = next(iter(result))
         assert set(result[key]) == {
             "dcqcn",
@@ -91,8 +94,9 @@ class TestFigureSmoke:
             },
         }
 
-    def test_fig12_goodput_and_incast_fct(self):
-        rows = fig12_loss.run(quick=True, loss_rates=(0.0, 0.05))["summary"]
+    def test_fig12_goodput_and_incast_fct(self, monkeypatch):
+        monkeypatch.setattr(fig12_loss, "LOSS_RATES", (0.0, 0.05))
+        rows = fig12_loss.run(quick=True)["summary"]
         clean, lossy = rows["0%"], rows["5%"]
         # the receive-rate mean reads the lossy run as the faster one
         # (longer run, discarded out-of-order packets counted) ...
@@ -113,8 +117,9 @@ class TestFigureSmoke:
         assert fig12_loss.goodput_gbps(records) == 16.0
         assert fig12_loss.goodput_gbps([]) == 0.0
 
-    def test_fig17_delay_credit(self):
-        result = fig17_params.run_delay_credit(quick=True, multiples=(2,))
+    def test_fig17_delay_credit(self, monkeypatch):
+        monkeypatch.setattr(fig17_params, "QUICK_MULTIPLES", (2,))
+        result = fig17_params.run_delay_credit(quick=True)
         assert 2 in result
         assert result[2]["tor-down_mb"] >= 0
 

@@ -151,15 +151,17 @@ class TestSwitchSyn:
         (§4.3) must unstick the upstream windows afterwards."""
         from repro.experiments.runner import run_scenario
         from repro.experiments.scenario import ScenarioConfig
-        from repro.faults import RandomLoss, plan_of
+        from repro.faults import FaultPlan, RandomLoss
 
-        plan = plan_of(
-            RandomLoss(
-                start=20_000,
-                link="switch-switch",
-                duration=60_000,
-                data_rate=0.0,
-                ctrl_rate=1.0,
+        plan = FaultPlan(
+            (
+                RandomLoss(
+                    start=20_000,
+                    link="switch-switch",
+                    duration=60_000,
+                    data_rate=0.0,
+                    ctrl_rate=1.0,
+                ),
             ),
             stall_window=150_000,
         )

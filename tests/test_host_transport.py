@@ -151,14 +151,14 @@ class TestFaultRecovery:
     def _flap_run(scheme):
         from repro.experiments.runner import run_scenario
         from repro.experiments.scenario import ScenarioConfig
-        from repro.faults import LinkDown, plan_of
+        from repro.faults import FaultPlan, LinkDown
 
         cfg = ScenarioConfig(
             flow_control=scheme,
             duration=150_000,
             seed=2,
-            fault_plan=plan_of(
-                LinkDown(at=40_000, link="tor0<->spine0", duration=us(50)),
+            fault_plan=FaultPlan(
+                (LinkDown(at=40_000, link="tor0<->spine0", duration=us(50)),),
                 stall_window=100_000,
             ),
             max_runtime_factor=20.0,

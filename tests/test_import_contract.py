@@ -121,9 +121,9 @@ def test_a_plain_packet_run_loads_no_optional_subsystem():
     "imports, overrides, wanted",
     [
         (
-            "from repro.faults import RandomLoss, plan_of",
-            "fault_plan=plan_of(RandomLoss(start=0, link='switch-switch', "
-            "data_rate=0.01), stall_window=50_000)",
+            "from repro.faults import FaultPlan, RandomLoss",
+            "fault_plan=FaultPlan((RandomLoss(start=0, link='switch-switch', "
+            "data_rate=0.01),), stall_window=50_000)",
             {"repro.faults.injector", "repro.faults.watchdog"},
         ),
         (
@@ -208,7 +208,7 @@ FACADES = {
     "repro.rpc": ["RpcWorkloadSpec", "DestinationMatrix", "ClosedLoopDriver"],
     "repro.simcheck": [
         "CheckReport", "EventStreamDigest", "Finding", "SanitizerConfig",
-        "SanitizerError", "SimSanitizer", "run_check", "run_digest",
+        "SimSanitizer", "run_check", "run_digest",
     ],
     "repro.telemetry": [
         "EngineProfiler", "GaugeSampler", "Histogram", "PeriodicSampler",

@@ -18,7 +18,7 @@ from repro.floodgate.voq import VoqPool
 from repro.net.packet import Packet, PacketKind
 from repro.sim.sharded import run_domains
 from repro.simcheck.isolation import ShardIsolationSanitizer
-from repro.units import MTU, us
+from repro.units import MTU
 from repro.workloads.poisson import FlowSpec
 
 _TOPOLOGY_FIELDS = (
@@ -35,7 +35,7 @@ def _fabric(cfg: ScenarioConfig) -> ScenarioConfig:
 
 def _fabrics():
     """Every registry fabric, fat-tree k = 4 / 8 / 12, testbed, dumbbell."""
-    configs = [_fabric(cfg) for entry in registry.entries() for cfg in entry.configs]
+    configs = [_fabric(cfg) for name in registry.names() for cfg in registry.get(name).configs]
     configs += [
         ScenarioConfig(
             pattern="none", topology="fat-tree", fat_tree_k=k, hosts_per_edge=4
@@ -190,7 +190,7 @@ def test_isolation_tags_a_voq_created_mid_run(monkeypatch):
     )
     sc = Scenario(cfg)
     assert all(ext.pool.voqs == [] for ext in sc.extensions)
-    run = run_domains(sc, us(100), isolate=True)
+    run = run_domains(sc, isolate=True)
     assert run.isolation_violations == []
     created = [(ext, voq) for ext in sc.extensions for voq in ext.pool.voqs]
     assert created, "the run parked no packet"

@@ -83,7 +83,7 @@ class TestDeterminism:
             run_sweep(tasks, serial=True, cache=tmp_path)
         assert list(tmp_path.iterdir()) == []  # nothing ran, nothing cached
 
-    def test_declared_traffic_figures_ride_the_sweep_runner(self, tmp_path):
+    def test_declared_traffic_figures_ride_the_sweep_runner(self, tmp_path, monkeypatch):
         """Figs. 2, 12 and 14-16 are task lists like every other figure:
         their loss pattern, their time series and their traffic
         (``pattern="incast"`` as one burst, ``"successive"``,
@@ -97,17 +97,23 @@ class TestDeterminism:
             fig16_ecn,
         )
 
+        # one point of each swept axis
+        monkeypatch.setattr(fig12_loss, "LOSS_RATES", (0.05,))
+        monkeypatch.setattr(fig14_scaleup, "QUICK_TOR_COUNTS", (3,))
+        monkeypatch.setattr(fig15_successive, "QUICK_ROUND_COUNTS", (2,))
+        monkeypatch.setattr(fig16_ecn, "QUICK_N_FLOWS", 4)
+        monkeypatch.setattr(fig16_ecn, "ECN_SETTINGS", ((20_000, 80_000),))
         # keys are only unique within a figure: prefix them
         tasks = [
             SweepTask(key=(fig, task.key), config=task.config)
-            for fig, fig_tasks in (
-                ("fig02", fig02_throughput.tasks(quick=True)),
-                ("fig12", fig12_loss.tasks(quick=True, loss_rates=(0.05,))),
-                ("fig14", fig14_scaleup.tasks(tor_counts=(3,))),
-                ("fig15", fig15_successive.tasks(quick=True, round_counts=(2,))),
-                ("fig16", fig16_ecn.tasks(4, ((20_000, 80_000),))),
+            for fig, module in (
+                ("fig02", fig02_throughput),
+                ("fig12", fig12_loss),
+                ("fig14", fig14_scaleup),
+                ("fig15", fig15_successive),
+                ("fig16", fig16_ecn),
             )
-            for task in fig_tasks
+            for task in module.tasks(quick=True)
         ]
         serial = run_sweep(tasks, serial=True, cache=tmp_path)
         pooled = run_sweep(tasks, max_workers=2, cache=False)

@@ -10,7 +10,6 @@ from repro.experiments.scenario import Scale, Scenario, ScenarioConfig
 from repro.floodgate.config import FloodgateConfig
 from repro.net.packet import PacketKind
 from repro.rpc.spec import RpcWorkloadSpec
-from repro.simcheck.sanitizer import SanitizerConfig
 from repro.telemetry.registry import TelemetryConfig
 from repro.units import gbps, mb, us
 
@@ -90,9 +89,6 @@ class TestConfigResolution:
         [
             (lambda: TelemetryConfig(interval=0), "interval"),
             (lambda: TelemetryConfig(interval=-5), "interval"),
-            (lambda: SanitizerConfig(check_interval=0), "check_interval"),
-            (lambda: SanitizerConfig(check_interval=-5), "check_interval"),
-            (lambda: SanitizerConfig(max_violations=-1), "max_violations"),
         ],
     )
     def test_observer_configs_validate_at_construction(self, build, field):
@@ -100,7 +96,6 @@ class TestConfigResolution:
         # inside Scenario.__init__ with PeriodicTask's anonymous message
         with pytest.raises(ValueError, match=field):
             build()
-        assert SanitizerConfig(max_violations=0).max_violations == 0
 
 
     @pytest.mark.parametrize(
@@ -157,6 +152,34 @@ class TestConfigResolution:
                 flow_control=fc, per_dst_pause=True, pattern="none", **QUICK
             )
             assert Scenario(cfg).extensions[0].config.per_dst_pause
+
+    @pytest.mark.parametrize(
+        "fc, kwargs",
+        [
+            ("none", dict(per_dst_pause=True)),
+            ("bfc", dict(per_dst_pause=True)),
+            ("pfc-tag", dict(delay_credit_bdp=2.0)),
+            ("ndp", dict(floodgate=FloodgateConfig(credit_timer=us(5)))),
+            ("none", dict(floodgate=FloodgateConfig())),
+            ("none", dict(bfc_queues=4)),
+            ("floodgate", dict(bfc_queues=0)),
+            ("floodgate-ideal", dict(bfc_queues=128)),
+        ],
+    )
+    def test_a_field_only_another_scheme_reads_fails_at_construction(self, fc, kwargs):
+        # these used to build and run the scheme with the field ignored:
+        # ScenarioConfig(per_dst_pause=True) ran plain DCQCN
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=f"{field} is set, but flow_control='{fc}'"):
+            ScenarioConfig(flow_control=fc, **kwargs)
+
+    def test_incastmix_on_two_hosts_fails_in_the_fabric_check(self):
+        # this used to fail inside the Poisson generator with "need at
+        # least two hosts", although the fabric has two: the incast
+        # destination takes no Poisson traffic
+        cfg = ScenarioConfig(n_tors=2, hosts_per_tor=1, duration=20_000)
+        with pytest.raises(ValueError, match="incastmix' needs at least three hosts.* has 2"):
+            Scenario(cfg)
 
     @pytest.mark.parametrize("pattern", ["incastmix", "incast"])
     def test_incast_on_one_rack_is_rejected(self, pattern):

@@ -375,9 +375,10 @@ def test_run_check_reports_and_allowlists(tmp_path):
     assert len(report.allowlisted) == 2
 
 
-def test_find_root_ascends_to_pyproject(tmp_path):
+def test_find_root_ascends_to_pyproject(tmp_path, monkeypatch):
     root = _make_repo(tmp_path)
-    assert find_root(root / "src" / "repro" / "net") == root
+    monkeypatch.chdir(root / "src" / "repro" / "net")
+    assert find_root() == root.resolve()
 
 
 # -- the repo itself must lint clean ------------------------------------------

@@ -38,7 +38,9 @@ class TestDerived:
         assert units.bdp_bytes(units.gbps(10), units.us(8)) == 10_000
 
     def test_bdp_packets_rounds_up(self):
-        assert units.bdp_packets(units.gbps(10), units.us(8), mtu=3_000) == 4
+        # 10 Gbps x 8.1 us = 10 125 B: ten full MTUs and a partial one
+        assert units.MTU == 1_000
+        assert units.bdp_packets(units.gbps(10), 8_100) == 11
 
     def test_bdp_packets_minimum_one(self):
         assert units.bdp_packets(units.gbps(1), 10) == 1

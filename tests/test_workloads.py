@@ -16,6 +16,7 @@ from repro.workloads.distributions import (
 from repro.workloads.incast import (
     STAGGERED_FLOW_SIZE,
     STAGGERED_INTERVAL,
+    SUCCESSIVE_INTERVAL,
     periodic_incast,
     staggered_flows,
     successive_incast,
@@ -143,11 +144,9 @@ class TestIncast:
     def test_one_burst_when_duration_is_shorter_than_the_interval(self):
         """Fig. 14's all-to-one burst: 8 senders at load 0.5 repeat
         every 448 us, so 200 us of generation holds one burst."""
-        spec = periodic_incast(
-            range(1, 9), 0, gbps(10), 200_000, random.Random(1), start=500
-        )
+        spec = periodic_incast(range(1, 9), 0, gbps(10), 200_000, random.Random(1))
         assert sorted(f.src for f in spec.flows) == list(range(1, 9))
-        assert all(f.start_time == 500 for f in spec.flows)
+        assert all(f.start_time == 0 for f in spec.flows)
         assert all(f.dst == 0 for f in spec.flows)
 
     def test_dst_cannot_be_sender(self):
@@ -166,12 +165,12 @@ class TestIncast:
         assert abs(interval - expected) < 0.1 * expected
 
     def test_successive_rounds_target_distinct_dsts(self):
-        spec = successive_incast(
-            range(8), 30_000, random.Random(1), interval=10_000
-        )
+        spec = successive_incast(range(8), 3 * SUCCESSIVE_INTERVAL, random.Random(1))
         assert spec.destinations == [0, 1, 2]
         for i, dst in enumerate([0, 1, 2]):
-            round_flows = [f for f in spec.flows if f.start_time == i * 10_000]
+            round_flows = [
+                f for f in spec.flows if f.start_time == i * SUCCESSIVE_INTERVAL
+            ]
             assert all(f.dst == dst for f in round_flows)
             assert all(f.src != dst for f in round_flows)
             assert len(round_flows) == 7
