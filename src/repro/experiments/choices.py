@@ -1,15 +1,24 @@
-"""The flow-control schemes a :class:`ScenarioConfig` may name.
+"""The choices a :class:`ScenarioConfig` may name: one row per value.
 
-One row per ``flow_control`` value.  ``ScenarioConfig`` checks the
-value against this table, the CLI offers its keys as ``report
---scheme``'s choices, and the builder, the fluid tiers and the
-sanitizer read the row instead of comparing scheme names.  The rows
-hold module paths, not classes, and the table lives apart from
-:mod:`repro.experiments.scenario`, so that building the parser
-(``--help``, ``list``) loads no part of the simulator.
+One table per enumerated field: ``flow_control``, ``fidelity``,
+``topology`` and ``pattern``.  ``ScenarioConfig`` checks a value
+against its table, the CLI offers the keys as choices, and the
+builder, the runner, the fabric check, the fluid tiers, the sanitizer
+and the validator read the row instead of comparing names.  The rows
+hold module paths and flags, not classes, and the tables live apart
+from :mod:`repro.experiments.scenario`, so that building the parser
+(``--help``, ``list``) loads no part of the simulator.  A new value is
+one row plus the one function (or class) it names.
 """
 
-from typing import Dict, NamedTuple, Optional, Tuple
+from importlib import import_module
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
+
+
+def load(path: str):
+    """The object a row names as ``"package.module:name"``."""
+    module, _, name = path.partition(":")
+    return getattr(import_module(module), name)
 
 
 class FlowControl(NamedTuple):
@@ -50,4 +59,114 @@ FLOW_CONTROLS: Dict[str, FlowControl] = {
     ),
     "pfc-tag": FlowControl("repro.baselines.pfc_tag"),
     "ndp": FlowControl("repro.baselines.ndp", host="NdpHost", pfc=False),
+}
+
+
+#: registry scenarios a tier can be validated on: open-loop packet
+#: scenarios whose flow ids exist before the run on every tier
+SCENARIOS = ("quick", "incast256", "fattree-a2a")
+
+
+class TierRule(NamedTuple):
+    """How the validator (``repro.experiments.validate``) judges a tier."""
+
+    #: the CLI subcommand serving this row, and the tier's prose name
+    command: str
+    label: str
+    #: scenarios run (and asserted) by default
+    scenarios: Tuple[str, ...]
+    #: p50/p99 divergence budget (fraction of the packet value)
+    tolerance: float
+    #: per-scenario budgets that replace ``tolerance``
+    scenario_tolerance: Mapping[str, float] = {}
+
+
+class Tier(NamedTuple):
+    """What the runner, the config check and the validator need to know."""
+
+    #: ``"module:Class"`` of the engine that takes over the built
+    #: scenario and schedules its traffic; None runs the packet engine
+    engine: Optional[str] = None
+    #: the tier a run is judged against; None: its own ground truth
+    reference: Optional[str] = None
+    validation: Optional[TierRule] = None
+    #: it runs a fault plan, a closed-loop pattern, more than one
+    #: shard, a scheme with no fluid model
+    faults: bool = True
+    closed_loop: bool = True
+    shards: bool = True
+    any_scheme: bool = True
+    #: runs ``hot_racks`` as packets over a fluid rest: needs racks
+    partitions: bool = False
+
+
+#: what the approximate tiers cannot run (DESIGN.md "Fidelity tiers")
+_FLUID = dict(reference="packet", faults=False, shards=False, any_scheme=False)
+
+FIDELITIES: Dict[str, Tier] = {
+    "packet": Tier(),
+    "flow": Tier(
+        "repro.flowsim.model:FluidSimulation",
+        validation=TierRule("validate-flowsim", "fluid", SCENARIOS, 0.15, {"fattree-a2a": 0.25}),
+        **_FLUID,
+    ),
+    "hybrid": Tier(
+        "repro.hybrid.model:HybridSimulation",
+        validation=TierRule("validate-hybrid", "hybrid", ("incast256", "fattree-a2a"), 0.10),
+        closed_loop=False,
+        partitions=True,
+        **_FLUID,
+    ),
+}
+
+
+class Fabric(NamedTuple):
+    """What the build needs to know about one topology."""
+
+    #: ``"module:function"`` building it from the resolved config, the
+    #: simulator and the host and switch factories
+    build: str
+    #: the hybrid tier can split it into hot and cold racks
+    racked: bool = False
+    #: built of ``fat_tree_k`` pods: k must be even, shards split per pod
+    pods: bool = False
+
+
+FABRICS: Dict[str, Fabric] = {
+    "leaf-spine": Fabric("repro.net.topology:leaf_spine_of", racked=True),
+    "fat-tree": Fabric("repro.net.topology:fat_tree_of", racked=True, pods=True),
+    "testbed": Fabric("repro.net.topology:testbed_of"),
+    "dumbbell": Fabric("repro.net.topology:dumbbell_of"),
+}
+
+
+class Pattern(NamedTuple):
+    """What the build and the fabric check need to know."""
+
+    #: ``"module:function"`` returning the built scenario's flows; None
+    #: builds no traffic (hand-built runs)
+    traffic: Optional[str] = None
+    #: the fewest hosts its traffic runs between
+    min_hosts: int = 0
+    #: aims at ``incast_dst``; its senders sit outside that host's rack
+    aims: bool = False
+    remote_senders: bool = False
+    #: its flows are registered as incast flows
+    incast: bool = False
+    #: a closed loop (``ScenarioConfig.rpc``) that adds flows as it runs
+    closed_loop: bool = False
+
+
+PATTERNS: Dict[str, Pattern] = {
+    "incastmix": Pattern(
+        "repro.workloads.mix:incastmix_traffic", 3, aims=True, remote_senders=True
+    ),
+    "poisson": Pattern("repro.workloads.poisson:poisson_traffic", 2),
+    "incast": Pattern(
+        "repro.workloads.incast:incast_traffic", 2, aims=True, remote_senders=True, incast=True
+    ),
+    "successive": Pattern("repro.workloads.incast:successive_traffic", 2, incast=True),
+    "staggered": Pattern("repro.workloads.incast:staggered_traffic", 2, aims=True),
+    "rpc": Pattern("repro.rpc.driver:rpc_traffic", 2, closed_loop=True),
+    "none": Pattern(),
 }

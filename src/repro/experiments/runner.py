@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Union
 # and a module first imported by that question would read as a trace
 # the pass left behind (benchmarks/e2e/test_e2e_bench.py).
 import repro.flowsim.maxmin  # noqa: F401
+from repro.experiments.choices import FIDELITIES, load
 from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.stats.collector import NON_INCAST, FlowClass, FlowSelector, StatsHub
 from repro.stats.fct import FctSummary, summarize_fct
@@ -236,25 +237,15 @@ def run_scenario(
             sc, run.now, run.reports, run.violations, wall_start
         )
     fluid = None
-    if sc.config.fidelity == "flow":
-        # fluid tier: same Scenario build (topology, routes, traffic,
-        # CC/flow-control parameters), but flows evolve as rates on the
-        # event loop instead of packets — see repro.flowsim
-        from repro.flowsim.model import FluidSimulation
-
-        fluid = FluidSimulation(sc)
-        fluid.schedule()
-    elif sc.config.fidelity == "hybrid":
-        # hybrid tier: hot racks run the packet engine, everything else
-        # the fluid model, stitched at the rack uplinks — see
-        # repro.hybrid (it subclasses FluidSimulation, so the fluid
-        # plumbing below applies to its cold tier too)
-        from repro.hybrid.model import HybridSimulation
-
-        fluid = HybridSimulation(sc)
-        fluid.schedule()
-    else:
+    engine = FIDELITIES[sc.config.fidelity].engine
+    if engine is None:
         sc.schedule_flows()
+    else:
+        # an approximate tier: same Scenario build, but its engine
+        # evolves flows as rates (repro.flowsim; repro.hybrid runs its
+        # hot racks as packets)
+        fluid = load(engine)(sc)
+        fluid.schedule()
     driver = sc.rpc_driver
     if driver is not None:
         driver.start(fluid)

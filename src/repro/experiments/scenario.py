@@ -21,42 +21,31 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.cc.base import CcAlgorithm
 from repro.cc.dcqcn import Dcqcn
-from repro.experiments.choices import FLOW_CONTROLS
+from repro.experiments.choices import FABRICS, FIDELITIES, FLOW_CONTROLS, PATTERNS, load
 from repro.net.ecn import EcnConfig, EcnMarker
 from repro.net.host import Host
 from repro.net.switch import Switch
-from repro.net.topology import (
-    Topology,
-    build_dumbbell,
-    build_fat_tree,
-    build_leaf_spine,
-    build_testbed,
-)
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.stats.collector import StatsHub
 from repro.units import bdp_bytes, gbps, mb, ms, us
 from repro.workloads.distributions import WORKLOADS
-from repro.workloads.incast import (
-    periodic_incast,
-    staggered_flows,
-    successive_incast,
-)
-from repro.workloads.mix import IncastMix, build_incastmix
-from repro.workloads.poisson import FlowSpec, PoissonGenerator
 
 if TYPE_CHECKING:
-    # optional subsystems: each is imported in the branch that builds
-    # it, so a run that does not select it never loads it
+    # optional subsystems and what a row names: each is imported
+    # where it is built, so a run that does not select it never loads it
     from repro.faults.injector import FaultInjector
     from repro.faults.plan import FaultPlan
     from repro.faults.watchdog import StallWatchdog
     from repro.floodgate.config import FloodgateConfig
+    from repro.net.topology import Topology
     from repro.rpc.driver import ClosedLoopDriver
     from repro.rpc.spec import RpcWorkloadSpec
     from repro.simcheck.sanitizer import SanitizerConfig, SimSanitizer
     from repro.telemetry.recorder import TelemetryRecorder
     from repro.telemetry.registry import TelemetryConfig
+    from repro.workloads.mix import IncastMix
+    from repro.workloads.poisson import FlowSpec
 
 
 class Scale(str, Enum):
@@ -66,16 +55,6 @@ class Scale(str, Enum):
     PAPER = "paper"
 
 
-#: legal values for every enumerated config field, used by
-#: ``ScenarioConfig.__post_init__`` — a typo'd value must fail at
-#: construction, not silently run a default (``FLOW_CONTROLS`` is
-#: imported from :mod:`repro.experiments.choices`)
-_VALID_TOPOLOGIES = ("leaf-spine", "fat-tree", "testbed", "dumbbell")
-_VALID_PATTERNS = (
-    "incastmix", "poisson", "incast", "successive", "staggered", "rpc", "none",
-)
-_VALID_FIDELITY = ("packet", "flow", "hybrid")
-
 #: ``cc`` value -> the law's class, whose flags say what it needs from
 #: the fabric; TIMELY and HPCC are imported only when selected
 _CC_LAWS: Dict[str, Callable[[], Type[CcAlgorithm]]] = {
@@ -84,6 +63,11 @@ _CC_LAWS: Dict[str, Callable[[], Type[CcAlgorithm]]] = {
     "hpcc": lambda: import_module("repro.cc.hpcc").Hpcc,
     "static": lambda: CcAlgorithm,
 }
+
+
+def _tiers(flag: str) -> str:
+    """The fidelity tiers whose row sets ``flag``, quoted for a message."""
+    return " or ".join(repr(t) for t, row in FIDELITIES.items() if getattr(row, flag))
 
 
 #: numeric fields whose 0 means "default" or "none" and whose negative
@@ -142,9 +126,8 @@ class ScenarioConfig:
 
     # --- workload ---------------------------------------------------------------
     workload: str = "websearch"
-    #: incastmix | poisson | incast (periodic bursts to ``incast_dst``;
-    #: just one if ``duration`` is under the burst interval) | successive
-    #: | staggered (repro.workloads.incast) | rpc | none (hand-built)
+    #: a row of repro.experiments.choices.PATTERNS; "incast" is one
+    #: burst if ``duration`` is under the burst interval
     pattern: str = "incastmix"
     poisson_load: float = 0.8
     incast_load: float = 0.5
@@ -202,11 +185,11 @@ class ScenarioConfig:
         *names* already fail: dataclasses reject unknown kwargs.)
         """
         checks = (
-            ("fidelity", self.fidelity, _VALID_FIDELITY),
-            ("topology", self.topology, _VALID_TOPOLOGIES),
+            ("fidelity", self.fidelity, FIDELITIES),
+            ("topology", self.topology, FABRICS),
             ("cc", self.cc, tuple(_CC_LAWS)),
             ("flow_control", self.flow_control, FLOW_CONTROLS),
-            ("pattern", self.pattern, _VALID_PATTERNS),
+            ("pattern", self.pattern, PATTERNS),
             ("workload", self.workload, tuple(WORKLOADS)),
         )
         for name, value, valid in checks:
@@ -241,7 +224,8 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
-        if self.topology == "fat-tree" and (
+        tier, pattern = FIDELITIES[self.fidelity], PATTERNS[self.pattern]
+        if FABRICS[self.topology].pods and (
             self.fat_tree_k <= 0 or self.fat_tree_k % 2
         ):
             raise ValueError(
@@ -256,12 +240,12 @@ class ScenarioConfig:
             raise ValueError(
                 f"incast_load must be in (0, 1], got {self.incast_load!r}"
             )
-        if self.pattern == "rpc" and self.rpc is None:
+        if pattern.closed_loop and self.rpc is None:
             raise ValueError(
-                "pattern='rpc' needs a workload description: pass "
+                f"pattern={self.pattern!r} needs a workload description: pass "
                 "rpc=RpcWorkloadSpec(...) (see repro.rpc.spec for the knobs)"
             )
-        if self.rpc is not None and self.pattern != "rpc":
+        if self.rpc is not None and not pattern.closed_loop:
             raise ValueError(
                 f"an RpcWorkloadSpec was given but pattern is "
                 f"{self.pattern!r}; set pattern='rpc' to drive the "
@@ -290,31 +274,25 @@ class ScenarioConfig:
                 f"unknown shard_mode {self.shard_mode!r}; valid values: "
                 f"auto, lockstep, barrier, process"
             )
-        if self.shards > 1 and self.fidelity != "packet":
-            # faults, telemetry, and the sanitizer all run under shards
-            # now (domain-local fault application, per-domain telemetry
-            # shards, per-domain conservation ledgers — see
-            # repro.sim.sharded); the fluid tier remains a single global
-            # rate computation with nothing to partition
+        if self.shards > 1 and not tier.shards:
             raise ValueError(
-                "shards > 1 requires fidelity='packet' (the fluid "
-                "model is a single global rate computation)"
+                f"shards > 1 requires fidelity={_tiers('shards')} "
+                "(the fluid model is a single global rate computation)"
             )
-        if self.fidelity in ("flow", "hybrid"):
+        if not tier.any_scheme and not FLOW_CONTROLS[self.flow_control].fluid:
             # the fluid tiers model Floodgate's per-dst windows as rate
             # caps; the queue-level baselines have no fluid equivalent
-            if not FLOW_CONTROLS[self.flow_control].fluid:
-                fluid = [fc for fc, row in FLOW_CONTROLS.items() if row.fluid]
-                raise ValueError(
-                    f"fidelity={self.fidelity!r} cannot model flow_control="
-                    f"{self.flow_control!r}; supported: {', '.join(fluid)}"
-                )
-            if self.fault_plan is not None and self.fault_plan:
-                raise ValueError(
-                    "fault injection requires fidelity='packet' "
-                    "(the fluid model has no packets to drop or links "
-                    "to flap mid-transfer)"
-                )
+            fluid = [fc for fc, row in FLOW_CONTROLS.items() if row.fluid]
+            raise ValueError(
+                f"fidelity={self.fidelity!r} cannot model flow_control="
+                f"{self.flow_control!r}; supported: {', '.join(fluid)}"
+            )
+        if not tier.faults and self.fault_plan is not None and self.fault_plan:
+            raise ValueError(
+                f"fault injection requires fidelity={_tiers('faults')} "
+                "(the fluid model has no packets to drop or links "
+                "to flap mid-transfer)"
+            )
         if not isinstance(self.hot_racks, tuple) or any(
             not isinstance(r, int) or isinstance(r, bool) or r < 0
             for r in self.hot_racks
@@ -323,25 +301,24 @@ class ScenarioConfig:
                 f"hot_racks must be a tuple of non-negative rack "
                 f"indices, got {self.hot_racks!r}"
             )
-        if self.hot_racks and self.fidelity != "hybrid":
+        if self.hot_racks and not tier.partitions:
             raise ValueError(
-                "hot_racks only applies to fidelity='hybrid' (packet "
-                "runs everything hot, flow runs everything cold)"
+                f"hot_racks only applies to fidelity={_tiers('partitions')} "
+                "(packet runs everything hot, flow runs everything cold)"
             )
-        if self.fidelity == "hybrid":
-            if self.pattern == "rpc":
-                raise ValueError(
-                    "fidelity='hybrid' does not support closed-loop rpc "
-                    "workloads yet (the driver would need to observe "
-                    "completions across both tiers); use fidelity="
-                    "'packet' or 'flow'"
-                )
-            if self.topology not in ("leaf-spine", "fat-tree"):
-                raise ValueError(
-                    "fidelity='hybrid' needs a racked topology "
-                    "(leaf-spine or fat-tree) to partition into hot and "
-                    "cold domains"
-                )
+        if pattern.closed_loop and not tier.closed_loop:
+            raise ValueError(
+                f"fidelity={self.fidelity!r} does not support closed-loop rpc "
+                "workloads yet (the driver would need to observe "
+                "completions across both tiers); use fidelity="
+                f"{_tiers('closed_loop')}"
+            )
+        if tier.partitions and not FABRICS[self.topology].racked:
+            racked = " or ".join(t for t, row in FABRICS.items() if row.racked)
+            raise ValueError(
+                f"fidelity={self.fidelity!r} needs a racked topology "
+                f"({racked}) to partition into hot and cold domains"
+            )
 
     def resolved(self) -> "ScenarioConfig":
         """Fill in scale-dependent defaults."""
@@ -393,18 +370,20 @@ def reference_config(
     """
     if config.shards > 1:
         return "serial", replace(config, shards=1)
-    if config.fidelity != "packet":
-        return "packet", replace(config, fidelity="packet", hot_racks=())
+    reference = FIDELITIES[config.fidelity].reference
+    if reference is not None:
+        return reference, replace(config, fidelity=reference, hot_racks=())
     return None
+
+
+#: a pattern's host minimum, spelled out in its rejection
+_COUNTS = ("no", "one", "two", "three")
 
 
 def _check_fabric(cfg: ScenarioConfig, topology: Topology) -> None:
     """Reject what only the built fabric decides, before any traffic
-    or rpc driver exists: more rpc clients than hosts, a ``hot_racks``
-    entry that is not a rack, an ``incast_dst`` that is not a host, an
-    incast with no host outside the destination's rack, and an
-    incastmix with fewer than two Poisson hosts besides the incast
-    destination."""
+    exists: more rpc clients than hosts, a ``hot_racks`` entry that is
+    not a rack, and a fabric short of what the pattern row needs."""
     hosts, racks = len(topology.hosts), len(topology.racks)
     if cfg.rpc is not None and cfg.rpc.n_clients > hosts:
         raise ValueError(
@@ -416,23 +395,22 @@ def _check_fabric(cfg: ScenarioConfig, topology: Topology) -> None:
             raise ValueError(
                 f"hot rack {rack} out of range: topology has {racks} racks"
             )
-    if cfg.pattern not in ("incastmix", "incast", "staggered"):
-        return  # the patterns that aim traffic at incast_dst
-    if cfg.incast_dst >= hosts:
+    pattern = PATTERNS[cfg.pattern]
+    if pattern.aims and cfg.incast_dst >= hosts:
         raise ValueError(
             f"incast_dst {cfg.incast_dst} is not a host: the "
             f"{cfg.topology} fabric has hosts 0..{hosts - 1}"
         )
-    if racks < 2 and cfg.pattern != "staggered":
+    if pattern.remote_senders and racks < 2:
         raise ValueError(
             f"pattern={cfg.pattern!r} needs incast senders outside the "
             f"destination's rack, but the {cfg.topology} fabric has one rack"
         )
-    if cfg.pattern == "incastmix" and hosts < 3:
+    if hosts < pattern.min_hosts:
         raise ValueError(
-            f"pattern='incastmix' needs at least three hosts (its Poisson "
-            f"traffic runs between two or more hosts besides the incast "
-            f"destination), but the {cfg.topology} fabric has {hosts}"
+            f"pattern={cfg.pattern!r} needs at least "
+            f"{_COUNTS[pattern.min_hosts]} hosts, but the {cfg.topology} "
+            f"fabric has {hosts}"
         )
 
 
@@ -470,7 +448,9 @@ class Scenario:
         # the fabric's base RTT
         law = _CC_LAWS[cfg.cc]()
         self._ecn = self._ecn_config() if law.reads_ecn else None
-        self.topology = self._build_topology()
+        self.topology = load(FABRICS[cfg.topology].build)(
+            cfg, self.sim, self._host_factory, self._switch_factory
+        )
         _check_fabric(cfg, self.topology)
         # hosts and topology share one flow table
         self.topology.flow_table = self.flow_table
@@ -483,20 +463,21 @@ class Scenario:
             host.rto = cfg.rto or 20 * self.base_rtt
         if scheme is not None:
             scheme.install(self)
+        #: the incastmix pattern's flows and class labels
         self.mix: Optional[IncastMix] = None
-        self.flows: List[FlowSpec] = []
-        #: closed-loop driver (repro.rpc), built iff pattern="rpc"; the
-        #: runner starts it after the open-loop schedule is loaded
+        #: closed-loop driver (repro.rpc), built by a closed-loop
+        #: pattern; the runner starts it after the schedule is loaded
         self.rpc_driver: Optional[ClosedLoopDriver] = None
-        self._build_traffic()
-        #: the fluid engine (repro.flowsim) attaches itself here when
-        #: the runner dispatches a fidelity="flow" run; the sanitizer's
-        #: rate-conservation sweep looks for it
+        pattern = PATTERNS[cfg.pattern]
+        #: the open-loop schedule the pattern row's function returns
+        self.flows: List[FlowSpec] = load(pattern.traffic)(self) if pattern.traffic else []
+        if pattern.incast:
+            for f in self.flows:
+                self.stats.register_incast_flow(f.flow_id)
+        #: a tier row's engine attaches itself here (repro.flowsim; the
+        #: hybrid engine sets both: it *is* the cold tier); the
+        #: sanitizer's conservation sweeps and the export look for them
         self.fluid = None
-        #: the hybrid engine (repro.hybrid) attaches itself here on a
-        #: fidelity="hybrid" run (it also sets ``fluid``: it *is* the
-        #: cold tier); the sanitizer's boundary-conservation sweep and
-        #: the telemetry export look for it
         self.hybrid = None
         self.fault_injector: Optional[FaultInjector] = None
         self.watchdog: Optional[StallWatchdog] = None
@@ -601,55 +582,6 @@ class Scenario:
                 )
         return EcnConfig(kmin, cfg.ecn_kmax or 4 * kmin, _ECN_PMAX)
 
-    def _build_topology(self) -> Topology:
-        cfg = self.config
-        if cfg.topology == "leaf-spine":
-            return build_leaf_spine(
-                self.sim,
-                self._host_factory,
-                self._switch_factory,
-                n_spines=cfg.n_spines,
-                n_tors=cfg.n_tors,
-                hosts_per_tor=cfg.hosts_per_tor,
-                host_bandwidth=cfg.host_bandwidth,
-                spine_bandwidth=cfg.fabric_bandwidth,
-                link_delay=cfg.link_delay,
-                host_link_delay=cfg.host_link_delay,
-            )
-        if cfg.topology == "fat-tree":
-            return build_fat_tree(
-                self.sim,
-                self._host_factory,
-                self._switch_factory,
-                k=cfg.fat_tree_k,
-                hosts_per_edge=cfg.hosts_per_edge,
-                host_bandwidth=cfg.host_bandwidth,
-                fabric_bandwidth=cfg.fabric_bandwidth or cfg.host_bandwidth,
-                link_delay=cfg.link_delay,
-                host_link_delay=cfg.host_link_delay,
-            )
-        if cfg.topology == "testbed":
-            return build_testbed(
-                self.sim,
-                self._host_factory,
-                self._switch_factory,
-                host_bandwidth=cfg.host_bandwidth,
-                core_bandwidth=cfg.fabric_bandwidth,
-                link_delay=cfg.link_delay,
-                host_link_delay=cfg.host_link_delay,
-            )
-        if cfg.topology == "dumbbell":
-            return build_dumbbell(
-                self.sim,
-                self._host_factory,
-                self._switch_factory,
-                hosts_per_side=max(cfg.hosts_per_tor, 2),
-                host_bandwidth=cfg.host_bandwidth,
-                trunk_bandwidth=cfg.fabric_bandwidth,
-                link_delay=cfg.link_delay,
-            )
-        raise ValueError(f"unknown topology {cfg.topology!r}")
-
     # -- traffic ------------------------------------------------------------------------
 
     def rack_of(self) -> Dict[int, int]:
@@ -676,62 +608,6 @@ class Scenario:
         if not cfg.incast_fan_in:
             return eligible
         return [eligible[i % len(eligible)] for i in range(cfg.incast_fan_in)]
-
-    def _build_traffic(self) -> None:
-        cfg = self.config
-        if cfg.pattern == "none":
-            return
-        dist = WORKLOADS[cfg.workload]
-        rng = self.rng.stream("workload")
-        hosts = [h.node_id for h in self.topology.hosts]
-        if cfg.pattern == "incastmix":
-            self.mix = build_incastmix(
-                dist,
-                hosts,
-                self.rack_of(),
-                incast_dst=cfg.incast_dst,
-                incast_senders=self.incast_senders(),
-                host_bandwidth=cfg.host_bandwidth,
-                duration=cfg.duration,
-                rng=rng,
-                poisson_load=cfg.poisson_load,
-                incast_load=cfg.incast_load,
-            )
-            self.mix.register(self.stats)
-            self.flows = self.mix.flows
-        elif cfg.pattern == "poisson":
-            gen = PoissonGenerator(
-                dist,
-                hosts,
-                cfg.host_bandwidth,
-                cfg.poisson_load,
-                rng,
-            )
-            self.flows = gen.generate(cfg.duration)
-        elif cfg.pattern == "rpc":
-            from repro.rpc.driver import ClosedLoopDriver
-
-            self.rpc_driver = ClosedLoopDriver(self, cfg.rpc)
-            self.rpc_driver.attach()
-        elif cfg.pattern in ("incast", "successive"):
-            if cfg.pattern == "incast":
-                spec = periodic_incast(
-                    senders=self.incast_senders(),
-                    dst=cfg.incast_dst,
-                    host_bandwidth=cfg.host_bandwidth,
-                    duration=cfg.duration,
-                    rng=rng,
-                    load=cfg.incast_load,
-                )
-            else:
-                spec = successive_incast(hosts, cfg.duration, rng)
-            for f in spec.flows:
-                self.stats.register_incast_flow(f.flow_id)
-            self.flows = spec.flows
-        elif cfg.pattern == "staggered":
-            self.flows = staggered_flows(hosts, cfg.incast_dst, cfg.duration)
-        else:
-            raise ValueError(f"unknown traffic pattern {cfg.pattern!r}")
 
     def schedule_flows(self, flows: Optional[List[FlowSpec]] = None) -> None:
         """Register and schedule flow start events (bulk heap load)."""

@@ -46,50 +46,17 @@ asserted nowhere.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, replace
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+from repro.experiments.choices import FIDELITIES, SCENARIOS, TierRule
 
 if TYPE_CHECKING:
     from repro.experiments.scenario import ScenarioConfig
 
-# the tables below are the CLI parser's choice lists; the runs import
-# the simulator in the functions that make them
-
-#: registry scenarios a tier can be validated on: open-loop packet
-#: scenarios whose flow ids exist before the run on every tier
-SCENARIOS = ("quick", "incast256", "fattree-a2a")
-
-
-@dataclass(frozen=True)
-class TierRule:
-    """How one approximate tier is judged (a row of :data:`TIERS`)."""
-
-    #: the CLI subcommand serving this row, and the tier's prose name
-    command: str
-    label: str
-    #: scenarios run (and asserted) by default
-    scenarios: Tuple[str, ...]
-    #: p50/p99 divergence budget (fraction of the packet value)
-    tolerance: float
-    #: per-scenario budgets that replace ``tolerance``
-    scenario_tolerance: Mapping[str, float] = field(default_factory=dict)
-
-
-#: fidelity -> its validation envelope (defaults of the validate-* CLIs)
+#: fidelity -> its validation envelope (the validate-* CLIs): a view of the tier rows
 TIERS: Dict[str, TierRule] = {
-    "flow": TierRule(
-        command="validate-flowsim",
-        label="fluid",
-        scenarios=SCENARIOS,
-        tolerance=0.15,
-        scenario_tolerance={"fattree-a2a": 0.25},
-    ),
-    "hybrid": TierRule(
-        command="validate-hybrid",
-        label="hybrid",
-        scenarios=("incast256", "fattree-a2a"),
-        tolerance=0.10,
-    ),
+    tier: row.validation for tier, row in FIDELITIES.items() if row.validation
 }
 
 

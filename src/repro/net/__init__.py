@@ -6,36 +6,21 @@ shared buffer, dynamic-threshold PFC, RED/ECN marking, and hosts with
 rate-limited NICs.
 """
 
-from repro.net.packet import Packet, PacketKind
-from repro.net.link import Link
-from repro.net.port import EgressPort
-from repro.net.buffer import SharedBuffer
-from repro.net.node import Node
-from repro.net.switch import Switch, SwitchExtension
-from repro.net.host import Host
-from repro.net.topology import (
-    PortRole,
-    Topology,
-    build_dumbbell,
-    build_fat_tree,
-    build_leaf_spine,
-    build_testbed,
-)
+from repro.lazy import exports
 
-__all__ = [
-    "Packet",
-    "PacketKind",
-    "Link",
-    "EgressPort",
-    "SharedBuffer",
-    "Node",
-    "Switch",
-    "SwitchExtension",
-    "Host",
-    "PortRole",
-    "Topology",
-    "build_dumbbell",
-    "build_leaf_spine",
-    "build_fat_tree",
-    "build_testbed",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "packet": ("Packet", "PacketKind"),
+        "link": ("Link",),
+        "port": ("EgressPort",),
+        "buffer": ("SharedBuffer",),
+        "node": ("Node",),
+        "switch": ("Switch", "SwitchExtension"),
+        "host": ("Host",),
+        "topology": (
+            "PortRole", "Topology", "build_dumbbell", "build_leaf_spine", "build_fat_tree",
+            "build_testbed",
+        ),
+    },
+)

@@ -35,22 +35,10 @@ class Node:
         #: pause time already moved to the hub (all ports)
         self._pause_reported = 0
 
-    def attach_link(
-        self,
-        link: "Link",
-        n_data_queues: int = 1,
-        rr_data_queues: int = 0,
-    ) -> int:
+    def attach_link(self, link: "Link") -> int:
         """Create the egress port for ``link`` and return its index."""
         index = len(self.ports)
-        port = EgressPort(
-            self.sim,
-            self,
-            index,
-            link,
-            n_data_queues=n_data_queues,
-            rr_data_queues=rr_data_queues,
-        )
+        port = EgressPort(self.sim, self, index, link)
         # only wire the dequeue hook when the subclass actually has one;
         # hosts inherit the base no-op, and skipping it saves a method
         # call per transmitted packet on every NIC port

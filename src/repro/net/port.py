@@ -1,18 +1,17 @@
 """Egress ports: serialization, multi-queue scheduling, pausing.
 
 Each attached link direction gets one :class:`EgressPort`.  The port
-owns a configurable set of FIFO queues:
+owns a fixed layout of FIFO queues:
 
 * queue 0 is the *control* queue — link-level control (PFC frames,
   Floodgate credits) and host ACK/CNP traffic.  It has strict highest
   priority and is never paused, mirroring how control rides a separate
   priority class on real fabrics.
-* queues ``1 .. rr_start-1`` are strict-priority data queues (lower
-  index wins), used e.g. to prioritize non-incast traffic over
-  VOQ-drained incast traffic in Floodgate.
-* queues ``rr_start ..`` form a round-robin group at the lowest
-  priority — used for BFC's per-flow physical queues and for
-  Floodgate's drained VOQs.
+* queue 1 is the data queue, served before the round-robin group (so
+  Floodgate's non-incast traffic goes ahead of its drained VOQs).
+* queues ``2 ..`` form a round-robin group at the lowest priority,
+  which :meth:`EgressPort.add_rr_queues` grows — used for BFC's
+  per-flow physical queues and for Floodgate's drained VOQs.
 
 Pausing is supported at two granularities: the whole port (PFC) or a
 single queue (BFC); both exempt the control queue.
@@ -79,6 +78,9 @@ EMPTY_SET: frozenset = frozenset()
 class EgressPort:
     """One transmit direction of a node onto a link."""
 
+    #: first index of the round-robin group (after control and data)
+    rr_start = 2
+
     __slots__ = (
         "sim",
         "node",
@@ -88,7 +90,6 @@ class EgressPort:
         "_delay_table",
         "queues",
         "queue_bytes",
-        "rr_start",
         "_rr_next",
         "_free_at",
         "_wake_seq",
@@ -113,8 +114,6 @@ class EgressPort:
         node: "Node",
         index: int,
         link: "Link",
-        n_data_queues: int = 1,
-        rr_data_queues: int = 0,
     ) -> None:
         self.sim = sim
         self.node = node
@@ -131,11 +130,9 @@ class EgressPort:
         self._delay_table: Dict[int, int] = (
             {} if link.delay_table is None else link.delay_table
         )
-        total = 1 + n_data_queues + rr_data_queues
         #: a queue is EMPTY_QUEUE until its first packet
-        self.queues: List[Sequence["Packet"]] = [EMPTY_QUEUE] * total
-        self.queue_bytes: List[int] = [0] * total
-        self.rr_start = 1 + n_data_queues
+        self.queues: List[Sequence["Packet"]] = [EMPTY_QUEUE] * 2
+        self.queue_bytes: List[int] = [0] * 2
         self._rr_next = self.rr_start
         #: busy-until state.  ``_free_at`` is when the packet on the wire
         #: finishes serializing; the port holds no "transmit done" event
@@ -315,30 +312,19 @@ class EgressPort:
     # -- transmit machinery ---------------------------------------------------------
 
     def _pick_queue(self) -> int:
-        """Scheduler: control, then strict-priority data, then RR group.
-
-        Returns the queue index to serve next, or -1 if nothing is
-        eligible (empty, paused, or port-paused).
-        """
+        """The scheduler's last step, once control, a port pause and the
+        data queue have had their turn: the RR group's next eligible
+        queue, or -1 if none is (empty or paused)."""
         queues = self.queues
-        if queues[CONTROL_QUEUE]:
-            return CONTROL_QUEUE
-        if self.paused:
-            return -1
-        rr_start = self.rr_start
         paused_queues = self.paused_queues
-        for idx in range(1, rr_start):
+        rr_start = self.rr_start
+        span = len(queues) - rr_start
+        start = self._rr_next
+        for off in range(span):
+            idx = rr_start + (start - rr_start + off) % span
             if queues[idx] and idx not in paused_queues:
+                self._rr_next = rr_start + (idx - rr_start + 1) % span
                 return idx
-        n = len(queues)
-        if n > rr_start:
-            span = n - rr_start
-            start = self._rr_next
-            for off in range(span):
-                idx = rr_start + (start - rr_start + off) % span
-                if queues[idx] and idx not in paused_queues:
-                    self._rr_next = rr_start + (idx - rr_start + 1) % span
-                    return idx
         return -1
 
     def _try_transmit(self, pkt: Optional["Packet"] = None, idx: int = 0) -> None:
@@ -355,15 +341,14 @@ class EgressPort:
         if pkt is None:
             if self._waking or not self._queued:
                 return
-            # inline the two overwhelmingly common scheduler outcomes
-            # (control frame waiting; single unpaused data queue) before
-            # falling back to the full priority/RR scan
+            # the scheduler: control, then (unless the port is paused)
+            # the data queue, then the RR group
             queues = self.queues
             if queues[CONTROL_QUEUE]:
                 idx = CONTROL_QUEUE
             elif self.paused:
                 return
-            elif self.rr_start > 1 and queues[1] and 1 not in self.paused_queues:
+            elif queues[1] and 1 not in self.paused_queues:
                 idx = 1
             else:
                 idx = self._pick_queue()

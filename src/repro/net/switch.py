@@ -159,8 +159,8 @@ class Switch(Node):
 
     # -- construction -----------------------------------------------------------
 
-    def attach_link(self, link, n_data_queues: int = 1, rr_data_queues: int = 0) -> int:
-        index = super().attach_link(link, n_data_queues, rr_data_queues)
+    def attach_link(self, link) -> int:
+        index = super().attach_link(link)
         self.port_roles.append("unknown")
         self._port_bytes.append(0)
         self.port_max_bytes.append(0)

@@ -499,6 +499,38 @@ def build_dumbbell(
     return topo
 
 
+# -- what the ``topology`` rows name (repro.experiments.choices.FABRICS):
+#    each builder, sized from a resolved ScenarioConfig
+
+
+def leaf_spine_of(cfg, sim, hosts, switches) -> Topology:
+    return build_leaf_spine(
+        sim, hosts, switches, cfg.n_spines, cfg.n_tors, cfg.hosts_per_tor,
+        cfg.host_bandwidth, cfg.fabric_bandwidth, cfg.link_delay, cfg.host_link_delay,
+    )
+
+
+def fat_tree_of(cfg, sim, hosts, switches) -> Topology:
+    return build_fat_tree(
+        sim, hosts, switches, cfg.fat_tree_k, cfg.hosts_per_edge, cfg.host_bandwidth,
+        cfg.fabric_bandwidth, cfg.link_delay, cfg.host_link_delay,
+    )
+
+
+def testbed_of(cfg, sim, hosts, switches) -> Topology:
+    return build_testbed(
+        sim, hosts, switches, cfg.host_bandwidth, cfg.fabric_bandwidth,
+        cfg.link_delay, cfg.host_link_delay,
+    )
+
+
+def dumbbell_of(cfg, sim, hosts, switches) -> Topology:
+    return build_dumbbell(
+        sim, hosts, switches, max(cfg.hosts_per_tor, 2), cfg.host_bandwidth,
+        cfg.fabric_bandwidth, cfg.link_delay,
+    )
+
+
 def _path_rtt(hops: List[Tuple[float, int]]) -> int:
     """Unloaded RTT along a path of ``(bandwidth, delay)`` hops."""
     from repro.units import MTU, serialization_delay

@@ -246,3 +246,10 @@ class ClosedLoopDriver:
         self.stats.register_incast_flow(flow.flow_id)
         self._pending_flow[flow.flow_id] = (_RESPONSE, request, 0, slot)
         self._start_flows([flow])
+
+
+def rpc_traffic(scenario) -> list:
+    """``pattern="rpc"``: the closed loop; no flow exists before the run."""
+    scenario.rpc_driver = ClosedLoopDriver(scenario, scenario.config.rpc)
+    scenario.rpc_driver.attach()
+    return []

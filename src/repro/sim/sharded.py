@@ -74,6 +74,7 @@ import traceback
 from heapq import heappop, heappush
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from repro.experiments.choices import FABRICS, PATTERNS
 from repro.sim.engine import Simulator
 from repro.stats.scope import CHECK_INTERVAL, ScopeReport, collect_scope
 
@@ -104,7 +105,7 @@ def partition_nodes(scenario, shards: int) -> Dict[int, int]:
     cfg = scenario.config
     topo = scenario.topology
     domain: Dict[int, int] = {}
-    if cfg.topology == "fat-tree":
+    if FABRICS[cfg.topology].pods:
         k = cfg.fat_tree_k
         half = k // 2
         n_cores = half * half
@@ -862,7 +863,7 @@ def _window_loop(
 def resolve_mode(config) -> str:
     """Concrete transport for a config (``auto`` is ``barrier``)."""
     mode = "barrier" if config.shard_mode == "auto" else config.shard_mode
-    if mode == "process" and config.pattern == "rpc":
+    if mode == "process" and PATTERNS[config.pattern].closed_loop:
         raise ValueError(
             "rpc workloads cannot run under shard_mode='process': the "
             "closed-loop driver grows one shared flow table across "

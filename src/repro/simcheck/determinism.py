@@ -25,12 +25,17 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.experiments.choices import FIDELITIES, PATTERNS
+
 #: scheme label -> the ScenarioConfig fields that select it: every
 #: scheme with its own pause or trim machinery, under DCQCN (which runs
 #: with no switch assistance; pfc_tag arms the per-dst pause pairing at
 #: switches, floodgate_ideal the ideal design's per-packet credits and
 #: the pairing of Floodgate's dstPause at hosts); then each other CC
-#: law, and HPCC's INT under Floodgate's ``adjusted_qlen`` (§8)
+#: law, and HPCC's INT under Floodgate's ``adjusted_qlen`` (§8); then
+#: each approximate tier (a row with an engine: the fluid
+#: rate-conservation sweep), and each partitioning tier under Floodgate
+#: (the hybrid boundary ledger with credits crossing it)
 SCHEMES: Tuple[Tuple[str, Dict[str, object]], ...] = (
     ("dcqcn", {"flow_control": "none"}),
     ("floodgate", {"flow_control": "floodgate"}),
@@ -42,6 +47,9 @@ SCHEMES: Tuple[Tuple[str, Dict[str, object]], ...] = (
     ("hpcc", {"cc": "hpcc"}),
     ("static", {"cc": "static"}),
     ("hpcc_floodgate", {"cc": "hpcc", "flow_control": "floodgate"}),
+    *((tier, {"fidelity": tier}) for tier, row in FIDELITIES.items() if row.engine),
+    *((f"{tier}_floodgate", {"fidelity": tier, "flow_control": "floodgate"})
+      for tier, row in FIDELITIES.items() if row.partitions),
 )
 
 #: schemes the sharded-equivalence check covers: the sharded engine is
@@ -220,7 +228,7 @@ def check_sharded_equivalence(
     serial_bytes = norm_bytes(run_scenario(config, scenario=sc))
 
     modes = ["lockstep", "barrier"]
-    if config.pattern != "rpc":
+    if not PATTERNS[config.pattern].closed_loop:
         modes.append("process")
     report: Dict[str, object] = {
         "shards": shards,

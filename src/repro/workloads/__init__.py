@@ -3,40 +3,22 @@
 Flow-size distributions (Fig. 7) for Memcached, Web Server, Hadoop,
 and Web Search; Poisson arrival background traffic; periodic,
 successive, and staggered incast patterns; and the *incastmix* composer
-used by most of the evaluation (§6.1).
+used by most of the evaluation (§6.1).  Each ``pattern`` row of
+:mod:`repro.experiments.choices` names the function here that builds a
+scenario's traffic, and a run loads only that pattern's module.
 """
 
-from repro.workloads.distributions import (
-    FlowSizeDistribution,
-    HADOOP,
-    MEMCACHED,
-    WEB_SEARCH,
-    WEB_SERVER,
-    WORKLOADS,
-)
-from repro.workloads.poisson import PoissonGenerator, FlowSpec
-from repro.workloads.incast import (
-    IncastSpec,
-    periodic_incast,
-    staggered_flows,
-    successive_incast,
-)
-from repro.workloads.mix import IncastMix, build_incastmix, classify_flows
+from repro.lazy import exports
 
-__all__ = [
-    "FlowSizeDistribution",
-    "MEMCACHED",
-    "WEB_SERVER",
-    "HADOOP",
-    "WEB_SEARCH",
-    "WORKLOADS",
-    "PoissonGenerator",
-    "FlowSpec",
-    "IncastSpec",
-    "periodic_incast",
-    "successive_incast",
-    "staggered_flows",
-    "IncastMix",
-    "build_incastmix",
-    "classify_flows",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "distributions": (
+            "FlowSizeDistribution", "MEMCACHED", "WEB_SERVER", "HADOOP", "WEB_SEARCH",
+            "WORKLOADS",
+        ),
+        "poisson": ("PoissonGenerator", "FlowSpec"),
+        "incast": ("IncastSpec", "periodic_incast", "successive_incast", "staggered_flows"),
+        "mix": ("IncastMix", "build_incastmix", "classify_flows"),
+    },
+)

@@ -114,3 +114,30 @@ def staggered_flows(hosts: Sequence[int], dst: int, duration: int) -> List[FlowS
         FlowSpec(i, sources[i % len(sources)], dst, STAGGERED_FLOW_SIZE, t)
         for i, t in enumerate(range(0, duration, STAGGERED_INTERVAL))
     ]
+
+
+def incast_traffic(scenario) -> List[FlowSpec]:
+    """``pattern="incast"``: periodic bursts to ``incast_dst``."""
+    cfg = scenario.config
+    return periodic_incast(
+        senders=scenario.incast_senders(),
+        dst=cfg.incast_dst,
+        host_bandwidth=cfg.host_bandwidth,
+        duration=cfg.duration,
+        rng=scenario.rng.stream("workload"),
+        load=cfg.incast_load,
+    ).flows
+
+
+def successive_traffic(scenario) -> List[FlowSpec]:
+    """``pattern="successive"``: one round per host in turn."""
+    hosts = [h.node_id for h in scenario.topology.hosts]
+    rng = scenario.rng.stream("workload")
+    return successive_incast(hosts, scenario.config.duration, rng).flows
+
+
+def staggered_traffic(scenario) -> List[FlowSpec]:
+    """``pattern="staggered"``: one long flow after another to ``incast_dst``."""
+    hosts = [h.node_id for h in scenario.topology.hosts]
+    cfg = scenario.config
+    return staggered_flows(hosts, cfg.incast_dst, cfg.duration)

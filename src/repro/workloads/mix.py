@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from repro.stats.collector import FlowClass, StatsHub
-from repro.workloads.distributions import FlowSizeDistribution
+from repro.workloads.distributions import WORKLOADS, FlowSizeDistribution
 from repro.workloads.incast import IncastSpec, periodic_incast
 from repro.workloads.poisson import FlowSpec, PoissonGenerator
 
@@ -105,3 +105,22 @@ def build_incastmix(
         h for h in hosts if rack_of[h] == rack_of[incast_dst] and h != incast_dst
     ]
     return classify_flows(poisson_flows, incast, incast_rack)
+
+
+def incastmix_traffic(scenario) -> List[FlowSpec]:
+    """``pattern="incastmix"``: the §6.1 mix, its labels on the hub."""
+    cfg = scenario.config
+    mix = scenario.mix = build_incastmix(
+        WORKLOADS[cfg.workload],
+        [h.node_id for h in scenario.topology.hosts],
+        scenario.rack_of(),
+        incast_dst=cfg.incast_dst,
+        incast_senders=scenario.incast_senders(),
+        host_bandwidth=cfg.host_bandwidth,
+        duration=cfg.duration,
+        rng=scenario.rng.stream("workload"),
+        poisson_load=cfg.poisson_load,
+        incast_load=cfg.incast_load,
+    )
+    mix.register(scenario.stats)
+    return mix.flows

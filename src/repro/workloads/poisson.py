@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.workloads.distributions import FlowSizeDistribution
+from repro.workloads.distributions import WORKLOADS, FlowSizeDistribution
 
 
 @dataclass(frozen=True)
@@ -84,3 +84,15 @@ class PoissonGenerator:
             )
             self.next_flow_id += 1
         return flows
+
+
+def poisson_traffic(scenario) -> List[FlowSpec]:
+    """``pattern="poisson"``: Poisson arrivals among all hosts."""
+    cfg = scenario.config
+    return PoissonGenerator(
+        WORKLOADS[cfg.workload],
+        [h.node_id for h in scenario.topology.hosts],
+        cfg.host_bandwidth,
+        cfg.poisson_load,
+        scenario.rng.stream("workload"),
+    ).generate(cfg.duration)

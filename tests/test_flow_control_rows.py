@@ -1,11 +1,13 @@
-"""One row per flow-control scheme (``repro.experiments.choices``), and
-one class per CC law (``repro.experiments.scenario``).
+"""One row per choice (``repro.experiments.choices``) — flow-control
+scheme, fidelity tier, topology and traffic pattern — and one class per
+CC law (``repro.experiments.scenario``).
 
-The builder, the fluid tiers and the sanitizer read a scheme's row;
-only the table and the modules its rows name may compare a
-``flow_control`` value with a scheme name.  What a CC law needs from
-the fabric is read off its class, so no module compares a ``cc``
-value with a law's name.
+The builder, the runner, the fabric check, the fluid tiers, the
+sanitizer and the validator read a choice's row; only the tables and
+the modules the scheme rows name may compare a ``flow_control``,
+``fidelity``, ``topology`` or ``pattern`` value with a name.  What a CC
+law needs from the fabric is read off its class, so no module compares
+a ``cc`` value with a law's name.
 """
 
 import ast
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.choices import FLOW_CONTROLS
+from repro.experiments.choices import FABRICS, FIDELITIES, FLOW_CONTROLS, PATTERNS, load
 from repro.net.host import Host
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -62,6 +64,11 @@ def test_no_module_outside_the_rows_compares_a_scheme_name():
     assert name_tests(SRC / "repro", "flow_control", EXEMPT) == []
 
 
+@pytest.mark.parametrize("field", ["fidelity", "topology", "pattern"])
+def test_no_module_outside_the_rows_compares_a_choice_name(field):
+    assert name_tests(SRC / "repro", field, EXEMPT) == []
+
+
 def test_no_module_compares_a_cc_law_name():
     assert name_tests(SRC / "repro", "cc") == []
 
@@ -77,3 +84,18 @@ def test_every_row_module_installs_its_scheme(flow_control):
         host = getattr(module, row.host)
         assert issubclass(host, Host)
         assert host.__module__ == row.module
+
+
+#: every ``"module:name"`` a fidelity, topology or pattern row names
+NAMED = sorted(
+    {row.engine for row in FIDELITIES.values() if row.engine}
+    | {row.build for row in FABRICS.values()}
+    | {row.traffic for row in PATTERNS.values() if row.traffic}
+)
+
+
+@pytest.mark.parametrize("path", NAMED)
+def test_every_row_names_a_callable_in_its_module(path):
+    named = load(path)
+    assert callable(named)
+    assert named.__module__ == path.partition(":")[0]

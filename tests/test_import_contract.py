@@ -205,6 +205,11 @@ FACADES = {
         "FloodgateConfig", "FloodgateExtension", "Voq", "VoqPool", "WindowTable",
     ],
     "repro.flowsim": ["FluidSimulation", "max_min_rates"],
+    "repro.net": [
+        "Packet", "PacketKind", "Link", "EgressPort", "SharedBuffer", "Node",
+        "Switch", "SwitchExtension", "Host", "PortRole", "Topology",
+        "build_dumbbell", "build_leaf_spine", "build_fat_tree", "build_testbed",
+    ],
     "repro.rpc": ["RpcWorkloadSpec", "DestinationMatrix", "ClosedLoopDriver"],
     "repro.simcheck": [
         "CheckReport", "EventStreamDigest", "Finding", "SanitizerConfig",
@@ -214,6 +219,12 @@ FACADES = {
         "EngineProfiler", "GaugeSampler", "Histogram", "PeriodicSampler",
         "RateSampler", "TelemetryConfig", "TelemetryExport",
         "TelemetryRecorder", "render_export",
+    ],
+    "repro.workloads": [
+        "FlowSizeDistribution", "MEMCACHED", "WEB_SERVER", "HADOOP", "WEB_SEARCH",
+        "WORKLOADS", "PoissonGenerator", "FlowSpec", "IncastSpec",
+        "periodic_incast", "successive_incast", "staggered_flows", "IncastMix",
+        "build_incastmix", "classify_flows",
     ],
 }
 

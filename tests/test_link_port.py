@@ -27,7 +27,8 @@ def make_pair(bandwidth=gbps(10), delay=1000):
     sim = Simulator()
     a, b = Sink(sim, 0), Sink(sim, 1)
     link = Link(sim, a, b, bandwidth, delay)
-    a.attach_link(link, n_data_queues=2, rr_data_queues=2)
+    a.attach_link(link)
+    a.ports[0].add_rr_queues(3)  # queues 2, 3, 4
     b.attach_link(link)
     return sim, a, b, link
 
@@ -75,11 +76,11 @@ class TestScheduling:
         # ahead of the second data packet
         assert kinds[1] == PacketKind.CREDIT
 
-    def test_strict_priority_between_data_queues(self):
+    def test_data_queue_goes_before_the_rr_group(self):
         sim, a, b, _ = make_pair()
         port = a.ports[0]
         port.enqueue(data(1000, 0), 1)   # occupies the serializer
-        port.enqueue(data(1000, 99), 2)  # low-priority queue
+        port.enqueue(data(1000, 99), 2)  # round-robin queue
         port.enqueue(data(1000, 1), 1)
         port.enqueue(data(1000, 2), 1)
         sim.run()
@@ -90,7 +91,7 @@ class TestScheduling:
     def test_round_robin_among_rr_queues(self):
         sim, a, b, _ = make_pair()
         port = a.ports[0]
-        # rr_start == 3 (1 control + 2 strict): queues 3 and 4 are RR
+        # control 0, data 1, RR 2..4: queues 3 and 4 take turns
         for i in range(3):
             port.enqueue(data(1000, 10 + i), 3)
             port.enqueue(data(1000, 20 + i), 4)

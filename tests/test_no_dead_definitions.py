@@ -12,7 +12,10 @@ whose only callers are its own tests is dead code with a test suite.
 The walk is name-level.  A definition is a ``def`` / ``class``; what it
 *uses* is every identifier, attribute name and keyword in its body,
 nested definitions excluded (they are definitions of their own) and
-strings excluded (a docstring that mentions a name does not call it).
+strings excluded (a docstring that mentions a name does not call it),
+but for a ``"repro.module:name"`` path: a row of
+``repro.experiments.choices`` names its function that way, and
+``choices.load`` resolves it.
 A name used by a root, or by a live definition, makes every definition
 of that name live; dunders and ``visit_*`` hooks live with their class.
 To a fixpoint.
@@ -39,6 +42,8 @@ WORD_ROOTS = (
     + [ROOT / "tests" / "oracle_harness.py"]
 )
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+#: a string that names a definition: ``choices.load`` resolves it
+LOAD_PATH = re.compile(r"repro(?:\.\w+)+:(\w+)")
 #: module attributes the interpreter calls (PEP 562): like a class's
 #: dunders they are live, and so is the statement binding them in a
 #: package ``__init__`` (a lazy façade)
@@ -91,6 +96,10 @@ def _uses(nodes) -> set:
             out.add(node.attr)
         elif isinstance(node, ast.keyword) and node.arg:
             out.add(node.arg)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            path = LOAD_PATH.fullmatch(node.value)
+            if path:
+                out.add(path.group(1))
         stack.extend(ast.iter_child_nodes(node))
     return out
 
@@ -212,8 +221,7 @@ def test_every_selectable_value_is_selected_by_a_root():
     from dataclasses import fields
     from typing import get_args
 
-    from repro.experiments import scenario
-    from repro.experiments.choices import FLOW_CONTROLS
+    from repro.experiments import choices, scenario
     from repro.faults.plan import FaultSpec
 
     strings = {
@@ -230,10 +238,10 @@ def test_every_selectable_value_is_selected_by_a_root():
                 names.add(node.attr)
     values = (
         tuple(scenario._CC_LAWS)
-        + tuple(FLOW_CONTROLS)
-        + scenario._VALID_PATTERNS
-        + scenario._VALID_TOPOLOGIES
-        + scenario._VALID_FIDELITY
+        + tuple(choices.FLOW_CONTROLS)
+        + tuple(choices.PATTERNS)
+        + tuple(choices.FABRICS)
+        + tuple(choices.FIDELITIES)
     )
     assert [v for v in values if v not in strings] == []
     assert [t.__name__ for t in get_args(FaultSpec) if t.__name__ not in names] == []
@@ -284,46 +292,77 @@ def _is_super_init(call: ast.Call) -> bool:
     )
 
 
+def _owner(fn: ast.AST, cls) -> str:
+    """What :func:`_model_parameters` calls the owner of ``fn``'s
+    parameters: the class for an ``__init__``, else ``Class.method`` or
+    the function's name."""
+    if cls is None:
+        return fn.name
+    return cls if fn.name == "__init__" else f"{cls}.{fn.name}"
+
+
+def _defaulted(fn: ast.AST, cls) -> dict:
+    """``name -> "Owner.name"`` for each parameter of ``fn`` with a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    named = positional[len(positional) - len(args.defaults):] + [
+        arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None
+    ]
+    return {arg.arg: f"{_owner(fn, cls)}.{arg.arg}" for arg in named}
+
+
 def _calls() -> dict:
-    """callee name -> ``(positional count, keyword names)`` of every
-    call under ``src/`` and ``benchmarks/``; a ``super().__init__`` call
-    counts as a call of each base of its class, and ``once(f, ...)`` as
-    a call of ``f``.  A ``*args`` reaches every later positional;
+    """callee name -> ``(positional count, keyword names, forwards)`` of
+    every call under ``src/`` and ``benchmarks/``; a ``super().__init__``
+    call counts as a call of each base of its class, and ``once(f, ...)``
+    as a call of ``f``.  A ``*args`` reaches every later positional;
     a ``**kwargs`` names nothing: a forwarding ``__init__`` is followed
-    through its class instead (``_model_parameters``)."""
+    through its class instead (``_model_parameters``).  ``forwards``
+    maps an argument (its position or keyword) that is the calling
+    function's own defaulted parameter to that parameter's
+    ``Owner.name``: it passes on whatever the caller was given."""
     out: dict = {}
 
-    def record(name, call: ast.Call, args) -> None:
+    def record(name, call: ast.Call, args, own: dict) -> None:
         positional = 0
+        forwards = {}
         for arg in args:
             if isinstance(arg, ast.Starred):
                 positional = KEYWORD_ONLY
                 break
+            if isinstance(arg, ast.Name) and arg.id in own:
+                forwards[positional] = own[arg.id]
             positional += 1
         keywords = {k.arg for k in call.keywords if k.arg}
-        out.setdefault(name, []).append((positional, keywords))
+        for k in call.keywords:
+            if k.arg and isinstance(k.value, ast.Name) and k.value.id in own:
+                forwards[k.arg] = own[k.value.id]
+        out.setdefault(name, []).append((positional, keywords, forwards))
 
-    def walk(node: ast.AST, bases=()) -> None:
+    def walk(node: ast.AST, bases: tuple, cls, own: dict) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                walk(child, tuple(getattr(b, "id", "") for b in child.bases))
+                walk(child, tuple(getattr(b, "id", "") for b in child.bases), child.name, {})
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, bases, None, _defaulted(child, cls))
                 continue
             if isinstance(child, ast.Call):
                 if _is_super_init(child):
                     for base in bases:
-                        record(base, child, child.args)
+                        record(base, child, child.args, own)
                 elif _callee(child) in APPLIERS and child.args:
                     applied = child.args[0]
                     name = getattr(applied, "id", getattr(applied, "attr", None))
-                    record(name, child, child.args[1:])
+                    record(name, child, child.args[1:], own)
                 else:
                     name = _callee(child)
                     if name is not None:
-                        record(name, child, child.args)
-            walk(child, bases)
+                        record(name, child, child.args, own)
+            walk(child, bases, cls, own)
 
     for path in CALLER_FILES:
-        walk(ast.parse(path.read_text()))
+        walk(ast.parse(path.read_text()), (), None, {})
     return out
 
 
@@ -432,16 +471,36 @@ def _model_parameters():
 
 
 def _unset_model_parameters() -> list:
+    """Every model parameter no call sets, to a fixpoint: an argument
+    that only forwards the caller's own defaulted parameter sets
+    nothing until that parameter is set."""
     calls = _calls()
-    unset = set()
-    for owner, param, reach in _model_parameters():
-        if not any(
-            param in keywords or positional > position
-            for name, position in reach.items()
-            for positional, keywords in calls.get(name, ())
-        ):
-            unset.add(f"{owner}.{param}")
-    return sorted(unset)
+    params = [(f"{owner}.{param}", param, reach) for owner, param, reach in _model_parameters()]
+    keys = {key for key, _, _ in params}
+    done: set = set()
+
+    def sets(param, position, call) -> bool:
+        positional, keywords, forwards = call
+        if param in keywords:
+            source = forwards.get(param)
+        elif positional > position:
+            source = forwards.get(position)
+        else:
+            return False
+        return source is None or source in done or source not in keys
+
+    grew = True
+    while grew:
+        grew = False
+        for key, param, reach in params:
+            if key not in done and any(
+                sets(param, position, call)
+                for name, position in reach.items()
+                for call in calls.get(name, ())
+            ):
+                done.add(key)
+                grew = True
+    return sorted(keys - done)
 
 
 def test_every_model_parameter_has_a_caller():

@@ -72,7 +72,8 @@ def make_pair(port_cls=EgressPort, bandwidth=BW, delay=DELAY, lid=0):
     original = node_module.EgressPort
     node_module.EgressPort = port_cls
     try:
-        a.attach_link(link, n_data_queues=2, rr_data_queues=2)
+        a.attach_link(link)
+        a.ports[0].add_rr_queues(3)  # queues 2, 3, 4
         b.attach_link(link)
     finally:
         node_module.EgressPort = original

@@ -181,6 +181,17 @@ class TestConfigResolution:
         with pytest.raises(ValueError, match="incastmix' needs at least three hosts.* has 2"):
             Scenario(cfg)
 
+    @pytest.mark.parametrize("pattern", ["poisson", "successive", "staggered"])
+    def test_one_host_fails_in_the_fabric_check(self, pattern):
+        # these used to fail inside the Poisson generator, build a run
+        # of zero flows, or divide by zero partway through the build
+        cfg = ScenarioConfig(pattern=pattern, n_tors=1, hosts_per_tor=1, duration=20_000)
+        with pytest.raises(
+            ValueError,
+            match=f"pattern='{pattern}' needs at least two hosts, but the leaf-spine fabric has 1",
+        ):
+            Scenario(cfg)
+
     @pytest.mark.parametrize("pattern", ["incastmix", "incast"])
     def test_incast_on_one_rack_is_rejected(self, pattern):
         # no host outside the destination's rack: the build used to
