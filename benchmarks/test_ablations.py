@@ -112,6 +112,7 @@ def test_ablation_loss_recovery(once):
         for label, recovery in (("with-psn", True), ("without-psn", False)):
             cfg = replace(
                 BASE,
+                workload=ScenarioConfig.workload,  # pattern="incast" draws from no CDF
                 pattern="incast",
                 duration=300_000,
                 floodgate=FloodgateConfig(

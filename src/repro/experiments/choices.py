@@ -4,11 +4,14 @@ One table per enumerated field: ``flow_control``, ``fidelity``,
 ``topology`` and ``pattern``.  ``ScenarioConfig`` checks a value
 against its table, the CLI offers the keys as choices, and the
 builder, the runner, the fabric check, the fluid tiers, the sanitizer
-and the validator read the row instead of comparing names.  The rows
-hold module paths and flags, not classes, and the tables live apart
-from :mod:`repro.experiments.scenario`, so that building the parser
+and the validator read the row instead of comparing names.  Every row
+names the ``ScenarioConfig`` fields it reads (``reads``): a config
+that sets a field some row of the table reads, but its own row does
+not, fails at construction.  The rows hold module paths, flags and
+field names, not classes, and the tables live apart from
+:mod:`repro.experiments.scenario`, so that building the parser
 (``--help``, ``list``) loads no part of the simulator.  A new value is
-one row plus the one function (or class) it names.
+one row, with what it reads, plus the one function (or class) it names.
 """
 
 from importlib import import_module
@@ -37,8 +40,7 @@ class FlowControl(NamedTuple):
     #: the sanitizer pairs its keyed PAUSE / RESUME frames (BFC's
     #: upstream-queue keys are exempt: see repro.simcheck.sanitizer)
     paired_keys: bool = True
-    #: the ``ScenarioConfig`` fields only this scheme reads: a config
-    #: naming another scheme must leave them at their defaults
+    #: the ``ScenarioConfig`` fields the scheme reads
     reads: Tuple[str, ...] = ()
 
 
@@ -96,8 +98,11 @@ class Tier(NamedTuple):
     closed_loop: bool = True
     shards: bool = True
     any_scheme: bool = True
-    #: runs ``hot_racks`` as packets over a fluid rest: needs racks
-    partitions: bool = False
+    #: the ``ScenarioConfig`` fields the tier reads
+    reads: Tuple[str, ...] = ()
+
+    #: it runs ``hot_racks`` as packets over a fluid rest: needs racks
+    partitions = property(lambda self: "hot_racks" in self.reads)
 
 
 #: what the approximate tiers cannot run (DESIGN.md "Fidelity tiers")
@@ -114,7 +119,7 @@ FIDELITIES: Dict[str, Tier] = {
         "repro.hybrid.model:HybridSimulation",
         validation=TierRule("validate-hybrid", "hybrid", ("incast256", "fattree-a2a"), 0.10),
         closed_loop=False,
-        partitions=True,
+        reads=("hot_racks",),
         **_FLUID,
     ),
 }
@@ -123,20 +128,34 @@ FIDELITIES: Dict[str, Tier] = {
 class Fabric(NamedTuple):
     """What the build needs to know about one topology."""
 
-    #: ``"module:function"`` building it from the resolved config, the
-    #: simulator and the host and switch factories
+    #: ``"module:function"`` of the builder: it takes the simulator, the
+    #: host and switch factories, and ``reads`` as keywords
     build: str
+    #: the ``ScenarioConfig`` fields the builder takes, by their names
+    reads: Tuple[str, ...]
     #: the hybrid tier can split it into hot and cold racks
     racked: bool = False
-    #: built of ``fat_tree_k`` pods: k must be even, shards split per pod
-    pods: bool = False
 
+    #: built of ``fat_tree_k`` pods: k must be even, shards split per pod
+    pods = property(lambda self: "fat_tree_k" in self.reads)
+
+
+#: what every fabric's links read
+_LINKS = ("host_bandwidth", "fabric_bandwidth", "link_delay")
 
 FABRICS: Dict[str, Fabric] = {
-    "leaf-spine": Fabric("repro.net.topology:leaf_spine_of", racked=True),
-    "fat-tree": Fabric("repro.net.topology:fat_tree_of", racked=True, pods=True),
-    "testbed": Fabric("repro.net.topology:testbed_of"),
-    "dumbbell": Fabric("repro.net.topology:dumbbell_of"),
+    "leaf-spine": Fabric(
+        "repro.net.topology:build_leaf_spine",
+        ("n_spines", "n_tors", "hosts_per_tor", *_LINKS, "host_link_delay"),
+        racked=True,
+    ),
+    "fat-tree": Fabric(
+        "repro.net.topology:build_fat_tree",
+        ("fat_tree_k", "hosts_per_edge", *_LINKS, "host_link_delay"),
+        racked=True,
+    ),
+    "testbed": Fabric("repro.net.topology:build_testbed", (*_LINKS, "host_link_delay")),
+    "dumbbell": Fabric("repro.net.topology:build_dumbbell", ("hosts_per_tor", *_LINKS)),
 }
 
 
@@ -148,25 +167,30 @@ class Pattern(NamedTuple):
     traffic: Optional[str] = None
     #: the fewest hosts its traffic runs between
     min_hosts: int = 0
-    #: aims at ``incast_dst``; its senders sit outside that host's rack
-    aims: bool = False
-    remote_senders: bool = False
+    #: the ``ScenarioConfig`` fields its traffic reads, past the
+    #: run-wide ones (``duration``, ``seed``, ``host_bandwidth``)
+    reads: Tuple[str, ...] = ()
     #: its flows are registered as incast flows
     incast: bool = False
-    #: a closed loop (``ScenarioConfig.rpc``) that adds flows as it runs
-    closed_loop: bool = False
 
+    #: it aims at ``incast_dst``
+    aims = property(lambda self: "incast_dst" in self.reads)
+    #: its senders sit outside that host's rack
+    remote_senders = property(lambda self: "incast_fan_in" in self.reads)
+    #: a closed loop (``rpc``) that adds flows as it runs
+    closed_loop = property(lambda self: "rpc" in self.reads)
+
+
+#: what the open-loop Poisson draw and the incast bursts read
+_POISSON = ("workload", "poisson_load")
+_INCAST = ("incast_load", "incast_fan_in", "incast_dst")
 
 PATTERNS: Dict[str, Pattern] = {
-    "incastmix": Pattern(
-        "repro.workloads.mix:incastmix_traffic", 3, aims=True, remote_senders=True
-    ),
-    "poisson": Pattern("repro.workloads.poisson:poisson_traffic", 2),
-    "incast": Pattern(
-        "repro.workloads.incast:incast_traffic", 2, aims=True, remote_senders=True, incast=True
-    ),
+    "incastmix": Pattern("repro.workloads.mix:incastmix_traffic", 3, (*_POISSON, *_INCAST)),
+    "poisson": Pattern("repro.workloads.poisson:poisson_traffic", 2, _POISSON),
+    "incast": Pattern("repro.workloads.incast:incast_traffic", 2, _INCAST, incast=True),
     "successive": Pattern("repro.workloads.incast:successive_traffic", 2, incast=True),
-    "staggered": Pattern("repro.workloads.incast:staggered_traffic", 2, aims=True),
-    "rpc": Pattern("repro.rpc.driver:rpc_traffic", 2, closed_loop=True),
+    "staggered": Pattern("repro.workloads.incast:staggered_traffic", 2, ("incast_dst",)),
+    "rpc": Pattern("repro.rpc.driver:rpc_traffic", 2, ("rpc",)),
     "none": Pattern(),
 }

@@ -35,7 +35,6 @@ LOSS_RATES = (0.0, 0.05, 0.10)
 
 def tasks(quick: bool = True) -> List[SweepTask]:
     base = ScenarioConfig(
-        workload="webserver",
         pattern="incast",
         flow_control="floodgate",
         duration=400_000 if quick else 1_500_000,

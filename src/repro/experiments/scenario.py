@@ -17,7 +17,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from importlib import import_module
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Type
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, Type,
+)
 
 from repro.cc.base import CcAlgorithm
 from repro.cc.dcqcn import Dcqcn
@@ -63,6 +65,25 @@ _CC_LAWS: Dict[str, Callable[[], Type[CcAlgorithm]]] = {
     "hpcc": lambda: import_module("repro.cc.hpcc").Hpcc,
     "static": lambda: CcAlgorithm,
 }
+
+
+def _every(table: Mapping[str, NamedTuple]) -> Tuple[str, ...]:
+    """The fields some row of ``table`` reads, in row order."""
+    return tuple(dict.fromkeys(name for row in table.values() for name in row.reads))
+
+
+#: the ECN marking thresholds: what a law that ``reads_ecn`` reads
+_ECN = ("ecn_kmin", "ecn_kmax")
+
+#: per choice field: the fields some row reads, and the selected
+#: value's reads.  A config may set only what its rows read.
+_READS: Tuple[Tuple[str, Tuple[str, ...], Callable[[str], Tuple[str, ...]]], ...] = (
+    ("fidelity", _every(FIDELITIES), lambda v: FIDELITIES[v].reads),
+    ("topology", _every(FABRICS), lambda v: FABRICS[v].reads),
+    ("cc", _ECN, lambda v: _ECN if _CC_LAWS[v]().reads_ecn else ()),
+    ("flow_control", _every(FLOW_CONTROLS), lambda v: FLOW_CONTROLS[v].reads),
+    ("pattern", _every(PATTERNS), lambda v: PATTERNS[v].reads),
+)
 
 
 def _tiers(flag: str) -> str:
@@ -202,19 +223,18 @@ class ScenarioConfig:
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"{name} must not be negative, got {value!r}")
-        for name in ("ecn_kmin", "ecn_kmax"):
-            # the law is resolved only when a threshold is set
-            if getattr(self, name) and not _CC_LAWS[self.cc]().reads_ecn:
-                raise ValueError(f"{name} is set, but cc={self.cc!r} reads no ECN marks")
-        own = FLOW_CONTROLS[self.flow_control].reads
-        for row in FLOW_CONTROLS.values():
-            for name in row.reads:
+        # a field is set when it holds neither its default nor what
+        # resolved() fills in for it (a resolved config stays legal);
+        # the row is looked up (a CC law imported) only for a set field
+        scale = self._scale_defaults()
+        for choice, fields, reads in _READS:
+            value = getattr(self, choice)
+            for name in fields:
                 default = self.__dataclass_fields__[name].default
-                if name not in own and getattr(self, name) != default:
-                    raise ValueError(
-                        f"{name} is set, but flow_control="
-                        f"{self.flow_control!r} does not read it"
-                    )
+                if getattr(self, name) not in (default, scale.get(name, default)) and (
+                    name not in reads(value)
+                ):
+                    raise ValueError(f"{name} is set, but {choice}={value!r} does not read it")
         if self.ecn_kmin and self.ecn_kmax and self.ecn_kmax < self.ecn_kmin:
             raise ValueError(
                 f"ecn_kmax {self.ecn_kmax} is below ecn_kmin "
@@ -244,12 +264,6 @@ class ScenarioConfig:
             raise ValueError(
                 f"pattern={self.pattern!r} needs a workload description: pass "
                 "rpc=RpcWorkloadSpec(...) (see repro.rpc.spec for the knobs)"
-            )
-        if self.rpc is not None and not pattern.closed_loop:
-            raise ValueError(
-                f"an RpcWorkloadSpec was given but pattern is "
-                f"{self.pattern!r}; set pattern='rpc' to drive the "
-                f"closed-loop workload (or drop the rpc field)"
             )
         if self.rpc is not None and self.fault_plan is not None:
             for fault in self.fault_plan.faults:
@@ -301,11 +315,6 @@ class ScenarioConfig:
                 f"hot_racks must be a tuple of non-negative rack "
                 f"indices, got {self.hot_racks!r}"
             )
-        if self.hot_racks and not tier.partitions:
-            raise ValueError(
-                f"hot_racks only applies to fidelity={_tiers('partitions')} "
-                "(packet runs everything hot, flow runs everything cold)"
-            )
         if pattern.closed_loop and not tier.closed_loop:
             raise ValueError(
                 f"fidelity={self.fidelity!r} does not support closed-loop rpc "
@@ -320,41 +329,32 @@ class ScenarioConfig:
                 f"({racked}) to partition into hot and cold domains"
             )
 
+    def _scale_defaults(self) -> Dict[str, object]:
+        """What each field left at 0 resolves to at this scale."""
+        if self.scale is Scale.PAPER:
+            return dict(
+                n_spines=4, n_tors=10, hosts_per_tor=16, host_bandwidth=gbps(100),
+                fabric_bandwidth=gbps(400), link_delay=600,
+                host_link_delay=self.link_delay or 600, buffer_bytes=mb(20), duration=ms(4),
+            )
+        # CI scale keeps the paper's ratios: host links carry most of
+        # the propagation delay so the *end-to-end* BDP stays around one
+        # incast flow (30-40 MTU ~ 1 BDP, the sub-BDP regime where CC
+        # cannot help), while switch-to-switch hop BDP stays small so
+        # Floodgate's windows are small relative to the buffer — the
+        # paper's hopBDP << C*T regime.  The incast burst is comparable
+        # to the shared buffer so PFC/drop dynamics appear as they do at
+        # 100 Gbps scale.
+        return dict(
+            n_spines=2, n_tors=4, hosts_per_tor=8, host_bandwidth=gbps(10),
+            fabric_bandwidth=gbps(40), link_delay=500, host_link_delay=6_000,
+            buffer_bytes=500_000, duration=ms(2),
+        )
+
     def resolved(self) -> "ScenarioConfig":
         """Fill in scale-dependent defaults."""
-        if self.scale is Scale.PAPER:
-            d = dict(
-                n_spines=self.n_spines or 4,
-                n_tors=self.n_tors or 10,
-                hosts_per_tor=self.hosts_per_tor or 16,
-                host_bandwidth=self.host_bandwidth or gbps(100),
-                fabric_bandwidth=self.fabric_bandwidth or gbps(400),
-                link_delay=self.link_delay or 600,
-                host_link_delay=self.host_link_delay or self.link_delay or 600,
-                buffer_bytes=self.buffer_bytes or mb(20),
-                duration=self.duration or ms(4),
-            )
-        else:
-            # CI scale keeps the paper's ratios: host links carry most
-            # of the propagation delay so the *end-to-end* BDP stays
-            # around one incast flow (30-40 MTU ~ 1 BDP, the sub-BDP
-            # regime where CC cannot help), while switch-to-switch hop
-            # BDP stays small so Floodgate's windows are small relative
-            # to the buffer — the paper's hopBDP << C*T regime.  The
-            # incast burst is comparable to the shared buffer so
-            # PFC/drop dynamics appear as they do at 100 Gbps scale.
-            d = dict(
-                n_spines=self.n_spines or 2,
-                n_tors=self.n_tors or 4,
-                hosts_per_tor=self.hosts_per_tor or 8,
-                host_bandwidth=self.host_bandwidth or gbps(10),
-                fabric_bandwidth=self.fabric_bandwidth or gbps(40),
-                link_delay=self.link_delay or 500,
-                host_link_delay=self.host_link_delay or 6_000,
-                buffer_bytes=self.buffer_bytes or 500_000,
-                duration=self.duration or ms(2),
-            )
-        return replace(self, **d)
+        fill = self._scale_defaults()
+        return replace(self, **{name: getattr(self, name) or fill[name] for name in fill})
 
 
 def reference_config(
@@ -448,8 +448,10 @@ class Scenario:
         # the fabric's base RTT
         law = _CC_LAWS[cfg.cc]()
         self._ecn = self._ecn_config() if law.reads_ecn else None
-        self.topology = load(FABRICS[cfg.topology].build)(
-            cfg, self.sim, self._host_factory, self._switch_factory
+        fabric = FABRICS[cfg.topology]
+        self.topology = load(fabric.build)(
+            self.sim, self._host_factory, self._switch_factory,
+            **{name: getattr(cfg, name) for name in fabric.reads},
         )
         _check_fabric(cfg, self.topology)
         # hosts and topology share one flow table

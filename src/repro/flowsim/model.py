@@ -54,6 +54,7 @@ class FluidFlow:
     __slots__ = (
         "flow",
         "path",
+        "links",
         "ceiling",
         "tail_latency",
         "remaining_bits",
@@ -69,9 +70,13 @@ class FluidFlow:
         path: Tuple[int, ...],
         ceiling: float,
         tail_latency: int,
+        n_link: int,
     ) -> None:
         self.flow = flow
         self.path = path
+        #: the path's directed-link resources, in path order (the
+        #: resources below ``n_link``; the rest are Floodgate VOQs)
+        self.links = tuple(r for r in path if r < n_link)
         self.ceiling = ceiling
         self.tail_latency = tail_latency
         self.remaining_bits = float(flow.size * 8)
@@ -256,6 +261,7 @@ class FluidSimulation:
                     path,
                     self._flow_ceiling,
                     self._tail_latency(flow.size, hops),
+                    self._n_link_resources,
                 )
             )
         # one event per distinct arrival instant, batch-loaded
@@ -283,6 +289,7 @@ class FluidSimulation:
                     path,
                     self._flow_ceiling,
                     self._tail_latency(flow.size, hops),
+                    self._n_link_resources,
                 )
             )
         self._process()
@@ -303,16 +310,14 @@ class FluidSimulation:
         self._last_advance = now
         factor = dt / SEC if dt > 0 else 0.0
         bits = self._resource_bits
-        n_link = self._n_link_resources
         nxt = _NEVER
         done: List[FluidFlow] = []
         for ff in self._active:
             if factor and ff.rate > 0.0:
                 moved = ff.rate * factor
                 ff.remaining_bits -= moved
-                for r in ff.path:
-                    if r < n_link:
-                        bits[r] += moved
+                for r in ff.links:
+                    bits[r] += moved
             finish = ff.proj_finish
             if dirty is not None and (finish <= now or ff.remaining_bits <= 0.0):
                 done.append(ff)
@@ -409,10 +414,7 @@ class FluidSimulation:
         ff.admit_time = now
         bits = self._resource_bits
         pbits = self._packet_bits
-        n_link = self._n_link_resources
-        ff.admit_bits = tuple(
-            (r, bits[r], pbits[r]) for r in ff.path if r < n_link
-        )
+        ff.admit_bits = tuple((r, bits[r], pbits[r]) for r in ff.links)
         res_flows = self._res_flows
         for r in ff.path:
             bucket = res_flows.get(r)

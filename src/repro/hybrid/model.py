@@ -356,7 +356,8 @@ class HybridSimulation(FluidSimulation):
                 continue
             path, hops = self._path_of(flow)
             ff = FluidFlow(
-                flow, path, self._flow_ceiling, self._tail_latency(flow.size, hops)
+                flow, path, self._flow_ceiling, self._tail_latency(flow.size, hops),
+                self._n_link_resources,
             )
             self._arrivals.append(ff)
             if flow.dst in hot:
@@ -371,12 +372,11 @@ class HybridSimulation(FluidSimulation):
 
     def _make_inbound(self, ff: FluidFlow, hops) -> _InboundState:
         """Locate the boundary entry port and build the injector state."""
-        link_resources = [r for r in ff.path if r < self._n_link_resources]
-        if len(link_resources) < 2:  # pragma: no cover - defensive
+        if len(ff.links) < 2:  # pragma: no cover - defensive
             raise RuntimeError(
                 f"inbound flow {ff.flow.flow_id} has no boundary hop"
             )
-        entry_r = link_resources[-2]
+        entry_r = ff.links[-2]
         link = self.topology.links[entry_r // 2]
         if entry_r % 2 == 0:
             tor, port = link.node_b, link.port_b
@@ -421,22 +421,19 @@ class HybridSimulation(FluidSimulation):
 
     # -- cold -> hot: paced injection --------------------------------------
 
-    def _mm1_wait(self, resources, own: float) -> int:
+    def _mm1_wait(self, links, own: float) -> int:
         """Instantaneous M/M/1 queueing estimate over cold links, ns.
 
-        For each link resource, the allocated fluid load minus the
-        flow's ``own`` rate is the cross traffic its packets compete
-        against; each contributes ``rho / (1 - rho)`` MTU service
-        times.  An unloaded path returns 0, preserving exact
-        closed-form FCTs.
+        For each directed-link resource in ``links``, the allocated
+        fluid load minus the flow's ``own`` rate is the cross traffic
+        its packets compete against; each contributes
+        ``rho / (1 - rho)`` MTU service times.  An unloaded path
+        returns 0, preserving exact closed-form FCTs.
         """
         load = self._res_load
         caps = self.capacities
-        n_link = self._n_link_resources
         wait = 0.0
-        for r in resources:
-            if r >= n_link:
-                continue
+        for r in links:
             cap = caps[r]
             cross = load.get(r, 0.0) - own
             if cross <= 0.0:
@@ -453,7 +450,7 @@ class HybridSimulation(FluidSimulation):
         The last path hop (ToR -> host) queues for real at the hot ToR,
         so only the upstream link resources contribute.
         """
-        return self._mm1_wait(ff.path[:-1], ff.rate)
+        return self._mm1_wait(ff.links[:-1], ff.rate)
 
     def _cold_bottlenecked(self, ff: FluidFlow) -> bool:
         """True when the flow's binding max-min bottleneck is cold.
@@ -469,8 +466,7 @@ class HybridSimulation(FluidSimulation):
         """
         load = self._res_load
         caps = self.capacities
-        n_link = self._n_link_resources
-        links = [r for r in ff.path if r < n_link]
+        links = ff.links
         if len(links) < 2:
             return False
         hot_r = links[-1]
@@ -635,7 +631,7 @@ class HybridSimulation(FluidSimulation):
         # queueing its packets see behind cold cross traffic; clamped
         # monotone so a dropping load estimate cannot reorder a flow
         when = st.clock + st.residual + self._mm1_wait(
-            ghost.path if ghost is not None else (), rate
+            ghost.links if ghost is not None else (), rate
         )
         if when < st.last_delivery:
             when = st.last_delivery
@@ -660,7 +656,7 @@ class HybridSimulation(FluidSimulation):
     def _make_outbound(self, chan: _BoundaryChannel, pkt) -> _OutboundState:
         flow = self.topology.flow_table[pkt.flow_id]
         tail_res, tail_hops = self._tail_from(chan.peer, flow.dst)
-        ghost = FluidFlow(flow, tail_res, self._flow_ceiling, 0)
+        ghost = FluidFlow(flow, tail_res, self._flow_ceiling, 0, self._n_link_resources)
         # a standing flow: it never completes through the fluid clock —
         # it is dropped when the real receiver reports the flow done
         ghost.remaining_bits = float(1 << 80)

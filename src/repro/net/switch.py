@@ -39,13 +39,6 @@ _PAUSE = PacketKind.PAUSE
 _RESUME = PacketKind.RESUME
 _CREDIT_LIKE = (PacketKind.CREDIT, PacketKind.SWITCH_SYN)
 
-#: dense route entries only for dsts below this bound.  Host ids are
-#: small and contiguous (switch ids start at 1_000_000), so every real
-#: destination lands in the flat table; anything above falls back to
-#: the dict without allocating a million-slot list.
-_FLAT_ROUTE_LIMIT = 1 << 17
-
-
 def _ecmp_hash(value: int) -> int:
     """Cheap deterministic integer hash (Knuth multiplicative)."""
     return (value * 2654435761) & 0xFFFFFFFF
@@ -120,13 +113,10 @@ class Switch(Node):
         self.pfc_enabled = pfc_enabled
         self.ecn = ecn
         self.stats = stats
-        # routing: dst host id -> port index, or tuple of candidates
-        # (filled on first lookup: route_entry)
-        self.routes: Dict[int, Union[int, Tuple[int, ...]]] = {}
-        #: dense dst-indexed route table (-1 = no entry): the per-dst
-        #: ECMP choice is resolved once at set_route time, so the hot
-        #: path is a single list index instead of dict + isinstance +
-        #: hash per packet
+        #: the route table, indexed by dst host id (host ids are dense
+        #: from 0): the egress port, or -1 for no entry yet.  The
+        #: per-dst ECMP choice is made once, at set_route time, so the
+        #: hot path is a single list index
         self._route_flat: List[int] = []
         #: installs a missing entry on first lookup (set by
         #: ``Topology.compute_routes``, which routes only a ToR's own
@@ -182,17 +172,16 @@ class Switch(Node):
         ext.attach(self)
 
     def reserve_routes(self, n_dsts: int) -> None:
-        """Size the flat table for every dst below ``n_dsts`` (unset
-        entries read -1), so a lookup of an entry not resolved yet
-        misses on the sign check instead of an IndexError."""
-        grow = min(n_dsts, _FLAT_ROUTE_LIMIT) - len(self._route_flat)
+        """Size the table for every dst below ``n_dsts`` (unset entries
+        read -1), so a lookup of an entry not resolved yet misses on the
+        sign check instead of an IndexError."""
+        grow = n_dsts - len(self._route_flat)
         if grow > 0:
             self._route_flat.extend([-1] * grow)
 
     def set_route(self, dst: int, ports: Union[int, Tuple[int, ...]]) -> None:
-        self.routes[dst] = ports
-        if not 0 <= dst < _FLAT_ROUTE_LIMIT:
-            return  # exotic dst: served from the dict fallback
+        """Route ``dst`` out of ``ports``: a port, or ECMP candidates of
+        which the table keeps ``dst``'s pick."""
         flat = self._route_flat
         if dst >= len(flat):
             self.reserve_routes(dst + 1)
@@ -205,24 +194,19 @@ class Switch(Node):
 
         Per-destination ECMP: every packet to ``dst`` leaves on the same
         port, hashed from ``dst`` over the entry's candidates.  A dst not
-        resolved yet (or outside the flat table) goes through
-        :meth:`route_entry`.
+        resolved yet is resolved here; an unknown one raises KeyError.
         """
+        flat = self._route_flat
         try:
-            port = self._route_flat[dst]
+            port = flat[dst]
         except IndexError:
             port = -1
-        if port < 0:
-            return _ecmp_pick(dst, self.route_entry(dst))
-        return port
-
-    def route_entry(self, dst: int) -> Union[int, Tuple[int, ...]]:
-        """The route entry for ``dst`` — a port, or its ECMP candidates —
-        resolved on first lookup."""
-        routes = self.routes
-        if dst not in routes and self.resolve_route is not None:
+        if port < 0 and self.resolve_route is not None:
             self.resolve_route(self, dst)
-        return routes[dst]  # KeyError for unknown dst, as before
+            port = flat[dst] if dst < len(flat) else -1
+        if port < 0:
+            raise KeyError(dst)
+        return port
 
     def is_last_hop_for(self, dst: int) -> bool:
         """True when ``dst`` is a host directly attached to this switch."""

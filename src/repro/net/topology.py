@@ -8,6 +8,11 @@ Builders cover every topology in the paper:
 * :func:`build_testbed` — the 1-core / 3-ToR / 6-host testbed (§5.2);
 * :func:`build_dumbbell` — a 2-ToR micro-topology for unit tests.
 
+A builder's keyword parameters carry the names of the
+``ScenarioConfig`` fields they size it from: a ``FABRICS`` row
+(:mod:`repro.experiments.choices`) lists them as its ``reads``, and
+``Scenario`` passes exactly those.
+
 Every host is single-homed.  A switch's route entry for a host lists
 all its ports on shortest paths to the host's ToR (hop-count BFS), and
 the switch picks one of them per destination (ECMP).  An entry is
@@ -26,7 +31,6 @@ from repro.net.link import Link
 from repro.net.node import Node
 from repro.net.switch import Switch
 from repro.sim.engine import Simulator
-from repro.units import gbps, ns
 
 
 class PortRole:
@@ -200,8 +204,8 @@ class _RackRoutes:
 
     Every host behind one ToR has the same route at every other switch
     (its distance is its ToR's plus one), so a miss at a switch installs
-    that switch's entry for the whole rack: ``set_route`` per host, the
-    candidate tuple and its per-destination pick exactly the eager ones.
+    that switch's entry for the whole rack: ``set_route`` per host, with
+    the candidates (and so each host's ECMP pick) the eager build gave.
     The rack, its ToR and its hosts come from the topology's rack map
     (``racks[rack_of[dst]]`` and that ToR's ``connected_hosts``).  The
     candidates are the switch's ports toward a peer one hop nearer the
@@ -210,7 +214,7 @@ class _RackRoutes:
     rack and kept here.
 
     Shard safety (SIM005-008): a miss writes the asking switch's own
-    tables and this cache.  The cache is a pure function of the
+    table and this cache.  The cache is a pure function of the
     build-time graph, so whichever domain asks first stores what any
     other would have stored, and a forked domain fills its own copy.
     """
@@ -288,21 +292,21 @@ def build_leaf_spine(
     sim: Simulator,
     host_factory: HostFactory,
     switch_factory: SwitchFactory,
-    n_spines: int = 4,
-    n_tors: int = 10,
-    hosts_per_tor: int = 16,
-    host_bandwidth: float = gbps(100),
-    spine_bandwidth: float = gbps(400),
-    link_delay: int = ns(600),
-    host_link_delay: int = 0,
+    n_spines: int,
+    n_tors: int,
+    hosts_per_tor: int,
+    host_bandwidth: float,
+    fabric_bandwidth: float,
+    link_delay: int,
+    host_link_delay: int,
 ) -> Topology:
-    """The paper's 2-level leaf-spine fabric (§6, default topology).
+    """The paper's 2-level leaf-spine fabric (§6, default topology:
+    4 spines x 10 ToRs x 16 hosts at paper scale).
 
-    ``host_link_delay`` (defaults to ``link_delay``) lets scaled-down
+    ``host_link_delay`` apart from ``link_delay`` lets scaled-down
     configurations keep the end-to-end BDP large while the per-hop
     switch-to-switch BDP stays small — see EXPERIMENTS.md.
     """
-    host_link_delay = host_link_delay or link_delay
     topo = Topology(sim)
     next_switch = SWITCH_ID_BASE
     spines: List[Switch] = []
@@ -331,7 +335,7 @@ def build_leaf_spine(
             topo.connect(
                 tor,
                 spine,
-                spine_bandwidth,
+                fabric_bandwidth,
                 link_delay,
                 role_a=PortRole.TOR_UP,
                 role_b=PortRole.CORE,
@@ -341,8 +345,8 @@ def build_leaf_spine(
     topo.base_rtt = _path_rtt(
         [
             (host_bandwidth, host_link_delay),
-            (spine_bandwidth, link_delay),
-            (spine_bandwidth, link_delay),
+            (fabric_bandwidth, link_delay),
+            (fabric_bandwidth, link_delay),
             (host_bandwidth, host_link_delay),
         ]
     )
@@ -353,21 +357,21 @@ def build_fat_tree(
     sim: Simulator,
     host_factory: HostFactory,
     switch_factory: SwitchFactory,
-    k: int = 8,
-    hosts_per_edge: int = 4,
-    host_bandwidth: float = gbps(100),
-    fabric_bandwidth: float = gbps(100),
-    link_delay: int = ns(600),
-    host_link_delay: int = 0,
+    fat_tree_k: int,
+    hosts_per_edge: int,
+    host_bandwidth: float,
+    fabric_bandwidth: float,
+    link_delay: int,
+    host_link_delay: int,
 ) -> Topology:
     """k-ary fat tree (k pods, k/2 edge + k/2 agg per pod, (k/2)^2 cores).
 
-    With ``k=8`` and 4 hosts per edge this is the paper's 3-tier
-    robustness topology: 32 edges, 32 aggs, 16 cores, 128 hosts.
+    With ``fat_tree_k=8`` and 4 hosts per edge this is the paper's
+    3-tier robustness topology: 32 edges, 32 aggs, 16 cores, 128 hosts.
     """
+    k = fat_tree_k
     if k % 2:
         raise ValueError(f"fat tree arity must be even, got {k}")
-    host_link_delay = host_link_delay or link_delay
     half = k // 2
     topo = Topology(sim)
     next_switch = SWITCH_ID_BASE
@@ -434,12 +438,13 @@ def build_testbed(
     sim: Simulator,
     host_factory: HostFactory,
     switch_factory: SwitchFactory,
-    host_bandwidth: float = gbps(10),
-    core_bandwidth: float = gbps(20),
-    link_delay: int = ns(1000),
-    host_link_delay: int = 0,
+    host_bandwidth: float,
+    fabric_bandwidth: float,
+    link_delay: int,
+    host_link_delay: int,
 ) -> Topology:
-    """The §5.2 testbed: one core, three ToRs, two hosts per ToR."""
+    """The §5.2 testbed: one core, three ToRs, two hosts per ToR
+    (``fabric_bandwidth`` is the core links')."""
     return build_leaf_spine(
         sim,
         host_factory,
@@ -448,7 +453,7 @@ def build_testbed(
         n_tors=3,
         hosts_per_tor=2,
         host_bandwidth=host_bandwidth,
-        spine_bandwidth=core_bandwidth,
+        fabric_bandwidth=fabric_bandwidth,
         link_delay=link_delay,
         host_link_delay=host_link_delay,
     )
@@ -458,18 +463,19 @@ def build_dumbbell(
     sim: Simulator,
     host_factory: HostFactory,
     switch_factory: SwitchFactory,
-    hosts_per_side: int = 2,
-    host_bandwidth: float = gbps(10),
-    trunk_bandwidth: float = gbps(10),
-    link_delay: int = ns(500),
+    hosts_per_tor: int,
+    host_bandwidth: float,
+    fabric_bandwidth: float,
+    link_delay: int,
 ) -> Topology:
-    """Two ToRs joined by one trunk link — the unit-test micro-fabric."""
+    """Two ToRs of ``hosts_per_tor`` hosts each, joined by one trunk
+    link of ``fabric_bandwidth`` — the unit-test micro-fabric."""
     topo = Topology(sim)
     left = switch_factory(sim, SWITCH_ID_BASE, "torL", "tor", 0)
     right = switch_factory(sim, SWITCH_ID_BASE + 1, "torR", "tor", 0)
     topo.switches.extend([left, right])
-    for i in range(hosts_per_side * 2):
-        tor = left if i < hosts_per_side else right
+    for i in range(hosts_per_tor * 2):
+        tor = left if i < hosts_per_tor else right
         host = host_factory(sim, i, f"h{i}")
         topo.hosts.append(host)
         topo.connect(
@@ -483,7 +489,7 @@ def build_dumbbell(
     topo.connect(
         left,
         right,
-        trunk_bandwidth,
+        fabric_bandwidth,
         link_delay,
         role_a=PortRole.TOR_UP,
         role_b=PortRole.TOR_UP,
@@ -492,43 +498,11 @@ def build_dumbbell(
     topo.base_rtt = _path_rtt(
         [
             (host_bandwidth, link_delay),
-            (trunk_bandwidth, link_delay),
+            (fabric_bandwidth, link_delay),
             (host_bandwidth, link_delay),
         ]
     )
     return topo
-
-
-# -- what the ``topology`` rows name (repro.experiments.choices.FABRICS):
-#    each builder, sized from a resolved ScenarioConfig
-
-
-def leaf_spine_of(cfg, sim, hosts, switches) -> Topology:
-    return build_leaf_spine(
-        sim, hosts, switches, cfg.n_spines, cfg.n_tors, cfg.hosts_per_tor,
-        cfg.host_bandwidth, cfg.fabric_bandwidth, cfg.link_delay, cfg.host_link_delay,
-    )
-
-
-def fat_tree_of(cfg, sim, hosts, switches) -> Topology:
-    return build_fat_tree(
-        sim, hosts, switches, cfg.fat_tree_k, cfg.hosts_per_edge, cfg.host_bandwidth,
-        cfg.fabric_bandwidth, cfg.link_delay, cfg.host_link_delay,
-    )
-
-
-def testbed_of(cfg, sim, hosts, switches) -> Topology:
-    return build_testbed(
-        sim, hosts, switches, cfg.host_bandwidth, cfg.fabric_bandwidth,
-        cfg.link_delay, cfg.host_link_delay,
-    )
-
-
-def dumbbell_of(cfg, sim, hosts, switches) -> Topology:
-    return build_dumbbell(
-        sim, hosts, switches, max(cfg.hosts_per_tor, 2), cfg.host_bandwidth,
-        cfg.fabric_bandwidth, cfg.link_delay,
-    )
 
 
 def _path_rtt(hops: List[Tuple[float, int]]) -> int:

@@ -7,8 +7,10 @@ is in use.  The contract is that no entry, no slot index and no counter
 moved.  These are the bodies they replaced — every single-homed route
 entry installed at build time, one BFS per rack, and a pool built with
 all ``max_voqs`` slots up front — and ``tests/test_lazy_build.py`` holds
-the live code ``==`` to them.  Do not "improve" this file: it is a
-reference, not code under test.
+the live code ``==`` to them.  A switch keeps one route table, the
+per-destination pick (``Switch._route_flat``): the eager body fills it
+through ``set_route``, and ``install_eager_routes`` clears it first.
+Do not "improve" this file: it is a reference, not code under test.
 """
 from __future__ import annotations
 
@@ -121,7 +123,6 @@ def _routes_via_tor(
 def install_eager_routes(topo) -> None:
     """Replace ``topo``'s routing tables with the eager ones."""
     for sw in topo.switches:
-        sw.routes = {}
         sw._route_flat = []
         sw.connected_hosts = {}
         sw.resolve_route = None

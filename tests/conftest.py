@@ -77,9 +77,10 @@ class MiniNet:
                 self.sim,
                 host_factory,
                 switch_factory,
-                hosts_per_side=hosts_per_tor,
+                hosts_per_tor=hosts_per_tor,
                 host_bandwidth=host_bandwidth,
-                trunk_bandwidth=fabric_bandwidth,
+                fabric_bandwidth=fabric_bandwidth,
+                link_delay=500,
             )
         else:
             self.topo = build_leaf_spine(
@@ -90,7 +91,9 @@ class MiniNet:
                 n_tors=n_tors,
                 hosts_per_tor=hosts_per_tor,
                 host_bandwidth=host_bandwidth,
-                spine_bandwidth=fabric_bandwidth,
+                fabric_bandwidth=fabric_bandwidth,
+                link_delay=600,
+                host_link_delay=600,
             )
         # hosts and topology share one flow table
         self.topo.flow_table = self.flow_table

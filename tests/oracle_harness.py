@@ -30,7 +30,7 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from repro.experiments import ResultSummary, registry, run_scenario, summarize
-from repro.experiments.scenario import FLOW_CONTROLS, ScenarioConfig
+from repro.experiments.scenario import FLOW_CONTROLS, PATTERNS, ScenarioConfig
 from repro.faults.plan import FaultPlan, LinkDown, RandomLoss
 from repro.rpc.spec import RpcWorkloadSpec
 from repro.telemetry.registry import TelemetryConfig
@@ -144,11 +144,17 @@ def on_shards(cfg: ScenarioConfig, shards: int, faulted: bool) -> ScenarioConfig
     return replace(cfg, shards=shards)
 
 
-def drawn_config(per_dst_pause: bool, **fields) -> ScenarioConfig:
-    """A ``ScenarioConfig`` whose drawn ``per_dst_pause`` is kept only
-    under a scheme that reads it (any other rejects it)."""
-    reads = FLOW_CONTROLS[fields["flow_control"]].reads
-    return ScenarioConfig(per_dst_pause=per_dst_pause and "per_dst_pause" in reads, **fields)
+#: drawn fields that only some schemes or patterns read
+_DRAWN = ("per_dst_pause", "workload", "poisson_load", "incast_load")
+
+
+def drawn_config(**fields) -> ScenarioConfig:
+    """A ``ScenarioConfig`` whose drawn scheme and pattern knobs are kept
+    only under a row that reads them (any other rejects them)."""
+    reads = FLOW_CONTROLS[fields["flow_control"]].reads + PATTERNS[fields["pattern"]].reads
+    return ScenarioConfig(
+        **{name: value for name, value in fields.items() if name not in _DRAWN or name in reads}
+    )
 
 
 #: scheme / cc / pattern / load / buffer / dstPause / rto / shards / faults
@@ -190,7 +196,6 @@ small_config_settings = settings(
 #: closed-loop rpc on a fabric small enough to run in full
 SMALL_RPC = ScenarioConfig(
     flow_control="floodgate",
-    workload="webserver",
     pattern="rpc",
     rpc=RpcWorkloadSpec(n_clients=3, fan_out=3, think_time=us(10)),
     n_tors=3,

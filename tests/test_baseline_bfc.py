@@ -35,7 +35,9 @@ def build(n_queues=8, base_bdp=10_000):
         n_tors=3,
         hosts_per_tor=4,
         host_bandwidth=gbps(10),
-        spine_bandwidth=gbps(40),
+        fabric_bandwidth=gbps(40),
+        link_delay=600,
+        host_link_delay=600,
     )
     topo.flow_table = flow_table
     extensions = []

@@ -34,10 +34,12 @@ def build_fat_tree_net():
         sim,
         host_factory,
         switch_factory,
-        k=4,
+        fat_tree_k=4,
         hosts_per_edge=2,
         host_bandwidth=gbps(10),
         fabric_bandwidth=gbps(10),
+        link_delay=600,
+        host_link_delay=600,
     )
     topo.flow_table = flow_table
     config = FloodgateConfig(credit_timer=us(2))

@@ -134,8 +134,9 @@ def test_a_plain_packet_run_loads_no_optional_subsystem():
         ),
         (
             "from repro.rpc import RpcWorkloadSpec",
-            "pattern='rpc', rpc=RpcWorkloadSpec(n_clients=2, fan_out=2, "
-            "think_time=5_000)",
+            # the default workload: rpc draws from no CDF
+            "pattern='rpc', workload='websearch', "
+            "rpc=RpcWorkloadSpec(n_clients=2, fan_out=2, think_time=5_000)",
             {"repro.rpc.driver", "repro.rpc.matrix"},
         ),
         ("", "fidelity='flow'", {"repro.flowsim.model"}),

@@ -57,11 +57,12 @@ def _fabric_id(cfg: ScenarioConfig) -> str:
 
 
 def _tables(sw):
-    return (
-        dict(sw.routes),
-        list(sw._route_flat),
-        list(sw.connected_hosts.items()),
-    )
+    return list(sw._route_flat), list(sw.connected_hosts.items())
+
+
+def _routed(sw):
+    """The destinations ``sw`` holds a pick for."""
+    return [dst for dst, port in enumerate(sw._route_flat) if port >= 0]
 
 
 def _lazy_and_eager(cfg):
@@ -77,14 +78,14 @@ class TestRoutesOnFirstLookup:
         lazy, eager = _lazy_and_eager(cfg)
         for sw_lazy, sw_eager in zip(lazy.switches, eager.switches, strict=True):
             for host in lazy.hosts:
-                entry = sw_lazy.route_entry(host.node_id)
-                assert entry == sw_eager.routes[host.node_id]
+                port = sw_lazy.route_for_dst(host.node_id)
+                assert port == sw_eager._route_flat[host.node_id]
             assert _tables(sw_lazy) == _tables(sw_eager)
 
     def test_unknown_destination_still_raises(self):
         topo = Scenario(ScenarioConfig(pattern="none")).topology
         with pytest.raises(KeyError):
-            topo.switches[0].route_entry(10_000)
+            topo.switches[0].route_for_dst(10_000)
 
 
 class TestVoqPoolOnDemand:
@@ -139,7 +140,7 @@ class TestBuildCounts:
             ScenarioConfig(topology="fat-tree", fat_tree_k=8, hosts_per_edge=4)
         )
         topo = sc.topology
-        assert sum(len(sw.routes) for sw in topo.switches) == len(topo.hosts)
+        assert sum(len(_routed(sw)) for sw in topo.switches) == len(topo.hosts)
 
     @pytest.mark.parametrize("flow_control", ["floodgate", "floodgate-ideal", "pfc-tag"])
     def test_build_holds_no_voq_slot(self, flow_control):
@@ -156,7 +157,7 @@ class TestBuildCounts:
         # a flow's data path ends in its dst rack, its ACK path in its src rack
         reached = {rack_of[f.dst] for f in sc.flows} | {rack_of[f.src] for f in sc.flows}
         for sw in sc.topology.switches:
-            assert {rack_of[dst] for dst in sw.routes} <= reached
+            assert {rack_of[dst] for dst in _routed(sw)} <= reached
 
     def test_untouched_racks_stay_unresolved(self):
         cfg = ScenarioConfig(pattern="none", n_tors=4, hosts_per_tor=4)
@@ -168,7 +169,7 @@ class TestBuildCounts:
         assert rack_of[0] != rack_of[5]
         for sw in sc.topology.switches:
             resolved = {
-                rack_of[dst] for dst in sw.routes if dst not in sw.connected_hosts
+                rack_of[dst] for dst in _routed(sw) if dst not in sw.connected_hosts
             }
             assert resolved <= {rack_of[0], rack_of[5]}
 

@@ -64,7 +64,7 @@ class TestScenarioConfigValidation:
             ScenarioConfig(pattern="rpc")
 
     def test_spec_needs_the_rpc_pattern(self):
-        with pytest.raises(ValueError, match="pattern='rpc'"):
+        with pytest.raises(ValueError, match="rpc is set, but pattern='poisson' does not read it"):
             ScenarioConfig(pattern="poisson", rpc=RpcWorkloadSpec())
 
     def test_permanent_link_down_is_rejected(self):

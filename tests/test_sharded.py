@@ -83,12 +83,14 @@ class TestPartition:
 
     def test_fat_tree_partitions_per_pod(self):
         sc = Scenario(
-            tiny_cfg(
+            ScenarioConfig(
                 topology="fat-tree",
                 fat_tree_k=4,
                 hosts_per_edge=1,
                 pattern="poisson",
                 poisson_load=0.1,
+                duration=us(200),
+                seed=2,
             )
         )
         domain = partition_nodes(sc, 4)

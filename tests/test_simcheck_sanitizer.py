@@ -272,7 +272,6 @@ def test_fig12_style_lossy_incast_is_clean():
     """Fig. 12's lossy-fabric incast: conservation must hold through
     Bernoulli loss on every switch-to-switch link."""
     cfg = ScenarioConfig(
-        workload="webserver",
         pattern="incast",
         flow_control="floodgate",
         duration=200_000,

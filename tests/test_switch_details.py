@@ -78,21 +78,16 @@ class TestFlatRoutes:
     def _switch(self) -> Switch:
         return Switch(Simulator(), 1_000_000, "sw", buffer_capacity=100_000)
 
-    def test_flat_table_agrees_with_dict_fallback(self):
+    def test_ecmp_group_keeps_its_per_dst_pick(self):
         sw = self._switch()
         sw.set_route(3, 0)
         sw.set_route(7, 1)
-        sw.set_route(9, (0, 1, 2))  # ECMP group
-        flat = {dst: sw.route_for_dst(dst) for dst in (3, 7, 9)}
-        sw._route_flat = []  # every lookup now misses into the dict
-        assert {dst: sw.route_for_dst(dst) for dst in (3, 7, 9)} == flat
-
-    def test_huge_dst_uses_the_dict_fallback(self):
-        sw = self._switch()
-        big = 1 << 20  # beyond the flat-table bound
-        sw.set_route(big, 2)
-        assert len(sw._route_flat) < big
-        assert sw.route_for_dst(big) == 2
+        for dst in range(9, 17):
+            sw.set_route(dst, (0, 1, 2))  # ECMP group
+        assert sw.route_for_dst(3) == 0 and sw.route_for_dst(7) == 1
+        picks = [sw.route_for_dst(dst) for dst in range(9, 17)]
+        assert picks == sw._route_flat[9:17]
+        assert set(picks) == {0, 1, 2}  # hashed per dst over the group
 
     def test_unknown_dst_still_raises_keyerror(self):
         sw = self._switch()

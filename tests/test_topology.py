@@ -17,8 +17,7 @@ class TestLeafSpine:
         topo = leaf_spine.topo
         for sw in topo.switches:
             for host in topo.hosts:
-                sw.route_entry(host.node_id)
-                assert host.node_id in sw.routes
+                assert 0 <= sw.route_for_dst(host.node_id) < len(sw.ports)
 
     def test_connected_hosts_on_tors(self, leaf_spine):
         tors = leaf_spine.topo.switches_of_kind("tor")
@@ -41,13 +40,14 @@ class TestLeafSpine:
 
     def test_ecmp_entries_on_tors(self, leaf_spine):
         tor = leaf_spine.topo.switches_of_kind("tor")[0]
-        remote = next(
+        remote = [
             h.node_id
             for h in leaf_spine.topo.hosts
             if h.node_id not in tor.connected_hosts
-        )
-        entry = tor.route_entry(remote)
-        assert isinstance(entry, tuple) and len(entry) == 2  # both spines
+        ]
+        # per-dst ECMP: the remote hosts spread over both spines
+        ups = {i for i, role in enumerate(tor.port_roles) if role == PortRole.TOR_UP}
+        assert {tor.route_for_dst(dst) for dst in remote} == ups
 
     def test_route_for_dst_deterministic(self, leaf_spine):
         tor = leaf_spine.topo.switches_of_kind("tor")[0]
@@ -66,6 +66,13 @@ class TestLeafSpine:
         assert all(
             s.level == 1 for s in leaf_spine.topo.switches_of_kind("core")
         )
+
+
+#: a k=4 fat tree, 2 hosts per edge, 100 Gbps links of 600 ns
+FAT_TREE_K4 = dict(
+    fat_tree_k=4, hosts_per_edge=2, host_bandwidth=100e9, fabric_bandwidth=100e9,
+    link_delay=600, host_link_delay=600,
+)
 
 
 class TestFatTree:
@@ -88,9 +95,7 @@ class TestFatTree:
             sw.level = level
             return sw
 
-        return build_fat_tree(
-            sim, host_factory, switch_factory, k=4, hosts_per_edge=2
-        )
+        return build_fat_tree(sim, host_factory, switch_factory, **FAT_TREE_K4)
 
     def test_k4_counts(self, fat_tree):
         # k=4: 4 pods x (2 edge + 2 agg) + 4 cores; 2 hosts x 8 edges
@@ -103,14 +108,13 @@ class TestFatTree:
     def test_all_pairs_reachable(self, fat_tree):
         for sw in fat_tree.switches:
             for host in fat_tree.hosts:
-                sw.route_entry(host.node_id)
-                assert host.node_id in sw.routes
+                assert 0 <= sw.route_for_dst(host.node_id) < len(sw.ports)
 
     def test_odd_k_rejected(self):
         from repro.net.topology import build_fat_tree
 
         with pytest.raises(ValueError):
-            build_fat_tree(None, None, None, k=3)
+            build_fat_tree(None, None, None, **{**FAT_TREE_K4, "fat_tree_k": 3})
 
     def test_levels_increase_toward_core(self, fat_tree):
         by_kind = {s.kind: s.level for s in fat_tree.switches}
@@ -215,7 +219,7 @@ class TestRackMap:
             (_scenario_fabric("leaf-spine"), [8] * 4),  # CI n_tors x hosts_per_tor
             (_scenario_fabric("fat-tree"), [2] * 8),  # k=4: 8 edges x 2 hosts
             (_scenario_fabric("testbed"), [2] * 3),
-            (_scenario_fabric("dumbbell"), [8] * 2),  # max(hosts_per_tor, 2)
+            (_scenario_fabric("dumbbell"), [8] * 2),  # CI hosts_per_tor per side
             (_asymmetric_fabric, [2, 2, 6]),
         ],
         ids=["leaf-spine", "fat-tree", "testbed", "dumbbell", "asymmetric"],
