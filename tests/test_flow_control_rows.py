@@ -94,7 +94,10 @@ NAMED = sorted(
 )
 
 
-@pytest.mark.parametrize("path", NAMED)
+#: a topology builder's case is named for its topology: ``build_`` dropped
+@pytest.mark.parametrize(
+    "path", NAMED, ids=lambda path: path.replace(":build_", ":")
+)
 def test_every_row_names_a_callable_in_its_module(path):
     named = load(path)
     assert callable(named)
