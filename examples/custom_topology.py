@@ -17,7 +17,7 @@ from repro.floodgate import FloodgateConfig, FloodgateExtension
 from repro.net import Host, Switch, Topology
 from repro.net.topology import PortRole
 from repro.sim import Simulator
-from repro.stats import StatsHub
+from repro.stats import FlowClass, StatsHub
 from repro.units import gbps, kb, mb, ms, us
 
 
@@ -73,7 +73,7 @@ def main() -> None:
     for src in range(4, 10):
         flow = topo.make_flow(fid, src, 0, 35_000, start_time=0)
         topo.start_flow(flow)
-        stats.register_incast_flow(fid)
+        stats.register_flow_class(fid, FlowClass.INCAST)
         fid += 1
     # one innocent cross-rack flow sharing the spine
     victim = topo.make_flow(fid, 2, 1, 60_000, start_time=0)

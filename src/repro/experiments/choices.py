@@ -162,16 +162,15 @@ FABRICS: Dict[str, Fabric] = {
 class Pattern(NamedTuple):
     """What the build and the fabric check need to know."""
 
-    #: ``"module:function"`` returning the built scenario's flows; None
-    #: builds no traffic (hand-built runs)
+    #: ``"module:function"`` returning the built scenario's flows, each
+    #: flow's class labelled on ``scenario.stats``; None builds no
+    #: traffic (hand-built runs)
     traffic: Optional[str] = None
     #: the fewest hosts its traffic runs between
     min_hosts: int = 0
     #: the ``ScenarioConfig`` fields its traffic reads, past the
     #: run-wide ones (``duration``, ``seed``, ``host_bandwidth``)
     reads: Tuple[str, ...] = ()
-    #: its flows are registered as incast flows
-    incast: bool = False
 
     #: it aims at ``incast_dst``
     aims = property(lambda self: "incast_dst" in self.reads)
@@ -188,8 +187,8 @@ _INCAST = ("incast_load", "incast_fan_in", "incast_dst")
 PATTERNS: Dict[str, Pattern] = {
     "incastmix": Pattern("repro.workloads.mix:incastmix_traffic", 3, (*_POISSON, *_INCAST)),
     "poisson": Pattern("repro.workloads.poisson:poisson_traffic", 2, _POISSON),
-    "incast": Pattern("repro.workloads.incast:incast_traffic", 2, _INCAST, incast=True),
-    "successive": Pattern("repro.workloads.incast:successive_traffic", 2, incast=True),
+    "incast": Pattern("repro.workloads.incast:incast_traffic", 2, _INCAST),
+    "successive": Pattern("repro.workloads.incast:successive_traffic", 2),
     "staggered": Pattern("repro.workloads.incast:staggered_traffic", 2, ("incast_dst",)),
     "rpc": Pattern("repro.rpc.driver:rpc_traffic", 2, ("rpc",)),
     "none": Pattern(),

@@ -46,7 +46,6 @@ if TYPE_CHECKING:
     from repro.simcheck.sanitizer import SanitizerConfig, SimSanitizer
     from repro.telemetry.recorder import TelemetryRecorder
     from repro.telemetry.registry import TelemetryConfig
-    from repro.workloads.mix import IncastMix
     from repro.workloads.poisson import FlowSpec
 
 
@@ -465,17 +464,13 @@ class Scenario:
             host.rto = cfg.rto or 20 * self.base_rtt
         if scheme is not None:
             scheme.install(self)
-        #: the incastmix pattern's flows and class labels
-        self.mix: Optional[IncastMix] = None
         #: closed-loop driver (repro.rpc), built by a closed-loop
         #: pattern; the runner starts it after the schedule is loaded
         self.rpc_driver: Optional[ClosedLoopDriver] = None
         pattern = PATTERNS[cfg.pattern]
-        #: the open-loop schedule the pattern row's function returns
+        #: the open-loop schedule the pattern row's function returns,
+        #: each flow's class already labelled on the hub
         self.flows: List[FlowSpec] = load(pattern.traffic)(self) if pattern.traffic else []
-        if pattern.incast:
-            for f in self.flows:
-                self.stats.register_incast_flow(f.flow_id)
         #: a tier row's engine attaches itself here (repro.flowsim; the
         #: hybrid engine sets both: it *is* the cold tier); the
         #: sanitizer's conservation sweeps and the export look for them
@@ -614,11 +609,4 @@ class Scenario:
     def schedule_flows(self, flows: Optional[List[FlowSpec]] = None) -> None:
         """Register and schedule flow start events (bulk heap load)."""
         topo = self.topology
-        topo.start_flows(
-            [
-                topo.make_flow(
-                    spec.flow_id, spec.src, spec.dst, spec.size, spec.start_time
-                )
-                for spec in (flows if flows is not None else self.flows)
-            ]
-        )
+        topo.start_flows(topo.make_flows(flows if flows is not None else self.flows))

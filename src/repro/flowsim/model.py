@@ -246,11 +246,9 @@ class FluidSimulation:
 
     def schedule(self, specs=None) -> None:
         """Register every flow and schedule its arrival event."""
-        topo = self.topology
-        flows = [
-            topo.make_flow(s.flow_id, s.src, s.dst, s.size, s.start_time)
-            for s in (specs if specs is not None else self.scenario.flows)
-        ]
+        flows = self.topology.make_flows(
+            specs if specs is not None else self.scenario.flows
+        )
         flows.sort(key=lambda f: (f.start_time, f.flow_id))
         now = self.sim.now
         for flow in flows:

@@ -339,11 +339,9 @@ class HybridSimulation(FluidSimulation):
 
     def schedule(self, specs=None) -> None:
         """Classify every flow into a tier and arm both engines."""
-        topo = self.topology
-        flows = [
-            topo.make_flow(s.flow_id, s.src, s.dst, s.size, s.start_time)
-            for s in (specs if specs is not None else self.scenario.flows)
-        ]
+        flows = self.topology.make_flows(
+            specs if specs is not None else self.scenario.flows
+        )
         flows.sort(key=lambda f: (f.start_time, f.flow_id))
         hot = self._hot_hosts
         packet_flows = []
@@ -367,7 +365,7 @@ class HybridSimulation(FluidSimulation):
                 self._in_states[ff] = self._make_inbound(ff, hops)
         times = sorted({max(ff.flow.start_time, now) for ff in self._arrivals})
         self.sim.schedule_many((t, self._process, ()) for t in times)
-        topo.start_flows(packet_flows)
+        self.topology.start_flows(packet_flows)
         self._headroom_task.start()
 
     def _make_inbound(self, ff: FluidFlow, hops) -> _InboundState:

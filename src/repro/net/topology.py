@@ -173,6 +173,13 @@ class Topology:
         self.flow_table[flow_id] = flow
         return flow
 
+    def make_flows(self, specs) -> List[Flow]:
+        """:meth:`make_flow` for each of ``specs`` (``FlowSpec``s), in order."""
+        return [
+            self.make_flow(s.flow_id, s.src, s.dst, s.size, s.start_time)
+            for s in specs
+        ]
+
     def start_flow(self, flow: Flow) -> None:
         """Schedule the flow's first packet at its start time."""
         self.sim.schedule_call_at(

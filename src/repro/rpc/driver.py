@@ -24,6 +24,7 @@ from typing import Dict, List, Tuple
 
 from repro.rpc.matrix import DestinationMatrix
 from repro.rpc.spec import RpcWorkloadSpec
+from repro.stats.collector import FlowClass
 from repro.stats.rpc import RpcRecord
 
 #: pending-flow roles (identity-compared in the dispatch hot path)
@@ -243,7 +244,7 @@ class ClosedLoopDriver:
         )
         # the fan-in responses are the incast: classify them so FCT
         # breakdowns and rx-byte accounting see them as the paper does
-        self.stats.register_incast_flow(flow.flow_id)
+        self.stats.register_flow_class(flow.flow_id, FlowClass.INCAST)
         self._pending_flow[flow.flow_id] = (_RESPONSE, request, 0, slot)
         self._start_flows([flow])
 

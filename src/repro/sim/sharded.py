@@ -285,10 +285,7 @@ def _schedule_flows(scenario) -> None:
     """
     topo = scenario.topology
     hosts = topo.hosts
-    for spec in scenario.flows:
-        flow = topo.make_flow(
-            spec.flow_id, spec.src, spec.dst, spec.size, spec.start_time
-        )
+    for flow in topo.make_flows(scenario.flows):
         host = hosts[flow.src]
         sim = host.sim
         sim.schedule_call_at(

@@ -130,7 +130,8 @@ class StatsHub:
         # --- per-class receive bytes (realtime throughput, Fig. 2/12) -------
         #: unclassified flows land under FlowClass.OTHER, never None
         self.rx_bytes_by_class: Dict[FlowClass, int] = {}
-        # incast flow ids, registered by the workload generator
+        # incast flow ids (a copy of flow_class's INCAST keys, for the
+        # switch's per-dequeue lookup), set by register_flow_class
         self._incast_flows: Set[int] = set()
         # --- telemetry hooks (repro.telemetry) --------------------------------
         #: streaming histograms fed behind is-None checks; installed by
@@ -151,21 +152,16 @@ class StatsHub:
         A sharded run records into one hub per domain, but runtime flow
         classification (the RPC driver registering incast responses as
         they are issued) arrives at the parent hub.  Binding the
-        children makes ``register_incast_flow`` / ``register_flow_class``
-        propagate, so a switch in any domain classifies queueing samples
-        exactly as the serial hub would.  Merge stays correct because
-        propagation only writes identical values into every child.
+        children makes ``register_flow_class`` propagate, so a switch in
+        any domain classifies queueing samples exactly as the serial hub
+        would.  Merge stays correct because propagation only writes
+        identical values into every child.
         """
         self._shard_children = list(hubs)
 
-    def register_incast_flow(self, flow_id: int) -> None:
-        """Mark ``flow_id`` as belonging to incast traffic."""
-        self._incast_flows.add(flow_id)
-        self.flow_class[flow_id] = FlowClass.INCAST
-        for child in self._shard_children:
-            child.register_incast_flow(flow_id)
-
     def register_flow_class(self, flow_id: int, cls: FlowClass) -> None:
+        """Label ``flow_id``: the one sink for a flow's class, called by
+        the pattern's traffic function and the rpc driver."""
         self.flow_class[flow_id] = cls
         if cls is FlowClass.INCAST:
             self._incast_flows.add(flow_id)

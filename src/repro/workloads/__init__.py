@@ -5,7 +5,9 @@ and Web Search; Poisson arrival background traffic; periodic,
 successive, and staggered incast patterns; and the *incastmix* composer
 used by most of the evaluation (§6.1).  Each ``pattern`` row of
 :mod:`repro.experiments.choices` names the function here that builds a
-scenario's traffic, and a run loads only that pattern's module.
+scenario's traffic: it draws the flows, labels each one's class on the
+scenario's stats hub, and returns them.  A run loads only that
+pattern's module.
 """
 
 from repro.lazy import exports
@@ -17,8 +19,7 @@ __getattr__, __dir__, __all__ = exports(
             "FlowSizeDistribution", "MEMCACHED", "WEB_SERVER", "HADOOP", "WEB_SEARCH",
             "WORKLOADS",
         ),
-        "poisson": ("PoissonGenerator", "FlowSpec"),
-        "incast": ("IncastSpec", "periodic_incast", "successive_incast", "staggered_flows"),
-        "mix": ("IncastMix", "build_incastmix", "classify_flows"),
+        "poisson": ("poisson_flows", "FlowSpec"),
+        "incast": ("periodic_incast", "successive_incast", "staggered_flows"),
     },
 )

@@ -18,9 +18,9 @@ Three shapes from the evaluation:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import List, Sequence
 
+from repro.stats.collector import FlowClass
 from repro.units import MTU
 from repro.workloads.poisson import FlowSpec
 
@@ -31,14 +31,6 @@ SUCCESSIVE_INTERVAL = 20_000
 STAGGERED_INTERVAL = 40_000
 #: bytes per staggered flow: long-lived, still sending at the horizon
 STAGGERED_FLOW_SIZE = 400_000
-
-
-@dataclass(frozen=True)
-class IncastSpec:
-    """One generated incast pattern: the flows plus its metadata."""
-
-    flows: List[FlowSpec]
-    destinations: List[int]
 
 
 def _incast_size(rng: random.Random) -> int:
@@ -54,7 +46,7 @@ def periodic_incast(
     rng: random.Random,
     load: float = 0.5,
     first_flow_id: int = 0,
-) -> IncastSpec:
+) -> List[FlowSpec]:
     """Synchronized bursts to ``dst`` at an average destination load,
     the first at t=0.
 
@@ -64,10 +56,6 @@ def periodic_incast(
     """
     if not senders:
         raise ValueError("an incast needs at least one sender")
-    if dst in senders:
-        raise ValueError("the incast destination cannot also be a sender")
-    if not 0.0 < load <= 1.0:
-        raise ValueError(f"incast load must be in (0, 1], got {load}")
     mean_burst_bytes = len(senders) * 35 * MTU
     interval = int(mean_burst_bytes * 8 / (load * host_bandwidth) * 1e9)
     flows: List[FlowSpec] = []
@@ -78,14 +66,14 @@ def periodic_incast(
             flows.append(FlowSpec(fid, src, dst, _incast_size(rng), t))
             fid += 1
         t += interval
-    return IncastSpec(flows, [dst])
+    return flows
 
 
 def successive_incast(
     hosts: Sequence[int],
     duration: int,
     rng: random.Random,
-) -> IncastSpec:
+) -> List[FlowSpec]:
     """Back-to-back all-to-one rounds walking the host list (Fig. 15).
 
     Round ``i`` starts at ``i * SUCCESSIVE_INTERVAL`` (while that is inside
@@ -93,14 +81,12 @@ def successive_incast(
     host sends it one 30-40 MTU flow.
     """
     flows: List[FlowSpec] = []
-    dsts: List[int] = []
     for i, t in enumerate(range(0, duration, SUCCESSIVE_INTERVAL)):
         dst = hosts[i % len(hosts)]
-        dsts.append(dst)
         for src in hosts:
             if src != dst:
                 flows.append(FlowSpec(len(flows), src, dst, _incast_size(rng), t))
-    return IncastSpec(flows, dsts)
+    return flows
 
 
 def staggered_flows(hosts: Sequence[int], dst: int, duration: int) -> List[FlowSpec]:
@@ -116,28 +102,38 @@ def staggered_flows(hosts: Sequence[int], dst: int, duration: int) -> List[FlowS
     ]
 
 
+def _label_incast(scenario, flows: List[FlowSpec]) -> List[FlowSpec]:
+    """Label every one of ``flows`` ``INCAST`` on the hub; return them."""
+    for spec in flows:
+        scenario.stats.register_flow_class(spec.flow_id, FlowClass.INCAST)
+    return flows
+
+
 def incast_traffic(scenario) -> List[FlowSpec]:
-    """``pattern="incast"``: periodic bursts to ``incast_dst``."""
+    """``pattern="incast"``: periodic bursts to ``incast_dst``, all incast."""
     cfg = scenario.config
-    return periodic_incast(
+    return _label_incast(scenario, periodic_incast(
         senders=scenario.incast_senders(),
         dst=cfg.incast_dst,
         host_bandwidth=cfg.host_bandwidth,
         duration=cfg.duration,
         rng=scenario.rng.stream("workload"),
         load=cfg.incast_load,
-    ).flows
+    ))
 
 
 def successive_traffic(scenario) -> List[FlowSpec]:
-    """``pattern="successive"``: one round per host in turn."""
+    """``pattern="successive"``: one round per host in turn, all incast."""
     hosts = [h.node_id for h in scenario.topology.hosts]
     rng = scenario.rng.stream("workload")
-    return successive_incast(hosts, scenario.config.duration, rng).flows
+    return _label_incast(
+        scenario, successive_incast(hosts, scenario.config.duration, rng)
+    )
 
 
 def staggered_traffic(scenario) -> List[FlowSpec]:
-    """``pattern="staggered"``: one long flow after another to ``incast_dst``."""
+    """``pattern="staggered"``: one long flow after another to
+    ``incast_dst``, unlabelled."""
     hosts = [h.node_id for h in scenario.topology.hosts]
     cfg = scenario.config
     return staggered_flows(hosts, cfg.incast_dst, cfg.duration)

@@ -10,117 +10,51 @@ every flow with the class the paper's analysis uses:
 * *victims of PFC* — all other Poisson flows (hurt only when PFC
   pause storms spread congestion).
 
-Poisson destinations exclude the incast destination host itself,
+Poisson traffic runs among every host but the incast destination,
 matching "non-incast Poisson arrival flows are transmitted among
 hosts except for the destination host of incast" (§5.2).
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import List
 
-from repro.stats.collector import FlowClass, StatsHub
-from repro.workloads.distributions import WORKLOADS, FlowSizeDistribution
-from repro.workloads.incast import IncastSpec, periodic_incast
-from repro.workloads.poisson import FlowSpec, PoissonGenerator
-
-
-@dataclass
-class IncastMix:
-    """Generated incastmix traffic: flows plus class labels."""
-
-    flows: List[FlowSpec] = field(default_factory=list)
-    classes: Dict[int, FlowClass] = field(default_factory=dict)
-    incast_dst: int = -1
-
-    def register(self, stats: StatsHub) -> None:
-        """Install the class labels into a stats hub."""
-        for flow_id, cls in self.classes.items():
-            stats.register_flow_class(flow_id, cls)
-
-
-def classify_flows(
-    poisson_flows: Sequence[FlowSpec],
-    incast: IncastSpec,
-    incast_rack_hosts: Sequence[int],
-) -> IncastMix:
-    """Label flows per the paper's three classes."""
-    mix = IncastMix()
-    mix.incast_dst = incast.destinations[0]
-    rack = set(incast_rack_hosts)
-    for spec in incast.flows:
-        mix.flows.append(spec)
-        mix.classes[spec.flow_id] = FlowClass.INCAST
-    for spec in poisson_flows:
-        mix.flows.append(spec)
-        if spec.dst in rack:
-            mix.classes[spec.flow_id] = FlowClass.VICTIM_INCAST
-        else:
-            mix.classes[spec.flow_id] = FlowClass.VICTIM_PFC
-    mix.flows.sort(key=lambda s: s.start_time)
-    return mix
-
-
-def build_incastmix(
-    distribution: FlowSizeDistribution,
-    hosts: Sequence[int],
-    rack_of: Dict[int, int],
-    incast_dst: int,
-    incast_senders: Sequence[int],
-    host_bandwidth: float,
-    duration: int,
-    rng: random.Random,
-    poisson_load: float = 0.8,
-    incast_load: float = 0.5,
-) -> IncastMix:
-    """The full §6.1 scenario.
-
-    ``rack_of`` maps host id -> rack index (used both to exclude the
-    incast destination from Poisson traffic and to find its rack mates
-    for victim classification).
-    """
-    poisson_eligible = [h for h in hosts if h != incast_dst]
-    poisson = PoissonGenerator(
-        distribution,
-        hosts=poisson_eligible,
-        host_bandwidth=host_bandwidth,
-        load=poisson_load,
-        rng=rng,
-        dst_hosts=poisson_eligible,
-        first_flow_id=0,
-    )
-    poisson_flows = poisson.generate(duration)
-    incast = periodic_incast(
-        senders=incast_senders,
-        dst=incast_dst,
-        host_bandwidth=host_bandwidth,
-        duration=duration,
-        rng=rng,
-        load=incast_load,
-        first_flow_id=poisson.next_flow_id,
-    )
-    incast_rack = [
-        h for h in hosts if rack_of[h] == rack_of[incast_dst] and h != incast_dst
-    ]
-    return classify_flows(poisson_flows, incast, incast_rack)
+from repro.stats.collector import FlowClass
+from repro.workloads.distributions import WORKLOADS
+from repro.workloads.incast import periodic_incast
+from repro.workloads.poisson import FlowSpec, poisson_flows
 
 
 def incastmix_traffic(scenario) -> List[FlowSpec]:
-    """``pattern="incastmix"``: the §6.1 mix, its labels on the hub."""
+    """``pattern="incastmix"``: Poisson flows (ids from 0), then the
+    incast bursts, on one stream; every flow labelled on the hub."""
     cfg = scenario.config
-    mix = scenario.mix = build_incastmix(
+    dst = cfg.incast_dst
+    rng = scenario.rng.stream("workload")
+    poisson = poisson_flows(
         WORKLOADS[cfg.workload],
-        [h.node_id for h in scenario.topology.hosts],
-        scenario.rack_of(),
-        incast_dst=cfg.incast_dst,
-        incast_senders=scenario.incast_senders(),
+        [h.node_id for h in scenario.topology.hosts if h.node_id != dst],
+        cfg.host_bandwidth,
+        cfg.poisson_load,
+        rng,
+        cfg.duration,
+    )
+    incast = periodic_incast(
+        senders=scenario.incast_senders(),
+        dst=dst,
         host_bandwidth=cfg.host_bandwidth,
         duration=cfg.duration,
-        rng=scenario.rng.stream("workload"),
-        poisson_load=cfg.poisson_load,
-        incast_load=cfg.incast_load,
+        rng=rng,
+        load=cfg.incast_load,
+        first_flow_id=len(poisson),
     )
-    mix.register(scenario.stats)
-    return mix.flows
+    label = scenario.stats.register_flow_class
+    for spec in incast:
+        label(spec.flow_id, FlowClass.INCAST)
+    rack_of = scenario.rack_of()
+    for spec in poisson:
+        if rack_of[spec.dst] == rack_of[dst]:
+            label(spec.flow_id, FlowClass.VICTIM_INCAST)
+        else:
+            label(spec.flow_id, FlowClass.VICTIM_PFC)
+    return sorted(incast + poisson, key=lambda s: s.start_time)

@@ -223,9 +223,8 @@ FACADES = {
     ],
     "repro.workloads": [
         "FlowSizeDistribution", "MEMCACHED", "WEB_SERVER", "HADOOP", "WEB_SEARCH",
-        "WORKLOADS", "PoissonGenerator", "FlowSpec", "IncastSpec",
-        "periodic_incast", "successive_incast", "staggered_flows", "IncastMix",
-        "build_incastmix", "classify_flows",
+        "WORKLOADS", "poisson_flows", "FlowSpec", "periodic_incast",
+        "successive_incast", "staggered_flows",
     ],
 }
 

@@ -330,8 +330,9 @@ class TestBuild:
 
     def test_traffic_generated_for_incastmix(self):
         sc = Scenario(ScenarioConfig(**QUICK))
-        assert sc.mix is not None
         assert sc.flows
+        # every flow's class is on the hub once the build returns
+        assert set(sc.stats.flow_class) == {f.flow_id for f in sc.flows}
 
     def test_pattern_none_generates_nothing(self):
         sc = Scenario(ScenarioConfig(pattern="none", **QUICK))

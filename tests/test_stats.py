@@ -89,7 +89,7 @@ class TestCollector:
 
     def test_queuing_split_by_incast(self):
         hub = StatsHub()
-        hub.register_incast_flow(7)
+        hub.register_flow_class(7, FlowClass.INCAST)
         hub.record_queuing("core", 7 in hub._incast_flows, 1000)
         hub.record_queuing("core", 8 in hub._incast_flows, 3000)
         assert hub.avg_queuing_by_role("core", incast=True) == 1000

@@ -1,12 +1,17 @@
-"""Workload generators: distributions, Poisson, incast, mix."""
+"""Workload generators: distributions, Poisson, incast, mix, and the
+flow classes each pattern's traffic function labels on the hub."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.stats.collector import FlowClass, StatsHub
-from repro.units import MTU, gbps, ms
+from repro.experiments import Scenario, ScenarioConfig
+from repro.experiments.choices import PATTERNS
+from repro.experiments.runner import run_scenario
+from repro.rpc.spec import RpcWorkloadSpec
+from repro.stats.collector import FlowClass
+from repro.units import MTU, gbps, ms, us
 from repro.workloads.distributions import (
     FlowSizeDistribution,
     MEMCACHED,
@@ -21,8 +26,7 @@ from repro.workloads.incast import (
     staggered_flows,
     successive_incast,
 )
-from repro.workloads.mix import build_incastmix
-from repro.workloads.poisson import PoissonGenerator
+from repro.workloads.poisson import poisson_flows
 
 
 class TestDistributions:
@@ -74,90 +78,61 @@ class TestDistributions:
 
 class TestPoisson:
     def test_flows_within_horizon(self):
-        gen = PoissonGenerator(
-            MEMCACHED, range(8), gbps(10), 0.5, random.Random(1)
-        )
-        flows = gen.generate(ms(1))
+        flows = poisson_flows(MEMCACHED, range(8), gbps(10), 0.5, random.Random(1), ms(1))
         assert flows
         assert all(0 <= f.start_time < ms(1) for f in flows)
 
     def test_no_self_flows(self):
-        gen = PoissonGenerator(
-            MEMCACHED, range(8), gbps(10), 0.8, random.Random(1)
-        )
-        assert all(f.src != f.dst for f in gen.generate(ms(1)))
+        flows = poisson_flows(MEMCACHED, range(8), gbps(10), 0.8, random.Random(1), ms(1))
+        assert all(f.src != f.dst for f in flows)
 
     def test_flow_ids_unique_and_sequential(self):
-        gen = PoissonGenerator(
-            MEMCACHED, range(8), gbps(10), 0.8, random.Random(1)
-        )
-        flows = gen.generate(ms(1))
+        flows = poisson_flows(MEMCACHED, range(8), gbps(10), 0.8, random.Random(1), ms(1))
         assert [f.flow_id for f in flows] == list(range(len(flows)))
 
     def test_load_scales_volume(self):
-        low = PoissonGenerator(
-            MEMCACHED, range(8), gbps(10), 0.2, random.Random(1)
-        ).generate(ms(2))
-        high = PoissonGenerator(
-            MEMCACHED, range(8), gbps(10), 0.8, random.Random(1)
-        ).generate(ms(2))
+        low = poisson_flows(MEMCACHED, range(8), gbps(10), 0.2, random.Random(1), ms(2))
+        high = poisson_flows(MEMCACHED, range(8), gbps(10), 0.8, random.Random(1), ms(2))
         assert 2 * len(low) < len(high)
 
     def test_offered_load_approximates_target(self):
         load = 0.6
         hosts = range(16)
-        gen = PoissonGenerator(
-            MEMCACHED, hosts, gbps(10), load, random.Random(7)
-        )
-        flows = gen.generate(ms(20))
+        flows = poisson_flows(MEMCACHED, hosts, gbps(10), load, random.Random(7), ms(20))
         offered = sum(f.size for f in flows) * 8 / (ms(20) / 1e9)  # bits/s
         target = load * gbps(10) * len(hosts)
         assert 0.6 * target < offered < 1.5 * target
 
     def test_dst_restriction_respected(self):
-        gen = PoissonGenerator(
-            MEMCACHED,
-            range(8),
-            gbps(10),
-            0.8,
-            random.Random(1),
-            dst_hosts=[6, 7],
-        )
-        assert all(f.dst in (6, 7) for f in gen.generate(ms(1)))
-
-    def test_invalid_load_rejected(self):
-        with pytest.raises(ValueError):
-            PoissonGenerator(MEMCACHED, range(8), gbps(10), 0.0, random.Random(1))
+        # both ends come from ``hosts``: incastmix leaves its incast
+        # destination out of the list
+        flows = poisson_flows(MEMCACHED, [2, 6, 7], gbps(10), 0.8, random.Random(1), ms(1))
+        assert flows
+        assert all({f.src, f.dst} <= {2, 6, 7} for f in flows)
 
     def test_too_few_hosts_rejected(self):
         with pytest.raises(ValueError):
-            PoissonGenerator(MEMCACHED, [1], gbps(10), 0.5, random.Random(1))
+            poisson_flows(MEMCACHED, [1], gbps(10), 0.5, random.Random(1), ms(1))
 
 
 class TestIncast:
     def test_sizes_between_30_and_40_mtu(self):
-        spec = periodic_incast(
-            range(1, 9), 0, gbps(10), ms(2), random.Random(1)
-        )
-        assert all(30 * MTU <= f.size <= 40 * MTU for f in spec.flows)
+        flows = periodic_incast(range(1, 9), 0, gbps(10), ms(2), random.Random(1))
+        assert all(30 * MTU <= f.size <= 40 * MTU for f in flows)
 
     def test_one_burst_when_duration_is_shorter_than_the_interval(self):
         """Fig. 14's all-to-one burst: 8 senders at load 0.5 repeat
         every 448 us, so 200 us of generation holds one burst."""
-        spec = periodic_incast(range(1, 9), 0, gbps(10), 200_000, random.Random(1))
-        assert sorted(f.src for f in spec.flows) == list(range(1, 9))
-        assert all(f.start_time == 0 for f in spec.flows)
-        assert all(f.dst == 0 for f in spec.flows)
-
-    def test_dst_cannot_be_sender(self):
-        with pytest.raises(ValueError):
-            periodic_incast(range(8), 0, gbps(10), ms(2), random.Random(1))
+        flows = periodic_incast(range(1, 9), 0, gbps(10), 200_000, random.Random(1))
+        assert sorted(f.src for f in flows) == list(range(1, 9))
+        assert all(f.start_time == 0 for f in flows)
+        assert all(f.dst == 0 for f in flows)
 
     def test_periodic_interval_matches_load(self):
-        spec = periodic_incast(
+        flows = periodic_incast(
             range(1, 9), 0, gbps(10), ms(2), random.Random(1), load=0.5
         )
-        starts = sorted({f.start_time for f in spec.flows})
+        starts = sorted({f.start_time for f in flows})
         assert len(starts) >= 2
         interval = starts[1] - starts[0]
         # 8 senders x 35 MTU avg = 280 KB per burst at half a 10G link
@@ -165,15 +140,13 @@ class TestIncast:
         assert abs(interval - expected) < 0.1 * expected
 
     def test_successive_rounds_target_distinct_dsts(self):
-        spec = successive_incast(range(8), 3 * SUCCESSIVE_INTERVAL, random.Random(1))
-        assert spec.destinations == [0, 1, 2]
+        flows = successive_incast(range(8), 3 * SUCCESSIVE_INTERVAL, random.Random(1))
         for i, dst in enumerate([0, 1, 2]):
-            round_flows = [
-                f for f in spec.flows if f.start_time == i * SUCCESSIVE_INTERVAL
-            ]
+            round_flows = [f for f in flows if f.start_time == i * SUCCESSIVE_INTERVAL]
             assert all(f.dst == dst for f in round_flows)
             assert all(f.src != dst for f in round_flows)
             assert len(round_flows) == 7
+        assert len(flows) == 3 * 7
 
     def test_staggered_flow_list(self):
         """Fig. 16's traffic, flow for flow: one long flow per interval
@@ -193,75 +166,84 @@ class TestIncast:
 
 
 class TestIncastMix:
-    def test_classification(self):
-        rack_of = {h: h // 4 for h in range(12)}
-        mix = build_incastmix(
-            MEMCACHED,
-            hosts=list(range(12)),
-            rack_of=rack_of,
-            incast_dst=0,
-            incast_senders=list(range(4, 12)),
-            host_bandwidth=gbps(10),
-            duration=ms(1),
-            rng=random.Random(1),
-        )
-        classes = set(mix.classes.values())
-        assert FlowClass.INCAST in classes
-        assert FlowClass.VICTIM_PFC in classes
-        for fid, cls in mix.classes.items():
-            spec = next(f for f in mix.flows if f.flow_id == fid)
+    """``incastmix_traffic`` on a 3-rack, 12-host leaf-spine: incast to
+    host 0, whose rack mates are hosts 1-3."""
+
+    @pytest.fixture(scope="class")
+    def mix(self):
+        return Scenario(ScenarioConfig(
+            workload="memcached", n_tors=3, hosts_per_tor=4, duration=ms(1),
+        ))
+
+    def test_classification(self, mix):
+        classes = mix.stats.flow_class
+        assert set(classes) == {f.flow_id for f in mix.flows}
+        assert set(classes.values()) == set(FlowClass) - {FlowClass.OTHER}
+        rack_of = mix.rack_of()
+        for spec in mix.flows:
+            cls = classes[spec.flow_id]
             if cls is FlowClass.INCAST:
                 assert spec.dst == 0
             elif cls is FlowClass.VICTIM_INCAST:
                 assert rack_of[spec.dst] == 0 and spec.dst != 0
+            else:
+                assert rack_of[spec.dst] != 0
 
-    def test_poisson_never_targets_incast_dst(self):
-        rack_of = {h: h // 4 for h in range(12)}
-        mix = build_incastmix(
-            MEMCACHED,
-            hosts=list(range(12)),
-            rack_of=rack_of,
-            incast_dst=0,
-            incast_senders=list(range(4, 12)),
-            host_bandwidth=gbps(10),
-            duration=ms(1),
-            rng=random.Random(1),
-        )
-        for fid, cls in mix.classes.items():
-            if cls is not FlowClass.INCAST:
-                spec = next(f for f in mix.flows if f.flow_id == fid)
-                assert spec.dst != 0
+    def test_poisson_never_targets_incast_dst(self, mix):
+        poisson = [f for f in mix.flows if mix.stats.flow_class[f.flow_id] is not FlowClass.INCAST]
+        assert poisson
+        assert all(0 not in (f.src, f.dst) for f in poisson)
 
-    def test_register_labels_stats_hub(self):
-        rack_of = {h: h // 4 for h in range(12)}
-        mix = build_incastmix(
-            MEMCACHED,
-            hosts=list(range(12)),
-            rack_of=rack_of,
-            incast_dst=0,
-            incast_senders=list(range(4, 12)),
-            host_bandwidth=gbps(10),
-            duration=ms(1),
-            rng=random.Random(1),
-        )
-        hub = StatsHub()
-        mix.register(hub)
-        incast_ids = [
-            fid for fid, c in mix.classes.items() if c is FlowClass.INCAST
-        ]
-        assert all(fid in hub._incast_flows for fid in incast_ids)
+    def test_register_labels_stats_hub(self, mix):
+        # Poisson ids come first (0..n-1), the bursts' after them
+        incast_ids = {f.flow_id for f in mix.flows if f.dst == 0}
+        assert incast_ids == mix.stats._incast_flows
+        assert min(incast_ids) == len(mix.flows) - len(incast_ids)
 
-    def test_flows_sorted_by_start(self):
-        rack_of = {h: h // 4 for h in range(12)}
-        mix = build_incastmix(
-            MEMCACHED,
-            hosts=list(range(12)),
-            rack_of=rack_of,
-            incast_dst=0,
-            incast_senders=list(range(4, 12)),
-            host_bandwidth=gbps(10),
-            duration=ms(1),
-            rng=random.Random(1),
-        )
+    def test_flows_sorted_by_start(self, mix):
         starts = [f.start_time for f in mix.flows]
         assert starts == sorted(starts)
+
+
+#: a small config for each pattern row (a 3-rack, 6-host leaf-spine,
+#: incast to host 0), with the fields its row needs set
+_SMALL = dict(n_tors=3, hosts_per_tor=2, duration=100_000)
+_NEEDS = {
+    "incastmix": dict(workload="memcached"),
+    "rpc": dict(rpc=RpcWorkloadSpec(n_clients=2, fan_out=3, think_time=us(10))),
+}
+
+
+@pytest.mark.parametrize("pattern", list(PATTERNS))
+def test_every_pattern_labels_its_own_flows(pattern):
+    """A traffic function labels the flows it draws on the hub, and no
+    other route does: the §6.1 classes for incastmix, incast for the
+    all-to-one patterns, nothing for Poisson, staggered and none, and
+    for the closed loop nothing before it runs, then every response."""
+    cfg = ScenarioConfig(pattern=pattern, **_SMALL, **_NEEDS.get(pattern, {}))
+    sc = Scenario(cfg)
+    classes = sc.stats.flow_class
+    if pattern in ("incast", "successive"):
+        assert sc.flows
+        assert classes == dict.fromkeys((f.flow_id for f in sc.flows), FlowClass.INCAST)
+    elif pattern == "incastmix":
+        rack_of = sc.rack_of()
+        expected = {}
+        for f in sc.flows:
+            if f.dst == 0:
+                expected[f.flow_id] = FlowClass.INCAST
+            elif rack_of[f.dst] == rack_of[0]:
+                expected[f.flow_id] = FlowClass.VICTIM_INCAST
+            else:
+                expected[f.flow_id] = FlowClass.VICTIM_PFC
+        assert set(expected.values()) == set(FlowClass) - {FlowClass.OTHER}
+        assert classes == expected
+    else:
+        assert classes == {}
+    if pattern == "rpc":
+        # a request's ids are 2*fan_out slots: queries, then responses
+        fan_out = cfg.rpc.fan_out
+        run_scenario(cfg, sc)
+        responses = {fid for fid in sc.flow_table if fid % (2 * fan_out) >= fan_out}
+        assert responses
+        assert classes == dict.fromkeys(responses, FlowClass.INCAST)
