@@ -59,12 +59,11 @@ def main() -> None:
     topo.finalize()
 
     # --- Floodgate on every switch --------------------------------------
-    config = FloodgateConfig(credit_timer=us(2)).with_base_bdp(
-        kb(20), credit_multiple=2
-    )
+    # base BDP 20 KB: dstPause off/on at 20/10 KB, delayCredit at 2 BDP
+    config = FloodgateConfig(credit_timer=us(2))
     extensions = []
     for sw in topo.switches:
-        ext = FloodgateExtension(sim, config)
+        ext = FloodgateExtension(sim, config, False, False, kb(20), 2 * kb(20))
         sw.install_extension(ext)
         extensions.append(ext)
 

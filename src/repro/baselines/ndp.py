@@ -111,7 +111,6 @@ class NdpHost(Host):
             seq,
         )
         pkt.sent_time = self.sim.now
-        self.tx_data_bytes += pkt.size
         self.tx_data_packets += 1
         self.ports[0].enqueue(pkt, 1)
         if flow.rto_timer is not None and not flow.rto_timer.armed:

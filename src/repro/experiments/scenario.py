@@ -274,10 +274,6 @@ class ScenarioConfig:
                         "forever and the run only ends at the hard stop); "
                         "give the fault a finite duration"
                     )
-        if self.floodgate is not None:
-            from repro.floodgate.config import reject_derived
-
-            reject_derived(self.floodgate)
         if not isinstance(self.shards, int) or self.shards < 1:
             raise ValueError(
                 f"shards must be a positive integer, got {self.shards!r}"

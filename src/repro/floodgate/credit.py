@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Set
 
-from repro.floodgate.config import FloodgateConfig
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicTask
 
@@ -35,17 +34,23 @@ class CreditScheduler:
     the ideal design, which has no timers, returns its credit at once)
     and starts the port's timer.  A watched port has neither tables nor
     a timer until the first credit it owes (:meth:`open_port`).
+
+    ``timer`` is the aggregation interval ``T`` in ns; 0 is the ideal
+    design (no timers, one credit per packet).  ``threshold`` is the
+    delayCredit threshold on a destination's VOQ backlog, bytes.
     """
 
     def __init__(
         self,
         sim: Simulator,
-        config: FloodgateConfig,
+        timer: int,
+        threshold: int,
         send_fn: SendFn,
         backlog_fn: BacklogFn,
     ) -> None:
         self.sim = sim
-        self.config = config
+        self.timer = timer
+        self.threshold = threshold
         self.send_fn = send_fn
         self.backlog_fn = backlog_fn
         #: ports whose upstream peer is a Floodgate switch
@@ -78,10 +83,8 @@ class CreditScheduler:
         """
         owed = self.owed[port] = {}
         self.last_fwd_psn[port] = {}
-        if not self.config.ideal:
-            self._timers[port] = PeriodicTask(
-                self.sim, self.config.credit_timer, self._tick, port
-            )
+        if self.timer:
+            self._timers[port] = PeriodicTask(self.sim, self.timer, self._tick, port)
         return owed
 
     def stop(self) -> None:
@@ -111,7 +114,7 @@ class CreditScheduler:
     def _tick(self, port: int) -> None:
         table = self.owed.get(port)
         if table:
-            threshold = self.config.thre_credit_bytes
+            threshold = self.threshold
             flushable: List[int] = []
             for dst in table:
                 if self.backlog_fn(dst) <= threshold:

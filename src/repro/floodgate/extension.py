@@ -1,8 +1,9 @@
 """The Floodgate switch extension: where windows, VOQs, credits meet.
 
 Install on every switch *after* the topology is built (ports must
-exist): :func:`install` does it for a scenario, with the config
-:func:`~repro.floodgate.config.scenario_config` derives.
+exist): :func:`install` does it for a scenario, deriving from it what
+the deployment's :class:`~repro.floodgate.config.FloodgateConfig`
+does not carry.
 
 Data path (§4.2):
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.analysis.models import hop_bdp_bytes
-from repro.floodgate.config import FloodgateConfig, scenario_config
+from repro.floodgate.config import FloodgateConfig
 from repro.floodgate.credit import CreditScheduler
 from repro.floodgate.voq import VoqPool, group_of
 from repro.floodgate.window import WindowTable
@@ -37,19 +38,51 @@ from repro.net.port import EgressPort
 from repro.net.switch import Switch, SwitchExtension
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicTask
-from repro.units import CTRL_PKT_SIZE, MTU, SEC
+from repro.units import CTRL_PKT_SIZE, MTU, SEC, us
+
+#: the ideal design's window, in next-hop BDPs (§6: ``m = 1.5``)
+M = 1.5
+#: VOQ pool size per switch (§6)
+MAX_VOQS = 100
 
 
 class FloodgateExtension(SwitchExtension):
-    """Per-switch Floodgate state machine."""
+    """Per-switch Floodgate state machine.
 
-    def __init__(self, sim: Simulator, config: FloodgateConfig) -> None:
+    ``ideal=True`` selects the strawman design of §3.2: per-packet
+    credits (no aggregation timer, no delayCredit) and a sending window
+    of ``M * BDP_nextHop``.  The practical design (§4) aggregates
+    credits every ``config.credit_timer``, withholds them while a
+    destination's VOQ backlog exceeds ``credit_bytes`` (delayCredit),
+    and initializes the window to ``BDP_nextHop + C_out * T``.  With
+    ``per_dst_pause`` a ToR pauses a source above ``base_bdp`` bytes
+    of backlog and resumes it below half that (§4.3).
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        config: FloodgateConfig,
+        ideal: bool,
+        per_dst_pause: bool,
+        base_bdp: int,
+        credit_bytes: int,
+    ) -> None:
         self.sim = sim
         self.config = config
+        self.ideal = ideal
+        self.per_dst_pause = per_dst_pause
+        #: dstPause off/on thresholds on a dst's VOQ backlog, bytes
+        self.thre_off = base_bdp
+        self.thre_on = max(base_bdp // 2, 1)
         self.windows = WindowTable()
-        self.pool = VoqPool(config.max_voqs)
+        self.pool = VoqPool(MAX_VOQS)
         self.credits = CreditScheduler(
-            sim, config, self._send_credit, self.pool.dst_backlog
+            sim,
+            0 if ideal else config.credit_timer,
+            credit_bytes,
+            self._send_credit,
+            self.pool.dst_backlog,
         )
         #: egress queue index for VOQ-drained (incast) traffic, per port
         self.incast_queue: List[int] = []
@@ -95,8 +128,8 @@ class FloodgateExtension(SwitchExtension):
         link = sw.links[out]
         bw = link.bandwidth
         bdp_pkts = -(-hop_bdp_bytes(bw, link.delay) // MTU)
-        if self.config.ideal:
-            return max(1, int(self.config.m * bdp_pkts + 0.5))
+        if self.ideal:
+            return max(1, int(M * bdp_pkts + 0.5))
         timer_pkts = -(-int(bw * self.config.credit_timer / (8 * SEC)) // MTU)
         return bdp_pkts + timer_pkts
 
@@ -278,10 +311,10 @@ class FloodgateExtension(SwitchExtension):
     # -- per-dst PAUSE (§4.3, optional host support) ----------------------------------------------------
 
     def _maybe_pause_source(self, pkt: Packet) -> None:
-        if not self.config.per_dst_pause or self.switch.level != 0:
+        if not self.per_dst_pause or self.switch.level != 0:
             return
         dst = pkt.dst
-        if self.pool.dst_backlog(dst) <= self.config.thre_off_bytes:
+        if self.pool.dst_backlog(dst) <= self.thre_off:
             return
         src_port = self.switch.connected_hosts.get(pkt.src)
         if src_port is None:
@@ -294,12 +327,12 @@ class FloodgateExtension(SwitchExtension):
         self.switch.send_pause(src_port, dst, True)
 
     def _maybe_resume_sources(self, dst: int) -> None:
-        if not self.config.per_dst_pause:
+        if not self.per_dst_pause:
             return
         paused = self.paused_sources.get(dst)
         if not paused:
             return
-        if self.pool.dst_backlog(dst) >= self.config.thre_on_bytes:
+        if self.pool.dst_backlog(dst) >= self.thre_on:
             return
         for src in sorted(paused):
             src_port = self.switch.connected_hosts.get(src)
@@ -319,11 +352,35 @@ class FloodgateExtension(SwitchExtension):
 
 def install(scenario) -> None:
     """Install Floodgate on every switch: the ideal design (§3.2) for
-    ``flow_control="floodgate-ideal"``, else the practical one (§4)."""
-    config = scenario_config(
-        scenario, ideal=scenario.config.flow_control == "floodgate-ideal"
-    )
+    ``flow_control="floodgate-ideal"``, else the practical one (§4).
+
+    The config is ``ScenarioConfig.floodgate`` or the scale's default;
+    the delayCredit threshold is ``delay_credit_bdp`` (or the scale's
+    multiple) base BDPs.
+    """
+    cfg = scenario.config
+    ci = cfg.scale == "ci"  # a str enum: no import of repro.experiments
+    config = cfg.floodgate
+    if config is None:
+        # Preserve the window-to-buffer ratio at CI scale: the
+        # paper's T=10us at 400 Gbps adds ~500 KB to each window
+        # against a 20 MB buffer (2.5%); 2us at 40 Gbps adds 10 KB
+        # against 0.5 MB (2%).
+        config = FloodgateConfig(credit_timer=us(2)) if ci else FloodgateConfig()
+    # Scaled-down (CI) runs use a smaller multiple to preserve the
+    # threshold's ratio to the (also scaled-down) switch buffer; the
+    # paper uses 10 and shows robustness across 1-38 (Fig. 17d).
+    multiple = cfg.delay_credit_bdp or (2.0 if ci else 10.0)
+    base_bdp = scenario.base_bdp
+    ideal = cfg.flow_control == "floodgate-ideal"
     for sw in scenario.topology.switches:
-        ext = FloodgateExtension(scenario.sim, config)
+        ext = FloodgateExtension(
+            scenario.sim,
+            config,
+            ideal,
+            cfg.per_dst_pause,
+            base_bdp,
+            int(multiple * base_bdp),
+        )
         sw.install_extension(ext)
         scenario.extensions.append(ext)

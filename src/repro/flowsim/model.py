@@ -224,8 +224,18 @@ class FluidSimulation:
         tail_resources, tail_hops = self._tail_from(peer, dst)
         return (head_resource,) + tail_resources, (head_hop,) + tail_hops
 
-    def _path_of(self, flow: Flow) -> Tuple[Tuple[int, ...], Tuple]:
-        return self._build_path(flow.src, flow.dst)
+    def _fluid_flow(self, flow: Flow) -> Tuple[FluidFlow, Tuple]:
+        """``flow`` as a fluid flow on its routed path, with the path's
+        ``(bandwidth, delay)`` hops."""
+        path, hops = self._build_path(flow.src, flow.dst)
+        ff = FluidFlow(
+            flow,
+            path,
+            self._flow_ceiling,
+            self._tail_latency(flow.size, hops),
+            self._n_link_resources,
+        )
+        return ff, hops
 
     def _tail_latency(self, size: int, hops: Tuple) -> int:
         """Unloaded delivery lag of the flow's final packet.
@@ -252,16 +262,7 @@ class FluidSimulation:
         flows.sort(key=lambda f: (f.start_time, f.flow_id))
         now = self.sim.now
         for flow in flows:
-            path, hops = self._path_of(flow)
-            self._arrivals.append(
-                FluidFlow(
-                    flow,
-                    path,
-                    self._flow_ceiling,
-                    self._tail_latency(flow.size, hops),
-                    self._n_link_resources,
-                )
-            )
+            self._arrivals.append(self._fluid_flow(flow)[0])
         # one event per distinct arrival instant, batch-loaded
         times = sorted(
             {max(ff.flow.start_time, now) for ff in self._arrivals}
@@ -280,16 +281,7 @@ class FluidSimulation:
         callback (``on_flow_done``) — schedule a follow-up event.
         """
         for flow in flows:
-            path, hops = self._path_of(flow)
-            self._injected.append(
-                FluidFlow(
-                    flow,
-                    path,
-                    self._flow_ceiling,
-                    self._tail_latency(flow.size, hops),
-                    self._n_link_resources,
-                )
-            )
+            self._injected.append(self._fluid_flow(flow)[0])
         self._process()
 
     # -- the fluid step ----------------------------------------------------

@@ -352,11 +352,7 @@ class HybridSimulation(FluidSimulation):
                 # the boundary only if the destination is cold
                 packet_flows.append(flow)
                 continue
-            path, hops = self._path_of(flow)
-            ff = FluidFlow(
-                flow, path, self._flow_ceiling, self._tail_latency(flow.size, hops),
-                self._n_link_resources,
-            )
+            ff, hops = self._fluid_flow(flow)
             self._arrivals.append(ff)
             if flow.dst in hot:
                 # cold source, hot destination: fluid over the full
@@ -540,7 +536,6 @@ class HybridSimulation(FluidSimulation):
         # sanitizer's data-conservation ledger balanced
         src_host = self.topology.hosts[flow.src]
         src_host.tx_data_packets += 1
-        src_host.tx_data_bytes += size
         tor.receive(pkt, st.port)
         if st.seq >= flow.n_packets:
             self._arm_watchdog(st)

@@ -71,7 +71,6 @@ class Host(Node):
         self.paused_keys: AbstractSet[int] = EMPTY_SET
         self.active_flows: AbstractSet[int] = EMPTY_SET
         self.rx_data_bytes = 0
-        self.tx_data_bytes = 0
         self.rx_data_packets = 0
         self.tx_data_packets = 0
         #: fired once per flow when the last byte arrives; the topology
@@ -175,7 +174,6 @@ class Host(Node):
                 pkt.int_records = []
             self._stamp_packet(pkt, flow)
             flow.next_seq = seq = seq + 1
-            self.tx_data_bytes += size
             self.tx_data_packets += 1
             self.ports[0].enqueue(pkt, 1)
             on_data_sent = self._cc_on_data_sent
@@ -258,14 +256,7 @@ class Host(Node):
             # rewinds to it (fault injection's delivered-but-NACKed class)
             if self.stats is not None:
                 self.stats.record_corrupt_rx()
-            if now - flow.last_nack_time >= NACK_GAP:
-                flow.last_nack_time = now
-                nack = Packet(
-                    PacketKind.NACK, self.node_id, flow.src, CTRL_PKT_SIZE
-                )
-                nack.flow_id = flow.flow_id
-                nack.seq = flow.expected_seq
-                self.ports[0].enqueue_control(nack)
+            self._send_nack(flow, now)
             return
         self.rx_data_bytes += pkt.size
         if self.stats is not None:
@@ -280,15 +271,9 @@ class Host(Node):
             if not flow.fluid_src:
                 self._send_ack(flow, pkt)
         elif pkt.seq > flow.expected_seq:
-            # gap: go-back-N NACK, rate limited
-            if not flow.fluid_src and now - flow.last_nack_time >= NACK_GAP:
-                flow.last_nack_time = now
-                nack = Packet(
-                    PacketKind.NACK, self.node_id, flow.src, CTRL_PKT_SIZE
-                )
-                nack.flow_id = flow.flow_id
-                nack.seq = flow.expected_seq
-                self.ports[0].enqueue_control(nack)
+            # gap: go-back-N NACK
+            if not flow.fluid_src:
+                self._send_nack(flow, now)
         else:
             # duplicate after a rewind: re-ACK so the sender advances
             if not flow.fluid_src:
@@ -322,6 +307,17 @@ class Host(Node):
             )
         if self.on_flow_done is not None:
             self.on_flow_done(flow)
+
+    def _send_nack(self, flow: Flow, now: int) -> None:
+        """Go-back-N NACK to ``flow.expected_seq``, at most one per
+        ``NACK_GAP``."""
+        if now - flow.last_nack_time < NACK_GAP:
+            return
+        flow.last_nack_time = now
+        nack = Packet(PacketKind.NACK, self.node_id, flow.src, CTRL_PKT_SIZE)
+        nack.flow_id = flow.flow_id
+        nack.seq = flow.expected_seq
+        self.ports[0].enqueue_control(nack)
 
     def _send_ack(self, flow: Flow, data_pkt: Packet) -> None:
         ack = Packet(PacketKind.ACK, self.node_id, flow.src, CTRL_PKT_SIZE)
@@ -363,16 +359,3 @@ class Host(Node):
             flow.next_seq = pkt.seq
             flow.next_send_time = self.sim.now
             self._kick(flow)
-
-    # -- bookkeeping ---------------------------------------------------------------
-
-    def telemetry_gauges(self):
-        """Pull-read gauge surfaces for :mod:`repro.telemetry`.
-
-        Polled by periodic samplers only — never on the packet path.
-        """
-        return {
-            "rx_data_bytes": lambda h=self: h.rx_data_bytes,
-            "tx_data_bytes": lambda h=self: h.tx_data_bytes,
-            "active_flows": lambda h=self: len(h.active_flows),
-        }

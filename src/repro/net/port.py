@@ -102,7 +102,6 @@ class EgressPort:
         "paused",
         "paused_queues",
         "tx_bytes",
-        "tx_data_bytes",
         "on_dequeue",
         "pause_started",
         "total_paused_time",
@@ -167,7 +166,6 @@ class EgressPort:
         self.paused = False
         self.paused_queues: AbstractSet[int] = EMPTY_SET
         self.tx_bytes = 0        # everything, for INT and overhead stats
-        self.tx_data_bytes = 0   # DATA only, for goodput accounting
         #: callback fired when a packet leaves a queue for the wire:
         #: ``on_dequeue(port, pkt, queue_idx)``.  Owners use it for
         #: buffer uncharging and Floodgate credit accounting.
@@ -369,8 +367,6 @@ class EgressPort:
         if on_dequeue is not None:
             on_dequeue(self, pkt, idx)
         self.tx_bytes += size
-        if pkt.ecn_capable:
-            self.tx_data_bytes += size
         # memoized serialization delay (same arithmetic as
         # serialization_delay_of, without its call frame)
         delay = self._delay_table.get(size)

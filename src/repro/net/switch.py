@@ -331,19 +331,6 @@ class Switch(Node):
         if used > self.port_max_bytes[port_index]:
             self.port_max_bytes[port_index] = used
 
-    def telemetry_gauges(self):
-        """Pull-read gauge surfaces for :mod:`repro.telemetry`.
-
-        Polled by periodic samplers only — nothing here runs on the
-        packet path.
-        """
-        return {
-            "buffer_bytes": lambda s=self: (
-                s.buffer.used if s.buffer is not None else 0
-            ),
-            "dropped_packets": lambda s=self: s.dropped_packets,
-        }
-
     # -- dequeue hook -------------------------------------------------------------------
 
     def on_port_dequeue(self, port: EgressPort, pkt: Packet, queue_idx: int) -> None:

@@ -112,11 +112,8 @@ class DomainRecorder:
             )
             for cls in FlowClass
         }
-        host_rx = tuple(
-            h.telemetry_gauges()["rx_data_bytes"] for h in hosts
-        )
-        sources["rx_gbps.total"] = lambda fns=host_rx: sum(
-            f() for f in fns
+        sources["rx_gbps.total"] = lambda hs=tuple(hosts): sum(
+            h.rx_data_bytes for h in hs
         )
         self._samplers.append(
             (
@@ -129,13 +126,11 @@ class DomainRecorder:
 
         gauges: Dict[str, Callable[[], int]] = {}
         kinds = {}
-        reads = []
         for sw in switches:
-            fn = sw.telemetry_gauges()["buffer_bytes"]
-            gauges[f"buffer_bytes.{sw.name}"] = fn
-            kinds[f"buffer_bytes.{sw.name}"] = KIND_ONE
-            reads.append(fn)
-        gauges["buffer_bytes.total"] = lambda fns=tuple(reads): sum(
+            name = f"buffer_bytes.{sw.name}"
+            gauges[name] = lambda s=sw: s.buffer.used if s.buffer is not None else 0
+            kinds[name] = KIND_ONE
+        gauges["buffer_bytes.total"] = lambda fns=tuple(gauges.values()): sum(
             f() for f in fns
         )
         kinds["buffer_bytes.total"] = KIND_SUM

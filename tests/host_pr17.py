@@ -102,7 +102,6 @@ def _emit_data(self, flow: Flow) -> None:
         pkt.int_records = []
     self._stamp_packet(pkt, flow)
     flow.next_seq = seq + 1
-    self.tx_data_bytes += size
     self.tx_data_packets += 1
     self.ports[0].enqueue(pkt, 1)
     on_data_sent = self._cc_on_data_sent

@@ -93,8 +93,6 @@ class TwoEventPort(EgressPort):
         if on_dequeue is not None:
             on_dequeue(self, pkt, idx)
         self.tx_bytes += size
-        if pkt.ecn_capable:
-            self.tx_data_bytes += size
         delay = self._delay_table.get(size)
         if delay is None:
             delay = int(round(size * 8 * SEC / self._bandwidth))

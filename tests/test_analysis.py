@@ -163,7 +163,7 @@ class TestSimulatorRespectsBounds:
             tor_bandwidth=cfg.fabric_bandwidth,
             tor_link_delay=cfg.link_delay,
             credit_timer=ext.config.credit_timer,
-            delay_credit_bytes=ext.config.thre_credit_bytes,
+            delay_credit_bytes=ext.credits.threshold,
         )
         measured = result.stats.max_port_buffer_by_role("core")
         assert measured <= bound * 1.5

@@ -16,7 +16,7 @@ class TestEcmp:
             net.flow(f, src, 0, 20_000)
         net.run(ms(5))
         idle, busy = sorted(
-            port.tx_data_bytes
+            port.tx_bytes
             for port, role in zip(tor.ports, tor.port_roles, strict=True)
             if role == "tor-up"
         )

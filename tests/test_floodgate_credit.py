@@ -9,18 +9,25 @@ from repro.units import MTU, us
 
 
 class Harness:
-    def __init__(self, config):
+    """A scheduler with credit timer ``timer`` (0: the ideal design)
+    and delayCredit threshold ``threshold``."""
+
+    def __init__(self, timer, threshold=640_000):
         self.sim = Simulator()
         self.sent = []  # (port, dst, count, psn)
         self.backlogs = {}
         self.sched = CreditScheduler(
             self.sim,
-            config,
+            timer,
+            threshold,
             lambda p, d, c, psn: self.sent.append((p, d, c, psn)),
             lambda d: self.backlogs.get(d, 0),
         )
         # the data path that books forwarded packets into the scheduler
-        self.ext = FloodgateExtension(self.sim, config)
+        config = FloodgateConfig(credit_timer=timer) if timer else FloodgateConfig()
+        self.ext = FloodgateExtension(
+            self.sim, config, timer == 0, False, 64_000, threshold
+        )
         self.ext.credits = self.sched
 
     def note_forwarded(self, in_port, dst, psn):
@@ -33,7 +40,7 @@ class Harness:
 
 class TestPractical:
     def test_credits_aggregate_over_timer(self):
-        h = Harness(FloodgateConfig(credit_timer=us(10)))
+        h = Harness(us(10))
         h.sched.watch_port(1)
         for psn in range(5):
             h.note_forwarded(1, dst=7, psn=psn)
@@ -43,7 +50,7 @@ class TestPractical:
         assert (port, dst, count, psn) == (1, 7, 5, 4)
 
     def test_one_credit_packet_per_destination(self):
-        h = Harness(FloodgateConfig(credit_timer=us(10)))
+        h = Harness(us(10))
         h.sched.watch_port(1)
         h.note_forwarded(1, 7, 0)
         h.note_forwarded(1, 8, 0)
@@ -51,19 +58,19 @@ class TestPractical:
         assert {d for _, d, _, _ in h.sent} == {7, 8}
 
     def test_no_traffic_no_credit(self):
-        h = Harness(FloodgateConfig(credit_timer=us(10)))
+        h = Harness(us(10))
         h.sched.watch_port(1)
         h.sim.run(until=us(50))
         assert h.sent == []
 
     def test_unwatched_port_generates_nothing(self):
-        h = Harness(FloodgateConfig(credit_timer=us(10)))
+        h = Harness(us(10))
         h.note_forwarded(3, 7, 0)  # port 3 peers with a host
         h.sim.run(until=us(50))
         assert h.sent == []
 
     def test_timer_stops_when_idle_and_restarts(self):
-        h = Harness(FloodgateConfig(credit_timer=us(10)))
+        h = Harness(us(10))
         h.sched.watch_port(1)
         h.note_forwarded(1, 7, 0)
         h.sim.run(until=us(25))
@@ -78,7 +85,7 @@ class TestPractical:
 
 class TestDelayCredit:
     def test_backlogged_dst_is_skipped(self):
-        h = Harness(FloodgateConfig(credit_timer=us(10), thre_credit_bytes=5000))
+        h = Harness(us(10), threshold=5000)
         h.sched.watch_port(1)
         h.backlogs[7] = 10_000  # above threshold
         h.note_forwarded(1, 7, 0)
@@ -87,7 +94,7 @@ class TestDelayCredit:
         assert h.sched.credits_delayed >= 1
 
     def test_credits_flush_after_backlog_drains(self):
-        h = Harness(FloodgateConfig(credit_timer=us(10), thre_credit_bytes=5000))
+        h = Harness(us(10), threshold=5000)
         h.sched.watch_port(1)
         h.backlogs[7] = 10_000
         h.note_forwarded(1, 7, 0)
@@ -97,7 +104,7 @@ class TestDelayCredit:
         assert h.sent == [(1, 7, 1, 0)]
 
     def test_other_dsts_unaffected_by_backlogged_one(self):
-        h = Harness(FloodgateConfig(credit_timer=us(10), thre_credit_bytes=5000))
+        h = Harness(us(10), threshold=5000)
         h.sched.watch_port(1)
         h.backlogs[7] = 10_000
         h.note_forwarded(1, 7, 0)
@@ -108,14 +115,14 @@ class TestDelayCredit:
 
 class TestIdeal:
     def test_per_packet_credit_immediate(self):
-        h = Harness(FloodgateConfig(ideal=True))
+        h = Harness(0)
         h.sched.watch_port(1)
         h.note_forwarded(1, 7, 0)
         h.note_forwarded(1, 7, 1)
         assert h.sent == [(1, 7, 1, 0), (1, 7, 1, 1)]
 
     def test_ideal_ignores_delay_credit(self):
-        h = Harness(FloodgateConfig(ideal=True, thre_credit_bytes=1))
+        h = Harness(0, threshold=1)
         h.sched.watch_port(1)
         h.backlogs[7] = 1_000_000
         h.note_forwarded(1, 7, 0)
@@ -124,7 +131,7 @@ class TestIdeal:
 
 class TestSwitchSyn:
     def test_answer_echoes_last_psn(self):
-        h = Harness(FloodgateConfig(credit_timer=us(10)))
+        h = Harness(us(10))
         h.sched.watch_port(1)
         for psn in range(3):
             h.note_forwarded(1, 7, psn)
@@ -132,13 +139,13 @@ class TestSwitchSyn:
         assert h.sent[-1] == (1, 7, 3, 2)
 
     def test_answer_with_no_history(self):
-        h = Harness(FloodgateConfig(credit_timer=us(10)))
+        h = Harness(us(10))
         h.sched.watch_port(1)
         h.sched.answer_syn(1, 9)
         assert h.sent == [(1, 9, 0, -1)]
 
     def test_answer_clears_owed(self):
-        h = Harness(FloodgateConfig(credit_timer=us(10)))
+        h = Harness(us(10))
         h.sched.watch_port(1)
         h.note_forwarded(1, 7, 0)
         h.sched.answer_syn(1, 7)

@@ -45,7 +45,7 @@ def build_fat_tree_net():
     config = FloodgateConfig(credit_timer=us(2))
     exts = []
     for sw in topo.switches:
-        ext = FloodgateExtension(sim, config)
+        ext = FloodgateExtension(sim, config, False, False, 64_000, 640_000)
         sw.install_extension(ext)
         exts.append(ext)
     return sim, topo, exts, stats

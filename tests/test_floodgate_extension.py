@@ -2,18 +2,28 @@
 
 from repro.faults import RandomLoss, plan_of
 from repro.floodgate.config import FloodgateConfig
-from repro.floodgate.extension import FloodgateExtension
+from repro.floodgate.extension import MAX_VOQS, FloodgateExtension
 from repro.units import kb, ms, us
 from tests.conftest import MiniNet, install
 
 
-def with_floodgate(net: MiniNet, **cfg_kwargs) -> list:
-    defaults = dict(credit_timer=us(2), thre_credit_bytes=kb(60))
-    defaults.update(cfg_kwargs)
-    config = FloodgateConfig(**defaults)
+def with_floodgate(
+    net: MiniNet,
+    ideal=False,
+    per_dst_pause=False,
+    base_bdp=64_000,
+    max_voqs=MAX_VOQS,
+    **cfg_kwargs,
+) -> list:
+    """Floodgate on every switch of ``net``: T = 2 us, a 60 KB
+    delayCredit threshold, dstPause thresholds from ``base_bdp``."""
+    config = FloodgateConfig(**{"credit_timer": us(2), **cfg_kwargs})
     exts = []
     for sw in net.topo.switches:
-        ext = FloodgateExtension(net.sim, config)
+        ext = FloodgateExtension(
+            net.sim, config, ideal, per_dst_pause, base_bdp, kb(60)
+        )
+        ext.pool.max_voqs = max_voqs
         sw.install_extension(ext)
         exts.append(ext)
     return exts
@@ -155,7 +165,7 @@ class TestPerDstPause:
     def test_sources_paused_and_resumed(self):
         net = MiniNet("leaf-spine")
         exts = with_floodgate(
-            net, per_dst_pause=True, thre_off_bytes=10_000, thre_on_bytes=5_000
+            net, per_dst_pause=True, base_bdp=10_000  # off 10 KB, on 5 KB
         )
         flows = [
             net.flow(i, src, 0, 40_000)

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.analysis.models import hop_bdp_bytes
+from repro.experiments.scenario import Scale, Scenario, ScenarioConfig
 from repro.floodgate.config import FloodgateConfig
+from repro.floodgate.extension import M, MAX_VOQS
 from repro.sim.engine import Simulator
-from repro.units import ms, us
+from repro.units import MTU, SEC, ms, us
 from tests.conftest import MiniNet
 
 
@@ -32,21 +35,58 @@ class TestEngineGuards:
         assert stamps == sorted(stamps)
 
 
+#: (case, scenario fields, expected credit timer, delayCredit multiple,
+#: ideal) — what ``floodgate.extension.install`` derives from a scenario
+INSTALL_CASES = [
+    ("ci", {}, us(2), 2.0, False),
+    ("paper", dict(scale=Scale.PAPER), us(10), 10.0, False),
+    ("explicit", dict(floodgate=FloodgateConfig(credit_timer=us(5))), us(5), 2.0, False),
+    ("delay-credit", dict(delay_credit_bdp=4.0), us(2), 4.0, False),
+    ("ideal", dict(flow_control="floodgate-ideal"), 0, 2.0, True),
+    ("per-dst-pause", dict(per_dst_pause=True), us(2), 2.0, False),
+]
+
+
 class TestFloodgateConfigDerivation:
-    def test_with_base_bdp_scales_thresholds(self):
-        cfg = FloodgateConfig().with_base_bdp(10_000)
-        assert cfg.thre_credit_bytes == 100_000  # 10 BDP default
-        assert cfg.thre_off_bytes == 10_000
-        assert cfg.thre_on_bytes == 5_000
-
-    def test_custom_multiple(self):
-        cfg = FloodgateConfig().with_base_bdp(10_000, credit_multiple=2.5)
-        assert cfg.thre_credit_bytes == 25_000
-
-    def test_original_untouched(self):
-        base = FloodgateConfig()
-        base.with_base_bdp(99_999)
-        assert base.thre_credit_bytes == FloodgateConfig().thre_credit_bytes
+    @pytest.mark.parametrize(
+        "fields, timer, multiple, ideal",
+        [case[1:] for case in INSTALL_CASES],
+        ids=[case[0] for case in INSTALL_CASES],
+    )
+    def test_install_derives(self, fields, timer, multiple, ideal):
+        cfg = ScenarioConfig(
+            **{
+                "flow_control": "floodgate",
+                "pattern": "none",
+                "n_tors": 3,
+                "hosts_per_tor": 2,
+                **fields,
+            }
+        )
+        scenario = Scenario(cfg)
+        bdp = scenario.base_bdp
+        for ext in scenario.extensions:
+            assert ext.credits.timer == timer
+            assert ext.credits.threshold == int(multiple * bdp)
+            assert (ext.thre_off, ext.thre_on) == (bdp, bdp // 2)
+            assert ext.ideal is ideal
+            assert ext.per_dst_pause is cfg.per_dst_pause
+            assert ext.pool.max_voqs == MAX_VOQS
+        # the ideal design's window is M next-hop BDPs; the practical
+        # one adds a credit timer's worth of line rate
+        ext = scenario.extensions[0]
+        dst = next(
+            h.node_id
+            for h in scenario.topology.hosts
+            if h.node_id not in ext.switch.connected_hosts
+        )
+        link = ext.switch.links[ext.switch.route_for_dst(dst)]
+        bdp_pkts = -(-hop_bdp_bytes(link.bandwidth, link.delay) // MTU)
+        if ideal:
+            assert ext._initial_window(dst) == int(M * bdp_pkts + 0.5)
+        else:
+            timer_pkts = -(-int(link.bandwidth * timer / (8 * SEC)) // MTU)
+            assert ext._initial_window(dst) == bdp_pkts + timer_pkts
 
     def test_frozen(self):
         cfg = FloodgateConfig()

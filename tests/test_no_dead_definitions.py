@@ -261,10 +261,8 @@ APPLIERS = {"once"}
 #: every cache key hashes it, so dropping a field moves every digest
 PICKLED = "pickled into every canonical_bytes and cache key: dropping it moves every digest"
 #: ``Owner.param`` -> why it stays settable although no caller sets it.
-#: Five entries at most.
+#: Three entries at most.
 ALLOWED_PARAMETERS = {
-    "FloodgateConfig.m": f"ScenarioConfig.floodgate is {PICKLED}",
-    "FloodgateConfig.max_voqs": f"ScenarioConfig.floodgate is {PICKLED}",
     "ScenarioConfig.rto": f"{PICKLED}; also tests/oracle_harness.py's RTO axis",
     "ScenarioConfig.scale": f"{PICKLED}; Scale.PAPER is examples/paper_scale.py's scale",
     "RpcWorkloadSpec.request_size": f"ScenarioConfig.rpc is {PICKLED}",
@@ -512,4 +510,4 @@ def test_every_model_parameter_has_a_caller():
     unset = _unset_model_parameters()
     assert [p for p in unset if p not in ALLOWED_PARAMETERS] == []
     assert sorted(set(ALLOWED_PARAMETERS) - set(unset)) == [], "allow-listed, but set"
-    assert len(ALLOWED_PARAMETERS) <= 5
+    assert len(ALLOWED_PARAMETERS) <= 3

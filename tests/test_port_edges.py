@@ -34,13 +34,6 @@ class TestCounters:
         sim.run()
         assert a.ports[0].tx_bytes == 1000 + 64
 
-    def test_tx_data_bytes_counts_only_data(self):
-        sim, a, b, _ = make_pair()
-        a.ports[0].enqueue(data(1000), 1)
-        a.ports[0].enqueue_control(Packet.control(PacketKind.ACK, 0, 1))
-        sim.run()
-        assert a.ports[0].tx_data_bytes == 1000
-
     def test_data_bytes_queued_excludes_control(self):
         sim, a, _, _ = make_pair()
         port = a.ports[0]

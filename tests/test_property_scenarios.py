@@ -32,7 +32,9 @@ def run_random(flow_specs, floodgate: bool, loss_pct: int = 0):
     if floodgate:
         config = FloodgateConfig(credit_timer=us(2), syn_timeout=us(50))
         for sw in net.topo.switches:
-            sw.install_extension(FloodgateExtension(net.sim, config))
+            sw.install_extension(
+                FloodgateExtension(net.sim, config, False, False, 64_000, 640_000)
+            )
     if loss_pct:
         rate = loss_pct / 100.0
         install(
