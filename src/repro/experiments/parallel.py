@@ -33,19 +33,91 @@ import dataclasses
 import functools
 import hashlib
 import io
-import json
 import os
 import pickle
 import tempfile
 from dataclasses import dataclass, field
+from enum import Enum
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.experiments.runner import RunOutcome, ScenarioResult, run_scenario
 from repro.experiments.scenario import ScenarioConfig
+from repro.stats.collector import MEASURES, FlowClass
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_PARALLEL = "REPRO_PARALLEL"
+
+
+# ---------------------------------------------------------------------------
+# identity: a config and an outcome as plain builtins, keyed by name
+# ---------------------------------------------------------------------------
+
+#: a flow class by its value (``Enum.value`` is a property; this is a lookup)
+_CLASS_VALUE = {c: c.value for c in FlowClass}
+
+
+def _dumps(value: Any) -> bytes:
+    buf = io.BytesIO()
+    pickler = pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.fast = True  # no memo: string interning must not shape the bytes
+    pickler.dump(value)
+    return buf.getvalue()
+
+
+def _plain(value: Any) -> Any:
+    """A config value as builtins: an enum by its value, a fault as
+    ``(kind, (field, value), ...)``."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return (value.kind, *sorted((f.name, getattr(value, f.name)) for f in fields if f.init))
+    return value
+
+
+def _set_fields(config: Any, defaults: Dict[str, object]) -> Iterator[Tuple[str, Any]]:
+    """``(leaf name, value)`` per field off its default; a sub-config
+    set at all gives ``(name, True)``, then its own set leaves."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if value == f.default or value == defaults.get(f.name, f.default):
+            continue
+        if dataclasses.is_dataclass(value):
+            yield f.name, True
+            yield from _set_fields(value, {})
+        else:
+            yield f.name, _plain(value)
+
+
+def config_items(config: ScenarioConfig, run_control: bool = False) -> Tuple[Tuple[str, Any], ...]:
+    """Every field of ``config``, nested ones included, that differs
+    from its default at the config's scale, by leaf name, sorted: a
+    resolved config and its source give the same items.  ``shards`` /
+    ``shard_mode`` (how a run executes, not what it models) only with
+    ``run_control``."""
+    skip = () if run_control else ("shards", "shard_mode")
+    items = _set_fields(config, config._scale_defaults())
+    return tuple(sorted(item for item in items if item[0] not in skip))
+
+
+def _plain_row(value: Any) -> Any:
+    """One hub row as builtins, in the order ``canonicalize`` left it: a
+    record as its fields by name, a flow class by its value, a
+    histogram as its slots."""
+    if isinstance(value, list) and value and dataclasses.is_dataclass(value[0]):
+        names = sorted(f.name for f in dataclasses.fields(value[0]))
+        return list(map(attrgetter(*names), value))
+    if isinstance(value, dict) and value:
+        key, cell = next(iter(value.items()))
+        if isinstance(cell, FlowClass) or isinstance(key, FlowClass):  # flow_class, rx bytes
+            return {_CLASS_VALUE.get(k, k): _CLASS_VALUE.get(c, c) for k, c in value.items()}
+    if hasattr(value, "__slots__"):  # a telemetry Histogram
+        return {name: getattr(value, name) for name in value.__slots__}
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -72,21 +144,26 @@ class ResultSummary(RunOutcome):
     # -- identity -----------------------------------------------------------------
 
     def canonical_bytes(self) -> bytes:
-        """Pickled form with run-dependent fields zeroed.
+        """What the run was asked and what it produced, as plain data.
 
-        Two runs of the same seeded scenario — serial, pooled, or
-        cache-served — produce identical canonical bytes.  Pickling
-        runs in fast mode (memo disabled) so the bytes depend only on
-        the summary's values, not on which equal strings happen to be
-        the same object — crossing a process boundary breaks string
-        interning and would otherwise change the memo layout.
+        Two name-sorted parts: :func:`config_items` (no shard fields: a
+        sharded run reproduces the serial one), and every hub row by its
+        ``MEASURES`` name plus the run totals, the telemetry export and
+        the violations.  No class path, attribute layout, wall time or
+        cache flag enters, so serial, pooled and cache-served runs of
+        one seed give identical bytes.
         """
-        clean = dataclasses.replace(self, wall_seconds=0.0, from_cache=False)
-        buf = io.BytesIO()
-        pickler = pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL)
-        pickler.fast = True  # summaries are acyclic plain data
-        pickler.dump(clean)
-        return buf.getvalue()
+        stats = self.stats
+        outcome = {m.attr: _plain_row(getattr(stats, m.attr)) for m in MEASURES}
+        telemetry = self.telemetry
+        outcome.update(
+            total_flows=self.total_flows,
+            sim_time=self.sim_time,
+            events=self.events,
+            telemetry=None if telemetry is None else sorted(vars(telemetry).items()),
+            sanitizer_violations=self.sanitizer_violations,
+        )
+        return _dumps((config_items(self.config), tuple(sorted(outcome.items()))))
 
 
 def summarize(result: ScenarioResult) -> ResultSummary:
@@ -118,11 +195,9 @@ def execute_task(task: SweepTask) -> ResultSummary:
 
 
 def config_fingerprint(config: ScenarioConfig) -> str:
-    """Stable hex digest of a config (nested dataclasses included)."""
-    payload = json.dumps(
-        dataclasses.asdict(config), sort_keys=True, default=str
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
+    """Stable hex digest of a config: :func:`config_items`, shard
+    fields included (a sharded run counts its window events)."""
+    return hashlib.sha256(_dumps(config_items(config, run_control=True))).hexdigest()
 
 
 @functools.cache

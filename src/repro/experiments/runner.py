@@ -134,7 +134,7 @@ class StatsViews:
 class RunOutcome(StatsViews):
     """One run's outcome as plain data: what :class:`ScenarioResult`
     and the picklable :class:`~repro.experiments.parallel.ResultSummary`
-    share (the field order is part of ``canonical_bytes()``)."""
+    share."""
 
     config: ScenarioConfig
     stats: StatsHub

@@ -102,7 +102,12 @@ _NON_NEGATIVE = (
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything one experiment run needs."""
+    """Everything one experiment run needs.
+
+    Its fields off their defaults, sub-configs' leaves included, are
+    the run's identity in its digest and sweep cache key
+    (:func:`repro.experiments.parallel.config_items`).
+    """
 
     # --- fidelity ---------------------------------------------------------
     #: simulation tier: "packet" runs the per-packet event engine,
@@ -153,29 +158,24 @@ class ScenarioConfig:
     incast_load: float = 0.5
     incast_fan_in: int = 0        # 0 -> every host outside the dst rack
     incast_dst: int = 0
-    #: closed-loop RPC workload (repro.rpc); required iff pattern="rpc".
-    #: Plain frozen data, so it hashes into the sweep cache key like
-    #: ``fault_plan``.
+    #: closed-loop RPC workload (repro.rpc); required iff pattern="rpc"
     rpc: Optional[RpcWorkloadSpec] = None
     duration: int = 0             # ns of traffic generation; 0 -> default
     seed: int = 1
 
     # --- faults -----------------------------------------------------------------
     #: scheduled fault injection (repro.faults); None or an empty plan
-    #: leaves the run bit-identical to a fault-free build.  The plan is
-    #: part of the config, so it hashes into the sweep cache key.
+    #: leaves the run bit-identical to a fault-free build
     fault_plan: Optional[FaultPlan] = None
 
     # --- telemetry --------------------------------------------------------------
     #: unified observability (repro.telemetry); None keeps the run
-    #: bit-identical to a telemetry-free build.  Part of the config, so
-    #: it hashes into the sweep cache key alongside the exported blob.
+    #: bit-identical to a telemetry-free build
     telemetry: Optional[TelemetryConfig] = None
 
     # --- sanitizer --------------------------------------------------------------
     #: runtime invariant checks (repro.simcheck); None keeps the run
-    #: bit-identical to a sanitizer-free build.  Part of the config, so
-    #: it hashes into the sweep cache key.
+    #: bit-identical to a sanitizer-free build
     sanitize: Optional[SanitizerConfig] = None
 
     # --- run control ------------------------------------------------------------

@@ -14,9 +14,10 @@ Determinism contract
   faulted link, so the same ``(seed, plan)`` pair replays the exact
   same loss pattern in serial, pooled, and cache-served runs.
 * Plans are frozen dataclasses of plain values; a plan embedded in a
-  :class:`~repro.experiments.scenario.ScenarioConfig` enters the
-  parallel runner's disk-cache key with the rest of the config
-  (``parallel.config_fingerprint`` hashes ``dataclasses.asdict``).
+  :class:`~repro.experiments.scenario.ScenarioConfig` enters the run's
+  digest and the parallel runner's disk-cache key with the rest of the
+  config, each fault as ``(kind, (field, value), ...)``
+  (``parallel.config_items``).
 
 Link selectors
 --------------

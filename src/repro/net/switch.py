@@ -30,7 +30,7 @@ from repro.net.packet import (
 )
 from repro.net.port import EgressPort
 from repro.sim.engine import Simulator
-from repro.stats.collector import BW_CREDIT, BW_CTRL, BW_DATA, StatsHub
+from repro.stats.collector import BW_CREDIT, BW_CTRL, BW_DATA, FlowClass, StatsHub
 
 #: hoisted enum members: the receive dispatcher compares against these
 #: once per packet, and a module global beats an Enum class attribute
@@ -38,6 +38,8 @@ _DATA = PacketKind.DATA
 _PAUSE = PacketKind.PAUSE
 _RESUME = PacketKind.RESUME
 _CREDIT_LIKE = (PacketKind.CREDIT, PacketKind.SWITCH_SYN)
+_INCAST = FlowClass.INCAST
+
 
 def _ecmp_hash(value: int) -> int:
     """Cheap deterministic integer hash (Knuth multiplicative)."""
@@ -347,7 +349,7 @@ class Switch(Node):
                 # classified now: a closed-loop driver registers incast
                 # flows while the run is under way
                 cell = self._port_queuing[port.index]
-                i = 2 if pkt.flow_id in stats._incast_flows else 0
+                i = 2 if stats.flow_class.get(pkt.flow_id) is _INCAST else 0
                 cell[i] += delay
                 cell[i + 1] += 1
             # only a law that needs INT attaches a stack

@@ -27,6 +27,9 @@ from repro.rpc.spec import RpcWorkloadSpec
 from repro.stats.collector import FlowClass
 from repro.stats.rpc import RpcRecord
 
+#: shard query size, bytes (small — the response carries the data)
+REQUEST_SIZE = 300
+
 #: pending-flow roles (identity-compared in the dispatch hot path)
 _REQUEST = "request"
 _RESPONSE = "response"
@@ -159,7 +162,7 @@ class ClosedLoopDriver:
                 self._flow_id(request_id, slot),
                 client.host_id,
                 server,
-                spec.request_size,
+                REQUEST_SIZE,
                 now,
             )
             self._pending_flow[flow.flow_id] = (_REQUEST, request, resp_size, slot)

@@ -2,8 +2,9 @@
 
 An :class:`RpcWorkloadSpec` is plain frozen data, like
 :class:`repro.faults.plan.FaultPlan`: it lives inside a
-``ScenarioConfig`` and survives ``dataclasses.asdict``, which is how
-it enters the sweep cache key (``parallel.config_fingerprint``).
+``ScenarioConfig``, and its fields off their defaults enter the run's
+digest and the sweep cache key by name (``parallel.config_items``).
+The shard query's size is the driver's ``REQUEST_SIZE``.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ class RpcWorkloadSpec:
     fan_out: int = 8
     #: mean think time between a request's completion and the next, ns
     think_time: int = 50_000
-    #: query size, bytes (small — the response carries the data)
-    request_size: int = 300
     #: per-shard response size, uniform in [min, max] bytes.  Default
     #: is the paper's incast response shape: 30-40 MTU, around one
     #: end-to-end BDP.
@@ -57,10 +56,6 @@ class RpcWorkloadSpec:
         if self.think_time < 0:
             raise ValueError(
                 f"think_time must be >= 0 ns, got {self.think_time}"
-            )
-        if self.request_size < 1:
-            raise ValueError(
-                f"request_size must be >= 1 byte, got {self.request_size}"
             )
         if not 1 <= self.response_size_min <= self.response_size_max:
             raise ValueError(

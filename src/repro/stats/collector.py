@@ -21,7 +21,6 @@ from typing import (
     List,
     NamedTuple,
     Optional,
-    Set,
     Tuple,
     Union,
 )
@@ -130,9 +129,6 @@ class StatsHub:
         # --- per-class receive bytes (realtime throughput, Fig. 2/12) -------
         #: unclassified flows land under FlowClass.OTHER, never None
         self.rx_bytes_by_class: Dict[FlowClass, int] = {}
-        # incast flow ids (a copy of flow_class's INCAST keys, for the
-        # switch's per-dequeue lookup), set by register_flow_class
-        self._incast_flows: Set[int] = set()
         # --- telemetry hooks (repro.telemetry) --------------------------------
         #: streaming histograms fed behind is-None checks; installed by
         #: TelemetryRecorder, absent cost is one check per event
@@ -163,8 +159,6 @@ class StatsHub:
         """Label ``flow_id``: the one sink for a flow's class, called by
         the pattern's traffic function and the rpc driver."""
         self.flow_class[flow_id] = cls
-        if cls is FlowClass.INCAST:
-            self._incast_flows.add(flow_id)
         for child in self._shard_children:
             child.register_flow_class(flow_id, cls)
 
@@ -305,10 +299,10 @@ class StatsHub:
         """Rewrite every container into a content-determined layout.
 
         Append order of the record lists and insertion order of the
-        dicts/sets reflect *execution* order, which differs between a
+        dicts reflect *execution* order, which differs between a
         serial run and a sharded run (domains interleave differently)
         even when the contents are identical.  Re-sorting each by its
-        declared ``order`` makes the pickled hub — and therefore
+        declared ``order`` makes every row — and therefore
         ``ResultSummary.canonical_bytes()`` — a function of *what* was
         measured, not the order it was measured in.  Idempotent;
         applied to every run's hub by the run merge.
@@ -322,14 +316,10 @@ class StatsHub:
                 continue
             elif isinstance(value, list):
                 value.sort(key=m.order)
-            elif isinstance(value, dict):
-                setattr(self, m.attr, dict(sorted(value.items(), key=m.order)))
             else:
-                # rebuilt from sorted insertion, a set's hash-table
-                # layout — hence its pickle — depends on content only
-                setattr(self, m.attr, set(sorted(value, key=m.order)))
-        # shard children are runtime plumbing: dropping them keeps the
-        # pickled hub identical to a serial run's (which never had any)
+                setattr(self, m.attr, dict(sorted(value.items(), key=m.order)))
+        # shard children are runtime plumbing: a summary pickled to the
+        # pool or the cache carries none, as a serial run's never had any
         self._shard_children = []
 
     def shard_clone(self) -> "StatsHub":
@@ -343,7 +333,6 @@ class StatsHub:
         """
         clone = StatsHub()
         clone.flow_class = dict(self.flow_class)
-        clone._incast_flows = set(self._incast_flows)
         clone.track_bandwidth = self.track_bandwidth
         return clone
 
@@ -402,7 +391,7 @@ class StatsHub:
 # is on); the in-place operators serve lists and registrations:
 
 concatenate = operator.iadd  # record lists
-union = operator.ior         # dicts/sets every hub agrees on key by key
+union = operator.ior         # dicts every hub agrees on key by key
 
 
 def add_by_key(mine: dict, theirs: dict) -> dict:
@@ -438,8 +427,8 @@ def fold_histogram(mine, theirs):
 class Measure(NamedTuple):
     attr: str
     combine: Callable
-    #: canonical sort key — over a list's records, a dict's ``(key,
-    #: value)`` items, a set's members; None leaves the layout alone
+    #: canonical sort key — over a list's records or a dict's ``(key,
+    #: value)`` items; None leaves the layout alone
     #: (scalars, tables pre-seeded with a fixed key set)
     order: Optional[Callable] = None
     #: telemetry counter name (the name prefix, for keyed tables)
@@ -482,7 +471,6 @@ MEASURES: Tuple[Measure, ...] = (
     Measure("track_bandwidth", max),
     Measure("tx_bytes_by_category", add_by_key),
     Measure("rx_bytes_by_class", add_by_key, lambda kv: kv[0].value),
-    Measure("_incast_flows", union, _natural),
     Measure("fct_histogram", fold_histogram),
     Measure("queuing_histogram", fold_histogram),
     # wired only on a recorded closed-loop run; its count is the

@@ -14,7 +14,9 @@ that calls ``sw.enqueue_data`` itself — and
 full summary, event counts included.  Do not "improve" this file: it is
 a reference, not code under test.  One edit since: its PFC branches
 hand PAUSE / RESUME to ``Node.receive_pause``, the one pause handler
-that replaced the per-protocol frame kinds.
+that replaced the per-protocol frame kinds.  And one more: its
+queueing split asks the hub's ``flow_class`` whether a flow is
+``INCAST``, since the hub no longer keeps a separate set of incast ids.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from repro.floodgate.voq import group_of
 from repro.net.packet import IS_ACK_LIKE, IS_CONTROL, IntRecord, Packet, PacketKind
 from repro.net.port import EgressPort
 from repro.net.switch import Switch
-from repro.stats.collector import BW_CREDIT, BW_CTRL, BW_DATA, StatsHub
+from repro.stats.collector import BW_CREDIT, BW_CTRL, BW_DATA, FlowClass, StatsHub
 
 _DATA = PacketKind.DATA
 _PAUSE = PacketKind.PAUSE
@@ -205,7 +207,7 @@ def record_queuing(self, role: str, flow_id: int, delay: int) -> None:
         self.queuing_histogram.observe(delay)
     table = (
         self.queuing_incast
-        if flow_id in self._incast_flows
+        if self.flow_class.get(flow_id) is FlowClass.INCAST
         else self.queuing_normal
     )
     cell = table.get(role)

@@ -42,7 +42,7 @@ class TestSpec:
             (dict(fan_out=0), "fan_out must be >= 1"),
             (dict(n_clients=-1), "n_clients must be >= 0"),
             (dict(think_time=-5), "think_time must be >= 0"),
-            (dict(request_size=0), "request_size must be >= 1"),
+            (dict(response_size_min=0), "response sizes"),
             (
                 dict(response_size_min=500, response_size_max=100),
                 "response sizes",

@@ -197,7 +197,8 @@ class TestIncastMix:
     def test_register_labels_stats_hub(self, mix):
         # Poisson ids come first (0..n-1), the bursts' after them
         incast_ids = {f.flow_id for f in mix.flows if f.dst == 0}
-        assert incast_ids == mix.stats._incast_flows
+        labels = mix.stats.flow_class
+        assert incast_ids == {fid for fid in labels if labels[fid] is FlowClass.INCAST}
         assert min(incast_ids) == len(mix.flows) - len(incast_ids)
 
     def test_flows_sorted_by_start(self, mix):
